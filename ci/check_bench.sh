@@ -33,15 +33,17 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # with no tracer installed the packet hot path must stay as fast as the
 # committed baseline (tracing is a branch on a cold Option, nothing
 # more). far_schedule exercises the L2 wheel + overflow heap path;
-# packet_arena pins the pooled-packet alloc/free cycle. shard_barrier
-# pins the sharded engine's per-window coordination cost (barriers +
+# idle_gap_then_dense holds the wheel cursor behind the clock (a cursor
+# parked on a far timer sends the whole burst through the inbox heap,
+# ~6x slower). packet_arena pins the pooled-packet alloc/free cycle.
+# shard_barrier pins the sharded engine's per-window coordination cost (barriers +
 # mailbox sweeps) with one hop of real work per window — both with the
 # per-window telemetry records off (the free default) and on.
 # quantile_sketch pins the log-histogram insert/merge path the large
 # scenarios aggregate FCTs through.
 cargo bench --bench engine -- \
     schedule_fire_1e5 schedule_cancel_fire_1e6 event_queue_hold \
-    far_schedule_fire_1e6 packet_arena \
+    far_schedule_fire_1e6 idle_gap_then_dense packet_arena \
     link_pipeline shard_barrier quantile_sketch \
     --check "$root/BENCH_netsim.json"
 

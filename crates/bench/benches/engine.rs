@@ -109,6 +109,34 @@ fn event_queue(c: &mut Bench) {
     g.bench_function("far_schedule_fire_1e6", || {
         schedule_drain(1_000_000, 60_000_000_000, 0);
     });
+    // The short-flow regime's shape: a start-up burst drains, a handshake
+    // timer 1 s out is all that is pending, `run_until` stops in the idle
+    // gap before it, and 1e6 events are scheduled from the clamped clock —
+    // all earlier than that timer. If looking for the next event ever
+    // carries the wheel cursor to the timer again, every one of them goes
+    // through the inbox heap instead of the wheel.
+    g.bench_function("idle_gap_then_dense", || {
+        let mut sim: Simulator<u32> = Simulator::new(3);
+        let a = sim.add_node(Box::new(Sink));
+        for i in 0..2_000u64 {
+            sim.core()
+                .set_timer_at(a, SimTime::from_nanos(i * 1_000), 0);
+        }
+        sim.core()
+            .set_timer_at(a, SimTime::from_nanos(1_000_000_000), 0);
+        let gap = 420_000_000u64;
+        sim.run_until(SimTime::from_nanos(gap));
+        let mut lcg: u64 = 0x9e3779b97f4a7c15;
+        for _ in 0..1_000_000u64 {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = SimTime::from_nanos(gap + (lcg >> 16) % 500_000_000);
+            sim.core().set_timer_at(a, at, 0);
+        }
+        sim.run_to_completion(2_000_000);
+        black_box(sim.events_processed());
+    });
     g.sample_size(3);
     g.throughput_elements(10_000_000);
     g.bench_function("schedule_fire_1e7", || {

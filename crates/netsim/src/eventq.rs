@@ -27,7 +27,8 @@
 //!   crosses into their segment. This is what keeps multi-second RTO timers
 //!   and long flow-start schedules off the comparison-based heap.
 //! - **Dense buckets**: each bucket (both levels) is a plain
-//!   `Vec<EventEntry>` whose capacity persists across drains. An earlier
+//!   `Vec<EventEntry>`; a drained L1 bucket keeps its buffer up to
+//!   [`BUCKET_KEEP`] entries and hands anything larger back. An earlier
 //!   design chained entries through a shared slab to keep the queue at one
 //!   allocation, but draining a chain is serial pointer-chasing — one
 //!   dependent cache miss per entry once the population outgrows the LLC,
@@ -41,14 +42,16 @@
 //!   (An intermediate design copied sort keys into a structure-of-arrays
 //!   scratch; sorting the `Copy` bodies directly measured faster — the
 //!   keys' extra write+read traffic outweighed the smaller sort moves.)
-//! - **Inbox**: events scheduled into the cursor's own bucket (or behind
-//!   the eagerly-advanced cursor) are binary-inserted into the sorted run
-//!   while it is short, and spill to a small min-heap once the run exceeds
-//!   [`INBOX_SPILL`] — at high queue depth a mid-run insert is an
-//!   O(bucket) memmove per push, while at low depth the memmove beats two
-//!   heap operations. Pop takes the smaller of the run's tail and the
-//!   inbox head; the inbox only ever holds entries for the window
-//!   currently being consumed, so it stays small.
+//! - **Inbox**: events scheduled into the cursor's own bucket after it was
+//!   loaded are binary-inserted into the sorted run while it is short, and
+//!   spill to a small min-heap once the run exceeds [`INBOX_SPILL`] — at
+//!   high queue depth a mid-run insert is an O(bucket) memmove per push,
+//!   while at low depth the memmove beats two heap operations. Pop takes
+//!   the smaller of the run's head and the inbox head; the inbox only ever
+//!   holds entries of the one bucket being consumed, so it stays small
+//!   ([`EventQueue::inbox_pops`] counts what it serves;
+//!   `tests/cursor_discipline.rs` uses the count to catch a cursor that
+//!   got ahead of the clock, which sends *every* push here).
 //! - **Overflow**: events beyond the L2 span (~9 virtual minutes — idle
 //!   horizons, `FAR_FUTURE` sentinels) go to a min-heap ordered by
 //!   `(at, seq)` and migrate into the wheels as segments advance.
@@ -63,14 +66,18 @@
 //!   wheels pop in the same `(at, seq)` order, so the migration point is
 //!   observationally invisible.
 //!
-//! Three invariants carry the determinism proof: every L1 bucket's entries
+//! Four invariants carry the determinism proof: every L1 bucket's entries
 //! belong to the current segment (pushes beyond it go to L2 or overflow),
 //! L2/overflow entries are strictly beyond the current segment (both drain
-//! exactly at segment crossings), and the cursor never passes an occupied
-//! bucket. Together they mean the pop sequence is exactly the ascending
+//! exactly at segment crossings), the cursor never passes an occupied
+//! bucket, and **the cursor never leads the clock** — it moves only inside
+//! a pop, and a pop bounded by `until` ([`EventQueue::pop_due`]) refuses to
+//! enter a bucket or segment that starts after `until`, so `cursor_time <=
+//! now <=` every later push and nothing is ever scheduled behind the
+//! cursor. Together they mean the pop sequence is exactly the ascending
 //! `(at, seq)` order — byte-identical to the reference heap, which
 //! `tests/event_order.rs` checks against a sorted-list model under
-//! randomized schedule/cancel workloads.
+//! randomized schedule/cancel/run-until workloads.
 
 use crate::node::TimerId;
 use crate::packet::{LinkId, NodeId, PacketHandle};
@@ -100,6 +107,13 @@ const L2_MASK: usize = N_L2 - 1;
 /// `current` run while it is at most this long; past that they go to the
 /// inbox heap (a mid-run `Vec::insert` memmove grows with run length).
 const INBOX_SPILL: usize = 64;
+/// A drained L1 bucket keeps its buffer only up to this many entries; a
+/// larger one is handed back to the allocator. Every bucket of the ring
+/// fills once per segment, so without the bound each of the 1024 retains
+/// its high-water fill for the rest of the run — at thousands of concurrent
+/// flows that is more memory than the pending events themselves. Buckets
+/// of small simulations never reach the bound and stay allocation-free.
+const BUCKET_KEEP: usize = 64;
 /// Pending-entry threshold for leaving sparse mode: while fewer entries
 /// are pending the queue is a plain min-heap and the wheels stay
 /// unallocated. Crossing it allocates the wheels and drains the heap into
@@ -170,8 +184,7 @@ impl Ord for EventEntry {
 
 /// The calendar queue. Total order: `(at, seq)` ascending.
 pub(crate) struct EventQueue {
-    /// L1 buckets; capacity persists across drains, so steady state runs
-    /// allocation-free.
+    /// L1 buckets; capacity up to [`BUCKET_KEEP`] persists across drains.
     l1: Vec<Vec<EventEntry>>,
     /// One bit per L1 bucket: does it hold any entries?
     occupied: Vec<u64>,
@@ -186,6 +199,7 @@ pub(crate) struct EventQueue {
     /// Index of the bucket the cursor last consumed from.
     cursor: usize,
     /// Start time of the cursor's bucket (multiple of the bucket width).
+    /// Never later than the engine clock.
     cursor_time: u64,
     /// Consumption index into `l1[cursor]`, which after a refill is sorted
     /// ascending by `(at, seq)` *in place* — a drain moves nothing, `pop`
@@ -195,9 +209,12 @@ pub(crate) struct EventQueue {
     /// Cascade scratch, swapped with an L2 bucket during a segment jump so
     /// its capacity is recycled.
     seg_scratch: Vec<EventEntry>,
-    /// Entries pushed into the cursor's bucket (or behind the cursor)
-    /// after it was loaded; consumed in merge with the run.
+    /// Entries pushed into the cursor's bucket after it was loaded, once
+    /// the run is too long to insert into; consumed in merge with the run.
     inbox: BinaryHeap<Reverse<EventEntry>>,
+    /// Pops served from `inbox` so far: the always-on check that the wheel,
+    /// not the heap, is doing the work.
+    inbox_pops: u64,
     /// Events beyond the L2 span. In sparse mode this heap holds *every*
     /// pending entry.
     overflow: BinaryHeap<Reverse<EventEntry>>,
@@ -222,6 +239,7 @@ impl EventQueue {
             run_pos: 0,
             seg_scratch: Vec::new(),
             inbox: BinaryHeap::new(),
+            inbox_pops: 0,
             overflow: BinaryHeap::new(),
             len: 0,
             sparse: true,
@@ -230,6 +248,11 @@ impl EventQueue {
 
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Pops served from the inbox heap since this queue was created.
+    pub(crate) fn inbox_pops(&self) -> u64 {
+        self.inbox_pops
     }
 
     #[inline]
@@ -253,8 +276,12 @@ impl EventQueue {
             // first touch stays a plain push, so the hundreds of tiny
             // simulations in a figure sweep (one or two events per
             // bucket, bucket never revisited) don't pay a 32-slot
-            // allocation per bucket they graze.
-            v.reserve(32.max(v.len()));
+            // allocation per bucket they graze. Past that the buffer grows
+            // by half, not double (`reserve` would double): a thousand
+            // buckets each carry their own slack, and at thousands of
+            // concurrent flows doubling costs ~5 % of peak RSS for no
+            // measurable speed.
+            v.reserve_exact(32.max(v.len() / 2));
         }
         v.push(entry);
         self.set_occupied(b);
@@ -273,76 +300,90 @@ impl EventQueue {
         self.in_l2 += 1;
     }
 
-    /// Insert an event. The engine guarantees `at >= now` (never into the
-    /// past); `at` may still land *behind* the wheel cursor, because `peek`
-    /// advances the cursor eagerly — such entries go to the inbox heap,
-    /// which keeps the global `(at, seq)` order: everything already popped
-    /// is `<= now <= at`, and everything still in buckets or overflow is
-    /// strictly past the cursor's bucket.
-    pub(crate) fn push(&mut self, entry: EventEntry) {
+    /// Insert an event. `now` is the engine clock: no entry popped so far
+    /// is later than it and `entry.at >= now`. The cursor never leads the
+    /// clock, so the entry lands at or ahead of the cursor — in a wheel
+    /// bucket, or merged into the run being consumed when it falls into the
+    /// cursor's own bucket.
+    pub(crate) fn push(&mut self, now: SimTime, entry: EventEntry) {
         if self.sparse {
             if self.len < SPARSE_LIMIT {
                 self.len += 1;
                 self.overflow.push(Reverse(entry));
                 return;
             }
-            self.densify();
+            self.densify(now);
+        } else if self.len == 0 {
+            // An empty queue has nothing to keep in order, so the cursor
+            // rejoins the clock: after an idle stretch longer than the L2
+            // span the next burst would otherwise all go to the overflow
+            // heap.
+            self.anchor(now);
         }
         self.len += 1;
         self.push_dense(entry);
     }
 
     /// Leave sparse mode: allocate the wheels, anchor the cursor at the
-    /// earliest pending entry's bucket (so nothing lands behind it), and
-    /// drain the heap through the dense push path. Entries already counted
-    /// in `len` keep their count; order is unchanged because a heap and the
-    /// wheels pop in the same `(at, seq)` order.
+    /// clock (the earliest pending entry may be a far timer, and later
+    /// pushes land between the clock and it), and drain the heap through
+    /// the dense push path. Entries already counted in `len` keep their
+    /// count; order is unchanged because a heap and the wheels pop in the
+    /// same `(at, seq)` order.
     #[cold]
-    fn densify(&mut self) {
+    fn densify(&mut self, now: SimTime) {
         self.sparse = false;
         self.l1 = (0..N_BUCKETS).map(|_| Vec::new()).collect();
         self.occupied = vec![0u64; N_BUCKETS / 64];
         self.l2 = (0..N_L2).map(|_| Vec::new()).collect();
         self.l2_occupied = vec![0u64; N_L2 / 64];
-        let pending = std::mem::take(&mut self.overflow).into_vec();
-        if let Some(min_at) = pending.iter().map(|Reverse(e)| e.at.as_nanos()).min() {
-            self.cursor_time = (min_at >> W_SHIFT) << W_SHIFT;
-            self.cursor = bucket_of(min_at);
-        }
-        for Reverse(e) in pending {
+        self.anchor(now);
+        for Reverse(e) in std::mem::take(&mut self.overflow).into_vec() {
             self.push_dense(e);
         }
     }
 
+    /// Put the cursor on `now`'s bucket. Caller ensures the wheels, the run
+    /// and the inbox hold no pending entry.
+    fn anchor(&mut self, now: SimTime) {
+        debug_assert!(self.in_buckets + self.in_l2 + self.run_len() + self.inbox.len() == 0);
+        self.retire_run();
+        self.cursor_time = (now.as_nanos() >> W_SHIFT) << W_SHIFT;
+        self.cursor = bucket_of(now.as_nanos());
+    }
+
     fn push_dense(&mut self, entry: EventEntry) {
         let at = entry.at.as_nanos();
-        if at >= self.cursor_time {
-            let seg = segment_of(self.cursor_time);
-            if segment_of(at) == seg {
-                // Within the current L1 segment.
-                let b = bucket_of(at);
-                if b != self.cursor {
-                    self.bucket_insert(b, entry);
-                    return;
-                }
+        // Always on: an entry behind the cursor would sit in a bucket the
+        // cursor has passed and fire a whole wheel turn late.
+        assert!(
+            at >= self.cursor_time,
+            "event at {at} ns scheduled behind the wheel cursor ({} ns)",
+            self.cursor_time
+        );
+        let (seg, at_seg) = (segment_of(self.cursor_time), segment_of(at));
+        if at_seg != seg {
+            // `at_seg > seg`; distances below N_L2 park in the L2 wheel.
+            // Distance N_L2 itself maps to the cursor's own slot, which the
+            // ring scan in `next_l2_distance` reads as distance 0, so it
+            // goes to the overflow heap with everything further.
+            if at_seg - seg < N_L2 as u64 {
+                self.l2_insert((at_seg as usize) & L2_MASK, entry);
             } else {
-                // `segment_of(at) > seg`; distances up to N_L2 park in the
-                // L2 wheel (the slot for `seg + N_L2` is free: its previous
-                // tenant was drained when the cursor entered `seg`).
-                let d = segment_of(at) - seg;
-                if d <= N_L2 as u64 {
-                    self.l2_insert((segment_of(at) as usize) & L2_MASK, entry);
-                } else {
-                    self.overflow.push(Reverse(entry));
-                }
-                return;
+                self.overflow.push(Reverse(entry));
             }
+            return;
         }
-        // Cursor's own bucket, or behind the eagerly-advanced cursor.
-        // Short runs (the common case in small simulations) take a binary
-        // insert into the run — a few-entry memmove beats two heap
-        // operations. Deep runs spill to the inbox instead, where the
-        // memmove would be O(bucket population).
+        // Within the current L1 segment.
+        let b = bucket_of(at);
+        if b != self.cursor {
+            self.bucket_insert(b, entry);
+            return;
+        }
+        // The cursor's own bucket. Short runs (the common case in small
+        // simulations) take a binary insert into the run — a few-entry
+        // memmove beats two heap operations. Deep runs spill to the inbox
+        // instead, where the memmove would be O(bucket population).
         let run = &mut self.l1[self.cursor];
         if run.len() - self.run_pos <= INBOX_SPILL {
             let key = (entry.at, entry.seq);
@@ -353,23 +394,22 @@ impl EventQueue {
         }
     }
 
+    /// Distance in segments (1..N_L2) from the cursor's segment to the next
+    /// occupied L2 bucket, if any.
+    fn next_l2_distance(&self) -> Option<usize> {
+        let slot = (segment_of(self.cursor_time) as usize) & L2_MASK;
+        (self.in_l2 > 0)
+            .then(|| next_occupied_distance(&self.l2_occupied, N_L2, (slot + 1) & L2_MASK, slot))
+    }
+
     /// Jump the cursor to the next segment holding work (L2 buckets or
     /// overflow entries) and cascade that segment's events into L1.
-    /// Returns `false` when nothing is pending in L2 or overflow.
-    fn advance_segment(&mut self) -> bool {
+    /// Returns `false`, leaving the cursor where it is, when nothing is
+    /// pending in L2 or overflow or that segment starts after `limit`.
+    fn advance_segment(&mut self, limit: u64) -> bool {
         debug_assert!(self.in_buckets == 0);
         let seg = segment_of(self.cursor_time);
-        // Distance (1..=N_L2) to the next occupied L2 bucket, if any.
-        let l2_d = if self.in_l2 > 0 {
-            Some(next_occupied_distance(
-                &self.l2_occupied,
-                N_L2,
-                ((seg as usize) + 1) & L2_MASK,
-                (seg as usize) & L2_MASK,
-            ))
-        } else {
-            None
-        };
+        let l2_d = self.next_l2_distance();
         let heap_d = self
             .overflow
             .peek()
@@ -381,6 +421,9 @@ impl EventQueue {
             (None, None) => return false,
         };
         let target = seg + d as u64;
+        if target << L2_SHIFT > limit {
+            return false;
+        }
         self.cursor_time = target << L2_SHIFT;
         self.cursor = bucket_of(self.cursor_time);
         // Cascade the target segment's L2 bucket: a streaming copy into the
@@ -411,26 +454,37 @@ impl EventQueue {
         true
     }
 
-    /// Advance the cursor to the next occupied bucket (crossing segments as
-    /// needed) and batch-drain that bucket into the run scratch: bodies are
-    /// copied once, keys are sorted. Returns `false` if the wheels and
-    /// overflow are empty (the inbox may still hold entries — `pop`/`peek`
-    /// check it). Caller ensures the run is empty.
     /// Remaining entries in the current sorted run.
     #[inline]
     fn run_len(&self) -> usize {
         self.l1[self.cursor].len() - self.run_pos
     }
 
-    fn refill(&mut self) -> bool {
+    /// Reclaim the cursor bucket once its run is consumed: the consumed
+    /// entries still occupy it, all dead, and it must be empty by the time
+    /// the wheel wraps back to it.
+    #[inline]
+    fn retire_run(&mut self) {
         debug_assert!(self.run_len() == 0);
-        // The consumed run still occupies the old cursor bucket's prefix;
-        // with the run drained it is all dead, so reclaim the bucket
-        // before the cursor moves on (it must be empty by the time the
-        // wheel wraps back to it).
-        self.l1[self.cursor].clear();
+        let run = &mut self.l1[self.cursor];
+        if run.capacity() > BUCKET_KEEP {
+            *run = Vec::new();
+        } else {
+            run.clear();
+        }
         self.run_pos = 0;
-        if self.in_buckets == 0 && !self.advance_segment() {
+    }
+
+    /// Advance the cursor to the next occupied bucket (crossing segments as
+    /// needed) and sort that bucket in place into the new run — unless that
+    /// bucket, or the segment it is in, starts after `limit`: then the
+    /// cursor stops short of it, at or before `limit`, with an empty run.
+    /// Returns `true` when a run was loaded. Caller ensures the run and the
+    /// inbox are empty.
+    fn refill(&mut self, limit: u64) -> bool {
+        debug_assert!(self.inbox.is_empty());
+        self.retire_run();
+        if self.in_buckets == 0 && !self.advance_segment(limit) {
             return false;
         }
         // Inclusive scan: after a segment jump the cursor's own bucket may
@@ -438,8 +492,12 @@ impl EventQueue {
         // cursor bucket is empty (its entries were drained), so the scan
         // lands strictly ahead.
         let d = next_occupied_distance(&self.occupied, N_BUCKETS, self.cursor, self.cursor);
+        let start = self.cursor_time + ((d as u64) << W_SHIFT);
+        if start > limit {
+            return false;
+        }
         self.cursor = (self.cursor + d) & IDX_MASK;
-        self.cursor_time += (d as u64) << W_SHIFT;
+        self.cursor_time = start;
         let b = self.cursor;
         debug_assert!(!self.l1[b].is_empty(), "advanced to an empty bucket");
         self.clear_occupied(b);
@@ -462,27 +520,36 @@ impl EventQueue {
         self.l1[self.cursor].get(self.run_pos + n)
     }
 
-    /// The earliest entry, if any. May advance the cursor internally (which
-    /// is invisible to firing order — see `push`).
-    pub(crate) fn peek(&mut self) -> Option<&EventEntry> {
+    /// Time of the earliest entry, if any. A pure read — the cursor moves
+    /// only in a pop — so when the run and the inbox are empty it scans
+    /// the next occupied bucket for its minimum: a few dozen entries in L1;
+    /// a whole segment's worth in L2, which costs about what cascading that
+    /// segment will.
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
+        let earlier = |a: Option<SimTime>, b: Option<SimTime>| a.into_iter().chain(b).min();
+        let heap_at = |h: &BinaryHeap<Reverse<EventEntry>>| h.peek().map(|Reverse(e)| e.at);
         if self.sparse {
-            return self.overflow.peek().map(|Reverse(e)| e);
+            return heap_at(&self.overflow);
         }
-        if self.run_len() == 0 {
-            self.refill();
+        // Run and inbox hold the cursor bucket's entries, every other L1
+        // bucket is later, and L2/overflow are later than all of L1.
+        let run = self.l1[self.cursor].get(self.run_pos).map(|e| e.at);
+        let head = earlier(run, heap_at(&self.inbox));
+        if head.is_some() {
+            return head;
         }
-        let run = self.l1[self.cursor].get(self.run_pos);
-        match (run, self.inbox.peek()) {
-            (Some(c), Some(Reverse(i))) => {
-                if (i.at, i.seq) < (c.at, c.seq) {
-                    self.inbox.peek().map(|Reverse(e)| e)
-                } else {
-                    run
-                }
-            }
-            (Some(_), None) => run,
-            (None, _) => self.inbox.peek().map(|Reverse(e)| e),
+        if self.in_buckets > 0 {
+            let d = next_occupied_distance(&self.occupied, N_BUCKETS, self.cursor, self.cursor);
+            return self.l1[(self.cursor + d) & IDX_MASK]
+                .iter()
+                .map(|e| e.at)
+                .min();
         }
+        let l2 = self.next_l2_distance().and_then(|d| {
+            let slot = (segment_of(self.cursor_time) as usize + d) & L2_MASK;
+            self.l2[slot].iter().map(|e| e.at).min()
+        });
+        earlier(l2, heap_at(&self.overflow))
     }
 
     /// Remove and return the earliest entry.
@@ -492,17 +559,43 @@ impl EventQueue {
             self.len -= 1;
             return Some(e);
         }
-        if self.run_len() == 0 {
-            self.refill();
+        self.pop_dense(u64::MAX)
+    }
+
+    /// Remove and return the earliest entry if it is due at or before
+    /// `until`. On `None` the cursor is left at or before `until`, so a
+    /// caller that clamps its clock to `until` can keep scheduling at the
+    /// clock without landing behind the cursor.
+    pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<EventEntry> {
+        if self.sparse {
+            return match self.overflow.peek() {
+                Some(Reverse(head)) if head.at <= until => self.pop(),
+                _ => None,
+            };
         }
-        let take_inbox = match (self.l1[self.cursor].get(self.run_pos), self.inbox.peek()) {
-            (Some(c), Some(Reverse(i))) => (i.at, i.seq) < (c.at, c.seq),
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (None, None) => return None,
+        self.pop_dense(until.as_nanos())
+    }
+
+    #[inline]
+    fn pop_dense(&mut self, until: u64) -> Option<EventEntry> {
+        // Inbox entries belong to the cursor's bucket and everything in the
+        // wheels is later, so the cursor moves on only once both are empty.
+        if self.run_len() == 0 && self.inbox.is_empty() && !self.refill(until) {
+            return None;
+        }
+        let run = self.l1[self.cursor].get(self.run_pos);
+        let inbox = self.inbox.peek().map(|Reverse(e)| e);
+        let from_inbox = match (run, inbox) {
+            (Some(c), Some(i)) => i < c,
+            (c, _) => c.is_none(),
         };
+        let head = if from_inbox { inbox } else { run }?;
+        if head.at.as_nanos() > until {
+            return None;
+        }
         self.len -= 1;
-        if take_inbox {
+        if from_inbox {
+            self.inbox_pops += 1;
             self.inbox.pop().map(|Reverse(e)| e)
         } else {
             let e = self.l1[self.cursor][self.run_pos];
@@ -726,6 +819,9 @@ mod tests {
     /// Full L2 span in nanoseconds.
     const L2_SPAN_NS: u64 = (N_L2 as u64) << L2_SHIFT;
 
+    /// The clock of a test that pushes everything before its first pop.
+    const T0: SimTime = SimTime::ZERO;
+
     fn entry(at_ns: u64, seq: u64) -> EventEntry {
         EventEntry {
             at: SimTime::from_nanos(at_ns),
@@ -753,7 +849,7 @@ mod tests {
                 lcg = lcg
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                q.push(entry((lcg >> 16) % spread + 1, seq));
+                q.push(T0, entry((lcg >> 16) % spread + 1, seq));
             }
             let push_t = t0.elapsed();
             let t1 = std::time::Instant::now();
@@ -800,7 +896,7 @@ mod tests {
         let mut expect: Vec<(u64, u64)> = Vec::new();
         for &t in &times {
             for _ in 0..3 {
-                q.push(entry(t, seq));
+                q.push(T0, entry(t, seq));
                 expect.push((t, seq));
                 seq += 1;
             }
@@ -815,23 +911,27 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        for (i, &t) in [5u64, SEG_NS + 5, 3, 3, 80_000, 2 * L2_SPAN_NS]
-            .iter()
-            .enumerate()
-        {
-            q.push(entry(t, i as u64));
+    fn next_at_matches_pop() {
+        // Sparse first, then past SPARSE_LIMIT so the dense query walks the
+        // run, L1, L2 and the overflow heap as the queue drains.
+        for n in [6u64, 2 * SPARSE_LIMIT as u64] {
+            let mut q = EventQueue::new();
+            for (i, &t) in [5u64, SEG_NS + 5, 3, 3, 80_000, 2 * L2_SPAN_NS]
+                .iter()
+                .cycle()
+                .take(n as usize)
+                .enumerate()
+            {
+                q.push(T0, entry(t + (i as u64 / 6) * 1_000_003, i as u64));
+            }
+            while q.len() > 0 {
+                let cursor = (q.cursor, q.cursor_time);
+                let next = q.next_at().unwrap();
+                assert_eq!(cursor, (q.cursor, q.cursor_time), "query moved the cursor");
+                assert_eq!(next, q.pop().unwrap().at);
+            }
+            assert!(q.next_at().is_none());
         }
-        while q.len() > 0 {
-            let peeked = {
-                let e = q.peek().unwrap();
-                (e.at, e.seq)
-            };
-            let popped = q.pop().unwrap();
-            assert_eq!(peeked, (popped.at, popped.seq));
-        }
-        assert!(q.peek().is_none());
     }
 
     #[test]
@@ -846,7 +946,7 @@ mod tests {
         for round in 0..5_000u64 {
             let spread = [1, 700, 9_000, 2_000_000, 120_000_000, 3_000_000_000_000];
             let d = spread[(round % 6) as usize] + (round * 37) % 977;
-            q.push(entry(now + d, round));
+            q.push(SimTime::from_nanos(now), entry(now + d, round));
             if round % 3 == 0 {
                 if let Some(e) = q.pop() {
                     assert!(e.at.as_nanos() >= now, "time went backwards");
@@ -877,7 +977,7 @@ mod tests {
             lcg = lcg
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            q.push(entry((lcg >> 16) % (100 * SEG_NS), seq));
+            q.push(T0, entry((lcg >> 16) % (100 * SEG_NS), seq));
         }
         let mut prev = (0u64, 0u64);
         let mut count = 0u64;
@@ -894,11 +994,11 @@ mod tests {
     fn retain_drops_entries_and_fixes_len() {
         let mut q = EventQueue::new();
         for i in 0..100u64 {
-            q.push(entry(i * 500_000, i)); // spans many L1 buckets
+            q.push(T0, entry(i * 500_000, i)); // spans many L1 buckets
         }
-        q.push(entry(2 * SEG_NS, 100)); // parked in L2
-        q.push(entry(2 * L2_SPAN_NS, 101)); // overflow heap
-        q.push(entry(3 * L2_SPAN_NS, 102)); // overflow heap
+        q.push(T0, entry(2 * SEG_NS, 100)); // parked in L2
+        q.push(T0, entry(2 * L2_SPAN_NS, 101)); // overflow heap
+        q.push(T0, entry(3 * L2_SPAN_NS, 102)); // overflow heap
         q.retain(|e| e.seq % 2 == 0);
         assert_eq!(q.len(), 52);
         let mut prev = (0u64, 0u64);
@@ -919,7 +1019,7 @@ mod tests {
         // Descending times, well under SPARSE_LIMIT: the queue must stay
         // sparse (wheels unallocated) and still pop ascending.
         for seq in 0..50u64 {
-            q.push(entry((50 - seq) * 1_000, seq));
+            q.push(T0, entry((50 - seq) * 1_000, seq));
         }
         assert!(q.sparse);
         assert!(q.l1.is_empty(), "sparse queue must not allocate the wheels");
@@ -935,24 +1035,27 @@ mod tests {
     #[test]
     fn densify_crossing_preserves_order() {
         // Fill past SPARSE_LIMIT after consuming a prefix, so the migration
-        // happens with a non-zero clock and a mix of near/far entries;
-        // pushes after the crossing may land behind the new cursor (the
-        // run-insert path). The pop sequence must be (at, seq) ascending
-        // throughout, exactly as if the queue had been dense from birth.
+        // happens with a non-zero clock and a mix of near/far entries; the
+        // cursor anchors at the clock, and pushes after the crossing land
+        // between it and the earliest pending entry. The pop sequence must
+        // be (at, seq) ascending throughout, exactly as if the queue had
+        // been dense from birth.
         let mut q = EventQueue::new();
         let mut seq = 0u64;
+        let mut now = T0;
         let mut expect: Vec<(u64, u64)> = Vec::new();
-        let mut push = |q: &mut EventQueue, at: u64, expect: &mut Vec<(u64, u64)>| {
-            q.push(entry(at, seq));
+        let mut push = |q: &mut EventQueue, now: SimTime, at: u64, expect: &mut Vec<_>| {
+            q.push(now, entry(at, seq));
             expect.push((at, seq));
             seq += 1;
         };
         for i in 0..100u64 {
-            push(&mut q, 10_000 + i * 7_919 % 50_000, &mut expect);
+            push(&mut q, now, 10_000 + i * 7_919 % 50_000, &mut expect);
         }
         // Consume a few so the heap has seen pops before densifying.
         for _ in 0..10 {
             let e = q.pop().unwrap();
+            now = e.at;
             let pos = expect
                 .iter()
                 .position(|&(at, s)| (at, s) == (e.at.as_nanos(), e.seq))
@@ -960,11 +1063,19 @@ mod tests {
             expect.remove(pos);
         }
         assert!(q.sparse);
-        // Blow past the limit with a spread covering L1, L2, and overflow.
-        for i in 0..(2 * SPARSE_LIMIT as u64) {
-            push(&mut q, 60_000 + (i * 104_729) % (120 * SEG_NS), &mut expect);
+        // Blow past the limit with a spread covering L1, L2, and overflow,
+        // latest first: the earliest pending entry at the crossing is far
+        // from the clock.
+        let n = 2 * SPARSE_LIMIT as u64;
+        for i in (0..n).rev() {
+            let at = now.as_nanos() + (i * 104_729) % (120 * SEG_NS);
+            push(&mut q, now, at, &mut expect);
         }
         assert!(!q.sparse, "limit crossing must densify");
+        assert!(
+            q.cursor_time <= now.as_nanos(),
+            "anchored ahead of the clock"
+        );
         expect.sort_unstable();
         let mut got = Vec::new();
         while let Some(e) = q.pop() {
@@ -974,10 +1085,110 @@ mod tests {
     }
 
     #[test]
+    fn bounded_pop_leaves_the_cursor_at_or_before_the_bound() {
+        // Near entries, then nothing until an L2 segment several segments
+        // out, then nothing until an overflow entry past the whole L2 span.
+        let mut q = EventQueue::new();
+        let near = 2 * SPARSE_LIMIT as u64;
+        for seq in 0..near {
+            q.push(T0, entry(seq * 50, seq));
+        }
+        let l2_at = 7 * SEG_NS + 12_345;
+        let far_at = 3 * L2_SPAN_NS + 99;
+        q.push(T0, entry(l2_at, near));
+        q.push(T0, entry(far_at, near + 1));
+        assert!(!q.sparse);
+        let mut seq = near + 2;
+        let mut popped = 0u64;
+        // Each bound stops in an idle gap: inside the first segment, in an
+        // empty segment before the L2 entry, inside the L2 entry's segment
+        // but before it, between it and the overflow entry, and past all.
+        for until in [
+            near * 50 + 7,
+            3 * SEG_NS + 5,
+            7 * SEG_NS + 1,
+            2 * L2_SPAN_NS,
+            far_at + SEG_NS,
+        ] {
+            while let Some(e) = q.pop_due(SimTime::from_nanos(until)) {
+                assert!(e.at.as_nanos() <= until);
+                popped += 1;
+            }
+            assert!(
+                q.cursor_time <= until,
+                "cursor at {} ns leads the bound {until} ns",
+                q.cursor_time
+            );
+            assert!(q.next_at().is_none_or(|at| at.as_nanos() > until));
+            // A burst scheduled at the clamped clock goes to the wheel and
+            // comes straight back out, in order, with no cursor motion
+            // past the bound.
+            for k in 0..200u64 {
+                q.push(SimTime::from_nanos(until), entry(until + k % 3, seq));
+                seq += 1;
+            }
+            let mut prev = None;
+            while let Some(e) = q.pop_due(SimTime::from_nanos(until + 2)) {
+                assert!(Some((e.at, e.seq)) > prev, "order violated at {}", e.seq);
+                prev = Some((e.at, e.seq));
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, seq);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn empty_dense_queue_reanchors_at_the_clock() {
+        let mut q = EventQueue::new();
+        for seq in 0..2 * SPARSE_LIMIT as u64 {
+            q.push(T0, entry(seq, seq));
+        }
+        while q.pop().is_some() {}
+        assert!(!q.sparse);
+        // An idle stretch longer than the L2 span: without the re-anchor the
+        // burst would be further than N_L2 segments from the cursor.
+        let now = 2 * L2_SPAN_NS + 17;
+        for seq in 0..100u64 {
+            q.push(SimTime::from_nanos(now), entry(now + seq * 1_000, seq));
+        }
+        assert!(q.overflow.is_empty(), "burst went to the overflow heap");
+        assert_eq!(q.cursor_time, (now >> W_SHIFT) << W_SHIFT);
+        for seq in 0..100u64 {
+            assert_eq!(q.pop().unwrap().seq, seq);
+        }
+    }
+
+    #[test]
+    fn drained_bucket_hands_back_a_large_buffer() {
+        let mut q = EventQueue::new();
+        let width = 1u64 << W_SHIFT;
+        // Bucket 1 far above BUCKET_KEEP, bucket 2 below it.
+        for seq in 0..2 * SPARSE_LIMIT as u64 {
+            q.push(T0, entry(width + seq % width, seq));
+        }
+        for seq in 0..8u64 {
+            q.push(T0, entry(2 * width + seq, 1 << 32 | seq));
+        }
+        q.push(T0, entry(3 * width, u64::MAX));
+        while q.pop().is_some_and(|e| e.seq != u64::MAX) {}
+        assert_eq!(
+            q.l1[1].capacity(),
+            0,
+            "large drained bucket kept its buffer"
+        );
+        assert!(
+            q.l1[2].capacity() >= 8,
+            "small drained bucket lost its buffer"
+        );
+        assert!(q.l1[2].is_empty());
+    }
+
+    #[test]
     fn sparse_retain_drops_entries_and_fixes_len() {
         let mut q = EventQueue::new();
         for i in 0..20u64 {
-            q.push(entry(i * 1_000, i));
+            q.push(T0, entry(i * 1_000, i));
         }
         q.retain(|e| e.seq % 2 == 0);
         assert_eq!(q.len(), 10);
@@ -988,6 +1199,28 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 10);
+    }
+
+    #[test]
+    fn exactly_one_l2_span_ahead() {
+        // On a dense queue the last L2 slot is N_L2 - 1 segments out; one
+        // whole span ahead would map to the cursor's own slot and goes to
+        // the overflow heap instead.
+        let mut q = EventQueue::new();
+        let near = 2 * SPARSE_LIMIT as u64;
+        for seq in 0..near {
+            q.push(T0, entry(5, seq));
+        }
+        q.push(T0, entry(L2_SPAN_NS + 5, near + 1));
+        assert_eq!((q.in_l2, q.overflow.len()), (0, 1));
+        q.push(T0, entry(L2_SPAN_NS - SEG_NS + 5, near));
+        assert_eq!((q.in_l2, q.overflow.len()), (1, 1));
+        for seq in 0..near {
+            assert_eq!(q.pop().unwrap().seq, seq);
+        }
+        assert_eq!(q.pop().unwrap().at.as_nanos(), L2_SPAN_NS - SEG_NS + 5);
+        assert_eq!(q.pop().unwrap().at.as_nanos(), L2_SPAN_NS + 5);
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -1009,35 +1242,5 @@ mod tests {
         assert!(s.disarm(b));
         assert!(s.disarm(c));
         assert_eq!(s.live(), 0);
-    }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use crate::time::SimTime;
-    fn entry(at_ns: u64, seq: u64) -> EventEntry {
-        EventEntry {
-            at: SimTime::from_nanos(at_ns),
-            seq,
-            kind: EventKind::Timer {
-                node: crate::packet::NodeId(0),
-                id: TimerId(0),
-                token: 0,
-            },
-        }
-    }
-    #[test]
-    fn exactly_one_l2_span_ahead() {
-        let mut q = EventQueue::new();
-        let l2_span = (N_L2 as u64) << L2_SHIFT;
-        // push a near event and one exactly one L2 span ahead
-        q.push(entry(5, 0));
-        q.push(entry(l2_span + 5, 1));
-        assert_eq!(q.pop().unwrap().seq, 0);
-        let e = q.pop().unwrap();
-        assert_eq!(e.seq, 1);
-        assert_eq!(e.at.as_nanos(), l2_span + 5);
-        assert!(q.pop().is_none());
     }
 }

@@ -1,8 +1,9 @@
 //! A deterministic multiply-mix hasher for per-packet map lookups.
 //!
-//! Host state is keyed by flow ids and timer tokens — small, mostly
-//! sequential integers. The std `RandomState`/SipHash pair showed up in
-//! end-to-end profiles on every packet and timer arm; one multiply by a
+//! Host state is keyed by flow ids and timer tokens, a router's table by
+//! node ids — small, mostly sequential integers the scenario itself
+//! assigns. The std `RandomState`/SipHash pair showed up in end-to-end
+//! profiles on every packet, timer arm and forwarding hop; one multiply by a
 //! 64-bit odd constant distributes sequential keys well enough for these
 //! maps. Determinism across processes is a bonus, not a requirement:
 //! nothing output-facing iterates these maps (the golden byte-identity

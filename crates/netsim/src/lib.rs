@@ -46,6 +46,7 @@
 
 pub mod engine;
 pub(crate) mod eventq;
+pub mod fasthash;
 pub mod faults;
 pub mod link;
 pub mod loss;

@@ -1,10 +1,10 @@
 //! A store-and-forward router with a static route table.
 
 use crate::engine::Ctx;
+use crate::fasthash::FastMap;
 use crate::node::{Node, TimerId};
 use crate::packet::{LinkId, NodeId, Packet, Payload};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Routes packets by destination node id over a static table.
 ///
@@ -15,7 +15,8 @@ use std::collections::HashMap;
 /// than a panic deep inside a run).
 #[derive(Debug, Default)]
 pub struct Router {
-    routes: HashMap<NodeId, LinkId>,
+    /// Probed once per forwarded packet; node ids are the scenario's own.
+    routes: FastMap<NodeId, LinkId>,
     default_route: Option<LinkId>,
     unroutable: u64,
     forwarded: u64,

@@ -3,11 +3,12 @@
 //! The reference model is the contract the old `BinaryHeap` engine
 //! satisfied and the goldens depend on: timers fire in ascending
 //! `(at, scheduling order)`, cancellations suppress dispatch, and a timer
-//! scheduled *behind* an already-peeked queue head still fires in its
-//! correct global position. The test drives identical seeded workloads —
-//! schedule / cancel / step / peek interleavings across every bucket and
-//! horizon boundary — through the real engine and through a sorted list,
-//! and demands identical firing sequences.
+//! scheduled *before* an already-inspected queue head — or at a clock that
+//! `run_until` clamped into an idle gap — still fires in its correct global
+//! position. The test drives identical seeded workloads — schedule / cancel
+//! / step / peek / run-until interleavings across every bucket and horizon
+//! boundary — through the real engine and through a sorted list, and
+//! demands identical firing sequences.
 
 use netsim::time::SimTime;
 use netsim::{Ctx, Node, Packet, Simulator, TimerId};
@@ -67,7 +68,10 @@ const DELTAS: [u64; 10] = [
     3_000_000_000_000,
 ];
 
-fn run_workload(seed: u64, ops: usize) {
+/// `prefill` timers are scheduled before the first op: the queue is a plain
+/// heap below 1024 pending entries, so only a prefilled run keeps the mix on
+/// the wheels.
+fn run_workload(seed: u64, ops: usize, prefill: usize) {
     let mut sim: Simulator<u32> = Simulator::new(1);
     let node = sim.add_node(Box::new(Recorder::default()));
     let mut rng = seed;
@@ -75,8 +79,9 @@ fn run_workload(seed: u64, ops: usize) {
     let mut live: Vec<(TimerId, usize)> = Vec::new(); // (id, model index)
     let mut next_token = 0u64;
 
-    for _ in 0..ops {
-        match lcg(&mut rng) % 10 {
+    for i in 0..ops + prefill {
+        let op = if i < prefill { 0 } else { lcg(&mut rng) % 11 };
+        match op {
             // Schedule (the bulk of the mix).
             0..=4 => {
                 let d =
@@ -94,10 +99,9 @@ fn run_workload(seed: u64, ops: usize) {
                 live.push((id, model.len() - 1));
                 next_token += 1;
             }
-            // Peek, then schedule at/before the observed head: reproduces
-            // the run-until-clamp pattern where the queue head has been
-            // inspected (advancing the wheel cursor) before a new earlier
-            // event is pushed.
+            // Peek, then schedule at/before the observed head: a new
+            // earlier event is pushed after the queue head has been
+            // inspected.
             5 => {
                 let Some(head) = sim.next_event_time() else {
                     continue;
@@ -126,6 +130,17 @@ fn run_workload(seed: u64, ops: usize) {
                 let (id, mi) = live.swap_remove(k);
                 sim.core().cancel_timer(id);
                 model[mi].cancelled = true;
+            }
+            // Run to a horizon: fires everything due, then the clock clamps
+            // to the horizon — usually between events, often in a gap the
+            // wheel has nothing in — and later ops schedule from there.
+            7 => {
+                let d =
+                    DELTAS[(lcg(&mut rng) % DELTAS.len() as u64) as usize] + lcg(&mut rng) % 977;
+                let until = sim.now().as_nanos() + d;
+                sim.run_until(SimTime::from_nanos(until));
+                assert_eq!(sim.now().as_nanos(), until);
+                live.retain(|&(_, mi)| model[mi].at > until);
             }
             // Dispatch a few events.
             _ => {
@@ -162,8 +177,48 @@ fn run_workload(seed: u64, ops: usize) {
 #[test]
 fn randomized_schedules_match_sorted_list_model() {
     for seed in [7, 1009, 88_172_645, 0xDEAD_BEEF] {
-        run_workload(seed, 4_000);
+        run_workload(seed, 4_000, 0);
+        run_workload(seed, 4_000, 3_000);
     }
+}
+
+#[test]
+fn burst_at_a_clock_clamped_into_an_idle_gap_matches_model() {
+    // The shape of a short-flow run: a dense start-up burst drains, the only
+    // thing left is a handshake timer 1 s out, `run_until` stops in the gap
+    // before it, and the next burst is scheduled from the clamped clock.
+    let mut sim: Simulator<u32> = Simulator::new(1);
+    let node = sim.add_node(Box::new(Recorder::default()));
+    let mut expect: Vec<(u64, u64)> = Vec::new();
+    let mut token = 0u64;
+    let mut arm = |sim: &mut Simulator<u32>, at: u64| {
+        sim.core()
+            .set_timer_at(node, SimTime::from_nanos(at), token);
+        expect.push((at, token));
+        token += 1;
+    };
+    for i in 0..2_000u64 {
+        arm(&mut sim, (i * 7_919) % 3_000_000);
+    }
+    arm(&mut sim, 1_000_000_000);
+    let gap = 420_000_000u64;
+    sim.run_until(SimTime::from_nanos(gap));
+    assert_eq!(sim.events_processed(), 2_000);
+    assert_eq!(sim.now().as_nanos(), gap);
+    assert_eq!(
+        sim.next_event_time(),
+        Some(SimTime::from_nanos(1_000_000_000))
+    );
+    // The burst straddles the far timer: same bucket as the clock, later
+    // buckets, later segments.
+    let mut rng = 99u64;
+    for _ in 0..20_000 {
+        arm(&mut sim, gap + lcg(&mut rng) % 900_000_000);
+    }
+    sim.run_to_completion(100_000);
+    expect.sort_unstable();
+    let rec = sim.node_as::<Recorder>(node).expect("recorder node");
+    assert_eq!(rec.fired, expect);
 }
 
 #[test]

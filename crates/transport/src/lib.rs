@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fasthash;
 pub mod host;
 pub mod rangeset;
 pub mod receiver;
@@ -34,6 +33,9 @@ pub mod trace;
 pub mod wire;
 
 pub use host::{completion_bus, CompletionBus, Host};
+// Lives in `netsim` (its router uses it too); re-exported so
+// `transport::fasthash` paths keep working.
+pub use netsim::fasthash;
 pub use sender::{
     AbortReason, Counters, FlowOutcome, FlowRecord, Ops, SenderConn, MAX_RTO_RETRIES,
     MAX_SYN_RETRIES,

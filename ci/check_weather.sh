@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Weather-service smoke: run the open-loop "internet weather" mode for 10
-# simulated minutes, then enforce the three contracts the mode ships with
+# simulated minutes, then enforce the four contracts the mode ships with
 # (see crates/scenarios/src/weather.rs and DESIGN.md "Open-loop service
 # mode"):
 #
@@ -16,6 +16,9 @@
 #   3. Kill/restore byte-identity — a second run killed at its first
 #      checkpoint and resumed must reproduce windows.csv, weather.json
 #      (minus the machine line), and the final checkpoint byte-for-byte.
+#   4. Damaged checkpoints are refused — one byte flipped in the middle
+#      of a killed run's weather.ckpt must make --resume exit non-zero on
+#      the checksum: no panic, no length-sized allocation, no resumed run.
 #
 # Usage: ci/check_weather.sh  (from the repo root)
 set -eu
@@ -78,6 +81,7 @@ fi
 
 # --- 3. Kill at first checkpoint, resume, compare ---------------------
 $run --out "$dir/b" --stop-after-checkpoints 1
+cp -r "$dir/b" "$dir/c"
 $run --out "$dir/b" --resume
 
 if ! cmp -s "$dir/a/windows.csv" "$dir/b/windows.csv"; then
@@ -96,4 +100,19 @@ if ! cmp -s "$dir/a/weather.ckpt" "$dir/b/weather.ckpt"; then
     exit 1
 fi
 
-echo "OK: $started flows ($fph/simulated-hour, ${rss} MB RSS), kill+resume byte-identical"
+# --- 4. Flip one byte mid-file in the killed run's checkpoint ---------
+mid=$(($(wc -c < "$dir/c/weather.ckpt") / 2))
+byte=$(dd if="$dir/c/weather.ckpt" bs=1 skip="$mid" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 255)))" |
+    dd of="$dir/c/weather.ckpt" bs=1 seek="$mid" conv=notrunc 2>/dev/null
+if $run --out "$dir/c" --resume > "$dir/c.log" 2>&1; then
+    echo "FAIL: --resume exited 0 on a damaged checkpoint" >&2
+    exit 1
+fi
+if ! grep -q 'checksum' "$dir/c.log" || grep -qE 'panicked|memory allocation' "$dir/c.log"; then
+    echo "FAIL: damaged checkpoint was not refused by the checksum:" >&2
+    cat "$dir/c.log" >&2
+    exit 1
+fi
+
+echo "OK: $started flows ($fph/simulated-hour, ${rss} MB RSS), kill+resume byte-identical, damaged checkpoint refused"

@@ -134,23 +134,5 @@ impl Strategy for JumpStart {
         true
     }
 
-    fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        self.reno.save(w);
-        w.bool(self.pacing);
-        w.u32(self.batch_segs);
-        w.u32(self.next);
-        w.u64(self.batch_bytes);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut netsim::snap::SnapReader<'_>,
-    ) -> Result<(), netsim::snap::SnapError> {
-        self.reno = RenoEngine::load(r)?;
-        self.pacing = r.bool()?;
-        self.batch_segs = r.u32()?;
-        self.next = r.u32()?;
-        self.batch_bytes = r.u64()?;
-        Ok(())
-    }
+    netsim::snap_fields!(fn save_state, load_state { reno, pacing, batch_segs, next, batch_bytes });
 }

@@ -28,6 +28,4 @@ pub use pcp::Pcp;
 pub use proactive::ProactiveTcp;
 pub use reactive::ReactiveTcp;
 pub use tcp::Tcp;
-pub use tcp_cache::{
-    load_path_cache, path_cache, save_path_cache, CacheEntry, PathCache, TcpCache,
-};
+pub use tcp_cache::{path_cache, CacheEntry, PathCache, TcpCache};

@@ -33,6 +33,8 @@ enum PcpPhase {
     Sending,
 }
 
+netsim::snap_enum!(PcpPhase { Probing = 0, Sending = 1 });
+
 /// PCP: packet-train available-bandwidth probing, then rate-paced transfer.
 #[derive(Debug)]
 pub struct Pcp {
@@ -310,61 +312,16 @@ impl Strategy for Pcp {
         }
     }
 
-    fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        w.u8(match self.phase {
-            PcpPhase::Probing => 0,
-            PcpPhase::Sending => 1,
-        });
-        w.u64(self.rate.as_bps());
-        w.bool(self.last_good.is_some());
-        w.u64(self.last_good.map_or(0, |g| g.as_bps()));
-        w.u32(self.train_id);
-        w.u32(self.round);
-        w.u32(self.failures);
-        w.usize(self.replies.len());
-        for &(idx, sent, recv) in &self.replies {
-            w.u32(idx);
-            w.u64(sent);
-            w.u64(recv);
-        }
-        w.u32(self.next_seg);
-        w.u64(self.last_bump_ns);
-        w.u64(self.last_loss_ns);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut netsim::snap::SnapReader<'_>,
-    ) -> Result<(), netsim::snap::SnapError> {
-        self.phase = match r.u8()? {
-            0 => PcpPhase::Probing,
-            1 => PcpPhase::Sending,
-            tag => {
-                return Err(netsim::snap::SnapError::Tag {
-                    ty: "PcpPhase",
-                    tag,
-                })
-            }
-        };
-        self.rate = Rate::from_bps(r.u64()?);
-        let has_good = r.bool()?;
-        let good_bps = r.u64()?;
-        self.last_good = has_good.then(|| Rate::from_bps(good_bps));
-        self.train_id = r.u32()?;
-        self.round = r.u32()?;
-        self.failures = r.u32()?;
-        let n = r.usize()?;
-        self.replies.clear();
-        self.replies.reserve(n);
-        for _ in 0..n {
-            let idx = r.u32()?;
-            let sent = r.u64()?;
-            let recv = r.u64()?;
-            self.replies.push((idx, sent, recv));
-        }
-        self.next_seg = r.u32()?;
-        self.last_bump_ns = r.u64()?;
-        self.last_loss_ns = r.u64()?;
-        Ok(())
-    }
+    netsim::snap_fields!(fn save_state, load_state {
+        phase,
+        rate,
+        last_good,
+        train_id,
+        round,
+        failures,
+        replies,
+        next_seg,
+        last_bump_ns,
+        last_loss_ns,
+    });
 }

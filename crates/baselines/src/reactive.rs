@@ -92,19 +92,5 @@ impl Strategy for ReactiveTcp {
         self.rearm(ops);
     }
 
-    fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        self.reno.save(w);
-        w.u32(self.probes_sent);
-        w.u32(self.max_probes);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut netsim::snap::SnapReader<'_>,
-    ) -> Result<(), netsim::snap::SnapError> {
-        self.reno = RenoEngine::load(r)?;
-        self.probes_sent = r.u32()?;
-        self.max_probes = r.u32()?;
-        Ok(())
-    }
+    netsim::snap_fields!(fn save_state, load_state { reno, probes_sent, max_probes });
 }

@@ -85,15 +85,5 @@ impl Strategy for Tcp {
         self.reno.on_rto(ops);
     }
 
-    fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        self.reno.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut netsim::snap::SnapReader<'_>,
-    ) -> Result<(), netsim::snap::SnapError> {
-        self.reno = RenoEngine::load(r)?;
-        Ok(())
-    }
+    netsim::snap_fields!(fn save_state, load_state { reno });
 }

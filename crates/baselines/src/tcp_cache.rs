@@ -30,54 +30,22 @@ pub struct CacheEntry {
     pub updated_at: SimTime,
 }
 
-/// Shared per-path cache: (sender, receiver) -> entry.
+netsim::snap_struct!(CacheEntry {
+    cwnd,
+    ssthresh,
+    updated_at
+});
+
+/// Shared per-path cache: (sender, receiver) -> entry. The cache is
+/// scenario-level state shared across flows — a strategy's own `save_state`
+/// covers only per-flow state — so long-running drivers checkpoint the
+/// table behind this handle themselves (it is a [`netsim::snap::Snap`]
+/// map), or restored flows lose their warm start.
 pub type PathCache = Rc<RefCell<HashMap<(NodeId, NodeId), CacheEntry>>>;
 
 /// Create an empty path cache for a scenario.
 pub fn path_cache() -> PathCache {
     Rc::new(RefCell::new(HashMap::new()))
-}
-
-/// Serialize a path cache into the checkpoint codec. The cache is
-/// scenario-level state shared across flows — the strategy's own
-/// `save_state` covers only per-flow state, so long-running drivers must
-/// checkpoint the cache themselves or restored flows lose their warm start.
-pub fn save_path_cache(cache: &PathCache, w: &mut netsim::snap::SnapWriter) {
-    let cache = cache.borrow();
-    let mut keys: Vec<(NodeId, NodeId)> = cache.keys().copied().collect();
-    keys.sort_unstable_by_key(|(a, b)| (a.0, b.0));
-    w.usize(keys.len());
-    for k in keys {
-        let e = &cache[&k];
-        w.u32(k.0 .0);
-        w.u32(k.1 .0);
-        w.u64(e.cwnd);
-        w.u64(e.ssthresh);
-        w.u64(e.updated_at.as_nanos());
-    }
-}
-
-/// Rebuild a path cache saved by [`save_path_cache`] into `cache`
-/// (replacing its contents).
-pub fn load_path_cache(
-    cache: &PathCache,
-    r: &mut netsim::snap::SnapReader<'_>,
-) -> Result<(), netsim::snap::SnapError> {
-    let mut map = HashMap::new();
-    let n = r.usize()?;
-    for _ in 0..n {
-        let key = (NodeId(r.u32()?), NodeId(r.u32()?));
-        map.insert(
-            key,
-            CacheEntry {
-                cwnd: r.u64()?,
-                ssthresh: r.u64()?,
-                updated_at: SimTime::from_nanos(r.u64()?),
-            },
-        );
-    }
-    *cache.borrow_mut() = map;
-    Ok(())
 }
 
 /// TCP with per-path cwnd/ssthresh caching.
@@ -157,22 +125,7 @@ impl Strategy for TcpCache {
         );
     }
 
-    fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        // The shared path cache is scenario state, checkpointed separately
-        // via [`save_path_cache`]; only the per-flow engine lives here.
-        self.reno.save(w);
-        w.bool(self.max_age_ns.is_some());
-        w.u64(self.max_age_ns.unwrap_or(0));
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut netsim::snap::SnapReader<'_>,
-    ) -> Result<(), netsim::snap::SnapError> {
-        self.reno = RenoEngine::load(r)?;
-        let has_age = r.bool()?;
-        let age = r.u64()?;
-        self.max_age_ns = has_age.then_some(age);
-        Ok(())
-    }
+    // The shared path cache is scenario state, checkpointed by the driver;
+    // only the per-flow engine and its ageing policy live here.
+    netsim::snap_fields!(fn save_state, load_state { reno, max_age_ns });
 }

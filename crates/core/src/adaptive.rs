@@ -19,43 +19,15 @@ use transport::sender::Ops;
 use transport::strategy::{PaceAction, Strategy};
 use transport::wire::{AckHeader, ProbeAckHeader, SegId, MSS};
 
-/// Shared per-path record of the best observed delivery rate.
+/// Shared per-path record of the best observed delivery rate. Like
+/// TCP-Cache's path cache, this is scenario-level state shared across flows:
+/// a driver that checkpoints must save the table behind the handle itself
+/// (it is a [`netsim::snap::Snap`] map), not any one sender.
 pub type RateCache = Rc<RefCell<HashMap<(NodeId, NodeId), Rate>>>;
 
 /// Create an empty rate cache for a scenario.
 pub fn rate_cache() -> RateCache {
     Rc::new(RefCell::new(HashMap::new()))
-}
-
-/// Serialize a rate cache into the checkpoint codec. Like TCP-Cache's path
-/// cache, this is scenario-level state shared across flows and must be
-/// checkpointed by the driver, not by any one sender.
-pub fn save_rate_cache(cache: &RateCache, w: &mut netsim::snap::SnapWriter) {
-    let cache = cache.borrow();
-    let mut keys: Vec<(NodeId, NodeId)> = cache.keys().copied().collect();
-    keys.sort_unstable_by_key(|(a, b)| (a.0, b.0));
-    w.usize(keys.len());
-    for k in keys {
-        w.u32(k.0 .0);
-        w.u32(k.1 .0);
-        w.u64(cache[&k].as_bps());
-    }
-}
-
-/// Rebuild a rate cache saved by [`save_rate_cache`] into `cache`
-/// (replacing its contents).
-pub fn load_rate_cache(
-    cache: &RateCache,
-    r: &mut netsim::snap::SnapReader<'_>,
-) -> Result<(), netsim::snap::SnapError> {
-    let mut map = HashMap::new();
-    let n = r.usize()?;
-    for _ in 0..n {
-        let key = (NodeId(r.u32()?), NodeId(r.u32()?));
-        map.insert(key, Rate::from_bps(r.u64()?));
-    }
-    *cache.borrow_mut() = map;
-    Ok(())
 }
 
 /// Halfback with the observed-throughput Pacing Threshold.
@@ -154,10 +126,11 @@ impl Strategy for AdaptiveHalfback {
         }
     }
 
+    // Only the wrapped sender's state (the shared rate cache is the
+    // driver's to checkpoint). Not a field list: the inner sender is
+    // rebuilt from this wrapper's config before its state is overlaid.
     fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        // The shared rate cache is checkpointed by the driver via
-        // [`save_rate_cache`]; here only the wrapped sender's state.
-        w.bool(self.inner.is_some());
+        w.put(&self.inner.is_some());
         if let Some(inner) = &self.inner {
             inner.save_state(w);
         }
@@ -167,7 +140,7 @@ impl Strategy for AdaptiveHalfback {
         &mut self,
         r: &mut netsim::snap::SnapReader<'_>,
     ) -> Result<(), netsim::snap::SnapError> {
-        self.inner = if r.bool()? {
+        self.inner = if r.get()? {
             let mut inner = Halfback::with_config(self.cfg.clone());
             inner.load_state(r)?;
             Some(inner)

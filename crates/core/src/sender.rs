@@ -39,6 +39,8 @@ enum HbPhase {
     Fallback,
 }
 
+netsim::snap_enum!(HbPhase { Pacing = 0, Ropr = 1, Fallback = 2 });
+
 /// The Halfback sender strategy.
 #[derive(Debug)]
 pub struct Halfback {
@@ -390,56 +392,20 @@ impl Strategy for Halfback {
         }
     }
 
-    fn save_state(&self, w: &mut netsim::snap::SnapWriter) {
-        // The pacing threshold is serialized because AdaptiveHalfback
-        // derives it per flow from its rate cache; the rest of the config
-        // is identical on every sender of a scheme and comes back from the
-        // restore-side strategy factory.
-        w.bool(self.cfg.pacing_threshold.is_some());
-        w.u64(self.cfg.pacing_threshold.unwrap_or(0));
-        w.u8(match self.phase {
-            HbPhase::Pacing => 0,
-            HbPhase::Ropr => 1,
-            HbPhase::Fallback => 2,
-        });
-        w.u32(self.batch_segs);
-        w.u32(self.next_paced);
-        w.u32(self.ropr_cursor);
-        w.bool(self.ropr_done);
-        w.u32(self.ratio_acc);
-        w.bool(self.skip_next_ropr);
-        w.u64(self.pacing_started.as_nanos());
-        w.bool(self.reactive.is_some());
-        if let Some(r) = &self.reactive {
-            r.save(w);
-        }
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut netsim::snap::SnapReader<'_>,
-    ) -> Result<(), netsim::snap::SnapError> {
-        let has_threshold = r.bool()?;
-        let threshold = r.u64()?;
-        self.cfg.pacing_threshold = has_threshold.then_some(threshold);
-        self.phase = match r.u8()? {
-            0 => HbPhase::Pacing,
-            1 => HbPhase::Ropr,
-            2 => HbPhase::Fallback,
-            tag => return Err(netsim::snap::SnapError::Tag { ty: "HbPhase", tag }),
-        };
-        self.batch_segs = r.u32()?;
-        self.next_paced = r.u32()?;
-        self.ropr_cursor = r.u32()?;
-        self.ropr_done = r.bool()?;
-        self.ratio_acc = r.u32()?;
-        self.skip_next_ropr = r.bool()?;
-        self.pacing_started = SimTime::from_nanos(r.u64()?);
-        self.reactive = if r.bool()? {
-            Some(RenoEngine::load(r)?)
-        } else {
-            None
-        };
-        Ok(())
-    }
+    // The pacing threshold travels because AdaptiveHalfback derives it per
+    // flow from its rate cache; the rest of the config is identical on every
+    // sender of a scheme and comes back from the restore-side strategy
+    // factory.
+    netsim::snap_fields!(fn save_state, load_state {
+        cfg.pacing_threshold,
+        phase,
+        batch_segs,
+        next_paced,
+        ropr_cursor,
+        ropr_done,
+        ratio_acc,
+        skip_next_ropr,
+        pacing_started,
+        reactive,
+    });
 }

@@ -23,7 +23,7 @@ use crate::packet::{
 };
 use crate::queue::{QueueDiscipline, QueueStats, Verdict};
 use crate::rng::SimRng;
-use crate::snap::{SnapError, SnapPayload, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 use crate::time::{SimDuration, SimTime};
 
 /// What happened on the wire — delivered to an optional trace hook.
@@ -359,88 +359,27 @@ const SEC_ENGINE: u32 = 0x4842_0001;
 /// Section magic for the per-link portion of a snapshot.
 const SEC_LINKS: u32 = 0x4842_0002;
 
-impl<P: Payload + SnapPayload> EngineCore<P> {
-    fn write_packet(w: &mut SnapWriter, pkt: &Packet<P>) {
-        w.u64(pkt.id.0);
-        w.u64(pkt.flow.0);
-        w.u32(pkt.src.0);
-        w.u32(pkt.dst.0);
-        w.u32(pkt.size);
-        w.u64(pkt.sent_at.as_nanos());
-        w.bool(pkt.corrupted);
-        pkt.payload.encode(w);
-    }
+impl<P: Payload + Snap> EngineCore<P> {
+    // The engine's own scalars, overlaid onto a freshly built engine: clock,
+    // sequence counter, RNG stream position, and the timer slot table
+    // (bit-exact, including free-list order).
+    crate::snap_fields!(fn save_scalars, load_scalars {
+        now,
+        seq,
+        cancelled_pending,
+        next_packet_id,
+        corrupt_dropped,
+        events_processed,
+        rng,
+        timers,
+    });
 
-    fn read_packet(r: &mut SnapReader<'_>) -> Result<Packet<P>, SnapError> {
-        let id = PacketId(r.u64()?);
-        let flow = crate::packet::FlowId(r.u64()?);
-        let src = NodeId(r.u32()?);
-        let dst = NodeId(r.u32()?);
-        let size = r.u32()?;
-        let sent_at = SimTime::from_nanos(r.u64()?);
-        let corrupted = r.bool()?;
-        let payload = P::decode(r)?;
-        let mut pkt = Packet::new(flow, src, dst, size, payload);
-        pkt.id = id;
-        pkt.sent_at = sent_at;
-        pkt.corrupted = corrupted;
-        Ok(pkt)
-    }
-
-    fn write_link_stats(w: &mut SnapWriter, s: &LinkStats) {
-        w.u64(s.offered);
-        w.u64(s.tx_packets);
-        w.u64(s.tx_bytes);
-        w.u64(s.wire_lost);
-        w.u64(s.down_dropped);
-        w.u64(s.blackholed);
-        w.u64(s.corrupt_marked);
-        w.u64(s.duplicated);
-        w.u64(s.delivered);
-        w.u64(s.corrupt_dropped);
-    }
-
-    fn read_link_stats(r: &mut SnapReader<'_>) -> Result<LinkStats, SnapError> {
-        Ok(LinkStats {
-            offered: r.u64()?,
-            tx_packets: r.u64()?,
-            tx_bytes: r.u64()?,
-            wire_lost: r.u64()?,
-            down_dropped: r.u64()?,
-            blackholed: r.u64()?,
-            corrupt_marked: r.u64()?,
-            duplicated: r.u64()?,
-            delivered: r.u64()?,
-            corrupt_dropped: r.u64()?,
-        })
-    }
-
-    fn write_queue_stats(w: &mut SnapWriter, s: &QueueStats) {
-        w.u64(s.enqueued);
-        w.u64(s.dequeued);
-        w.u64(s.dropped);
-        w.u64(s.dropped_bytes);
-        w.u64(s.max_backlog_bytes);
-        w.u64(s.oversized_admitted);
-    }
-
-    fn read_queue_stats(r: &mut SnapReader<'_>) -> Result<QueueStats, SnapError> {
-        Ok(QueueStats {
-            enqueued: r.u64()?,
-            dequeued: r.u64()?,
-            dropped: r.u64()?,
-            dropped_bytes: r.u64()?,
-            max_backlog_bytes: r.u64()?,
-            oversized_admitted: r.u64()?,
-        })
-    }
-
-    /// Serialize the engine's full dynamic state: clock, sequence counter,
-    /// RNG stream position, timer slot table (bit-exact, including free-list
-    /// order), the pending event multiset (with in-flight packet bodies
-    /// inlined), and per-link busy/stats/loss/queue state.
+    /// Serialize the engine's full dynamic state: the scalars above, the
+    /// pending event multiset (with in-flight packet bodies inlined in
+    /// place of their arena handles), and per-link busy/stats/loss/queue
+    /// state.
     ///
-    /// Snapshot v1 refuses links with fault specs or non-drop-tail queues —
+    /// Snapshots refuse links with fault specs or non-drop-tail queues —
     /// the open-loop service mode runs on clean drop-tail paths, and
     /// refusing is safer than silently dropping the extra state.
     ///
@@ -452,63 +391,41 @@ impl<P: Payload + SnapPayload> EngineCore<P> {
         for (i, l) in self.links.iter().enumerate() {
             if l.faults.is_some() {
                 return Err(SnapError::Unsupported(format!(
-                    "link l{i} has fault injection installed (snapshot v1 carries clean links only)"
+                    "link l{i} has fault injection installed (snapshots carry clean links only)"
                 )));
             }
             if l.queue.as_drop_tail().is_none() {
                 return Err(SnapError::Unsupported(format!(
-                    "link l{i} uses a non-drop-tail queue (snapshot v1 carries DropTail only)"
+                    "link l{i} uses a non-drop-tail queue (snapshots carry DropTail only)"
                 )));
             }
         }
         w.magic(SNAP_MAGIC);
         w.u32(SNAP_VERSION);
         w.magic(SEC_ENGINE);
-        w.u64(self.now.as_nanos());
-        w.u64(self.seq);
-        w.u64(self.cancelled_pending);
-        w.u64(self.next_packet_id);
-        w.u64(self.corrupt_dropped);
-        w.u64(self.events_processed);
-        let (seed, state) = self.rng.state_parts();
-        w.u64(seed);
-        for word in state {
-            w.u64(word);
-        }
-        {
-            let (gens, free, live) = self.timers.snapshot_parts();
-            w.usize(gens.len());
-            for g in gens {
-                w.u32(*g);
-            }
-            w.usize(free.len());
-            for f in free {
-                w.u32(*f);
-            }
-            w.usize(live);
-        }
+        self.save_scalars(w);
         let entries = self.events.drain_sorted();
-        w.usize(entries.len());
+        w.seq_len(entries.len());
         for e in &entries {
-            w.u64(e.at.as_nanos());
-            w.u64(e.seq);
+            w.put(&e.at);
+            w.put(&e.seq);
             match e.kind {
                 EventKind::LinkTxDone { link, pkt } => {
                     w.u8(0);
-                    w.u32(link.0);
-                    Self::write_packet(w, self.packets.get(pkt));
+                    w.put(&link);
+                    w.put(self.packets.get(pkt));
                 }
                 EventKind::Deliver { node, link, pkt } => {
                     w.u8(1);
-                    w.u32(node.0);
-                    w.u32(link.0);
-                    Self::write_packet(w, self.packets.get(pkt));
+                    w.put(&node);
+                    w.put(&link);
+                    w.put(self.packets.get(pkt));
                 }
                 EventKind::Timer { node, id, token } => {
                     w.u8(2);
-                    w.u32(node.0);
-                    w.u64(id.0);
-                    w.u64(token);
+                    w.put(&node);
+                    w.put(&id);
+                    w.put(&token);
                 }
             }
         }
@@ -518,19 +435,17 @@ impl<P: Payload + SnapPayload> EngineCore<P> {
             self.events.push(self.now, e);
         }
         w.magic(SEC_LINKS);
-        w.usize(self.links.len());
+        w.seq_len(self.links.len());
         for l in &self.links {
-            w.bool(l.busy);
-            Self::write_link_stats(w, &l.stats);
-            let (in_bad, seen) = l.loss.snapshot_parts();
-            w.bool(in_bad);
-            w.u64(seen);
+            w.put(&l.busy);
+            w.put(&l.stats);
+            l.loss.save_cursor(w);
             let dt = l.queue.as_drop_tail().expect("checked above");
-            w.usize(dt.len());
+            w.seq_len(dt.len());
             for m in dt.queued() {
-                Self::write_packet(w, self.packets.get(m.handle));
+                w.put(self.packets.get(m.handle));
             }
-            Self::write_queue_stats(w, &dt.stats());
+            w.put(&dt.stats());
         }
         Ok(())
     }
@@ -550,57 +465,33 @@ impl<P: Payload + SnapPayload> EngineCore<P> {
             ));
         }
         r.expect_magic(SNAP_MAGIC)?;
-        let v = r.u32()?;
-        if v != SNAP_VERSION {
-            return Err(SnapError::Version { got: v });
+        let got = r.u32()?;
+        if got != SNAP_VERSION {
+            return Err(SnapError::Version {
+                got,
+                supported: SNAP_VERSION,
+            });
         }
         r.expect_magic(SEC_ENGINE)?;
-        self.now = SimTime::from_nanos(r.u64()?);
-        self.seq = r.u64()?;
-        self.cancelled_pending = r.u64()?;
-        self.next_packet_id = r.u64()?;
-        self.corrupt_dropped = r.u64()?;
-        self.events_processed = r.u64()?;
-        let seed = r.u64()?;
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        self.rng = SimRng::from_parts(seed, state);
-        let n_gens = r.usize()?;
-        let mut gens = Vec::with_capacity(n_gens);
-        for _ in 0..n_gens {
-            gens.push(r.u32()?);
-        }
-        let n_free = r.usize()?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(r.u32()?);
-        }
-        let live = r.usize()?;
-        self.timers.restore_parts(gens, free, live);
-        let n_events = r.usize()?;
-        for _ in 0..n_events {
-            let at = SimTime::from_nanos(r.u64()?);
-            let seq = r.u64()?;
+        self.load_scalars(r)?;
+        for _ in 0..r.seq_len()? {
+            let at = r.get()?;
+            let seq = r.get()?;
             let kind = match r.u8()? {
-                0 => {
-                    let link = LinkId(r.u32()?);
-                    let pkt = self.packets.alloc(Self::read_packet(r)?);
-                    EventKind::LinkTxDone { link, pkt }
-                }
-                1 => {
-                    let node = NodeId(r.u32()?);
-                    let link = LinkId(r.u32()?);
-                    let pkt = self.packets.alloc(Self::read_packet(r)?);
-                    EventKind::Deliver { node, link, pkt }
-                }
-                2 => {
-                    let node = NodeId(r.u32()?);
-                    let id = TimerId(r.u64()?);
-                    let token = r.u64()?;
-                    EventKind::Timer { node, id, token }
-                }
+                0 => EventKind::LinkTxDone {
+                    link: r.get()?,
+                    pkt: self.packets.alloc(r.get()?),
+                },
+                1 => EventKind::Deliver {
+                    node: r.get()?,
+                    link: r.get()?,
+                    pkt: self.packets.alloc(r.get()?),
+                },
+                2 => EventKind::Timer {
+                    node: r.get()?,
+                    id: r.get()?,
+                    token: r.get()?,
+                },
                 tag => {
                     return Err(SnapError::Tag {
                         ty: "EventKind",
@@ -614,42 +505,28 @@ impl<P: Payload + SnapPayload> EngineCore<P> {
             self.events.push(self.now, EventEntry { at, seq, kind });
         }
         r.expect_magic(SEC_LINKS)?;
-        let n_links = r.usize()?;
+        let n_links = r.seq_len()?;
         if n_links != self.links.len() {
             return Err(SnapError::Unsupported(format!(
                 "snapshot has {n_links} links, rebuilt topology has {} (config drift?)",
                 self.links.len()
             )));
         }
-        for i in 0..n_links {
-            let busy = r.bool()?;
-            let stats = Self::read_link_stats(r)?;
-            let in_bad = r.bool()?;
-            let seen = r.u64()?;
-            let n_queued = r.usize()?;
-            let mut items = Vec::with_capacity(n_queued);
-            for _ in 0..n_queued {
-                let body = Self::read_packet(r)?;
-                let (id, flow, size) = (body.id, body.flow, body.size);
-                let handle = self.packets.alloc(body);
-                items.push(PacketMeta {
-                    handle,
-                    id,
-                    flow,
-                    size,
-                });
+        for (i, l) in self.links.iter_mut().enumerate() {
+            l.busy = r.get()?;
+            l.stats = r.get()?;
+            l.loss.load_cursor(r)?;
+            let mut items = Vec::new();
+            for _ in 0..r.seq_len()? {
+                let handle = self.packets.alloc(r.get()?);
+                items.push(self.packets.meta(handle));
             }
-            let qstats = Self::read_queue_stats(r)?;
-            let l = &mut self.links[i];
-            l.busy = busy;
-            l.stats = stats;
-            l.loss.restore_parts(in_bad, seen);
             l.queue
                 .as_drop_tail_mut()
                 .ok_or_else(|| {
                     SnapError::Unsupported(format!("rebuilt link l{i} uses a non-drop-tail queue"))
                 })?
-                .restore(items, qstats);
+                .restore(items, r.get()?);
         }
         Ok(())
     }
@@ -714,7 +591,7 @@ pub struct Simulator<P: Payload> {
     nodes: Vec<Option<Box<dyn Node<P>>>>,
 }
 
-impl<P: Payload + SnapPayload> Simulator<P> {
+impl<P: Payload + Snap> Simulator<P> {
     /// Serialize engine dynamic state into `w`. Node state is *not*
     /// included — hosts save themselves through their own codecs; see
     /// [`EngineCore::save_snapshot`] for what is carried and what is
@@ -1300,6 +1177,35 @@ mod tests {
         assert_eq!(sim.queue_stats(l).dropped, 2);
         let tags: Vec<u64> = rec.delivered.iter().map(|d| d.1).collect();
         assert_eq!(tags, vec![0, 1, 2], "drop-tail must drop the last arrivals");
+    }
+
+    #[test]
+    fn checkpointed_engine_types_round_trip_mid_run() {
+        use crate::snap::assert_roundtrip;
+        // Busy link, full queue, drops, armed and recycled timer slots.
+        let (mut sim, a, b, l) =
+            two_node_sim(Rate::from_mbps(15), SimDuration::from_millis(5), 4000);
+        for i in 0..6 {
+            sim.core().send_on(l, pkt(a, b, 1200 + i as u32, i));
+            let id = sim.core().set_timer(a, SimDuration::from_millis(1 + i), i);
+            if i % 2 == 0 {
+                sim.core().cancel_timer(id);
+            }
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_micros(1500));
+        sim.core().rng().next_u64();
+        let core = sim.core();
+        assert!(core.timers.live() > 0 && core.queue_stats(l).dropped > 0);
+        assert_roundtrip(&core.now);
+        assert_roundtrip(&core.rng);
+        assert_roundtrip(&core.timers);
+        assert_roundtrip(&core.link_stats(l));
+        assert_roundtrip(&core.queue_stats(l));
+        let queue = core.links[0].queue.as_drop_tail().unwrap();
+        assert!(queue.len() > 0);
+        for m in queue.queued() {
+            assert_roundtrip(core.packets.get(m.handle));
+        }
     }
 
     #[test]

@@ -721,6 +721,12 @@ pub(crate) struct TimerSlots {
     live: usize,
 }
 
+// Checkpointed bit-exactly: generations (ABA safety for ids still held by
+// queue entries and host state), the live count, and the free list in its
+// LIFO order — recycled slots must come back in the same order after a
+// restore, or re-armed [`TimerId`]s diverge from the uninterrupted run.
+crate::snap_struct!(TimerSlots { gens, free, live });
+
 impl TimerSlots {
     pub(crate) fn new() -> Self {
         TimerSlots::default()
@@ -774,23 +780,6 @@ impl TimerSlots {
         let idx = (id.0 & 0xFFFF_FFFF) as usize;
         let gen = (id.0 >> 32) as u32;
         idx < self.gens.len() && self.gens[idx] == gen
-    }
-
-    /// The slot table's full state for the engine snapshot codec. The
-    /// free list's LIFO order matters: recycled slots must come back in
-    /// the same order after a restore, or re-armed [`TimerId`]s diverge
-    /// from the uninterrupted run.
-    pub(crate) fn snapshot_parts(&self) -> (&[u32], &[u32], usize) {
-        (&self.gens, &self.free, self.live)
-    }
-
-    /// Restore the slot table bit-exactly from [`TimerSlots::snapshot_parts`]
-    /// output — generations (ABA safety for ids still referenced by queue
-    /// entries and host state), free-list order, and live count.
-    pub(crate) fn restore_parts(&mut self, gens: Vec<u32>, free: Vec<u32>, live: usize) {
-        self.gens = gens;
-        self.free = free;
-        self.live = live;
     }
 
     /// Disarm `id` (cancel or fire). Returns `true` if it was armed; a

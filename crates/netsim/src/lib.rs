@@ -67,5 +67,5 @@ pub use node::{Node, TimerId};
 pub use packet::{
     FlowId, LinkId, NodeId, Packet, PacketArena, PacketHandle, PacketId, PacketMeta, Payload,
 };
-pub use snap::{SnapError, SnapPayload, SnapReader, SnapWriter};
+pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use time::{Rate, SimDuration, SimTime};

@@ -87,6 +87,19 @@ pub struct LinkStats {
     pub corrupt_dropped: u64,
 }
 
+crate::snap_struct!(LinkStats {
+    offered,
+    tx_packets,
+    tx_bytes,
+    wire_lost,
+    down_dropped,
+    blackholed,
+    corrupt_marked,
+    duplicated,
+    delivered,
+    corrupt_dropped,
+});
+
 impl LinkStats {
     /// Packets this link failed to carry for non-queue reasons: wire loss,
     /// fault down-windows, and blackholes. Queue (congestion) drops are

@@ -107,19 +107,10 @@ impl LossProcess {
         &self.model
     }
 
-    /// Dynamic state for the engine snapshot codec: the Gilbert–Elliott
-    /// chain position and the per-link packet ordinal (which the DropList
-    /// model indexes).
-    pub(crate) fn snapshot_parts(&self) -> (bool, u64) {
-        (self.in_bad_state, self.packets_seen)
-    }
-
-    /// Restore dynamic state saved by [`LossProcess::snapshot_parts`]. The
-    /// model itself comes from the topology rebuild, not the snapshot.
-    pub(crate) fn restore_parts(&mut self, in_bad_state: bool, packets_seen: u64) {
-        self.in_bad_state = in_bad_state;
-        self.packets_seen = packets_seen;
-    }
+    // The dynamic state an engine snapshot carries: the Gilbert–Elliott
+    // chain position and the per-link packet ordinal (which the DropList
+    // model indexes). The model itself comes from the topology rebuild.
+    crate::snap_fields!(pub(crate) fn save_cursor, load_cursor { in_bad_state, packets_seen });
 
     /// Decide whether the next packet is lost.
     pub fn should_drop(&mut self, rng: &mut SimRng) -> bool {

@@ -68,6 +68,8 @@ pub struct Packet<P> {
     pub payload: P,
 }
 
+crate::snap_struct!(impl<P> Packet<P> { id, flow, src, dst, size, sent_at, corrupted, payload });
+
 impl<P: Payload> Packet<P> {
     /// Construct a packet; `id` and `sent_at` are assigned by the engine at
     /// send time, so builders use placeholders here.

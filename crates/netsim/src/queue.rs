@@ -35,6 +35,15 @@ pub struct QueueStats {
     pub oversized_admitted: u64,
 }
 
+crate::snap_struct!(QueueStats {
+    enqueued,
+    dequeued,
+    dropped,
+    dropped_bytes,
+    max_backlog_bytes,
+    oversized_admitted,
+});
+
 /// Outcome of offering a packet to a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {

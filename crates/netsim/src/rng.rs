@@ -19,6 +19,11 @@ pub struct SimRng {
     state: [u64; 4],
 }
 
+// Checkpointed whole: the original seed (fork labels derive from it alone)
+// plus the current xoshiro256++ state words, so a restored generator resumes
+// its stream exactly where it was.
+crate::snap_struct!(SimRng { seed, state });
+
 impl SimRng {
     /// Create a generator from a root seed.
     pub fn new(seed: u64) -> Self {
@@ -118,19 +123,6 @@ impl SimRng {
         x_min / (1.0 - self.uniform()).powf(1.0 / alpha)
     }
 
-    /// The generator's full state, for engine checkpointing: the original
-    /// seed plus the current xoshiro256++ state words. Restoring with
-    /// [`SimRng::from_parts`] resumes the stream exactly where it was —
-    /// including the fork labels, which derive from the seed alone.
-    pub fn state_parts(&self) -> (u64, [u64; 4]) {
-        (self.seed, self.state)
-    }
-
-    /// Rebuild a generator from [`SimRng::state_parts`] output.
-    pub fn from_parts(seed: u64, state: [u64; 4]) -> Self {
-        SimRng { seed, state }
-    }
-
     /// Raw `u64` draw (for seeding nested structures).
     pub fn next_u64(&mut self) -> u64 {
         // xoshiro256++ step.
@@ -163,15 +155,21 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hash a seed together with a textual label (FNV-1a folded through
-/// SplitMix64).
-fn splitmix_hash(seed: u64, label: &str) -> u64 {
+/// 64-bit FNV-1a. Labels are hashed with it, and `snap` seals checkpoint
+/// files with it.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    splitmix64(h ^ splitmix64(seed))
+    h
+}
+
+/// Hash a seed together with a textual label (FNV-1a folded through
+/// SplitMix64).
+fn splitmix_hash(seed: u64, label: &str) -> u64 {
+    splitmix64(fnv1a64(label.as_bytes()) ^ splitmix64(seed))
 }
 
 #[cfg(test)]

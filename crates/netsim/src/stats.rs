@@ -332,6 +332,18 @@ pub struct LogHistogram {
     hiwater: usize,
 }
 
+// `hiwater` rides along so a resumed run's memory accounting matches the
+// uninterrupted one.
+crate::snap_struct!(LogHistogram {
+    buckets,
+    zeros,
+    count,
+    sum,
+    min,
+    max,
+    hiwater
+});
+
 /// Bucket key for a positive finite sample: sign bit is zero, so shifting
 /// keeps (exponent, top mantissa bits) — order-preserving and exact.
 fn sketch_bucket(x: f64) -> u32 {
@@ -462,44 +474,6 @@ impl LogHistogram {
         std::mem::size_of::<Self>() + self.hiwater * SKETCH_BUCKET_COST
     }
 
-    /// Serialize into the engine checkpoint codec: bucket table in
-    /// ascending key order (BTreeMap iteration order, so the bytes are
-    /// deterministic), then the scalar accumulators. `hiwater` rides along
-    /// so a resumed run's memory accounting matches the uninterrupted one.
-    pub fn save(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.buckets.len());
-        for (&k, &n) in &self.buckets {
-            w.u32(k);
-            w.u64(n);
-        }
-        w.u64(self.zeros);
-        w.u64(self.count);
-        w.f64(self.sum);
-        w.f64(self.min);
-        w.f64(self.max);
-        w.usize(self.hiwater);
-    }
-
-    /// Rebuild a sketch saved by [`LogHistogram::save`].
-    pub fn load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let n_buckets = r.usize()?;
-        let mut buckets = std::collections::BTreeMap::new();
-        for _ in 0..n_buckets {
-            let k = r.u32()?;
-            let n = r.u64()?;
-            buckets.insert(k, n);
-        }
-        Ok(LogHistogram {
-            buckets,
-            zeros: r.u64()?,
-            count: r.u64()?,
-            sum: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-            hiwater: r.usize()?,
-        })
-    }
-
     /// `(bucket upper edge, percent of samples <= edge)` series for
     /// plotting a CDF: one point per non-empty bucket instead of one per
     /// sample, so a 10^5-flow CDF is a few hundred points. The final
@@ -535,6 +509,13 @@ pub struct WindowedSketch {
     windows: Vec<LogHistogram>,
     trimmed: u64,
 }
+
+crate::snap_struct!(WindowedSketch {
+    window_ns,
+    warmup_ns,
+    windows,
+    trimmed
+});
 
 impl WindowedSketch {
     /// Create with the given window width; samples before `warmup_ns` are
@@ -615,36 +596,6 @@ impl WindowedSketch {
                 .iter()
                 .map(LogHistogram::memory_bytes)
                 .sum::<usize>()
-    }
-
-    /// Serialize into the engine checkpoint codec (configuration plus
-    /// every window sketch).
-    pub fn save(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.window_ns);
-        w.u64(self.warmup_ns);
-        w.u64(self.trimmed);
-        w.usize(self.windows.len());
-        for win in &self.windows {
-            win.save(w);
-        }
-    }
-
-    /// Rebuild a windowed sketch saved by [`WindowedSketch::save`].
-    pub fn load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let window_ns = r.u64()?;
-        let warmup_ns = r.u64()?;
-        let trimmed = r.u64()?;
-        let n = r.usize()?;
-        let mut windows = Vec::with_capacity(n);
-        for _ in 0..n {
-            windows.push(LogHistogram::load(r)?);
-        }
-        Ok(WindowedSketch {
-            window_ns,
-            warmup_ns,
-            windows,
-            trimmed,
-        })
     }
 }
 
@@ -769,14 +720,8 @@ mod tests {
         }
         h.add(0.0); // exercise the zero bucket
 
-        let mut w = crate::snap::SnapWriter::new();
-        h.save(&mut w);
-        ws.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = crate::snap::SnapReader::new(&bytes);
-        let h2 = LogHistogram::load(&mut r).unwrap();
-        let ws2 = WindowedSketch::load(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
+        let h2 = crate::snap::assert_roundtrip(&h);
+        let ws2 = crate::snap::assert_roundtrip(&ws);
 
         assert_eq!(h.count(), h2.count());
         assert_eq!(h.mean(), h2.mean());
@@ -788,12 +733,6 @@ mod tests {
             ws.aggregate().quantile(50.0),
             ws2.aggregate().quantile(50.0)
         );
-
-        // A second save of the restored sketches is byte-identical.
-        let mut w2 = crate::snap::SnapWriter::new();
-        h2.save(&mut w2);
-        ws2.save(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
     }
 
     #[test]

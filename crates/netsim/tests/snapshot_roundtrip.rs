@@ -267,3 +267,30 @@ fn restore_refuses_link_count_mismatch() {
         other => panic!("expected Unsupported, got {other:?}"),
     }
 }
+
+#[test]
+fn restore_survives_hostile_bytes() {
+    // An engine snapshot is not sealed (the file around it is), so the
+    // decoders themselves meet damaged input here: every bit flip and
+    // truncation must come back as `Ok` or `Err`, never as a panic or an
+    // allocation sized by a corrupted length prefix.
+    let (mut first, _a, _b, _l) = build(11, true);
+    first.run_until(ms(60));
+    let mut w = SnapWriter::new();
+    first.save_snapshot(&mut w).unwrap();
+    let good = w.into_bytes();
+    let restore = |bytes: &[u8]| {
+        let (mut fresh, _a, _b, _l) = build(11, false);
+        fresh.restore_snapshot(&mut SnapReader::new(bytes))
+    };
+    assert!(restore(&good).is_ok());
+    for cut in 0..good.len() {
+        let err = restore(&good[..cut]).unwrap_err();
+        assert!(matches!(err, SnapError::Eof { .. }), "cut {cut}: {err}");
+    }
+    for bit in 0..good.len() * 8 {
+        let mut bad = good.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let _ = restore(&bad);
+    }
+}

@@ -40,6 +40,12 @@ pub enum Protocol {
     HalfbackRatio12,
 }
 
+// Travels by display name, so a checkpoint does not depend on registry order.
+netsim::snap_via!(Protocol as String, |p| p.name().to_string(), |name| {
+    Protocol::parse(&name)
+        .ok_or_else(|| netsim::snap::SnapError::Unsupported(format!("unknown scheme {name:?}")))
+});
+
 impl Protocol {
     /// The eight schemes of §4, in the paper's listing order.
     pub const EVALUATED: [Protocol; 8] = [

@@ -33,8 +33,9 @@
 
 use crate::protocols::Protocol;
 use crate::runner::run_until_checked;
-use baselines::{load_path_cache, path_cache, save_path_cache, PathCache};
+use baselines::{path_cache, PathCache};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
+use netsim::snap_struct;
 use netsim::stats::{LogHistogram, WindowedSketch};
 use netsim::topology::{build_dumbbell, Dumbbell, DumbbellSpec};
 use netsim::{FlowId, SimDuration, SimTime};
@@ -47,7 +48,7 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-const WEATHER_VERSION: u32 = 1;
+const WEATHER_VERSION: u32 = 2;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 
@@ -76,7 +77,7 @@ pub fn mean_flow_bytes() -> f64 {
 /// Configuration of one weather run. Everything here is part of the
 /// checkpoint fingerprint: resuming under a different configuration is
 /// refused (the rebuilt structure would not match the saved state).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeatherConfig {
     /// Scheme every injected flow uses (all eight of §4 are valid).
     pub protocol: Protocol,
@@ -99,6 +100,19 @@ pub struct WeatherConfig {
     /// Root seed (engine and arrival streams fork from it).
     pub seed: u64,
 }
+
+snap_struct!(WeatherConfig {
+    protocol,
+    utilization,
+    duration,
+    window,
+    warmup,
+    checkpoint_every,
+    amplitude,
+    period,
+    host_pairs,
+    seed,
+});
 
 impl Default for WeatherConfig {
     fn default() -> Self {
@@ -125,68 +139,15 @@ impl WeatherConfig {
         d.div_ceil(w)
     }
 
-    fn save(&self, w: &mut SnapWriter) {
-        w.str(self.protocol.name());
-        w.f64(self.utilization);
-        w.u64(self.duration.as_nanos());
-        w.u64(self.window.as_nanos());
-        w.u64(self.warmup.as_nanos());
-        w.u64(self.checkpoint_every);
-        w.f64(self.amplitude);
-        w.u64(self.period.as_nanos());
-        w.usize(self.host_pairs);
-        w.u64(self.seed);
-    }
-
     /// Validate that `self` matches the configuration a checkpoint was
     /// taken under. Resuming under a drifted configuration would overlay
     /// saved dynamic state onto a different structure, so it is refused.
     fn check(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        fn drift<T: std::fmt::Debug>(what: &str, saved: T, now: T) -> Result<(), SnapError> {
-            Err(SnapError::Unsupported(format!(
-                "checkpoint was taken with {what} = {saved:?}, this run has {now:?} \
-                 (config drift?)"
-            )))
-        }
-        let name = r.str()?;
-        if name != self.protocol.name() {
-            return drift("scheme", name, self.protocol.name().to_string());
-        }
-        let ut = r.f64()?;
-        if ut != self.utilization {
-            return drift("utilization", ut, self.utilization);
-        }
-        let dur = r.u64()?;
-        if dur != self.duration.as_nanos() {
-            return drift("duration_ns", dur, self.duration.as_nanos());
-        }
-        let win = r.u64()?;
-        if win != self.window.as_nanos() {
-            return drift("window_ns", win, self.window.as_nanos());
-        }
-        let wu = r.u64()?;
-        if wu != self.warmup.as_nanos() {
-            return drift("warmup_ns", wu, self.warmup.as_nanos());
-        }
-        let ck = r.u64()?;
-        if ck != self.checkpoint_every {
-            return drift("checkpoint_every", ck, self.checkpoint_every);
-        }
-        let amp = r.f64()?;
-        if amp != self.amplitude {
-            return drift("amplitude", amp, self.amplitude);
-        }
-        let per = r.u64()?;
-        if per != self.period.as_nanos() {
-            return drift("period_ns", per, self.period.as_nanos());
-        }
-        let hp = r.usize()?;
-        if hp != self.host_pairs {
-            return drift("host_pairs", hp, self.host_pairs);
-        }
-        let seed = r.u64()?;
-        if seed != self.seed {
-            return drift("seed", seed, self.seed);
+        let saved: WeatherConfig = r.get()?;
+        if saved != *self {
+            return Err(SnapError::Unsupported(format!(
+                "checkpoint was taken with {saved:?}, this run has {self:?} (config drift?)"
+            )));
         }
         Ok(())
     }
@@ -216,27 +177,16 @@ impl CurWindow {
             reaped: 0,
         }
     }
-
-    fn save(&self, w: &mut SnapWriter) {
-        self.fct.save(w);
-        w.u64(self.started);
-        w.u64(self.completed);
-        w.u64(self.aborted);
-        w.u64(self.retx);
-        w.u64(self.reaped);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CurWindow {
-            fct: LogHistogram::load(r)?,
-            started: r.u64()?,
-            completed: r.u64()?,
-            aborted: r.u64()?,
-            retx: r.u64()?,
-            reaped: r.u64()?,
-        })
-    }
 }
+
+snap_struct!(CurWindow {
+    fct,
+    started,
+    completed,
+    aborted,
+    retx,
+    reaped
+});
 
 /// The driver's own dynamic state — everything the loop mutates that is
 /// not inside the engine, the hosts, or the path cache.
@@ -257,6 +207,22 @@ struct WeatherState {
     fct: WindowedSketch,
     cur: CurWindow,
 }
+
+snap_struct!(WeatherState {
+    arrivals,
+    size_rng,
+    next_flow,
+    started,
+    completed,
+    aborted,
+    retx_total,
+    reaped_total,
+    window_idx,
+    checkpoints,
+    csv_bytes,
+    fct,
+    cur,
+});
 
 impl WeatherState {
     fn fresh(cfg: &WeatherConfig) -> Self {
@@ -285,52 +251,6 @@ impl WeatherState {
             fct: WindowedSketch::new(cfg.window.as_nanos(), cfg.warmup.as_nanos()),
             cur: CurWindow::new(),
         }
-    }
-
-    fn save(&self, w: &mut SnapWriter) {
-        w.magic(SEC_DRIVER);
-        self.arrivals.save(w);
-        let (seed, state) = self.size_rng.state_parts();
-        w.u64(seed);
-        for word in state {
-            w.u64(word);
-        }
-        w.u64(self.next_flow);
-        w.u64(self.started);
-        w.u64(self.completed);
-        w.u64(self.aborted);
-        w.u64(self.retx_total);
-        w.u64(self.reaped_total);
-        w.u64(self.window_idx);
-        w.u64(self.checkpoints);
-        w.u64(self.csv_bytes);
-        self.fct.save(w);
-        self.cur.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.expect_magic(SEC_DRIVER)?;
-        let arrivals = DiurnalPoisson::load(r)?;
-        let seed = r.u64()?;
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        Ok(WeatherState {
-            arrivals,
-            size_rng: netsim::rng::SimRng::from_parts(seed, state),
-            next_flow: r.u64()?,
-            started: r.u64()?,
-            completed: r.u64()?,
-            aborted: r.u64()?,
-            retx_total: r.u64()?,
-            reaped_total: r.u64()?,
-            window_idx: r.u64()?,
-            checkpoints: r.u64()?,
-            csv_bytes: r.u64()?,
-            fct: WindowedSketch::load(r)?,
-            cur: CurWindow::load(r)?,
-        })
     }
 
     /// Draw a payload size from the weather mix.
@@ -408,10 +328,6 @@ pub struct WeatherRunOptions {
     pub stop_after_checkpoints: Option<u64>,
 }
 
-fn io_err(e: SnapError) -> std::io::Error {
-    std::io::Error::other(e.to_string())
-}
-
 /// Build the inert service rig: a dumbbell of wired hosts with record
 /// retention off and a shared completion bus on the sender side. Nothing
 /// is scheduled — the driver (or a checkpoint restore) supplies all
@@ -437,7 +353,18 @@ fn build_rig(cfg: &WeatherConfig) -> (TransportSim, Dumbbell, CompletionBus, Pat
     (sim, net, bus, path_cache())
 }
 
-/// Serialize the complete run state and atomically replace `path`.
+/// Everything [`read_checkpoint`] hands back: the driver state and the rig
+/// it belongs to.
+type Restored = (
+    WeatherState,
+    TransportSim,
+    Dumbbell,
+    CompletionBus,
+    PathCache,
+);
+
+/// Serialize the complete run state as a sealed file (length-prefixed,
+/// checksummed) and replace `path` with it by rename.
 fn write_checkpoint(
     path: &Path,
     cfg: &WeatherConfig,
@@ -446,48 +373,37 @@ fn write_checkpoint(
     net: &Dumbbell,
     cache: &PathCache,
 ) -> std::io::Result<()> {
-    let mut w = SnapWriter::new();
-    w.magic(WEATHER_MAGIC);
-    w.u32(WEATHER_VERSION);
-    cfg.save(&mut w);
-    st.save(&mut w);
-    sim.save_snapshot(&mut w).map_err(io_err)?;
+    let mut w = SnapWriter::sealed(WEATHER_MAGIC, WEATHER_VERSION);
+    w.put(cfg);
+    w.magic(SEC_DRIVER);
+    w.put(st);
+    sim.save_snapshot(&mut w).map_err(std::io::Error::other)?;
     for &h in net.left_hosts.iter().chain(&net.right_hosts) {
         sim.node_as::<Host>(h)
             .expect("weather rig hosts are Hosts")
             .save(&mut w);
     }
-    save_path_cache(cache, &mut w);
+    w.put(&*cache.borrow());
     let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, w.into_bytes())?;
+    std::fs::write(&tmp, w.seal())?;
     std::fs::rename(&tmp, path)
 }
 
 /// Rebuild the rig from `cfg` and overlay the dynamic state from the
-/// checkpoint at `path`.
-fn read_checkpoint(
-    path: &Path,
-    cfg: &WeatherConfig,
-) -> std::io::Result<(
-    WeatherState,
-    TransportSim,
-    Dumbbell,
-    CompletionBus,
-    PathCache,
-)> {
-    let data = std::fs::read(path)?;
-    let mut r = SnapReader::new(&data);
-    r.expect_magic(WEATHER_MAGIC).map_err(io_err)?;
-    let v = r.u32().map_err(io_err)?;
-    if v != WEATHER_VERSION {
-        return Err(std::io::Error::other(format!(
-            "weather checkpoint version {v}, this build reads {WEATHER_VERSION}"
-        )));
-    }
-    cfg.check(&mut r).map_err(io_err)?;
-    let st = WeatherState::load(&mut r).map_err(io_err)?;
+/// checkpoint at `path`. A [`SnapError`] travels inside the `io::Error`.
+fn read_checkpoint(path: &Path, cfg: &WeatherConfig) -> std::io::Result<Restored> {
+    decode_checkpoint(&std::fs::read(path)?, cfg).map_err(std::io::Error::other)
+}
+
+/// The file is verified whole (magic, version, length, checksum) before any
+/// of it is decoded, so a damaged checkpoint is refused, never resumed.
+fn decode_checkpoint(data: &[u8], cfg: &WeatherConfig) -> Result<Restored, SnapError> {
+    let mut r = SnapReader::open(data, WEATHER_MAGIC, WEATHER_VERSION)?;
+    cfg.check(&mut r)?;
+    r.expect_magic(SEC_DRIVER)?;
+    let st = r.get()?;
     let (mut sim, net, bus, cache) = build_rig(cfg);
-    sim.restore_snapshot(&mut r).map_err(io_err)?;
+    sim.restore_snapshot(&mut r)?;
     // Same order as the save loop in `write_checkpoint`: every left host,
     // then every right host.
     for (i, &h) in net.left_hosts.iter().chain(&net.right_hosts).enumerate() {
@@ -497,10 +413,10 @@ fn read_checkpoint(
         let cache_ref = cache.clone();
         sim.node_as_mut::<Host>(h)
             .expect("weather rig hosts are Hosts")
-            .load(&mut r, &mut |_flow| protocol.make(&cache_ref, key))
-            .map_err(io_err)?;
+            .load(&mut r, &mut |_flow| protocol.make(&cache_ref, key))?;
     }
-    load_path_cache(&cache, &mut r).map_err(io_err)?;
+    // In place: the strategies restored above already share this handle.
+    *cache.borrow_mut() = r.get()?;
     Ok((st, sim, net, bus, cache))
 }
 
@@ -567,6 +483,18 @@ pub fn run_weather(
             .read(true)
             .write(true)
             .open(&csv_path)?;
+        // `set_len` on a shorter file would pad it with NULs and carry on.
+        let have = csv.metadata()?.len();
+        if have < st.csv_bytes {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "windows.csv is {have} bytes but the checkpoint was taken at byte {}: \
+                     rows the checkpoint relies on are gone, refusing to resume",
+                    st.csv_bytes
+                ),
+            ));
+        }
         csv.set_len(st.csv_bytes)?;
         csv.seek(SeekFrom::End(0))?;
     } else {
@@ -790,6 +718,46 @@ mod tests {
         assert_eq!(csv.lines().count(), 7, "header + 6 windows");
         assert!(csv.starts_with("window,"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_reencodes_to_the_same_bytes_for_every_scheme() {
+        // Decode a mid-run checkpoint and write it straight back: every
+        // context-bound restore (engine, hosts, senders, each scheme's
+        // strategy state, the shared path cache) must be a fixed point, and
+        // the driver's own types pass the generic round-trip.
+        use netsim::snap::assert_roundtrip;
+        for protocol in Protocol::EVALUATED {
+            let cfg = WeatherConfig {
+                protocol,
+                checkpoint_every: 1,
+                ..tiny_cfg()
+            };
+            let dir = tmp_dir(&format!("reencode-{}", protocol.name()));
+            let kill = WeatherRunOptions {
+                resume: false,
+                stop_after_checkpoints: Some(1),
+            };
+            run_weather(&cfg, &dir, &kill).unwrap();
+            let saved = dir.join("weather.ckpt");
+            let (st, mut sim, net, _bus, cache) = read_checkpoint(&saved, &cfg).unwrap();
+            let in_flight: usize = net
+                .left_hosts
+                .iter()
+                .map(|&h| sim.node_as::<Host>(h).unwrap().active_senders())
+                .sum();
+            assert!(in_flight > 0, "{protocol:?}: nothing in flight at the kill");
+            assert_roundtrip(&cfg);
+            assert_roundtrip(&st);
+            assert_roundtrip(&*cache.borrow());
+            let again = dir.join("again.ckpt");
+            write_checkpoint(&again, &cfg, &st, &mut sim, &net, &cache).unwrap();
+            assert!(
+                std::fs::read(&saved).unwrap() == std::fs::read(&again).unwrap(),
+                "{protocol:?}: decode -> encode changed the checkpoint"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! The contract under test: a run killed at a checkpoint and resumed must
 //! produce **byte-identical** output files to an uninterrupted run of the
 //! same configuration — across every scheme, because each scheme carries
-//! its own in-flight strategy state through the snapshot.
+//! its own in-flight strategy state through the snapshot. And the other
+//! half: a checkpoint that is damaged, truncated, from another format
+//! version, or orphaned from its CSV is refused with a typed error.
 
+use netsim::snap::SnapError;
 use netsim::SimDuration;
 use scenarios::weather::{run_weather, WeatherConfig, WeatherRunOptions};
 use scenarios::Protocol;
@@ -230,6 +233,124 @@ fn receivers_are_reaped_on_long_runs() {
         "receiver population {live_receivers} above steady-state bound {bound:.0} \
          (started {})",
         out.started
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn resume(c: &WeatherConfig, dir: &std::path::Path) -> std::io::Result<()> {
+    let opts = WeatherRunOptions {
+        resume: true,
+        stop_after_checkpoints: None,
+    };
+    run_weather(c, dir, &opts).map(|_| ())
+}
+
+/// The `SnapError` a refused resume carries, if that is what refused it.
+fn snap_error(e: &std::io::Error) -> Option<&SnapError> {
+    e.get_ref()?.downcast_ref()
+}
+
+/// A run killed at its first checkpoint, with flows in flight at the kill.
+fn killed_run(tag: &str) -> (WeatherConfig, PathBuf, Vec<u8>) {
+    let c = cfg(Protocol::Halfback, 40, 10, 1);
+    let dir = tmp_dir(tag);
+    let opts = WeatherRunOptions {
+        resume: false,
+        stop_after_checkpoints: Some(1),
+    };
+    assert!(run_weather(&c, &dir, &opts).unwrap().stopped_early);
+    let ckpt = std::fs::read(dir.join("weather.ckpt")).unwrap();
+    (c, dir, ckpt)
+}
+
+#[test]
+fn damaged_checkpoints_are_refused_never_resumed() {
+    // Hostile-input battery: seeded single-bit flips and truncations of a
+    // mid-run checkpoint. Every resume must come back `Err` — no panic, no
+    // abort on an absurd allocation, and above all no `Ok` (a run resumed
+    // from damaged state finishes with plausible, wrong output).
+    let (c, dir, good) = killed_run("hostile");
+    let csv = std::fs::read(dir.join("windows.csv")).unwrap();
+    let attempt = |bytes: &[u8], what: String| -> std::io::Error {
+        std::fs::write(dir.join("weather.ckpt"), bytes).unwrap();
+        match std::panic::catch_unwind(|| resume(&c, &dir)) {
+            Ok(Err(e)) => e,
+            Ok(Ok(())) => panic!("{what}: resumed from a damaged checkpoint"),
+            Err(_) => panic!("{what}: resume panicked"),
+        }
+    };
+    let mut rng = netsim::rng::SimRng::new(0xBAD5EED);
+    // Every third byte of the head (file header, config fingerprint, driver
+    // scalars), then seeded offsets over the whole file.
+    let head = (0..240usize).map(|i| 3 * i).filter(|&o| o < good.len());
+    let offsets: Vec<usize> = head
+        .chain((0..120).map(|_| rng.index(good.len())))
+        .collect();
+    assert!(offsets.len() >= 200);
+    for (i, &at) in offsets.iter().enumerate() {
+        let mut bad = good.clone();
+        bad[at] ^= 1 << (i % 8);
+        let e = attempt(&bad, format!("bit {} of byte {at}", i % 8));
+        // Past the 16-byte file header only the checksum can notice.
+        if at >= 16 {
+            assert!(
+                matches!(snap_error(&e), Some(SnapError::Checksum { .. })),
+                "byte {at}: {e}"
+            );
+        }
+    }
+    let cuts = (0..30usize)
+        .chain((0..30).map(|_| rng.index(good.len())))
+        .chain([good.len() - 1]);
+    for cut in cuts {
+        let e = attempt(&good[..cut], format!("cut to {cut} bytes"));
+        assert!(
+            matches!(snap_error(&e), Some(SnapError::Eof { .. })),
+            "cut {cut}: {e}"
+        );
+        assert!(e.to_string().contains("snapshot truncated"), "{e}");
+    }
+    // None of the refusals touched the CSV, and the intact checkpoint still
+    // resumes to completion.
+    assert_eq!(std::fs::read(dir.join("windows.csv")).unwrap(), csv);
+    std::fs::write(dir.join("weather.ckpt"), &good).unwrap();
+    resume(&c, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn v1_checkpoint_is_refused_with_the_version_error() {
+    let (c, dir, mut ckpt) = killed_run("v1");
+    // Same magic, version field (bytes 4..8) set back to 1.
+    ckpt[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(dir.join("weather.ckpt"), &ckpt).unwrap();
+    let e = resume(&c, &dir).unwrap_err();
+    assert!(
+        matches!(snap_error(&e), Some(SnapError::Version { got: 1, .. })),
+        "{e}"
+    );
+    assert!(e.to_string().contains("unsupported snapshot version 1"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_refuses_a_csv_shorter_than_the_checkpoint() {
+    // windows.csv lost or cut between kill and resume: `set_len` would pad
+    // it with NULs up to the checkpointed offset and the run would exit 0.
+    let (c, dir, _) = killed_run("shortcsv");
+    let csv_path = dir.join("windows.csv");
+    let full = std::fs::read(&csv_path).unwrap();
+    std::fs::write(&csv_path, &full[..50]).unwrap();
+    let e = resume(&c, &dir).unwrap_err();
+    let msg = e.to_string();
+    assert!(
+        msg.contains("50 bytes") && msg.contains(&format!("byte {}", full.len())),
+        "error must name both lengths: {msg}"
+    );
+    assert_eq!(
+        std::fs::read(&csv_path).unwrap(),
+        &full[..50],
+        "a refused resume must not touch the CSV"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -9,7 +9,7 @@
 
 use crate::fasthash::FastMap;
 use crate::receiver::ReceiverConn;
-use crate::sender::{AbortReason, FlowOutcome, FlowRecord, SenderConn, TimerKind};
+use crate::sender::{FlowRecord, SenderConn, TimerKind};
 use crate::strategy::Strategy;
 use crate::trace::{DeliveryTimelines, FlightRecorder, FlowEvent};
 use crate::wire::Header;
@@ -303,76 +303,6 @@ impl Default for Host {
 /// Section magic guarding a serialized host in a checkpoint stream.
 const SEC_HOST: u32 = 0x4842_0003;
 
-/// Intern a deserialized protocol name. [`FlowRecord::protocol`] is a
-/// `&'static str` in the live system (strategy names are literals); a
-/// checkpoint brings them back as owned strings, which we leak at most
-/// once per distinct name — bounded by the number of schemes, not flows.
-fn intern_name(s: String) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut cache = CACHE.get_or_init(|| Mutex::new(Vec::new())).lock().unwrap();
-    if let Some(&n) = cache.iter().find(|&&n| n == s) {
-        return n;
-    }
-    let n: &'static str = Box::leak(s.into_boxed_str());
-    cache.push(n);
-    n
-}
-
-fn write_record(w: &mut SnapWriter, rec: &FlowRecord) {
-    w.u64(rec.flow.0);
-    w.str(rec.protocol);
-    w.u64(rec.bytes);
-    w.u64(rec.start.as_nanos());
-    w.u64(rec.established_at.as_nanos());
-    w.u64(rec.done_at.as_nanos());
-    w.u64(rec.fct.as_nanos());
-    rec.counters.save(w);
-    w.bool(rec.min_rtt.is_some());
-    w.u64(rec.min_rtt.map_or(0, |d| d.as_nanos()));
-    w.u8(match rec.outcome {
-        FlowOutcome::Completed => 0,
-        FlowOutcome::Aborted(AbortReason::MaxRetransmits) => 1,
-        FlowOutcome::Aborted(AbortReason::SynTimeout) => 2,
-    });
-}
-
-fn read_record(r: &mut SnapReader<'_>) -> Result<FlowRecord, SnapError> {
-    let flow = FlowId(r.u64()?);
-    let protocol = intern_name(r.str()?);
-    let bytes = r.u64()?;
-    let start = SimTime::from_nanos(r.u64()?);
-    let established_at = SimTime::from_nanos(r.u64()?);
-    let done_at = SimTime::from_nanos(r.u64()?);
-    let fct = netsim::SimDuration::from_nanos(r.u64()?);
-    let counters = crate::sender::Counters::load(r)?;
-    let has_min = r.bool()?;
-    let min_ns = r.u64()?;
-    let outcome = match r.u8()? {
-        0 => FlowOutcome::Completed,
-        1 => FlowOutcome::Aborted(AbortReason::MaxRetransmits),
-        2 => FlowOutcome::Aborted(AbortReason::SynTimeout),
-        tag => {
-            return Err(SnapError::Tag {
-                ty: "FlowOutcome",
-                tag,
-            })
-        }
-    };
-    Ok(FlowRecord {
-        flow,
-        protocol,
-        bytes,
-        start,
-        established_at,
-        done_at,
-        fct,
-        counters,
-        min_rtt: has_min.then(|| netsim::SimDuration::from_nanos(min_ns)),
-        outcome,
-    })
-}
-
 impl Host {
     /// Serialize every dynamic field of this host — live sender and
     /// receiver endpoints, timer-token routing, retained completion
@@ -385,54 +315,31 @@ impl Host {
     /// dynamic state is overlaid. Flight-recorder and timeline contents are
     /// diagnostics and do not survive a checkpoint.
     pub fn save(&self, w: &mut SnapWriter) {
-        w.u32(SEC_HOST);
-        w.u32(self.core.node.0);
-        w.u32(self.core.egress.0);
-        w.u64(self.core.next_token);
-        let mut tokens: Vec<u64> = self.core.routes.keys().copied().collect();
-        tokens.sort_unstable();
-        w.usize(tokens.len());
-        for t in tokens {
-            let (flow, kind) = self.core.routes[&t];
-            w.u64(t);
-            w.u64(flow.0);
-            let (tag, user) = match kind {
-                TimerKind::Rto => (0u8, 0u64),
-                TimerKind::Pace => (1, 0),
-                TimerKind::Pto => (2, 0),
-                TimerKind::User(u) => (3, u),
-            };
-            w.u8(tag);
-            w.u64(user);
-        }
-        for arms in self.core.timer_arms {
-            w.u64(arms);
-        }
-        w.u64(self.core.timer_cancels);
-        w.usize(self.core.completed.len());
-        for rec in &self.core.completed {
-            write_record(w, rec);
-        }
-        w.u64(self.stray_packets);
-        w.usize(self.invariant_breaches.len());
-        for b in &self.invariant_breaches {
-            w.str(b);
-        }
-        let mut flows: Vec<FlowId> = self.senders.keys().copied().collect();
-        flows.sort_unstable_by_key(|f| f.0);
-        w.usize(flows.len());
-        for f in flows {
-            w.u64(f.0);
-            self.senders[&f].save(w);
-        }
-        let mut flows: Vec<FlowId> = self.receivers.keys().copied().collect();
-        flows.sort_unstable_by_key(|f| f.0);
-        w.usize(flows.len());
-        for f in flows {
-            w.u64(f.0);
-            self.receivers[&f].save(w);
+        w.magic(SEC_HOST);
+        w.put(&self.core.node);
+        w.put(&self.core.egress);
+        self.save_overlay(w);
+        // Senders cannot go through the map codec (each load needs its
+        // strategy built first), but they keep its ascending key order.
+        let mut senders: Vec<&SenderConn> = self.senders.values().collect();
+        senders.sort_unstable_by_key(|c| c.flow());
+        w.seq_len(senders.len());
+        for conn in senders {
+            w.put(&conn.flow());
+            conn.save(w);
         }
     }
+
+    netsim::snap_fields!(fn save_overlay, load_overlay {
+        core.next_token,
+        core.routes,
+        core.timer_arms,
+        core.timer_cancels,
+        core.completed,
+        stray_packets,
+        invariant_breaches,
+        receivers,
+    });
 
     /// Restore state written by [`Host::save`] into this host, which must
     /// be freshly built and already wired to the same topology position
@@ -451,8 +358,7 @@ impl Host {
             ));
         }
         r.expect_magic(SEC_HOST)?;
-        let node = NodeId(r.u32()?);
-        let egress = LinkId(r.u32()?);
+        let (node, egress): (NodeId, LinkId) = r.get()?;
         if node != self.core.node || egress != self.core.egress {
             return Err(SnapError::Unsupported(format!(
                 "host was saved at node {:?} egress {:?}, restore target is wired to \
@@ -460,60 +366,11 @@ impl Host {
                 node, egress, self.core.node, self.core.egress
             )));
         }
-        self.core.next_token = r.u64()?;
-        let n_routes = r.usize()?;
-        for _ in 0..n_routes {
-            let token = r.u64()?;
-            let flow = FlowId(r.u64()?);
-            let kind = match r.u8()? {
-                0 => {
-                    let _ = r.u64()?;
-                    TimerKind::Rto
-                }
-                1 => {
-                    let _ = r.u64()?;
-                    TimerKind::Pace
-                }
-                2 => {
-                    let _ = r.u64()?;
-                    TimerKind::Pto
-                }
-                3 => TimerKind::User(r.u64()?),
-                tag => {
-                    return Err(SnapError::Tag {
-                        ty: "TimerKind",
-                        tag,
-                    })
-                }
-            };
-            self.core.routes.insert(token, (flow, kind));
-        }
-        for slot in &mut self.core.timer_arms {
-            *slot = r.u64()?;
-        }
-        self.core.timer_cancels = r.u64()?;
-        let n_done = r.usize()?;
-        self.core.completed.reserve(n_done);
-        for _ in 0..n_done {
-            self.core.completed.push(read_record(r)?);
-        }
-        self.stray_packets = r.u64()?;
-        let n_breach = r.usize()?;
-        for _ in 0..n_breach {
-            let msg = r.str()?;
-            self.invariant_breaches.push(msg);
-        }
-        let n_senders = r.usize()?;
-        for _ in 0..n_senders {
-            let flow = FlowId(r.u64()?);
+        self.load_overlay(r)?;
+        for _ in 0..r.seq_len()? {
+            let flow = r.get()?;
             let conn = SenderConn::load(r, make_strategy(flow))?;
             self.senders.insert(flow, conn);
-        }
-        let n_receivers = r.usize()?;
-        for _ in 0..n_receivers {
-            let flow = FlowId(r.u64()?);
-            let conn = ReceiverConn::load(r)?;
-            self.receivers.insert(flow, conn);
         }
         Ok(())
     }
@@ -633,5 +490,119 @@ impl Node<Header> for Host {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reno::{RenoConfig, RenoEngine};
+    use crate::scoreboard::AckOutcome;
+    use crate::sender::Ops;
+    use crate::wire::{AckHeader, SegId};
+    use crate::TransportSim;
+    use netsim::loss::LossModel;
+    use netsim::snap::assert_roundtrip;
+    use netsim::topology::{build_path, PathSpec};
+    use netsim::{Rate, SimDuration};
+
+    /// Window-driven test strategy that leaves a copy of its engine where
+    /// the test can reach it (a boxed strategy is opaque to the chassis).
+    struct MiniTcp {
+        reno: RenoEngine,
+        seen: Rc<RefCell<Option<RenoEngine>>>,
+    }
+
+    impl Strategy for MiniTcp {
+        fn name(&self) -> &'static str {
+            "MiniTcp"
+        }
+        fn on_established(&mut self, ops: &mut Ops<'_, '_>) {
+            self.reno.on_established(ops);
+        }
+        fn on_ack(&mut self, ops: &mut Ops<'_, '_>, _a: &AckHeader, o: &AckOutcome) {
+            self.reno.on_ack(ops, o);
+            *self.seen.borrow_mut() = Some(self.reno.clone());
+        }
+        fn on_loss_detected(&mut self, ops: &mut Ops<'_, '_>, l: &[SegId]) {
+            self.reno.on_loss(ops, l);
+        }
+        fn on_rto(&mut self, ops: &mut Ops<'_, '_>) {
+            self.reno.on_rto(ops);
+        }
+        netsim::snap_fields!(fn save_state, load_state { reno });
+    }
+
+    /// One generic round-trip over every transport type a checkpoint
+    /// carries, with values harvested from hosts in the middle of lossy
+    /// transfers; then the host as a whole through its context-bound pair.
+    #[test]
+    fn checkpointed_transport_types_round_trip_mid_run() {
+        let seen = Rc::new(RefCell::new(None));
+        let make = |seen: &Rc<RefCell<Option<RenoEngine>>>| -> Box<dyn Strategy> {
+            Box::new(MiniTcp {
+                reno: RenoEngine::new(RenoConfig::default()),
+                seen: seen.clone(),
+            })
+        };
+        let mut spec = PathSpec::clean(Rate::from_mbps(10), SimDuration::from_millis(40));
+        spec.loss = LossModel::wifi_bursty();
+        let build = || {
+            let mut sim = TransportSim::new(5);
+            let net = build_path(&mut sim, &spec, |_| Box::new(Host::new()));
+            sim.with_node_mut::<Host, _>(net.sender, |h, _| h.wire(net.sender, net.forward));
+            sim.with_node_mut::<Host, _>(net.receiver, |h, _| h.wire(net.receiver, net.reverse));
+            (sim, net)
+        };
+        let (mut sim, net) = build();
+        sim.with_node_mut::<Host, _>(net.sender, |h, core| {
+            h.start_flow(core, FlowId(1), net.receiver, 3_000, make(&seen));
+            h.start_flow(core, FlowId(2), net.receiver, 400_000, make(&seen));
+            h.start_flow(core, FlowId(3), net.receiver, 90_000, make(&seen));
+        });
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(400));
+
+        let tx = sim.node_as::<Host>(net.sender).unwrap();
+        let rx = sim.node_as::<Host>(net.receiver).unwrap();
+        assert!(!tx.core.completed.is_empty() && tx.active_senders() > 0);
+        assert!(tx.senders().any(|c| c.counters().normal_retx > 0));
+        assert_roundtrip(&tx.core.routes);
+        assert_roundtrip(&tx.core.completed);
+        assert_roundtrip(&rx.receivers);
+        for conn in tx.senders() {
+            assert_roundtrip(&conn.state);
+        }
+        assert_roundtrip(seen.borrow().as_ref().expect("ACKs arrived"));
+
+        for (node, host) in [(net.sender, tx), (net.receiver, rx)] {
+            let mut w = SnapWriter::new();
+            host.save(&mut w);
+            let bytes = w.into_bytes();
+            let (mut fresh, _) = build();
+            let copy = fresh.node_as_mut::<Host>(node).unwrap();
+            let mut r = SnapReader::new(&bytes);
+            copy.load(&mut r, &mut |_| make(&seen)).unwrap();
+            assert_eq!(r.remaining(), 0);
+            let mut w2 = SnapWriter::new();
+            copy.save(&mut w2);
+            assert!(bytes == w2.into_bytes(), "host save -> load -> save");
+
+            // A host section is not sealed (the file around it is), so
+            // these decoders meet the damage themselves: `Ok` or `Err`,
+            // never a panic or a length-sized allocation.
+            for cut in 0..bytes.len() {
+                let (mut fresh, _) = build();
+                let copy = fresh.node_as_mut::<Host>(node).unwrap();
+                let got = copy.load(&mut SnapReader::new(&bytes[..cut]), &mut |_| make(&seen));
+                assert!(matches!(got, Err(SnapError::Eof { .. })), "cut {cut}");
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let (mut fresh, _) = build();
+                let copy = fresh.node_as_mut::<Host>(node).unwrap();
+                let _ = copy.load(&mut SnapReader::new(&bad), &mut |_| make(&seen));
+            }
+        }
     }
 }

@@ -14,6 +14,8 @@ pub struct RangeSet {
     count: u64,
 }
 
+netsim::snap_struct!(RangeSet { ranges, count });
+
 impl RangeSet {
     /// Empty set.
     pub fn new() -> Self {
@@ -206,30 +208,6 @@ impl RangeSet {
             n += (e - s.max(v + 1)) as u64;
         }
         n
-    }
-
-    /// Serialize into the engine checkpoint codec: ranges ascending, so
-    /// the bytes are deterministic for a given set.
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        w.usize(self.ranges.len());
-        for (&s, &e) in &self.ranges {
-            w.u32(s);
-            w.u32(e);
-        }
-        w.u64(self.count);
-    }
-
-    /// Rebuild a set saved by [`RangeSet::save`].
-    pub fn load(r: &mut netsim::snap::SnapReader<'_>) -> Result<Self, netsim::snap::SnapError> {
-        let n = r.usize()?;
-        let mut ranges = BTreeMap::new();
-        for _ in 0..n {
-            let s = r.u32()?;
-            let e = r.u32()?;
-            ranges.insert(s, e);
-        }
-        let count = r.u64()?;
-        Ok(RangeSet { ranges, count })
     }
 
     /// Remove everything below `v` (bookkeeping once the cumulative ACK

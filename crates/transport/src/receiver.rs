@@ -40,6 +40,26 @@ pub struct ReceiverConn {
     pub arrivals: Option<Vec<(SimTime, SegId, crate::wire::SendClass)>>,
 }
 
+// The arrival log is debug-only instrumentation and does not travel
+// (open-loop service runs never enable it): a restored receiver starts with
+// logging off.
+netsim::snap_struct!(ReceiverConn {
+    flow,
+    peer,
+    local,
+    total_segs,
+    total_bytes,
+    window,
+    received,
+    cum,
+    syn_at,
+    complete_at,
+    delivered_bytes,
+    dup_segments,
+    data_packets;
+    arrivals,
+});
+
 impl ReceiverConn {
     /// Advertised window for bulk transfers (window scaling in effect; lets
     /// a long background flow actually fill large router buffers, which is
@@ -146,57 +166,6 @@ impl ReceiverConn {
             CTRL_WIRE_BYTES,
             Header::Ack(ack),
         )
-    }
-
-    /// Serialize into the engine checkpoint codec. The arrival log is
-    /// debug-only instrumentation and is excluded (open-loop service runs
-    /// never enable it); a restored receiver starts with logging off.
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        w.u64(self.flow.0);
-        w.u32(self.peer.0);
-        w.u32(self.local.0);
-        w.u32(self.total_segs);
-        w.u64(self.total_bytes);
-        w.u32(self.window);
-        self.received.save(w);
-        w.u32(self.cum);
-        w.u64(self.syn_at.as_nanos());
-        w.bool(self.complete_at.is_some());
-        w.u64(self.complete_at.map_or(0, |t| t.as_nanos()));
-        w.u64(self.delivered_bytes);
-        w.u64(self.dup_segments);
-        w.u64(self.data_packets);
-    }
-
-    /// Rebuild a receiver saved by [`ReceiverConn::save`].
-    pub fn load(r: &mut netsim::snap::SnapReader<'_>) -> Result<Self, netsim::snap::SnapError> {
-        let flow = FlowId(r.u64()?);
-        let peer = NodeId(r.u32()?);
-        let local = NodeId(r.u32()?);
-        let total_segs = r.u32()?;
-        let total_bytes = r.u64()?;
-        let window = r.u32()?;
-        let received = RangeSet::load(r)?;
-        let cum = r.u32()?;
-        let syn_at = SimTime::from_nanos(r.u64()?);
-        let has_complete = r.bool()?;
-        let complete_ns = r.u64()?;
-        Ok(ReceiverConn {
-            flow,
-            peer,
-            local,
-            total_segs,
-            total_bytes,
-            window,
-            received,
-            cum,
-            syn_at,
-            complete_at: has_complete.then_some(SimTime::from_nanos(complete_ns)),
-            delivered_bytes: r.u64()?,
-            dup_segments: r.u64()?,
-            data_packets: r.u64()?,
-            arrivals: None,
-        })
     }
 
     /// Answer a PCP probe with echoed timing.

@@ -30,6 +30,13 @@ pub struct RenoConfig {
     pub duplicate_new_segments: bool,
 }
 
+netsim::snap_struct!(RenoConfig {
+    icw_segments,
+    initial_ssthresh,
+    burst_retransmit,
+    duplicate_new_segments,
+});
+
 impl Default for RenoConfig {
     fn default() -> Self {
         RenoConfig {
@@ -58,6 +65,18 @@ pub struct RenoEngine {
     /// every packet, so the twin is sent as soon as the window opens).
     dup_owed: Vec<SegId>,
 }
+
+// Configuration and live window state both ride along, so a restored
+// strategy needs no re-configuration.
+netsim::snap_struct!(RenoEngine {
+    cfg,
+    cwnd,
+    ssthresh,
+    in_recovery,
+    recovery_point,
+    max_new_seg,
+    dup_owed,
+});
 
 impl RenoEngine {
     /// Create an engine with the given configuration.
@@ -110,60 +129,6 @@ impl RenoEngine {
     /// Effective send window: min(cwnd, advertised flow-control window).
     pub fn effective_window(&self, ops: &Ops<'_, '_>) -> u64 {
         self.cwnd.min(ops.window_bytes() as u64)
-    }
-
-    /// Serialize into the engine checkpoint codec (configuration and live
-    /// window state both ride along, so a restored strategy needs no
-    /// re-configuration).
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        w.u32(self.cfg.icw_segments);
-        w.bool(self.cfg.initial_ssthresh.is_some());
-        w.u64(self.cfg.initial_ssthresh.unwrap_or(0));
-        w.bool(self.cfg.burst_retransmit);
-        w.bool(self.cfg.duplicate_new_segments);
-        w.u64(self.cwnd);
-        w.u64(self.ssthresh);
-        w.bool(self.in_recovery);
-        w.u32(self.recovery_point);
-        w.bool(self.max_new_seg.is_some());
-        w.u32(self.max_new_seg.unwrap_or(0));
-        w.usize(self.dup_owed.len());
-        for &s in &self.dup_owed {
-            w.u32(s);
-        }
-    }
-
-    /// Rebuild an engine saved by [`RenoEngine::save`].
-    pub fn load(r: &mut netsim::snap::SnapReader<'_>) -> Result<Self, netsim::snap::SnapError> {
-        let icw_segments = r.u32()?;
-        let has_ssthresh = r.bool()?;
-        let initial_ssthresh_val = r.u64()?;
-        let cfg = RenoConfig {
-            icw_segments,
-            initial_ssthresh: has_ssthresh.then_some(initial_ssthresh_val),
-            burst_retransmit: r.bool()?,
-            duplicate_new_segments: r.bool()?,
-        };
-        let cwnd = r.u64()?;
-        let ssthresh = r.u64()?;
-        let in_recovery = r.bool()?;
-        let recovery_point = r.u32()?;
-        let has_limit = r.bool()?;
-        let limit_val = r.u32()?;
-        let n = r.usize()?;
-        let mut dup_owed = Vec::with_capacity(n);
-        for _ in 0..n {
-            dup_owed.push(r.u32()?);
-        }
-        Ok(RenoEngine {
-            cfg,
-            cwnd,
-            ssthresh,
-            in_recovery,
-            recovery_point,
-            max_new_seg: has_limit.then_some(limit_val),
-            dup_owed,
-        })
     }
 
     /// Handshake done: open with the initial window.

@@ -18,6 +18,16 @@ pub struct RttEstimator {
     max_rto: SimDuration,
 }
 
+netsim::snap_struct!(RttEstimator {
+    srtt,
+    rttvar,
+    min_rtt,
+    latest,
+    rto_backoff,
+    min_rto,
+    max_rto,
+});
+
 impl Default for RttEstimator {
     fn default() -> Self {
         Self::new()
@@ -129,39 +139,6 @@ impl RttEstimator {
     /// The current backoff exponent (for tests and reporting).
     pub fn backoff_level(&self) -> u32 {
         self.rto_backoff
-    }
-
-    /// Serialize into the engine checkpoint codec.
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        let dur_opt = |w: &mut netsim::snap::SnapWriter, d: Option<SimDuration>| {
-            w.bool(d.is_some());
-            w.u64(d.map_or(0, |d| d.as_nanos()));
-        };
-        dur_opt(w, self.srtt);
-        w.u64(self.rttvar.as_nanos());
-        dur_opt(w, self.min_rtt);
-        dur_opt(w, self.latest);
-        w.u32(self.rto_backoff);
-        w.u64(self.min_rto.as_nanos());
-        w.u64(self.max_rto.as_nanos());
-    }
-
-    /// Rebuild an estimator saved by [`RttEstimator::save`].
-    pub fn load(r: &mut netsim::snap::SnapReader<'_>) -> Result<Self, netsim::snap::SnapError> {
-        let dur_opt = |r: &mut netsim::snap::SnapReader<'_>| -> Result<_, netsim::snap::SnapError> {
-            let some = r.bool()?;
-            let ns = r.u64()?;
-            Ok(some.then(|| SimDuration::from_nanos(ns)))
-        };
-        Ok(RttEstimator {
-            srtt: dur_opt(r)?,
-            rttvar: SimDuration::from_nanos(r.u64()?),
-            min_rtt: dur_opt(r)?,
-            latest: dur_opt(r)?,
-            rto_backoff: r.u32()?,
-            min_rto: SimDuration::from_nanos(r.u64()?),
-            max_rto: SimDuration::from_nanos(r.u64()?),
-        })
     }
 }
 

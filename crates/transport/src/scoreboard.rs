@@ -73,6 +73,23 @@ pub struct Scoreboard {
     sack_gap_scratch: Vec<(u32, u32)>,
 }
 
+netsim::snap_struct!(Scoreboard {
+    total_bytes,
+    total_segs,
+    cum,
+    sacked,
+    lost,
+    outstanding,
+    sent_once,
+    retransmitted,
+    pipe_bytes,
+    high_sent,
+    naive_remarking,
+    total_sacked_ever,
+    sacked_at_tx;
+    sack_gap_scratch,
+});
+
 impl Scoreboard {
     /// New scoreboard for a flow of `total_bytes` split into `total_segs`.
     pub fn new(total_bytes: u64, total_segs: u32) -> Self {
@@ -389,64 +406,6 @@ impl Scoreboard {
     /// Count of segments currently marked lost.
     pub fn lost_count(&self) -> u64 {
         self.lost.len()
-    }
-
-    /// Serialize into the engine checkpoint codec. The scratch buffer is
-    /// transient and excluded.
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        w.u64(self.total_bytes);
-        w.u32(self.total_segs);
-        w.u32(self.cum);
-        self.sacked.save(w);
-        self.lost.save(w);
-        w.bytes(&self.outstanding);
-        self.sent_once.save(w);
-        self.retransmitted.save(w);
-        w.u64(self.pipe_bytes);
-        w.u32(self.high_sent);
-        w.bool(self.naive_remarking);
-        w.u64(self.total_sacked_ever);
-        w.usize(self.sacked_at_tx.len());
-        for &v in &self.sacked_at_tx {
-            w.u64(v);
-        }
-    }
-
-    /// Rebuild a scoreboard saved by [`Scoreboard::save`].
-    pub fn load(r: &mut netsim::snap::SnapReader<'_>) -> Result<Self, netsim::snap::SnapError> {
-        let total_bytes = r.u64()?;
-        let total_segs = r.u32()?;
-        let cum = r.u32()?;
-        let sacked = RangeSet::load(r)?;
-        let lost = RangeSet::load(r)?;
-        let outstanding = r.bytes()?.to_vec();
-        let sent_once = RangeSet::load(r)?;
-        let retransmitted = RangeSet::load(r)?;
-        let pipe_bytes = r.u64()?;
-        let high_sent = r.u32()?;
-        let naive_remarking = r.bool()?;
-        let total_sacked_ever = r.u64()?;
-        let n = r.usize()?;
-        let mut sacked_at_tx = Vec::with_capacity(n);
-        for _ in 0..n {
-            sacked_at_tx.push(r.u64()?);
-        }
-        Ok(Scoreboard {
-            total_bytes,
-            total_segs,
-            cum,
-            sacked,
-            lost,
-            outstanding,
-            sent_once,
-            retransmitted,
-            pipe_bytes,
-            high_sent,
-            naive_remarking,
-            total_sacked_ever,
-            sacked_at_tx,
-            sack_gap_scratch: Vec::new(),
-        })
     }
 
     /// Payload bytes cumulatively+selectively acknowledged so far.

@@ -16,6 +16,8 @@ use crate::wire::{
 };
 use netsim::engine::EngineCore;
 use netsim::rng::SimRng;
+use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use netsim::{snap_enum, snap_struct, snap_via};
 use netsim::{Ctx, FlowId, LinkId, NodeId, Packet, SimDuration, SimTime, TimerId};
 
 /// Which chassis timer a host token routes to.
@@ -31,6 +33,35 @@ pub enum TimerKind {
     User(u64),
 }
 
+impl Snap for TimerKind {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            TimerKind::Rto => w.u8(0),
+            TimerKind::Pace => w.u8(1),
+            TimerKind::Pto => w.u8(2),
+            TimerKind::User(token) => {
+                w.u8(3);
+                w.put(token);
+            }
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => TimerKind::Rto,
+            1 => TimerKind::Pace,
+            2 => TimerKind::Pto,
+            3 => TimerKind::User(r.get()?),
+            tag => {
+                return Err(SnapError::Tag {
+                    ty: "TimerKind",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
 /// Connection phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
@@ -42,6 +73,13 @@ pub(crate) enum Phase {
     Aborted,
 }
 
+snap_enum!(Phase {
+    SynSent = 0,
+    Established = 1,
+    Done = 2,
+    Aborted = 3,
+});
+
 /// Why a flow gave up (see [`FlowOutcome::Aborted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortReason {
@@ -51,6 +89,11 @@ pub enum AbortReason {
     /// [`MAX_SYN_RETRIES`] SYN retransmissions went unanswered.
     SynTimeout,
 }
+
+snap_enum!(AbortReason {
+    MaxRetransmits = 0,
+    SynTimeout = 1,
+});
 
 impl AbortReason {
     /// Stable name used in trace output and summaries.
@@ -71,6 +114,15 @@ pub enum FlowOutcome {
     /// arrived.
     Aborted(AbortReason),
 }
+
+snap_via!(
+    FlowOutcome as Option<AbortReason>,
+    |o| match o {
+        FlowOutcome::Completed => None,
+        FlowOutcome::Aborted(why) => Some(*why),
+    },
+    |why| Ok(why.map_or(FlowOutcome::Completed, FlowOutcome::Aborted))
+);
 
 impl FlowOutcome {
     /// Did the flow deliver all its data?
@@ -111,33 +163,16 @@ pub struct Counters {
     pub syn_sent: u64,
 }
 
-impl Counters {
-    /// Serialize into the engine checkpoint codec.
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        w.u64(self.data_packets_sent);
-        w.u64(self.normal_retx);
-        w.u64(self.proactive_retx);
-        w.u64(self.rto_events);
-        w.u64(self.wire_bytes_sent);
-        w.u64(self.acks_received);
-        w.u64(self.probes_sent);
-        w.u64(self.syn_sent);
-    }
-
-    /// Rebuild counters saved by [`Counters::save`].
-    pub fn load(r: &mut netsim::snap::SnapReader<'_>) -> Result<Self, netsim::snap::SnapError> {
-        Ok(Counters {
-            data_packets_sent: r.u64()?,
-            normal_retx: r.u64()?,
-            proactive_retx: r.u64()?,
-            rto_events: r.u64()?,
-            wire_bytes_sent: r.u64()?,
-            acks_received: r.u64()?,
-            probes_sent: r.u64()?,
-            syn_sent: r.u64()?,
-        })
-    }
-}
+snap_struct!(Counters {
+    data_packets_sent,
+    normal_retx,
+    proactive_retx,
+    rto_events,
+    wire_bytes_sent,
+    acks_received,
+    probes_sent,
+    syn_sent,
+});
 
 /// Final record of a completed flow.
 #[derive(Debug, Clone)]
@@ -165,6 +200,19 @@ pub struct FlowRecord {
     pub outcome: FlowOutcome,
 }
 
+snap_struct!(FlowRecord {
+    flow,
+    protocol,
+    bytes,
+    start,
+    established_at,
+    done_at,
+    fct,
+    counters,
+    min_rtt,
+    outcome,
+});
+
 /// Mutable per-flow sender state (everything but the strategy box).
 pub struct SenderState {
     pub(crate) flow: FlowId,
@@ -187,6 +235,31 @@ pub struct SenderState {
     pto_timer: Option<(TimerId, u64)>,
     user_timers: Vec<(TimerId, u64)>,
 }
+
+// Timer ids travel verbatim: the engine snapshot restores its timer slot
+// table bit-exactly, so they stay valid across a restore. `proto_name` comes
+// back from the restore-side strategy (see [`SenderConn::load`]).
+snap_struct!(SenderState {
+    flow,
+    local,
+    peer,
+    egress,
+    total_bytes,
+    window_bytes,
+    phase,
+    start_time,
+    established_at,
+    syn_sent_at,
+    board,
+    rtt,
+    counters,
+    rto_timer,
+    pace_timer,
+    pace_interval,
+    pto_timer,
+    user_timers;
+    proto_name,
+});
 
 /// The chassis view handed to strategies.
 pub struct Ops<'a, 'b> {
@@ -380,7 +453,7 @@ impl<'a, 'b> Ops<'a, 'b> {
 
 /// A sender endpoint: chassis state plus the plugged-in strategy.
 pub struct SenderConn {
-    state: SenderState,
+    pub(crate) state: SenderState,
     strategy: Option<Box<dyn Strategy>>,
 }
 
@@ -477,48 +550,12 @@ impl SenderConn {
         )
     }
 
-    /// Serialize the full sender state — chassis and strategy — into the
-    /// engine checkpoint codec. Timer ids are written verbatim: the engine
-    /// snapshot restores its timer slot table bit-exactly, so the ids stay
-    /// valid across a restore.
-    pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
-        fn timer_opt(w: &mut netsim::snap::SnapWriter, t: Option<(TimerId, u64)>) {
-            w.bool(t.is_some());
-            let (id, tok) = t.unwrap_or((TimerId(0), 0));
-            w.u64(id.0);
-            w.u64(tok);
-        }
-        let st = &self.state;
-        w.u64(st.flow.0);
-        w.u32(st.local.0);
-        w.u32(st.peer.0);
-        w.u32(st.egress.0);
-        w.u64(st.total_bytes);
-        w.u32(st.window_bytes);
-        w.u8(match st.phase {
-            Phase::SynSent => 0,
-            Phase::Established => 1,
-            Phase::Done => 2,
-            Phase::Aborted => 3,
-        });
-        w.u64(st.start_time.as_nanos());
-        w.bool(st.established_at.is_some());
-        w.u64(st.established_at.map_or(0, |t| t.as_nanos()));
-        w.u64(st.syn_sent_at.as_nanos());
-        st.board.save(w);
-        st.rtt.save(w);
-        st.counters.save(w);
-        timer_opt(w, st.rto_timer);
-        timer_opt(w, st.pace_timer);
-        w.u64(st.pace_interval.as_nanos());
-        timer_opt(w, st.pto_timer);
-        w.usize(st.user_timers.len());
-        for &(id, tok) in &st.user_timers {
-            w.u64(id.0);
-            w.u64(tok);
-        }
+    /// Serialize the full sender state — chassis, then the strategy's name
+    /// and its own state — into the engine checkpoint codec.
+    pub fn save(&self, w: &mut SnapWriter) {
         let strategy = self.strategy.as_ref().expect("strategy re-entrancy");
-        w.str(strategy.name());
+        w.put(&self.state);
+        w.put(&strategy.name());
         strategy.save_state(w);
     }
 
@@ -526,80 +563,23 @@ impl SenderConn {
     /// freshly constructed strategy of the same scheme (validated by name);
     /// its dynamic state is restored through [`Strategy::load_state`].
     pub fn load(
-        r: &mut netsim::snap::SnapReader<'_>,
+        r: &mut SnapReader<'_>,
         mut strategy: Box<dyn Strategy>,
-    ) -> Result<Self, netsim::snap::SnapError> {
-        fn timer_opt(
-            r: &mut netsim::snap::SnapReader<'_>,
-        ) -> Result<Option<(TimerId, u64)>, netsim::snap::SnapError> {
-            let some = r.bool()?;
-            let id = r.u64()?;
-            let tok = r.u64()?;
-            Ok(some.then_some((TimerId(id), tok)))
-        }
-        let flow = FlowId(r.u64()?);
-        let local = NodeId(r.u32()?);
-        let peer = NodeId(r.u32()?);
-        let egress = LinkId(r.u32()?);
-        let total_bytes = r.u64()?;
-        let window_bytes = r.u32()?;
-        let phase = match r.u8()? {
-            0 => Phase::SynSent,
-            1 => Phase::Established,
-            2 => Phase::Done,
-            3 => Phase::Aborted,
-            tag => return Err(netsim::snap::SnapError::Tag { ty: "Phase", tag }),
-        };
-        let start_time = SimTime::from_nanos(r.u64()?);
-        let has_established = r.bool()?;
-        let established_ns = r.u64()?;
-        let syn_sent_at = SimTime::from_nanos(r.u64()?);
-        let board = Scoreboard::load(r)?;
-        let rtt = RttEstimator::load(r)?;
-        let counters = Counters::load(r)?;
-        let rto_timer = timer_opt(r)?;
-        let pace_timer = timer_opt(r)?;
-        let pace_interval = SimDuration::from_nanos(r.u64()?);
-        let pto_timer = timer_opt(r)?;
-        let n_user = r.usize()?;
-        let mut user_timers = Vec::with_capacity(n_user);
-        for _ in 0..n_user {
-            let id = r.u64()?;
-            let tok = r.u64()?;
-            user_timers.push((TimerId(id), tok));
-        }
-        let saved_name = r.str()?;
+    ) -> Result<Self, SnapError> {
+        let mut state: SenderState = r.get()?;
+        let saved_name: String = r.get()?;
         if saved_name != strategy.name() {
-            return Err(netsim::snap::SnapError::Unsupported(format!(
-                "sender for flow {flow:?} was saved with strategy {saved_name:?}, \
+            return Err(SnapError::Unsupported(format!(
+                "sender for flow {:?} was saved with strategy {saved_name:?}, \
                  restore offered {:?} (config drift?)",
+                state.flow,
                 strategy.name()
             )));
         }
         strategy.load_state(r)?;
-        let proto_name = strategy.name();
+        state.proto_name = strategy.name();
         Ok(SenderConn {
-            state: SenderState {
-                flow,
-                local,
-                peer,
-                egress,
-                total_bytes,
-                window_bytes,
-                phase,
-                start_time,
-                established_at: has_established.then_some(SimTime::from_nanos(established_ns)),
-                syn_sent_at,
-                board,
-                rtt,
-                counters,
-                proto_name,
-                rto_timer,
-                pace_timer,
-                pace_interval,
-                pto_timer,
-                user_timers,
-            },
+            state,
             strategy: Some(strategy),
         })
     }

@@ -6,8 +6,8 @@
 //! transmit timestamp in each ACK, which gives senders exact RTT samples
 //! (equivalent to TCP timestamps) and gives PCP its dispersion measurements.
 
-use netsim::snap::{SnapError, SnapPayload, SnapReader, SnapWriter};
-use netsim::SimTime;
+use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use netsim::{snap_enum, snap_struct, SimTime};
 
 /// Maximum payload bytes per segment (1500-byte wire size minus headers).
 pub const MSS: u32 = 1460;
@@ -175,137 +175,90 @@ pub enum Header {
     ProbeAck(ProbeAckHeader),
 }
 
-impl SendClass {
-    fn snap_tag(self) -> u8 {
-        match self {
-            SendClass::New => 0,
-            SendClass::FastRetx => 1,
-            SendClass::RtoRetx => 2,
-            SendClass::ProbeRetx => 3,
-            SendClass::Proactive => 4,
-        }
-    }
+snap_enum!(SendClass {
+    New = 0,
+    FastRetx = 1,
+    RtoRetx = 2,
+    ProbeRetx = 3,
+    Proactive = 4,
+});
+snap_struct!(DataHeader { seg, class });
+snap_struct!(AckHeader {
+    cum,
+    sack,
+    for_seg,
+    echo_tx_time,
+    window
+});
+snap_struct!(ProbeHeader { train, idx, len });
+snap_struct!(ProbeAckHeader {
+    train,
+    idx,
+    len,
+    sent_at,
+    recv_at
+});
 
-    fn from_snap_tag(tag: u8) -> Result<Self, SnapError> {
-        Ok(match tag {
-            0 => SendClass::New,
-            1 => SendClass::FastRetx,
-            2 => SendClass::RtoRetx,
-            3 => SendClass::ProbeRetx,
-            4 => SendClass::Proactive,
-            _ => {
-                return Err(SnapError::Tag {
-                    ty: "SendClass",
-                    tag,
-                })
-            }
-        })
+/// Travels as the ranges present; more than four cannot be a `SackBlocks`.
+impl Snap for SackBlocks {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&self.ranges().to_vec());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let ranges: Vec<(SegId, SegId)> = r.get()?;
+        let mut s = SackBlocks::EMPTY;
+        if ranges.len() > s.blocks.len() {
+            return Err(SnapError::Tag {
+                ty: "SackBlocks.len",
+                tag: ranges.len().min(u8::MAX as usize) as u8,
+            });
+        }
+        s.blocks[..ranges.len()].copy_from_slice(&ranges);
+        s.len = ranges.len() as u8;
+        Ok(s)
     }
 }
 
-impl SnapPayload for Header {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
+impl Snap for Header {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
             Header::Syn { flow_bytes } => {
                 w.u8(0);
-                w.u64(flow_bytes);
+                w.put(flow_bytes);
             }
             Header::SynAck { window } => {
                 w.u8(1);
-                w.u32(window);
+                w.put(window);
             }
-            Header::Data(DataHeader { seg, class }) => {
+            Header::Data(h) => {
                 w.u8(2);
-                w.u32(seg);
-                w.u8(class.snap_tag());
+                w.put(h);
             }
-            Header::Ack(AckHeader {
-                cum,
-                sack,
-                for_seg,
-                echo_tx_time,
-                window,
-            }) => {
+            Header::Ack(h) => {
                 w.u8(3);
-                w.u32(cum);
-                w.u8(sack.len);
-                for &(s, e) in sack.ranges() {
-                    w.u32(s);
-                    w.u32(e);
-                }
-                w.u32(for_seg);
-                w.u64(echo_tx_time.as_nanos());
-                w.u32(window);
+                w.put(h);
             }
-            Header::Probe(ProbeHeader { train, idx, len }) => {
+            Header::Probe(h) => {
                 w.u8(4);
-                w.u32(train);
-                w.u32(idx);
-                w.u32(len);
+                w.put(h);
             }
-            Header::ProbeAck(ProbeAckHeader {
-                train,
-                idx,
-                len,
-                sent_at,
-                recv_at,
-            }) => {
+            Header::ProbeAck(h) => {
                 w.u8(5);
-                w.u32(train);
-                w.u32(idx);
-                w.u32(len);
-                w.u64(sent_at.as_nanos());
-                w.u64(recv_at.as_nanos());
+                w.put(h);
             }
         }
     }
 
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
             0 => Header::Syn {
-                flow_bytes: r.u64()?,
+                flow_bytes: r.get()?,
             },
-            1 => Header::SynAck { window: r.u32()? },
-            2 => Header::Data(DataHeader {
-                seg: r.u32()?,
-                class: SendClass::from_snap_tag(r.u8()?)?,
-            }),
-            3 => {
-                let cum = r.u32()?;
-                let n = r.u8()?;
-                if n > 4 {
-                    return Err(SnapError::Tag {
-                        ty: "SackBlocks.len",
-                        tag: n,
-                    });
-                }
-                let mut ranges = [(0u32, 0u32); 4];
-                for slot in ranges.iter_mut().take(n as usize) {
-                    *slot = (r.u32()?, r.u32()?);
-                }
-                Header::Ack(AckHeader {
-                    cum,
-                    sack: SackBlocks {
-                        blocks: ranges,
-                        len: n,
-                    },
-                    for_seg: r.u32()?,
-                    echo_tx_time: SimTime::from_nanos(r.u64()?),
-                    window: r.u32()?,
-                })
-            }
-            4 => Header::Probe(ProbeHeader {
-                train: r.u32()?,
-                idx: r.u32()?,
-                len: r.u32()?,
-            }),
-            5 => Header::ProbeAck(ProbeAckHeader {
-                train: r.u32()?,
-                idx: r.u32()?,
-                len: r.u32()?,
-                sent_at: SimTime::from_nanos(r.u64()?),
-                recv_at: SimTime::from_nanos(r.u64()?),
-            }),
+            1 => Header::SynAck { window: r.get()? },
+            2 => Header::Data(r.get()?),
+            3 => Header::Ack(r.get()?),
+            4 => Header::Probe(r.get()?),
+            5 => Header::ProbeAck(r.get()?),
             tag => return Err(SnapError::Tag { ty: "Header", tag }),
         })
     }
@@ -427,15 +380,28 @@ mod tests {
             }),
         ];
         let mut w = SnapWriter::new();
-        for h in &headers {
-            h.encode(&mut w);
-        }
+        w.put(&headers);
         let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
+        assert_eq!(SnapReader::new(&bytes).get(), Ok(headers));
         for h in &headers {
-            assert_eq!(*h, Header::decode(&mut r).unwrap());
+            netsim::snap::assert_roundtrip(h);
         }
-        assert_eq!(r.remaining(), 0);
+
+        // Five SACK ranges cannot be a `SackBlocks`; an unknown tag is no
+        // `Header`.
+        let mut w = SnapWriter::new();
+        w.put(&vec![(1u32, 2u32); 5]);
+        assert!(matches!(
+            SnapReader::new(&w.into_bytes()).get::<SackBlocks>(),
+            Err(SnapError::Tag { tag: 5, .. })
+        ));
+        assert!(matches!(
+            SnapReader::new(&[6]).get::<Header>(),
+            Err(SnapError::Tag {
+                ty: "Header",
+                tag: 6
+            })
+        ));
     }
 
     #[test]

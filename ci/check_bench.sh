@@ -35,14 +35,17 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # more). far_schedule exercises the L2 wheel + overflow heap path;
 # idle_gap_then_dense holds the wheel cursor behind the clock (a cursor
 # parked on a far timer sends the whole burst through the inbox heap,
-# ~6x slower). packet_arena pins the pooled-packet alloc/free cycle.
+# ~6x slower). rearm_per_ack restarts one timer per delivered packet:
+# the queue must hold one entry per timer, not one per restart.
+# packet_arena pins the pooled-packet alloc/free cycle.
 # shard_barrier pins the sharded engine's per-window coordination cost (barriers +
 # mailbox sweeps) with one hop of real work per window — both with the
 # per-window telemetry records off (the free default) and on.
 # quantile_sketch pins the log-histogram insert/merge path the large
 # scenarios aggregate FCTs through.
 cargo bench --bench engine -- \
-    schedule_fire_1e5 schedule_cancel_fire_1e6 event_queue_hold \
+    schedule_fire_1e5 schedule_cancel_fire_1e6 rearm_per_ack_1e6 \
+    event_queue_hold \
     far_schedule_fire_1e6 idle_gap_then_dense packet_arena \
     link_pipeline shard_barrier quantile_sketch \
     --check "$root/BENCH_netsim.json"

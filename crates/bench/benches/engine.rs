@@ -9,7 +9,7 @@ use netsim::queue::{DropTail, QueueDiscipline, Verdict};
 use netsim::rng::SimRng;
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::topology::{build_dumbbell, DumbbellSpec};
-use netsim::{Node, Simulator, TimerId};
+use netsim::{LinkId, Node, Simulator, TimerId};
 use std::any::Any;
 use std::hint::black_box;
 
@@ -57,6 +57,35 @@ impl Node<u32> for Hold {
     }
 }
 
+/// One end of a two-node loop that returns every packet it gets and
+/// restarts one timer as it does — a sender restarting its RTO on each ACK
+/// that makes progress. The timer is always restarted before it is due.
+struct RestartPerAck {
+    egress: LinkId,
+    rto: Option<TimerId>,
+    remaining: u64,
+}
+
+impl Node<u32> for RestartPerAck {
+    fn on_packet(&mut self, p: Packet<u32>, c: &mut netsim::Ctx<'_, u32>) {
+        if let Some(id) = self.rto.take() {
+            c.cancel_timer(id);
+        }
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            self.rto = Some(c.set_timer(SimDuration::from_secs(1), 0));
+            c.send(self.egress, Packet::new(p.flow, p.dst, p.src, p.size, 0));
+        }
+    }
+    fn on_timer(&mut self, _i: TimerId, _t: u64, _c: &mut netsim::Ctx<'_, u32>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 /// Event-queue operation mixes: schedule/fire and schedule/cancel/fire at
 /// 1e5–1e7 events, plus the steady-state hold model. These go straight at
 /// the engine's timer API, so they measure queue push/pop/cancel cost with
@@ -64,7 +93,7 @@ impl Node<u32> for Hold {
 fn event_queue(c: &mut Bench) {
     // Pre-schedule n timers at pseudo-random times within `spread_ns`, then
     // drain. `cancel_every` != 0 cancels every k-th timer before draining
-    // (the cancelled slots still pass through the queue as stale entries).
+    // (each cancelled timer's entry still pops, with nothing to do).
     fn schedule_drain(n: u64, spread_ns: u64, cancel_every: u64) {
         let mut sim: Simulator<u32> = Simulator::new(3);
         let a = sim.add_node(Box::new(Sink));
@@ -101,6 +130,33 @@ fn event_queue(c: &mut Bench) {
     });
     g.bench_function("schedule_cancel_fire_1e6", || {
         schedule_drain(1_000_000, 1_000_000_000, 2);
+    });
+    // 1e6 timer restarts, each with a packet delivery: sixteen packets go
+    // round a 2 x 50 us loop and either end restarts its 1 s timer per
+    // arrival. With a queue entry per arming this holds 20,000 entries of
+    // cancelled timers per node pending at any instant and pops every one
+    // of them; with one wake-up per timer slot it holds the sixteen packets
+    // and two timers.
+    g.bench_function("rearm_per_ack_1e6", || {
+        let mut sim: Simulator<u32> = Simulator::new(3);
+        let mut end = |egress| {
+            sim.add_node(Box::new(RestartPerAck {
+                egress: LinkId(egress),
+                rto: None,
+                remaining: 500_000,
+            }))
+        };
+        let (a, b) = (end(0), end(1));
+        let delay = SimDuration::from_micros(50);
+        let link = |src, dst| LinkSpec::drop_tail(src, dst, Rate::from_gbps(10), delay, 1 << 20);
+        let ab = sim.add_link(link(a, b));
+        sim.add_link(link(b, a));
+        for i in 0..16 {
+            sim.core()
+                .send_on(ab, Packet::new(FlowId(i), a, b, 1000, 0));
+        }
+        sim.run_to_completion(20_000_000);
+        black_box(sim.events_processed());
     });
     // 60 s spread: every event lands far beyond the L1 segment (~537 ms),
     // parks in the second-level wheel, and cascades into L1 as the cursor

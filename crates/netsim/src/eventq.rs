@@ -5,8 +5,10 @@
 //! engine started with, with the same total order — events fire strictly by
 //! `(at, seq)` — but O(1) amortized push/pop for the near-future events that
 //! dominate a simulation (serialization completions, propagation
-//! deliveries, ACK clocking), instead of O(log n) sift operations over a
-//! heap that also holds every stale cancelled RTO timer.
+//! deliveries, ACK clocking), instead of O(log n) sift operations. What it
+//! holds is live: a packet event per packet on the wire and one wake-up per
+//! timer slot ([`TimerSlots`]), not an entry per arming of a timer that is
+//! restarted on every ACK.
 //!
 //! Since the packet-arena refactor the queue is also *payload-free*: packet
 //! events carry a [`PacketHandle`] into the engine's arena, so an
@@ -58,13 +60,16 @@
 //! - **Sparse mode**: a fresh queue allocates *nothing* and routes every
 //!   entry through the overflow heap until the pending population crosses
 //!   [`SPARSE_LIMIT`]; only then are the wheels allocated and the heap
-//!   drained into them (a one-way migration). A figure sweep runs hundreds
-//!   of tiny simulations that never hold more than a few dozen pending
-//!   events — at that depth two heap sifts beat the wheel's bucket
-//!   arithmetic, and skipping the wheel allocation (two Vec-of-Vecs plus
-//!   bitmaps, ~128 KB of zeroed headers) is the bigger win. A heap and the
-//!   wheels pop in the same `(at, seq)` order, so the migration point is
-//!   observationally invisible.
+//!   drained into them (a one-way migration). The queue holds live events
+//!   only (see [`TimerSlots`]), so its population is the packets on the
+//!   wire plus the armed timers: a few flows on one path — every case of a
+//!   figure sweep or of `simcheck` — hold a few dozen, where two sifts of a
+//!   six-level heap beat the wheel's bucket arithmetic and skipping the
+//!   wheel allocation (two Vec-of-Vecs plus bitmaps, ~128 KB of zeroed
+//!   headers per simulator) is the bigger win; a congested dumbbell or the
+//!   open-loop service mode holds hundreds and belongs on the wheels. A
+//!   heap and the wheels pop in the same `(at, seq)` order, so the
+//!   migration point is observationally invisible.
 //!
 //! Four invariants carry the determinism proof: every L1 bucket's entries
 //! belong to the current segment (pushes beyond it go to L2 or overflow),
@@ -117,14 +122,14 @@ const BUCKET_KEEP: usize = 64;
 /// Pending-entry threshold for leaving sparse mode: while fewer entries
 /// are pending the queue is a plain min-heap and the wheels stay
 /// unallocated. Crossing it allocates the wheels and drains the heap into
-/// them. A single-path transport simulation holds tens of *live* events,
-/// but lazily-cancelled RTO re-arms linger as stale entries until their
-/// scheduled instant, so the pending population of even a one-flow run
-/// transiently reaches a few hundred — 256 densified most of the quick
-/// sweep and gave back half the win; 1024 keeps those runs sparse while a
-/// ~10-level heap sift still costs about as little as the wheel's bucket
-/// arithmetic.
-const SPARSE_LIMIT: usize = 1024;
+/// them. The queue holds live events only — packets on the wire and one
+/// wake-up per armed timer — so a few flows on one path stay below it for
+/// their whole run, and anything that crosses it is a simulation the wheels
+/// are faster for. Measured end to end (DESIGN.md "Sparse start mode"):
+/// 16 and 64 tie, 256 and 1024 keep congested dumbbells and the open-loop
+/// service mode on a heap hundreds deep, 0 charges every tiny simulation
+/// for wheels it never fills.
+const SPARSE_LIMIT: usize = 64;
 
 #[inline]
 fn bucket_of(at_ns: u64) -> usize {
@@ -150,7 +155,10 @@ pub(crate) enum EventKind {
         link: LinkId,
         pkt: PacketHandle,
     },
-    /// A timer fires at a node.
+    /// A wake-up for the timer slot of `id`, carrying the arming it was
+    /// pushed for. If that arming is still the slot's it fires; if not, the
+    /// slot says whether the entry moves on to a later arming or is dropped
+    /// (see [`TimerSlots`]).
     Timer {
         node: NodeId,
         id: TimerId,
@@ -206,9 +214,6 @@ pub(crate) struct EventQueue {
     /// is a sequential read, and consumed entries linger in the bucket's
     /// prefix until the next refill clears it.
     run_pos: usize,
-    /// Cascade scratch, swapped with an L2 bucket during a segment jump so
-    /// its capacity is recycled.
-    seg_scratch: Vec<EventEntry>,
     /// Entries pushed into the cursor's bucket after it was loaded, once
     /// the run is too long to insert into; consumed in merge with the run.
     inbox: BinaryHeap<Reverse<EventEntry>>,
@@ -237,7 +242,6 @@ impl EventQueue {
             cursor: 0,
             cursor_time: 0,
             run_pos: 0,
-            seg_scratch: Vec::new(),
             inbox: BinaryHeap::new(),
             inbox_pops: 0,
             overflow: BinaryHeap::new(),
@@ -429,17 +433,18 @@ impl EventQueue {
         // Cascade the target segment's L2 bucket: a streaming copy into the
         // L1 buckets (dense source, so the prefetcher hides the latency).
         let slot = (target as usize) & L2_MASK;
-        if !self.l2[slot].is_empty() {
-            let mut batch =
-                std::mem::replace(&mut self.l2[slot], std::mem::take(&mut self.seg_scratch));
+        // The slot gives its buffer up: one left in place would sit there
+        // for a whole turn of the L2 ring, and 4096 slots each keeping a
+        // segment's worth is most of a long run's resident set.
+        let batch = std::mem::take(&mut self.l2[slot]);
+        if !batch.is_empty() {
             self.l2_occupied[slot >> 6] &= !(1 << (slot & 63));
             self.in_l2 -= batch.len();
-            for e in batch.drain(..) {
+            for e in batch {
                 let at = e.at.as_nanos();
                 debug_assert_eq!(segment_of(at), target, "L2 bucket holds a mixed segment");
                 self.bucket_insert(bucket_of(at), e);
             }
-            self.seg_scratch = batch;
         }
         // Drain overflow entries that fall inside the target segment.
         while let Some(Reverse(head)) = self.overflow.peek() {
@@ -620,71 +625,6 @@ impl EventQueue {
             .all(|w| (w[0].at, w[0].seq) <= (w[1].at, w[1].seq)));
         out
     }
-
-    /// Keep only entries satisfying `pred` (used to shed stale cancelled
-    /// timers when they dominate the queue). Order is preserved.
-    pub(crate) fn retain(&mut self, mut pred: impl FnMut(&EventEntry) -> bool) {
-        if self.sparse {
-            let overflow = std::mem::take(&mut self.overflow);
-            self.overflow = overflow
-                .into_vec()
-                .into_iter()
-                .filter(|Reverse(e)| pred(e))
-                .collect();
-            self.len = self.overflow.len();
-            return;
-        }
-        // Current run: compact the live suffix of the cursor bucket in
-        // place; the consumed prefix must not be resurrected, so the
-        // bucket is filtered from `run_pos` on and truncated.
-        let cursor = self.cursor;
-        {
-            let v = &mut self.l1[cursor];
-            let mut w = self.run_pos;
-            for r in self.run_pos..v.len() {
-                if pred(&v[r]) {
-                    v[w] = v[r];
-                    w += 1;
-                }
-            }
-            v.truncate(w);
-        }
-        // L1 and L2 buckets. The cursor bucket is run storage — handled
-        // above — so it is skipped here.
-        for b in 0..N_BUCKETS {
-            if b == cursor {
-                continue;
-            }
-            let before = self.l1[b].len();
-            self.l1[b].retain(&mut pred);
-            self.in_buckets -= before - self.l1[b].len();
-            if self.l1[b].is_empty() {
-                self.clear_occupied(b);
-            }
-        }
-        for s in 0..N_L2 {
-            let before = self.l2[s].len();
-            self.l2[s].retain(&mut pred);
-            self.in_l2 -= before - self.l2[s].len();
-            if self.l2[s].is_empty() {
-                self.l2_occupied[s >> 6] &= !(1 << (s & 63));
-            }
-        }
-        let inbox = std::mem::take(&mut self.inbox);
-        self.inbox = inbox
-            .into_vec()
-            .into_iter()
-            .filter(|Reverse(e)| pred(e))
-            .collect();
-        let overflow = std::mem::take(&mut self.overflow);
-        self.overflow = overflow
-            .into_vec()
-            .into_iter()
-            .filter(|Reverse(e)| pred(e))
-            .collect();
-        self.len =
-            self.in_buckets + self.in_l2 + self.run_len() + self.inbox.len() + self.overflow.len();
-    }
 }
 
 /// Distance (0..n) from `start` to the next set bit in circular order,
@@ -706,26 +646,83 @@ fn next_occupied_distance(bitmap: &[u64], n: usize, start: usize, origin: usize)
     unreachable!("no occupied bucket found in a ring promised non-empty");
 }
 
+/// An arming that pushed no entry of its own and rides its slot's.
+#[derive(Clone, Copy)]
+struct Rider {
+    /// `(at, seq)` it fires at.
+    deadline: (SimTime, u64),
+    node: NodeId,
+    token: u64,
+}
+
+crate::snap_struct!(Rider {
+    deadline,
+    node,
+    token
+});
+
 /// Generation-stamped timer slots: O(1) arm / cancel / fire with ABA-safe
-/// id reuse.
+/// id reuse, and one acting queue entry per slot however often its timer is
+/// restarted.
 ///
 /// A [`TimerId`] packs `(generation << 32) | slot`. A slot's generation is
 /// odd while armed and even while free; arming bumps it to odd and
-/// disarming (fire or cancel) bumps it to even, so any queue entry holding
-/// a stale id fails the generation match in O(1) — no hash set, no
-/// per-cancel heap surgery.
+/// disarming (fire or cancel) bumps it to even, so a stale id fails the
+/// generation match in O(1) — no hash set, no per-cancel heap surgery.
+///
+/// A `Timer` queue entry is a *wake-up for its slot*. It carries the arming
+/// it was pushed for, and fires it if that is still the slot's arming — the
+/// whole story for a timer that is never cancelled. Cancelling leaves the
+/// entry where it is. The free list is LIFO, so the cancel-then-arm of an
+/// RTO restart lands on the slot it just freed; if that slot's entry is
+/// still queued at or before the new deadline, the new arming *rides* it:
+/// it records `(deadline, seq, node, token)` in the slot and pushes
+/// nothing. When the entry pops, its own arming is gone, so it asks the
+/// slot: armed, by a rider — the entry goes back into the queue as that
+/// arming, under its `(at, seq)`; free — the entry is dropped. Every arming
+/// draws its `seq` when it is armed, whether or not it pushes, so each live
+/// timer fires at exactly the `(at, seq)` it would have had with one entry
+/// per arming, and the queue holds one entry per slot instead of one per
+/// restart. Entries that pop with nothing to do are counted by the engine
+/// ([`crate::engine::Simulator::dead_timer_pops`]): one for a slot
+/// cancelled and left alone, one for each entry displaced by an arming
+/// *earlier* than it (which has to push its own).
 #[derive(Default)]
 pub(crate) struct TimerSlots {
+    /// Per slot. All a timer that is armed once and fires ever touches
+    /// when it pops.
     gens: Vec<u32>,
+    /// Per slot: `(at, seq)` of its acting queue entry, the last one pushed
+    /// for it. Still queued if `at` is later than the clock.
+    wake: Vec<(SimTime, u64)>,
+    /// Per slot that was ever ridden: the arming riding its acting entry —
+    /// the slot's current one, if that pushed no entry.
+    riders: Vec<Rider>,
     free: Vec<u32>,
     live: usize,
 }
 
 // Checkpointed bit-exactly: generations (ABA safety for ids still held by
-// queue entries and host state), the live count, and the free list in its
-// LIFO order — recycled slots must come back in the same order after a
-// restore, or re-armed [`TimerId`]s diverge from the uninterrupted run.
-crate::snap_struct!(TimerSlots { gens, free, live });
+// queue entries and host state), each slot's acting entry and rider, the
+// live count, and the free list in its LIFO order — recycled slots must
+// come back in the same order after a restore, or re-armed [`TimerId`]s
+// diverge from the uninterrupted run.
+crate::snap_struct!(TimerSlots {
+    gens,
+    wake,
+    riders,
+    free,
+    live
+});
+
+/// `(slot, generation)` of a timer id.
+fn slot_of(id: TimerId) -> (usize, u32) {
+    ((id.0 & 0xFFFF_FFFF) as usize, (id.0 >> 32) as u32)
+}
+
+fn timer_id(slot: usize, gen: u32) -> TimerId {
+    TimerId(((gen as u64) << 32) | slot as u64)
+}
 
 impl TimerSlots {
     pub(crate) fn new() -> Self {
@@ -737,20 +734,45 @@ impl TimerSlots {
         self.live
     }
 
-    /// Arm a fresh timer; returns its id.
-    pub(crate) fn arm(&mut self) -> TimerId {
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.gens.push(0);
-                (self.gens.len() - 1) as u32
-            }
-        };
-        let gen = &mut self.gens[idx as usize];
+    /// Arm a timer for `node` to fire at `(at, seq)`; `now` is the clock.
+    /// Returns its id and whether the caller must push an entry for it —
+    /// not when the slot's entry is still queued at or before `at` (its
+    /// `seq` is older, so it pops first). An entry due at `now` may have
+    /// popped already and is not relied on.
+    pub(crate) fn arm(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        token: u64,
+        at: SimTime,
+        seq: u64,
+    ) -> (TimerId, bool) {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.gens.push(0);
+            self.wake.push((SimTime::ZERO, 0));
+            (self.gens.len() - 1) as u32
+        }) as usize;
+        let gen = &mut self.gens[idx];
         *gen += 1; // odd: armed
         debug_assert!(*gen & 1 == 1);
+        let id = timer_id(idx, *gen);
         self.live += 1;
-        TimerId(((*gen as u64) << 32) | idx as u64)
+        let wake = &mut self.wake[idx];
+        let rides = now < wake.0 && wake.0 <= at;
+        if rides {
+            let rider = Rider {
+                deadline: (at, seq),
+                node,
+                token,
+            };
+            if self.riders.len() <= idx {
+                self.riders.resize(idx + 1, rider);
+            }
+            self.riders[idx] = rider;
+        } else {
+            *wake = (at, seq);
+        }
+        (id, !rides)
     }
 
     /// Hint the CPU to pull `id`'s generation cell into cache. Timer fires
@@ -761,7 +783,7 @@ impl TimerSlots {
     /// a no-op: determinism and observable state are untouched.
     #[inline]
     pub(crate) fn prefetch(&self, id: TimerId) {
-        let idx = (id.0 & 0xFFFF_FFFF) as usize;
+        let (idx, _) = slot_of(id);
         #[cfg(target_arch = "x86_64")]
         if idx < self.gens.len() {
             // SAFETY: `idx` is in bounds; _mm_prefetch has no memory or
@@ -775,19 +797,12 @@ impl TimerSlots {
         let _ = idx;
     }
 
-    /// True while `id` is armed (neither fired nor cancelled).
-    pub(crate) fn is_live(&self, id: TimerId) -> bool {
-        let idx = (id.0 & 0xFFFF_FFFF) as usize;
-        let gen = (id.0 >> 32) as u32;
-        idx < self.gens.len() && self.gens[idx] == gen
-    }
-
     /// Disarm `id` (cancel or fire). Returns `true` if it was armed; a
     /// second disarm of the same id — or of a recycled slot's older
-    /// generation — is a no-op returning `false`.
+    /// generation — is a no-op returning `false`. The slot's queue entry
+    /// stays where it is, for the slot's next arming to ride.
     pub(crate) fn disarm(&mut self, id: TimerId) -> bool {
-        let idx = (id.0 & 0xFFFF_FFFF) as usize;
-        let gen = (id.0 >> 32) as u32;
+        let (idx, gen) = slot_of(id);
         if idx < self.gens.len() && self.gens[idx] == gen {
             self.gens[idx] += 1; // even: free
             self.free.push(idx as u32);
@@ -796,6 +811,35 @@ impl TimerSlots {
         } else {
             false
         }
+    }
+
+    /// The queue popped the entry `(at, seq)` pushed for arming `id`, and
+    /// that arming is gone ([`TimerSlots::disarm`] said so): if the slot is
+    /// armed for a later `(at, seq)` that pushed no entry of its own and
+    /// rides this one, the entry to put back into the queue for it; `None`
+    /// if the slot is free or a newer entry has taken this one's place.
+    #[cold]
+    pub(crate) fn requeue(&mut self, id: TimerId, at: SimTime, seq: u64) -> Option<EventEntry> {
+        // Armed and this entry the acting one means armed by a rider: an
+        // arming that pushed an entry is fired by it. (`get`: ids in a
+        // damaged checkpoint can name slots that do not exist.)
+        let (idx, _) = slot_of(id);
+        let gen = *self.gens.get(idx)?;
+        if gen & 1 == 0 || self.wake.get(idx) != Some(&(at, seq)) {
+            return None;
+        }
+        let rider = *self.riders.get(idx)?;
+        debug_assert!(rider.deadline > (at, seq), "entry queued after its rider");
+        self.wake[idx] = rider.deadline;
+        Some(EventEntry {
+            at: rider.deadline.0,
+            seq: rider.deadline.1,
+            kind: EventKind::Timer {
+                node: rider.node,
+                id: timer_id(idx, gen),
+                token: rider.token,
+            },
+        })
     }
 }
 
@@ -980,29 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_entries_and_fixes_len() {
-        let mut q = EventQueue::new();
-        for i in 0..100u64 {
-            q.push(T0, entry(i * 500_000, i)); // spans many L1 buckets
-        }
-        q.push(T0, entry(2 * SEG_NS, 100)); // parked in L2
-        q.push(T0, entry(2 * L2_SPAN_NS, 101)); // overflow heap
-        q.push(T0, entry(3 * L2_SPAN_NS, 102)); // overflow heap
-        q.retain(|e| e.seq % 2 == 0);
-        assert_eq!(q.len(), 52);
-        let mut prev = (0u64, 0u64);
-        let mut n = 0;
-        while let Some(e) = q.pop() {
-            assert!(e.seq % 2 == 0);
-            let k = (e.at.as_nanos(), e.seq);
-            assert!(k >= prev);
-            prev = k;
-            n += 1;
-        }
-        assert_eq!(n, 52);
-    }
-
-    #[test]
     fn sparse_mode_pops_in_order_without_densifying() {
         let mut q = EventQueue::new();
         // Descending times, well under SPARSE_LIMIT: the queue must stay
@@ -1038,7 +1059,7 @@ mod tests {
             expect.push((at, seq));
             seq += 1;
         };
-        for i in 0..100u64 {
+        for i in 0..SPARSE_LIMIT as u64 {
             push(&mut q, now, 10_000 + i * 7_919 % 50_000, &mut expect);
         }
         // Consume a few so the heap has seen pops before densifying.
@@ -1055,8 +1076,7 @@ mod tests {
         // Blow past the limit with a spread covering L1, L2, and overflow,
         // latest first: the earliest pending entry at the crossing is far
         // from the clock.
-        let n = 2 * SPARSE_LIMIT as u64;
-        for i in (0..n).rev() {
+        for i in (0..2_048u64).rev() {
             let at = now.as_nanos() + (i * 104_729) % (120 * SEG_NS);
             push(&mut q, now, at, &mut expect);
         }
@@ -1174,23 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_retain_drops_entries_and_fixes_len() {
-        let mut q = EventQueue::new();
-        for i in 0..20u64 {
-            q.push(T0, entry(i * 1_000, i));
-        }
-        q.retain(|e| e.seq % 2 == 0);
-        assert_eq!(q.len(), 10);
-        assert!(q.sparse);
-        let mut n = 0;
-        while let Some(e) = q.pop() {
-            assert!(e.seq % 2 == 0);
-            n += 1;
-        }
-        assert_eq!(n, 10);
-    }
-
-    #[test]
     fn exactly_one_l2_span_ahead() {
         // On a dense queue the last L2 slot is N_L2 - 1 segments out; one
         // whole span ahead would map to the cursor's own slot and goes to
@@ -1215,21 +1218,68 @@ mod tests {
     #[test]
     fn timer_slots_generations() {
         let mut s = TimerSlots::new();
-        let a = s.arm();
-        let b = s.arm();
+        let (now, at) = (SimTime::ZERO, SimTime::from_nanos(10));
+        let (a, _) = s.arm(now, NodeId(0), 0, at, 0);
+        let (b, _) = s.arm(now, NodeId(0), 0, at, 1);
         assert_eq!(s.live(), 2);
-        assert!(s.is_live(a) && s.is_live(b));
         assert!(s.disarm(a));
         assert!(!s.disarm(a), "double disarm must be a no-op");
-        assert!(!s.is_live(a));
         assert_eq!(s.live(), 1);
         // Reuse the slot: the old id must stay dead.
-        let c = s.arm();
-        assert!(s.is_live(c));
-        assert!(!s.is_live(a));
+        let (c, _) = s.arm(now, NodeId(0), 0, at, 2);
+        assert_eq!(
+            a.0 as u32, c.0 as u32,
+            "the freed slot is the next one armed"
+        );
         assert_ne!(a, c);
+        assert!(!s.disarm(a));
         assert!(s.disarm(b));
         assert!(s.disarm(c));
         assert_eq!(s.live(), 0);
+    }
+
+    #[test]
+    fn a_slot_keeps_one_acting_entry() {
+        let t = SimTime::from_nanos;
+        let mut s = TimerSlots::new();
+        let (a, push) = s.arm(t(0), NodeId(3), 7, t(100), 0);
+        assert!(push, "first arming must push an entry");
+        // Restart later: same slot, rides the entry queued at (100, 0).
+        s.disarm(a);
+        let (b, push) = s.arm(t(1), NodeId(4), 8, t(250), 1);
+        assert!(!push);
+        // Restart earlier than that entry: pushes its own, which takes over.
+        s.disarm(b);
+        let (c, push) = s.arm(t(2), NodeId(5), 9, t(50), 2);
+        assert!(push);
+        assert!(s.disarm(c), "its own entry fires it");
+        assert_eq!(s.live(), 0);
+        // The displaced entry pops dead, even with the slot armed again for
+        // its very instant.
+        let (d, push) = s.arm(t(60), NodeId(6), 10, t(100), 3);
+        assert!(push);
+        assert!(!s.disarm(a) && s.requeue(a, t(100), 0).is_none());
+        assert!(s.disarm(d));
+        // An entry due at the clock may have popped: not ridden.
+        let (e, push) = s.arm(t(100), NodeId(0), 11, t(200), 4);
+        assert!(push);
+        // An entry whose arming is gone becomes the slot's rider, under the
+        // rider's key, id and token; one whose slot is free is dropped.
+        s.disarm(e);
+        let (f, push) = s.arm(t(150), NodeId(8), 12, t(300), 5);
+        assert!(!push);
+        assert!(!s.disarm(e));
+        let moved = s
+            .requeue(e, t(200), 4)
+            .expect("the entry must move to its rider's deadline");
+        assert_eq!((moved.at, moved.seq), (t(300), 5));
+        assert!(matches!(
+            moved.kind,
+            EventKind::Timer { node: NodeId(8), id, token: 12 } if id == f
+        ));
+        s.disarm(f);
+        assert!(!s.disarm(f) && s.requeue(f, t(300), 5).is_none());
+        let (_, push) = s.arm(t(300), NodeId(0), 13, t(300), 6);
+        assert!(push, "nothing is queued for the slot any more");
     }
 }

@@ -49,7 +49,7 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 
 /// Snapshot format version. Bump on ANY layout change.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// File-level magic: "HBSN" (Halfback SNapshot).
 pub const SNAP_MAGIC: u32 = 0x4842_534E;

@@ -13,6 +13,9 @@
 use netsim::time::SimTime;
 use netsim::{Ctx, Node, Packet, Simulator, TimerId};
 use std::any::Any;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 #[derive(Default)]
 struct Recorder {
@@ -69,8 +72,8 @@ const DELTAS: [u64; 10] = [
 ];
 
 /// `prefill` timers are scheduled before the first op: the queue is a plain
-/// heap below 1024 pending entries, so only a prefilled run keeps the mix on
-/// the wheels.
+/// heap until 64 entries are pending, so a prefilled run is on the wheels
+/// from its first op and the other one crosses over with the clock running.
 fn run_workload(seed: u64, ops: usize, prefill: usize) {
     let mut sim: Simulator<u32> = Simulator::new(1);
     let node = sim.add_node(Box::new(Recorder::default()));
@@ -223,8 +226,8 @@ fn burst_at_a_clock_clamped_into_an_idle_gap_matches_model() {
 
 #[test]
 fn cancellation_heavy_workload_matches_model() {
-    // A mix where most timers are cancelled exercises compaction (retain)
-    // and stale-entry skipping together.
+    // Most timers are cancelled at once, so nearly every arming lands on a
+    // slot that still has a wake-up queued for some other instant.
     for seed in [3, 404] {
         let mut sim: Simulator<u32> = Simulator::new(2);
         let node = sim.add_node(Box::new(Recorder::default()));
@@ -247,4 +250,170 @@ fn cancellation_heavy_workload_matches_model() {
         let rec = sim.node_as::<Recorder>(node).expect("recorder node");
         assert_eq!(rec.fired, expect, "seed {seed}");
     }
+}
+
+/// One arming of a timer, as the model sees it.
+struct Armed {
+    at: u64,
+    node: usize,
+    id: TimerId,
+    token: u64,
+    cancelled: bool,
+}
+
+/// What the two [`Restarter`] nodes of one run share with the test.
+#[derive(Default)]
+struct Restarts {
+    /// `(now, node, id, token)` per fire, in fire order across both nodes.
+    fired: Vec<(u64, usize, TimerId, u64)>,
+    /// Tokens whose timer arms another from inside `on_timer`: `(delay,
+    /// token of the new timer)`.
+    chain: HashMap<u64, (u64, u64)>,
+    /// The timers armed that way, in arming order.
+    chained: Vec<Armed>,
+}
+
+struct Restarter {
+    index: usize,
+    shared: Rc<RefCell<Restarts>>,
+}
+
+impl Node<u32> for Restarter {
+    fn on_packet(&mut self, _p: Packet<u32>, _c: &mut Ctx<'_, u32>) {}
+    fn on_timer(&mut self, id: TimerId, token: u64, c: &mut Ctx<'_, u32>) {
+        let now = c.now().as_nanos();
+        let mut shared = self.shared.borrow_mut();
+        shared.fired.push((now, self.index, id, token));
+        if let Some((delay, token)) = shared.chain.remove(&token) {
+            let at = now + delay;
+            let id = c.set_timer_at(SimTime::from_nanos(at), token);
+            shared.chained.push(Armed {
+                at,
+                node: self.index,
+                id,
+                token,
+                cancelled: false,
+            });
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A timer's queue entry stands for whatever its slot is armed for when the
+/// entry pops, so the sequences that matter are the ones that arm a
+/// cancelled slot again (the free list is LIFO: a cancel's slot is the next
+/// arming's): for a later instant, where the new arming rides the queued
+/// entry; for an earlier one, where it cannot; by the other node, with
+/// another token; for the current instant; and from inside `on_timer`, on
+/// the slot that is firing. Random interleavings of all of them on two
+/// nodes, with steps and `run_until` in between, must fire exactly the
+/// uncancelled armings in `(at, arming order)` order, each on the node that
+/// armed it with the id and token of that arming.
+#[test]
+fn restarted_timers_match_sorted_list_model() {
+    for seed in [11, 2_024, 0xFEED_5EED] {
+        restart_workload(seed, 6_000, 0);
+        restart_workload(seed, 6_000, 500);
+    }
+}
+
+fn restart_workload(seed: u64, ops: usize, prefill: usize) {
+    let shared = Rc::new(RefCell::new(Restarts::default()));
+    let mut sim: Simulator<u32> = Simulator::new(1);
+    let nodes: Vec<_> = (0..2)
+        .map(|index| {
+            let shared = shared.clone();
+            sim.add_node(Box::new(Restarter { index, shared }))
+        })
+        .collect();
+    let mut rng = seed;
+    // Every arming in arming order (the engine's tiebreak), whoever made it.
+    let mut model: Vec<Armed> = Vec::new();
+    let mut next_token = 0u64;
+
+    for i in 0..ops + prefill {
+        let now = sim.now().as_nanos();
+        let far = DELTAS[(lcg(&mut rng) % 8) as usize] + lcg(&mut rng) % 977;
+        let node = (lcg(&mut rng) % 2) as usize;
+        let op = if i < prefill { 0 } else { lcg(&mut rng) % 12 };
+        // Ops 3..=7 cancel a timer that cannot have fired yet.
+        let pending: Vec<usize> = (0..model.len())
+            .filter(|&k| !model[k].cancelled && model[k].at > now)
+            .collect();
+        let cancelled = ((3..=7).contains(&op) && !pending.is_empty()).then(|| {
+            let k = pending[(lcg(&mut rng) % pending.len() as u64) as usize];
+            sim.core().cancel_timer(model[k].id);
+            model[k].cancelled = true;
+            (model[k].node, model[k].at)
+        });
+        let arming = match (op, cancelled) {
+            // Plain arming; arming for the current instant.
+            (0..=2, _) => Some((node, now + far)),
+            (8, _) => Some((node, now)),
+            // Restart later than the cancelled deadline, or earlier.
+            (3 | 4, Some((owner, at))) => Some((owner, at + far)),
+            (5, Some((owner, at))) => Some((owner, now + lcg(&mut rng) % (at - now))),
+            // Cancelled by one node, armed by the other.
+            (6, Some((owner, _))) => Some((1 - owner, now + far)),
+            // A timer that arms another when it fires (below).
+            (9, _) => Some((node, now + far)),
+            _ => None,
+        };
+        if let Some((node, at)) = arming {
+            let token = next_token;
+            next_token += 1;
+            if op == 9 {
+                // The second timer is due at that instant or later, and has
+                // a token of its own.
+                let delay = [0, 1, 40_000, 300_000_000][(lcg(&mut rng) % 4) as usize];
+                shared.borrow_mut().chain.insert(token, (delay, next_token));
+                next_token += 1;
+            }
+            let id = sim
+                .core()
+                .set_timer_at(nodes[node], SimTime::from_nanos(at), token);
+            model.push(Armed {
+                at,
+                node,
+                id,
+                token,
+                cancelled: false,
+            });
+        }
+        match op {
+            10 => {
+                for _ in 0..(lcg(&mut rng) % 6) {
+                    sim.step();
+                }
+            }
+            11 => sim.run_until(SimTime::from_nanos(now + far)),
+            _ => {}
+        }
+        // Timers armed inside `on_timer` since the last op take their place
+        // in arming order here: nothing else was armed meanwhile.
+        model.append(&mut shared.borrow_mut().chained);
+    }
+    sim.run_to_completion(20 * (ops + prefill) as u64);
+    let mut shared = shared.borrow_mut();
+    model.append(&mut shared.chained);
+
+    let mut expect: Vec<(u64, usize)> = (0..model.len())
+        .filter(|&order| !model[order].cancelled)
+        .map(|order| (model[order].at, order))
+        .collect();
+    expect.sort_unstable();
+    let expect: Vec<_> = expect
+        .into_iter()
+        .map(|(at, order)| (at, model[order].node, model[order].id, model[order].token))
+        .collect();
+    assert!(
+        shared.fired == expect,
+        "seed {seed}: fire order, ids or tokens diverged from the sorted-list model"
+    );
+    assert_eq!(sim.core().live_timer_count(), 0);
 }

@@ -52,16 +52,31 @@ impl Node<u64> for Chatter {
     }
 }
 
-/// Sink: records `(time, tag)` for every delivery.
+/// Sink: records `(time, tag)` for every delivery. With `idle_after` set it
+/// also keeps an idle timer that every delivery restarts — the shape of an
+/// RTO restarted per ACK — and records when it expires.
+#[derive(Default)]
 struct Sink {
     got: Vec<(SimTime, u64)>,
+    idle_after: Option<SimDuration>,
+    idle_timer: Option<TimerId>,
+    idle_expired: Vec<SimTime>,
 }
 
 impl Node<u64> for Sink {
     fn on_packet(&mut self, pkt: Packet<u64>, ctx: &mut Ctx<'_, u64>) {
         self.got.push((ctx.now(), pkt.payload));
+        if let Some(after) = self.idle_after {
+            if let Some(id) = self.idle_timer.take() {
+                ctx.cancel_timer(id);
+            }
+            self.idle_timer = Some(ctx.set_timer(after, 0));
+        }
     }
-    fn on_timer(&mut self, _id: TimerId, _token: u64, _ctx: &mut Ctx<'_, u64>) {}
+    fn on_timer(&mut self, _id: TimerId, _token: u64, ctx: &mut Ctx<'_, u64>) {
+        self.idle_timer = None;
+        self.idle_expired.push(ctx.now());
+    }
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -81,7 +96,7 @@ fn build(seed: u64, kick: bool) -> (Simulator<u64>, NodeId, NodeId, LinkId) {
         sent: 0,
         timer: None,
     }));
-    let b = sim.add_node(Box::new(Sink { got: vec![] }));
+    let b = sim.add_node(Box::new(Sink::default()));
     let l = sim.add_link(LinkSpec {
         src: a,
         dst: b,
@@ -172,6 +187,72 @@ fn restore_resumes_bit_identically() {
 }
 
 #[test]
+fn restore_carries_wake_ups_whose_deadline_has_moved() {
+    // The sink restarts a 3 ms idle timer on every delivery, so its slot's
+    // one queue entry is nearly always earlier than the slot's deadline,
+    // and the engine's event list alone no longer says when it fires. At
+    // the stop, two more shapes are set up by hand: the idle timer restarted
+    // once more (entry earlier than deadline for certain), and a timer
+    // cancelled and left alone (a free slot with an entry still queued,
+    // which pops 40 ms on with nothing to do). Both must come back.
+    const IDLE: SimDuration = SimDuration::from_millis(3);
+    let prepare = |kick| {
+        let (mut sim, a, b, l) = build(21, kick);
+        sim.node_as_mut::<Sink>(b).unwrap().idle_after = Some(IDLE);
+        (sim, a, b, l)
+    };
+    let at_the_stop = |sim: &mut Simulator<u64>, a: NodeId, b: NodeId| {
+        let spare = sim.core().set_timer(a, SimDuration::from_millis(40), 77);
+        sim.core().cancel_timer(spare);
+        let old = sim.node_as::<Sink>(b).unwrap().idle_timer;
+        let old = old.expect("idle timer armed at the stop");
+        sim.core().cancel_timer(old);
+        let new = sim.core().set_timer(b, IDLE + IDLE, 0);
+        sim.node_as_mut::<Sink>(b).unwrap().idle_timer = Some(new);
+    };
+    let idle = |sim: &Simulator<u64>, b| {
+        let s = sim.node_as::<Sink>(b).unwrap();
+        (s.idle_timer, s.idle_expired.clone())
+    };
+
+    let (mut reference, ra, rb, rl) = prepare(true);
+    reference.run_until(ms(60));
+    at_the_stop(&mut reference, ra, rb);
+    reference.run_until(ms(200));
+    let want = (observe(&reference, ra, rb, rl), idle(&reference, rb));
+    assert!(
+        want.1 .1.len() > 3,
+        "the idle timer must expire now and then"
+    );
+    assert!(want.1 .1.iter().any(|&t| t > ms(60)));
+
+    let (mut first, fa, fb, _) = prepare(true);
+    first.run_until(ms(60));
+    at_the_stop(&mut first, fa, fb);
+    let mut w = SnapWriter::new();
+    first.save_snapshot(&mut w).unwrap();
+    let bytes = w.into_bytes();
+    let chatter = first.node_as::<Chatter>(fa).unwrap();
+    let (sent, timer) = (chatter.sent, chatter.timer);
+    let sink = std::mem::take(first.node_as_mut::<Sink>(fb).unwrap());
+    drop(first);
+
+    let (mut resumed, a2, b2, l2) = prepare(false);
+    resumed
+        .restore_snapshot(&mut SnapReader::new(&bytes))
+        .unwrap();
+    let c = resumed.node_as_mut::<Chatter>(a2).unwrap();
+    (c.sent, c.timer) = (sent, timer);
+    *resumed.node_as_mut::<Sink>(b2).unwrap() = sink;
+    resumed.run_until(ms(200));
+    assert_eq!(
+        (observe(&resumed, a2, b2, l2), idle(&resumed, b2)),
+        want,
+        "the resumed run diverged from the uninterrupted one"
+    );
+}
+
+#[test]
 fn resave_after_restore_is_byte_identical() {
     let (mut first, _a, _b, _l) = build(7, true);
     first.run_until(ms(45));
@@ -212,8 +293,8 @@ fn saving_does_not_perturb_the_run() {
 #[test]
 fn snapshot_refuses_codel_queues() {
     let mut sim: Simulator<u64> = Simulator::new(1);
-    let a = sim.add_node(Box::new(Sink { got: vec![] }));
-    let b = sim.add_node(Box::new(Sink { got: vec![] }));
+    let a = sim.add_node(Box::new(Sink::default()));
+    let b = sim.add_node(Box::new(Sink::default()));
     sim.add_link(LinkSpec {
         src: a,
         dst: b,

@@ -318,19 +318,33 @@ fn damaged_checkpoints_are_refused_never_resumed() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn v1_checkpoint_is_refused_with_the_version_error() {
-    let (c, dir, mut ckpt) = killed_run("v1");
-    // Same magic, version field (bytes 4..8) set back to 1.
-    ckpt[4..8].copy_from_slice(&1u32.to_le_bytes());
+/// A checkpoint of this build with its version field (bytes 4..8) set back
+/// to `old`: the reader must stop at the header.
+fn assert_version_refused(old: u32) {
+    let (c, dir, mut ckpt) = killed_run(&format!("v{old}"));
+    ckpt[4..8].copy_from_slice(&old.to_le_bytes());
     std::fs::write(dir.join("weather.ckpt"), &ckpt).unwrap();
     let e = resume(&c, &dir).unwrap_err();
     assert!(
-        matches!(snap_error(&e), Some(SnapError::Version { got: 1, .. })),
+        matches!(snap_error(&e), Some(SnapError::Version { got, .. }) if *got == old),
         "{e}"
     );
-    assert!(e.to_string().contains("unsupported snapshot version 1"));
+    let msg = format!("unsupported snapshot version {old}");
+    assert!(e.to_string().contains(&msg), "{e}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn v1_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(1);
+}
+
+/// Version 2 kept one queue entry per timer arming, each carrying node, id
+/// and token; a version-3 reader that decoded one would find slot indices
+/// where it expects none of those.
+#[test]
+fn v2_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(2);
 }
 
 #[test]

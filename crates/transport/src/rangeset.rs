@@ -3,14 +3,17 @@
 //! Used by the receiver (which segments have arrived) and by the sender's
 //! scoreboard (which segments have been SACKed). Ranges keep memory bounded
 //! even for the 100 MB long flows in the Fig. 13 experiments.
-
-use std::collections::BTreeMap;
+//!
+//! The ranges live in one sorted `Vec`: in-order traffic keeps every set at
+//! a single range and loss adds a handful, so the range a lookup wants is
+//! almost always the last one, which [`RangeSet::seek`] tries before it
+//! searches.
 
 /// An ordered set of disjoint, coalesced half-open ranges `[start, end)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
-    // start -> end, disjoint and non-adjacent (always coalesced).
-    ranges: BTreeMap<u32, u32>,
+    // Ascending, disjoint and non-adjacent (always coalesced).
+    ranges: Vec<(u32, u32)>,
     count: u64,
 }
 
@@ -32,6 +35,16 @@ impl RangeSet {
         self.count == 0
     }
 
+    /// Index of the first range that ends above `v`: the one containing
+    /// `v`, else the first one past it, else `ranges.len()`.
+    fn seek(&self, v: u32) -> usize {
+        match self.ranges.last() {
+            // Every earlier range ends below the last one's start.
+            Some(&(s, e)) if s <= v => self.ranges.len() - (e > v) as usize,
+            _ => self.ranges.partition_point(|&(_, e)| e <= v),
+        }
+    }
+
     /// Insert a single value; returns true if it was newly added.
     pub fn insert(&mut self, v: u32) -> bool {
         self.insert_range(v, v + 1) > 0
@@ -42,81 +55,44 @@ impl RangeSet {
         if start >= end {
             return 0;
         }
-        // Fast paths against the predecessor range (the one with the
-        // greatest start <= `start`): in-order arrivals and sequential
-        // transmissions nearly always extend it in place, and duplicates
-        // land inside it. Both avoid the remove/re-insert churn below.
-        if let Some((&ps, &pe)) = self.ranges.range(..=start).next_back() {
-            if pe >= end {
-                return 0;
-            }
-            if pe >= start {
-                let follower = self
-                    .ranges
-                    .range((std::ops::Bound::Excluded(ps), std::ops::Bound::Unbounded))
-                    .next()
-                    .map(|(&s, _)| s);
-                // The follower must stay disjoint and non-adjacent.
-                if follower.is_none_or(|fs| fs > end) {
-                    let added = (end - pe) as u64;
-                    *self.ranges.get_mut(&ps).expect("predecessor exists") = end;
-                    self.count += added;
-                    return added;
-                }
-            }
+        // Ranges `i..j` overlap or abut the insertion: `i` is the first to
+        // end at or after `start`, `j` the first to begin after `end`.
+        let i = self.seek(start.saturating_sub(1));
+        let mut j = i;
+        let mut added = (end - start) as u64;
+        while let Some(&(s, e)) = self.ranges.get(j).filter(|r| r.0 <= end) {
+            added -= e.min(end).saturating_sub(s.max(start)) as u64;
+            j += 1;
         }
-        let mut new_start = start;
-        let mut new_end = end;
-        // Remove all ranges overlapping or adjacent to the insertion,
-        // tracking how much of the insertion they already covered.
-        let mut added: u64 = (end - start) as u64;
-        let mut to_remove = Vec::new();
-        // Candidate ranges: any with start <= new_end, ending >= new_start.
-        for (&s, &e) in self.ranges.range(..=new_end) {
-            if e >= new_start {
-                to_remove.push((s, e));
-            }
+        if i == j {
+            self.ranges.insert(i, (start, end));
+        } else {
+            // In-order arrivals extend the one range here, duplicates fall
+            // inside it; only a bridging insert has anything to drain.
+            self.ranges[i] = (start.min(self.ranges[i].0), end.max(self.ranges[j - 1].1));
+            self.ranges.drain(i + 1..j);
         }
-        for (s, e) in to_remove {
-            // Subtract the overlap with [start, end) from `added`.
-            let ov_start = s.max(start);
-            let ov_end = e.min(end);
-            if ov_start < ov_end {
-                added -= (ov_end - ov_start) as u64;
-            }
-            new_start = new_start.min(s);
-            new_end = new_end.max(e);
-            self.ranges.remove(&s);
-        }
-        self.ranges.insert(new_start, new_end);
         self.count += added;
         added
     }
 
     /// Does the set contain `v`?
     pub fn contains(&self, v: u32) -> bool {
-        match self.ranges.range(..=v).next_back() {
-            Some((_, &e)) => v < e,
-            None => false,
-        }
+        self.ranges.get(self.seek(v)).is_some_and(|&(s, _)| s <= v)
     }
 
     /// The smallest value `>= from` *not* in the set.
     pub fn first_missing_from(&self, from: u32) -> u32 {
-        let mut v = from;
-        while let Some((&s, &e)) = self.ranges.range(..=v).next_back() {
-            if v < e && v >= s {
-                v = e;
-            } else {
-                break;
-            }
+        match self.ranges.get(self.seek(from)) {
+            // Ranges are coalesced: the end of one is never in the set.
+            Some(&(s, e)) if s <= from => e,
+            _ => from,
         }
-        v
     }
 
     /// Iterate the stored ranges in ascending order.
     pub fn iter_ranges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.ranges.iter().map(|(&s, &e)| (s, e))
+        self.ranges.iter().copied()
     }
 
     /// The complement within `[lo, hi)`: maximal ranges of values NOT in
@@ -133,29 +109,12 @@ impl RangeSet {
     /// allocation.
     pub fn missing_within_into(&self, lo: u32, hi: u32, out: &mut Vec<(u32, u32)>) {
         out.clear();
-        if lo >= hi {
-            return;
-        }
         let mut cursor = lo;
-        // Start from any range containing/preceding `lo`.
-        if let Some((_, &e)) = self.ranges.range(..=lo).next_back() {
-            if e > cursor {
-                cursor = e;
-            }
-        }
-        for (&s, &e) in self.ranges.range(lo..) {
-            if s >= hi {
-                break;
-            }
+        for (s, e) in self.ranges_within_iter(lo, hi) {
             if s > cursor {
-                out.push((cursor, s.min(hi)));
+                out.push((cursor, s));
             }
-            if e > cursor {
-                cursor = e;
-            }
-            if cursor >= hi {
-                return;
-            }
+            cursor = e;
         }
         if cursor < hi {
             out.push((cursor, hi));
@@ -165,69 +124,34 @@ impl RangeSet {
     /// Ranges intersected with `[lo, hi)`, ascending, without allocating —
     /// the receiver's SACK builder calls this once per data packet.
     pub fn ranges_within_iter(&self, lo: u32, hi: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        // A range starting at or before `lo` can still straddle it.
-        let head = self
-            .ranges
-            .range(..=lo)
-            .next_back()
-            .map(|(&s, &e)| (s, e))
-            .filter(|&(_, e)| e > lo);
-        head.into_iter()
-            .chain(
-                self.ranges
-                    .range((std::ops::Bound::Excluded(lo), std::ops::Bound::Unbounded))
-                    .map(|(&s, &e)| (s, e)),
-            )
-            .take_while(move |&(s, _)| s < hi)
-            .map(move |(s, e)| (s.max(lo), e.min(hi)))
+        self.ranges[self.seek(lo)..]
+            .iter()
+            .take_while(move |&&(s, _)| s < hi)
+            .map(move |&(s, e)| (s.max(lo), e.min(hi)))
+            // Only an empty window (`lo >= hi`) inside a range gets here.
             .filter(|&(s, e)| s < e)
-    }
-
-    /// Ranges intersected with `[lo, hi)`, ascending.
-    pub fn ranges_within(&self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for (&s, &e) in &self.ranges {
-            if e <= lo {
-                continue;
-            }
-            if s >= hi {
-                break;
-            }
-            out.push((s.max(lo), e.min(hi)));
-        }
-        out
     }
 
     /// Number of set values strictly greater than `v`.
     pub fn count_above(&self, v: u32) -> u64 {
-        let mut n = 0u64;
-        for (&s, &e) in self.ranges.range(..) {
-            if e <= v + 1 {
-                continue;
-            }
-            n += (e - s.max(v + 1)) as u64;
-        }
-        n
+        let lo = v.saturating_add(1);
+        self.ranges
+            .iter()
+            .rev()
+            .take_while(|&&(_, e)| e > lo)
+            .map(|&(s, e)| (e - s.max(lo)) as u64)
+            .sum()
     }
 
     /// Remove everything below `v` (bookkeeping once the cumulative ACK
-    /// passes; keeps the map small for long flows).
+    /// passes; keeps the set small for long flows).
     pub fn prune_below(&mut self, v: u32) {
-        let mut to_fix = Vec::new();
-        for (&s, &e) in self.ranges.range(..) {
-            if s >= v {
-                break;
-            }
-            to_fix.push((s, e));
-        }
-        for (s, e) in to_fix {
-            self.ranges.remove(&s);
-            if e > v {
-                self.ranges.insert(v, e);
-                self.count -= (v - s) as u64;
-            } else {
-                self.count -= (e - s) as u64;
-            }
+        let keep = self.seek(v);
+        let gone = self.ranges.drain(..keep);
+        self.count -= gone.map(|(s, e)| (e - s) as u64).sum::<u64>();
+        if let Some(first) = self.ranges.first_mut().filter(|r| r.0 < v) {
+            self.count -= (v - first.0) as u64;
+            first.0 = v;
         }
     }
 }
@@ -314,8 +238,10 @@ mod tests {
         let mut r = RangeSet::new();
         r.insert_range(0, 10);
         r.insert_range(20, 30);
-        assert_eq!(r.ranges_within(5, 25), vec![(5, 10), (20, 25)]);
-        assert_eq!(r.ranges_within(10, 20), vec![]);
+        let within = |lo, hi| r.ranges_within_iter(lo, hi).collect::<Vec<_>>();
+        assert_eq!(within(5, 25), vec![(5, 10), (20, 25)]);
+        assert_eq!(within(10, 20), vec![]);
+        assert_eq!(within(7, 7), vec![]);
     }
 
     /// Random `(start, len)` insert operations for the reference tests.
@@ -366,6 +292,62 @@ mod tests {
                     w[0].1 < w[1].0,
                     "case {case}: ranges {ranges:?} not coalesced"
                 );
+            }
+        }
+    }
+
+    /// Inserts interleaved with `prune_below`, the way a flow's cumulative
+    /// ACK chases its SACKed ranges: after every step the set, its count and
+    /// every windowed query agree with the reference.
+    #[test]
+    fn interleaved_prunes_match_reference_set() {
+        let mut rng = SimRng::new(0x9E0E);
+        for case in 0..128 {
+            let mut rs = RangeSet::new();
+            let mut reference = BTreeSet::new();
+            for step in 0..rng.index(40) {
+                let at = rng.index(200) as u32;
+                if rng.index(4) == 0 {
+                    rs.prune_below(at);
+                    reference = reference.split_off(&at);
+                } else {
+                    let end = at + 1 + rng.index(19) as u32;
+                    let before = reference.len();
+                    reference.extend(at..end);
+                    assert_eq!(
+                        rs.insert_range(at, end),
+                        (reference.len() - before) as u64,
+                        "case {case} step {step}"
+                    );
+                }
+                assert_eq!(rs.len(), reference.len() as u64, "case {case} step {step}");
+                let flat: Vec<u32> = rs.iter_ranges().flat_map(|(s, e)| s..e).collect();
+                assert!(flat.iter().eq(reference.iter()), "case {case} step {step}");
+                let ranges: Vec<_> = rs.iter_ranges().collect();
+                assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "{ranges:?}");
+
+                let (lo, hi) = (rng.index(230) as u32, rng.index(230) as u32);
+                let within: Vec<_> = rs.ranges_within_iter(lo, hi).collect();
+                assert!(within.iter().all(|&(s, e)| lo <= s && s < e && e <= hi));
+                assert!(within.windows(2).all(|w| w[0].1 < w[1].0), "{within:?}");
+                let flat: Vec<u32> = within.iter().flat_map(|&(s, e)| s..e).collect();
+                let expect: Vec<u32> = reference.range(lo..hi.max(lo)).copied().collect();
+                assert_eq!(flat, expect, "case {case} step {step} [{lo}, {hi})");
+                let gaps: Vec<u32> = rs
+                    .missing_within(lo, hi)
+                    .into_iter()
+                    .flat_map(|(s, e)| s..e)
+                    .collect();
+                let expect: Vec<u32> = (lo..hi).filter(|v| !reference.contains(v)).collect();
+                assert_eq!(gaps, expect, "case {case} step {step} [{lo}, {hi})");
+                assert_eq!(rs.contains(lo), reference.contains(&lo));
+                assert_eq!(
+                    rs.count_above(lo),
+                    reference.range(lo + 1..).count() as u64,
+                    "case {case} step {step}"
+                );
+                let missing = (lo..).find(|v| !reference.contains(v)).unwrap();
+                assert_eq!(rs.first_missing_from(lo), missing);
             }
         }
     }

@@ -37,6 +37,11 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # parked on a far timer sends the whole burst through the inbox heap,
 # ~6x slower). rearm_per_ack restarts one timer per delivered packet:
 # the queue must hold one entry per timer, not one per restart.
+# event_queue_hold runs the hold model at 20k pending events (the wheels)
+# and at 32 (depth_32_1e6_events: the sparse mode's sorted run, where
+# every figure sweep and simcheck case lives). link_pipeline also carries
+# router_relay_1e5: two routers in the path, so a hop that copies the
+# packet out of the arena and back shows as a 1.5x line.
 # packet_arena pins the pooled-packet alloc/free cycle.
 # shard_barrier pins the sharded engine's per-window coordination cost (barriers +
 # mailbox sweeps) with one hop of real work per window — both with the
@@ -45,9 +50,10 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # scenarios aggregate FCTs through.
 cargo bench --bench engine -- \
     schedule_fire_1e5 schedule_cancel_fire_1e6 rearm_per_ack_1e6 \
-    event_queue_hold \
+    event_queue_hold/depth_20k_1e6_events event_queue_hold/depth_32_1e6_events \
     far_schedule_fire_1e6 idle_gap_then_dense packet_arena \
-    link_pipeline shard_barrier quantile_sketch \
+    link_pipeline/tracing link_pipeline/router_relay_1e5 \
+    shard_barrier quantile_sketch \
     --check "$root/BENCH_netsim.json"
 
 cargo bench --bench e2e -- --check "$root/BENCH_e2e.json"

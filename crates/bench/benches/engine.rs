@@ -7,6 +7,7 @@ use netsim::link::LinkSpec;
 use netsim::packet::{FlowId, Packet, PacketArena};
 use netsim::queue::{DropTail, QueueDiscipline, Verdict};
 use netsim::rng::SimRng;
+use netsim::router::Router;
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::topology::{build_dumbbell, DumbbellSpec};
 use netsim::{LinkId, Node, Simulator, TimerId};
@@ -201,28 +202,35 @@ fn event_queue(c: &mut Bench) {
     g.finish();
 
     let mut g = c.benchmark_group("event_queue_hold");
-    // 1e6 fire+re-arm cycles at a steady depth of 20k pending events.
-    let depth = 20_000u64;
+    // 1e6 fire+re-arm cycles at a steady depth: 20k pending events on the
+    // wheels, and 32 — the population of a few flows on one path, every
+    // case of a figure sweep or of simcheck — on the sparse mode's sorted
+    // run, which no other gate line reaches.
     let cycles = 1_000_000u64;
     g.sample_size(10);
     g.throughput_elements(cycles);
-    g.bench_function("depth_20k_1e6_events", || {
-        let mut sim: Simulator<u32> = Simulator::new(3);
-        let node = sim.add_node(Box::new(Hold {
-            remaining: cycles - depth,
-            lcg: 0x2545f4914f6cdd1d,
-        }));
-        let mut lcg: u64 = 0x9e3779b97f4a7c15;
-        for _ in 0..depth {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let at = SimTime::from_nanos((lcg >> 33) % 1_000_000 + 1);
-            sim.core().set_timer_at(node, at, 0);
-        }
-        sim.run_to_completion(2 * cycles);
-        black_box(sim.events_processed());
-    });
+    for (name, depth) in [
+        ("depth_20k_1e6_events", 20_000u64),
+        ("depth_32_1e6_events", 32),
+    ] {
+        g.bench_function(name, || {
+            let mut sim: Simulator<u32> = Simulator::new(3);
+            let node = sim.add_node(Box::new(Hold {
+                remaining: cycles - depth,
+                lcg: 0x2545f4914f6cdd1d,
+            }));
+            let mut lcg: u64 = 0x9e3779b97f4a7c15;
+            for _ in 0..depth {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let at = SimTime::from_nanos((lcg >> 33) % 1_000_000 + 1);
+                sim.core().set_timer_at(node, at, 0);
+            }
+            sim.run_to_completion(2 * cycles);
+            black_box(sim.events_processed());
+        });
+    }
     g.finish();
 }
 
@@ -257,7 +265,8 @@ fn engine_throughput(c: &mut Bench) {
 /// trace hook disabled (the default — every emission site is one branch on
 /// a cold `Option`) and, for comparison, with a counting tracer installed.
 /// The disabled variant is checked against the committed baseline: tracing
-/// must stay free when off.
+/// must stay free when off. `router_relay_1e5` puts two routers in the way:
+/// three links and two relays per packet, the cost of a hop.
 fn link_pipeline(c: &mut Bench) {
     fn push_1e5(trace: bool) {
         let n = 100_000u64;
@@ -291,6 +300,37 @@ fn link_pipeline(c: &mut Bench) {
     g.throughput_elements(100_000);
     g.bench_function("tracing_disabled_1e5", || push_1e5(false));
     g.bench_function("tracing_enabled_1e5", || push_1e5(true));
+    g.bench_function("router_relay_1e5", || {
+        let n = 100_000u64;
+        let mut sim: Simulator<u32> = Simulator::new(1);
+        let a = sim.add_node(Box::new(Sink));
+        let r1 = sim.add_node(Box::new(Router::new()));
+        let r2 = sim.add_node(Box::new(Router::new()));
+        let z = sim.add_node(Box::new(Sink));
+        let hops: Vec<LinkId> = [(a, r1), (r1, r2), (r2, z)]
+            .into_iter()
+            .map(|(src, dst)| {
+                sim.add_link(LinkSpec::drop_tail(
+                    src,
+                    dst,
+                    Rate::from_gbps(10),
+                    SimDuration::from_micros(10),
+                    1_000_000_000,
+                ))
+            })
+            .collect();
+        for (router, out) in [(r1, hops[1]), (r2, hops[2])] {
+            sim.node_as_mut::<Router>(router)
+                .expect("routers were added as routers")
+                .add_route(z, out);
+        }
+        for i in 0..n {
+            sim.core()
+                .send_on(hops[0], Packet::new(FlowId(i), a, z, 1500, 0u32));
+        }
+        sim.run_to_completion(10 * n);
+        black_box(sim.events_processed());
+    });
     g.finish();
 }
 

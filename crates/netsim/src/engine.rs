@@ -156,9 +156,20 @@ impl<P: Payload> EngineCore<P> {
         self.forward_on(link, pkt);
     }
 
-    /// Transmit a packet that already has an id (router forwarding path).
+    /// Transmit a packet that already has an id (a node forwarding what it
+    /// was delivered; a router's packets never leave the arena and go
+    /// through [`Node::relay`] instead).
     pub fn forward_on(&mut self, link: LinkId, pkt: Packet<P>) {
+        let h = self.packets.alloc(pkt);
+        self.offer_parked(link, h);
+    }
+
+    /// Offer the packet parked under `h` to `link`: onto the wire if the
+    /// link is idle, else to its queue. The handle is the link's from here
+    /// on — a refusal (link down, queue full) frees it.
+    fn offer_parked(&mut self, link: LinkId, h: PacketHandle) {
         let now = self.now;
+        let meta = self.packets.meta(h);
         let l = &mut self.links[link.0 as usize];
         l.stats.offered += 1;
         // `plain` links have no fault state, so the step/down-window checks
@@ -169,24 +180,15 @@ impl<P: Payload> EngineCore<P> {
             // packet already serializing completes (store-and-forward).
             if l.faults.as_ref().is_some_and(|f| f.is_down(now)) {
                 l.stats.down_dropped += 1;
-                let (id, size) = (pkt.id, pkt.size);
+                self.packets.free(h);
                 self.trace(TraceEvent::FaultDrop {
                     link,
-                    packet: id,
-                    size,
+                    packet: meta.id,
+                    size: meta.size,
                 });
                 return;
             }
         }
-        let (id, flow, size) = (pkt.id, pkt.flow, pkt.size);
-        let h = self.packets.alloc(pkt);
-        let meta = PacketMeta {
-            handle: h,
-            id,
-            flow,
-            size,
-        };
-        let l = &mut self.links[link.0 as usize];
         if l.busy {
             if l.queue.enqueue(meta, now) == Verdict::Dropped {
                 self.packets.free(h);
@@ -760,26 +762,34 @@ impl<P: Payload> Simulator<P> {
         }
         match entry.kind {
             EventKind::LinkTxDone { link, pkt } => self.handle_tx_done(link, pkt),
-            EventKind::Deliver { node, link, pkt } => {
-                // The packet leaves the arena here: delivery hands the body
-                // to the node by value, a corrupt arrival just drops it.
-                let pkt = self.core.packets.take(pkt);
+            EventKind::Deliver { node, link, pkt: h } => {
+                let pkt = self.core.packets.get(h);
+                let (packet, size) = (pkt.id, pkt.size);
                 if pkt.corrupted {
+                    // A corrupt arrival is dropped where it lands, at a
+                    // router as at a host.
+                    self.core.packets.free(h);
                     self.core.corrupt_dropped += 1;
                     self.core.links[link.0 as usize].stats.corrupt_dropped += 1;
-                    self.core.trace(TraceEvent::CorruptDrop {
-                        node,
-                        packet: pkt.id,
-                        size: pkt.size,
-                    });
-                } else {
-                    self.core.links[link.0 as usize].stats.delivered += 1;
-                    self.core.trace(TraceEvent::Deliver {
-                        node,
-                        packet: pkt.id,
-                        size: pkt.size,
-                    });
-                    self.dispatch(node, |n, ctx| n.on_packet(pkt, ctx));
+                    self.core
+                        .trace(TraceEvent::CorruptDrop { node, packet, size });
+                    return;
+                }
+                let relay = self.nodes[node.0 as usize]
+                    .as_mut()
+                    .expect("no node is being dispatched between events")
+                    .relay(pkt);
+                self.core.links[link.0 as usize].stats.delivered += 1;
+                self.core.trace(TraceEvent::Deliver { node, packet, size });
+                match relay {
+                    // A hop: the packet stays parked where `send_on` put it
+                    // and only its handle moves on.
+                    Some(out) => self.core.offer_parked(out, h),
+                    // Its last: delivery hands the body to the node by value.
+                    None => {
+                        let pkt = self.core.packets.take(h);
+                        self.dispatch(node, |n, ctx| n.on_packet(pkt, ctx));
+                    }
                 }
             }
             EventKind::Timer { node, id, token } => {

@@ -57,18 +57,23 @@
 //! - **Overflow**: events beyond the L2 span (~9 virtual minutes — idle
 //!   horizons, `FAR_FUTURE` sentinels) go to a min-heap ordered by
 //!   `(at, seq)` and migrate into the wheels as segments advance.
-//! - **Sparse mode**: a fresh queue allocates *nothing* and routes every
-//!   entry through the overflow heap until the pending population crosses
-//!   [`SPARSE_LIMIT`]; only then are the wheels allocated and the heap
-//!   drained into them (a one-way migration). The queue holds live events
-//!   only (see [`TimerSlots`]), so its population is the packets on the
-//!   wire plus the armed timers: a few flows on one path — every case of a
-//!   figure sweep or of `simcheck` — hold a few dozen, where two sifts of a
-//!   six-level heap beat the wheel's bucket arithmetic and skipping the
-//!   wheel allocation (two Vec-of-Vecs plus bitmaps, ~128 KB of zeroed
-//!   headers per simulator) is the bigger win; a congested dumbbell or the
-//!   open-loop service mode holds hundreds and belongs on the wheels. A
-//!   heap and the wheels pop in the same `(at, seq)` order, so the
+//! - **Sparse mode**: a fresh queue allocates *nothing* and keeps every
+//!   entry in one `Vec` sorted latest-first until the pending population
+//!   crosses [`SPARSE_LIMIT`]; only then are the wheels allocated and the
+//!   run drained into them (a one-way migration). The queue holds live
+//!   events only (see [`TimerSlots`]), so its population is the packets on
+//!   the wire plus the armed timers: a few flows on one path — every case
+//!   of a figure sweep or of `simcheck` — hold a few dozen. At that size an
+//!   entry is written once: a push scans back from the tail, where the
+//!   near-term events are (the far RTO wake-ups sit at the front, and a
+//!   restarted timer rides its slot's entry instead of pushing), and shifts
+//!   the few entries due before it; a pop is `Vec::pop`. A binary heap
+//!   moved each 40-byte entry log n times on the way in and again on the
+//!   way out, a quarter of a tiny simulation's time. Skipping the wheel
+//!   allocation (two Vec-of-Vecs plus bitmaps, ~128 KB of zeroed headers
+//!   per simulator) is the other half of the win; a congested dumbbell or
+//!   the open-loop service mode holds hundreds and belongs on the wheels.
+//!   The run and the wheels pop in the same `(at, seq)` order, so the
 //!   migration point is observationally invisible.
 //!
 //! Four invariants carry the determinism proof: every L1 bucket's entries
@@ -120,15 +125,17 @@ const INBOX_SPILL: usize = 64;
 /// of small simulations never reach the bound and stay allocation-free.
 const BUCKET_KEEP: usize = 64;
 /// Pending-entry threshold for leaving sparse mode: while fewer entries
-/// are pending the queue is a plain min-heap and the wheels stay
-/// unallocated. Crossing it allocates the wheels and drains the heap into
+/// are pending the queue is one sorted run and the wheels stay
+/// unallocated. Crossing it allocates the wheels and drains the run into
 /// them. The queue holds live events only — packets on the wire and one
 /// wake-up per armed timer — so a few flows on one path stay below it for
 /// their whole run, and anything that crosses it is a simulation the wheels
 /// are faster for. Measured end to end (DESIGN.md "Sparse start mode"):
 /// 16 and 64 tie, 256 and 1024 keep congested dumbbells and the open-loop
-/// service mode on a heap hundreds deep, 0 charges every tiny simulation
-/// for wheels it never fills.
+/// service mode on a store hundreds deep (a sorted run that long pays for
+/// its inserts: 128 and 256 re-measured at +3 to +7 % CPU on
+/// `dumbbell_figures` and +12 % on `weather_halfback`), 0 charges every
+/// tiny simulation for wheels it never fills.
 const SPARSE_LIMIT: usize = 64;
 
 #[inline]
@@ -220,12 +227,14 @@ pub(crate) struct EventQueue {
     /// Pops served from `inbox` so far: the always-on check that the wheel,
     /// not the heap, is doing the work.
     inbox_pops: u64,
-    /// Events beyond the L2 span. In sparse mode this heap holds *every*
-    /// pending entry.
+    /// Events beyond the L2 span. Empty in sparse mode.
     overflow: BinaryHeap<Reverse<EventEntry>>,
+    /// Sparse mode's only store: every pending entry, sorted latest-first
+    /// by `(at, seq)`, so the next one to pop is the last.
+    sparse_run: Vec<EventEntry>,
     /// Total entries in the queue.
     len: usize,
-    /// Still in sparse (heap-only) mode; the wheel Vecs are empty until the
+    /// Still in sparse (sorted-run) mode; the wheel Vecs are empty until the
     /// first [`SPARSE_LIMIT`] crossing densifies them. One-way.
     sparse: bool,
 }
@@ -245,6 +254,7 @@ impl EventQueue {
             inbox: BinaryHeap::new(),
             inbox_pops: 0,
             overflow: BinaryHeap::new(),
+            sparse_run: Vec::new(),
             len: 0,
             sparse: true,
         }
@@ -313,7 +323,11 @@ impl EventQueue {
         if self.sparse {
             if self.len < SPARSE_LIMIT {
                 self.len += 1;
-                self.overflow.push(Reverse(entry));
+                // From the tail: what is scheduled now is due soon, and the
+                // entries it has to pass are the few due sooner still.
+                let key = (entry.at, entry.seq);
+                let later = self.sparse_run.iter().rposition(|e| (e.at, e.seq) > key);
+                self.sparse_run.insert(later.map_or(0, |i| i + 1), entry);
                 return;
             }
             self.densify(now);
@@ -330,9 +344,9 @@ impl EventQueue {
 
     /// Leave sparse mode: allocate the wheels, anchor the cursor at the
     /// clock (the earliest pending entry may be a far timer, and later
-    /// pushes land between the clock and it), and drain the heap through
+    /// pushes land between the clock and it), and drain the run through
     /// the dense push path. Entries already counted in `len` keep their
-    /// count; order is unchanged because a heap and the wheels pop in the
+    /// count; order is unchanged because the run and the wheels pop in the
     /// same `(at, seq)` order.
     #[cold]
     fn densify(&mut self, now: SimTime) {
@@ -342,7 +356,7 @@ impl EventQueue {
         self.l2 = (0..N_L2).map(|_| Vec::new()).collect();
         self.l2_occupied = vec![0u64; N_L2 / 64];
         self.anchor(now);
-        for Reverse(e) in std::mem::take(&mut self.overflow).into_vec() {
+        for e in std::mem::take(&mut self.sparse_run) {
             self.push_dense(e);
         }
     }
@@ -534,7 +548,7 @@ impl EventQueue {
         let earlier = |a: Option<SimTime>, b: Option<SimTime>| a.into_iter().chain(b).min();
         let heap_at = |h: &BinaryHeap<Reverse<EventEntry>>| h.peek().map(|Reverse(e)| e.at);
         if self.sparse {
-            return heap_at(&self.overflow);
+            return self.sparse_run.last().map(|e| e.at);
         }
         // Run and inbox hold the cursor bucket's entries, every other L1
         // bucket is later, and L2/overflow are later than all of L1.
@@ -560,7 +574,7 @@ impl EventQueue {
     /// Remove and return the earliest entry.
     pub(crate) fn pop(&mut self) -> Option<EventEntry> {
         if self.sparse {
-            let e = self.overflow.pop().map(|Reverse(e)| e)?;
+            let e = self.sparse_run.pop()?;
             self.len -= 1;
             return Some(e);
         }
@@ -573,8 +587,8 @@ impl EventQueue {
     /// clock without landing behind the cursor.
     pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<EventEntry> {
         if self.sparse {
-            return match self.overflow.peek() {
-                Some(Reverse(head)) if head.at <= until => self.pop(),
+            return match self.sparse_run.last() {
+                Some(head) if head.at <= until => self.pop(),
                 _ => None,
             };
         }
@@ -867,6 +881,13 @@ mod tests {
         }
     }
 
+    /// A sparse push shifts whole entries and a dense bucket is sorted by
+    /// moving them: the entry stays five words.
+    #[test]
+    fn event_entry_keeps_its_size() {
+        assert!(std::mem::size_of::<EventEntry>() <= 40);
+    }
+
     #[test]
     #[ignore = "manual perf probe"]
     fn raw_throughput_probe() {
@@ -1033,6 +1054,10 @@ mod tests {
         }
         assert!(q.sparse);
         assert!(q.l1.is_empty(), "sparse queue must not allocate the wheels");
+        assert!(
+            q.overflow.is_empty(),
+            "the sorted run is sparse mode's one store"
+        );
         let mut prev = 0u64;
         while let Some(e) = q.pop() {
             assert!(e.at.as_nanos() >= prev);

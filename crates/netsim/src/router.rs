@@ -8,9 +8,10 @@ use std::any::Any;
 
 /// Routes packets by destination node id over a static table.
 ///
-/// Forwarding is output-queued: the router immediately offers the packet to
-/// the chosen output link, whose queue applies the configured discipline and
-/// buffer size. Unroutable packets are counted and dropped (a protocol bug
+/// Forwarding is output-queued: the router names the output link
+/// ([`Node::relay`]) and the engine offers the packet to it at once, in
+/// place; the link's queue applies the configured discipline and buffer
+/// size. Unroutable packets are delivered to the router, counted and dropped (a protocol bug
 /// in a scenario shows up as a non-zero [`Router::unroutable`] count rather
 /// than a panic deep inside a run).
 #[derive(Debug, Default)]
@@ -54,15 +55,18 @@ impl Router {
 }
 
 impl<P: Payload> Node<P> for Router {
+    fn relay(&mut self, pkt: &Packet<P>) -> Option<LinkId> {
+        let link = self.lookup(pkt.dst)?;
+        self.forwarded += 1;
+        Some(link)
+    }
+
+    /// Reached only by a packet [`Router::relay`] declined, or through a
+    /// wrapper that does not pass `relay` on.
     fn on_packet(&mut self, pkt: Packet<P>, ctx: &mut Ctx<'_, P>) {
-        match self.lookup(pkt.dst) {
-            Some(link) => {
-                self.forwarded += 1;
-                ctx.forward(link, pkt);
-            }
-            None => {
-                self.unroutable += 1;
-            }
+        match Node::<P>::relay(self, &pkt) {
+            Some(link) => ctx.forward(link, pkt),
+            None => self.unroutable += 1,
         }
     }
 

@@ -490,3 +490,94 @@ fn fault_runs_replay_from_seed_and_spec() {
         "fault draws must not perturb the engine RNG"
     );
 }
+
+/// A router hands a packet on where it is parked (`Node::relay`), so every
+/// way a hop can end has to release or pass on the one arena slot: a
+/// corrupted arrival is dropped at the router and never relayed, a packet
+/// with no route is delivered to the router and counted there, and one
+/// relayed into a link that is down is refused with its slot freed. Host —
+/// corrupting link — router — link with a down window — host, with the
+/// books of both links and the router balanced against the trace.
+#[test]
+fn router_hop_conserves_packets_and_slots() {
+    use netsim::router::Router;
+    use netsim::time::SimTime;
+    use netsim::{FaultSpec, NodeId};
+
+    let t = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+    let mut sim: Simulator<u32> = Simulator::new(0x0110);
+    let a = sim.add_node(Box::new(Count(0)));
+    let r = sim.add_node(Box::new(Router::new()));
+    let b = sim.add_node(Box::new(Count(0)));
+    let link = |src, dst, mbps, buf_pkts: u64| LinkSpec {
+        src,
+        dst,
+        rate: Rate::from_mbps(mbps),
+        delay: SimDuration::from_millis(2),
+        queue: Box::new(DropTail::new(buf_pkts * 1500)),
+        loss: LossModel::None,
+    };
+    // The first hop carries everything; the second is the bottleneck.
+    let first = sim.add_link(link(a, r, 1000, 1024));
+    let second = sim.add_link(link(r, b, 20, 3));
+    sim.set_link_faults(first, FaultSpec::none().with_corruption(0.25));
+    sim.set_link_faults(second, FaultSpec::none().down_window(t(60), t(140)));
+    sim.node_as_mut::<Router>(r).unwrap().add_route(b, second);
+
+    // [deliver at r, deliver at b, corrupt-drop at r, fault-drop, queue-drop]
+    let counts = Rc::new(RefCell::new([0u64; 5]));
+    let c2 = counts.clone();
+    sim.set_tracer(Box::new(move |_, ev| {
+        let i = match *ev {
+            TraceEvent::Deliver { node, .. } if node == r => 0,
+            TraceEvent::Deliver { node, .. } if node == b => 1,
+            TraceEvent::CorruptDrop { node, .. } if node == r => 2,
+            TraceEvent::FaultDrop { link, .. } if link == second => 3,
+            TraceEvent::QueueDrop { link, .. } if link == second => 4,
+            TraceEvent::TxStart { .. } => return,
+            ref other => panic!("unexpected {other:?}"),
+        };
+        c2.borrow_mut()[i] += 1;
+    }));
+
+    let mut rng = SimRng::new(0xD0_0F);
+    let mut sent = 0u64;
+    for i in 0..400u64 {
+        // Every eighth packet is for a node the router has no route to.
+        let dst = if i % 8 == 7 { NodeId(99) } else { b };
+        for _ in 0..1 + rng.index(3) {
+            sim.core()
+                .send_on(first, Packet::new(FlowId(i), a, dst, 1500, 0u32));
+            sent += 1;
+        }
+        let until = sim.now() + SimDuration::from_micros(rng.index(1_500) as u64);
+        sim.run_until(until);
+    }
+    sim.run_to_completion(sent * 10);
+
+    let [at_router, at_b, corrupt, fault_dropped, queue_dropped] = *counts.borrow();
+    let (hop1, hop2) = (sim.link_stats(first), sim.link_stats(second));
+    let corrupt_at_nodes = sim.core().corrupt_dropped();
+    let router = sim.node_as::<Router>(r).unwrap();
+    assert!(corrupt > 0 && fault_dropped > 0 && queue_dropped > 0 && router.unroutable() > 0);
+    // First hop: everything sent arrived at the router, intact or not.
+    assert_eq!(hop1.tx_packets, sent);
+    assert_eq!((hop1.delivered, hop1.corrupt_dropped), (at_router, corrupt));
+    assert_eq!(at_router + corrupt, sent);
+    assert_eq!(corrupt_at_nodes, corrupt);
+    // The router: every intact arrival was relayed or had no route; no
+    // corrupted one was.
+    assert_eq!(router.forwarded() + router.unroutable(), at_router);
+    assert_eq!(hop2.offered, router.forwarded());
+    // Second hop: refused while down, dropped by the queue, or delivered.
+    assert_eq!(hop2.down_dropped, fault_dropped);
+    assert_eq!(sim.queue_stats(second).dropped, queue_dropped);
+    assert_eq!(
+        fault_dropped + queue_dropped + hop2.tx_packets,
+        hop2.offered
+    );
+    assert_eq!((hop2.delivered, at_b), (hop2.tx_packets, hop2.tx_packets));
+    assert_eq!(sim.node_as::<Count>(b).unwrap().0, at_b);
+    // No slot outlived its packet.
+    sim.assert_drained();
+}

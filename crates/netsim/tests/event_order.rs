@@ -71,8 +71,8 @@ const DELTAS: [u64; 10] = [
     3_000_000_000_000,
 ];
 
-/// `prefill` timers are scheduled before the first op: the queue is a plain
-/// heap until 64 entries are pending, so a prefilled run is on the wheels
+/// `prefill` timers are scheduled before the first op: the queue is one
+/// sorted run until 64 entries are pending, so a prefilled run is on the wheels
 /// from its first op and the other one crosses over with the clock running.
 fn run_workload(seed: u64, ops: usize, prefill: usize) {
     let mut sim: Simulator<u32> = Simulator::new(1);
@@ -416,4 +416,104 @@ fn restart_workload(seed: u64, ops: usize, prefill: usize) {
         "seed {seed}: fire order, ids or tokens diverged from the sorted-list model"
     );
     assert_eq!(sim.core().live_timer_count(), 0);
+}
+
+/// Below 64 pending events the queue is one run sorted latest-first: a push
+/// scans back from the tail, a pop takes the last entry. Everything that can
+/// go wrong there is an insertion position: among entries due at the same
+/// instant (arming order breaks the tie), behind a far timer that was
+/// pushed first and sits at the front, at either end of the run, and across
+/// the hand-over to the wheels when a burst takes the population over 64
+/// while entries are being popped. A sorted list says what must fire, and
+/// `next_event_time`, `run_until` and a snapshot's drain-and-refill have to
+/// agree with it at every step.
+#[test]
+fn sparse_run_matches_reference_sort() {
+    use netsim::snap::SnapWriter;
+
+    for (seed, ceiling) in [(5u64, 40usize), (77, 60), (0xB0A7, 200), (31_337, 200)] {
+        let mut sim: Simulator<u32> = Simulator::new(1);
+        let node = sim.add_node(Box::new(Recorder::default()));
+        let mut rng = seed;
+        // Pending `(at, token)`; tokens are handed out in arming order, so
+        // sorting this is sorting by the engine's `(at, seq)`.
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let mut fired: Vec<(u64, u64)> = Vec::new();
+        let mut token = 0u64;
+        let mut arm = |sim: &mut Simulator<u32>, pending: &mut Vec<(u64, u64)>, at: u64| {
+            sim.core()
+                .set_timer_at(node, SimTime::from_nanos(at), token);
+            pending.push((at, token));
+            pending.sort_unstable();
+            token += 1;
+        };
+        // The far timer goes in first: every later push has to stop behind it.
+        arm(&mut sim, &mut pending, 1_000_000_000);
+
+        for _ in 0..6_000 {
+            let now = sim.now().as_nanos();
+            let room = pending.len() < ceiling;
+            match lcg(&mut rng) % 10 {
+                // At the clock: the tail of the run.
+                0 if room => arm(&mut sim, &mut pending, now),
+                // Later than everything pending: the front of the run.
+                1 if room => {
+                    let last = pending.last().map_or(now, |e| e.0);
+                    arm(&mut sim, &mut pending, last + lcg(&mut rng) % 50_000);
+                }
+                // The instant of an entry already pending: a tie.
+                2 | 3 if room && !pending.is_empty() => {
+                    let tie = pending[(lcg(&mut rng) % pending.len() as u64) as usize].0;
+                    arm(&mut sim, &mut pending, tie);
+                }
+                // Somewhere in the near future.
+                4 | 5 if room => arm(&mut sim, &mut pending, now + lcg(&mut rng) % 300_000),
+                // A burst, which at the higher ceilings crosses 64 pending
+                // with earlier entries already popped.
+                6 if room => {
+                    for _ in 0..lcg(&mut rng) % 30 {
+                        arm(&mut sim, &mut pending, now + lcg(&mut rng) % 2_000_000);
+                    }
+                }
+                // A bounded run to a horizon between, at or past entries.
+                7 => {
+                    let until = match lcg(&mut rng) % 3 {
+                        0 => now + lcg(&mut rng) % 100_000,
+                        1 => pending.first().map_or(now, |e| e.0),
+                        _ => pending.get(pending.len() / 2).map_or(now, |e| e.0 + 1),
+                    };
+                    sim.run_until(SimTime::from_nanos(until));
+                    assert_eq!(sim.now().as_nanos(), until);
+                    let due = pending.partition_point(|e| e.0 <= until);
+                    fired.extend(pending.drain(..due));
+                }
+                // A snapshot drains the queue in order and pushes it back.
+                8 => {
+                    let mut w = SnapWriter::new();
+                    sim.save_snapshot(&mut w)
+                        .expect("timers only: nothing to refuse");
+                }
+                _ => {
+                    for _ in 0..1 + lcg(&mut rng) % 5 {
+                        if sim.step() {
+                            fired.push(pending.remove(0));
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                sim.next_event_time().map(|t| t.as_nanos()),
+                pending.first().map(|e| e.0),
+                "seed {seed}: head of the queue"
+            );
+            assert_eq!(sim.core().pending_events(), pending.len(), "seed {seed}");
+        }
+        sim.run_to_completion(100_000);
+        fired.append(&mut pending);
+        let rec = sim.node_as::<Recorder>(node).expect("recorder node");
+        assert!(
+            rec.fired == fired,
+            "seed {seed}: firing order diverged from the sorted list"
+        );
+    }
 }

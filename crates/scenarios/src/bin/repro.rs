@@ -57,6 +57,7 @@ use scenarios::weather::{self, WeatherConfig, WeatherRunOptions};
 use scenarios::{harness, Protocol, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use workload::MAX_OVERLOAD_UTILIZATION;
 
 /// Resident set size in MB (Linux; `None` elsewhere).
 fn rss_mb() -> Option<f64> {
@@ -357,10 +358,13 @@ fn weather_main(args: Vec<String>) -> ExitCode {
                 }
             },
             "--utilization" | "-u" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(u) if u > 0.0 => cfg.utilization = u,
+                Some(u) if u > 0.0 && u <= MAX_OVERLOAD_UTILIZATION => cfg.utilization = u,
                 _ => {
-                    eprintln!("--utilization needs a positive fraction");
-                    return ExitCode::FAILURE;
+                    eprintln!(
+                        "--utilization needs a fraction in (0, {MAX_OVERLOAD_UTILIZATION}] \
+                         (0.4 = 40 % of the bottleneck; above 1 is deliberate overload)"
+                    );
+                    return ExitCode::from(2);
                 }
             },
             "--hours" => match it.next().and_then(|n| n.parse::<f64>().ok()) {

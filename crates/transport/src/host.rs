@@ -15,10 +15,11 @@ use crate::trace::{DeliveryTimelines, FlightRecorder, FlowEvent};
 use crate::wire::Header;
 use netsim::engine::EngineCore;
 use netsim::node::{Node, TimerId};
-use netsim::snap::{SnapError, SnapReader, SnapWriter};
+use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use netsim::{Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -100,11 +101,130 @@ impl HostCore {
     }
 }
 
+/// A host's connections of one kind. A connection is built in a slot of the
+/// slab, used there and dropped there; the flow-id index holds slot numbers,
+/// so they are all that a rehash, a lookup or a reap moves. (Keyed by flow
+/// directly, the map moved half a kilobyte per sender in and out again.)
+struct ConnTable<T> {
+    index: FastMap<FlowId, u32>,
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for ConnTable<T> {
+    fn default() -> Self {
+        ConnTable {
+            index: FastMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> ConnTable<T> {
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn slot(&self, i: u32) -> &T {
+        self.slots[i as usize]
+            .as_ref()
+            .expect("an indexed slot holds a connection")
+    }
+
+    fn slot_mut(&mut self, i: u32) -> &mut T {
+        self.slots[i as usize]
+            .as_mut()
+            .expect("an indexed slot holds a connection")
+    }
+
+    fn get(&self, flow: FlowId) -> Option<&T> {
+        self.index.get(&flow).map(|&i| self.slot(i))
+    }
+
+    fn get_mut(&mut self, flow: FlowId) -> Option<&mut T> {
+        let &i = self.index.get(&flow)?;
+        Some(self.slot_mut(i))
+    }
+
+    /// The connection of `flow`, made by `make` if it has none.
+    fn get_or_insert_with(&mut self, flow: FlowId, make: impl FnOnce() -> T) -> &mut T {
+        let i = match self.index.entry(flow) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let i = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(None);
+                    (self.slots.len() - 1) as u32
+                });
+                self.slots[i as usize] = Some(make());
+                *e.insert(i)
+            }
+        };
+        self.slot_mut(i)
+    }
+
+    fn remove(&mut self, flow: FlowId) {
+        if let Some(i) = self.index.remove(&flow) {
+            self.slots[i as usize] = None;
+            self.free.push(i);
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        self.index.retain(|_, &mut i| {
+            let slot = &mut slots[i as usize];
+            let kept = slot.as_ref().is_some_and(&mut keep);
+            if !kept {
+                *slot = None;
+                free.push(i);
+            }
+            kept
+        });
+    }
+
+    /// Slot order: whatever order flows came and went in.
+    fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
+    /// Ascending flow id, the order a checkpoint lists connections in.
+    fn sorted(&self) -> Vec<(FlowId, &T)> {
+        let mut entries: Vec<_> = self
+            .index
+            .iter()
+            .map(|(&f, &i)| (f, self.slot(i)))
+            .collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        entries
+    }
+}
+
+/// Travels as the flow-keyed map it replaced.
+impl<T: Snap> Snap for ConnTable<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        let entries = self.sorted();
+        w.seq_len(entries.len());
+        for (flow, conn) in entries {
+            w.put(&flow);
+            w.put(conn);
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut table = ConnTable::default();
+        for _ in 0..r.seq_len()? {
+            let (flow, conn) = (r.get()?, r.get()?);
+            table.get_or_insert_with(flow, || conn);
+        }
+        Ok(table)
+    }
+}
+
 /// A simulator node hosting transport senders and receivers.
 pub struct Host {
     core: HostCore,
-    senders: FastMap<FlowId, SenderConn>,
-    receivers: FastMap<FlowId, ReceiverConn>,
+    senders: ConnTable<SenderConn>,
+    receivers: ConnTable<ReceiverConn>,
     /// When set, receiver endpoints record delivered bytes into per-flow
     /// timelines (the Fig. 15 throughput traces). The final partial bin is
     /// closed at the flow-completion instant.
@@ -146,8 +266,8 @@ impl Host {
                 bus: None,
                 recorder: None,
             },
-            senders: FastMap::default(),
-            receivers: FastMap::default(),
+            senders: ConnTable::default(),
+            receivers: ConnTable::default(),
             timelines: None,
             min_rto: None,
             log_arrivals: false,
@@ -198,7 +318,7 @@ impl Host {
     pub fn reap_receivers(&mut self, before: SimTime) -> usize {
         let n = self.receivers.len();
         self.receivers
-            .retain(|_, c| c.complete_at.is_none_or(|t| t >= before));
+            .retain(|c| c.complete_at.is_none_or(|t| t >= before));
         n - self.receivers.len()
     }
 
@@ -229,7 +349,7 @@ impl Host {
 
     /// Receiver-side connection state for a flow, if any.
     pub fn receiver(&self, flow: FlowId) -> Option<&ReceiverConn> {
-        self.receivers.get(&flow)
+        self.receivers.get(flow)
     }
 
     /// All receiver connections.
@@ -239,7 +359,7 @@ impl Host {
 
     /// Sender connection for a flow still in progress, if any.
     pub fn sender(&self, flow: FlowId) -> Option<&SenderConn> {
-        self.senders.get(&flow)
+        self.senders.get(flow)
     }
 
     /// All in-progress sender connections.
@@ -266,29 +386,26 @@ impl Host {
             self.core.node != NodeId(u32::MAX),
             "host must be wired to the topology before starting flows"
         );
-        assert!(
-            !self.senders.contains_key(&flow),
-            "duplicate flow id {flow}"
-        );
-        let mut conn =
-            SenderConn::new(flow, self.core.node, dst, self.core.egress, bytes, strategy);
+        assert!(self.senders.get(flow).is_none(), "duplicate flow id {flow}");
+        let (node, egress) = (self.core.node, self.core.egress);
+        let conn = self.senders.get_or_insert_with(flow, || {
+            SenderConn::new(flow, node, dst, egress, bytes, strategy)
+        });
         if let Some(floor) = self.min_rto {
             conn.set_min_rto(floor);
         }
         conn.start(&mut self.core, core);
-        self.senders.insert(flow, conn);
     }
 
     fn dispatch_sender<F>(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Header>, f: F)
     where
         F: FnOnce(&mut SenderConn, &mut HostCore, &mut Ctx<'_, Header>),
     {
-        // In place (`senders` and `core` are disjoint fields): a connection
-        // is ~0.5 KB, too much to move out of the map and back per ACK.
-        if let Some(conn) = self.senders.get_mut(&flow) {
+        // In place (`senders` and `core` are disjoint fields).
+        if let Some(conn) = self.senders.get_mut(flow) {
             f(conn, &mut self.core, ctx);
             if conn.is_done() {
-                self.senders.remove(&flow);
+                self.senders.remove(flow);
             }
         }
     }
@@ -319,13 +436,12 @@ impl Host {
         w.put(&self.core.node);
         w.put(&self.core.egress);
         self.save_overlay(w);
-        // Senders cannot go through the map codec (each load needs its
-        // strategy built first), but they keep its ascending key order.
-        let mut senders: Vec<&SenderConn> = self.senders.values().collect();
-        senders.sort_unstable_by_key(|c| c.flow());
+        // Senders cannot go through the table codec (each load needs its
+        // strategy built first), but they keep its layout.
+        let senders = self.senders.sorted();
         w.seq_len(senders.len());
-        for conn in senders {
-            w.put(&conn.flow());
+        for (flow, conn) in senders {
+            w.put(&flow);
             conn.save(w);
         }
     }
@@ -352,7 +468,7 @@ impl Host {
         r: &mut SnapReader<'_>,
         make_strategy: &mut dyn FnMut(FlowId) -> Box<dyn Strategy>,
     ) -> Result<(), SnapError> {
-        if self.core.next_token != 0 || !self.senders.is_empty() || !self.receivers.is_empty() {
+        if self.core.next_token != 0 || self.senders.len() + self.receivers.len() != 0 {
             return Err(SnapError::Unsupported(
                 "restore target host must be freshly built (no flows started)".into(),
             ));
@@ -370,7 +486,7 @@ impl Host {
         for _ in 0..r.seq_len()? {
             let flow = r.get()?;
             let conn = SenderConn::load(r, make_strategy(flow))?;
-            self.senders.insert(flow, conn);
+            self.senders.get_or_insert_with(flow, || conn);
         }
         Ok(())
     }
@@ -382,7 +498,7 @@ impl Node<Header> for Host {
         match pkt.payload {
             Header::Syn { flow_bytes } => {
                 let log_arrivals = self.log_arrivals;
-                let conn = self.receivers.entry(flow).or_insert_with(|| {
+                let conn = self.receivers.get_or_insert_with(flow, || {
                     let mut c =
                         ReceiverConn::new(flow, self.core.node, pkt.src, flow_bytes, ctx.now());
                     if log_arrivals {
@@ -396,7 +512,7 @@ impl Node<Header> for Host {
             Header::SynAck { window } => {
                 self.dispatch_sender(flow, ctx, |c, sh, ctx| c.handle_syn_ack(sh, ctx, window));
             }
-            Header::Data(ref hdr) => match self.receivers.get_mut(&flow) {
+            Header::Data(ref hdr) => match self.receivers.get_mut(flow) {
                 Some(conn) => {
                     let before = conn.delivered_bytes;
                     let reply = conn.on_data(hdr, pkt.sent_at, ctx.now());
@@ -440,7 +556,7 @@ impl Node<Header> for Host {
             Header::Ack(ref ack) => {
                 let before = if self.check_invariants {
                     self.senders
-                        .get(&flow)
+                        .get(flow)
                         .map(|c| (c.cum_ack(), c.total_segs()))
                 } else {
                     None
@@ -449,7 +565,7 @@ impl Node<Header> for Host {
                 if let Some((before, total_segs)) = before {
                     // A finished flow is removed from the map; its final
                     // cumulative ACK equals the flow length by construction.
-                    if let Some(after) = self.senders.get(&flow).map(|c| c.cum_ack()) {
+                    if let Some(after) = self.senders.get(flow).map(|c| c.cum_ack()) {
                         if after < before {
                             self.breach(format!(
                                 "flow {flow}: cumulative ACK moved backwards ({before} -> {after})"
@@ -463,7 +579,7 @@ impl Node<Header> for Host {
                     }
                 }
             }
-            Header::Probe(ref ph) => match self.receivers.get_mut(&flow) {
+            Header::Probe(ref ph) => match self.receivers.get_mut(flow) {
                 Some(conn) => {
                     let reply = conn.on_probe(ph, pkt.sent_at, ctx.now());
                     ctx.send(self.core.egress, reply);
@@ -531,6 +647,17 @@ mod tests {
             self.reno.on_rto(ops);
         }
         netsim::snap_fields!(fn save_state, load_state { reno });
+    }
+
+    /// What a packet in the arena and a connection in its slot cost, so that
+    /// growth is a decision: every hop reads the first, every flow builds
+    /// and drops the other two.
+    #[test]
+    fn hot_types_keep_their_size() {
+        use std::mem::size_of;
+        assert!(size_of::<Packet<Header>>() <= 104);
+        assert!(size_of::<SenderConn>() <= 600);
+        assert!(size_of::<ReceiverConn>() <= 144);
     }
 
     /// One generic round-trip over every transport type a checkpoint

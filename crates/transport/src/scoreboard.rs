@@ -10,9 +10,70 @@
 
 use crate::rangeset::RangeSet;
 use crate::wire::{seg_payload_bytes, AckHeader, SegId};
+use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use std::ops::{Deref, DerefMut};
 
 /// Duplicate-ACK (SACK-count) threshold for loss detection.
 pub const DUP_THRESH: u64 = 3;
+
+/// One byte per segment, inside the scoreboard itself for a flow of at most
+/// [`Scoreboard::INLINE_SEGS`] segments and on the heap for a longer one.
+/// Most flows are a few segments long, and the array was their scoreboard's
+/// one unconditional allocation.
+#[derive(Debug, Clone)]
+enum PerSeg {
+    Inline {
+        len: u8,
+        slots: [u8; Scoreboard::INLINE_SEGS],
+    },
+    Heap(Vec<u8>),
+}
+
+impl PerSeg {
+    fn zeroed(len: usize) -> Self {
+        if len <= Scoreboard::INLINE_SEGS {
+            PerSeg::Inline {
+                len: len as u8,
+                slots: [0; Scoreboard::INLINE_SEGS],
+            }
+        } else {
+            PerSeg::Heap(vec![0; len])
+        }
+    }
+}
+
+impl Deref for PerSeg {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            PerSeg::Inline { len, slots } => &slots[..*len as usize],
+            PerSeg::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for PerSeg {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self {
+            PerSeg::Inline { len, slots } => &mut slots[..*len as usize],
+            PerSeg::Heap(v) => v,
+        }
+    }
+}
+
+/// Travels as the `Vec<u8>` it used to be.
+impl Snap for PerSeg {
+    fn save(&self, w: &mut SnapWriter) {
+        w.seq_len(self.len());
+        self.iter().for_each(|x| w.put(x));
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let bytes: Vec<u8> = r.get()?;
+        let mut per_seg = PerSeg::zeroed(bytes.len());
+        per_seg.copy_from_slice(&bytes);
+        Ok(per_seg)
+    }
+}
 
 /// What an incoming ACK changed.
 #[derive(Debug, Clone, Default)]
@@ -39,7 +100,7 @@ pub struct Scoreboard {
     /// Segments currently deemed lost (unacked, DupThresh exceeded or RTO).
     lost: RangeSet,
     /// Copies of each segment currently presumed in flight.
-    outstanding: Vec<u8>,
+    outstanding: PerSeg,
     /// Whether each segment has ever been transmitted.
     sent_once: RangeSet,
     /// Segments transmitted more than once. The DupThresh rule must not
@@ -66,7 +127,8 @@ pub struct Scoreboard {
     /// Monotonic count of segments ever newly SACKed (never decreases,
     /// unlike the pruned `sacked` set).
     total_sacked_ever: u64,
-    /// `total_sacked_ever` at each segment's most recent transmission.
+    /// `total_sacked_ever` at each segment's most recent transmission. Only
+    /// naive re-marking reads it; empty without.
     sacked_at_tx: Vec<u64>,
     /// Reused gap buffer for `on_ack`'s SACK-block walk (amortizes the
     /// per-ACK allocation away).
@@ -91,29 +153,35 @@ netsim::snap_struct!(Scoreboard {
 });
 
 impl Scoreboard {
+    /// The longest flow, in segments, whose per-segment state lives inside
+    /// the scoreboard: with its length and the enum's tag the inline array
+    /// is four words, one more than the `Vec` header it stands in for.
+    pub const INLINE_SEGS: usize = 30;
+
     /// New scoreboard for a flow of `total_bytes` split into `total_segs`.
-    pub fn new(total_bytes: u64, total_segs: u32) -> Self {
+    /// `naive_remarking` gives every retransmission of a segment its own
+    /// DupThresh chance (JumpStart's fallback stack; see the field docs).
+    pub fn new(total_bytes: u64, total_segs: u32, naive_remarking: bool) -> Self {
         Scoreboard {
             total_bytes,
             total_segs,
             cum: 0,
             sacked: RangeSet::new(),
             lost: RangeSet::new(),
-            outstanding: vec![0; total_segs as usize],
+            outstanding: PerSeg::zeroed(total_segs as usize),
             sent_once: RangeSet::new(),
             retransmitted: RangeSet::new(),
             pipe_bytes: 0,
             high_sent: 0,
-            naive_remarking: false,
+            naive_remarking,
             total_sacked_ever: 0,
-            sacked_at_tx: vec![0; total_segs as usize],
+            sacked_at_tx: if naive_remarking {
+                vec![0; total_segs as usize]
+            } else {
+                Vec::new()
+            },
             sack_gap_scratch: Vec::new(),
         }
-    }
-
-    /// Enable naive loss re-marking (see the field docs); used by JumpStart.
-    pub fn set_naive_remarking(&mut self, naive: bool) {
-        self.naive_remarking = naive;
     }
 
     /// Total segments in the flow.
@@ -228,7 +296,9 @@ impl Scoreboard {
             self.retransmitted.insert(seg);
         }
         self.sent_once.insert(seg);
-        self.sacked_at_tx[seg as usize] = self.total_sacked_ever;
+        if self.naive_remarking {
+            self.sacked_at_tx[seg as usize] = self.total_sacked_ever;
+        }
         self.high_sent = self.high_sent.max(seg + 1);
         let o = &mut self.outstanding[seg as usize];
         *o = o.saturating_add(1);
@@ -440,7 +510,7 @@ mod tests {
     }
 
     fn board(n: u32) -> Scoreboard {
-        Scoreboard::new(n as u64 * MSS as u64, n)
+        Scoreboard::new(n as u64 * MSS as u64, n, false)
     }
 
     #[test]
@@ -557,7 +627,7 @@ mod tests {
     #[test]
     fn last_segment_partial_bytes() {
         let total = MSS as u64 + 500;
-        let mut b = Scoreboard::new(total, 2);
+        let mut b = Scoreboard::new(total, 2, false);
         b.on_transmit(0);
         b.on_transmit(1);
         assert_eq!(b.pipe_bytes(), total);

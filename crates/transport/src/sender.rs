@@ -470,8 +470,7 @@ impl SenderConn {
         assert!(bytes > 0, "flows must carry at least one byte");
         let segs = segment_count(bytes);
         let proto_name = strategy.name();
-        let mut board = Scoreboard::new(bytes, segs);
-        board.set_naive_remarking(strategy.naive_loss_remarking());
+        let board = Scoreboard::new(bytes, segs, strategy.naive_loss_remarking());
         SenderConn {
             state: SenderState {
                 flow,

@@ -93,7 +93,7 @@ fn coverage_fingerprint(b: &Scoreboard) -> (SegId, Vec<bool>, u64, bool) {
 fn scoreboard_duplicate_acks_are_noops() {
     let mut rng = SimRng::new(0xD0_D0);
     for case in 0..256 {
-        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS);
+        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS, false);
         for s in 0..SEGS {
             b.on_transmit(s);
         }
@@ -159,7 +159,7 @@ fn scoreboard_reordered_ack_stream_converges() {
         }
 
         let run = |acks: &[AckHeader]| {
-            let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS);
+            let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS, false);
             for s in 0..SEGS {
                 b.on_transmit(s);
             }

@@ -238,3 +238,60 @@ fn no_timer_leak_under_heavy_loss() {
         4
     );
 }
+
+#[test]
+fn late_retransmit_for_a_reaped_flow_is_stray() {
+    // Connections live in slots that are reused, found through a flow-id
+    // index. A reaped receiver's slot goes to the next flow; a retransmit
+    // of the reaped flow that is still in the network must find no
+    // receiver, not the new tenant of its slot.
+    let spec = PathSpec::clean(Rate::from_mbps(50), SimDuration::from_millis(20));
+    let (mut sim, net) = rig(&spec, 7);
+    let start = |sim: &mut TransportSim, flow: u64| {
+        sim.with_node_mut::<Host, _>(net.sender, |h, core| {
+            h.start_flow(
+                core,
+                FlowId(flow),
+                net.receiver,
+                30_000,
+                Box::new(MiniTcp::new()),
+            )
+        });
+    };
+    start(&mut sim, 1);
+    sim.run_to_completion(1_000_000);
+    let reaped = sim
+        .with_node_mut::<Host, _>(net.receiver, |h, core| h.reap_receivers(core.now()))
+        .unwrap();
+    assert_eq!(reaped, 1);
+
+    // Flow 2 is mid-transfer, in the slot flow 1 left, when a copy of flow
+    // 1's first segment turns up.
+    start(&mut sim, 2);
+    let mid = sim.now() + SimDuration::from_millis(70);
+    sim.run_until(mid);
+    let host = sim.node_as::<Host>(net.receiver).unwrap();
+    assert!(host.receiver(FlowId(1)).is_none());
+    assert_eq!(host.receivers().count(), 1);
+    let before = host.receiver(FlowId(2)).expect("flow 2 is up").data_packets;
+    assert!(before > 0);
+    let late = netsim::Packet::new(
+        FlowId(1),
+        net.sender,
+        net.receiver,
+        1500,
+        transport::Header::Data(transport::wire::DataHeader {
+            seg: 0,
+            class: SendClass::RtoRetx,
+        }),
+    );
+    sim.core().send_on(net.forward, late);
+    sim.run_to_completion(1_000_000);
+
+    let host = sim.node_as::<Host>(net.receiver).unwrap();
+    assert_eq!(host.stray_packets, 1);
+    let conn = host.receiver(FlowId(2)).unwrap();
+    assert_eq!((conn.delivered_bytes, conn.dup_segments), (30_000, 0));
+    let sent = &sim.node_as::<Host>(net.sender).unwrap().completed()[1];
+    assert_eq!(conn.data_packets, sent.counters.data_packets_sent);
+}

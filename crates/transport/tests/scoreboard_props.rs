@@ -52,7 +52,7 @@ fn scoreboard_matches_reference() {
     for case in 0..256 {
         let n_ops = 1 + rng.index(119);
         let ops: Vec<Op> = (0..n_ops).map(|_| random_op(&mut rng)).collect();
-        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS);
+        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS, false);
         let mut m = Model::default();
 
         for op in &ops {
@@ -142,7 +142,7 @@ fn rto_invariants() {
         let cum = rng.index(SEGS as usize) as u32;
         let sack_start = rng.index(SEGS as usize) as u32;
         let sack_len = 1 + rng.index(7) as u32;
-        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS);
+        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS, false);
         for &t in &txs {
             b.on_transmit(t);
         }
@@ -198,7 +198,7 @@ fn acked_bytes_monotone() {
                 )
             })
             .collect();
-        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS);
+        let mut b = Scoreboard::new(SEGS as u64 * MSS as u64, SEGS, false);
         for s in 0..SEGS {
             b.on_transmit(s);
         }
@@ -225,4 +225,108 @@ fn acked_bytes_monotone() {
             last = now;
         }
     }
+}
+
+/// A scoreboard keeps its per-segment state inside itself up to
+/// `INLINE_SEGS` segments and on the heap beyond: the two must be the same
+/// scoreboard. Flows one segment either side of the boundary take the same
+/// transmit/ACK/SACK stream (confined to the segments both have) and must
+/// report identical outcomes; each is checkpointed half way, and the
+/// restored copy must go on to the same outcomes and the same final bytes.
+/// With and without naive re-marking, which adds the second per-segment
+/// array.
+#[test]
+fn inline_and_heap_scoreboards_agree_at_the_boundary() {
+    use netsim::snap::{assert_roundtrip, SnapWriter};
+    use transport::scoreboard::AckOutcome;
+
+    const N: u32 = Scoreboard::INLINE_SEGS as u32;
+    let key = |o: &AckOutcome| {
+        (
+            o.cum_advanced,
+            o.newly_acked_bytes,
+            o.newly_lost.clone(),
+            o.is_duplicate,
+        )
+    };
+    let bytes = |b: &Scoreboard| {
+        let mut w = SnapWriter::new();
+        w.put(b);
+        w.into_bytes()
+    };
+    let mut rng = SimRng::new(0x1A_11E);
+    let mut marked_lost = 0;
+    for case in 0..128 {
+        let naive = case % 2 == 1;
+        // Ops over segments 0..N-1, so the last segment of either flow (a
+        // short one in neither: sizes are whole segments) stays untouched.
+        let ops: Vec<(bool, u32, u32, u32)> = (0..200)
+            .map(|_| {
+                (
+                    rng.chance(0.5),
+                    rng.index(N as usize - 1) as u32,
+                    rng.index(N as usize - 1) as u32,
+                    1 + rng.index(4) as u32,
+                )
+            })
+            .collect();
+        let mut outcomes: Vec<Vec<_>> = Vec::new();
+        for segs in [N, N + 1] {
+            let mut live = Scoreboard::new(segs as u64 * MSS as u64, segs, naive);
+            let mut restored: Option<Scoreboard> = None;
+            let mut seen = Vec::new();
+            let mut cum = 0u32;
+            for (i, &(tx, seg, sack_start, sack_len)) in ops.iter().enumerate() {
+                if i == ops.len() / 2 {
+                    restored = Some(assert_roundtrip(&live));
+                }
+                let mut boards: Vec<&mut Scoreboard> = vec![&mut live];
+                boards.extend(restored.as_mut());
+                if tx {
+                    if !boards[0].is_covered(seg) {
+                        boards.iter_mut().for_each(|b| b.on_transmit(seg));
+                    }
+                    continue;
+                }
+                // ACK streams never regress, cover only what was sent, and
+                // creep, so that holes stay open long enough to be marked.
+                cum = (cum + seg % 2).min(boards[0].high_sent()).max(cum);
+                let end = (sack_start + sack_len).min(N - 1);
+                let ranges = if sack_start < end {
+                    vec![(sack_start, end)]
+                } else {
+                    vec![]
+                };
+                let ack = AckHeader {
+                    cum,
+                    sack: SackBlocks::from_ranges(&ranges),
+                    for_seg: cum,
+                    echo_tx_time: netsim::SimTime::ZERO,
+                    window: 141_000,
+                };
+                let got: Vec<_> = boards.iter_mut().map(|b| key(&b.on_ack(&ack))).collect();
+                assert!(
+                    got.iter().all(|g| *g == got[0]),
+                    "case {case}, {segs} segments: the restored copy diverged at op {i}"
+                );
+                seen.push(got[0].clone());
+            }
+            let restored = restored.expect("checkpointed half way");
+            assert!(
+                bytes(&live) == bytes(&restored),
+                "case {case}, {segs} segments: final snapshot bytes"
+            );
+            outcomes.push(seen);
+        }
+        assert!(
+            outcomes[0] == outcomes[1],
+            "case {case}: {N} segments inline and {} on the heap disagree",
+            N + 1
+        );
+        marked_lost += outcomes[0].iter().filter(|o| !o.2.is_empty()).count();
+    }
+    assert!(
+        marked_lost > 128,
+        "corpus too tame: {marked_lost} loss marks"
+    );
 }

@@ -14,6 +14,7 @@
 //! | JumpStart | [`jumpstart`] | whole flow paced in 1 RTT, bursty reactive retx (\[25\]) |
 //! | PCP | [`pcp`] | packet-train probing, rate-paced transfer (\[7\]) |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod jumpstart;

@@ -44,8 +44,8 @@ impl Node<u32> for Hold {
                 .lcg
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            // Offsets up to ~1 ms straddle the calendar-queue horizon in
-            // both directions (near-bucket and overflow paths).
+            // Offsets up to ~1 ms: the bucket being consumed and the next
+            // seven.
             let delta = (self.lcg >> 33) % 1_000_000 + 1;
             c.set_timer(SimDuration::from_nanos(delta), 0);
         }
@@ -159,19 +159,21 @@ fn event_queue(c: &mut Bench) {
         sim.run_to_completion(20_000_000);
         black_box(sim.events_processed());
     });
-    // 60 s spread: every event lands far beyond the L1 segment (~537 ms),
-    // parks in the second-level wheel, and cascades into L1 as the cursor
-    // crosses segments — the far-future path that used to live on the
-    // overflow heap.
+    // 60 s spread, all scheduled before the first pop: everything past the
+    // ring's one turn (~134 ms) waits in the far heap, so this times a
+    // 1e6-entry binary heap plus one admission per entry. No scenario has
+    // the shape — a flow's one far event is its RTO — and the line is here
+    // so that it gets no slower, not because it is fast.
     g.bench_function("far_schedule_fire_1e6", || {
         schedule_drain(1_000_000, 60_000_000_000, 0);
     });
     // The short-flow regime's shape: a start-up burst drains, a handshake
     // timer 1 s out is all that is pending, `run_until` stops in the idle
     // gap before it, and 1e6 events are scheduled from the clamped clock —
-    // all earlier than that timer. If looking for the next event ever
-    // carries the wheel cursor to the timer again, every one of them goes
-    // through the inbox heap instead of the wheel.
+    // all earlier than that timer, most of them more than a turn out. If
+    // looking for the next event ever carries the cursor to the timer
+    // again, every one of them goes through the inbox heap
+    // (`tests/cursor_discipline.rs` pins that by count).
     g.bench_function("idle_gap_then_dense", || {
         let mut sim: Simulator<u32> = Simulator::new(3);
         let a = sim.add_node(Box::new(Sink));
@@ -203,7 +205,7 @@ fn event_queue(c: &mut Bench) {
 
     let mut g = c.benchmark_group("event_queue_hold");
     // 1e6 fire+re-arm cycles at a steady depth: 20k pending events on the
-    // wheels, and 32 — the population of a few flows on one path, every
+    // ring, and 32 — the population of a few flows on one path, every
     // case of a figure sweep or of simcheck — on the sparse mode's sorted
     // run, which no other gate line reaches.
     let cycles = 1_000_000u64;

@@ -37,6 +37,8 @@
 //! medians stays put where a whole-run median would drift — which is what
 //! lets `--check` hold a 1.3x threshold instead of 2x without flaking.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

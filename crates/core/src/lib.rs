@@ -43,6 +43,7 @@
 //! assert!(record.fct.as_millis_f64() < 200.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;

@@ -8,7 +8,7 @@
 //! The queue behind the clock is a bucketed calendar queue (`eventq`
 //! module) rather than a binary heap: the
 //! near future lives in fixed-width time buckets consumed in place, the far
-//! future in a small overflow heap. Timer liveness is tracked by
+//! future in a heap behind them. Timer liveness is tracked by
 //! generation-stamped slots instead of a hash set, so arm/cancel/fire are
 //! all O(1) and allocation-free. Both structures preserve the exact
 //! `(time, seq)` total order — the swap is observationally invisible, which
@@ -172,22 +172,18 @@ impl<P: Payload> EngineCore<P> {
         let meta = self.packets.meta(h);
         let l = &mut self.links[link.0 as usize];
         l.stats.offered += 1;
-        // `plain` links have no fault state, so the step/down-window checks
-        // are no-ops by construction and skipping them is unobservable.
-        if !l.plain {
-            l.apply_fault_steps(now);
-            // A down link rejects the packet at offer time (no carrier); a
-            // packet already serializing completes (store-and-forward).
-            if l.faults.as_ref().is_some_and(|f| f.is_down(now)) {
-                l.stats.down_dropped += 1;
-                self.packets.free(h);
-                self.trace(TraceEvent::FaultDrop {
-                    link,
-                    packet: meta.id,
-                    size: meta.size,
-                });
-                return;
-            }
+        l.apply_fault_steps(now);
+        // A down link rejects the packet at offer time (no carrier); a
+        // packet already serializing completes (store-and-forward).
+        if l.faults.as_ref().is_some_and(|f| f.is_down(now)) {
+            l.stats.down_dropped += 1;
+            self.packets.free(h);
+            self.trace(TraceEvent::FaultDrop {
+                link,
+                packet: meta.id,
+                size: meta.size,
+            });
+            return;
         }
         if l.busy {
             if l.queue.enqueue(meta, now) == Verdict::Dropped {
@@ -657,9 +653,7 @@ impl<P: Payload> Simulator<P> {
     /// fault decision and the engine's own RNG stream is untouched.
     pub fn set_link_faults(&mut self, link: LinkId, spec: FaultSpec) {
         let rng = self.core.rng.fork_indexed("link-faults", link.0 as u64);
-        let l = &mut self.core.links[link.0 as usize];
-        l.faults = Some(FaultState::new(spec, rng));
-        l.plain = false; // fault machinery now required on this link
+        self.core.links[link.0 as usize].faults = Some(FaultState::new(spec, rng));
     }
 
     /// Current simulation time.
@@ -742,24 +736,6 @@ impl<P: Payload> Simulator<P> {
         debug_assert!(entry.at >= self.core.now, "time went backwards");
         self.core.now = entry.at;
         self.core.events_processed += 1;
-        // Lookahead prefetch: start a future event's dependent random load
-        // (timer generation cell / packet arena slot) while this one
-        // dispatches. At millions of pending timers or in-flight packets
-        // those loads are DRAM misses that would otherwise serialize with
-        // dispatch; a depth of 8 pops puts the hint far enough ahead to
-        // cover the latency, and the adjacent depth-1 hint covers run
-        // boundaries. Purely cache hints — invisible to firing order and
-        // all observable state.
-        for depth in [1usize, 8] {
-            if let Some(next) = self.core.events.lookahead(depth) {
-                match next.kind {
-                    EventKind::Timer { id, .. } => self.core.timers.prefetch(id),
-                    EventKind::Deliver { pkt, .. } | EventKind::LinkTxDone { pkt, .. } => {
-                        self.core.packets.prefetch(pkt)
-                    }
-                }
-            }
-        }
         match entry.kind {
             EventKind::LinkTxDone { link, pkt } => self.handle_tx_done(link, pkt),
             EventKind::Deliver { node, link, pkt: h } => {
@@ -804,41 +780,10 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
+    /// A packet finished serializing: wire loss, fault windows and the
+    /// corrupt/reorder/duplicate draws decide what becomes of it, then the
+    /// link takes its next packet.
     fn handle_tx_done(&mut self, link: LinkId, pkt: PacketHandle) {
-        let now = self.core.now;
-        let l = &mut self.core.links[link.0 as usize];
-        if l.plain {
-            // Fast path: the link has no faults installed and a `None` loss
-            // model. `apply_fault_steps` and the blackhole/corrupt/reorder/
-            // duplicate draws are all no-ops by construction, and
-            // `LossProcess::should_drop` for `LossModel::None` consumes no
-            // randomness (it only advances the process's private packet
-            // counter, which nothing observes for this model) — so skipping
-            // the whole machinery leaves the RNG stream, stats, and trace
-            // byte-identical to the general path.
-            let size = self.core.packets.get(pkt).size;
-            l.stats.tx_packets += 1;
-            l.stats.tx_bytes += size as u64;
-            let (dst, delay) = (l.dst, l.delay);
-            self.core.push(
-                now + delay,
-                EventKind::Deliver {
-                    node: dst,
-                    link,
-                    pkt,
-                },
-            );
-        } else {
-            self.handle_tx_done_faulty(link, pkt);
-        }
-        self.core.pump_link(link);
-    }
-
-    /// The general transmit-completion path: wire loss, fault windows, and
-    /// the corrupt/reorder/duplicate draws. Kept out of the hot path — the
-    /// common topology has no loss model and no fault spec on any link.
-    #[cold]
-    fn handle_tx_done_faulty(&mut self, link: LinkId, pkt: PacketHandle) {
         let now = self.core.now;
         let meta = self.core.packets.meta(pkt);
         let l = &mut self.core.links[link.0 as usize];
@@ -922,6 +867,7 @@ impl<P: Payload> Simulator<P> {
                 },
             );
         }
+        self.core.pump_link(link);
     }
 
     fn dispatch<F>(&mut self, node: NodeId, f: F)
@@ -945,7 +891,7 @@ impl<P: Payload> Simulator<P> {
     /// Run until the clock reaches `until` or the event queue drains.
     pub fn run_until(&mut self, until: SimTime) {
         // A bounded pop, not peek-then-step: looking at the head must not
-        // carry the wheel cursor past `until`, where the clock stops.
+        // carry the queue's cursor past `until`, where the clock stops.
         while let Some(entry) = self.core.events.pop_due(until) {
             self.fire(entry);
         }
@@ -973,12 +919,12 @@ impl<P: Payload> Simulator<P> {
         self.core.events.next_at()
     }
 
-    /// Events popped from the queue's inbox heap rather than its wheel so
+    /// Events popped from the queue's inbox heap rather than its ring so
     /// far. The inbox takes only pushes into the bucket being consumed, and
     /// only while more than 64 entries of that bucket remain: next to
     /// nothing on sparse buckets, up to ~40 % of [`Simulator::events_processed`]
     /// where hundreds of microsecond-scale events share a bucket. A share
-    /// near 100 % means the wheel cursor has got ahead of the clock (96 % on
+    /// near 100 % means the cursor has got ahead of the clock (96 % on
     /// dense sharded runs before `run_until` popped with a bound);
     /// `tests/cursor_discipline.rs` watches for that.
     pub fn inbox_pops(&self) -> u64 {

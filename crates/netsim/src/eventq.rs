@@ -1,5 +1,6 @@
-//! The engine's event queue: a two-level bucketed calendar queue (timer
-//! wheel) with batch-drained buckets, plus generation-stamped timer slots.
+//! The engine's event queue: a bucketed calendar queue (one rolling ring of
+//! time buckets, drained a bucket at a time) with a heap behind it for the
+//! far future, plus generation-stamped timer slots.
 //!
 //! The queue is a drop-in replacement for the `BinaryHeap<Reverse<_>>` the
 //! engine started with, with the same total order — events fire strictly by
@@ -17,33 +18,25 @@
 //!
 //! Layout:
 //!
-//! - **L1 wheel**: `N_BUCKETS` buckets of `2^W_SHIFT` ns each. An event
-//!   lands in bucket `(at >> W_SHIFT) % N_BUCKETS`; bucket membership is
-//!   tracked in a bitmap so advancing over empty buckets costs a
-//!   trailing-zeros scan, not a per-bucket probe. The L1 window is
-//!   *segment-aligned*: it covers `[cursor_time, end of the current L2
-//!   segment)`, never straddling an L2 boundary.
-//! - **L2 wheel**: `N_L2` buckets, each spanning one whole L1 horizon
-//!   (`2^L2_SHIFT` ns — one *segment*). Events past the current segment but
-//!   within the L2 span park here and cascade into L1 when the cursor
-//!   crosses into their segment. This is what keeps multi-second RTO timers
-//!   and long flow-start schedules off the comparison-based heap.
-//! - **Dense buckets**: each bucket (both levels) is a plain
-//!   `Vec<EventEntry>`; a drained L1 bucket keeps its buffer up to
-//!   [`BUCKET_KEEP`] entries and hands anything larger back. An earlier
-//!   design chained entries through a shared slab to keep the queue at one
-//!   allocation, but draining a chain is serial pointer-chasing — one
-//!   dependent cache miss per entry once the population outgrows the LLC,
-//!   which capped the whole engine near 4 M events/s. Contiguous buckets
-//!   let the drain *stream*: the hardware prefetcher hides the latency, and
-//!   the entries-are-`Copy` move is a memcpy the compiler vectorizes.
-//! - **Batch drain**: when the cursor reaches an occupied L1 bucket, the
-//!   whole bucket is sorted ascending by `(at, seq)` *in place* and then
-//!   consumed through an advancing index — a drain moves nothing, and
-//!   `pop` degenerates to a sequential read the prefetcher sees coming.
-//!   (An intermediate design copied sort keys into a structure-of-arrays
-//!   scratch; sorting the `Copy` bodies directly measured faster — the
-//!   keys' extra write+read traffic outweighed the smaller sort moves.)
+//! - **Ring**: `N_BUCKETS` buckets of `2^W_SHIFT` ns each, rolling with the
+//!   cursor: it covers the `N_BUCKETS` ticks (`at >> W_SHIFT`) starting at
+//!   the cursor's, one turn of ~134 ms. An event that close lands in bucket
+//!   `tick % N_BUCKETS`; bucket membership is tracked in a bitmap so
+//!   advancing over empty buckets costs a trailing-zeros scan, not a
+//!   per-bucket probe. Each bucket is a plain `Vec<EventEntry>`; a drained
+//!   one keeps its buffer up to [`BUCKET_KEEP`] entries and hands anything
+//!   larger back. An earlier design chained entries through a shared slab
+//!   to keep the queue at one allocation, but draining a chain is serial
+//!   pointer-chasing — one dependent cache miss per entry once the
+//!   population outgrows the LLC, which capped the whole engine near 4 M
+//!   events/s. Contiguous buckets let the drain *stream*.
+//! - **Batch drain**: when the cursor reaches an occupied bucket, the whole
+//!   bucket is sorted ascending by `(at, seq)` *in place* and then consumed
+//!   through an advancing index — a drain moves nothing, and `pop`
+//!   degenerates to a sequential read. (An intermediate design copied sort
+//!   keys into a structure-of-arrays scratch; sorting the `Copy` bodies
+//!   directly measured faster — the keys' extra write+read traffic
+//!   outweighed the smaller sort moves.)
 //! - **Inbox**: events scheduled into the cursor's own bucket after it was
 //!   loaded are binary-inserted into the sorted run while it is short, and
 //!   spill to a small min-heap once the run exceeds [`INBOX_SPILL`] — at
@@ -54,13 +47,16 @@
 //!   ([`EventQueue::inbox_pops`] counts what it serves;
 //!   `tests/cursor_discipline.rs` uses the count to catch a cursor that
 //!   got ahead of the clock, which sends *every* push here).
-//! - **Overflow**: events beyond the L2 span (~9 virtual minutes — idle
-//!   horizons, `FAR_FUTURE` sentinels) go to a min-heap ordered by
-//!   `(at, seq)` and migrate into the wheels as segments advance.
+//! - **Far heap**: events a full turn or more ahead of the cursor — RTO
+//!   wake-ups, flow-start schedules, `FAR_FUTURE` sentinels — wait in a
+//!   min-heap ordered by `(at, seq)`. Every cursor move ends by admitting
+//!   to the ring the entries the turn now reaches, so a short flow's one far
+//!   event, its RTO, costs a heap push and a heap pop and everything else
+//!   it schedules never sees the heap.
 //! - **Sparse mode**: a fresh queue allocates *nothing* and keeps every
 //!   entry in one `Vec` sorted latest-first until the pending population
-//!   crosses [`SPARSE_LIMIT`]; only then are the wheels allocated and the
-//!   run drained into them (a one-way migration). The queue holds live
+//!   crosses [`SPARSE_LIMIT`]; only then is the ring allocated and the
+//!   run drained into it (a one-way migration). The queue holds live
 //!   events only (see [`TimerSlots`]), so its population is the packets on
 //!   the wire plus the armed timers: a few flows on one path — every case
 //!   of a figure sweep or of `simcheck` — hold a few dozen. At that size an
@@ -69,25 +65,25 @@
 //!   restarted timer rides its slot's entry instead of pushing), and shifts
 //!   the few entries due before it; a pop is `Vec::pop`. A binary heap
 //!   moved each 40-byte entry log n times on the way in and again on the
-//!   way out, a quarter of a tiny simulation's time. Skipping the wheel
-//!   allocation (two Vec-of-Vecs plus bitmaps, ~128 KB of zeroed headers
+//!   way out, a quarter of a tiny simulation's time. Skipping the ring
+//!   allocation (a Vec of Vecs plus its bitmap, 24 KB of zeroed headers
 //!   per simulator) is the other half of the win; a congested dumbbell or
-//!   the open-loop service mode holds hundreds and belongs on the wheels.
-//!   The run and the wheels pop in the same `(at, seq)` order, so the
+//!   the open-loop service mode holds hundreds and belongs on the ring.
+//!   The run and the ring pop in the same `(at, seq)` order, so the
 //!   migration point is observationally invisible.
 //!
-//! Four invariants carry the determinism proof: every L1 bucket's entries
-//! belong to the current segment (pushes beyond it go to L2 or overflow),
-//! L2/overflow entries are strictly beyond the current segment (both drain
-//! exactly at segment crossings), the cursor never passes an occupied
-//! bucket, and **the cursor never leads the clock** — it moves only inside
-//! a pop, and a pop bounded by `until` ([`EventQueue::pop_due`]) refuses to
-//! enter a bucket or segment that starts after `until`, so `cursor_time <=
-//! now <=` every later push and nothing is ever scheduled behind the
-//! cursor. Together they mean the pop sequence is exactly the ascending
-//! `(at, seq)` order — byte-identical to the reference heap, which
-//! `tests/event_order.rs` checks against a sorted-list model under
-//! randomized schedule/cancel/run-until workloads.
+//! Three invariants carry the determinism proof: **every far entry is at
+//! least one full turn ahead of the cursor**, hence later than every ring
+//! entry (a push that close goes to the ring, and each cursor move admits
+//! what it brought within reach before anything else is pushed), the cursor
+//! never passes an occupied bucket, and **the cursor never leads the
+//! clock** — it moves only inside a pop, and a pop bounded by `until`
+//! ([`EventQueue::pop_due`]) refuses to enter a bucket that starts after
+//! `until`, so `cursor_time <= now <=` every later push and nothing is ever
+//! scheduled behind the cursor. Together they mean the pop sequence is
+//! exactly the ascending `(at, seq)` order — byte-identical to the
+//! reference heap, which `tests/event_order.rs` checks against a sorted-list
+//! model under randomized schedule/cancel/run-until workloads.
 
 use crate::node::TimerId;
 use crate::packet::{LinkId, NodeId, PacketHandle};
@@ -95,58 +91,45 @@ use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// L1 bucket width: 2^17 ns = 131.072 us.
+/// Bucket width: 2^17 ns = 131.072 us.
 const W_SHIFT: u32 = 17;
-/// Number of L1 buckets; one segment spans `N_BUCKETS << W_SHIFT` ns
-/// (~134 ms). Sized so one segment's population stays cache-resident even
-/// at millions of pending events: pushes scatter randomly across the
-/// current segment's buckets, and bounding the segment bounds that
-/// working set. Events past the segment (WAN RTTs, RTOs) take a dense L2
-/// append plus a streaming cascade, which is cheaper than missing to DRAM
-/// on every push.
+/// Number of ring buckets; one turn spans `N_BUCKETS << W_SHIFT` ns
+/// (~134 ms). Sized so one turn's population stays cache-resident even at
+/// tens of thousands of pending events: pushes scatter randomly across the
+/// turn's buckets, and bounding the turn bounds that working set. What a
+/// short flow schedules beyond it is its RTO.
 const N_BUCKETS: usize = 1024;
 const IDX_MASK: usize = N_BUCKETS - 1;
-/// L2 bucket width: one whole L1 segment. `W_SHIFT + log2(N_BUCKETS)`.
-const L2_SHIFT: u32 = W_SHIFT + N_BUCKETS.trailing_zeros();
-/// Number of L2 buckets; the L2 span is `N_L2 << L2_SHIFT` ns (~9 min).
-/// Second-scale timers (RTO backoff towers, flow-start schedules) all land
-/// here; only idle-horizon sentinels overflow.
-const N_L2: usize = 4096;
-const L2_MASK: usize = N_L2 - 1;
 /// Pushes into the cursor's bucket are binary-inserted into the sorted
 /// `current` run while it is at most this long; past that they go to the
 /// inbox heap (a mid-run `Vec::insert` memmove grows with run length).
 const INBOX_SPILL: usize = 64;
-/// A drained L1 bucket keeps its buffer only up to this many entries; a
+/// A drained bucket keeps its buffer only up to this many entries; a
 /// larger one is handed back to the allocator. Every bucket of the ring
-/// fills once per segment, so without the bound each of the 1024 retains
+/// fills once per turn, so without the bound each of the 1024 retains
 /// its high-water fill for the rest of the run — at thousands of concurrent
 /// flows that is more memory than the pending events themselves. Buckets
 /// of small simulations never reach the bound and stay allocation-free.
 const BUCKET_KEEP: usize = 64;
 /// Pending-entry threshold for leaving sparse mode: while fewer entries
-/// are pending the queue is one sorted run and the wheels stay
-/// unallocated. Crossing it allocates the wheels and drains the run into
-/// them. The queue holds live events only — packets on the wire and one
+/// are pending the queue is one sorted run and the ring stays
+/// unallocated. Crossing it allocates the ring and drains the run into
+/// it. The queue holds live events only — packets on the wire and one
 /// wake-up per armed timer — so a few flows on one path stay below it for
-/// their whole run, and anything that crosses it is a simulation the wheels
-/// are faster for. Measured end to end (DESIGN.md "Sparse start mode"):
+/// their whole run, and anything that crosses it is a simulation the ring
+/// is faster for. Measured end to end (EXPERIMENTS.md, "What the queue was
+/// holding"):
 /// 16 and 64 tie, 256 and 1024 keep congested dumbbells and the open-loop
 /// service mode on a store hundreds deep (a sorted run that long pays for
 /// its inserts: 128 and 256 re-measured at +3 to +7 % CPU on
 /// `dumbbell_figures` and +12 % on `weather_halfback`), 0 charges every
-/// tiny simulation for wheels it never fills.
+/// tiny simulation for a ring it never fills.
 const SPARSE_LIMIT: usize = 64;
 
+/// Absolute bucket ordinal of a timestamp.
 #[inline]
-fn bucket_of(at_ns: u64) -> usize {
-    ((at_ns >> W_SHIFT) as usize) & IDX_MASK
-}
-
-/// Absolute segment index (L2 bucket ordinal) of a timestamp.
-#[inline]
-fn segment_of(at_ns: u64) -> u64 {
-    at_ns >> L2_SHIFT
+fn tick_of(at_ns: u64) -> u64 {
+    at_ns >> W_SHIFT
 }
 
 #[derive(Clone, Copy)]
@@ -199,61 +182,53 @@ impl Ord for EventEntry {
 
 /// The calendar queue. Total order: `(at, seq)` ascending.
 pub(crate) struct EventQueue {
-    /// L1 buckets; capacity up to [`BUCKET_KEEP`] persists across drains.
-    l1: Vec<Vec<EventEntry>>,
-    /// One bit per L1 bucket: does it hold any entries?
+    /// Ring buckets; capacity up to [`BUCKET_KEEP`] persists across drains.
+    ring: Vec<Vec<EventEntry>>,
+    /// One bit per ring bucket: does it hold any entries?
     occupied: Vec<u64>,
-    /// L2 buckets (one per segment in the span).
-    l2: Vec<Vec<EventEntry>>,
-    /// One bit per L2 bucket.
-    l2_occupied: Vec<u64>,
-    /// Entries across all L1 buckets.
-    in_buckets: usize,
-    /// Entries parked in L2.
-    in_l2: usize,
+    /// Entries across all ring buckets but the one being consumed.
+    in_ring: usize,
     /// Index of the bucket the cursor last consumed from.
     cursor: usize,
     /// Start time of the cursor's bucket (multiple of the bucket width).
     /// Never later than the engine clock.
     cursor_time: u64,
-    /// Consumption index into `l1[cursor]`, which after a refill is sorted
-    /// ascending by `(at, seq)` *in place* — a drain moves nothing, `pop`
-    /// is a sequential read, and consumed entries linger in the bucket's
-    /// prefix until the next refill clears it.
+    /// Consumption index into `ring[cursor]`, which after a refill is
+    /// sorted ascending by `(at, seq)` *in place* — a drain moves nothing,
+    /// `pop` is a sequential read, and consumed entries linger in the
+    /// bucket's prefix until the next refill clears it.
     run_pos: usize,
     /// Entries pushed into the cursor's bucket after it was loaded, once
     /// the run is too long to insert into; consumed in merge with the run.
     inbox: BinaryHeap<Reverse<EventEntry>>,
-    /// Pops served from `inbox` so far: the always-on check that the wheel,
+    /// Pops served from `inbox` so far: the always-on check that the ring,
     /// not the heap, is doing the work.
     inbox_pops: u64,
-    /// Events beyond the L2 span. Empty in sparse mode.
-    overflow: BinaryHeap<Reverse<EventEntry>>,
+    /// Events a full turn of the ring or more ahead of the cursor. Empty in
+    /// sparse mode.
+    far: BinaryHeap<Reverse<EventEntry>>,
     /// Sparse mode's only store: every pending entry, sorted latest-first
     /// by `(at, seq)`, so the next one to pop is the last.
     sparse_run: Vec<EventEntry>,
     /// Total entries in the queue.
     len: usize,
-    /// Still in sparse (sorted-run) mode; the wheel Vecs are empty until the
-    /// first [`SPARSE_LIMIT`] crossing densifies them. One-way.
+    /// Still in sparse (sorted-run) mode; the ring is empty until the first
+    /// [`SPARSE_LIMIT`] crossing densifies it. One-way.
     sparse: bool,
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            l1: Vec::new(),
+            ring: Vec::new(),
             occupied: Vec::new(),
-            l2: Vec::new(),
-            l2_occupied: Vec::new(),
-            in_buckets: 0,
-            in_l2: 0,
+            in_ring: 0,
             cursor: 0,
             cursor_time: 0,
             run_pos: 0,
             inbox: BinaryHeap::new(),
             inbox_pops: 0,
-            overflow: BinaryHeap::new(),
+            far: BinaryHeap::new(),
             sparse_run: Vec::new(),
             len: 0,
             sparse: true,
@@ -269,20 +244,12 @@ impl EventQueue {
         self.inbox_pops
     }
 
+    /// Append `entry` to the ring bucket of its tick, which is less than a
+    /// turn ahead of the cursor's.
     #[inline]
-    fn set_occupied(&mut self, b: usize) {
-        self.occupied[b >> 6] |= 1 << (b & 63);
-    }
-
-    #[inline]
-    fn clear_occupied(&mut self, b: usize) {
-        self.occupied[b >> 6] &= !(1 << (b & 63));
-    }
-
-    /// Append `entry` to its L1 bucket.
-    #[inline]
-    fn bucket_insert(&mut self, b: usize, entry: EventEntry) {
-        let v = &mut self.l1[b];
+    fn bucket_insert(&mut self, entry: EventEntry) {
+        let b = (tick_of(entry.at.as_nanos()) as usize) & IDX_MASK;
+        let v = &mut self.ring[b];
         if !v.is_empty() && v.capacity() == v.len() {
             // Skip the 8→16→32→… doubling ramp once a bucket proves it
             // holds more than one entry: dense fills put dozens per
@@ -298,27 +265,15 @@ impl EventQueue {
             v.reserve_exact(32.max(v.len() / 2));
         }
         v.push(entry);
-        self.set_occupied(b);
-        self.in_buckets += 1;
-    }
-
-    /// Append `entry` to an L2 bucket.
-    #[inline]
-    fn l2_insert(&mut self, slot: usize, entry: EventEntry) {
-        let v = &mut self.l2[slot];
-        if !v.is_empty() && v.capacity() == v.len() {
-            v.reserve(32.max(v.len()));
-        }
-        v.push(entry);
-        self.l2_occupied[slot >> 6] |= 1 << (slot & 63);
-        self.in_l2 += 1;
+        self.occupied[b >> 6] |= 1 << (b & 63);
+        self.in_ring += 1;
     }
 
     /// Insert an event. `now` is the engine clock: no entry popped so far
     /// is later than it and `entry.at >= now`. The cursor never leads the
-    /// clock, so the entry lands at or ahead of the cursor — in a wheel
-    /// bucket, or merged into the run being consumed when it falls into the
-    /// cursor's own bucket.
+    /// clock, so the entry lands at or ahead of the cursor — in a ring
+    /// bucket or the far heap, or merged into the run being consumed when
+    /// it falls into the cursor's own bucket.
     pub(crate) fn push(&mut self, now: SimTime, entry: EventEntry) {
         if self.sparse {
             if self.len < SPARSE_LIMIT {
@@ -333,159 +288,111 @@ impl EventQueue {
             self.densify(now);
         } else if self.len == 0 {
             // An empty queue has nothing to keep in order, so the cursor
-            // rejoins the clock: after an idle stretch longer than the L2
-            // span the next burst would otherwise all go to the overflow
-            // heap.
-            self.anchor(now);
+            // rejoins the clock: after an idle stretch longer than a turn
+            // the next burst would otherwise all go to the far heap.
+            self.retire_run();
+            self.move_cursor(tick_of(now.as_nanos()));
         }
         self.len += 1;
         self.push_dense(entry);
     }
 
-    /// Leave sparse mode: allocate the wheels, anchor the cursor at the
-    /// clock (the earliest pending entry may be a far timer, and later
-    /// pushes land between the clock and it), and drain the run through
-    /// the dense push path. Entries already counted in `len` keep their
-    /// count; order is unchanged because the run and the wheels pop in the
-    /// same `(at, seq)` order.
+    /// Leave sparse mode: allocate the ring, put the cursor at the clock
+    /// (the earliest pending entry may be a far timer, and later pushes
+    /// land between the clock and it), and drain the run through the dense
+    /// push path. Entries already counted in `len` keep their count; order
+    /// is unchanged because the run and the ring pop in the same
+    /// `(at, seq)` order.
     #[cold]
     fn densify(&mut self, now: SimTime) {
         self.sparse = false;
-        self.l1 = (0..N_BUCKETS).map(|_| Vec::new()).collect();
+        self.ring = (0..N_BUCKETS).map(|_| Vec::new()).collect();
         self.occupied = vec![0u64; N_BUCKETS / 64];
-        self.l2 = (0..N_L2).map(|_| Vec::new()).collect();
-        self.l2_occupied = vec![0u64; N_L2 / 64];
-        self.anchor(now);
+        self.move_cursor(tick_of(now.as_nanos()));
         for e in std::mem::take(&mut self.sparse_run) {
             self.push_dense(e);
         }
     }
 
-    /// Put the cursor on `now`'s bucket. Caller ensures the wheels, the run
-    /// and the inbox hold no pending entry.
-    fn anchor(&mut self, now: SimTime) {
-        debug_assert!(self.in_buckets + self.in_l2 + self.run_len() + self.inbox.len() == 0);
-        self.retire_run();
-        self.cursor_time = (now.as_nanos() >> W_SHIFT) << W_SHIFT;
-        self.cursor = bucket_of(now.as_nanos());
+    /// Put the cursor on bucket `tick`, at or ahead of where it is, and
+    /// admit to the ring every far entry the turn now reaches. Caller
+    /// ensures the run is retired, the inbox is empty and no ring bucket
+    /// before `tick` is occupied.
+    fn move_cursor(&mut self, tick: u64) {
+        self.cursor_time = tick << W_SHIFT;
+        self.cursor = (tick as usize) & IDX_MASK;
+        while let Some(Reverse(head)) = self.far.peek() {
+            if tick_of(head.at.as_nanos()) - tick >= N_BUCKETS as u64 {
+                break;
+            }
+            let Reverse(e) = self.far.pop().unwrap();
+            self.bucket_insert(e);
+        }
     }
 
     fn push_dense(&mut self, entry: EventEntry) {
         let at = entry.at.as_nanos();
         // Always on: an entry behind the cursor would sit in a bucket the
-        // cursor has passed and fire a whole wheel turn late.
+        // cursor has passed and fire a whole turn late.
         assert!(
             at >= self.cursor_time,
-            "event at {at} ns scheduled behind the wheel cursor ({} ns)",
+            "event at {at} ns scheduled behind the ring cursor ({} ns)",
             self.cursor_time
         );
-        let (seg, at_seg) = (segment_of(self.cursor_time), segment_of(at));
-        if at_seg != seg {
-            // `at_seg > seg`; distances below N_L2 park in the L2 wheel.
-            // Distance N_L2 itself maps to the cursor's own slot, which the
-            // ring scan in `next_l2_distance` reads as distance 0, so it
-            // goes to the overflow heap with everything further.
-            if at_seg - seg < N_L2 as u64 {
-                self.l2_insert((at_seg as usize) & L2_MASK, entry);
-            } else {
-                self.overflow.push(Reverse(entry));
+        match tick_of(at) - tick_of(self.cursor_time) {
+            // The cursor's own bucket. Short runs (the common case in small
+            // simulations) take a binary insert into the run — a few-entry
+            // memmove beats two heap operations. Deep runs spill to the
+            // inbox instead, where the memmove would be O(bucket
+            // population).
+            0 => {
+                let run = &mut self.ring[self.cursor];
+                if run.len() - self.run_pos <= INBOX_SPILL {
+                    let key = (entry.at, entry.seq);
+                    let pos =
+                        self.run_pos + run[self.run_pos..].partition_point(|e| (e.at, e.seq) < key);
+                    run.insert(pos, entry);
+                } else {
+                    self.inbox.push(Reverse(entry));
+                }
             }
-            return;
-        }
-        // Within the current L1 segment.
-        let b = bucket_of(at);
-        if b != self.cursor {
-            self.bucket_insert(b, entry);
-            return;
-        }
-        // The cursor's own bucket. Short runs (the common case in small
-        // simulations) take a binary insert into the run — a few-entry
-        // memmove beats two heap operations. Deep runs spill to the inbox
-        // instead, where the memmove would be O(bucket population).
-        let run = &mut self.l1[self.cursor];
-        if run.len() - self.run_pos <= INBOX_SPILL {
-            let key = (entry.at, entry.seq);
-            let pos = self.run_pos + run[self.run_pos..].partition_point(|e| (e.at, e.seq) < key);
-            run.insert(pos, entry);
-        } else {
-            self.inbox.push(Reverse(entry));
+            // A turn ahead is the cursor's own bucket again: from there on,
+            // the far heap.
+            ahead if ahead < N_BUCKETS as u64 => self.bucket_insert(entry),
+            _ => self.far.push(Reverse(entry)),
         }
     }
 
-    /// Distance in segments (1..N_L2) from the cursor's segment to the next
-    /// occupied L2 bucket, if any.
-    fn next_l2_distance(&self) -> Option<usize> {
-        let slot = (segment_of(self.cursor_time) as usize) & L2_MASK;
-        (self.in_l2 > 0)
-            .then(|| next_occupied_distance(&self.l2_occupied, N_L2, (slot + 1) & L2_MASK, slot))
-    }
-
-    /// Jump the cursor to the next segment holding work (L2 buckets or
-    /// overflow entries) and cascade that segment's events into L1.
-    /// Returns `false`, leaving the cursor where it is, when nothing is
-    /// pending in L2 or overflow or that segment starts after `limit`.
-    fn advance_segment(&mut self, limit: u64) -> bool {
-        debug_assert!(self.in_buckets == 0);
-        let seg = segment_of(self.cursor_time);
-        let l2_d = self.next_l2_distance();
-        let heap_d = self
-            .overflow
-            .peek()
-            .map(|Reverse(e)| segment_of(e.at.as_nanos()) - seg);
-        let d = match (l2_d, heap_d) {
-            (Some(a), Some(b)) => a.min(b as usize),
-            (Some(a), None) => a,
-            (None, Some(b)) => b as usize,
-            (None, None) => return false,
-        };
-        let target = seg + d as u64;
-        if target << L2_SHIFT > limit {
-            return false;
-        }
-        self.cursor_time = target << L2_SHIFT;
-        self.cursor = bucket_of(self.cursor_time);
-        // Cascade the target segment's L2 bucket: a streaming copy into the
-        // L1 buckets (dense source, so the prefetcher hides the latency).
-        let slot = (target as usize) & L2_MASK;
-        // The slot gives its buffer up: one left in place would sit there
-        // for a whole turn of the L2 ring, and 4096 slots each keeping a
-        // segment's worth is most of a long run's resident set.
-        let batch = std::mem::take(&mut self.l2[slot]);
-        if !batch.is_empty() {
-            self.l2_occupied[slot >> 6] &= !(1 << (slot & 63));
-            self.in_l2 -= batch.len();
-            for e in batch {
-                let at = e.at.as_nanos();
-                debug_assert_eq!(segment_of(at), target, "L2 bucket holds a mixed segment");
-                self.bucket_insert(bucket_of(at), e);
+    /// Distance (0..N_BUCKETS) from the cursor's bucket to the next occupied
+    /// one in ring order, its own included. Caller ensures there is one.
+    fn next_occupied_distance(&self) -> usize {
+        let n_words = self.occupied.len();
+        let mut word_idx = self.cursor >> 6;
+        let mut word = self.occupied[word_idx] & (!0u64 << (self.cursor & 63));
+        for _ in 0..=n_words {
+            if word != 0 {
+                let idx = (word_idx << 6) + word.trailing_zeros() as usize;
+                return (idx + N_BUCKETS - self.cursor) & IDX_MASK;
             }
+            word_idx = (word_idx + 1) % n_words;
+            word = self.occupied[word_idx];
         }
-        // Drain overflow entries that fall inside the target segment.
-        while let Some(Reverse(head)) = self.overflow.peek() {
-            if segment_of(head.at.as_nanos()) != target {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().unwrap();
-            let b = bucket_of(e.at.as_nanos());
-            self.bucket_insert(b, e);
-        }
-        debug_assert!(self.in_buckets > 0, "segment jump found no entries");
-        true
+        unreachable!("no occupied bucket found in a ring promised non-empty");
     }
 
     /// Remaining entries in the current sorted run.
     #[inline]
     fn run_len(&self) -> usize {
-        self.l1[self.cursor].len() - self.run_pos
+        self.ring[self.cursor].len() - self.run_pos
     }
 
     /// Reclaim the cursor bucket once its run is consumed: the consumed
     /// entries still occupy it, all dead, and it must be empty by the time
-    /// the wheel wraps back to it.
+    /// the ring wraps back to it.
     #[inline]
     fn retire_run(&mut self) {
         debug_assert!(self.run_len() == 0);
-        let run = &mut self.l1[self.cursor];
+        let run = &mut self.ring[self.cursor];
         if run.capacity() > BUCKET_KEEP {
             *run = Vec::new();
         } else {
@@ -494,81 +401,70 @@ impl EventQueue {
         self.run_pos = 0;
     }
 
-    /// Advance the cursor to the next occupied bucket (crossing segments as
-    /// needed) and sort that bucket in place into the new run — unless that
-    /// bucket, or the segment it is in, starts after `limit`: then the
+    /// Advance the cursor to the next occupied bucket and sort that bucket
+    /// in place into the new run — unless it starts after `limit`: then the
     /// cursor stops short of it, at or before `limit`, with an empty run.
     /// Returns `true` when a run was loaded. Caller ensures the run and the
     /// inbox are empty.
     fn refill(&mut self, limit: u64) -> bool {
         debug_assert!(self.inbox.is_empty());
         self.retire_run();
-        if self.in_buckets == 0 && !self.advance_segment(limit) {
-            return false;
+        if self.in_ring == 0 {
+            // Nothing within a turn: go to the far head's bucket, which
+            // brings it into the ring, or as far towards it as `limit`
+            // allows, so that what the caller schedules at its clamped
+            // clock lands in the ring and not behind the far head in the
+            // heap.
+            let Some(Reverse(head)) = self.far.peek() else {
+                return false;
+            };
+            // (`limit` is behind the cursor when a caller runs until an
+            // instant its clock has passed.)
+            let reach = limit.max(self.cursor_time);
+            self.move_cursor(tick_of(head.at.as_nanos().min(reach)));
+            if self.in_ring == 0 {
+                return false;
+            }
         }
-        // Inclusive scan: after a segment jump the cursor's own bucket may
-        // hold the cascaded entries (distance 0); in steady state the
-        // cursor bucket is empty (its entries were drained), so the scan
-        // lands strictly ahead.
-        let d = next_occupied_distance(&self.occupied, N_BUCKETS, self.cursor, self.cursor);
+        // Inclusive scan: after a jump the cursor's own bucket may hold
+        // admitted entries (distance 0); in steady state it is empty (its
+        // entries were drained), so the scan lands strictly ahead.
+        let d = self.next_occupied_distance();
         let start = self.cursor_time + ((d as u64) << W_SHIFT);
         if start > limit {
             return false;
         }
-        self.cursor = (self.cursor + d) & IDX_MASK;
-        self.cursor_time = start;
+        self.move_cursor(tick_of(start));
         let b = self.cursor;
-        debug_assert!(!self.l1[b].is_empty(), "advanced to an empty bucket");
-        self.clear_occupied(b);
-        self.in_buckets -= self.l1[b].len();
-        self.l1[b].sort_unstable_by_key(|e| (e.at, e.seq));
+        debug_assert!(!self.ring[b].is_empty(), "advanced to an empty bucket");
+        self.occupied[b >> 6] &= !(1 << (b & 63));
+        self.in_ring -= self.ring[b].len();
+        self.ring[b].sort_unstable_by_key(|e| (e.at, e.seq));
         true
-    }
-
-    /// The entry `n` pops in the future within the current sorted run, if
-    /// the run is that deep. A pure read: no refill, no cursor motion.
-    /// The engine uses it to issue cache prefetches far enough ahead to
-    /// cover DRAM latency; entries that will merge in from the inbox are
-    /// not seen here, which only costs a wasted hint.
-    pub(crate) fn lookahead(&self, n: usize) -> Option<&EventEntry> {
-        if self.sparse {
-            // No sorted run to read ahead in; the engine just skips its
-            // prefetch hints (tiny populations are cache-resident anyway).
-            return None;
-        }
-        self.l1[self.cursor].get(self.run_pos + n)
     }
 
     /// Time of the earliest entry, if any. A pure read — the cursor moves
     /// only in a pop — so when the run and the inbox are empty it scans
-    /// the next occupied bucket for its minimum: a few dozen entries in L1;
-    /// a whole segment's worth in L2, which costs about what cascading that
-    /// segment will.
+    /// the next occupied bucket for its minimum, a few dozen entries.
     pub(crate) fn next_at(&self) -> Option<SimTime> {
-        let earlier = |a: Option<SimTime>, b: Option<SimTime>| a.into_iter().chain(b).min();
-        let heap_at = |h: &BinaryHeap<Reverse<EventEntry>>| h.peek().map(|Reverse(e)| e.at);
         if self.sparse {
             return self.sparse_run.last().map(|e| e.at);
         }
-        // Run and inbox hold the cursor bucket's entries, every other L1
-        // bucket is later, and L2/overflow are later than all of L1.
-        let run = self.l1[self.cursor].get(self.run_pos).map(|e| e.at);
-        let head = earlier(run, heap_at(&self.inbox));
-        if head.is_some() {
-            return head;
+        // Run and inbox hold the cursor bucket's entries, every other ring
+        // bucket is later, and the far heap is later than all of the ring.
+        let run = self.ring[self.cursor].get(self.run_pos).map(|e| e.at);
+        let inbox = self.inbox.peek().map(|Reverse(e)| e.at);
+        if let Some(head) = run.into_iter().chain(inbox).min() {
+            return Some(head);
         }
-        if self.in_buckets > 0 {
-            let d = next_occupied_distance(&self.occupied, N_BUCKETS, self.cursor, self.cursor);
-            return self.l1[(self.cursor + d) & IDX_MASK]
+        if self.in_ring > 0 {
+            let d = self.next_occupied_distance();
+            return self.ring[(self.cursor + d) & IDX_MASK]
                 .iter()
                 .map(|e| e.at)
                 .min();
         }
-        let l2 = self.next_l2_distance().and_then(|d| {
-            let slot = (segment_of(self.cursor_time) as usize + d) & L2_MASK;
-            self.l2[slot].iter().map(|e| e.at).min()
-        });
-        earlier(l2, heap_at(&self.overflow))
+        self.far.peek().map(|Reverse(e)| e.at)
     }
 
     /// Remove and return the earliest entry.
@@ -597,12 +493,12 @@ impl EventQueue {
 
     #[inline]
     fn pop_dense(&mut self, until: u64) -> Option<EventEntry> {
-        // Inbox entries belong to the cursor's bucket and everything in the
-        // wheels is later, so the cursor moves on only once both are empty.
+        // Inbox entries belong to the cursor's bucket and everything else
+        // is later, so the cursor moves on only once both are empty.
         if self.run_len() == 0 && self.inbox.is_empty() && !self.refill(until) {
             return None;
         }
-        let run = self.l1[self.cursor].get(self.run_pos);
+        let run = self.ring[self.cursor].get(self.run_pos);
         let inbox = self.inbox.peek().map(|Reverse(e)| e);
         let from_inbox = match (run, inbox) {
             (Some(c), Some(i)) => i < c,
@@ -617,7 +513,7 @@ impl EventQueue {
             self.inbox_pops += 1;
             self.inbox.pop().map(|Reverse(e)| e)
         } else {
-            let e = self.l1[self.cursor][self.run_pos];
+            let e = self.ring[self.cursor][self.run_pos];
             self.run_pos += 1;
             Some(e)
         }
@@ -639,25 +535,6 @@ impl EventQueue {
             .all(|w| (w[0].at, w[0].seq) <= (w[1].at, w[1].seq)));
         out
     }
-}
-
-/// Distance (0..n) from `start` to the next set bit in circular order,
-/// scanning the whole ring. `origin` anchors the returned distance so a
-/// ring with one set bit exactly at `start` still terminates. Caller
-/// guarantees at least one bit is set.
-fn next_occupied_distance(bitmap: &[u64], n: usize, start: usize, origin: usize) -> usize {
-    let n_words = n / 64;
-    let mut word_idx = start >> 6;
-    let mut word = bitmap[word_idx] & (!0u64 << (start & 63));
-    for _ in 0..=n_words {
-        if word != 0 {
-            let idx = (word_idx << 6) + word.trailing_zeros() as usize;
-            return (idx + n - origin) & (n - 1);
-        }
-        word_idx = (word_idx + 1) % n_words;
-        word = bitmap[word_idx];
-    }
-    unreachable!("no occupied bucket found in a ring promised non-empty");
 }
 
 /// An arming that pushed no entry of its own and rides its slot's.
@@ -789,28 +666,6 @@ impl TimerSlots {
         (id, !rides)
     }
 
-    /// Hint the CPU to pull `id`'s generation cell into cache. Timer fires
-    /// walk the generation table in schedule-time order — random — so at
-    /// large timer populations every `disarm` is a dependent DRAM miss;
-    /// the engine prefetches the *next* event's slot while dispatching the
-    /// current one, overlapping the miss with useful work. Architecturally
-    /// a no-op: determinism and observable state are untouched.
-    #[inline]
-    pub(crate) fn prefetch(&self, id: TimerId) {
-        let (idx, _) = slot_of(id);
-        #[cfg(target_arch = "x86_64")]
-        if idx < self.gens.len() {
-            // SAFETY: `idx` is in bounds; _mm_prefetch has no memory or
-            // register effects beyond the cache hint.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.gens.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
-    }
-
     /// Disarm `id` (cancel or fire). Returns `true` if it was armed; a
     /// second disarm of the same id — or of a recycled slot's older
     /// generation — is a no-op returning `false`. The slot's queue entry
@@ -861,10 +716,10 @@ impl TimerSlots {
 mod tests {
     use super::*;
 
-    /// Segment span in nanoseconds (the old single-level horizon).
-    const SEG_NS: u64 = (N_BUCKETS as u64) << W_SHIFT;
-    /// Full L2 span in nanoseconds.
-    const L2_SPAN_NS: u64 = (N_L2 as u64) << L2_SHIFT;
+    /// Bucket width in nanoseconds.
+    const WIDTH: u64 = 1 << W_SHIFT;
+    /// One turn of the ring in nanoseconds.
+    const TURN_NS: u64 = (N_BUCKETS as u64) << W_SHIFT;
 
     /// The clock of a test that pushes everything before its first pop.
     const T0: SimTime = SimTime::ZERO;
@@ -927,23 +782,23 @@ mod tests {
     #[test]
     fn pops_in_at_seq_order_across_window_boundaries() {
         let mut q = EventQueue::new();
-        // A spread from sub-bucket to beyond the L2 span: L1 same-bucket,
-        // L1 neighbours, segment boundaries (L2 parking), deep L2, the
-        // overflow heap, and the FAR_FUTURE sentinel.
+        // A spread from sub-bucket to the end of time: same bucket,
+        // neighbours, either side of one turn (the last ring bucket, the
+        // first far entry), turns later, and the FAR_FUTURE sentinel.
         let times = [
             0u64,
             1,
             100,
-            (1 << W_SHIFT) - 1,
-            1 << W_SHIFT,
-            SEG_NS - 1,
-            SEG_NS,
-            SEG_NS + 1,
-            3 * SEG_NS + 17,
-            60_000_000_000, // 60 s: deep in the L2 wheel
-            L2_SPAN_NS - 1, // last L2 segment
-            L2_SPAN_NS,     // first overflow entry
-            3 * L2_SPAN_NS + 99,
+            WIDTH - 1,
+            WIDTH,
+            TURN_NS - 1,
+            TURN_NS,
+            TURN_NS + 1,
+            3 * TURN_NS + 17,
+            60_000_000_000,
+            4096 * TURN_NS - 1,
+            4096 * TURN_NS,
+            3 * 4096 * TURN_NS + 99,
             u64::MAX,
         ];
         let mut seq = 0u64;
@@ -967,10 +822,10 @@ mod tests {
     #[test]
     fn next_at_matches_pop() {
         // Sparse first, then past SPARSE_LIMIT so the dense query walks the
-        // run, L1, L2 and the overflow heap as the queue drains.
+        // run, the ring and the far heap as the queue drains.
         for n in [6u64, 2 * SPARSE_LIMIT as u64] {
             let mut q = EventQueue::new();
-            for (i, &t) in [5u64, SEG_NS + 5, 3, 3, 80_000, 2 * L2_SPAN_NS]
+            for (i, &t) in [5u64, TURN_NS + 5, 3, 3, 80_000, 9_000 * TURN_NS]
                 .iter()
                 .cycle()
                 .take(n as usize)
@@ -995,8 +850,8 @@ mod tests {
         let mut fired: Vec<(u64, u64)> = Vec::new();
         // Schedule relative to the last fired time, like dispatch does;
         // the round number doubles as the scheduling sequence. The spread
-        // hits the same bucket, nearby buckets, the L2 wheel, and (via the
-        // 3_000 s delta) the overflow heap.
+        // hits the same bucket, nearby buckets, the far side of the ring
+        // and the far heap (120 ms, 3_000 s).
         for round in 0..5_000u64 {
             let spread = [1, 700, 9_000, 2_000_000, 120_000_000, 3_000_000_000_000];
             let d = spread[(round % 6) as usize] + (round * 37) % 977;
@@ -1021,9 +876,10 @@ mod tests {
     }
 
     #[test]
-    fn l2_cascade_preserves_order_at_scale() {
-        // A dense population spread over ~100 segments: every entry parks
-        // in L2 first and cascades into L1 as segments advance.
+    fn far_heap_preserves_order_at_scale() {
+        // A dense population spread over ~100 turns: all but the first
+        // turn's entries wait in the far heap and are admitted to the ring
+        // as the cursor advances.
         let mut q = EventQueue::new();
         let mut lcg: u64 = 0x9e3779b97f4a7c15;
         let n = 50_000u64;
@@ -1031,7 +887,7 @@ mod tests {
             lcg = lcg
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            q.push(T0, entry((lcg >> 16) % (100 * SEG_NS), seq));
+            q.push(T0, entry((lcg >> 16) % (100 * TURN_NS), seq));
         }
         let mut prev = (0u64, 0u64);
         let mut count = 0u64;
@@ -1048,14 +904,14 @@ mod tests {
     fn sparse_mode_pops_in_order_without_densifying() {
         let mut q = EventQueue::new();
         // Descending times, well under SPARSE_LIMIT: the queue must stay
-        // sparse (wheels unallocated) and still pop ascending.
+        // sparse (ring unallocated) and still pop ascending.
         for seq in 0..50u64 {
             q.push(T0, entry((50 - seq) * 1_000, seq));
         }
         assert!(q.sparse);
-        assert!(q.l1.is_empty(), "sparse queue must not allocate the wheels");
+        assert!(q.ring.is_empty(), "sparse queue must not allocate the ring");
         assert!(
-            q.overflow.is_empty(),
+            q.far.is_empty(),
             "the sorted run is sparse mode's one store"
         );
         let mut prev = 0u64;
@@ -1098,11 +954,11 @@ mod tests {
             expect.remove(pos);
         }
         assert!(q.sparse);
-        // Blow past the limit with a spread covering L1, L2, and overflow,
-        // latest first: the earliest pending entry at the crossing is far
+        // Blow past the limit with a spread covering the ring and the far
+        // heap, latest first: the earliest pending entry at the crossing is far
         // from the clock.
         for i in (0..2_048u64).rev() {
-            let at = now.as_nanos() + (i * 104_729) % (120 * SEG_NS);
+            let at = now.as_nanos() + (i * 104_729) % (120 * TURN_NS);
             push(&mut q, now, at, &mut expect);
         }
         assert!(!q.sparse, "limit crossing must densify");
@@ -1120,29 +976,29 @@ mod tests {
 
     #[test]
     fn bounded_pop_leaves_the_cursor_at_or_before_the_bound() {
-        // Near entries, then nothing until an L2 segment several segments
-        // out, then nothing until an overflow entry past the whole L2 span.
+        // Near entries, then nothing until a timer several turns out, then
+        // nothing until one thousands of turns out.
         let mut q = EventQueue::new();
         let near = 2 * SPARSE_LIMIT as u64;
         for seq in 0..near {
             q.push(T0, entry(seq * 50, seq));
         }
-        let l2_at = 7 * SEG_NS + 12_345;
-        let far_at = 3 * L2_SPAN_NS + 99;
-        q.push(T0, entry(l2_at, near));
+        let mid_at = 7 * TURN_NS + 12_345;
+        let far_at = 9_000 * TURN_NS + 99;
+        q.push(T0, entry(mid_at, near));
         q.push(T0, entry(far_at, near + 1));
         assert!(!q.sparse);
         let mut seq = near + 2;
         let mut popped = 0u64;
-        // Each bound stops in an idle gap: inside the first segment, in an
-        // empty segment before the L2 entry, inside the L2 entry's segment
-        // but before it, between it and the overflow entry, and past all.
+        // Each bound stops in an idle gap: inside the first turn, turns
+        // before the middle timer, in its bucket's turn but before it,
+        // between it and the far one, and past all.
         for until in [
             near * 50 + 7,
-            3 * SEG_NS + 5,
-            7 * SEG_NS + 1,
-            2 * L2_SPAN_NS,
-            far_at + SEG_NS,
+            3 * TURN_NS + 5,
+            7 * TURN_NS + 1,
+            5_000 * TURN_NS,
+            far_at + TURN_NS,
         ] {
             while let Some(e) = q.pop_due(SimTime::from_nanos(until)) {
                 assert!(e.at.as_nanos() <= until);
@@ -1154,13 +1010,15 @@ mod tests {
                 q.cursor_time
             );
             assert!(q.next_at().is_none_or(|at| at.as_nanos() > until));
-            // A burst scheduled at the clamped clock goes to the wheel and
-            // comes straight back out, in order, with no cursor motion
-            // past the bound.
+            // A burst scheduled at the clamped clock goes to the ring,
+            // however long the gap it was clamped into, and comes straight
+            // back out, in order, with no cursor motion past the bound.
+            let waiting = q.far.len();
             for k in 0..200u64 {
                 q.push(SimTime::from_nanos(until), entry(until + k % 3, seq));
                 seq += 1;
             }
+            assert_eq!(q.far.len(), waiting, "burst went to the far heap");
             let mut prev = None;
             while let Some(e) = q.pop_due(SimTime::from_nanos(until + 2)) {
                 assert!(Some((e.at, e.seq)) > prev, "order violated at {}", e.seq);
@@ -1180,13 +1038,13 @@ mod tests {
         }
         while q.pop().is_some() {}
         assert!(!q.sparse);
-        // An idle stretch longer than the L2 span: without the re-anchor the
-        // burst would be further than N_L2 segments from the cursor.
-        let now = 2 * L2_SPAN_NS + 17;
+        // An idle stretch longer than a turn: without the re-anchor the
+        // burst would be out of the ring's reach.
+        let now = 9_000 * TURN_NS + 17;
         for seq in 0..100u64 {
             q.push(SimTime::from_nanos(now), entry(now + seq * 1_000, seq));
         }
-        assert!(q.overflow.is_empty(), "burst went to the overflow heap");
+        assert!(q.far.is_empty(), "burst went to the far heap");
         assert_eq!(q.cursor_time, (now >> W_SHIFT) << W_SHIFT);
         for seq in 0..100u64 {
             assert_eq!(q.pop().unwrap().seq, seq);
@@ -1196,48 +1054,59 @@ mod tests {
     #[test]
     fn drained_bucket_hands_back_a_large_buffer() {
         let mut q = EventQueue::new();
-        let width = 1u64 << W_SHIFT;
         // Bucket 1 far above BUCKET_KEEP, bucket 2 below it.
         for seq in 0..2 * SPARSE_LIMIT as u64 {
-            q.push(T0, entry(width + seq % width, seq));
+            q.push(T0, entry(WIDTH + seq % WIDTH, seq));
         }
         for seq in 0..8u64 {
-            q.push(T0, entry(2 * width + seq, 1 << 32 | seq));
+            q.push(T0, entry(2 * WIDTH + seq, 1 << 32 | seq));
         }
-        q.push(T0, entry(3 * width, u64::MAX));
+        q.push(T0, entry(3 * WIDTH, u64::MAX));
         while q.pop().is_some_and(|e| e.seq != u64::MAX) {}
         assert_eq!(
-            q.l1[1].capacity(),
+            q.ring[1].capacity(),
             0,
             "large drained bucket kept its buffer"
         );
         assert!(
-            q.l1[2].capacity() >= 8,
+            q.ring[2].capacity() >= 8,
             "small drained bucket lost its buffer"
         );
-        assert!(q.l1[2].is_empty());
+        assert!(q.ring[2].is_empty());
     }
 
     #[test]
-    fn exactly_one_l2_span_ahead() {
-        // On a dense queue the last L2 slot is N_L2 - 1 segments out; one
-        // whole span ahead would map to the cursor's own slot and goes to
-        // the overflow heap instead.
-        let mut q = EventQueue::new();
-        let near = 2 * SPARSE_LIMIT as u64;
-        for seq in 0..near {
-            q.push(T0, entry(5, seq));
+    fn one_turn_ahead_goes_to_the_far_heap() {
+        // The ring reaches N_BUCKETS - 1 ticks past the cursor's; one whole
+        // turn ahead would be the cursor's own bucket again and waits in
+        // the far heap, wherever in the ring the cursor is.
+        for cursor_tick in [0u64, 1, 700, N_BUCKETS as u64 - 1, 5 * N_BUCKETS as u64 + 3] {
+            let mut q = EventQueue::new();
+            let now = cursor_tick * WIDTH + 9;
+            let near = 2 * SPARSE_LIMIT as u64;
+            for seq in 0..near {
+                q.push(SimTime::from_nanos(now), entry(now, seq));
+            }
+            let turn_ahead = (cursor_tick + N_BUCKETS as u64) * WIDTH;
+            q.push(SimTime::from_nanos(now), entry(turn_ahead, near + 1));
+            assert_eq!((q.in_ring, q.far.len()), (0, 1));
+            q.push(SimTime::from_nanos(now), entry(turn_ahead - 1, near));
+            assert_eq!((q.in_ring, q.far.len()), (1, 1));
+            for seq in 0..near {
+                assert_eq!(q.pop().unwrap().seq, seq);
+            }
+            assert_eq!(q.pop().unwrap().at.as_nanos(), turn_ahead - 1);
+            // The cursor moved a turn less one tick: the far entry is in
+            // the ring now, and a push later than it lands behind it.
+            assert_eq!((q.in_ring, q.far.len()), (1, 0));
+            q.push(
+                SimTime::from_nanos(turn_ahead - 1),
+                entry(turn_ahead + WIDTH, near + 2),
+            );
+            assert_eq!(q.pop().unwrap().at.as_nanos(), turn_ahead);
+            assert_eq!(q.pop().unwrap().at.as_nanos(), turn_ahead + WIDTH);
+            assert!(q.pop().is_none());
         }
-        q.push(T0, entry(L2_SPAN_NS + 5, near + 1));
-        assert_eq!((q.in_l2, q.overflow.len()), (0, 1));
-        q.push(T0, entry(L2_SPAN_NS - SEG_NS + 5, near));
-        assert_eq!((q.in_l2, q.overflow.len()), (1, 1));
-        for seq in 0..near {
-            assert_eq!(q.pop().unwrap().seq, seq);
-        }
-        assert_eq!(q.pop().unwrap().at.as_nanos(), L2_SPAN_NS - SEG_NS + 5);
-        assert_eq!(q.pop().unwrap().at.as_nanos(), L2_SPAN_NS + 5);
-        assert!(q.pop().is_none());
     }
 
     #[test]

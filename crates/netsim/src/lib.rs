@@ -42,6 +42,7 @@
 //! assert!(sim.now().as_millis_f64() > 30.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

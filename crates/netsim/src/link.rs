@@ -122,15 +122,10 @@ pub(crate) struct LinkState {
     pub(crate) stats: LinkStats,
     /// Fault-injection state, if a spec was installed for this link.
     pub(crate) faults: Option<FaultState>,
-    /// True while the link needs none of the fault/loss machinery: the
-    /// engine's transmit path checks this one flag and takes a straight-line
-    /// fast path when set. Recomputed whenever faults are installed.
-    pub(crate) plain: bool,
 }
 
 impl LinkState {
     pub(crate) fn new(spec: LinkSpec) -> Self {
-        let plain = spec.loss.is_none();
         LinkState {
             src: spec.src,
             dst: spec.dst,
@@ -141,7 +136,6 @@ impl LinkState {
             busy: false,
             stats: LinkStats::default(),
             faults: None,
-            plain,
         }
     }
 

@@ -53,9 +53,8 @@ impl LossModel {
         }
     }
 
-    /// True for [`LossModel::None`] — the model never drops and its
-    /// evaluator consumes no randomness, so links carrying it qualify for
-    /// the engine's no-loss fast path.
+    /// True for [`LossModel::None`] — the model never drops, and its
+    /// evaluator consumes no randomness and keeps no state.
     pub fn is_none(&self) -> bool {
         matches!(self, LossModel::None)
     }
@@ -112,8 +111,13 @@ impl LossProcess {
     // model indexes). The model itself comes from the topology rebuild.
     crate::snap_fields!(pub(crate) fn save_cursor, load_cursor { in_bad_state, packets_seen });
 
-    /// Decide whether the next packet is lost.
+    /// Decide whether the next packet is lost. [`LossModel::None`] answers
+    /// without counting the packet: a loss-free link's cursor stays as it
+    /// was built, in a checkpoint as in memory.
     pub fn should_drop(&mut self, rng: &mut SimRng) -> bool {
+        if self.model.is_none() {
+            return false;
+        }
         self.packets_seen += 1;
         match self.model {
             LossModel::None => false,
@@ -154,6 +158,25 @@ mod tests {
         let mut rng = SimRng::new(1);
         let mut lp = LossProcess::new(LossModel::None);
         assert!((0..1000).all(|_| !lp.should_drop(&mut rng)));
+    }
+
+    #[test]
+    fn none_keeps_no_state() {
+        // What a checkpoint carries of a loss-free link is what it was
+        // built with, however many packets have crossed it.
+        let cursor = |lp: &LossProcess| {
+            let mut w = crate::snap::SnapWriter::new();
+            lp.save_cursor(&mut w);
+            w.into_bytes()
+        };
+        let mut rng = SimRng::new(1);
+        let mut lp = LossProcess::new(LossModel::None);
+        let fresh = cursor(&lp);
+        for _ in 0..1000 {
+            lp.should_drop(&mut rng);
+        }
+        assert_eq!(cursor(&lp), fresh);
+        assert_eq!(rng.next_u64(), SimRng::new(1).next_u64());
     }
 
     #[test]

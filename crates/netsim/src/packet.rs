@@ -191,27 +191,6 @@ impl<P: Payload> PacketArena<P> {
         idx < self.gens.len() && self.gens[idx] == h.gen()
     }
 
-    /// Hint the CPU to pull `h`'s slot into cache ahead of a `get`/`take`.
-    /// The engine issues this for the *next* event's packet while the
-    /// current one dispatches, hiding the arena's random-access miss at
-    /// high in-flight populations. Architecturally a no-op.
-    #[inline]
-    pub fn prefetch(&self, h: PacketHandle) {
-        let idx = h.idx();
-        #[cfg(target_arch = "x86_64")]
-        if idx < self.gens.len() {
-            // SAFETY: `idx` is in bounds; _mm_prefetch has no memory or
-            // register effects beyond the cache hint.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.gens.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-                _mm_prefetch(self.slots.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
-    }
-
     #[inline]
     fn check(&self, h: PacketHandle, op: &str) {
         assert!(
@@ -295,7 +274,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(NodeId(4).to_string(), "n4");
-        assert_eq!(LinkId(2).to_string(), "l2");
+        assert_eq!(LinkId(7).to_string(), "l7");
         assert_eq!(FlowId(9).to_string(), "f9");
     }
 

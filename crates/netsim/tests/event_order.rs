@@ -50,14 +50,14 @@ fn lcg(x: &mut u64) -> u64 {
     *x >> 11
 }
 
-/// Deltas chosen to land everywhere interesting relative to the wheel
-/// geometry: same bucket, neighbouring buckets, mid-window, past the L1
-/// segment (~134 ms, so the L2 wheel parks it), many segments out, and —
-/// the last two — past the whole L2 span (~9.2 min), which exercises the
-/// overflow heap and the cascade that refills L2 from it. With batch
-/// drains these also interleave run consumption with pushes into every
-/// tier, so a bucket sorted once per refill must still merge correctly
-/// against inbox entries that arrive mid-run.
+/// Deltas chosen to land everywhere interesting relative to the queue's
+/// geometry: same bucket, neighbouring buckets, mid-ring, past one turn of
+/// the ring (~134 ms, so the far heap takes it), many turns out, and — the
+/// last two — minutes and hours out. With batch drains these also
+/// interleave run consumption with pushes into every store, so a bucket
+/// sorted once per refill must still merge correctly against inbox entries
+/// that arrive mid-run, and a far entry must be in the ring by the time a
+/// push can land behind it.
 const DELTAS: [u64; 10] = [
     0,
     1,
@@ -72,7 +72,7 @@ const DELTAS: [u64; 10] = [
 ];
 
 /// `prefill` timers are scheduled before the first op: the queue is one
-/// sorted run until 64 entries are pending, so a prefilled run is on the wheels
+/// sorted run until 64 entries are pending, so a prefilled run is on the ring
 /// from its first op and the other one crosses over with the clock running.
 fn run_workload(seed: u64, ops: usize, prefill: usize) {
     let mut sim: Simulator<u32> = Simulator::new(1);
@@ -136,7 +136,7 @@ fn run_workload(seed: u64, ops: usize, prefill: usize) {
             }
             // Run to a horizon: fires everything due, then the clock clamps
             // to the horizon — usually between events, often in a gap the
-            // wheel has nothing in — and later ops schedule from there.
+            // ring has nothing in — and later ops schedule from there.
             7 => {
                 let d =
                     DELTAS[(lcg(&mut rng) % DELTAS.len() as u64) as usize] + lcg(&mut rng) % 977;
@@ -185,43 +185,188 @@ fn randomized_schedules_match_sorted_list_model() {
     }
 }
 
+/// The queue's geometry, restated: a bucket is 2^17 ns wide and the ring has
+/// 1024 of them. The scripted tests below aim at its edges; with another
+/// geometry they stay true and only get duller.
+const TICK_NS: u64 = 1 << 17;
+const TURN_NS: u64 = 1024 * TICK_NS;
+
+/// Timers armed at absolute instants from outside, between bounded runs;
+/// what fires must be the sorted list of what was armed.
+struct Script {
+    sim: Simulator<u32>,
+    node: netsim::NodeId,
+    armed: Vec<(u64, u64)>,
+}
+
+impl Script {
+    /// A queue that is on the ring from the start: 200 timers pending in the
+    /// first 3 ms.
+    fn dense() -> Script {
+        let mut sim: Simulator<u32> = Simulator::new(1);
+        let node = sim.add_node(Box::new(Recorder::default()));
+        let mut s = Script {
+            sim,
+            node,
+            armed: Vec::new(),
+        };
+        for i in 0..200u64 {
+            s.arm((i * 7_919) % 3_000_000);
+        }
+        s
+    }
+
+    fn arm(&mut self, at: u64) {
+        let token = self.armed.len() as u64;
+        self.sim
+            .core()
+            .set_timer_at(self.node, SimTime::from_nanos(at), token);
+        self.armed.push((at, token));
+    }
+
+    /// Fire what is due by `until` and put the clock there.
+    fn run_until(&mut self, until: u64) {
+        self.sim.run_until(SimTime::from_nanos(until));
+        assert_eq!(self.sim.now().as_nanos(), until);
+    }
+
+    /// Arm a timer at `at`, fire everything up to and including it: the
+    /// clock and the queue's cursor are both in `at`'s bucket afterwards.
+    fn park_cursor_at(&mut self, at: u64) {
+        self.arm(at);
+        self.run_until(at);
+    }
+
+    fn finish(mut self) {
+        self.sim
+            .run_to_completion(10 * self.armed.len() as u64 + 100);
+        self.armed.sort_unstable();
+        let rec = self.sim.node_as::<Recorder>(self.node).expect("recorder");
+        assert!(
+            rec.fired == self.armed,
+            "firing order diverged from the sorted list"
+        );
+    }
+}
+
 #[test]
 fn burst_at_a_clock_clamped_into_an_idle_gap_matches_model() {
     // The shape of a short-flow run: a dense start-up burst drains, the only
-    // thing left is a handshake timer 1 s out, `run_until` stops in the gap
-    // before it, and the next burst is scheduled from the clamped clock.
-    let mut sim: Simulator<u32> = Simulator::new(1);
-    let node = sim.add_node(Box::new(Recorder::default()));
-    let mut expect: Vec<(u64, u64)> = Vec::new();
-    let mut token = 0u64;
-    let mut arm = |sim: &mut Simulator<u32>, at: u64| {
-        sim.core()
-            .set_timer_at(node, SimTime::from_nanos(at), token);
-        expect.push((at, token));
-        token += 1;
-    };
-    for i in 0..2_000u64 {
-        arm(&mut sim, (i * 7_919) % 3_000_000);
+    // thing left is a handshake timer far out, `run_until` stops in the gap
+    // before it — a gap longer than one turn of the ring, so the timer is
+    // still in the far heap — and the next burst is scheduled from the
+    // clamped clock: into the ring, around a timer that is not in it yet.
+    for (gap, far) in [
+        (420_000_000, 1_000_000_000),
+        // Stopped exactly on a turn boundary, the timer exactly a turn on.
+        (3 * TURN_NS, 4 * TURN_NS),
+        (60_000_000_000, 60_000_000_000 + TURN_NS + 1),
+    ] {
+        let mut s = Script::dense();
+        s.arm(far);
+        s.run_until(gap);
+        assert_eq!(s.sim.events_processed(), 200);
+        assert_eq!(s.sim.next_event_time(), Some(SimTime::from_nanos(far)));
+        // The burst straddles the far timer: same bucket as the clock, later
+        // buckets, later turns.
+        let mut rng = 99u64;
+        for _ in 0..20_000 {
+            s.arm(gap + lcg(&mut rng) % 900_000_000);
+        }
+        // One more stop in an empty stretch with the far timer behind it.
+        s.run_until(far + 2_000_000_000);
+        s.arm(far + 2_000_000_000);
+        s.finish();
     }
-    arm(&mut sim, 1_000_000_000);
-    let gap = 420_000_000u64;
-    sim.run_until(SimTime::from_nanos(gap));
-    assert_eq!(sim.events_processed(), 2_000);
-    assert_eq!(sim.now().as_nanos(), gap);
-    assert_eq!(
-        sim.next_event_time(),
-        Some(SimTime::from_nanos(1_000_000_000))
-    );
-    // The burst straddles the far timer: same bucket as the clock, later
-    // buckets, later segments.
-    let mut rng = 99u64;
-    for _ in 0..20_000 {
-        arm(&mut sim, gap + lcg(&mut rng) % 900_000_000);
+}
+
+#[test]
+fn entries_either_side_of_one_turn_pop_in_order() {
+    // One turn ahead of the cursor is the cursor's own bucket again: an
+    // entry there waits in the far heap, one a tick earlier is in the ring's
+    // last bucket. Wherever the cursor is parked — on a multiple of the turn
+    // length, just short of one, in mid-ring — both, and their neighbours
+    // and ties, must fire in order.
+    for parked in [
+        4 * TURN_NS,
+        5 * TURN_NS - 50_000_000,
+        7 * TURN_NS + 17 * TICK_NS + 5,
+        9 * TURN_NS - 1,
+    ] {
+        let mut s = Script::dense();
+        s.park_cursor_at(parked);
+        let bucket_start = parked - parked % TICK_NS;
+        for base in [parked, bucket_start] {
+            for offset in [
+                TURN_NS + TICK_NS,
+                TURN_NS + 1,
+                TURN_NS,
+                TURN_NS,
+                TURN_NS - 1,
+                TURN_NS - TICK_NS,
+                50_000_000,
+                TICK_NS,
+                2 * TURN_NS,
+                2 * TURN_NS - 1,
+                TURN_NS - 1,
+            ] {
+                s.arm((base + offset).max(parked));
+            }
+        }
+        s.finish();
     }
-    sim.run_to_completion(100_000);
-    expect.sort_unstable();
-    let rec = sim.node_as::<Recorder>(node).expect("recorder node");
-    assert_eq!(rec.fired, expect);
+}
+
+#[test]
+fn a_push_behind_an_admitted_far_entry_fires_after_it() {
+    // A timer a little over a turn out goes to the far heap. The cursor then
+    // moves a few buckets, which brings it within the ring's reach — and so
+    // does everything scheduled after it from the new clock. If it were
+    // still in the heap when those land in the ring, they would fire first.
+    let mut s = Script::dense();
+    let t0 = 6 * TURN_NS + 300 * TICK_NS;
+    s.park_cursor_at(t0);
+    let far = t0 + TURN_NS + 5 * TICK_NS;
+    s.arm(far);
+    // (Something further along the ring, so that the cursor gets to its next
+    // stop by finding an occupied bucket, not by finding none.)
+    s.arm(t0 + 500 * TICK_NS);
+    s.park_cursor_at(t0 + 10 * TICK_NS);
+    for later in [far + 2 * TICK_NS, far + 1, far, far - 1, far + 3 * TICK_NS] {
+        s.arm(later);
+    }
+    // The same with the clock stopped in an empty stretch, nothing in the
+    // ring to carry the cursor along, and nothing scheduled before the far
+    // timer to stop the cursor short of it.
+    let t1 = far + 40 * TURN_NS;
+    let far = t1 + TURN_NS + 5 * TICK_NS;
+    s.arm(far);
+    s.run_until(t1 + 10 * TICK_NS);
+    for later in [far + 2 * TICK_NS, far + 3 * TICK_NS] {
+        s.arm(later);
+    }
+    s.finish();
+}
+
+#[test]
+fn a_delivery_chain_rolls_across_turn_boundaries() {
+    // A 50 ms hop scheduled from wherever the last one landed crosses a
+    // multiple of the turn length more often than one time in three. There is
+    // nothing at those instants any more: each hop is less than a turn ahead
+    // of the cursor and goes straight to its bucket.
+    let mut s = Script::dense();
+    s.run_until(3_000_000);
+    let mut at = 3_000_000u64;
+    for hop in 0..120u64 {
+        let next = at + 50_000_000 + hop * 1_237;
+        s.arm(next);
+        // Its RTO, a second out, and a neighbour in the hop's own bucket.
+        s.arm(next + 1_000_000_000);
+        s.arm(next + 7);
+        s.run_until(next);
+        at = next;
+    }
+    s.finish();
 }
 
 #[test]
@@ -423,7 +568,7 @@ fn restart_workload(seed: u64, ops: usize, prefill: usize) {
 /// go wrong there is an insertion position: among entries due at the same
 /// instant (arming order breaks the tie), behind a far timer that was
 /// pushed first and sits at the front, at either end of the run, and across
-/// the hand-over to the wheels when a burst takes the population over 64
+/// the hand-over to the ring when a burst takes the population over 64
 /// while entries are being popped. A sorted list says what must fire, and
 /// `next_event_time`, `run_until` and a snapshot's drain-and-refill have to
 /// agree with it at every step.

@@ -47,8 +47,10 @@
 //! wall time. Machine-varying fields sit on their own lines so
 //! `grep -vE '"wall_|"machine"'` leaves a deterministic document.
 
+#![forbid(unsafe_code)]
+
 use netsim::SimDuration;
-use scenarios::figures::{distinct_experiment_ids, run_experiment};
+use scenarios::figures::{distinct_experiment_ids, experiment};
 use scenarios::harness::JobMetrics;
 use scenarios::manifest::{ExperimentEntry, Manifest};
 use scenarios::simcheck;
@@ -90,6 +92,14 @@ fn report_jobs(id: &str, wall_s: f64, metrics: &[JobMetrics]) {
     );
 }
 
+/// Refuse a command line: say why and exit 2, before any banner or output
+/// directory. (Exit 1 is a run that started and failed: simcheck
+/// violations, I/O, run errors.)
+fn refuse(why: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{why}");
+    ExitCode::from(2)
+}
+
 /// `repro trace`: replay one (figure, protocol, seed, flow) with the
 /// flight recorder on and write `trace.jsonl` + `trace_timeseq.csv` under
 /// `--out` (default `out/`).
@@ -101,50 +111,31 @@ fn trace_main(args: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--figure" | "-f" => match it.next() {
                 Some(f) => spec.figure = f,
-                None => {
-                    eprintln!("--figure needs a name (fig5..fig8 or chaos)");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--figure needs a name (fig5..fig8 or chaos)"),
             },
             "--protocol" | "-p" => match it.next().as_deref().and_then(Protocol::parse) {
                 Some(p) => spec.protocol = p,
                 None => {
-                    eprintln!("--protocol needs a scheme name (e.g. Halfback, TCP, JumpStart)");
-                    return ExitCode::FAILURE;
+                    return refuse("--protocol needs a scheme name (e.g. Halfback, TCP, JumpStart)")
                 }
             },
             "--seed" | "-s" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(s) => spec.seed = s,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--seed needs an integer"),
             },
             "--flow" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(f) if f >= 1 => spec.flow = f,
-                _ => {
-                    eprintln!("--flow needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--flow needs a positive integer"),
             },
             "--bytes" | "-b" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(b) if b >= 1 => spec.bytes = b,
-                _ => {
-                    eprintln!("--bytes needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--bytes needs a positive integer"),
             },
             "--out" | "-o" => match it.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--out needs a directory"),
             },
-            other => {
-                eprintln!("unknown trace flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            other => return refuse(format!("unknown trace flag '{other}'")),
         }
     }
 
@@ -221,64 +212,37 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--seed" | "-s" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--seed needs an integer"),
             },
             "--cases" | "-n" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) if n >= 1 => cases = n,
-                _ => {
-                    eprintln!("--cases needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--cases needs a positive integer"),
             },
             "--case" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(id) => single = Some(id),
-                None => {
-                    eprintln!("--case needs a case id");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--case needs a case id"),
             },
             "--keep-flows" => match it.next().as_deref().and_then(parse_keep_list) {
                 Some(l) => keep_flows = Some(l),
-                None => {
-                    eprintln!("--keep-flows needs comma-separated indices or 'none'");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--keep-flows needs comma-separated indices or 'none'"),
             },
             "--keep-faults" => match it.next().as_deref().and_then(parse_keep_list) {
                 Some(l) => keep_faults = Some(l),
-                None => {
-                    eprintln!("--keep-faults needs comma-separated indices or 'none'");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--keep-faults needs comma-separated indices or 'none'"),
             },
             "--keep-hops" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(k) if k >= 1 => keep_hops = Some(k),
-                _ => {
-                    eprintln!("--keep-hops needs a positive hop count");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--keep-hops needs a positive hop count"),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => harness::set_workers(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--jobs needs a positive integer"),
             },
             "--out" | "-o" => match it.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--out needs a directory"),
             },
-            other => {
-                eprintln!("unknown simcheck flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            other => return refuse(format!("unknown simcheck flag '{other}'")),
         }
     }
 
@@ -353,112 +317,71 @@ fn weather_main(args: Vec<String>) -> ExitCode {
             "--scheme" | "-p" => match it.next().as_deref().and_then(Protocol::parse) {
                 Some(p) => cfg.protocol = p,
                 None => {
-                    eprintln!("--scheme needs a scheme name (e.g. Halfback, TCP, JumpStart)");
-                    return ExitCode::FAILURE;
+                    return refuse("--scheme needs a scheme name (e.g. Halfback, TCP, JumpStart)")
                 }
             },
             "--utilization" | "-u" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
                 Some(u) if u > 0.0 && u <= MAX_OVERLOAD_UTILIZATION => cfg.utilization = u,
                 _ => {
-                    eprintln!(
+                    return refuse(format!(
                         "--utilization needs a fraction in (0, {MAX_OVERLOAD_UTILIZATION}] \
                          (0.4 = 40 % of the bottleneck; above 1 is deliberate overload)"
-                    );
-                    return ExitCode::from(2);
+                    ))
                 }
             },
             "--hours" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
                 Some(h) if h > 0.0 => cfg.duration = SimDuration::from_secs_f64(h * 3600.0),
-                _ => {
-                    eprintln!("--hours needs a positive number");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--hours needs a positive number"),
             },
             "--minutes" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
                 Some(m) if m > 0.0 => cfg.duration = SimDuration::from_secs_f64(m * 60.0),
-                _ => {
-                    eprintln!("--minutes needs a positive number");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--minutes needs a positive number"),
             },
             "--window" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(s) if s >= 1 => cfg.window = SimDuration::from_secs(s),
-                _ => {
-                    eprintln!("--window needs a positive number of seconds");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--window needs a positive number of seconds"),
             },
             "--warmup" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(s) => cfg.warmup = SimDuration::from_secs(s),
-                None => {
-                    eprintln!("--warmup needs a number of seconds");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--warmup needs a number of seconds"),
             },
             "--checkpoint-every" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) if n >= 1 => cfg.checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every needs a positive window count");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--checkpoint-every needs a positive window count"),
             },
             "--amplitude" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
                 Some(a) if (0.0..1.0).contains(&a) => cfg.amplitude = a,
-                _ => {
-                    eprintln!("--amplitude needs a fraction in [0, 1)");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--amplitude needs a fraction in [0, 1)"),
             },
             "--period-hours" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
                 Some(h) if h > 0.0 => cfg.period = SimDuration::from_secs_f64(h * 3600.0),
-                _ => {
-                    eprintln!("--period-hours needs a positive number");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--period-hours needs a positive number"),
             },
             "--pairs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cfg.host_pairs = n,
-                _ => {
-                    eprintln!("--pairs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--pairs needs a positive integer"),
             },
             "--seed" | "-s" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(s) => cfg.seed = s,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--seed needs an integer"),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 // Weather runs one simulation inline; the flag is accepted
                 // so callers can pass a uniform command line, and output is
                 // byte-identical for every N by construction.
                 Some(n) if n >= 1 => harness::set_workers(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--jobs needs a positive integer"),
             },
             "--out" | "-o" => match it.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--out needs a directory"),
             },
             "--resume" => opts.resume = true,
             "--stop-after-checkpoints" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(k) if k >= 1 => opts.stop_after_checkpoints = Some(k),
-                _ => {
-                    eprintln!("--stop-after-checkpoints needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--stop-after-checkpoints needs a positive integer"),
             },
-            other => {
-                eprintln!("unknown weather flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            other => return refuse(format!("unknown weather flag '{other}'")),
         }
     }
 
@@ -520,10 +443,9 @@ fn main() -> ExitCode {
         return weather_main(args.split_off(1));
     }
     if args.is_empty() {
-        eprintln!(
-            "usage: repro <experiment>... [--quick] [--scale quick|full] [--jobs N] [--shards N] [--telemetry FILE] [--chart] [--out DIR] | repro all | repro list | repro weather [...]"
+        return refuse(
+            "usage: repro <experiment>... [--quick] [--scale quick|full] [--jobs N] [--shards N] [--telemetry FILE] [--chart] [--out DIR] | repro all | repro list | repro weather [...]",
         );
-        return ExitCode::FAILURE;
     }
 
     let mut scale = Scale::Full;
@@ -537,39 +459,24 @@ fn main() -> ExitCode {
             "--scale" => match it.next().as_deref() {
                 Some("quick") => scale = Scale::Quick,
                 Some("full") => scale = Scale::Full,
-                other => {
-                    eprintln!("--scale needs 'quick' or 'full', got {other:?}");
-                    return ExitCode::FAILURE;
-                }
+                other => return refuse(format!("--scale needs 'quick' or 'full', got {other:?}")),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => harness::set_workers(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--jobs needs a positive integer"),
             },
             "--shards" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => harness::set_shards(n),
-                _ => {
-                    eprintln!("--shards needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
+                _ => return refuse("--shards needs a positive integer"),
             },
             "--telemetry" => match it.next() {
                 Some(path) => harness::set_telemetry_path(Some(PathBuf::from(path))),
-                None => {
-                    eprintln!("--telemetry needs a file path");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--telemetry needs a file path"),
             },
             "--chart" | "-c" => chart = true,
             "--out" | "-o" => match it.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
+                None => return refuse("--out needs a directory"),
             },
             "list" => {
                 println!("experiments:");
@@ -579,6 +486,7 @@ fn main() -> ExitCode {
                 println!("aliases: fig1 (with fig12), fig5/fig7/fig8 (with fig6)");
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with('-') => return refuse(format!("unknown flag '{other}'")),
             other => experiments.push(other.to_string()),
         }
     }
@@ -588,36 +496,35 @@ fn main() -> ExitCode {
             .map(String::from)
             .collect();
     }
+    let mut runs = Vec::new();
+    for id in experiments {
+        match experiment(&id) {
+            Some(figures) => runs.push((id, figures)),
+            None => return refuse(format!("unknown experiment '{id}'; try `repro list`")),
+        }
+    }
 
     harness::set_progress(true);
     let started = std::time::Instant::now();
     let mut entries: Vec<ExperimentEntry> = Vec::new();
-    for id in &experiments {
+    for (id, figures) in &runs {
         eprintln!(
             ">> running {id} ({scale:?} scale, {} workers)...",
             harness::workers()
         );
         let exp_started = std::time::Instant::now();
         let mut figure_ids: Vec<String> = Vec::new();
-        match run_experiment(id, scale) {
-            Some(figs) => {
-                for fig in figs {
-                    figure_ids.push(fig.id.to_string());
-                    println!("{}", fig.render_text());
-                    if chart {
-                        println!("{}", fig.render_ascii_chart());
-                    }
-                    if let Some(dir) = &out_dir {
-                        if let Err(e) = fig.write_csv(dir).and_then(|()| fig.write_gnuplot(dir)) {
-                            eprintln!("failed to write CSV/gnuplot for {}: {e}", fig.id);
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
+        for fig in figures(scale) {
+            figure_ids.push(fig.id.to_string());
+            println!("{}", fig.render_text());
+            if chart {
+                println!("{}", fig.render_ascii_chart());
             }
-            None => {
-                eprintln!("unknown experiment '{id}'; try `repro list`");
-                return ExitCode::FAILURE;
+            if let Some(dir) = &out_dir {
+                if let Err(e) = fig.write_csv(dir).and_then(|()| fig.write_gnuplot(dir)) {
+                    eprintln!("failed to write CSV/gnuplot for {}: {e}", fig.id);
+                    return ExitCode::FAILURE;
+                }
             }
         }
         let wall_s = exp_started.elapsed().as_secs_f64();

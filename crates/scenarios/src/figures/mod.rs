@@ -1,7 +1,7 @@
 //! One module per figure/table of the paper.
 //!
 //! Every module exposes `figures(scale) -> Vec<Figure>`; the registry in
-//! [`run_experiment`] maps experiment ids ("fig12", "table1", …) to them.
+//! [`experiment`] maps experiment ids ("fig12", "table1", …) to them.
 
 pub mod ablation;
 pub mod aqm;
@@ -37,35 +37,40 @@ pub const ALL_EXPERIMENTS: [&str; 14] = [
 /// array above is used in doc examples; `run_experiment` accepts all.
 pub const MORE_EXPERIMENTS: [&str; 3] = ["fig16", "fig17", "table1"];
 
-/// Run one experiment by id; `None` for an unknown id.
+/// The figure function behind an experiment id; `None` for an unknown id.
 ///
 /// "fig1" is derived from the same sweep as "fig12" and returned together
 /// with it; "fig5"–"fig8" all come from the PlanetLab run and are returned
 /// together when any of them is requested.
+pub fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Figure>> {
+    Some(match id {
+        "fig1" | "fig12" => feasible::figures,
+        "fig2" => traffic_cdf::figures,
+        "fig3" => walkthrough::figures,
+        "fig5" | "fig6" | "fig7" | "fig8" => planetlab::figures,
+        "fig9" => home::figures,
+        "fig10" => bufferbloat::figures,
+        "fig11" => flowsize_sweep::figures,
+        "fig13" => long_short::figures,
+        "fig14" => friendliness::figures,
+        "fig15" => throughput_trace::figures,
+        "fig16" => web_response::figures,
+        "fig17" => ablation::figures,
+        "aqm" => aqm::figures,
+        "chaos" => chaos::figures,
+        "planetlab100k" => planetlab_sharded::figures,
+        "ratio" => ratio::figures,
+        "multihop" => multihop::figures,
+        "sensitivity" => sensitivity::figures,
+        "variance" => variance::figures,
+        "table1" => table1::figures,
+        _ => return None,
+    })
+}
+
+/// Run one experiment by id; `None` for an unknown id.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Figure>> {
-    match id {
-        "fig1" | "fig12" => Some(feasible::figures(scale)),
-        "fig2" => Some(traffic_cdf::figures(scale)),
-        "fig3" => Some(walkthrough::figures(scale)),
-        "fig5" | "fig6" | "fig7" | "fig8" => Some(planetlab::figures(scale)),
-        "fig9" => Some(home::figures(scale)),
-        "fig10" => Some(bufferbloat::figures(scale)),
-        "fig11" => Some(flowsize_sweep::figures(scale)),
-        "fig13" => Some(long_short::figures(scale)),
-        "fig14" => Some(friendliness::figures(scale)),
-        "fig15" => Some(throughput_trace::figures(scale)),
-        "fig16" => Some(web_response::figures(scale)),
-        "fig17" => Some(ablation::figures(scale)),
-        "aqm" => Some(aqm::figures(scale)),
-        "chaos" => Some(chaos::figures(scale)),
-        "planetlab100k" => Some(planetlab_sharded::figures(scale)),
-        "ratio" => Some(ratio::figures(scale)),
-        "multihop" => Some(multihop::figures(scale)),
-        "sensitivity" => Some(sensitivity::figures(scale)),
-        "variance" => Some(variance::figures(scale)),
-        "table1" => Some(table1::figures(scale)),
-        _ => None,
-    }
+    experiment(id).map(|figures| figures(scale))
 }
 
 /// Ids accepted by [`run_experiment`], deduplicated (fig1/fig12 and

@@ -11,6 +11,7 @@
 //! The `repro` binary regenerates any figure:
 //! `cargo run --release -p scenarios --bin repro -- fig12 --jobs 4`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;

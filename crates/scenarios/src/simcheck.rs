@@ -24,8 +24,10 @@
 //! * **fct-bound** — no completion time beats the store-and-forward lower
 //!   bound (two round trips plus serialization at the most optimistic
 //!   bottleneck rate the case's fault steps allow).
-//! * **rto-sanity** — RTO counts are bounded, and are exactly zero for a
-//!   pristine (loss-free, fault-free, well-buffered) single flow.
+//! * **rto-sanity** — a flow's RTO count is bounded by its length (a
+//!   sender gives up after [`MAX_RTO_RETRIES`] timeouts without progress),
+//!   and is exactly zero for a pristine (loss-free, fault-free,
+//!   well-buffered) single flow.
 //! * **differential** — on pristine RTT-dominated short-flow cases,
 //!   Halfback's FCT does not lose to TCP's by more than a small tolerance
 //!   (the paper's headline claim, checked as an invariant).
@@ -53,8 +55,8 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use transport::trace::FlowEventRecord;
-use transport::wire::flow_wire_bytes;
-use transport::{FlowOutcome, Host, TransportSim};
+use transport::wire::{flow_wire_bytes, segment_count};
+use transport::{FlowOutcome, FlowRecord, Host, TransportSim, MAX_RTO_RETRIES};
 
 /// Default battery size (the CI smoke job runs exactly this many cases).
 pub const DEFAULT_CASES: u64 = 200;
@@ -427,6 +429,23 @@ fn fct_floor_ns(hops: &[HopSpec], faults: &[&FaultEvent], bytes: u64) -> f64 {
     2.0 * (d_fwd_ns + d_rev_ns) + ser_ns
 }
 
+/// The bounded half of the rto-sanity oracle. Every RTO either follows
+/// cumulative progress, of which a flow makes at most one piece per
+/// segment, or counts towards the [`MAX_RTO_RETRIES`] a sender allows itself
+/// without any — so a long flow behind a deep queue may time out many times
+/// and be healthy (one segment further along each time), and a flow that
+/// exceeds its length's allowance is not.
+fn rto_sanity(rec: &FlowRecord) -> Option<Violation> {
+    let bound = (MAX_RTO_RETRIES as u64 + 1) * segment_count(rec.bytes) as u64;
+    (rec.counters.rto_events > bound).then(|| Violation {
+        kind: "rto-sanity",
+        detail: format!(
+            "flow {}: {} RTO events, more than {bound} for its {} bytes",
+            rec.flow, rec.counters.rto_events, rec.bytes
+        ),
+    })
+}
+
 /// Run a single pristine flow of `protocol` over `hops` and return its FCT
 /// in nanoseconds (None if it did not complete — itself a bug on a clean
 /// path, reported by the caller).
@@ -608,7 +627,7 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
             .all(|h| matches!(h.loss, LossModel::None) && h.buffer_bytes >= PRISTINE_BUFFER_BYTES);
 
     // Per-flow oracles over the sender's completion records.
-    let records: Vec<transport::FlowRecord> = sim
+    let records: Vec<FlowRecord> = sim
         .node_as::<Host>(net.sender)
         .unwrap()
         .completed()
@@ -616,12 +635,7 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
     let receiver_host = sim.node_as::<Host>(net.receiver).unwrap();
     for rec in &records {
         let flow = rec.flow;
-        if rec.counters.rto_events > 64 {
-            report.violations.push(Violation {
-                kind: "rto-sanity",
-                detail: format!("flow {flow}: {} RTO events", rec.counters.rto_events),
-            });
-        }
+        report.violations.extend(rto_sanity(rec));
         match rec.outcome {
             FlowOutcome::Completed => {
                 report.completed += 1;
@@ -1095,6 +1109,40 @@ mod tests {
             );
             assert!(report.completed + report.aborted >= 1);
         }
+    }
+
+    #[test]
+    fn rto_bound_scales_with_the_flow() {
+        // About 680 segments behind 1,846 queue drops: 69 RTOs, every one
+        // at backoff level 0 and each retransmitting a later segment.
+        let spec = generate_case(107, 313);
+        let report = run_case(&spec, &Selection::full(&spec), false);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+
+        let record = |bytes, rto_events| FlowRecord {
+            flow: FlowId(9),
+            protocol: "TCP",
+            bytes,
+            start: SimTime::ZERO,
+            established_at: SimTime::ZERO,
+            done_at: SimTime::ZERO,
+            fct: SimDuration::ZERO,
+            counters: transport::Counters {
+                rto_events,
+                ..Default::default()
+            },
+            min_rtt: None,
+            outcome: FlowOutcome::Completed,
+        };
+        let per_segment = MAX_RTO_RETRIES as u64 + 1;
+        assert!(rto_sanity(&record(1_000_000, 69)).is_none());
+        assert!(rto_sanity(&record(10 * transport::MSS as u64, 10 * per_segment)).is_none());
+        let over = rto_sanity(&record(10 * transport::MSS as u64, 10 * per_segment + 1))
+            .expect("one RTO more than ten segments allow");
+        assert_eq!(over.kind, "rto-sanity");
+        // The flat bound this replaces let a two-segment flow time out 64
+        // times.
+        assert!(rto_sanity(&record(2 * transport::MSS as u64, 64)).is_some());
     }
 
     #[test]

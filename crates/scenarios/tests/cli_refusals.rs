@@ -2,17 +2,37 @@
 //! prints a banner or creates an output directory, with a message naming
 //! the flag — never a panic further in.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Command, Output};
 
-fn weather(out: &PathBuf, flags: &[&str]) -> Output {
+/// `repro <args> --out <out>`.
+fn repro(out: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("weather")
-        .args(["--minutes", "1", "--out"])
+        .args(args)
+        .arg("--out")
         .arg(out)
-        .args(flags)
         .output()
         .expect("repro starts")
+}
+
+fn weather(out: &Path, flags: &[&str]) -> Output {
+    repro(out, &[&["weather", "--minutes", "1"], flags].concat())
+}
+
+/// The refusal contract: exit code 2, a message naming the flag, nothing
+/// on stdout, no banner, no output directory.
+fn assert_refused(out: &Path, run: &Output, names: &str, what: &[&str]) {
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{what:?}: {stderr}");
+    assert!(stderr.contains(names), "{what:?}: {stderr}");
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains(">>"),
+        "{what:?} got past the command line: {stderr}"
+    );
+    assert!(
+        run.stdout.is_empty() && !out.exists(),
+        "{what:?} left output behind"
+    );
 }
 
 #[test]
@@ -20,35 +40,54 @@ fn weather_refuses_out_of_range_flags_before_any_output() {
     let out = std::env::temp_dir().join(format!("repro-refusals-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
     let refused = |flags: &[&str], names: &str| {
-        let run = weather(&out, flags);
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert!(!run.status.success(), "{flags:?} was accepted");
-        assert!(stderr.contains(names), "{flags:?}: {stderr}");
-        assert!(
-            !stderr.contains("panicked") && !stderr.contains(">> weather"),
-            "{flags:?} got past the command line: {stderr}"
-        );
-        assert!(
-            run.stdout.is_empty() && !out.exists(),
-            "{flags:?} left output behind"
-        );
-        run.status.code()
+        assert_refused(&out, &weather(&out, flags), names, flags);
     };
     // 500 % used to reach an `assert!` in `workload::arrivals` (exit 101).
     for value in ["5", "1.5000001", "0", "-0.4", "nan", "inf", "forty"] {
-        assert_eq!(
-            refused(
-                &["--utilization", value],
-                "--utilization needs a fraction in (0, 1.5]"
-            ),
-            Some(2)
+        refused(
+            &["--utilization", value],
+            "--utilization needs a fraction in (0, 1.5]",
         );
     }
     refused(&["--window", "0"], "--window needs");
     refused(&["--amplitude", "7"], "--amplitude needs");
     refused(&["--pairs", "0"], "--pairs needs");
     refused(&["--jobs", "0"], "--jobs needs");
-    refused(&["--utilization"], "--utilization needs");
+    refused(&["--bogus"], "unknown weather flag '--bogus'");
+}
+
+#[test]
+fn every_subcommand_refuses_with_exit_code_2() {
+    let out = std::env::temp_dir().join(format!("repro-usage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    for (args, names) in [
+        (&["trace", "--flow", "0"][..], "--flow needs"),
+        (
+            &["trace", "--protocol", "Carrier-Pigeon"],
+            "--protocol needs",
+        ),
+        (&["trace", "--bogus"], "unknown trace flag '--bogus'"),
+        (&["simcheck", "--cases", "0"], "--cases needs"),
+        (&["simcheck", "--keep-flows", "1,x"], "--keep-flows needs"),
+        (&["simcheck", "--bogus"], "unknown simcheck flag '--bogus'"),
+        (&["fig3", "--quick", "--jobs", "0"], "--jobs needs"),
+        (&["fig3", "--scale", "medium"], "--scale needs"),
+        (&["fig3", "--quick", "--bogus"], "unknown flag '--bogus'"),
+        // After a good id: nothing of fig3 may run first.
+        (&["fig3", "fig99", "--quick"], "unknown experiment 'fig99'"),
+    ] {
+        assert_refused(&out, &repro(&out, args), names, args);
+    }
+    // A flag that lost its operand, and no arguments at all.
+    let bare = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro starts")
+    };
+    let args = ["weather", "--utilization"];
+    assert_refused(&out, &bare(&args), "--utilization needs", &args);
+    assert_refused(&out, &bare(&[]), "usage: repro", &[]);
 }
 
 #[test]

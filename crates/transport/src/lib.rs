@@ -19,6 +19,7 @@
 //! TCP-Cache, Reactive, Proactive, JumpStart, PCP) and the `core` crate
 //! (Halfback and its ablations).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod host;

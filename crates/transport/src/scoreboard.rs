@@ -120,7 +120,7 @@ pub struct Scoreboard {
     /// after a retransmission, the segment is deemed lost again and
     /// retransmitted again. This models JumpStart's fallback stack, whose
     /// "propensity to retransmit the same packets multiple times" the paper
-    /// names as the root of its unsafety (§2.2, §4.3.2, §4.3.3). Careful
+    /// names as what makes it not safe (§2.2, §4.3.2, §4.3.3). Careful
     /// RFC 6675-style stacks never re-mark; only the RTO recovers a lost
     /// retransmission.
     naive_remarking: bool,

@@ -7,6 +7,7 @@
 //! * [`web`] — the synthetic 100-page corpus for the §4.4 web benchmark
 //! * [`paths`] — PlanetLab-like and home-network path populations
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrivals;

@@ -20,6 +20,5 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 
 cargo bench --bench engine -- --baseline-covers "$root/BENCH_netsim.json"
 cargo bench --bench e2e -- --baseline-covers "$root/BENCH_e2e.json"
-cargo bench --bench figures -- --baseline-covers "$root/BENCH_figures.json"
 
 echo "OK: every registered benchmark has a committed baseline entry"

@@ -2,7 +2,7 @@
 //!
 //! The container this reproduction builds in has no access to crates.io,
 //! so Criterion is out of reach; this module provides the small subset the
-//! figure/engine benches need: named groups, warmup, a fixed sample count,
+//! engine and e2e benches need: named groups, warmup, a fixed sample count,
 //! median/mean/min/p95 wall-clock reporting with adaptive units, optional
 //! per-element throughput, machine-readable JSON output, and a regression
 //! check against a committed baseline.

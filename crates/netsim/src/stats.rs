@@ -1,233 +1,44 @@
 //! Small statistics helpers shared by experiments and tests.
 
-/// Running summary (count / mean / min / max) without storing samples.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add a sample.
-    pub fn add(&mut self, x: f64) {
-        debug_assert!(x.is_finite(), "non-finite sample: {x}");
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Minimum, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-/// Default [`Ecdf`] sample budget: one mebi-sample. Past this, `add`
-/// refuses (debug assert, silently dropped in release) — large scenarios
-/// must aggregate through [`LogHistogram`], which is O(1) per metric.
-pub const ECDF_DEFAULT_BUDGET: usize = 1 << 20;
-
-/// Error returned by [`Ecdf::try_add`] once the sample budget is spent.
-///
-/// An `Ecdf` stores every sample, so its memory is linear in the flow
-/// count; the budget is the explicit ceiling that keeps a misrouted
-/// million-flow scenario from silently eating gigabytes. Scenarios that
-/// legitimately need more samples should either raise the budget with
-/// [`Ecdf::with_budget`] or — for anything flow-scaled — switch to the
-/// bounded [`LogHistogram`] sketch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EcdfBudgetExceeded {
-    /// The budget that was exhausted.
-    pub budget: usize,
-}
-
-impl std::fmt::Display for EcdfBudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Ecdf sample budget exhausted ({} samples); use LogHistogram for \
-             flow-scaled aggregation or raise the budget explicitly",
-            self.budget
-        )
-    }
-}
-
-impl std::error::Error for EcdfBudgetExceeded {}
-
-/// An empirical distribution built from stored samples: percentiles and CDF
+/// An empirical distribution over a fixed sample set: percentiles and CDF
 /// series for the paper's CDF/CCDF figures.
 ///
-/// Samples accumulate in a small unsorted tail (`pending`) and are merged
-/// into the sorted main run only when a query needs order. Interleaved
-/// add/query workloads (the per-cell metrics path) therefore pay one
-/// `O(k log k)` sort of the *new* samples plus a linear merge, instead of
-/// re-sorting all `n` samples every time.
-///
-/// Memory is linear in the sample count, so growth is capped by an
-/// explicit budget (default [`ECDF_DEFAULT_BUDGET`]): past it, [`Ecdf::add`]
-/// debug-asserts and drops the sample in release builds (see
-/// [`Ecdf::try_add`] / [`Ecdf::refused`]). Flow-scaled scenarios belong on
-/// [`LogHistogram`] instead.
+/// Built once by [`Ecdf::from_samples`], which drops non-finite samples and
+/// sorts the rest; every query then reads the sorted run. Memory is linear
+/// in the sample count, so this is for samples the caller already holds
+/// (a figure's flow records); flow-scaled runs aggregate through
+/// [`LogHistogram`].
 #[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
-    pending: Vec<f64>,
-    budget: usize,
-    refused: u64,
-}
-
-impl Default for Ecdf {
-    fn default() -> Self {
-        Ecdf {
-            sorted: Vec::new(),
-            pending: Vec::new(),
-            budget: ECDF_DEFAULT_BUDGET,
-            refused: 0,
-        }
-    }
 }
 
 impl Ecdf {
-    /// An empty distribution with the default sample budget.
-    pub fn new() -> Self {
-        Ecdf::default()
-    }
-
-    /// An empty distribution that refuses samples past `budget`.
-    pub fn with_budget(budget: usize) -> Self {
-        Ecdf {
-            budget,
-            ..Ecdf::default()
-        }
-    }
-
-    /// Build from a vector of samples. The budget is the default, widened
-    /// if needed so the constructed value is not already over it.
+    /// Build from a vector of samples; NaN and infinite samples are dropped.
     pub fn from_samples(mut xs: Vec<f64>) -> Self {
         xs.retain(|x| x.is_finite());
         xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        Ecdf {
-            budget: ECDF_DEFAULT_BUDGET.max(xs.len()),
-            sorted: xs,
-            pending: Vec::new(),
-            refused: 0,
-        }
-    }
-
-    /// The sample budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Samples refused because the budget was exhausted (release builds;
-    /// debug builds assert instead).
-    pub fn refused(&self) -> u64 {
-        self.refused
-    }
-
-    /// Add a sample, or refuse it with [`EcdfBudgetExceeded`] once the
-    /// budget is spent. Non-finite samples are filtered (not an error).
-    pub fn try_add(&mut self, x: f64) -> Result<(), EcdfBudgetExceeded> {
-        if !x.is_finite() {
-            return Ok(());
-        }
-        if self.len() >= self.budget {
-            self.refused += 1;
-            return Err(EcdfBudgetExceeded {
-                budget: self.budget,
-            });
-        }
-        self.pending.push(x);
-        Ok(())
-    }
-
-    /// Add a sample. Past the budget this debug-asserts; in release the
-    /// sample is dropped and counted in [`Ecdf::refused`].
-    pub fn add(&mut self, x: f64) {
-        let r = self.try_add(x);
-        debug_assert!(r.is_ok(), "{}", r.unwrap_err());
-    }
-
-    fn ensure_sorted(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        if self.sorted.is_empty() {
-            std::mem::swap(&mut self.sorted, &mut self.pending);
-            return;
-        }
-        // Merge the two sorted runs.
-        let mut merged = Vec::with_capacity(self.sorted.len() + self.pending.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.sorted.len() && j < self.pending.len() {
-            if self.sorted[i] <= self.pending[j] {
-                merged.push(self.sorted[i]);
-                i += 1;
-            } else {
-                merged.push(self.pending[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&self.sorted[i..]);
-        merged.extend_from_slice(&self.pending[j..]);
-        self.sorted = merged;
-        self.pending.clear();
+        Ecdf { sorted: xs }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.pending.len()
+        self.sorted.len()
     }
 
-    /// True when no samples were recorded.
+    /// True when there are no samples.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty() && self.pending.is_empty()
+        self.sorted.is_empty()
     }
 
-    /// Mean of the samples, or `None` if empty.
+    /// Mean of the samples (summed in sorted order), or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            None
-        } else {
-            let sum = self.sorted.iter().sum::<f64>() + self.pending.iter().sum::<f64>();
-            Some(sum / self.len() as f64)
-        }
+        (!self.is_empty()).then(|| self.sorted.iter().sum::<f64>() / self.len() as f64)
     }
 
     /// Percentile in `\[0, 100\]` using nearest-rank; `None` if empty.
-    pub fn percentile(&mut self, p: f64) -> Option<f64> {
+    pub fn percentile(&self, p: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        self.ensure_sorted();
         if self.sorted.is_empty() {
             return None;
         }
@@ -237,24 +48,13 @@ impl Ecdf {
     }
 
     /// Median (50th percentile).
-    pub fn median(&mut self) -> Option<f64> {
+    pub fn median(&self) -> Option<f64> {
         self.percentile(50.0)
-    }
-
-    /// Fraction of samples `<= x`.
-    pub fn cdf_at(&mut self, x: f64) -> f64 {
-        self.ensure_sorted();
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let k = self.sorted.partition_point(|&s| s <= x);
-        k as f64 / self.sorted.len() as f64
     }
 
     /// The full `(value, percent <= value)` series for plotting a CDF, one
     /// point per sample (like the paper's gnuplot CDFs).
-    pub fn cdf_series(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
+    pub fn cdf_series(&self) -> Vec<(f64, f64)> {
         let n = self.sorted.len();
         self.sorted
             .iter()
@@ -264,26 +64,13 @@ impl Ecdf {
     }
 
     /// The `(value, percent > value)` series for a complementary CDF.
-    pub fn ccdf_series(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
+    pub fn ccdf_series(&self) -> Vec<(f64, f64)> {
         let n = self.sorted.len();
         self.sorted
             .iter()
             .enumerate()
             .map(|(i, &x)| (x, 100.0 * (n - i - 1) as f64 / n as f64))
             .collect()
-    }
-
-    /// Sorted view of the samples.
-    pub fn sorted(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.sorted
-    }
-
-    /// Every sample in insertion-independent (but unspecified) order — for
-    /// merging one distribution into another.
-    pub fn samples(&self) -> impl Iterator<Item = f64> + '_ {
-        self.sorted.iter().chain(self.pending.iter()).copied()
     }
 }
 
@@ -312,7 +99,7 @@ const SKETCH_BUCKET_COST: usize = 48;
 /// times without retaining a single `FlowRecord`.
 ///
 /// Contract: samples must be finite; non-finite samples are filtered like
-/// [`Ecdf::add`]. Samples `<= 0` are counted in a dedicated zero bucket
+/// [`Ecdf::from_samples`]. Samples `<= 0` are counted in a dedicated zero bucket
 /// (FCTs, RTTs, and counts are non-negative; a true negative is a caller
 /// bug and debug-asserts). Quantiles are bucket midpoints clamped to the
 /// exact observed `[min, max]`, so the relative error bound of 1.57 %
@@ -736,21 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_tracks_mean_min_max() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), None);
-        for x in [3.0, 1.0, 2.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), Some(2.0));
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(3.0));
-    }
-
-    #[test]
     fn percentiles_nearest_rank() {
-        let mut e = Ecdf::from_samples((1..=100).map(|i| i as f64).collect());
+        let e = Ecdf::from_samples((1..=100).map(|i| i as f64).collect());
         assert_eq!(e.percentile(50.0), Some(50.0));
         assert_eq!(e.percentile(99.0), Some(99.0));
         assert_eq!(e.percentile(100.0), Some(100.0));
@@ -759,80 +533,50 @@ mod tests {
     }
 
     #[test]
-    fn cdf_at_counts_fraction() {
-        let mut e = Ecdf::from_samples(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.cdf_at(0.5), 0.0);
-        assert_eq!(e.cdf_at(2.0), 0.5);
-        assert_eq!(e.cdf_at(10.0), 1.0);
+    fn cdf_series_counts_fraction() {
+        let e = Ecdf::from_samples(vec![3.0, 1.0, 4.0, 2.0]);
+        assert_eq!(
+            e.cdf_series(),
+            vec![(1.0, 25.0), (2.0, 50.0), (3.0, 75.0), (4.0, 100.0)]
+        );
     }
 
     #[test]
     fn cdf_and_ccdf_are_complementary() {
-        let mut e = Ecdf::from_samples(vec![5.0, 1.0, 3.0]);
+        let e = Ecdf::from_samples(vec![5.0, 1.0, 3.0, 3.0]);
         let cdf = e.cdf_series();
         let ccdf = e.ccdf_series();
+        assert_eq!(cdf.len(), 4);
+        assert_eq!(cdf.len(), ccdf.len());
         for ((xa, pa), (xb, pb)) in cdf.iter().zip(ccdf.iter()) {
             assert_eq!(xa, xb);
             assert!((pa + pb - 100.0).abs() < 1e-9);
         }
-        // Adding a sample after reading still works.
-        e.add(2.0);
-        assert_eq!(e.len(), 4);
-        assert_eq!(e.median(), Some(2.0));
     }
 
     #[test]
-    fn interleaved_adds_and_queries_merge_correctly() {
-        // Exercises the sorted-run + pending-tail merge: every query must
-        // see all samples added so far, in order, across repeated rounds.
-        let mut e = Ecdf::new();
-        let mut reference: Vec<f64> = Vec::new();
-        for round in 0..5 {
-            for k in 0..20 {
-                // A scattered, partly descending pattern.
-                let x = ((k * 37 + round * 11) % 50) as f64 - 10.0;
-                e.add(x);
-                reference.push(x);
-            }
-            reference.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(e.len(), reference.len());
-            assert_eq!(e.sorted(), &reference[..]);
-            // Nearest-rank median: element at rank ceil(n/2).
-            let mid = reference[reference.len().div_ceil(2) - 1];
-            assert_eq!(e.median(), Some(mid));
-            let mean = reference.iter().sum::<f64>() / reference.len() as f64;
-            assert!((e.mean().unwrap() - mean).abs() < 1e-12);
+    fn non_finite_samples_are_dropped_at_construction() {
+        let e = Ecdf::from_samples(vec![2.0, f64::NAN, f64::INFINITY, 1.0, f64::NEG_INFINITY]);
+        assert_eq!(e.len(), 2);
+        assert_eq!(e.mean(), Some(1.5));
+        assert_eq!(e.percentile(0.0), Some(1.0));
+        assert_eq!(e.percentile(100.0), Some(2.0));
+        assert_eq!(e.cdf_series(), vec![(1.0, 50.0), (2.0, 100.0)]);
+    }
+
+    #[test]
+    fn empty_ecdf_has_no_statistics_and_empty_series() {
+        for e in [
+            Ecdf::from_samples(Vec::new()),
+            Ecdf::from_samples(vec![f64::NAN]),
+        ] {
+            assert!(e.is_empty());
+            assert_eq!(e.mean(), None);
+            assert_eq!(e.median(), None);
+            assert_eq!(e.percentile(99.0), None);
+            assert!(e.cdf_series().is_empty());
+            assert!(e.ccdf_series().is_empty());
         }
-        // NaN / infinite samples are still filtered out via `add`.
-        e.add(f64::NAN);
-        e.add(f64::INFINITY);
-        assert_eq!(e.len(), reference.len());
-    }
-
-    #[test]
-    fn ecdf_budget_refuses_past_cap() {
-        let mut e = Ecdf::with_budget(3);
-        for x in [1.0, 2.0, 3.0] {
-            assert_eq!(e.try_add(x), Ok(()));
-        }
-        assert_eq!(e.try_add(4.0), Err(EcdfBudgetExceeded { budget: 3 }));
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.refused(), 1);
-        // Non-finite samples are filtered, not charged against the budget.
-        assert_eq!(e.try_add(f64::NAN), Ok(()));
-        // from_samples widens the budget to at least its own length.
-        let big = Ecdf::from_samples((0..10).map(|i| i as f64).collect());
-        assert!(big.budget() >= 10);
-        assert_eq!(big.budget(), ECDF_DEFAULT_BUDGET);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample budget exhausted")]
-    #[cfg(debug_assertions)]
-    fn ecdf_add_asserts_past_budget_in_debug() {
-        let mut e = Ecdf::with_budget(1);
-        e.add(1.0);
-        e.add(2.0);
     }
 
     /// Seeded sample sets spanning the distributions the figures actually
@@ -859,7 +603,7 @@ mod tests {
     fn sketch_quantiles_track_exact_ecdf_within_error_bound() {
         for seed in [1u64, 7, 42] {
             let xs = seeded_samples(seed, 20_000);
-            let mut exact = Ecdf::from_samples(xs.clone());
+            let exact = Ecdf::from_samples(xs.clone());
             let mut sketch = LogHistogram::new();
             for &x in &xs {
                 sketch.add(x);

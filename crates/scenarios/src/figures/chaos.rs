@@ -18,6 +18,7 @@ use crate::{Protocol, Scale};
 use baselines::path_cache;
 use netsim::engine::TraceEvent;
 use netsim::loss::LossModel;
+use netsim::stats::Ecdf;
 use netsim::topology::{build_path, PathSpec};
 use netsim::{FaultSpec, FlowId, Rate, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -144,11 +145,11 @@ pub struct CellStats {
     pub aborted: usize,
     /// Mean FCT over completed flows (NaN when none completed).
     pub mean_fct_ms: f64,
-    /// Transmission/link accounting for the metrics registry.
+    /// Transmission/link accounting, totalled in the summary.
     pub metrics: CellMetrics,
 }
 
-/// Per-cell counters surfaced through the chaos [`crate::metrics::MetricsRegistry`].
+/// Per-cell counters, totalled over the sweep in the chaos summary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CellMetrics {
     /// Data packets sent across all flows (terminal states included).
@@ -296,19 +297,18 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
 
     // One harness job per cell, under the watchdog: a livelocked cell
     // panics through the isolation path instead of hanging the sweep.
-    let (prev_ns, prev_ev) = crate::harness::job_caps();
-    crate::harness::set_job_caps(CELL_VIRTUAL_CAP_NS, CELL_EVENT_CAP);
     let mut jobs = Vec::new();
     for (si, sc) in scens.iter().enumerate() {
         for p in protos {
-            jobs.push(crate::harness::Job::new(
-                format!("chaos/{}/{}", sc.name, p.name()),
-                move || run_cell(sc, p, n_flows, 0xC4A0_5EED + si as u64),
-            ));
+            jobs.push(
+                crate::harness::Job::new(format!("chaos/{}/{}", sc.name, p.name()), move || {
+                    run_cell(sc, p, n_flows, 0xC4A0_5EED + si as u64)
+                })
+                .with_caps(CELL_VIRTUAL_CAP_NS, CELL_EVENT_CAP),
+            );
         }
     }
     let results = crate::harness::run_jobs(jobs);
-    crate::harness::set_job_caps(prev_ns, prev_ev);
 
     let mut fig = Figure::new(
         "chaos",
@@ -380,26 +380,30 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     }
     fig.note(format!("invariant violations: {violations}"));
     fig.note(format!("watchdog trips: {watchdog_trips}"));
-    // Aggregate the per-cell counters through the metrics registry, in
-    // submission order (the order `run_jobs` returns results), so the
-    // totals are identical for any --jobs N.
-    let mut registry = crate::metrics::MetricsRegistry::new();
-    for r in results.iter().flatten() {
-        let m = &r.metrics;
-        let mut cell = crate::metrics::MetricsRegistry::new();
-        cell.inc("chaos.data_packets", m.data_packets);
-        cell.inc("chaos.retx.normal", m.normal_retx);
-        cell.inc("chaos.retx.proactive", m.proactive_retx);
-        cell.inc("chaos.rto.fires", m.rto_fires);
-        cell.inc("chaos.link.queue_drops", m.queue_drops);
-        cell.inc("chaos.link.lost", m.link_lost);
-        if !r.mean_fct_ms.is_nan() {
-            cell.observe("chaos.fct_ms", r.mean_fct_ms);
+    // Totals over the cells that ran, summed in submission order (the order
+    // `run_jobs` returns results), so they are identical for any --jobs N.
+    let cells: Vec<&CellStats> = results.iter().flatten().collect();
+    if !cells.is_empty() {
+        let total = |f: fn(&CellMetrics) -> u64| cells.iter().map(|c| f(&c.metrics)).sum::<u64>();
+        for (name, sum) in [
+            ("data_packets", total(|m| m.data_packets)),
+            ("link.lost", total(|m| m.link_lost)),
+            ("link.queue_drops", total(|m| m.queue_drops)),
+            ("retx.normal", total(|m| m.normal_retx)),
+            ("retx.proactive", total(|m| m.proactive_retx)),
+            ("rto.fires", total(|m| m.rto_fires)),
+        ] {
+            fig.note(format!("chaos.{name} = {sum}"));
         }
-        registry.merge(cell);
     }
-    for line in registry.render_lines() {
-        fig.note(line);
+    let means = Ecdf::from_samples(cells.iter().map(|c| c.mean_fct_ms).collect());
+    if let (Some(mean), Some(p50), Some(p99)) =
+        (means.mean(), means.median(), means.percentile(99.0))
+    {
+        fig.note(format!(
+            "chaos.fct_ms: n={} mean={mean:.2} p50={p50:.2} p99={p99:.2}",
+            means.len()
+        ));
     }
     vec![fig]
 }

@@ -70,7 +70,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     for (hn, results) in &data {
         let mut medians = Vec::new();
         for (p, recs) in results {
-            let mut e = fct_ecdf(recs);
+            let e = fct_ecdf(recs);
             medians.push((*p, e.median().unwrap_or(f64::NAN)));
             fig.push_series(format!("{} - {}", p.name(), hn.name()), e.cdf_series());
         }

@@ -151,7 +151,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     );
     for p in Protocol::PLANETLAB {
         let recs = data.records(p);
-        let mut e = retx_ecdf(&recs);
+        let e = retx_ecdf(&recs);
         fig5b.push_series(p.name(), e.ccdf_series());
         fig5.push_series(p.name(), e.cdf_series());
         let zero = recs.iter().filter(|r| r.counters.normal_retx == 0).count();
@@ -161,33 +161,28 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
             100.0 * zero as f64 / recs.len().max(1) as f64
         ));
     }
-    // Metrics-registry columns: per-scheme retransmit ratios over the whole
-    // population (normal and proactive copies per data packet sent).
-    let mut registry = crate::metrics::MetricsRegistry::new();
-    for p in Protocol::PLANETLAB {
-        for r in data.records(p) {
-            let mut one = crate::metrics::MetricsRegistry::new();
-            one.inc(
-                &format!("{}.data_packets", p.name()),
-                r.counters.data_packets_sent,
-            );
-            one.inc(&format!("{}.retx.normal", p.name()), r.counters.normal_retx);
-            one.inc(
-                &format!("{}.retx.proactive", p.name()),
-                r.counters.proactive_retx,
-            );
-            one.inc(&format!("{}.rto.fires", p.name()), r.counters.rto_events);
-            registry.merge(one);
-        }
-    }
-    for p in Protocol::PLANETLAB {
-        let data_pkts = registry.counter(&format!("{}.data_packets", p.name()));
+    // Per-scheme retransmit ratios over the whole population (normal and
+    // proactive copies per data packet sent), plus RTO totals for Fig. 6.
+    let totals: Vec<(Protocol, [u64; 4])> = Protocol::PLANETLAB
+        .into_iter()
+        .map(|p| {
+            let mut t = [0u64; 4];
+            for r in data.records(p) {
+                let c = &r.counters;
+                t[0] += c.data_packets_sent;
+                t[1] += c.normal_retx;
+                t[2] += c.proactive_retx;
+                t[3] += c.rto_events;
+            }
+            (p, t)
+        })
+        .collect();
+    for &(p, [data_pkts, normal, proactive, _]) in &totals {
         fig5.note(format!(
             "{}: retx ratio {:.4} normal, {:.4} proactive (of {} data packets)",
             p.name(),
-            registry.counter(&format!("{}.retx.normal", p.name())) as f64 / data_pkts.max(1) as f64,
-            registry.counter(&format!("{}.retx.proactive", p.name())) as f64
-                / data_pkts.max(1) as f64,
+            normal as f64 / data_pkts.max(1) as f64,
+            proactive as f64 / data_pkts.max(1) as f64,
             data_pkts
         ));
     }
@@ -203,7 +198,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     let mut means = Vec::new();
     for p in Protocol::PLANETLAB {
         let recs = data.records(p);
-        let mut e = fct_ecdf(&recs);
+        let e = fct_ecdf(&recs);
         let mean = e.mean().unwrap_or(f64::NAN);
         let p99 = e.percentile(99.0).unwrap_or(f64::NAN);
         fig6b.push_series(p.name(), e.ccdf_series());
@@ -235,11 +230,10 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         100.0 * (1.0 - hb / mean_of(Protocol::Reactive)),
         100.0 * (1.0 - hb / mean_of(Protocol::Proactive)),
     ));
-    for p in Protocol::PLANETLAB {
+    for &(p, [.., rto_fires]) in &totals {
         fig6.note(format!(
-            "{}: {} RTO fires across the population",
-            p.name(),
-            registry.counter(&format!("{}.rto.fires", p.name()))
+            "{}: {rto_fires} RTO fires across the population",
+            p.name()
         ));
     }
     figs.push(fig6);
@@ -253,7 +247,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     );
     for p in Protocol::PLANETLAB {
         let recs = data.records(p);
-        let mut e = rtt_count_ecdf(&recs);
+        let e = rtt_count_ecdf(&recs);
         let med = e.median().unwrap_or(f64::NAN);
         fig7b.push_series(p.name(), e.ccdf_series());
         fig7.push_series(p.name(), e.cdf_series());
@@ -278,7 +272,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     let mut med = Vec::new();
     for p in Protocol::PLANETLAB {
         let recs = data.records_on(p, &lossy);
-        let mut e = fct_ecdf(&recs);
+        let e = fct_ecdf(&recs);
         med.push((p, e.median().unwrap_or(f64::NAN)));
         fig8.push_series(p.name(), e.cdf_series());
     }

@@ -23,7 +23,7 @@
 //! destination router with the pair's ingress stub link as the
 //! conservation anchor.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::sketch_line;
 use crate::report::Figure;
 use crate::{Protocol, Scale};
 use baselines::path_cache;
@@ -358,16 +358,10 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         }
     }
 
-    // The registry is the aggregation surface: counters plus the FCT
-    // quantile sketch, merged exactly — no per-flow state anywhere.
+    // The FCT quantile sketch, merged exactly across sites and windows —
+    // no per-flow state anywhere.
     let agg = out.fct.aggregate();
-    let mut reg = MetricsRegistry::new();
-    reg.inc("flows_started", out.started as u64);
-    reg.inc("flows_completed", out.completed as u64);
-    reg.inc("flows_aborted", out.aborted as u64);
-    reg.inc("flows_censored", out.censored as u64);
-    reg.merge_sketch("fct_ms", &agg);
-    crate::harness::note_sketch_mem(reg.sketch_memory_bytes() + out.fct.memory_bytes());
+    crate::harness::note_sketch_mem(agg.memory_bytes() + out.fct.memory_bytes());
 
     let mut fig = Figure::new(
         "planetlab100k",
@@ -391,9 +385,11 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         out.censored,
         HORIZON.as_secs_f64(),
     ));
-    for line in reg.render_lines() {
-        fig.note(line);
-    }
+    fig.note(format!("flows_aborted = {}", out.aborted));
+    fig.note(format!("flows_censored = {}", out.censored));
+    fig.note(format!("flows_completed = {}", out.completed));
+    fig.note(format!("flows_started = {}", out.started));
+    fig.note(sketch_line("fct_ms", &agg));
     let per_window: Vec<String> = out
         .fct
         .windows()

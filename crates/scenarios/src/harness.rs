@@ -22,20 +22,33 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One unit of work: a stable key (used in progress lines, metrics, and
-/// panic reports) plus the closure that computes the result.
+/// panic reports), the closure that computes the result, and the job's
+/// watchdog caps.
 pub struct Job<'a, T> {
     /// Stable identifier, e.g. `"fig12/Halfback/u35"`.
     pub key: String,
     run: Box<dyn FnOnce() -> T + Send + 'a>,
+    caps: (u64, u64),
 }
 
 impl<'a, T> Job<'a, T> {
-    /// Package a closure as a job.
+    /// Package a closure as a job (no watchdog caps).
     pub fn new(key: impl Into<String>, f: impl FnOnce() -> T + Send + 'a) -> Job<'a, T> {
         Job {
             key: key.into(),
             run: Box::new(f),
+            caps: (0, 0),
         }
+    }
+
+    /// Run this job under watchdog caps (0 disables a cap): a job whose
+    /// simulations exceed either cap panics with a diagnostic, which the
+    /// pool's isolation turns into a failed result, so a livelocked cell
+    /// fails alone instead of hanging the sweep. Checked cooperatively by
+    /// the runners via [`check_caps`].
+    pub fn with_caps(mut self, virtual_ns: u64, events: u64) -> Job<'a, T> {
+        self.caps = (virtual_ns, events);
+        self
     }
 }
 
@@ -76,14 +89,13 @@ static WORKERS: AtomicUsize = AtomicUsize::new(0);
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 /// Completed-job metrics, drained by [`take_metrics`].
 static METRICS: Mutex<Vec<JobMetrics>> = Mutex::new(Vec::new());
-/// Watchdog: per-job virtual-time cap in ns (0 = disabled).
-static CAP_VIRTUAL_NS: AtomicU64 = AtomicU64::new(0);
-/// Watchdog: per-job event-count cap (0 = disabled).
-static CAP_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// (virtual ns, events) accumulated by the job running on this thread.
     static METER: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Watchdog caps (virtual ns, events) of the job running on this
+    /// thread; (0, 0) — disabled — outside any job.
+    static CAPS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     /// Set while a job executes: nested `run_jobs` calls then run inline
     /// instead of spawning a second pool.
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
@@ -191,22 +203,11 @@ pub fn push_metrics(m: JobMetrics) {
     METRICS.lock().unwrap().push(m);
 }
 
-/// Set the per-job watchdog caps (0 disables a cap). A job whose
-/// simulations exceed either cap panics with a diagnostic; the panic is
-/// caught by the job isolation in [`run_jobs`], so a livelocked cell fails
-/// alone instead of hanging the sweep. Checked cooperatively by the
-/// runners via [`check_caps`].
-pub fn set_job_caps(virtual_ns: u64, events: u64) {
-    CAP_VIRTUAL_NS.store(virtual_ns, Ordering::Relaxed);
-    CAP_EVENTS.store(events, Ordering::Relaxed);
-}
-
-/// The current watchdog caps `(virtual_ns, events)`; 0 means disabled.
+/// The watchdog caps `(virtual_ns, events)` of the job running on this
+/// thread ([`Job::with_caps`]); 0 means disabled, as is everything outside
+/// a job.
 pub fn job_caps() -> (u64, u64) {
-    (
-        CAP_VIRTUAL_NS.load(Ordering::Relaxed),
-        CAP_EVENTS.load(Ordering::Relaxed),
-    )
+    CAPS.with(Cell::get)
 }
 
 /// Watchdog check: panic if the job's accumulated meter plus the
@@ -250,9 +251,13 @@ fn execute<T>(
     let run = job.run;
     METER.with(|m| m.set((0, 0)));
     IN_JOB.with(|f| f.set(true));
+    // Restored afterwards, so a job run inline inside another keeps the
+    // outer job's caps intact.
+    let outer_caps = CAPS.with(|c| c.replace(job.caps));
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(run));
     let wall = t0.elapsed();
+    CAPS.with(|c| c.set(outer_caps));
     IN_JOB.with(|f| f.set(false));
     let (virtual_ns, events) = METER.with(|m| m.get());
     let ok = result.is_ok();
@@ -467,30 +472,29 @@ mod tests {
         assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
     }
 
+    /// A livelocked cell: events pile up without the virtual clock
+    /// advancing past the cap.
+    fn livelock() -> u32 {
+        for _ in 0..100 {
+            meter_add(0, 5_000);
+            check_caps(0, 0);
+        }
+        2
+    }
+
     #[test]
     fn watchdog_trips_through_panic_isolation() {
-        // Caps are process-global; run the capped jobs serially and restore
-        // the disabled state afterwards so other tests are unaffected.
-        set_job_caps(1_000_000_000, 10_000);
         let jobs: Vec<Job<'_, u32>> = vec![
             Job::new("wd/ok", || {
                 meter_add(500, 100);
                 check_caps(0, 0);
                 1
-            }),
-            Job::new("wd/livelock", || {
-                // A "livelocked" cell: events pile up without the virtual
-                // clock advancing past the cap.
-                for _ in 0..100 {
-                    meter_add(0, 5_000);
-                    check_caps(0, 0);
-                }
-                2
-            }),
+            })
+            .with_caps(1_000_000_000, 10_000),
+            Job::new("wd/livelock", livelock).with_caps(1_000_000_000, 10_000),
             Job::new("wd/after", || 3),
         ];
         let out = run_jobs_on(jobs, 1);
-        set_job_caps(0, 0);
         assert_eq!(*out[0].as_ref().unwrap(), 1);
         let err = out[1].as_ref().unwrap_err();
         assert!(
@@ -499,13 +503,75 @@ mod tests {
             err.message
         );
         assert_eq!(*out[2].as_ref().unwrap(), 3, "pool survives a cap trip");
+        assert_eq!(job_caps(), (0, 0), "caps end with the job");
     }
 
     #[test]
     fn watchdog_disabled_is_noop() {
-        set_job_caps(0, 0);
+        // Outside a job the caps are off, whatever other threads run.
+        assert_eq!(job_caps(), (0, 0));
         // Would trip any finite cap; must not panic while disabled.
         meter_add(u64::MAX / 2, u64::MAX / 2);
         check_caps(u64::MAX / 2, u64::MAX / 2);
+    }
+
+    #[test]
+    fn nested_job_restores_the_outer_caps() {
+        let jobs = vec![Job::new("outer", || {
+            let inner = vec![Job::new("inner", job_caps).with_caps(7, 8)];
+            let inner_caps = run_jobs_on(inner, 4).remove(0).unwrap();
+            (inner_caps, job_caps())
+        })
+        .with_caps(5, 6)];
+        let out = run_jobs_on(jobs, 1).remove(0).unwrap();
+        assert_eq!(out, ((7, 8), (5, 6)));
+    }
+
+    #[test]
+    fn caps_of_one_pool_never_reach_another_thread() {
+        use crate::runner::{run_until_checked, DumbbellRig, RunOptions};
+        use crate::Protocol;
+        use netsim::topology::DumbbellSpec;
+        use netsim::{SimDuration, SimTime};
+        use std::sync::Barrier;
+
+        const EVENT_CAP: u64 = 1_000;
+        // The capped job holds its caps across both barriers; the other
+        // thread runs its whole simulation in between.
+        let installed = Barrier::new(2);
+        let finished = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let capped = scope.spawn(|| {
+                let job = Job::new("caps/livelock", || {
+                    installed.wait();
+                    finished.wait();
+                    livelock()
+                })
+                .with_caps(1_000_000_000, EVENT_CAP);
+                run_jobs_on(vec![job], 1).remove(0)
+            });
+
+            installed.wait();
+            // Caught, so a trip here still releases the capped thread.
+            let uncapped = catch_unwind(|| {
+                let mut rig = DumbbellRig::new(
+                    &DumbbellSpec::emulab(1),
+                    &RunOptions {
+                        host_pairs: 1,
+                        ..RunOptions::default()
+                    },
+                );
+                rig.start_flow_now(0, 2_000_000, Protocol::Tcp);
+                run_until_checked(&mut rig.sim, SimTime::ZERO + SimDuration::from_secs(30));
+                rig.sim.events_processed()
+            });
+            finished.wait();
+
+            let events = uncapped.expect("another thread's caps tripped an uncapped simulation");
+            // Well past the cap and past the runner's 4096-event check stride.
+            assert!(events > 10 * EVENT_CAP, "only {events} events");
+            let err = capped.join().unwrap().unwrap_err();
+            assert!(err.message.contains("event-count cap"), "{}", err.message);
+        });
     }
 }

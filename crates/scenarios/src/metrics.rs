@@ -1,160 +1,22 @@
 //! Metrics over flow records: FCT statistics, retransmission counts, the
 //! feasible-capacity knee detector used for Figs. 1, 12 and 17, and the
-//! [`MetricsRegistry`] harness jobs aggregate in submission order.
+//! summary line of a flow-scaled run's FCT sketch.
 
-use netsim::stats::{Ecdf, LogHistogram, TimeBinned};
-use std::collections::BTreeMap;
+use netsim::stats::{Ecdf, LogHistogram};
 use transport::sender::FlowRecord;
 
-/// A named bag of counters, histograms, sketches, and timelines.
-///
-/// Each harness job fills a registry of its own; the parent merges the
-/// per-job registries *in submission order* (the harness already returns
-/// results that way), so the aggregate is independent of `--jobs N` and of
-/// worker scheduling. `BTreeMap` keys give a deterministic render order.
-///
-/// Two histogram flavors coexist: exact [`Ecdf`]s (every sample retained;
-/// budget-capped) for the small per-figure distributions, and
-/// [`LogHistogram`] sketches — O(1) memory, exact integer-count merges —
-/// which are the default aggregation for flow-scaled scenarios like
-/// `planetlab100k`.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Ecdf>,
-    sketches: BTreeMap<String, LogHistogram>,
-    timelines: BTreeMap<String, TimeBinned>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `by` to counter `name` (created at zero).
-    pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Record a sample into histogram `name`.
-    pub fn observe(&mut self, name: &str, sample: f64) {
-        self.hists.entry(name.to_string()).or_default().add(sample);
-    }
-
-    /// Record a sample into the quantile sketch `name` — the bounded-memory
-    /// path for flow-scaled scenarios.
-    pub fn observe_sketch(&mut self, name: &str, sample: f64) {
-        self.sketches
-            .entry(name.to_string())
-            .or_default()
-            .add(sample);
-    }
-
-    /// Merge a pre-built sketch into sketch `name` (exact: integer bucket
-    /// counts).
-    pub fn merge_sketch(&mut self, name: &str, sketch: &LogHistogram) {
-        self.sketches
-            .entry(name.to_string())
-            .or_default()
-            .merge(sketch);
-    }
-
-    /// Sketch `name`, if any samples were recorded.
-    pub fn sketch(&self, name: &str) -> Option<&LogHistogram> {
-        self.sketches.get(name)
-    }
-
-    /// Total estimated footprint of all sketches — the number the run
-    /// manifest reports as `sketch_mem_bytes`. Deterministic (a function
-    /// of bucket counts, not of allocator behavior).
-    pub fn sketch_memory_bytes(&self) -> usize {
-        self.sketches.values().map(LogHistogram::memory_bytes).sum()
-    }
-
-    /// Record `value` at `t_ns` into timeline `name` (bins of `bin_ns`; the
-    /// bin width of an existing timeline wins).
-    pub fn timeline(&mut self, name: &str, bin_ns: u64, t_ns: u64, value: f64) {
-        self.timelines
-            .entry(name.to_string())
-            .or_insert_with(|| TimeBinned::new(bin_ns))
-            .add(t_ns, value);
-    }
-
-    /// Current value of counter `name` (zero if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram `name`, if any samples were recorded.
-    pub fn hist(&self, name: &str) -> Option<&Ecdf> {
-        self.hists.get(name)
-    }
-
-    /// Merge `other` into `self` (counters add, histogram samples append,
-    /// timeline bins add element-wise).
-    pub fn merge(&mut self, other: MetricsRegistry) {
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, h) in other.hists {
-            let mine = self.hists.entry(k).or_default();
-            for s in h.samples() {
-                mine.add(s);
-            }
-        }
-        for (k, s) in other.sketches {
-            self.sketches.entry(k).or_default().merge(&s);
-        }
-        for (k, t) in other.timelines {
-            match self.timelines.get_mut(&k) {
-                Some(mine) => mine.merge(&t),
-                None => {
-                    self.timelines.insert(k, t);
-                }
-            }
-        }
-    }
-
-    /// Render every metric as stable `name = value` lines (counters first,
-    /// then histogram summaries), for figure/chaos summary blocks.
-    pub fn render_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (k, v) in &self.counters {
-            out.push(format!("{k} = {v}"));
-        }
-        for (k, h) in &self.hists {
-            let mut h = h.clone();
-            match (h.median(), h.mean()) {
-                (Some(med), Some(mean)) => out.push(format!(
-                    "{k}: n={} mean={mean:.2} p50={med:.2} p99={:.2}",
-                    h.len(),
-                    h.percentile(99.0).unwrap_or(f64::NAN)
-                )),
-                _ => out.push(format!("{k}: n=0")),
-            }
-        }
-        for (k, s) in &self.sketches {
-            match (s.quantile(50.0), s.mean()) {
-                (Some(med), Some(mean)) => out.push(format!(
-                    "{k}: n={} mean={mean:.2} p50={med:.2} p99={:.2} p99.9={:.2} (sketch, {} buckets)",
-                    s.count(),
-                    s.quantile(99.0).unwrap_or(f64::NAN),
-                    s.quantile(99.9).unwrap_or(f64::NAN),
-                    s.buckets_len(),
-                )),
-                _ => out.push(format!("{k}: n=0 (sketch)")),
-            }
-        }
-        out
-    }
-
-    /// Is anything recorded?
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.hists.is_empty()
-            && self.sketches.is_empty()
-            && self.timelines.is_empty()
+/// One summary line for a quantile sketch: count, exact mean, p50, p99 and
+/// p99.9 (bucket midpoints), and the bucket count — or `n=0` when empty.
+pub fn sketch_line(name: &str, s: &LogHistogram) -> String {
+    match (s.mean(), s.quantile(50.0)) {
+        (Some(mean), Some(p50)) => format!(
+            "{name}: n={} mean={mean:.2} p50={p50:.2} p99={:.2} p99.9={:.2} (sketch, {} buckets)",
+            s.count(),
+            s.quantile(99.0).unwrap_or(f64::NAN),
+            s.quantile(99.9).unwrap_or(f64::NAN),
+            s.buckets_len(),
+        ),
+        _ => format!("{name}: n=0 (sketch)"),
     }
 }
 
@@ -206,12 +68,13 @@ pub struct FctStats {
 impl FctStats {
     /// Compute from records plus the number of censored (unfinished) flows.
     pub fn from_records(records: &[FlowRecord], censored: usize) -> FctStats {
-        let mut fct = Ecdf::new();
+        let fct = fct_ecdf(records);
+        let mut sum_ms = 0.0;
         let mut nr = 0u64;
         let mut pr = 0u64;
         let mut rto = 0u64;
         for r in records {
-            fct.add(r.fct.as_millis_f64());
+            sum_ms += r.fct.as_millis_f64();
             nr += r.counters.normal_retx;
             pr += r.counters.proactive_retx;
             rto += r.counters.rto_events;
@@ -220,7 +83,13 @@ impl FctStats {
         FctStats {
             completed: records.len(),
             censored,
-            mean_ms: fct.mean().unwrap_or(f64::NAN),
+            // Summed in record order, not the Ecdf's sorted order: float
+            // addition is order-sensitive and the goldens pin this sum.
+            mean_ms: if records.is_empty() {
+                f64::NAN
+            } else {
+                sum_ms / n
+            },
             median_ms: fct.median().unwrap_or(f64::NAN),
             p99_ms: fct.percentile(99.0).unwrap_or(f64::NAN),
             mean_normal_retx: nr as f64 / n,
@@ -345,37 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_sketches_merge_exactly_and_render() {
-        // Samples split across three "jobs" must render identically to the
-        // all-in-one registry, whatever the merge grouping — the property
-        // the --jobs/--shards byte-identity contract leans on.
-        let samples: Vec<f64> = (0..3000)
-            .map(|i| 0.5 + ((i * 7919) % 7000) as f64)
-            .collect();
-        let mut whole = MetricsRegistry::new();
-        for &x in &samples {
-            whole.observe_sketch("fct_ms", x);
-        }
-        let part = |range: std::ops::Range<usize>| {
-            let mut r = MetricsRegistry::new();
-            for &x in &samples[range] {
-                r.observe_sketch("fct_ms", x);
-            }
-            r
-        };
-        let mut merged = part(0..1000);
-        merged.merge(part(1000..2000));
-        merged.merge(part(2000..3000));
-        assert_eq!(whole.render_lines(), merged.render_lines());
-        assert!(whole.sketch("fct_ms").is_some());
-        assert!(whole.sketch_memory_bytes() > 0);
-        assert!(
-            whole.sketch_memory_bytes() < 32 * 1024,
-            "sketch memory must stay bucket-bounded"
-        );
-    }
-
-    #[test]
     fn stats_basics() {
         let rs = vec![rec(100, 0, 50), rec(200, 2, 50), rec(300, 4, 50)];
         let s = FctStats::from_records(&rs, 1);
@@ -390,7 +228,7 @@ mod tests {
     #[test]
     fn rtt_normalization() {
         let rs = vec![rec(500, 0, 100)];
-        let mut e = rtt_count_ecdf(&rs);
+        let e = rtt_count_ecdf(&rs);
         assert!((e.median().unwrap() - 5.0).abs() < 1e-9);
     }
 

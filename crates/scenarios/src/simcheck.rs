@@ -965,6 +965,7 @@ fn battery_jobs(
                     }
                 }
             })
+            .with_caps(CASE_VIRTUAL_CAP_NS, CASE_EVENT_CAP)
         })
         .collect()
 }
@@ -1020,14 +1021,11 @@ fn run_battery_inner(
     break_conservation: bool,
     n_workers: Option<usize>,
 ) -> Battery {
-    let (prev_ns, prev_ev) = harness::job_caps();
-    harness::set_job_caps(CASE_VIRTUAL_CAP_NS, CASE_EVENT_CAP);
     let jobs = battery_jobs(seed, n_cases, break_conservation);
     let results = match n_workers {
         Some(n) => harness::run_jobs_on(jobs, n),
         None => harness::run_jobs(jobs),
     };
-    harness::set_job_caps(prev_ns, prev_ev);
     collect_battery(seed, results)
 }
 

@@ -12,8 +12,10 @@
 //!       --out crates/scenarios/tests/golden/fig6
 //!   cargo run --release --bin repro -- chaos --scale quick --jobs 1 \
 //!       --out crates/scenarios/tests/golden/chaos
-//! (only `figN*`/`chaos*` data files are compared; `repro` also writes the
-//! same CSV/summary/gnuplot set the test renders).
+//!   cargo run --release --bin repro -- planetlab100k --scale quick \
+//!       --out crates/scenarios/tests/golden/planetlab100k
+//! and delete the `manifest.json` each writes: the fixtures are exactly
+//! the CSV/summary/gnuplot set the test renders.
 
 use scenarios::figures::run_experiment;
 use scenarios::{harness, Scale};
@@ -92,6 +94,13 @@ fn fig6_quick_is_byte_identical_to_golden() {
 #[test]
 fn chaos_quick_is_byte_identical_to_golden() {
     assert_matches_golden("chaos");
+}
+
+/// The only fixture that pins `planetlab100k`'s summary lines: the
+/// `flows_*` counters and the FCT sketch line.
+#[test]
+fn planetlab100k_quick_is_byte_identical_to_golden() {
+    assert_matches_golden("planetlab100k");
 }
 
 /// The flight-recorder export of the default trace spec (Halfback, fig6

@@ -9,8 +9,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// The harness worker count and metrics buffer are process-global;
-/// serialize the tests that touch them.
+/// The harness worker and shard counts and the metrics buffer are
+/// process-global; serialize the tests that touch them. (Watchdog caps
+/// travel with each job, so they need no lock.)
 static HARNESS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Render `experiment` at quick scale with `n` workers and write its
@@ -174,38 +175,40 @@ fn sharded_scenario_is_byte_identical_across_shard_counts() {
     let _ = fs::remove_dir_all(&d4);
 }
 
-/// Sketch-backed summaries across the *jobs* axis: shard-local sketches
-/// merged in submission order must render byte-identical lines whether
+/// Sketch-backed summaries across the *jobs* axis: job-local sketches
+/// merged in submission order must print the byte-identical line whether
 /// the partial sketches were built on 1 worker or 4. Bucket counts are
-/// integers, so the merge is exact — this is the property that lets the
-/// registry drop per-flow samples without giving up `--jobs` invariance.
+/// integers, so the merge is exact — this is the property that lets
+/// flow-scaled runs drop per-flow samples without giving up `--jobs`
+/// invariance. The line is printed by the function `planetlab100k` uses.
 #[test]
 fn sketch_summaries_are_byte_identical_across_worker_counts() {
     let _guard = HARNESS_LOCK.lock().unwrap();
+    use netsim::stats::LogHistogram;
     use scenarios::harness::{run_jobs_on, Job};
-    use scenarios::metrics::MetricsRegistry;
+    use scenarios::metrics::sketch_line;
 
-    let render = |n_workers: usize| -> Vec<String> {
-        let jobs: Vec<Job<'_, MetricsRegistry>> = (0..8u64)
+    let render = |n_workers: usize| -> String {
+        let jobs: Vec<Job<'_, LogHistogram>> = (0..8u64)
             .map(|part| {
                 Job::new(format!("part{part}"), move || {
-                    let mut reg = MetricsRegistry::new();
+                    let mut h = LogHistogram::new();
                     let mut lcg = 0x9e3779b97f4a7c15u64 ^ part.wrapping_mul(0xff51afd7ed558ccd);
                     for _ in 0..5_000 {
                         lcg = lcg
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
-                        reg.observe_sketch("fct_ms", ((lcg >> 33) % 1_000_000 + 1) as f64 / 1e3);
+                        h.add(((lcg >> 33) % 1_000_000 + 1) as f64 / 1e3);
                     }
-                    reg
+                    h
                 })
             })
             .collect();
-        let mut merged = MetricsRegistry::new();
-        for reg in run_jobs_on(jobs, n_workers) {
-            merged.merge(reg.expect("sketch job panicked"));
+        let mut merged = LogHistogram::new();
+        for h in run_jobs_on(jobs, n_workers) {
+            merged.merge(&h.expect("sketch job panicked"));
         }
-        merged.render_lines()
+        sketch_line("fct_ms", &merged)
     };
 
     let serial = render(1);
@@ -216,8 +219,8 @@ fn sketch_summaries_are_byte_identical_across_worker_counts() {
         "sketch summary differs between 1 and 4 workers"
     );
     assert!(
-        serial.iter().any(|l| l.contains("(sketch")),
-        "summary lines are not sketch-backed: {serial:?}"
+        serial.starts_with("fct_ms: n=40000 ") && serial.contains("(sketch"),
+        "summary line is not sketch-backed: {serial}"
     );
 }
 

@@ -155,10 +155,18 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a's initial state: the hash of no bytes.
+pub(crate) const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a. Labels are hashed with it, and `snap` seals checkpoint
 /// files with it.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_EMPTY, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over `bytes`: hashing a stream in pieces
+/// gives the hash of the whole.
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);

@@ -21,10 +21,11 @@
 //! `--jobs`).
 //!
 //! Cross-partition arrivals are injected at each window barrier in a
-//! canonical order: sorted by `(arrival time, source partition rank,
-//! emission index within source)`. Injection assigns the destination's next
-//! `seq`, so the merged firing order inherits the engine's exact
-//! `(at, seq)` discipline with the shard rank as tiebreak.
+//! canonical order: `(arrival time, source partition rank, emission index
+//! within source)`, a k-way merge of the per-source batches. Injection
+//! assigns the destination's next `seq`, so the merged firing order
+//! inherits the engine's exact `(at, seq)` discipline with the shard rank
+//! as tiebreak.
 //!
 //! ## Arena-handle rule
 //!
@@ -47,24 +48,23 @@ use crate::time::{SimDuration, SimTime};
 
 /// A packet crossing a partition boundary, by value, with its arrival
 /// prescheduled in the destination's clock.
-pub struct OutMsg<P: Payload> {
+struct OutMsg<P: Payload> {
     /// Absolute arrival time at the destination node (source handoff time
     /// plus the portal's extra delay).
-    pub at: SimTime,
-    /// Destination partition rank.
-    pub dst_part: usize,
+    at: SimTime,
     /// Destination node, in the destination partition's id space.
-    pub dst_node: NodeId,
+    dst_node: NodeId,
     /// Ingress stub link in the destination partition; its `delivered`
     /// counter is bumped at arrival so wire-side conservation closes across
     /// the boundary (egress `delivered` == ingress `delivered`).
-    pub dst_link: LinkId,
+    dst_link: LinkId,
     /// The packet itself (ids remain from the source partition's counter).
-    pub pkt: Packet<P>,
+    pkt: Packet<P>,
 }
 
-/// Where a partition's portals park outbound messages between barriers.
-type Outbox<P> = Rc<RefCell<Vec<OutMsg<P>>>>;
+/// Where a partition's portals park outbound messages between barriers:
+/// one batch per destination rank, each in emission order.
+type Outbox<P> = Rc<RefCell<Vec<Vec<OutMsg<P>>>>>;
 
 /// Terminal node for a cross-partition egress link. The source partition
 /// routes WAN-bound packets onto a zero-delay link whose `dst` is a portal;
@@ -80,9 +80,8 @@ struct Portal<P: Payload> {
 
 impl<P: Payload> Node<P> for Portal<P> {
     fn on_packet(&mut self, pkt: Packet<P>, ctx: &mut Ctx<'_, P>) {
-        self.outbox.borrow_mut().push(OutMsg {
+        self.outbox.borrow_mut()[self.dst_part].push(OutMsg {
             at: ctx.now() + self.extra_delay,
-            dst_part: self.dst_part,
             dst_node: self.dst_node,
             dst_link: self.dst_link,
             pkt,
@@ -270,11 +269,18 @@ pub struct ShardRun<T> {
     pub telemetry: Option<Vec<WindowTelemetry>>,
 }
 
+/// A mailbox is only poisoned by a worker that panicked holding it, and
+/// that panic is what the scope re-raises.
+const MAIL_POISONED: &str = "a shard worker panicked holding a mailbox";
+
 /// Shared coordination state for one sharded run.
 struct Coord<P: Payload> {
-    /// `mail[dst][src]`: messages deposited by `src` for `dst` this round.
+    /// `mail[dst][src]`: the batch `src` handed over for `dst` this round.
     /// Uncontended by construction (one writer per slot, barrier-separated
-    /// from the reader), so the mutexes never block.
+    /// from the reader), so the mutexes never block. Batches change hands
+    /// whole: the source swaps its full outbox `Vec` in, the destination
+    /// drains it in place, and the empty `Vec` goes back to the source at
+    /// the next swap with its capacity.
     mail: Vec<Vec<Mutex<Vec<OutMsg<P>>>>>,
     /// Per-partition lookahead published once after build.
     lookahead: Vec<Mutex<Option<SimDuration>>>,
@@ -421,7 +427,7 @@ fn shard_worker<P, T, B, F>(
     // Build the partitions this thread owns (round-robin assignment).
     let mut owned: Vec<(usize, Simulator<P>, Outbox<P>)> = Vec::new();
     for rank in (tid..parts).step_by(threads) {
-        let outbox: Outbox<P> = Rc::new(RefCell::new(Vec::new()));
+        let outbox: Outbox<P> = Rc::new(RefCell::new((0..parts).map(|_| Vec::new()).collect()));
         let mut handle = ShardHandle {
             part: rank,
             parts,
@@ -453,12 +459,18 @@ fn shard_worker<P, T, B, F>(
     let mut last_w_end: u64 = 0;
 
     loop {
-        // Phase A: deposit this round's outboxes into the mailboxes.
+        // Phase A: swap each non-empty outbox batch into its mailbox slot
+        // (emptied by its destination last round).
         for (i, (rank, _, outbox)) in owned.iter().enumerate() {
             let mut deposited = 0u64;
-            for msg in outbox.borrow_mut().drain(..) {
-                coord.mail[msg.dst_part][*rank].lock().unwrap().push(msg);
-                deposited += 1;
+            for (dst, batch) in outbox.borrow_mut().iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    deposited += batch.len() as u64;
+                    std::mem::swap(
+                        batch,
+                        &mut *coord.mail[dst][*rank].lock().expect(MAIL_POISONED),
+                    );
+                }
             }
             if hooks.telemetry {
                 scratch[i] = (deposited, 0, 0);
@@ -492,25 +504,20 @@ fn shard_worker<P, T, B, F>(
         // Phase B: inject inbound messages in canonical order, publish the
         // partition's next-event time.
         for (i, (rank, sim, _)) in owned.iter_mut().enumerate() {
-            let mut inbound: Vec<(u64, usize, usize, OutMsg<P>)> = Vec::new();
-            let mut mailbox_max = 0u64;
-            for src in 0..parts {
-                let batch = std::mem::take(&mut *coord.mail[*rank][src].lock().unwrap());
-                mailbox_max = mailbox_max.max(batch.len() as u64);
-                for (idx, msg) in batch.into_iter().enumerate() {
-                    inbound.push((msg.at.as_nanos(), src, idx, msg));
-                }
-            }
-            inbound.sort_by_key(|&(at, src, idx, _)| (at, src, idx));
-            local_cross += inbound.len() as u64;
+            let mut batches: Vec<_> = coord.mail[*rank]
+                .iter()
+                .map(|m| m.lock().expect(MAIL_POISONED))
+                .collect();
+            let injected: u64 = batches.iter().map(|b| b.len() as u64).sum();
+            local_cross += injected;
             if hooks.telemetry {
-                scratch[i].1 = inbound.len() as u64;
-                scratch[i].2 = mailbox_max;
+                scratch[i].1 = injected;
+                scratch[i].2 = batches.iter().map(|b| b.len() as u64).max().unwrap_or(0);
             }
-            for (_, _, _, msg) in inbound {
+            merge_batches(&mut batches, |msg| {
                 sim.core()
                     .inject_arrival(msg.at, msg.dst_node, msg.dst_link, msg.pkt);
-            }
+            });
             *coord.mins[*rank].lock().unwrap() = sim.next_event_time().map(SimTime::as_nanos);
         }
         let t0 = hooks.telemetry.then(std::time::Instant::now);
@@ -591,6 +598,39 @@ fn shard_worker<P, T, B, F>(
     let mut slots = slots.lock().unwrap();
     for (rank, result, hygiene) in out {
         slots[rank] = Some((result, hygiene));
+    }
+}
+
+/// Hand every message of `batches` — indexed by source rank, each in that
+/// source's emission order — to `inject` in the canonical
+/// `(at, source rank, emission index)` order, leaving every batch empty
+/// with its capacity. Portals with one delay emit in `at` order, so a batch
+/// is almost always sorted already; one that is not (a source with portals
+/// of different delays to this destination) is stably sorted by `at` first,
+/// which keeps emission order among equal times. The k-way merge then
+/// breaks `at` ties by the lowest source rank.
+fn merge_batches<P, B>(batches: &mut [B], mut inject: impl FnMut(OutMsg<P>))
+where
+    P: Payload,
+    B: std::ops::DerefMut<Target = Vec<OutMsg<P>>>,
+{
+    for b in batches.iter_mut() {
+        if !b.is_sorted_by_key(|m| m.at) {
+            b.sort_by_key(|m| m.at);
+        }
+    }
+    let mut heads: Vec<_> = batches.iter_mut().map(|b| b.drain(..).peekable()).collect();
+    loop {
+        let mut next: Option<(usize, SimTime)> = None;
+        for (src, head) in heads.iter_mut().enumerate() {
+            if let Some(m) = head.peek() {
+                if next.is_none_or(|(_, at)| m.at < at) {
+                    next = Some((src, m.at));
+                }
+            }
+        }
+        let Some((src, _)) = next else { break };
+        inject(heads[src].next().expect("peeked above"));
     }
 }
 
@@ -849,6 +889,132 @@ mod tests {
         }
         assert_eq!(beats.last().unwrap().2, 7);
         assert!(run.rounds as usize >= beats.len());
+    }
+
+    /// Sends one packet per timer on the link the token names; the payload
+    /// is `rank * 100 + emission index`.
+    struct Emitter {
+        rank: u64,
+        links: [LinkId; 2],
+    }
+
+    impl Node<u64> for Emitter {
+        fn on_packet(&mut self, _pkt: Packet<u64>, _ctx: &mut Ctx<'_, u64>) {
+            unreachable!("emitters only send");
+        }
+        fn on_timer(&mut self, _id: TimerId, token: u64, ctx: &mut Ctx<'_, u64>) {
+            let (k, link) = (token >> 1, self.links[(token & 1) as usize]);
+            let pkt = Packet::new(
+                FlowId(self.rank),
+                NodeId(0),
+                NodeId(0),
+                1000,
+                self.rank * 100 + k,
+            );
+            ctx.send(link, pkt);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Records `(arrival ns, payload)` in firing order.
+    #[derive(Default)]
+    struct Logger {
+        log: Vec<(u64, u64)>,
+    }
+
+    impl Node<u64> for Logger {
+        fn on_packet(&mut self, pkt: Packet<u64>, ctx: &mut Ctx<'_, u64>) {
+            self.log.push((ctx.now().as_nanos(), pkt.payload));
+        }
+        fn on_timer(&mut self, _id: TimerId, _t: u64, _ctx: &mut Ctx<'_, u64>) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn batches_out_of_at_order_inject_in_canonical_order() {
+        // Partitions 1..=3 each reach partition 0 through a 5 ms and a 6 ms
+        // portal, so a batch is in emission order but not in `at` order.
+        // Per source, in emission order: (send time in us, via the 6 ms
+        // portal). Source 1's head arrives after source 2's: a merge that
+        // trusted emission order would inject 2's 5.010 ms packet before 1's.
+        const FAST_US: u64 = 5_000;
+        const SLOW_US: u64 = 6_000;
+        let schedule: [&[(u64, bool)]; 4] = [
+            &[],
+            &[(1, true), (2, false)],
+            &[(2, false), (3, true)],
+            &[(1, true), (2, false), (1_001, false)],
+        ];
+        let build = |rank: usize, handle: &mut ShardHandle<u64>| {
+            let mut sim: Simulator<u64> = Simulator::new(rank as u64);
+            let link = |sim: &mut Simulator<u64>, src, dst| {
+                sim.add_link(LinkSpec::drop_tail(
+                    src,
+                    dst,
+                    Rate::from_gbps(1),
+                    SimDuration::ZERO,
+                    1 << 20,
+                ))
+            };
+            if rank == 0 {
+                let logger = sim.add_node(Box::new(Logger::default()));
+                link(&mut sim, logger, logger); // ingress stub, LinkId(0)
+                return sim;
+            }
+            let emitter = sim.add_node(Box::new(Emitter {
+                rank: rank as u64,
+                links: [LinkId(0); 2],
+            }));
+            let links = [FAST_US, SLOW_US].map(|us| {
+                let delay = SimDuration::from_micros(us);
+                let portal = handle.add_portal(&mut sim, 0, NodeId(0), LinkId(0), delay);
+                link(&mut sim, emitter, portal)
+            });
+            sim.node_as_mut::<Emitter>(emitter).unwrap().links = links;
+            for (k, &(t_us, slow)) in schedule[rank].iter().enumerate() {
+                let token = (k as u64) << 1 | slow as u64;
+                sim.core()
+                    .set_timer(emitter, SimDuration::from_micros(t_us), token);
+            }
+            sim
+        };
+        // The old injection order: every message tagged (at, source rank,
+        // emission index) and sorted. 1000 B at 1 Gbps is 8 us on the wire.
+        let mut expected: Vec<(u64, usize, usize, u64)> = Vec::new();
+        for (src, msgs) in schedule.iter().enumerate() {
+            for (k, &(t_us, slow)) in msgs.iter().enumerate() {
+                let at = (t_us + 8 + if slow { SLOW_US } else { FAST_US }) * 1_000;
+                expected.push((at, src, k, (src * 100 + k) as u64));
+            }
+        }
+        expected.sort();
+        let expected: Vec<(u64, u64)> = expected.iter().map(|&(at, .., p)| (at, p)).collect();
+        assert!(
+            expected.windows(2).any(|w| w[0].0 == w[1].0),
+            "the schedule must produce arrival-time ties"
+        );
+        for threads in [1, 2, 4] {
+            let run = run_sharded(4, threads, None, build, |rank, sim: &mut Simulator<u64>| {
+                (rank == 0)
+                    .then(|| std::mem::take(&mut sim.node_as_mut::<Logger>(NodeId(0)).unwrap().log))
+            });
+            assert_eq!(
+                run.results[0].as_deref(),
+                Some(&expected[..]),
+                "{threads} threads"
+            );
+            assert_eq!(run.cross_messages, expected.len() as u64);
+        }
     }
 
     #[test]

@@ -28,11 +28,14 @@
 //!
 //! Versioning rules (see DESIGN.md "Open-loop service mode"):
 //!
-//! * A sealed file ([`SnapWriter::sealed`] / [`SnapReader::open`]) is
-//!   `(magic, version, total length)`, the body, and a 64-bit FNV-1a of
-//!   everything before it. A reader refuses any version it does not know —
+//! * A sealed file ([`SnapWriter::sealed_file`] or [`SnapWriter::sealed`] /
+//!   [`SnapReader::open`]) is `(magic, version, total length)`, the body,
+//!   and a 64-bit FNV-1a of the body. The file form streams: it holds one
+//!   [`STREAM_BUF`] buffer, hashes as it writes, and seeks back for the
+//!   length at the end. A reader refuses any version it does not know —
 //!   snapshots are *not* forward-compatible — reports a short file as
-//!   truncated, and verifies the checksum before decoding anything.
+//!   truncated, and verifies the length and checksum before decoding
+//!   anything.
 //! * Any change to the byte layout of any section bumps
 //!   [`SNAP_VERSION`]. There is no per-section versioning: snapshots are
 //!   short-lived artifacts of one binary, not an archival format.
@@ -42,11 +45,12 @@
 
 use crate::node::TimerId;
 use crate::packet::{FlowId, LinkId, NodeId, PacketId};
-use crate::rng::fnv1a64;
+use crate::rng::{fnv1a64, fnv1a64_extend, FNV1A64_EMPTY};
 use crate::time::{Rate, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
+use std::io::{self, Seek, SeekFrom, Write};
 
 /// Snapshot format version. Bump on ANY layout change.
 pub const SNAP_VERSION: u32 = 3;
@@ -93,13 +97,21 @@ pub enum SnapError {
         /// The one version this binary reads.
         supported: u32,
     },
-    /// A sealed file's content does not hash to its trailer: the file was
+    /// A sealed file's body does not hash to its trailer: the file was
     /// damaged after it was written.
     Checksum {
         /// The checksum stored in the trailer.
         expected: u64,
         /// The checksum of the bytes actually present.
         got: u64,
+    },
+    /// A sealed file is longer than its header declares: the length slot
+    /// was damaged after the file was written.
+    Length {
+        /// The total length the header declares.
+        declared: u64,
+        /// The file's actual length.
+        actual: u64,
     },
     /// The snapshot describes state this codec version cannot carry (e.g.
     /// faulted links, non-drop-tail queues) or that contradicts the
@@ -130,6 +142,11 @@ impl fmt::Display for SnapError {
                 "snapshot checksum mismatch: trailer says {expected:#018x}, content hashes to \
                  {got:#018x} (damaged file)"
             ),
+            SnapError::Length { declared, actual } => write!(
+                f,
+                "snapshot length mismatch: header declares {declared} bytes, file has {actual} \
+                 (damaged file)"
+            ),
             SnapError::Unsupported(what) => write!(f, "snapshot cannot carry this state: {what}"),
         }
     }
@@ -148,10 +165,61 @@ pub trait Snap: Sized {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
 
-/// Append-only snapshot writer over an owned byte buffer.
-#[derive(Debug, Default)]
+/// Bytes a streaming writer ([`SnapWriter::sealed_file`]) buffers before it
+/// writes them out: its whole footprint, however large the snapshot.
+pub const STREAM_BUF: usize = 64 * 1024;
+
+/// Append-only snapshot writer: into an owned byte buffer, or — for a sealed
+/// file — through a fixed [`STREAM_BUF`] buffer into that file.
+#[derive(Debug)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// `buf` is handed to `sink` before it would grow past this length;
+    /// `usize::MAX` for an in-memory writer, which never spills.
+    spill_at: usize,
+    sink: Option<Sink>,
+}
+
+/// Where a streaming writer's bytes go, and what it has learnt of them.
+#[derive(Debug)]
+struct Sink {
+    file: std::fs::File,
+    /// FNV-1a of the body bytes spilled so far.
+    hash: u64,
+    /// Bytes in the file so far, header included.
+    len: u64,
+    /// The first write error; later spills only keep counting, and
+    /// [`SnapWriter::finish`] reports it.
+    err: Option<io::Error>,
+}
+
+impl Sink {
+    /// Write body bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        self.hash = fnv1a64_extend(self.hash, bytes);
+        self.len += bytes.len() as u64;
+        if self.err.is_none() {
+            self.err = self.file.write_all(bytes).err();
+        }
+    }
+}
+
+impl Default for SnapWriter {
+    fn default() -> Self {
+        SnapWriter {
+            buf: Vec::new(),
+            spill_at: usize::MAX,
+            sink: None,
+        }
+    }
+}
+
+/// The sealed file's header with its length slot still zero.
+fn seal_header(magic: u32, version: u32) -> [u8; SEAL_HEADER] {
+    let mut h = [0; SEAL_HEADER];
+    h[..4].copy_from_slice(&magic.to_le_bytes());
+    h[4..8].copy_from_slice(&version.to_le_bytes());
+    h
 }
 
 impl SnapWriter {
@@ -162,30 +230,88 @@ impl SnapWriter {
 
     /// Consume the writer and return the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
+        assert!(self.sink.is_none(), "a streaming writer ends in finish()");
         self.buf
     }
 
-    /// A writer for a sealed file (see [`SnapReader::open`]): the magic and
-    /// version are written now, the length slot is filled by
+    /// An in-memory writer for a sealed file (see [`SnapReader::open`]):
+    /// the magic and version are written now, the length slot is filled by
     /// [`SnapWriter::seal`].
     pub fn sealed(magic: u32, version: u32) -> Self {
-        let mut w = SnapWriter::new();
-        w.magic(magic);
-        w.u32(version);
-        w.u64(0);
-        w
+        SnapWriter {
+            buf: seal_header(magic, version).to_vec(),
+            ..SnapWriter::default()
+        }
     }
 
     /// Finish a writer started with [`SnapWriter::sealed`]: fill in the
-    /// total length, append the checksum of everything before it, and
-    /// return the file's bytes.
+    /// total length, append the checksum of the body, and return the
+    /// file's bytes.
     pub fn seal(mut self) -> Vec<u8> {
+        assert!(self.sink.is_none(), "a streaming writer ends in finish()");
         let total = (self.buf.len() + SEAL_TRAILER) as u64;
         let slot = &mut self.buf[SEAL_HEADER - 8..SEAL_HEADER];
         assert!(slot == [0; 8], "seal() on a writer not started by sealed()");
         slot.copy_from_slice(&total.to_le_bytes());
-        self.u64(fnv1a64(&self.buf));
+        self.u64(fnv1a64(&self.buf[SEAL_HEADER..]));
         self.buf
+    }
+
+    /// The streaming form of [`SnapWriter::sealed`]: the same bytes, written
+    /// into `file` (from its current position, which must be its start)
+    /// through one [`STREAM_BUF`] buffer while a running checksum follows
+    /// the body. [`SnapWriter::finish`] appends the checksum, seeks back to
+    /// fill in the length, and reports any write error.
+    pub fn sealed_file(mut file: std::fs::File, magic: u32, version: u32) -> Self {
+        let err = file.write_all(&seal_header(magic, version)).err();
+        SnapWriter {
+            buf: Vec::with_capacity(STREAM_BUF),
+            spill_at: STREAM_BUF,
+            sink: Some(Sink {
+                file,
+                hash: FNV1A64_EMPTY,
+                len: SEAL_HEADER as u64,
+                err,
+            }),
+        }
+    }
+
+    /// Finish a writer started with [`SnapWriter::sealed_file`]: write out
+    /// the buffered tail and the checksum trailer, then the total length
+    /// into the header. Reports the first write error of the whole file.
+    pub fn finish(mut self) -> io::Result<()> {
+        let mut sink = self.sink.take().expect("finish() on an in-memory writer");
+        sink.write(&self.buf);
+        if let Some(e) = sink.err {
+            return Err(e);
+        }
+        let total = sink.len + SEAL_TRAILER as u64;
+        sink.file.write_all(&sink.hash.to_le_bytes())?;
+        sink.file.seek(SeekFrom::Start(SEAL_HEADER as u64 - 8))?;
+        sink.file.write_all(&total.to_le_bytes())
+    }
+
+    /// Append raw bytes: the one place the buffer grows.
+    fn bytes(&mut self, b: &[u8]) {
+        if self.buf.len() + b.len() > self.spill_at {
+            self.spill(b);
+        } else {
+            self.buf.extend_from_slice(b);
+        }
+    }
+
+    /// The buffer is full: hand it to the sink, then buffer `b` — or pass
+    /// it straight through if it alone is larger than the buffer.
+    #[cold]
+    fn spill(&mut self, b: &[u8]) {
+        let sink = self.sink.as_mut().expect("only streaming writers spill");
+        sink.write(&self.buf);
+        self.buf.clear();
+        if b.len() > self.spill_at {
+            sink.write(b);
+        } else {
+            self.buf.extend_from_slice(b);
+        }
     }
 
     /// Write any [`Snap`] value.
@@ -200,17 +326,17 @@ impl SnapWriter {
 
     /// Write one byte (enum tags).
     pub fn u8(&mut self, x: u8) {
-        self.buf.push(x);
+        self.bytes(&[x]);
     }
 
     /// Write a little-endian `u32`.
     pub fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
+        self.bytes(&x.to_le_bytes());
     }
 
     /// Write a little-endian `u64`.
     pub fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
+        self.bytes(&x.to_le_bytes());
     }
 
     /// Write the element count of a sequence whose elements follow.
@@ -232,11 +358,11 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
 
-    /// Open a file written through [`SnapWriter::sealed`]: check the magic, the
-    /// version and the declared length (a shorter file is reported as
-    /// truncated), then the checksum — all before any of the body is
-    /// decoded. The returned reader is positioned at the start of the body
-    /// and ends where the body does.
+    /// Open a sealed file: check the magic, the version and the declared
+    /// length (a shorter file is reported as truncated), then the body's
+    /// checksum and that the file is no longer than declared — all before
+    /// any of the body is decoded. The returned reader is positioned at the
+    /// start of the body and ends where the body does.
     pub fn open(buf: &'a [u8], magic: u32, version: u32) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(buf);
         r.expect_magic(magic)?;
@@ -257,11 +383,17 @@ impl<'a> SnapReader<'a> {
         }
         let (content, trailer) = buf.split_at(len - SEAL_TRAILER);
         let expected = SnapReader::new(trailer).u64()?;
-        let got = fnv1a64(content);
-        // The length is under the checksum too, so a file longer than it
-        // declares cannot hash right; `total != len` only spells that out.
-        if got != expected || total != len {
+        let got = fnv1a64(&content[SEAL_HEADER..]);
+        if got != expected {
             return Err(SnapError::Checksum { expected, got });
+        }
+        // The checksum covers the body only: a length slot damaged to a
+        // smaller value is caught here, a larger one above as truncation.
+        if total != len {
+            return Err(SnapError::Length {
+                declared: total as u64,
+                actual: len as u64,
+            });
         }
         r.buf = content;
         Ok(r)
@@ -483,7 +615,7 @@ impl<T: Snap> Snap for Option<T> {
 
 fn save_str(s: &str, w: &mut SnapWriter) {
     w.seq_len(s.len());
-    w.buf.extend_from_slice(s.as_bytes());
+    w.bytes(s.as_bytes());
 }
 
 impl Snap for String {
@@ -916,15 +1048,118 @@ mod tests {
         // Every single-bit flip is refused: in the header by the field it
         // hits, anywhere else by the checksum.
         for bit in 0..file.len() * 8 {
-            let mut bad = file.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let err = SnapReader::open(&bad, MAGIC, 2).unwrap_err();
-            if bit / 8 >= SEAL_HEADER {
-                assert!(
-                    matches!(err, SnapError::Checksum { .. }),
-                    "bit {bit}: {err}"
-                );
+            assert_flip_refused(&file, bit, MAGIC, 2);
+        }
+    }
+
+    /// Flip one bit of a sealed file: `open` must refuse it — past the
+    /// header always by the checksum, in the header by the field it hits.
+    fn assert_flip_refused(file: &[u8], bit: usize, magic: u32, version: u32) {
+        let mut bad = file.to_vec();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let err = SnapReader::open(&bad, magic, version).unwrap_err();
+        let expected = match bit / 8 {
+            0..4 => matches!(err, SnapError::Magic { .. }),
+            4..8 => matches!(err, SnapError::Version { .. }),
+            // A length slot flipped up reads as a truncation, down as a
+            // file longer than declared.
+            8..SEAL_HEADER => matches!(err, SnapError::Eof { .. } | SnapError::Length { .. }),
+            _ => matches!(err, SnapError::Checksum { .. }),
+        };
+        assert!(expected, "bit {bit}: {err}");
+    }
+
+    /// A temp file path unique to this process and test.
+    fn tmp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("halfback-snap-{}-{tag}", std::process::id()))
+    }
+
+    /// Write `body` twice — in memory through `seal()` and streamed through
+    /// `sealed_file` — and return both files' bytes.
+    fn seal_both(body: impl Fn(&mut SnapWriter), version: u32, tag: &str) -> (Vec<u8>, Vec<u8>) {
+        const MAGIC: u32 = 0x4842_5354;
+        let mut w = SnapWriter::sealed(MAGIC, version);
+        body(&mut w);
+        let in_memory = w.seal();
+        let path = tmp_path(tag);
+        let mut w = SnapWriter::sealed_file(std::fs::File::create(&path).unwrap(), MAGIC, version);
+        body(&mut w);
+        assert!(w.buf.capacity() <= STREAM_BUF, "the stream buffer grew");
+        w.finish().unwrap();
+        let streamed = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        (in_memory, streamed)
+    }
+
+    #[test]
+    fn streamed_file_matches_the_in_memory_seal() {
+        // ~330 KB of body: five spills of the 64 KiB buffer, one string
+        // larger than the buffer (written straight through), and writes
+        // that straddle each spill.
+        let long = "w".repeat(STREAM_BUF + 17);
+        let body = |w: &mut SnapWriter| {
+            w.put(&(0..20_000u64).collect::<Vec<_>>());
+            w.put(&long);
+            for i in 0..30_000u32 {
+                w.u8(i as u8);
+                w.u32(i);
+            }
+        };
+        let (in_memory, streamed) = seal_both(body, 4, "stream");
+        assert!(streamed.len() > 4 * STREAM_BUF);
+        assert!(in_memory == streamed, "streamed file differs from seal()");
+
+        let mut r = SnapReader::open(&streamed, 0x4842_5354, 4).unwrap();
+        assert_eq!(r.get::<Vec<u64>>().unwrap().len(), 20_000);
+        assert_eq!(r.get::<String>().unwrap(), long);
+        for i in 0..30_000u32 {
+            assert_eq!((r.u8().unwrap(), r.u32().unwrap()), (i as u8, i));
+        }
+        assert_eq!(r.remaining(), 0);
+
+        // Every cut is a truncation; every bit of the header and trailer,
+        // both sides of every spill boundary and a seeded sample of the
+        // rest is refused with the error its position calls for.
+        for cut in 0..streamed.len() {
+            let err = SnapReader::open(&streamed[..cut], 0x4842_5354, 4).unwrap_err();
+            assert!(matches!(err, SnapError::Eof { .. }), "cut {cut}: {err}");
+        }
+        let n = streamed.len();
+        let spills = (1..=n / STREAM_BUF).map(|k| SEAL_HEADER + k * STREAM_BUF);
+        let mut bytes: Vec<usize> = (0..SEAL_HEADER + 8).chain(n - 8..n).collect();
+        bytes.extend(spills.flat_map(|b| b - 4..(b + 4).min(n)));
+        let mut rng = crate::rng::SimRng::new(0x5EA1);
+        bytes.extend((0..64).map(|_| rng.index(n)));
+        for byte in bytes {
+            for bit in 0..8 {
+                assert_flip_refused(&streamed, byte * 8 + bit, 0x4842_5354, 4);
             }
         }
+    }
+
+    #[test]
+    fn older_version_files_are_refused_by_version() {
+        let (_, v3) = seal_both(|w| w.put(&vec![1u32; 10]), 3, "v3");
+        assert_eq!(
+            SnapReader::open(&v3, 0x4842_5354, 4).err(),
+            Some(SnapError::Version {
+                got: 3,
+                supported: 4
+            })
+        );
+    }
+
+    #[test]
+    fn write_errors_surface_in_finish() {
+        // Linux's /dev/full accepts the open and refuses every write, the
+        // header's first: the writer carries on through several spills and
+        // finish() reports the error.
+        let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+            return;
+        };
+        let mut w = SnapWriter::sealed_file(full, 1, 1);
+        w.put(&vec![7u64; 3 * STREAM_BUF / 8]);
+        let err = w.finish().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{err}");
     }
 }

@@ -7,7 +7,7 @@
 //! half: a checkpoint that is damaged, truncated, from another format
 //! version, or orphaned from its CSV is refused with a typed error.
 
-use netsim::snap::SnapError;
+use netsim::snap::{SnapError, STREAM_BUF};
 use netsim::SimDuration;
 use scenarios::weather::{run_weather, WeatherConfig, WeatherRunOptions};
 use scenarios::Protocol;
@@ -48,8 +48,8 @@ fn summary_stripped(dir: &std::path::Path) -> String {
 
 /// Run `c` twice: once uninterrupted, once killed at the first checkpoint
 /// and resumed; assert the output files (and the final checkpoint itself)
-/// are byte-identical.
-fn assert_kill_resume_identical(c: &WeatherConfig, tag: &str) {
+/// are byte-identical. Returns the final checkpoint's length.
+fn assert_kill_resume_identical(c: &WeatherConfig, tag: &str) -> usize {
     let a = tmp_dir(&format!("{tag}-a"));
     let b = tmp_dir(&format!("{tag}-b"));
 
@@ -111,12 +111,18 @@ fn assert_kill_resume_identical(c: &WeatherConfig, tag: &str) {
 
     std::fs::remove_dir_all(&a).unwrap();
     std::fs::remove_dir_all(&b).unwrap();
+    ck_a.len()
 }
 
 #[test]
 fn kill_resume_is_byte_identical_halfback() {
-    // Long enough for several checkpoints with flows in flight at each.
-    assert_kill_resume_identical(&cfg(Protocol::Halfback, 60, 10, 2), "halfback");
+    // Long enough for several checkpoints with flows in flight at each, and
+    // each checkpoint streamed to disk across several buffer spills.
+    let len = assert_kill_resume_identical(&cfg(Protocol::Halfback, 60, 10, 2), "halfback");
+    assert!(
+        len > 2 * STREAM_BUF,
+        "checkpoint of {len} bytes spills at most once"
+    );
 }
 
 #[test]
@@ -345,6 +351,13 @@ fn v1_checkpoint_is_refused_with_the_version_error() {
 #[test]
 fn v2_checkpoint_is_refused_with_the_version_error() {
     assert_version_refused(2);
+}
+
+/// Version 3 checksummed the header as well as the body, so a version-4
+/// reader would refuse its trailer; the version word says why first.
+#[test]
+fn v3_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(3);
 }
 
 #[test]

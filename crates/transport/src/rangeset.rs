@@ -76,6 +76,28 @@ impl RangeSet {
         added
     }
 
+    /// Remove a single value; returns true if it was present. Trims the
+    /// range holding it in place, splitting it only when `v` is interior.
+    pub fn remove(&mut self, v: u32) -> bool {
+        let i = self.seek(v);
+        let Some(&(s, e)) = self.ranges.get(i).filter(|r| r.0 <= v) else {
+            return false;
+        };
+        match (s == v, e == v + 1) {
+            (true, true) => {
+                self.ranges.remove(i);
+            }
+            (true, false) => self.ranges[i].0 = v + 1,
+            (false, true) => self.ranges[i].1 = v,
+            (false, false) => {
+                self.ranges[i].1 = v;
+                self.ranges.insert(i + 1, (v + 1, e));
+            }
+        }
+        self.count -= 1;
+        true
+    }
+
     /// Does the set contain `v`?
     pub fn contains(&self, v: u32) -> bool {
         self.ranges.get(self.seek(v)).is_some_and(|&(s, _)| s <= v)
@@ -296,9 +318,25 @@ mod tests {
         }
     }
 
-    /// Inserts interleaved with `prune_below`, the way a flow's cumulative
-    /// ACK chases its SACKed ranges: after every step the set, its count and
-    /// every windowed query agree with the reference.
+    #[test]
+    fn remove_trims_splits_and_drops() {
+        let mut r = RangeSet::new();
+        r.insert_range(0, 5);
+        r.insert_range(10, 11);
+        assert!(r.remove(0)); // front
+        assert!(r.remove(4)); // back
+        assert!(r.remove(2)); // interior: splits
+        assert!(r.remove(10)); // a whole one-value range
+        assert!(!r.remove(2) && !r.remove(7) && !r.remove(99));
+        assert_eq!(r.iter_ranges().collect::<Vec<_>>(), vec![(1, 2), (3, 4)]);
+        assert_eq!(r.len(), 2);
+        assert!(!RangeSet::new().remove(0));
+    }
+
+    /// Inserts interleaved with `prune_below` and `remove`, the way a
+    /// flow's cumulative ACK chases its SACKed ranges and a retransmission
+    /// clears a lost mark: after every step the set, its count and every
+    /// windowed query agree with the reference.
     #[test]
     fn interleaved_prunes_match_reference_set() {
         let mut rng = SimRng::new(0x9E0E);
@@ -307,9 +345,22 @@ mod tests {
             let mut reference = BTreeSet::new();
             for step in 0..rng.index(40) {
                 let at = rng.index(200) as u32;
-                if rng.index(4) == 0 {
+                let op = rng.index(8);
+                if op == 0 {
                     rs.prune_below(at);
                     reference = reference.split_off(&at);
+                } else if op < 3 {
+                    // Mostly values the set holds, so ranges get split and
+                    // trimmed rather than missed.
+                    let v = match reference.iter().nth(at as usize % (reference.len() + 1)) {
+                        Some(&v) => v,
+                        None => at,
+                    };
+                    assert_eq!(
+                        rs.remove(v),
+                        reference.remove(&v),
+                        "case {case} step {step}"
+                    );
                 } else {
                     let end = at + 1 + rng.index(19) as u32;
                     let before = reference.len();

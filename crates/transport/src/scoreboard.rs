@@ -307,27 +307,7 @@ impl Scoreboard {
         // the lost mark so pipe accounting and retransmission policies treat
         // it as outstanding again.
         // (It will be re-marked only by an RTO, not by the DupThresh rule.)
-        if self.lost.contains(seg) {
-            self.remove_lost(seg);
-        }
-    }
-
-    fn remove_lost(&mut self, seg: SegId) {
-        // RangeSet lacks remove; rebuild the (tiny) lost set without `seg`.
-        let mut nl = RangeSet::new();
-        for (s, e) in self.lost.iter_ranges() {
-            if seg >= s && seg < e {
-                if s < seg {
-                    nl.insert_range(s, seg);
-                }
-                if seg + 1 < e {
-                    nl.insert_range(seg + 1, e);
-                }
-            } else {
-                nl.insert_range(s, e);
-            }
-        }
-        self.lost = nl;
+        self.lost.remove(seg);
     }
 
     fn resolve_flight(&mut self, seg: SegId) {
@@ -342,7 +322,6 @@ impl Scoreboard {
     /// Process an incoming ACK; returns what changed.
     pub fn on_ack(&mut self, ack: &AckHeader) -> AckOutcome {
         let mut out = AckOutcome::default();
-        let old_cum = self.cum;
 
         // Cumulative advance.
         if ack.cum > self.cum {
@@ -351,9 +330,6 @@ impl Scoreboard {
                     out.newly_acked_bytes += self.seg_bytes(seg) as u64;
                 }
                 self.resolve_flight(seg);
-                if self.lost.contains(seg) {
-                    self.remove_lost(seg);
-                }
             }
             self.cum = ack.cum;
             self.sacked.prune_below(self.cum);
@@ -377,9 +353,7 @@ impl Scoreboard {
                     out.newly_acked_bytes += self.seg_bytes(seg) as u64;
                     self.total_sacked_ever += 1;
                     self.resolve_flight(seg);
-                    if self.lost.contains(seg) {
-                        self.remove_lost(seg);
-                    }
+                    self.lost.remove(seg);
                 }
             }
             self.sacked.insert_range(s, e);
@@ -437,7 +411,6 @@ impl Scoreboard {
             }
         }
 
-        let _ = old_cum;
         out
     }
 

@@ -19,6 +19,5 @@ set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 cargo bench --bench engine -- --baseline-covers "$root/BENCH_netsim.json"
-cargo bench --bench e2e -- --baseline-covers "$root/BENCH_e2e.json"
 
 echo "OK: every registered benchmark has a committed baseline entry"

@@ -51,27 +51,20 @@
 
 use netsim::SimDuration;
 use scenarios::figures::{distinct_experiment_ids, experiment};
-use scenarios::harness::JobMetrics;
+use scenarios::harness::{JobMetrics, RunCtx};
 use scenarios::manifest::{ExperimentEntry, Manifest};
 use scenarios::simcheck;
 use scenarios::trace::{run_trace, TraceSpec};
 use scenarios::weather::{self, WeatherConfig, WeatherRunOptions};
-use scenarios::{harness, Protocol, Scale};
+use scenarios::{Protocol, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use workload::MAX_OVERLOAD_UTILIZATION;
 
-/// Resident set size in MB (Linux; `None` elsewhere).
-fn rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS"))?;
-    Some(line.split_whitespace().nth(1)?.parse::<f64>().ok()? / 1024.0)
-}
-
 /// Per-experiment job accounting, printed to stderr only so the files in
 /// `--out` stay byte-identical across `--jobs` settings. The caller drains
-/// `harness::take_metrics()` once and shares the slice with the manifest.
-fn report_jobs(id: &str, wall_s: f64, metrics: &[JobMetrics]) {
+/// the run context's tally once and shares its metrics with the manifest.
+fn report_jobs(id: &str, wall_s: f64, workers: usize, metrics: &[JobMetrics]) {
     if metrics.is_empty() {
         return;
     }
@@ -83,7 +76,7 @@ fn report_jobs(id: &str, wall_s: f64, metrics: &[JobMetrics]) {
         ">> {id}: {} jobs on {} workers: wall {wall_s:.1}s, cpu {busy_s:.1}s, \
          virtual {virt_s:.0}s, {events} events{}",
         metrics.len(),
-        harness::workers(),
+        workers,
         if panicked > 0 {
             format!(", {panicked} PANICKED")
         } else {
@@ -206,6 +199,8 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
     let mut keep_flows: Option<Vec<usize>> = None;
     let mut keep_faults: Option<Vec<usize>> = None;
     let mut keep_hops: Option<usize> = None;
+    // Simcheck cases fix their own sizes: the scale is never read.
+    let mut ctx = RunCtx::new(Scale::Quick);
     let mut out_dir = PathBuf::from("out");
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -235,7 +230,7 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
                 _ => return refuse("--keep-hops needs a positive hop count"),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => harness::set_workers(n),
+                Some(n) if n >= 1 => ctx.jobs = n,
                 _ => return refuse("--jobs needs a positive integer"),
             },
             "--out" | "-o" => match it.next() {
@@ -276,10 +271,10 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
 
     eprintln!(
         ">> simcheck: seed {seed}, {cases} cases on {} workers...",
-        harness::workers()
+        ctx.jobs
     );
     let started = std::time::Instant::now();
-    let battery = simcheck::run_battery(seed, cases);
+    let battery = simcheck::run_battery(&ctx, seed, cases);
     print!("{}", battery.render_text());
     // Failing cases get their shrunk trace exported; files only, so stdout
     // stays byte-identical across worker counts.
@@ -295,7 +290,8 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
     report_jobs(
         "simcheck",
         started.elapsed().as_secs_f64(),
-        &harness::take_metrics(),
+        ctx.jobs,
+        &ctx.take_tally().jobs,
     );
     if battery.failures() > 0 {
         ExitCode::FAILURE
@@ -365,13 +361,6 @@ fn weather_main(args: Vec<String>) -> ExitCode {
                 Some(s) => cfg.seed = s,
                 None => return refuse("--seed needs an integer"),
             },
-            "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                // Weather runs one simulation inline; the flag is accepted
-                // so callers can pass a uniform command line, and output is
-                // byte-identical for every N by construction.
-                Some(n) if n >= 1 => harness::set_workers(n),
-                _ => return refuse("--jobs needs a positive integer"),
-            },
             "--out" | "-o" => match it.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => return refuse("--out needs a directory"),
@@ -425,7 +414,7 @@ fn weather_main(args: Vec<String>) -> ExitCode {
     eprintln!(
         ">> done in {:.1}s wall (rss {:.0} MB); outputs in {}",
         started.elapsed().as_secs_f64(),
-        rss_mb().unwrap_or(0.0),
+        weather::rss_mb().unwrap_or(0.0),
         out_dir.display()
     );
     ExitCode::SUCCESS
@@ -448,29 +437,29 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut scale = Scale::Full;
+    let mut ctx = RunCtx::new(Scale::Full);
     let mut chart = false;
     let mut out_dir: Option<PathBuf> = None;
     let mut experiments: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" | "-q" => scale = Scale::Quick,
+            "--quick" | "-q" => ctx.scale = Scale::Quick,
             "--scale" => match it.next().as_deref() {
-                Some("quick") => scale = Scale::Quick,
-                Some("full") => scale = Scale::Full,
+                Some("quick") => ctx.scale = Scale::Quick,
+                Some("full") => ctx.scale = Scale::Full,
                 other => return refuse(format!("--scale needs 'quick' or 'full', got {other:?}")),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => harness::set_workers(n),
+                Some(n) if n >= 1 => ctx.jobs = n,
                 _ => return refuse("--jobs needs a positive integer"),
             },
             "--shards" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => harness::set_shards(n),
+                Some(n) if n >= 1 => ctx.shards = n,
                 _ => return refuse("--shards needs a positive integer"),
             },
             "--telemetry" => match it.next() {
-                Some(path) => harness::set_telemetry_path(Some(PathBuf::from(path))),
+                Some(path) => ctx.telemetry = Some(PathBuf::from(path)),
                 None => return refuse("--telemetry needs a file path"),
             },
             "--chart" | "-c" => chart = true,
@@ -504,17 +493,17 @@ fn main() -> ExitCode {
         }
     }
 
-    harness::set_progress(true);
+    ctx.progress = true;
     let started = std::time::Instant::now();
     let mut entries: Vec<ExperimentEntry> = Vec::new();
     for (id, figures) in &runs {
         eprintln!(
-            ">> running {id} ({scale:?} scale, {} workers)...",
-            harness::workers()
+            ">> running {id} ({:?} scale, {} workers)...",
+            ctx.scale, ctx.jobs
         );
         let exp_started = std::time::Instant::now();
         let mut figure_ids: Vec<String> = Vec::new();
-        for fig in figures(scale) {
+        for fig in figures(&ctx) {
             figure_ids.push(fig.id.to_string());
             println!("{}", fig.render_text());
             if chart {
@@ -528,30 +517,30 @@ fn main() -> ExitCode {
             }
         }
         let wall_s = exp_started.elapsed().as_secs_f64();
-        let metrics = harness::take_metrics();
-        report_jobs(id, wall_s, &metrics);
+        let tally = ctx.take_tally();
+        report_jobs(id, wall_s, ctx.jobs, &tally.jobs);
         entries.push(ExperimentEntry {
             id: id.clone(),
             figures: figure_ids,
-            jobs_run: metrics.len(),
-            events: metrics.iter().map(|m| m.events).sum(),
-            virtual_ns: metrics.iter().map(|m| m.virtual_ns).sum(),
-            sketch_mem_bytes: harness::take_sketch_mem(),
+            jobs_run: tally.jobs.len(),
+            events: tally.jobs.iter().map(|m| m.events).sum(),
+            virtual_ns: tally.jobs.iter().map(|m| m.virtual_ns).sum(),
+            sketch_mem_bytes: tally.sketch_mem_bytes,
             wall_s,
         });
         eprintln!(
             ">> {id} done in {wall_s:.1}s (rss {:.0} MB)",
-            rss_mb().unwrap_or(0.0)
+            weather::rss_mb().unwrap_or(0.0)
         );
     }
     if let Some(dir) = &out_dir {
         let manifest = Manifest {
-            scale: format!("{scale:?}").to_lowercase(),
+            scale: format!("{:?}", ctx.scale).to_lowercase(),
             schemes: Protocol::ALL.iter().map(|p| p.name().to_string()).collect(),
             experiments: entries,
-            jobs: harness::workers(),
-            shards: harness::shards(),
-            rss_mb: rss_mb().unwrap_or(0.0) as u64,
+            jobs: ctx.jobs,
+            shards: ctx.shards,
+            rss_mb: weather::rss_mb().unwrap_or(0.0) as u64,
         };
         let path = dir.join("manifest.json");
         if let Err(e) = std::fs::create_dir_all(dir)

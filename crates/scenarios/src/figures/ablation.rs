@@ -3,21 +3,22 @@
 //! utilization sweep as Fig. 12.
 
 use crate::figures::feasible::{self, FeasibleData};
+use crate::harness::RunCtx;
 use crate::metrics::feasible_capacity;
 use crate::report::Figure;
-use crate::{Protocol, Scale};
+use crate::Protocol;
 
 /// Run the sweep over the ablation protocol set, one harness job per
 /// (protocol, utilization) cell.
-pub fn run(scale: Scale) -> FeasibleData {
+pub fn run(ctx: &RunCtx) -> FeasibleData {
     FeasibleData {
-        sweeps: feasible::sweep_many(&Protocol::ABLATION, scale, 42),
+        sweeps: feasible::sweep_many(&Protocol::ABLATION, ctx, 42),
     }
 }
 
 /// Render Fig. 17.
-pub fn figures(scale: Scale) -> Vec<Figure> {
-    let data = run(scale);
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let data = run(ctx);
     let mut fig = Figure::new(
         "fig17",
         "FCT and feasible capacity for startup/recovery design choices",

@@ -7,6 +7,7 @@
 //! once with CoDel, for TCP vs Halfback — quantifying the claimed
 //! multiplication: CoDel cuts the RTT, Halfback cuts the RTT *count*.
 
+use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
 use crate::runner::{run_dumbbell, FlowPlan, RunOptions};
@@ -58,7 +59,8 @@ pub fn cell(protocol: Protocol, codel: bool, scale: Scale) -> FctStats {
 }
 
 /// Render the AQM complementarity table.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let mut fig = Figure::new(
         "aqm",
         "Extension: CoDel AQM x Halfback under a bloated 600 KB buffer",
@@ -78,6 +80,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|p| [(p, false), (p, true)])
         .collect();
     let stats = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(p, codel)| {
             format!(

@@ -5,6 +5,7 @@
 //! 10 s on average, 600 s runs, bottleneck buffer swept from small to
 //! 600 KB.
 
+use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
 use crate::runner::{run_dumbbell, FlowPlan, RunOptions};
@@ -80,7 +81,8 @@ pub fn protocols() -> [Protocol; 8] {
 
 /// Render Fig. 10(a) (mean FCT vs buffer) and Fig. 10(b) (normal
 /// retransmissions vs buffer).
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let mut fig_a = Figure::new(
         "fig10a",
         "Mean FCT of short flows vs router buffer size (1 background TCP flow)",
@@ -100,6 +102,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|p| bufs.iter().map(move |&b| (p, b)))
         .collect();
     let stats = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(p, b)| format!("fig10/{}/buf{}k", p.name(), b / 1000),
         |(p, b)| cell(p, b, scale),

@@ -12,9 +12,10 @@
 //! pathological (scenario, scheme) pair cannot hide the rest of the table.
 //! The totals line `invariant violations: 0` is what CI greps for.
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
 use crate::runner::run_until_checked;
-use crate::{Protocol, Scale};
+use crate::Protocol;
 use baselines::path_cache;
 use netsim::engine::TraceEvent;
 use netsim::loss::LossModel;
@@ -289,7 +290,8 @@ pub fn run_cell(sc: &Scenario, protocol: Protocol, n_flows: usize, seed: u64) ->
 }
 
 /// Render the chaos survival table.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let n_flows = scale.pick(24, 8);
     let span_ms = (n_flows as u64 - 1) * SPACING_MS;
     let scens = scenarios(span_ms);
@@ -308,7 +310,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
             );
         }
     }
-    let results = crate::harness::run_jobs(jobs);
+    let results = crate::harness::run_jobs(ctx, jobs);
 
     let mut fig = Figure::new(
         "chaos",
@@ -447,7 +449,7 @@ mod tests {
 
     #[test]
     fn chaos_figure_reports_zero_violations() {
-        let figs = figures(Scale::Quick);
+        let figs = figures(&RunCtx::new(crate::Scale::Quick));
         assert_eq!(figs.len(), 1);
         let f = &figs[0];
         assert_eq!(f.series.len(), Protocol::EVALUATED.len());

@@ -5,6 +5,7 @@
 //! utilization, utilization swept 5–90 % in 5 % steps. Feasible capacity is
 //! the knee before FCT/completion collapse.
 
+use crate::harness::RunCtx;
 use crate::metrics::{feasible_capacity, FctStats, SweepPoint};
 use crate::report::Figure;
 use crate::runner::{plans_from_schedule, run_dumbbell, RunOptions};
@@ -65,8 +66,8 @@ pub fn point(protocol: Protocol, u: f64, scale: Scale, seed: u64) -> SweepPoint 
 /// Sweep one protocol across utilizations with per-utilization identical
 /// schedules (shared across protocols via the seed discipline). Cells run
 /// as parallel harness jobs.
-pub fn sweep(protocol: Protocol, scale: Scale, seed: u64) -> Vec<SweepPoint> {
-    sweep_many(&[protocol], scale, seed)
+pub fn sweep(protocol: Protocol, ctx: &RunCtx, seed: u64) -> Vec<SweepPoint> {
+    sweep_many(&[protocol], ctx, seed)
         .pop()
         .map(|(_, pts)| pts)
         .unwrap_or_default()
@@ -76,15 +77,17 @@ pub fn sweep(protocol: Protocol, scale: Scale, seed: u64) -> Vec<SweepPoint> {
 /// utilization) cell, results regrouped per protocol in input order.
 pub fn sweep_many(
     protocols: &[Protocol],
-    scale: Scale,
+    ctx: &RunCtx,
     seed: u64,
 ) -> Vec<(Protocol, Vec<SweepPoint>)> {
+    let scale = ctx.scale;
     let utils = utilizations(scale);
     let cells: Vec<(Protocol, f64)> = protocols
         .iter()
         .flat_map(|&p| utils.iter().map(move |&u| (p, u)))
         .collect();
     let points = crate::harness::parallel_map(
+        ctx,
         cells,
         |&(p, u)| format!("fig12/{}/u{:.0}/s{seed}", p.name(), u * 100.0),
         |(p, u)| point(p, u, scale, seed),
@@ -103,15 +106,15 @@ pub struct FeasibleData {
 }
 
 /// Run the full sweep for the Fig. 12 protocol set.
-pub fn run(scale: Scale) -> FeasibleData {
+pub fn run(ctx: &RunCtx) -> FeasibleData {
     FeasibleData {
-        sweeps: sweep_many(&Protocol::EVALUATED, scale, 42),
+        sweeps: sweep_many(&Protocol::EVALUATED, ctx, 42),
     }
 }
 
 /// Render Fig. 12 (FCT vs utilization) and Fig. 1 (tradeoff scatter).
-pub fn figures(scale: Scale) -> Vec<Figure> {
-    render(&run(scale))
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    render(&run(ctx))
 }
 
 /// Render from precomputed data (shared with the ablation module).

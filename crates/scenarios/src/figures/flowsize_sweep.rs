@@ -2,6 +2,7 @@
 //! flow-size distributions (Internet / Benson / VL2), truncated at 1 MB,
 //! offered at 25 % utilization (§4.2.4).
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
 use crate::runner::{plans_from_schedule, run_dumbbell, RunOptions};
 use crate::{Protocol, Scale};
@@ -61,7 +62,8 @@ pub fn cell(trace: TraceKind, protocol: Protocol, scale: Scale) -> Vec<FlowRecor
 }
 
 /// Render Fig. 11(a,b,c).
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let protos: Vec<Protocol> = match scale {
         Scale::Full => Protocol::EVALUATED.to_vec(),
         Scale::Quick => vec![
@@ -78,6 +80,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|t| protos.iter().map(move |&p| (t, p)))
         .collect();
     let cells = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(t, p)| format!("fig11/{}/{}", t.name(), p.name()),
         |(t, p)| cell(t, p, scale),

@@ -5,6 +5,7 @@
 //! divided by their all-TCP reference; y = mean FCT of the non-TCP flows
 //! divided by their all-non-TCP reference. Friendly schemes sit near (1,1).
 
+use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
 use crate::runner::{plans_alternating, plans_from_schedule, run_dumbbell, RunOptions};
@@ -70,7 +71,8 @@ pub fn point(protocol: Protocol, utilization: f64, scale: Scale) -> (f64, f64) {
 }
 
 /// Render Fig. 14.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let mut fig = Figure::new(
         "fig14",
         "TCP-friendliness: FCT change of TCP (x) and non-TCP (y) flows under co-existence",
@@ -85,6 +87,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|p| utils.iter().map(move |&u| (p, u)))
         .collect();
     let points = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(p, u)| format!("fig14/{}/u{:.0}", p.name(), u * 100.0),
         |(p, u)| point(p, u, scale),

@@ -3,10 +3,11 @@
 //! Clients behind four residential profiles fetch 100 KB flows from 170
 //! servers; we compare the per-network FCT CDFs and median reductions.
 
+use crate::harness::RunCtx;
 use crate::metrics::fct_ecdf;
 use crate::report::Figure;
 use crate::runner::{run_path, FlowPlan};
-use crate::{Protocol, Scale};
+use crate::Protocol;
 use netsim::{SimDuration, SimTime};
 use transport::sender::FlowRecord;
 use workload::HomeNetwork;
@@ -16,13 +17,14 @@ pub type HomeResults = Vec<(HomeNetwork, Vec<(Protocol, Vec<FlowRecord>)>)>;
 
 /// Run both schemes over every server path of every home network: one
 /// harness job per (network, protocol) cell.
-pub fn run(scale: Scale) -> HomeResults {
-    let n_servers = scale.pick(170, 40);
+pub fn run(ctx: &RunCtx) -> HomeResults {
+    let n_servers = ctx.scale.pick(170, 40);
     let cells: Vec<(HomeNetwork, Protocol)> = HomeNetwork::ALL
         .into_iter()
         .flat_map(|hn| [Protocol::Halfback, Protocol::Tcp].map(|p| (hn, p)))
         .collect();
     let recs = crate::harness::parallel_map(
+        ctx,
         cells,
         |&(hn, p)| format!("fig9/{}/{}", hn.name(), p.name()),
         |(hn, p)| {
@@ -59,8 +61,8 @@ pub fn run(scale: Scale) -> HomeResults {
 }
 
 /// Render Fig. 9.
-pub fn figures(scale: Scale) -> Vec<Figure> {
-    let data = run(scale);
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let data = run(ctx);
     let mut fig = Figure::new(
         "fig9",
         "FCT on home networks with different providers (CDF)",

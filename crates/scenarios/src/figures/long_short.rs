@@ -4,6 +4,7 @@
 //! test), 90 % from 100 MB long TCP flows; FCTs are normalized by the
 //! all-TCP baseline under the *same* arrival schedule.
 
+use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
 use crate::runner::{run_dumbbell, FlowPlan, RunOptions};
@@ -119,7 +120,8 @@ pub fn protocols() -> [Protocol; 6] {
 
 /// Render Fig. 13(a) (short flows) and 13(b) (long flows), normalized by
 /// the all-TCP baseline.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let utils = utilizations(scale);
     // One harness job per (protocol, utilization) cell; the all-TCP
     // baseline (shorts also run TCP) rides in the same job list.
@@ -130,6 +132,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|&p| utils.iter().map(move |&u| (p, u)))
         .collect();
     let cells = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(p, u)| format!("fig13/{}/u{:.0}", p.name(), u * 100.0),
         |(p, u)| cell(p, u, scale),

@@ -1,6 +1,6 @@
 //! One module per figure/table of the paper.
 //!
-//! Every module exposes `figures(scale) -> Vec<Figure>`; the registry in
+//! Every module exposes `figures(ctx) -> Vec<Figure>`; the registry in
 //! [`experiment`] maps experiment ids ("fig12", "table1", …) to them.
 
 pub mod ablation;
@@ -24,8 +24,8 @@ pub mod variance;
 pub mod walkthrough;
 pub mod web_response;
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::Scale;
 
 /// All experiment ids, in paper order.
 pub const ALL_EXPERIMENTS: [&str; 14] = [
@@ -42,7 +42,7 @@ pub const MORE_EXPERIMENTS: [&str; 3] = ["fig16", "fig17", "table1"];
 /// "fig1" is derived from the same sweep as "fig12" and returned together
 /// with it; "fig5"–"fig8" all come from the PlanetLab run and are returned
 /// together when any of them is requested.
-pub fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Figure>> {
+pub fn experiment(id: &str) -> Option<fn(&RunCtx) -> Vec<Figure>> {
     Some(match id {
         "fig1" | "fig12" => feasible::figures,
         "fig2" => traffic_cdf::figures,
@@ -69,8 +69,8 @@ pub fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Figure>> {
 }
 
 /// Run one experiment by id; `None` for an unknown id.
-pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Figure>> {
-    experiment(id).map(|figures| figures(scale))
+pub fn run_experiment(id: &str, ctx: &RunCtx) -> Option<Vec<Figure>> {
+    experiment(id).map(|figures| figures(ctx))
 }
 
 /// Ids accepted by [`run_experiment`], deduplicated (fig1/fig12 and

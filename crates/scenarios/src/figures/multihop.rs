@@ -8,6 +8,7 @@
 //! through-flow FCT for each scheme while every hop carries its own
 //! cross-traffic load.
 
+use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
 use crate::{Protocol, Scale};
@@ -110,7 +111,8 @@ pub fn run_through(protocol: Protocol, cross_util: f64, scale: Scale) -> FctStat
 }
 
 /// Render the multihop extension figure.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let mut fig = Figure::new(
         "multihop",
         "Extension: through-flow FCT across a 3-hop parking lot with per-hop cross traffic",
@@ -130,6 +132,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|p| utils.iter().map(move |&u| (p, u)))
         .collect();
     let stats = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(p, u)| format!("multihop/{}/x{:.0}", p.name(), u * 100.0),
         |(p, u)| run_through(p, u, scale),

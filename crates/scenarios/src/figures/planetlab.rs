@@ -4,10 +4,11 @@
 //! Our substitute runs each scheme over the same synthetic path population
 //! (see `workload::paths::planetlab_paths`), one flow per path per scheme.
 
+use crate::harness::RunCtx;
 use crate::metrics::{fct_ecdf, retx_ecdf, rtt_count_ecdf};
 use crate::report::Figure;
 use crate::runner::{run_path, FlowPlan};
-use crate::{Protocol, Scale};
+use crate::Protocol;
 use netsim::{SimDuration, SimTime};
 use transport::sender::FlowRecord;
 use workload::planetlab_paths;
@@ -74,8 +75,8 @@ const PATHS_PER_JOB: usize = 64;
 
 /// Run every PlanetLab scheme over the path population, fanned out as one
 /// harness job per path chunk.
-pub fn run(scale: Scale) -> PlanetlabData {
-    let n = scale.pick(2600, 150);
+pub fn run(ctx: &RunCtx) -> PlanetlabData {
+    let n = ctx.scale.pick(2600, 150);
     let paths = planetlab_paths(n, 17);
     let chunks: Vec<(usize, &[netsim::topology::PathSpec])> = paths
         .chunks(PATHS_PER_JOB)
@@ -83,6 +84,7 @@ pub fn run(scale: Scale) -> PlanetlabData {
         .map(|(c, chunk)| (c * PATHS_PER_JOB, chunk))
         .collect();
     let rows = crate::harness::parallel_map(
+        ctx,
         chunks,
         |&(start, chunk)| format!("fig5-8/paths[{start}..{}]", start + chunk.len()),
         |(start, chunk)| {
@@ -117,8 +119,8 @@ pub fn run(scale: Scale) -> PlanetlabData {
 }
 
 /// Render Figs. 5, 6, 7 and 8 from one run.
-pub fn figures(scale: Scale) -> Vec<Figure> {
-    let data = run(scale);
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let data = run(ctx);
     let mut figs = Vec::new();
 
     // CCDF companions (the paper's (b) panels) are emitted alongside each
@@ -292,7 +294,5 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     figs.push(fig5b);
     figs.push(fig6b);
     figs.push(fig7b);
-
-    let _ = scale;
     figs
 }

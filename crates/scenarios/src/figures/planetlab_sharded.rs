@@ -23,6 +23,7 @@
 //! destination router with the pair's ingress stub link as the
 //! conservation anchor.
 
+use crate::harness::{run_jobs, Job, RunCtx};
 use crate::metrics::sketch_line;
 use crate::report::Figure;
 use crate::{Protocol, Scale};
@@ -248,31 +249,21 @@ pub struct ShardedOutcome {
     pub rounds: u64,
     /// Cross-site packets injected at barriers.
     pub cross_messages: u64,
-    /// Discrete events processed, summed over sites.
-    pub events: u64,
-    /// Virtual time reached (max over sites), nanoseconds.
-    pub virtual_ns: u64,
+    /// Per-window shard runtime records, when `ctx.telemetry` is set.
+    pub telemetry: Option<Vec<WindowTelemetry>>,
 }
 
-/// Run the scenario on `threads` shard workers. Output is independent of
-/// `threads` — that is the whole point.
-pub fn run(scale: Scale, threads: usize) -> ShardedOutcome {
-    run_with(scale, threads, false).0
-}
-
-/// [`run`] with observers: when `telemetry` is set the per-window shard
-/// runtime records come back alongside the outcome; a stderr heartbeat
-/// fires every few seconds while `harness::progress_on()` (never touching
-/// `out/` — byte-identity across `--jobs`/`--shards` is preserved).
-pub fn run_with(
-    scale: Scale,
-    threads: usize,
-    telemetry: bool,
-) -> (ShardedOutcome, Option<Vec<WindowTelemetry>>) {
+/// Run the scenario on `ctx.shards` shard workers at `ctx.scale`. Output
+/// is independent of the thread count — that is the whole point. Events
+/// and virtual time go to the job meter; with `ctx.progress` a stderr
+/// heartbeat fires every few seconds (never touching `out/`, so
+/// byte-identity across `--jobs`/`--shards` is preserved).
+pub fn run(ctx: &RunCtx) -> ShardedOutcome {
+    let scale = ctx.scale;
     let started = SITES * hosts_per_site(scale) * flows_per_host(scale);
     let last_beat: Mutex<Instant> = Mutex::new(Instant::now());
     let heartbeat = move |b: &Heartbeat| {
-        if !crate::harness::progress_on() {
+        if !ctx.progress {
             return;
         }
         let mut last = last_beat.lock().unwrap();
@@ -291,13 +282,13 @@ pub fn run_with(
     };
     let progress = move |_rank: usize, sim: &mut TransportSim| flows_done(sim, scale);
     let hooks = ShardHooks {
-        telemetry,
+        telemetry: ctx.telemetry.is_some(),
         progress: Some(&progress),
         heartbeat: Some(&heartbeat),
     };
     let run = run_sharded_with(
         SITES,
-        threads,
+        ctx.shards,
         Some(SimTime::ZERO + HORIZON),
         hooks,
         |s, handle: &mut ShardHandle<Header>| build_site(s, handle, scale),
@@ -318,41 +309,30 @@ pub fn run_with(
         now_ns = now_ns.max(tally.now_ns);
     }
     crate::harness::meter_add(now_ns, events);
-    (
-        ShardedOutcome {
-            censored: started - completed - aborted,
-            completed,
-            aborted,
-            started,
-            fct,
-            rounds: run.rounds,
-            cross_messages: run.cross_messages,
-            events,
-            virtual_ns: now_ns,
-        },
-        run.telemetry,
-    )
+    ShardedOutcome {
+        censored: started - completed - aborted,
+        completed,
+        aborted,
+        started,
+        fct,
+        rounds: run.rounds,
+        cross_messages: run.cross_messages,
+        telemetry: run.telemetry,
+    }
 }
 
 /// Render the `planetlab100k` figure: Halfback's FCT distribution at
 /// 100 K+ concurrent flows, plus run-shape notes. Everything here is a
 /// function of the scenario alone — shard-thread count never leaks in
 /// (the telemetry JSONL quarantines its wall-clock fields separately).
-pub fn figures(scale: Scale) -> Vec<Figure> {
-    let tele_path = crate::harness::telemetry_path();
-    let run_started = Instant::now();
-    let (out, tele) = run_with(scale, crate::harness::shards(), tele_path.is_some());
-    // This scenario parallelizes inside one simulation rather than through
-    // the job pool, so it files its own metrics entry for the per-job
-    // report and the run manifest.
-    crate::harness::push_metrics(crate::harness::JobMetrics {
-        key: "planetlab100k".into(),
-        wall: run_started.elapsed(),
-        virtual_ns: out.virtual_ns,
-        events: out.events,
-        ok: true,
-    });
-    if let (Some(path), Some(records)) = (&tele_path, &tele) {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    // One job: the parallelism is inside the simulation, and the job meter
+    // reports its events and virtual time like any other experiment's.
+    let job = Job::new("planetlab100k", || run(ctx));
+    let out = run_jobs(ctx, vec![job])
+        .remove(0)
+        .unwrap_or_else(|p| panic!("{p}"));
+    if let (Some(path), Some(records)) = (&ctx.telemetry, &out.telemetry) {
         if let Err(e) = crate::telemetry::write_jsonl(path, "planetlab100k", SITES, records) {
             eprintln!("warning: telemetry write to {} failed: {e}", path.display());
         }
@@ -361,7 +341,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
     // The FCT quantile sketch, merged exactly across sites and windows —
     // no per-flow state anywhere.
     let agg = out.fct.aggregate();
-    crate::harness::note_sketch_mem(agg.memory_bytes() + out.fct.memory_bytes());
+    ctx.record_sketch_mem(agg.memory_bytes() + out.fct.memory_bytes());
 
     let mut fig = Figure::new(
         "planetlab100k",
@@ -374,8 +354,8 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         "{} flows started: {} sites x {} hosts x {} flows/host, {} B each, all at t=0",
         out.started,
         SITES,
-        hosts_per_site(scale),
-        flows_per_host(scale),
+        hosts_per_site(ctx.scale),
+        flows_per_host(ctx.scale),
         FLOW_BYTES,
     ));
     fig.note(format!(

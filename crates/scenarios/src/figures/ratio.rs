@@ -9,9 +9,10 @@
 //! trade each ratio buys.
 
 use crate::figures::feasible;
+use crate::harness::RunCtx;
 use crate::metrics::feasible_capacity;
 use crate::report::Figure;
-use crate::{Protocol, Scale};
+use crate::Protocol;
 
 /// The ratios swept, with the paper's 1-per-ACK design first.
 pub fn variants() -> [Protocol; 4] {
@@ -24,7 +25,7 @@ pub fn variants() -> [Protocol; 4] {
 }
 
 /// Render the ratio trade-off figure.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
     let mut fig = Figure::new(
         "ratio",
         "Extension: ROPR proactive-bandwidth ratio trade-off (paper §5 open question)",
@@ -32,7 +33,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         "mean FCT (ms)",
     );
     let mut rows = Vec::new();
-    for (p, pts) in feasible::sweep_many(&variants(), scale, 42) {
+    for (p, pts) in feasible::sweep_many(&variants(), ctx, 42) {
         let fc = feasible_capacity(
             &pts,
             feasible::COLLAPSE_FACTOR,

@@ -10,6 +10,7 @@
 //! driven by repeated retransmission of the same packets, and every one of
 //! the resulting timeouts is 5x more expensive under the RFC floor.
 
+use crate::harness::RunCtx;
 use crate::metrics::{FctStats, SweepPoint};
 use crate::report::Figure;
 use crate::runner::{plans_from_schedule, run_dumbbell, RunOptions};
@@ -54,8 +55,10 @@ pub fn point(protocol: Protocol, floor: SimDuration, u: f64, scale: Scale) -> Sw
 }
 
 /// One sweep with a given minimum-RTO floor, one harness job per cell.
-pub fn sweep_with_floor(protocol: Protocol, floor: SimDuration, scale: Scale) -> Vec<SweepPoint> {
+pub fn sweep_with_floor(protocol: Protocol, floor: SimDuration, ctx: &RunCtx) -> Vec<SweepPoint> {
+    let scale = ctx.scale;
     crate::harness::parallel_map(
+        ctx,
         utilizations(scale),
         |&u| {
             format!(
@@ -70,7 +73,7 @@ pub fn sweep_with_floor(protocol: Protocol, floor: SimDuration, scale: Scale) ->
 }
 
 /// Render the sensitivity figure.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
     let mut fig = Figure::new(
         "sensitivity",
         "Extension: minimum-RTO sensitivity of the latency-safety gap",
@@ -81,7 +84,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         let floor = SimDuration::from_millis(floor_ms);
         let mut at_07: Vec<(Protocol, f64)> = Vec::new();
         for p in [Protocol::Halfback, Protocol::JumpStart, Protocol::Tcp] {
-            let pts = sweep_with_floor(p, floor, scale);
+            let pts = sweep_with_floor(p, floor, ctx);
             if let Some(pt) = pts.iter().find(|pt| (pt.utilization - 0.7).abs() < 0.026) {
                 at_07.push((p, pt.stats.mean_ms));
             }
@@ -119,8 +122,9 @@ mod tests {
 
     #[test]
     fn timeout_cost_sensitivity_ordering() {
+        let ctx = RunCtx::new(Scale::Quick);
         let at = |p, floor_ms: u64| {
-            sweep_with_floor(p, SimDuration::from_millis(floor_ms), Scale::Quick)
+            sweep_with_floor(p, SimDuration::from_millis(floor_ms), &ctx)
                 .iter()
                 .find(|pt| (pt.utilization - 0.7).abs() < 0.026)
                 .map(|pt| pt.stats.mean_ms)

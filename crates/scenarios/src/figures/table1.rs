@@ -1,11 +1,12 @@
 //! Table 1: the design-space taxonomy (startup phase × lost-packet
 //! recovery), rendered from the protocol registry's declared properties.
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::{Protocol, Scale};
+use crate::Protocol;
 
 /// Render Table 1.
-pub fn figures(_scale: Scale) -> Vec<Figure> {
+pub fn figures(_ctx: &RunCtx) -> Vec<Figure> {
     let mut fig = Figure::new(
         "table1",
         "Startup phase and lost-packet recovery design space",
@@ -39,7 +40,7 @@ mod tests {
 
     #[test]
     fn table_lists_all_evaluated_schemes() {
-        let figs = figures(Scale::Quick);
+        let figs = figures(&RunCtx::new(crate::Scale::Quick));
         let text = figs[0].summary.join("\n");
         for p in Protocol::EVALUATED {
             assert!(text.contains(p.name()), "missing {p}");

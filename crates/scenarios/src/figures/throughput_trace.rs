@@ -4,6 +4,7 @@
 //! Four panels: (a) an analytic optimal reference, (b) a Halfback short
 //! flow, (c) one TCP short flow, (d) two TCP short flows of half size.
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
 use crate::runner::{DumbbellRig, RunOptions};
 use crate::{Protocol, Scale};
@@ -129,7 +130,8 @@ pub fn optimal_panel() -> Panel {
 }
 
 /// Render Fig. 15(a–d).
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     // Panels (b)–(d) each simulate an independent dumbbell: one harness
     // job apiece. Panel (a) is analytic and stays inline.
     type PanelSpec = (&'static str, &'static str, Vec<(u64, Protocol)>);
@@ -151,6 +153,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         ),
     ];
     let sim_panels = crate::harness::parallel_map(
+        ctx,
         sim_specs,
         |&(id, _, _)| format!("fig15/{id}"),
         |(id, title, shorts)| {

@@ -2,13 +2,13 @@
 //! for the three measured environments — rendered straight from the
 //! workload crate's empirical distributions.
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::Scale;
 use workload::flowsize::byte_fraction_below;
 use workload::TraceKind;
 
 /// Render Fig. 2.
-pub fn figures(_scale: Scale) -> Vec<Figure> {
+pub fn figures(_ctx: &RunCtx) -> Vec<Figure> {
     let mut fig = Figure::new(
         "fig2",
         "CDF of fraction of traffic carried by different flow sizes",
@@ -41,7 +41,7 @@ mod tests {
 
     #[test]
     fn fig2_series_are_monotone_cdfs() {
-        let figs = figures(Scale::Quick);
+        let figs = figures(&RunCtx::new(crate::Scale::Quick));
         assert_eq!(figs.len(), 1);
         for s in &figs[0].series {
             assert!(

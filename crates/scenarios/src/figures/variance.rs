@@ -3,6 +3,7 @@
 //! independent seeds — the error bars the single-seed figures omit.
 
 use crate::figures::feasible;
+use crate::harness::RunCtx;
 use crate::metrics::feasible_capacity;
 use crate::report::Figure;
 use crate::{Protocol, Scale};
@@ -14,7 +15,8 @@ pub fn seeds(scale: Scale) -> Vec<u64> {
 
 /// Per-seed (feasible capacity, low-load FCT ms) for one scheme; one
 /// harness job per (seed, utilization) cell.
-pub fn per_seed(protocol: Protocol, scale: Scale) -> Vec<(f64, f64)> {
+pub fn per_seed(protocol: Protocol, ctx: &RunCtx) -> Vec<(f64, f64)> {
+    let scale = ctx.scale;
     let seeds = seeds(scale);
     let utils = feasible::utilizations(scale);
     let cells: Vec<(u64, f64)> = seeds
@@ -22,6 +24,7 @@ pub fn per_seed(protocol: Protocol, scale: Scale) -> Vec<(f64, f64)> {
         .flat_map(|&s| utils.iter().map(move |&u| (s, u)))
         .collect();
     let points = crate::harness::parallel_map(
+        ctx,
         cells,
         |&(s, u)| format!("variance/{}/seed{s}/u{:.0}", protocol.name(), u * 100.0),
         |(s, u)| feasible::point(protocol, u, scale, s),
@@ -42,7 +45,7 @@ pub fn per_seed(protocol: Protocol, scale: Scale) -> Vec<(f64, f64)> {
 }
 
 /// Render the variance figure.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
     let mut fig = Figure::new(
         "variance",
         "Extension: seed-to-seed variance of feasible capacity and low-load FCT",
@@ -50,7 +53,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         "feasible capacity (%)",
     );
     for p in [Protocol::Halfback, Protocol::JumpStart, Protocol::Tcp] {
-        let rows = per_seed(p, scale);
+        let rows = per_seed(p, ctx);
         fig.push_series(
             p.name(),
             rows.iter()
@@ -84,8 +87,9 @@ mod tests {
     fn ordering_holds_across_seeds() {
         // At quick scale with two seeds: Halfback's feasible capacity never
         // falls below JumpStart's, for any seed.
-        let hb = per_seed(Protocol::Halfback, Scale::Quick);
-        let js = per_seed(Protocol::JumpStart, Scale::Quick);
+        let ctx = RunCtx::new(Scale::Quick);
+        let hb = per_seed(Protocol::Halfback, &ctx);
+        let js = per_seed(Protocol::JumpStart, &ctx);
         for (i, (h, j)) in hb.iter().zip(js.iter()).enumerate() {
             assert!(
                 h.0 >= j.0,

@@ -5,8 +5,9 @@
 //! proactively retransmits 10, 9, 8, 7, 6 clocked by ACKs 1–5 and the flow
 //! completes without any loss signal ever reaching the sender.
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::{Protocol, Scale};
+use crate::Protocol;
 use netsim::engine::TraceEvent;
 use netsim::loss::LossModel;
 use netsim::topology::{build_path, PathSpec};
@@ -98,7 +99,7 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
 
 /// Render Fig. 3 as a textual timeline with the paper's invariants as
 /// summary notes.
-pub fn figures(_scale: Scale) -> Vec<Figure> {
+pub fn figures(_ctx: &RunCtx) -> Vec<Figure> {
     let (lines, rec) = run();
     let mut fig = Figure::new(
         "fig3",

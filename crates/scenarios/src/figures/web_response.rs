@@ -6,6 +6,7 @@
 //! delivered. Page arrivals are Poisson, targeted at the desired offered
 //! utilization.
 
+use crate::harness::RunCtx;
 use crate::report::Figure;
 use crate::runner::{DumbbellRig, RunOptions};
 use crate::{Protocol, Scale};
@@ -218,7 +219,8 @@ pub fn protocols() -> [Protocol; 4] {
 }
 
 /// Render Fig. 16.
-pub fn figures(scale: Scale) -> Vec<Figure> {
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    let scale = ctx.scale;
     let mut fig = Figure::new(
         "fig16",
         "Average web response time vs utilization (synthetic top-100 corpus)",
@@ -232,6 +234,7 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
         .flat_map(|p| utils.iter().map(move |&u| (p, u)))
         .collect();
     let runs = crate::harness::parallel_map(
+        ctx,
         grid,
         |&(p, u)| format!("fig16/{}/u{:.0}", p.name(), u * 100.0),
         |(p, u)| run_web(p, u, scale),
@@ -268,7 +271,6 @@ pub fn figures(scale: Scale) -> Vec<Figure> {
             js - hb
         ));
     }
-    let _ = scale;
     vec![fig]
 }
 

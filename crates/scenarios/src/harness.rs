@@ -14,10 +14,22 @@
 //! also reports wall-clock time, simulated virtual time, and event count
 //! (fed by the runners through [`meter_add`]), which `repro` summarizes on
 //! stderr — never into `out/`, preserving byte-identity.
+//!
+//! There are no process-global settings. A [`RunCtx`] carries what one
+//! `repro` invocation configures — scale, job count, shard-thread count,
+//! telemetry path, progress switch — and tallies the jobs run under it, so
+//! two configurations can run side by side in one process. What stays
+//! thread-local is scoped to a job: its meter, its watchdog caps, and the
+//! flag that runs a nested pool inline. `execute` installs them for one
+//! job and restores the outer job's values afterwards. Threading a meter
+//! through every runner instead would add a parameter to about fifteen
+//! functions and change nothing anyone can observe.
 
+use crate::Scale;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -82,13 +94,67 @@ pub struct JobMetrics {
     pub ok: bool,
 }
 
-/// Worker count: 0 = unset, resolve to available parallelism on use.
-static WORKERS: AtomicUsize = AtomicUsize::new(0);
-/// Whether to print a progress line per completed job (repro turns this
-/// on; tests leave it off).
-static PROGRESS: AtomicBool = AtomicBool::new(false);
-/// Completed-job metrics, drained by [`take_metrics`].
-static METRICS: Mutex<Vec<JobMetrics>> = Mutex::new(Vec::new());
+/// One run's configuration — exactly what `repro`'s `--quick`/`--scale`,
+/// `--jobs`, `--shards` and `--telemetry` flags and its progress switch
+/// set — plus the tally of the jobs run under it.
+#[derive(Debug)]
+pub struct RunCtx {
+    /// Experiment scale.
+    pub scale: Scale,
+    /// Worker-pool size for [`run_jobs`].
+    pub jobs: usize,
+    /// Shard-thread count for sharded scenarios. Like `jobs`, this only
+    /// changes how partitions map onto threads; the partition count — and
+    /// therefore the output — is fixed by the scenario.
+    pub shards: usize,
+    /// Shard-telemetry JSONL destination; `None` keeps every telemetry
+    /// branch on its cold path.
+    pub telemetry: Option<PathBuf>,
+    /// Per-job progress lines and long-run heartbeats on stderr.
+    pub progress: bool,
+    tally: Mutex<Tally>,
+}
+
+/// Jobs panic inside `catch_unwind`, never while holding the tally lock.
+const TALLY_LOCK: &str = "tally lock poisoned";
+
+/// What ran under a [`RunCtx`] since the last [`RunCtx::take_tally`].
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Metrics of every completed job, each pool run in submission order
+    /// (independent of the worker count).
+    pub jobs: Vec<JobMetrics>,
+    /// High-water mark of the sketch memory scenarios noted — bucket
+    /// counts, not allocator state, so deterministic.
+    pub sketch_mem_bytes: u64,
+}
+
+impl RunCtx {
+    /// A context at `scale` with one worker and one shard thread per core,
+    /// no telemetry and no progress output.
+    pub fn new(scale: Scale) -> RunCtx {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        RunCtx {
+            scale,
+            jobs: cores,
+            shards: cores,
+            telemetry: None,
+            progress: false,
+            tally: Mutex::default(),
+        }
+    }
+
+    /// Note a scenario's sketch footprint; the tally keeps the maximum.
+    pub fn record_sketch_mem(&self, bytes: usize) {
+        let mut tally = self.tally.lock().expect(TALLY_LOCK);
+        tally.sketch_mem_bytes = tally.sketch_mem_bytes.max(bytes as u64);
+    }
+
+    /// Drain the tally, leaving an empty one.
+    pub fn take_tally(&self) -> Tally {
+        std::mem::take(&mut self.tally.lock().expect(TALLY_LOCK))
+    }
+}
 
 thread_local! {
     /// (virtual ns, events) accumulated by the job running on this thread.
@@ -101,85 +167,6 @@ thread_local! {
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Set the worker-pool size used by [`run_jobs`] (the `--jobs N` flag).
-pub fn set_workers(n: usize) {
-    WORKERS.store(n, Ordering::Relaxed);
-}
-
-/// Shard-thread count for intra-scenario parallelism: 0 = unset, resolve
-/// to available parallelism on use (the `--shards N` flag).
-static SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the shard-thread count used by sharded scenarios (`--shards N`).
-/// Like `--jobs`, this only changes how partitions map onto threads; the
-/// partition count — and therefore the output — is fixed by the scenario.
-pub fn set_shards(n: usize) {
-    SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The effective shard-thread count: the value set via [`set_shards`], or
-/// the machine's available parallelism.
-pub fn shards() -> usize {
-    match SHARDS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// The effective worker count: the value set via [`set_workers`], or the
-/// machine's available parallelism.
-pub fn workers() -> usize {
-    match WORKERS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Enable or disable per-job progress lines on stderr.
-pub fn set_progress(on: bool) {
-    PROGRESS.store(on, Ordering::Relaxed);
-}
-
-/// Whether progress reporting is on — long-running scenarios gate their
-/// stderr heartbeat on this so tests stay quiet.
-pub fn progress_on() -> bool {
-    PROGRESS.load(Ordering::Relaxed)
-}
-
-/// Shard-telemetry JSONL destination (the `--telemetry <path>` flag).
-/// `None` keeps every telemetry branch on its cold path.
-static TELEMETRY_PATH: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
-
-/// Set (or clear) the shard-telemetry output path.
-pub fn set_telemetry_path(path: Option<std::path::PathBuf>) {
-    *TELEMETRY_PATH.lock().unwrap() = path;
-}
-
-/// The shard-telemetry output path, if `--telemetry` was given.
-pub fn telemetry_path() -> Option<std::path::PathBuf> {
-    TELEMETRY_PATH.lock().unwrap().clone()
-}
-
-/// High-water mark of sketch memory noted since the last drain — fed by
-/// scenarios that aggregate through `LogHistogram`s, reported per
-/// experiment in the run manifest. Deterministic (bucket counts, not
-/// allocator state).
-static SKETCH_MEM_HIWATER: AtomicU64 = AtomicU64::new(0);
-
-/// Note a scenario's sketch footprint; keeps the maximum.
-pub fn note_sketch_mem(bytes: usize) {
-    SKETCH_MEM_HIWATER.fetch_max(bytes as u64, Ordering::Relaxed);
-}
-
-/// Drain the sketch-memory high-water mark (resets to zero).
-pub fn take_sketch_mem() -> u64 {
-    SKETCH_MEM_HIWATER.swap(0, Ordering::Relaxed)
-}
-
 /// Credit the currently running job with simulated time and events.
 /// Called by the runners after each simulation; a no-op outside a job.
 pub fn meter_add(virtual_ns: u64, events: u64) {
@@ -187,20 +174,6 @@ pub fn meter_add(virtual_ns: u64, events: u64) {
         let (v, e) = m.get();
         m.set((v.saturating_add(virtual_ns), e.saturating_add(events)));
     });
-}
-
-/// Drain the metrics of all jobs completed since the last call, in
-/// submission order (independent of the worker count).
-pub fn take_metrics() -> Vec<JobMetrics> {
-    std::mem::take(&mut METRICS.lock().unwrap())
-}
-
-/// Record a metrics entry directly — used by sharded scenarios that
-/// parallelize inside one simulation instead of fanning out through
-/// [`run_jobs`], so their event totals still reach `repro`'s per-job
-/// report and the run manifest.
-pub fn push_metrics(m: JobMetrics) {
-    METRICS.lock().unwrap().push(m);
 }
 
 /// The watchdog caps `(virtual_ns, events)` of the job running on this
@@ -238,31 +211,30 @@ pub fn check_caps(extra_virtual_ns: u64, extra_events: u64) {
     }
 }
 
+/// A job's result together with its metrics.
+type Outcome<T> = (Result<T, JobPanic>, JobMetrics);
+
 /// Run one job under the panic guard and the meter. Returns the result
-/// together with the job's metrics; the caller batches metrics into the
-/// global buffer (one lock per pool run, in submission order, instead of a
-/// contended push per job).
-fn execute<T>(
-    job: Job<'_, T>,
-    done: &AtomicUsize,
-    total: usize,
-) -> (Result<T, JobPanic>, JobMetrics) {
+/// together with the job's metrics; the caller files the metrics in the
+/// context's tally (one lock per pool run, in submission order, instead of
+/// a contended push per job).
+fn execute<T>(job: Job<'_, T>, done: &AtomicUsize, total: usize, progress: bool) -> Outcome<T> {
     let key = job.key;
     let run = job.run;
-    METER.with(|m| m.set((0, 0)));
-    IN_JOB.with(|f| f.set(true));
-    // Restored afterwards, so a job run inline inside another keeps the
-    // outer job's caps intact.
+    // All three are restored afterwards, so a job run inline inside another
+    // leaves the outer job's meter, caps and in-job flag as they were.
+    let outer_meter = METER.with(|m| m.replace((0, 0)));
+    let outer_in_job = IN_JOB.with(|f| f.replace(true));
     let outer_caps = CAPS.with(|c| c.replace(job.caps));
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(run));
     let wall = t0.elapsed();
     CAPS.with(|c| c.set(outer_caps));
-    IN_JOB.with(|f| f.set(false));
-    let (virtual_ns, events) = METER.with(|m| m.get());
+    IN_JOB.with(|f| f.set(outer_in_job));
+    let (virtual_ns, events) = METER.with(|m| m.replace(outer_meter));
     let ok = result.is_ok();
     let n_done = done.fetch_add(1, Ordering::Relaxed) + 1;
-    if PROGRESS.load(Ordering::Relaxed) {
+    if progress {
         eprintln!(
             ":: [{n_done}/{total}] {key}: wall {:.2}s, virtual {:.1}s, {events} events{}",
             wall.as_secs_f64(),
@@ -290,69 +262,64 @@ fn execute<T>(
     (result, metrics)
 }
 
-/// Run jobs on the configured pool ([`workers`]); results come back in
-/// submission order, one `Result` per job.
-pub fn run_jobs<T: Send>(jobs: Vec<Job<'_, T>>) -> Vec<Result<T, JobPanic>> {
-    run_jobs_on(jobs, workers())
-}
-
-/// Run jobs on a pool of exactly `n_workers` threads.
+/// Run jobs on a pool of `ctx.jobs` threads; results come back in
+/// submission order, one `Result` per job, and every job's metrics go to
+/// the context's tally.
 ///
 /// Scheduling is work-stealing from a shared queue, so execution *order*
-/// varies with the worker count — but results *and metrics* are collected by
-/// submission slot, so the returned vector, the [`take_metrics`] buffer, and
-/// anything derived from them do not.
-pub fn run_jobs_on<T: Send>(jobs: Vec<Job<'_, T>>, n_workers: usize) -> Vec<Result<T, JobPanic>> {
+/// varies with the worker count — but results *and metrics* are collected
+/// by submission slot, so the returned vector, the tally, and anything
+/// derived from them do not.
+pub fn run_jobs<T: Send>(ctx: &RunCtx, jobs: Vec<Job<'_, T>>) -> Vec<Result<T, JobPanic>> {
     let total = jobs.len();
     let done = AtomicUsize::new(0);
     // Serial path: one worker, one job, or a nested call from inside a
     // running job (the pool is already busy executing us).
-    if n_workers <= 1 || total <= 1 || IN_JOB.with(|f| f.get()) {
-        let mut out = Vec::with_capacity(total);
-        let mut metrics = Vec::with_capacity(total);
-        for j in jobs {
-            let (r, m) = execute(j, &done, total);
-            out.push(r);
-            metrics.push(m);
-        }
-        METRICS.lock().unwrap().extend(metrics);
-        return out;
-    }
-
-    let slots: Mutex<Vec<Option<Job<'_, T>>>> = Mutex::new(jobs.into_iter().map(Some).collect());
-    type Outcome<T> = (Result<T, JobPanic>, JobMetrics);
-    let results: Mutex<Vec<Option<Outcome<T>>>> = Mutex::new((0..total).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers.min(total) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let job = slots.lock().unwrap()[i].take().expect("job taken twice");
-                let outcome = execute(job, &done, total);
-                results.lock().unwrap()[i] = Some(outcome);
-            });
-        }
-    });
-
-    let mut out = Vec::with_capacity(total);
-    let mut metrics_buf = METRICS.lock().unwrap();
-    for r in results.into_inner().unwrap() {
-        let (res, m) = r.expect("worker exited without storing a result");
-        metrics_buf.push(m);
-        out.push(res);
-    }
-    drop(metrics_buf);
-    out
+    let outcomes: Vec<Outcome<T>> = if ctx.jobs <= 1 || total <= 1 || IN_JOB.with(Cell::get) {
+        jobs.into_iter()
+            .map(|job| execute(job, &done, total, ctx.progress))
+            .collect()
+    } else {
+        let slots: Mutex<Vec<Option<Job<'_, T>>>> =
+            Mutex::new(jobs.into_iter().map(Some).collect());
+        let results: Mutex<Vec<Option<Outcome<T>>>> =
+            Mutex::new((0..total).map(|_| None).collect());
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..ctx.jobs.min(total) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= total {
+                        break;
+                    }
+                    let job = slots.lock().unwrap()[i].take().expect("job taken twice");
+                    let outcome = execute(job, &done, total, ctx.progress);
+                    results.lock().unwrap()[i] = Some(outcome);
+                });
+            }
+        });
+        results
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.expect("worker exited without storing a result"))
+            .collect()
+    };
+    let mut tally = ctx.tally.lock().expect(TALLY_LOCK);
+    outcomes
+        .into_iter()
+        .map(|(result, metrics)| {
+            tally.jobs.push(metrics);
+            result
+        })
+        .collect()
 }
 
 /// Map `f` over `items` in parallel, preserving order. Panics (with the
 /// offending job's key) if any item's job panics — the behaviour the
 /// figure modules had when they ran their loops inline.
 pub fn parallel_map<I, T>(
+    ctx: &RunCtx,
     items: Vec<I>,
     key: impl Fn(&I) -> String,
     f: impl Fn(I) -> T + Sync,
@@ -369,7 +336,7 @@ where
             Job::new(k, move || f(item))
         })
         .collect();
-    run_jobs(jobs)
+    run_jobs(ctx, jobs)
         .into_iter()
         .map(|r| match r {
             Ok(v) => v,
@@ -382,12 +349,18 @@ where
 mod tests {
     use super::*;
 
+    fn ctx(jobs: usize) -> RunCtx {
+        let mut ctx = RunCtx::new(Scale::Quick);
+        ctx.jobs = jobs;
+        ctx
+    }
+
     #[test]
     fn results_in_submission_order() {
         let jobs: Vec<Job<'_, usize>> = (0..64)
             .map(|i| Job::new(format!("j{i}"), move || i * i))
             .collect();
-        let out = run_jobs_on(jobs, 8);
+        let out = run_jobs(&ctx(8), jobs);
         for (i, r) in out.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i * i);
         }
@@ -400,11 +373,11 @@ mod tests {
                 .map(|i| Job::new(format!("j{i}"), move || i * 7 + 1))
                 .collect::<Vec<Job<'_, usize>>>()
         };
-        let serial: Vec<usize> = run_jobs_on(mk(), 1)
+        let serial: Vec<usize> = run_jobs(&ctx(1), mk())
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
-        let parallel: Vec<usize> = run_jobs_on(mk(), 8)
+        let parallel: Vec<usize> = run_jobs(&ctx(8), mk())
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -418,7 +391,7 @@ mod tests {
             Job::new("boom", || panic!("deliberate test panic")),
             Job::new("ok2", || 2),
         ];
-        let out = run_jobs_on(jobs, 4);
+        let out = run_jobs(&ctx(4), jobs);
         assert_eq!(*out[0].as_ref().unwrap(), 1);
         let err = out[1].as_ref().unwrap_err();
         assert_eq!(err.key, "boom");
@@ -434,11 +407,14 @@ mod tests {
                     let inner: Vec<Job<'_, usize>> = (0..3)
                         .map(|j| Job::new(format!("inner{j}"), move || i + j))
                         .collect();
-                    run_jobs_on(inner, 8).into_iter().map(|r| r.unwrap()).sum()
+                    run_jobs(&ctx(8), inner)
+                        .into_iter()
+                        .map(|r| r.unwrap())
+                        .sum()
                 })
             })
             .collect();
-        let out = run_jobs_on(jobs, 2);
+        let out = run_jobs(&ctx(2), jobs);
         for (i, r) in out.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), 3 * i + 3);
         }
@@ -453,13 +429,9 @@ mod tests {
                 meter_add(5, 1);
             }),
         ];
-        run_jobs_on(jobs, 1);
-        // Other tests in this binary push into the global metrics buffer
-        // concurrently; select our own jobs by key.
-        let m: Vec<JobMetrics> = take_metrics()
-            .into_iter()
-            .filter(|x| x.key.starts_with("meter/"))
-            .collect();
+        let ctx = ctx(1);
+        run_jobs(&ctx, jobs);
+        let m = ctx.take_tally().jobs;
         assert_eq!(m.len(), 2);
         assert_eq!((m[0].virtual_ns, m[0].events), (10, 2));
         assert_eq!((m[1].virtual_ns, m[1].events), (10, 2));
@@ -467,8 +439,42 @@ mod tests {
     }
 
     #[test]
+    fn nested_jobs_keep_the_outer_jobs_meter() {
+        let ctx = ctx(4);
+        let outer = Job::new("outer", || {
+            let me = std::thread::current().id();
+            meter_add(0, 5);
+            let mut inline = true;
+            for call in 0..2 {
+                let inner: Vec<Job<'_, bool>> = (0..3)
+                    .map(|j| {
+                        Job::new(format!("inner{call}/{j}"), move || {
+                            meter_add(0, 1);
+                            std::thread::current().id() == me
+                        })
+                    })
+                    .collect();
+                inline &= run_jobs(&ctx, inner).into_iter().all(|r| r.unwrap());
+            }
+            meter_add(0, 5);
+            inline
+        });
+        let inline = run_jobs(&ctx, vec![outer]).remove(0).unwrap();
+        assert!(inline, "a nested call started a pool inside a job");
+        let tally = ctx.take_tally();
+        assert_eq!(tally.jobs.len(), 7);
+        let outer = tally.jobs.iter().find(|m| m.key == "outer").unwrap();
+        assert_eq!(outer.events, 10, "the outer job's meter was reset");
+    }
+
+    #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..20).collect(), |i| format!("k{i}"), |i: i32| i * 2);
+        let out = parallel_map(
+            &ctx(4),
+            (0..20).collect(),
+            |i| format!("k{i}"),
+            |i: i32| i * 2,
+        );
         assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -494,7 +500,7 @@ mod tests {
             Job::new("wd/livelock", livelock).with_caps(1_000_000_000, 10_000),
             Job::new("wd/after", || 3),
         ];
-        let out = run_jobs_on(jobs, 1);
+        let out = run_jobs(&ctx(1), jobs);
         assert_eq!(*out[0].as_ref().unwrap(), 1);
         let err = out[1].as_ref().unwrap_err();
         assert!(
@@ -519,11 +525,11 @@ mod tests {
     fn nested_job_restores_the_outer_caps() {
         let jobs = vec![Job::new("outer", || {
             let inner = vec![Job::new("inner", job_caps).with_caps(7, 8)];
-            let inner_caps = run_jobs_on(inner, 4).remove(0).unwrap();
+            let inner_caps = run_jobs(&ctx(4), inner).remove(0).unwrap();
             (inner_caps, job_caps())
         })
         .with_caps(5, 6)];
-        let out = run_jobs_on(jobs, 1).remove(0).unwrap();
+        let out = run_jobs(&ctx(1), jobs).remove(0).unwrap();
         assert_eq!(out, ((7, 8), (5, 6)));
     }
 
@@ -548,7 +554,7 @@ mod tests {
                     livelock()
                 })
                 .with_caps(1_000_000_000, EVENT_CAP);
-                run_jobs_on(vec![job], 1).remove(0)
+                run_jobs(&ctx(1), vec![job]).remove(0)
             });
 
             installed.wait();

@@ -40,7 +40,7 @@
 //! and reporting are all pure functions of `(seed, case id)`, so a battery
 //! renders byte-identically for any `--jobs N`.
 
-use crate::harness::{self, Job};
+use crate::harness::{self, Job, RunCtx};
 use crate::protocols::Protocol;
 use crate::runner::run_until_checked;
 use crate::trace::merge_streams_jsonl;
@@ -998,35 +998,22 @@ fn collect_battery(seed: u64, results: Vec<Result<CaseSummary, harness::JobPanic
     Battery { seed, cases }
 }
 
-/// Run `n_cases` cases on the configured worker pool. The returned battery
-/// (and its rendered text) is byte-identical for any worker count.
-pub fn run_battery(seed: u64, n_cases: u64) -> Battery {
-    run_battery_inner(seed, n_cases, false, None)
-}
-
-/// [`run_battery`] with an explicit worker count (determinism tests).
-pub fn run_battery_on(seed: u64, n_cases: u64, n_workers: usize) -> Battery {
-    run_battery_inner(seed, n_cases, false, Some(n_workers))
+/// Run `n_cases` cases on `ctx`'s worker pool. The returned battery (and
+/// its rendered text) is byte-identical for any worker count.
+pub fn run_battery(ctx: &RunCtx, seed: u64, n_cases: u64) -> Battery {
+    collect_battery(
+        seed,
+        harness::run_jobs(ctx, battery_jobs(seed, n_cases, false)),
+    )
 }
 
 /// Test hook: run a battery whose every case carries the deliberate
 /// conservation break, end to end through shrinking and reporting.
-pub fn run_breaking_battery(seed: u64, n_cases: u64) -> Battery {
-    run_battery_inner(seed, n_cases, true, None)
-}
-
-fn run_battery_inner(
-    seed: u64,
-    n_cases: u64,
-    break_conservation: bool,
-    n_workers: Option<usize>,
-) -> Battery {
-    let jobs = battery_jobs(seed, n_cases, break_conservation);
-    let results = match n_workers {
-        Some(n) => harness::run_jobs_on(jobs, n),
-        None => harness::run_jobs(jobs),
-    };
-    collect_battery(seed, results)
+pub fn run_breaking_battery(ctx: &RunCtx, seed: u64, n_cases: u64) -> Battery {
+    collect_battery(
+        seed,
+        harness::run_jobs(ctx, battery_jobs(seed, n_cases, true)),
+    )
 }
 
 /// Outcome of a single-case run (`repro simcheck --case N`).

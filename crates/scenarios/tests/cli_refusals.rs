@@ -52,7 +52,8 @@ fn weather_refuses_out_of_range_flags_before_any_output() {
     refused(&["--window", "0"], "--window needs");
     refused(&["--amplitude", "7"], "--amplitude needs");
     refused(&["--pairs", "0"], "--pairs needs");
-    refused(&["--jobs", "0"], "--jobs needs");
+    // Weather runs one simulation inline: it has no worker pool to size.
+    refused(&["--jobs", "2"], "unknown weather flag '--jobs'");
     refused(&["--bogus"], "unknown weather flag '--bogus'");
 }
 

@@ -18,16 +18,11 @@
 //! the CSV/summary/gnuplot set the test renders.
 
 use scenarios::figures::run_experiment;
-use scenarios::{harness, Scale};
+use scenarios::harness::RunCtx;
+use scenarios::Scale;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-/// The harness worker count and metrics buffer are process-global;
-/// serialize tests that touch them (also vs. other test binaries' state —
-/// each binary is its own process, so a static suffices).
-static HARNESS_LOCK: Mutex<()> = Mutex::new(());
 
 fn golden_dir(experiment: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -49,7 +44,6 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 fn assert_matches_golden(experiment: &str) {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     let dir = std::env::temp_dir().join(format!(
         "halfback-golden-{experiment}-{}",
         std::process::id()
@@ -57,14 +51,13 @@ fn assert_matches_golden(experiment: &str) {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
 
-    harness::set_workers(1);
-    let figs = run_experiment(experiment, Scale::Quick).expect("known experiment");
+    let mut ctx = RunCtx::new(Scale::Quick);
+    ctx.jobs = 1;
+    let figs = run_experiment(experiment, &ctx).expect("known experiment");
     for fig in &figs {
         fig.write_csv(&dir).unwrap();
         fig.write_gnuplot(&dir).unwrap();
     }
-    harness::set_workers(0);
-    harness::take_metrics();
 
     let golden = snapshot(&golden_dir(experiment));
     let fresh = snapshot(&dir);
@@ -109,10 +102,8 @@ fn planetlab100k_quick_is_byte_identical_to_golden() {
 ///       --out crates/scenarios/tests/golden/trace
 #[test]
 fn default_trace_is_byte_identical_to_golden() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     let out = scenarios::trace::run_trace(&scenarios::trace::TraceSpec::default())
         .expect("default trace spec is valid");
-    harness::take_metrics();
     let golden = snapshot(&golden_dir("trace"));
     assert!(!golden.is_empty(), "no golden trace fixtures");
     assert_eq!(

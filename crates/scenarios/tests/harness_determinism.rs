@@ -4,21 +4,23 @@
 //! must not take down its siblings.
 
 use scenarios::figures::run_experiment;
-use scenarios::{harness, Scale};
+use scenarios::harness::{run_jobs, Job, JobMetrics, RunCtx};
+use scenarios::Scale;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-/// The harness worker and shard counts and the metrics buffer are
-/// process-global; serialize the tests that touch them. (Watchdog caps
-/// travel with each job, so they need no lock.)
-static HARNESS_LOCK: Mutex<()> = Mutex::new(());
+/// A quick-scale context with `jobs` workers and `shards` shard threads.
+fn ctx(jobs: usize, shards: usize) -> RunCtx {
+    let mut ctx = RunCtx::new(Scale::Quick);
+    ctx.jobs = jobs;
+    ctx.shards = shards;
+    ctx
+}
 
-/// Render `experiment` at quick scale with `n` workers and write its
-/// CSV/summary files under `dir`.
-fn render_to(experiment: &str, n_workers: usize, dir: &Path) {
-    harness::set_workers(n_workers);
-    let figs = run_experiment(experiment, Scale::Quick).expect("known experiment");
+/// Render `experiment` under `ctx` and write its CSV/summary files under
+/// `dir`.
+fn render_to(experiment: &str, ctx: &RunCtx, dir: &Path) {
+    let figs = run_experiment(experiment, ctx).expect("known experiment");
     for fig in figs {
         fig.write_csv(dir).unwrap();
     }
@@ -49,15 +51,12 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn serial_and_parallel_runs_are_byte_identical() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     let d1 = scratch("serial");
     let d8 = scratch("parallel");
     // fig9 is the cheapest multi-cell experiment: 4 home networks x 2
     // protocols = 8 jobs, enough to exercise real out-of-order completion.
-    render_to("fig9", 1, &d1);
-    render_to("fig9", 8, &d8);
-    harness::set_workers(0); // restore the default for other tests
-    harness::take_metrics();
+    render_to("fig9", &ctx(1, 1), &d1);
+    render_to("fig9", &ctx(8, 1), &d8);
 
     let a = snapshot(&d1);
     let b = snapshot(&d8);
@@ -87,15 +86,12 @@ fn serial_and_parallel_runs_are_byte_identical() {
 /// handle read, id minted from a slot index), this is where it shows.
 #[test]
 fn chaos_runs_are_byte_identical_across_worker_counts() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     let d1 = scratch("chaos-serial");
     let d3 = scratch("chaos-three");
     let d4 = scratch("chaos-parallel");
-    render_to("chaos", 1, &d1);
-    render_to("chaos", 3, &d3);
-    render_to("chaos", 4, &d4);
-    harness::set_workers(0);
-    harness::take_metrics();
+    render_to("chaos", &ctx(1, 1), &d1);
+    render_to("chaos", &ctx(3, 1), &d3);
+    render_to("chaos", &ctx(4, 1), &d4);
 
     let a = snapshot(&d1);
     let b = snapshot(&d4);
@@ -127,31 +123,18 @@ fn chaos_runs_are_byte_identical_across_worker_counts() {
     let _ = fs::remove_dir_all(&d4);
 }
 
-/// Render `experiment` at quick scale with `n` shard threads (intra-
-/// scenario parallelism) and write its CSV/summary files under `dir`.
-fn render_shards_to(experiment: &str, n_shards: usize, dir: &Path) {
-    harness::set_shards(n_shards);
-    let figs = run_experiment(experiment, Scale::Quick).expect("known experiment");
-    for fig in figs {
-        fig.write_csv(dir).unwrap();
-    }
-}
-
 /// The sharded engine's contract, mirroring the `--jobs` batteries above:
 /// the shard-thread count maps partitions onto workers but never shapes
 /// the simulation, so `--shards 1`, `2`, and `4` must write byte-identical
 /// files for the sharded scaled-PlanetLab scenario.
 #[test]
 fn sharded_scenario_is_byte_identical_across_shard_counts() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     let d1 = scratch("shards1");
     let d2 = scratch("shards2");
     let d4 = scratch("shards4");
-    render_shards_to("planetlab100k", 1, &d1);
-    render_shards_to("planetlab100k", 2, &d2);
-    render_shards_to("planetlab100k", 4, &d4);
-    harness::set_shards(0); // restore the default for other tests
-    harness::take_metrics();
+    render_to("planetlab100k", &ctx(1, 1), &d1);
+    render_to("planetlab100k", &ctx(1, 2), &d2);
+    render_to("planetlab100k", &ctx(1, 4), &d4);
 
     let a = snapshot(&d1);
     let b = snapshot(&d2);
@@ -183,9 +166,7 @@ fn sharded_scenario_is_byte_identical_across_shard_counts() {
 /// invariance. The line is printed by the function `planetlab100k` uses.
 #[test]
 fn sketch_summaries_are_byte_identical_across_worker_counts() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     use netsim::stats::LogHistogram;
-    use scenarios::harness::{run_jobs_on, Job};
     use scenarios::metrics::sketch_line;
 
     let render = |n_workers: usize| -> String {
@@ -205,7 +186,7 @@ fn sketch_summaries_are_byte_identical_across_worker_counts() {
             })
             .collect();
         let mut merged = LogHistogram::new();
-        for h in run_jobs_on(jobs, n_workers) {
+        for h in run_jobs(&ctx(n_workers, 1), jobs) {
             merged.merge(&h.expect("sketch job panicked"));
         }
         sketch_line("fct_ms", &merged)
@@ -213,7 +194,6 @@ fn sketch_summaries_are_byte_identical_across_worker_counts() {
 
     let serial = render(1);
     let parallel = render(4);
-    harness::take_metrics();
     assert_eq!(
         serial, parallel,
         "sketch summary differs between 1 and 4 workers"
@@ -226,16 +206,15 @@ fn sketch_summaries_are_byte_identical_across_worker_counts() {
 
 /// `--shards` must be inert for cell-parallel experiments: fig6 and chaos
 /// fan out over the jobs pool and never consult the shard setting, and
-/// this pins that — a future scenario quietly branching on
-/// `harness::shards()` outside a sharded engine run would break here.
+/// this pins that — a future scenario quietly branching on `ctx.shards`
+/// outside a sharded engine run would break here.
 #[test]
 fn shard_setting_does_not_leak_into_job_parallel_experiments() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
     for experiment in ["fig6", "chaos"] {
         let d1 = scratch(&format!("{experiment}-shardflag1"));
         let d4 = scratch(&format!("{experiment}-shardflag4"));
-        render_shards_to(experiment, 1, &d1);
-        render_shards_to(experiment, 4, &d4);
+        render_to(experiment, &ctx(2, 1), &d1);
+        render_to(experiment, &ctx(2, 4), &d4);
         let a = snapshot(&d1);
         let b = snapshot(&d4);
         assert!(!a.is_empty(), "no {experiment} output files written");
@@ -243,8 +222,6 @@ fn shard_setting_does_not_leak_into_job_parallel_experiments() {
         let _ = fs::remove_dir_all(&d1);
         let _ = fs::remove_dir_all(&d4);
     }
-    harness::set_shards(0);
-    harness::take_metrics();
 }
 
 /// The flight-recorder export is a pure function of `(scenario, seed)`:
@@ -253,8 +230,6 @@ fn shard_setting_does_not_leak_into_job_parallel_experiments() {
 /// whole thing must reproduce the same bytes again.
 #[test]
 fn trace_exports_are_byte_identical_across_worker_counts() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
-    use scenarios::harness::{run_jobs_on, Job};
     use scenarios::trace::{run_trace, TraceSpec};
     use scenarios::Protocol;
 
@@ -288,7 +263,7 @@ fn trace_exports_are_byte_identical_across_worker_counts() {
                 })
             })
             .collect();
-        run_jobs_on(jobs, n_workers)
+        run_jobs(&ctx(n_workers, 1), jobs)
             .into_iter()
             .map(|r| r.expect("trace job panicked"))
             .collect()
@@ -297,7 +272,6 @@ fn trace_exports_are_byte_identical_across_worker_counts() {
     let serial = render(1);
     let parallel = render(4);
     let again = render(4);
-    harness::take_metrics();
     assert_eq!(serial.len(), 3);
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s.0, p.0, "trace {i} JSONL differs between 1 and 4 workers");
@@ -318,12 +292,10 @@ fn trace_exports_are_byte_identical_across_worker_counts() {
 /// trustworthy.
 #[test]
 fn simcheck_batteries_are_byte_identical_across_worker_counts() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
-    use scenarios::simcheck::{run_battery_on, run_breaking_battery};
+    use scenarios::simcheck::{run_battery, run_breaking_battery};
 
-    let serial = run_battery_on(42, 24, 1);
-    let parallel = run_battery_on(42, 24, 4);
-    harness::take_metrics();
+    let serial = run_battery(&ctx(1, 1), 42, 24);
+    let parallel = run_battery(&ctx(4, 1), 42, 24);
     assert_eq!(
         serial.render_text(),
         parallel.render_text(),
@@ -337,9 +309,8 @@ fn simcheck_batteries_are_byte_identical_across_worker_counts() {
     // path — shrink, repro command, trace export — and must stay
     // deterministic too. Cases without a fault event cannot reproduce the
     // break, so only some fail; each failing one emits a repro command.
-    let broken_a = run_breaking_battery(42, 8);
-    let broken_b = run_breaking_battery(42, 8);
-    harness::take_metrics();
+    let broken_a = run_breaking_battery(&ctx(2, 1), 42, 8);
+    let broken_b = run_breaking_battery(&ctx(2, 1), 42, 8);
     assert_eq!(broken_a.render_text(), broken_b.render_text());
     assert!(broken_a.failures() > 0, "break hook never fired in 8 cases");
     let text = broken_a.render_text();
@@ -355,9 +326,6 @@ fn simcheck_batteries_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn panicking_job_does_not_poison_the_pool() {
-    let _guard = HARNESS_LOCK.lock().unwrap();
-    harness::take_metrics();
-    use scenarios::harness::{run_jobs_on, Job};
     // A realistic mix: simulation-sized jobs around one that dies.
     let jobs: Vec<Job<'_, usize>> = (0..6)
         .map(|i| {
@@ -369,7 +337,8 @@ fn panicking_job_does_not_poison_the_pool() {
             })
         })
         .collect();
-    let out = run_jobs_on(jobs, 4);
+    let ctx = ctx(4, 1);
+    let out = run_jobs(&ctx, jobs);
     assert_eq!(out.len(), 6);
     for (i, r) in out.iter().enumerate() {
         if i == 3 {
@@ -382,7 +351,46 @@ fn panicking_job_does_not_poison_the_pool() {
     }
     // After the pool drains, metrics exist for every job including the
     // panicked one.
-    let metrics = harness::take_metrics();
-    assert!(metrics.len() >= 6);
+    let metrics = ctx.take_tally().jobs;
+    assert_eq!(metrics.len(), 6);
     assert_eq!(metrics.iter().filter(|m| !m.ok).count(), 1);
+}
+
+/// Two configurations in one process at the same time: fig9 rendered
+/// under a 1-job and a 4-job context on two threads must write identical
+/// bytes, and each context's tally must list exactly its own jobs.
+#[test]
+fn concurrent_contexts_keep_their_own_tallies() {
+    let serial = ctx(1, 1);
+    let parallel = ctx(4, 1);
+    let d1 = scratch("concurrent-serial");
+    let d4 = scratch("concurrent-parallel");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (ctx, dir) in [(&serial, &d1), (&parallel, &d4)] {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                render_to("fig9", ctx, dir);
+            });
+        }
+    });
+    assert_eq!(
+        snapshot(&d1),
+        snapshot(&d4),
+        "fig9 differs between concurrent 1-job and 4-job contexts"
+    );
+    let (a, b) = (serial.take_tally().jobs, parallel.take_tally().jobs);
+    let keys = |jobs: &[JobMetrics]| jobs.iter().map(|m| m.key.clone()).collect::<Vec<_>>();
+    assert_eq!(a.len(), 8, "{:?}", keys(&a));
+    assert!(keys(&a).iter().all(|k| k.starts_with("fig9/")));
+    assert_eq!(keys(&a), keys(&b), "tallies list different jobs");
+    let events = |jobs: &[JobMetrics]| jobs.iter().map(|m| m.events).sum::<u64>();
+    assert_eq!(
+        events(&a),
+        events(&b),
+        "the two contexts metered different work"
+    );
+    let _ = fs::remove_dir_all(&d1);
+    let _ = fs::remove_dir_all(&d4);
 }

@@ -6,6 +6,7 @@ use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
 use netsim::{SimDuration, SimTime};
 use scenarios::figures::{bufferbloat, feasible, planetlab, web_response};
+use scenarios::harness::RunCtx;
 use scenarios::metrics::{feasible_capacity, FctStats};
 use scenarios::runner::{plans_from_schedule, run_dumbbell, RunOptions};
 use scenarios::{Protocol, Scale};
@@ -47,8 +48,9 @@ fn low_load_latency_ordering() {
 /// both (paper: 85-90%).
 #[test]
 fn feasible_capacity_ordering() {
+    let ctx = RunCtx::new(Scale::Quick);
     let fc = |p| {
-        let pts = feasible::sweep(p, Scale::Quick, 42);
+        let pts = feasible::sweep(p, &ctx, 42);
         feasible_capacity(
             &pts,
             feasible::COLLAPSE_FACTOR,
@@ -72,7 +74,7 @@ fn feasible_capacity_ordering() {
 /// 29% vs TCP-10, 51% vs Reactive, 61% vs Proactive).
 #[test]
 fn planetlab_headline_reductions() {
-    let data = planetlab::run(Scale::Quick);
+    let data = planetlab::run(&RunCtx::new(Scale::Quick));
     let mean = |p: Protocol| {
         let recs = data.records(p);
         recs.iter().map(|r| r.fct.as_millis_f64()).sum::<f64>() / recs.len() as f64
@@ -89,7 +91,7 @@ fn planetlab_headline_reductions() {
 /// needs roughly three times more (paper: "one third of TCP's time").
 #[test]
 fn rtt_count_ratio() {
-    let data = planetlab::run(Scale::Quick);
+    let data = planetlab::run(&RunCtx::new(Scale::Quick));
     let med_rtts = |p: Protocol| {
         let recs = data.records(p);
         scenarios::metrics::rtt_count_ecdf(&recs).median().unwrap()

@@ -256,13 +256,11 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
         let out = simcheck::run_single(&spec, &sel);
         println!("{}", out.line);
         if out.failed {
-            if let Some(trace) = &out.trace {
-                let path = out_dir.join(format!("simcheck_case{id}.trace.jsonl"));
-                match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, trace))
-                {
-                    Ok(()) => eprintln!(">> trace written to {}", path.display()),
-                    Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-                }
+            let path = out_dir.join(format!("simcheck_case{id}.trace.jsonl"));
+            match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, &out.trace))
+            {
+                Ok(()) => eprintln!(">> trace written to {}", path.display()),
+                Err(e) => eprintln!("failed to write {}: {e}", path.display()),
             }
             return ExitCode::FAILURE;
         }

@@ -11,8 +11,8 @@
 //! "internet weather" regime the ROADMAP points at.
 //!
 //! `--shards N` maps the eight partitions onto N worker threads; the
-//! figure output is byte-identical for every N (pinned by
-//! `harness_determinism.rs` and `ci/check_shards.sh`).
+//! figure output and the work metered into `manifest.json` are identical
+//! for every N (pinned by `harness_determinism.rs`).
 //!
 //! ## Addressing
 //!

@@ -14,7 +14,7 @@
 //!   the single `"machine"` line (jobs/shards settings, RSS). Checkers
 //!   strip these with `grep -vE '"wall_|"machine"'` — each such field is
 //!   emitted on its own line, nothing deterministic shares a line with
-//!   one (`ci/check_shards.sh` relies on this).
+//!   one (`hbbench` digests the manifest stripped this way).
 
 use std::fmt::Write as _;
 

@@ -4,7 +4,7 @@
 use crate::protocols::Protocol;
 use baselines::{path_cache, PathCache};
 use netsim::topology::{build_dumbbell, build_path, DumbbellSpec, PathSpec};
-use netsim::{FlowId, NodeId, SimDuration, SimTime};
+use netsim::{FlowId, SimDuration, SimTime};
 use transport::sender::FlowRecord;
 use transport::{Host, TransportSim};
 
@@ -248,9 +248,9 @@ pub struct PathRunOutcome {
     pub censored: usize,
 }
 
-/// Run `flows` sequentially-scheduled on one two-host path (PlanetLab /
-/// home-network / chaos experiments), separating completed, aborted, and
-/// censored flows.
+/// Run `flows` sequentially-scheduled on one two-host path (PlanetLab and
+/// home-network experiments), separating completed, aborted, and censored
+/// flows.
 pub fn run_path_outcome(
     spec: &PathSpec,
     flows: &[FlowPlan],
@@ -351,12 +351,6 @@ pub fn plans_alternating(schedule: &workload::Schedule, a: Protocol, b: Protocol
             protocol: if i % 2 == 0 { a } else { b },
         })
         .collect()
-}
-
-/// Id of the left (sender-side) host of pair `i` in a rig built with
-/// `opts.host_pairs` pairs — exposed for tests.
-pub fn pair_sender(net: &netsim::topology::Dumbbell, i: usize) -> NodeId {
-    net.left_hosts[i % net.left_hosts.len()]
 }
 
 #[cfg(test)]

@@ -39,13 +39,17 @@
 //! with a merged flight-recorder trace. Generation, execution, shrinking
 //! and reporting are all pure functions of `(seed, case id)`, so a battery
 //! renders byte-identically for any `--jobs N`.
+//!
+//! [`run_case`] is the one runner for a fault-injected chain: `repro chaos`
+//! and `repro trace` describe their paths as hand-written [`CaseSpec`]s and
+//! run through it, so every chaos cell meets the same oracles as a random
+//! case.
 
-use crate::harness::{self, Job, RunCtx};
+use crate::harness::{self, Job, JobPanic, RunCtx};
 use crate::protocols::Protocol;
 use crate::runner::run_until_checked;
-use crate::trace::merge_streams_jsonl;
+use crate::trace::Streams;
 use baselines::path_cache;
-use netsim::engine::TraceEvent;
 use netsim::link::LinkSpec;
 use netsim::loss::LossModel;
 use netsim::rng::SimRng;
@@ -58,7 +62,8 @@ use transport::trace::FlowEventRecord;
 use transport::wire::{flow_wire_bytes, segment_count};
 use transport::{FlowOutcome, FlowRecord, Host, TransportSim, MAX_RTO_RETRIES};
 
-/// Default battery size (the CI smoke job runs exactly this many cases).
+/// Default battery size; `simcheck_batteries_are_byte_identical_across_worker_counts`
+/// runs exactly this many cases at seed 42.
 pub const DEFAULT_CASES: u64 = 200;
 
 /// Per-case watchdog caps. A failing case re-runs while shrinking (a few
@@ -67,9 +72,6 @@ pub const DEFAULT_CASES: u64 = 200;
 /// actually catches livelocked simulations.
 const CASE_VIRTUAL_CAP_NS: u64 = 40_000 * 1_000_000_000;
 const CASE_EVENT_CAP: u64 = 200_000_000;
-
-/// Horizon after the last flow start by which every flow must be terminal.
-const HORIZON: SimDuration = SimDuration::from_secs(500);
 
 /// Reverse (ACK-path) links get at least this much buffer so pure-ACK
 /// congestion never confounds a forward-path oracle.
@@ -100,6 +102,20 @@ pub struct HopSpec {
     pub buffer_bytes: u64,
     /// Random wire loss on the forward link.
     pub loss: LossModel,
+}
+
+impl HopSpec {
+    /// A loss-free hop buffered at one bandwidth-delay product of its round
+    /// trip, at least eight packets — the sizing of `PathSpec::clean`.
+    pub fn clean(rate_mbps: u64, delay_ms: u64) -> HopSpec {
+        let rtt = SimDuration::from_millis(2 * delay_ms);
+        HopSpec {
+            rate_mbps,
+            delay_ms,
+            buffer_bytes: Rate::from_mbps(rate_mbps).bytes_in(rtt).max(8 * 1500),
+            loss: LossModel::None,
+        }
+    }
 }
 
 /// A fault-injection event targeting one forward hop. When the shrinker
@@ -162,11 +178,41 @@ pub struct CaseSpec {
     pub faults: Vec<FaultEvent>,
     /// Workload, sorted by start time.
     pub flows: Vec<FlowSpec>,
+    /// Time after the last flow start by which every flow must be terminal;
+    /// the run stops advancing the clock there before it drains.
+    pub horizon: SimDuration,
     /// Test hook: deliberately report a conservation violation whenever at
     /// least one flow and one fault are selected, so the shrinker itself
     /// can be exercised end to end (`tests` only; never set by the CLI
     /// battery).
     pub break_conservation: bool,
+}
+
+impl CaseSpec {
+    /// A hand-written one-hop case with `faults` on that hop: the shape of
+    /// every `repro chaos` cell and `repro trace` path. It belongs to no
+    /// battery, so its `seed` is the engine seed and its `id` 0.
+    pub fn one_hop(
+        engine_seed: u64,
+        hop: HopSpec,
+        faults: &[FaultKind],
+        flows: Vec<FlowSpec>,
+        horizon: SimDuration,
+    ) -> CaseSpec {
+        CaseSpec {
+            seed: engine_seed,
+            id: 0,
+            engine_seed,
+            hops: vec![hop],
+            faults: faults
+                .iter()
+                .map(|&kind| FaultEvent { hop: 0, kind })
+                .collect(),
+            flows,
+            horizon,
+            break_conservation: false,
+        }
+    }
 }
 
 /// Which parts of a case are active: flow/fault indices into the spec and
@@ -206,6 +252,22 @@ pub struct Violation {
     pub detail: String,
 }
 
+impl Violation {
+    /// The verdict on a case whose job panicked instead of reporting:
+    /// `watchdog` when the harness caps fired, `panic` otherwise.
+    pub fn from_panic(p: JobPanic) -> Violation {
+        let kind = if p.message.contains("watchdog") {
+            "watchdog"
+        } else {
+            "panic"
+        };
+        Violation {
+            kind,
+            detail: p.message,
+        }
+    }
+}
+
 /// Everything one case execution produces.
 #[derive(Debug, Default)]
 pub struct CaseReport {
@@ -215,8 +277,16 @@ pub struct CaseReport {
     pub completed: usize,
     /// Flows that gave up.
     pub aborted: usize,
-    /// Merged flight-recorder trace (only when requested).
-    pub trace: Option<String>,
+    /// The sender's record of every terminal flow, in completion order.
+    pub records: Vec<FlowRecord>,
+    /// Queue drops summed over every link.
+    pub queue_drops: u64,
+    /// Non-queue losses ([`netsim::link::LinkStats::lost_total`]) summed
+    /// over every link.
+    pub link_lost: u64,
+    /// The raw flight-recorder streams (empty unless recording was asked
+    /// for).
+    pub streams: Streams,
 }
 
 /// Generate case `id` of the battery seeded with `seed`. Deterministic and
@@ -310,6 +380,7 @@ pub fn generate_case(seed: u64, id: u64) -> CaseSpec {
         hops,
         faults,
         flows,
+        horizon: SimDuration::from_secs(500),
         break_conservation: false,
     }
 }
@@ -498,7 +569,7 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
         }
     }
 
-    let wire: Rc<RefCell<Vec<(u64, TraceEvent)>>> = Rc::new(RefCell::new(Vec::new()));
+    let wire = Rc::new(RefCell::new(Vec::new()));
     if record_trace {
         let w2 = wire.clone();
         sim.set_tracer(Box::new(move |at, ev| {
@@ -520,7 +591,7 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
         });
         last = at;
     }
-    run_until_checked(&mut sim, last + HORIZON);
+    run_until_checked(&mut sim, last + spec.horizon);
 
     // Oracle: all flows terminal by the horizon.
     let unfinished = sim.node_as::<Host>(net.sender).unwrap().active_senders();
@@ -529,7 +600,7 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
             kind: "terminal",
             detail: format!(
                 "{unfinished} flow(s) still not terminal {}s after the last start",
-                HORIZON.as_secs_f64()
+                spec.horizon.as_secs_f64()
             ),
         });
     }
@@ -556,6 +627,8 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
         let link = LinkId(l as u32);
         let s = sim.link_stats(link);
         let q = sim.queue_stats(link);
+        report.queue_drops += q.dropped;
+        report.link_lost += s.lost_total();
         if s.offered != s.down_dropped + q.dropped + s.tx_packets {
             report.violations.push(Violation {
                 kind: "conservation",
@@ -627,13 +700,13 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
             .all(|h| matches!(h.loss, LossModel::None) && h.buffer_bytes >= PRISTINE_BUFFER_BYTES);
 
     // Per-flow oracles over the sender's completion records.
-    let records: Vec<FlowRecord> = sim
+    report.records = sim
         .node_as::<Host>(net.sender)
         .unwrap()
         .completed()
         .to_vec();
     let receiver_host = sim.node_as::<Host>(net.receiver).unwrap();
-    for rec in &records {
+    for rec in &report.records {
         let flow = rec.flow;
         report.violations.extend(rto_sanity(rec));
         match rec.outcome {
@@ -749,10 +822,11 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
                 .map(|r| r.events().copied().collect())
                 .unwrap_or_default()
         };
-        let snd = recorded(net.sender);
-        let rcv = recorded(net.receiver);
-        let (jsonl, _) = merge_streams_jsonl(&wire.borrow(), &snd, &rcv);
-        report.trace = Some(jsonl);
+        report.streams = Streams {
+            wire: wire.take(),
+            snd: recorded(net.sender),
+            rcv: recorded(net.receiver),
+        };
     }
     report
 }
@@ -884,8 +958,8 @@ impl Battery {
     }
 
     /// Deterministic text summary. The final `invariant violations:` /
-    /// `watchdog trips:` lines are the CI smoke contract
-    /// (`ci/check_simcheck.sh` greps them), mirroring the chaos sweep.
+    /// `watchdog trips:` lines mirror the chaos sweep's and are what
+    /// `hbbench`'s `tiny_sims` workload checks.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let n = self.cases.len();
@@ -958,7 +1032,7 @@ fn battery_jobs(
                             kind: Some(kind),
                             detail,
                             command: Some(repro_command(&spec, &shrunk)),
-                            trace: traced.trace,
+                            trace: Some(traced.streams.merged_jsonl().0),
                             completed: report.completed,
                             aborted: report.aborted,
                         }
@@ -978,15 +1052,11 @@ fn collect_battery(seed: u64, results: Vec<Result<CaseSummary, harness::JobPanic
             Ok(c) => c,
             Err(p) => {
                 let id = id as u64;
-                let kind = if p.message.contains("watchdog") {
-                    "watchdog"
-                } else {
-                    "panic"
-                };
+                let v = Violation::from_panic(p);
                 CaseSummary {
                     id,
-                    kind: Some(kind),
-                    detail: p.message,
+                    kind: Some(v.kind),
+                    detail: v.detail,
                     command: Some(format!("repro simcheck --seed {seed} --case {id}")),
                     trace: None,
                     completed: 0,
@@ -1022,7 +1092,7 @@ pub struct SingleOutcome {
     /// The verdict line (`case N: ok …` / `case N: FAILED [kind] …`).
     pub line: String,
     /// Merged flight-recorder trace of the run.
-    pub trace: Option<String>,
+    pub trace: String,
     /// True when any oracle fired.
     pub failed: bool,
 }
@@ -1033,18 +1103,19 @@ pub struct SingleOutcome {
 /// both are the same pure `(spec, selection)` run.
 pub fn run_single(spec: &CaseSpec, sel: &Selection) -> SingleOutcome {
     let report = run_case(spec, sel, true);
+    let trace = report.streams.merged_jsonl().0;
     match report.violations.first() {
         None => SingleOutcome {
             line: format!(
                 "case {}: ok ({} completed, {} gave up)",
                 spec.id, report.completed, report.aborted
             ),
-            trace: report.trace,
+            trace,
             failed: false,
         },
         Some(v) => SingleOutcome {
             line: format!("case {}: FAILED [{}] {}", spec.id, v.kind, v.detail),
-            trace: report.trace,
+            trace,
             failed: true,
         },
     }
@@ -1136,7 +1207,7 @@ mod tests {
         let sel = Selection::full(&spec);
         let a = run_case(&spec, &sel, true);
         let b = run_case(&spec, &sel, true);
-        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.streams.merged_jsonl(), b.streams.merged_jsonl());
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.violations.len(), b.violations.len());
     }
@@ -1183,7 +1254,7 @@ mod tests {
         let out = run_single(&spec, &shrunk);
         assert!(out.failed);
         assert!(out.line.contains("FAILED [conservation]"), "{}", out.line);
-        assert!(out.trace.is_some());
+        assert!(!out.trace.is_empty());
         let again = run_single(&spec, &shrunk);
         assert_eq!(out.line, again.line);
         assert_eq!(out.trace, again.trace);

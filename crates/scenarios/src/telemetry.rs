@@ -5,7 +5,8 @@
 //! `halfback-telemetry-v1`. Every top-level field is **virtual-time
 //! deterministic**: a pure function of `(parts, seeds, horizon)`,
 //! byte-identical across `--shards 1` and `--shards N` (pinned by
-//! `ci/check_telemetry.sh`). The only nondeterministic measurements —
+//! `telemetry_is_byte_identical_across_shard_counts_outside_wall` in
+//! `tests/harness_determinism.rs`). The only nondeterministic measurements —
 //! barrier wait and window wall time — are quarantined in a nested
 //! `"wall":{...}` object so a checker can strip them with one regular
 //! expression and golden the rest.

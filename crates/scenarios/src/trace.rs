@@ -7,7 +7,8 @@
 //! `(t_ns, stream)` with within-stream emission order preserved. Because
 //! every stream is a pure function of `(scenario, seed)`, the merged bytes
 //! are identical across runs and across any `--jobs N`
-//! (`tests/harness_determinism.rs` asserts this).
+//! (`tests/harness_determinism.rs` asserts this). The run itself is a
+//! one-hop [`simcheck`](crate::simcheck) case with recording on.
 //!
 //! A tcptrace-style time–sequence CSV (`series,x,y` with x in ms and y in
 //! segment numbers) and the Halfback ROPR/ACK meet point round out the
@@ -15,26 +16,22 @@
 //! path the proactive stream stops about halfway back, i.e.
 //! `cursor / batch_segs ≈ 0.5`.
 
+use crate::figures::chaos::flapping;
 use crate::protocols::Protocol;
-use crate::runner::run_until_checked;
-use baselines::path_cache;
+use crate::simcheck::{run_case, CaseSpec, FaultKind, FlowSpec, HopSpec, Selection};
 use netsim::engine::TraceEvent;
-use netsim::topology::{build_path, PathSpec};
-use netsim::{FaultSpec, FlowId, Rate, SimDuration, SimTime};
-use std::cell::RefCell;
+use netsim::{FlowId, SimDuration, SimTime};
 use std::fmt::Write as _;
-use std::rc::Rc;
 use transport::trace::{FlowEvent, FlowEventRecord};
 use transport::wire::SendClass;
-use transport::{Host, TransportSim};
 
 /// What to trace: a named path configuration, a scheme, a seed, and which
 /// flow of a spaced sequence to start (all flows are recorded; the meet
 /// point is computed for `flow`).
 #[derive(Debug, Clone)]
 pub struct TraceSpec {
-    /// Path configuration: `fig5`–`fig8` (the clean 15 Mbps / 120 ms-RTT
-    /// PlanetLab-substitute bottleneck) or `chaos` (10 Mbps / 80 ms RTT
+    /// Path configuration: `fig5`–`fig8` (the clean 15 Mbps / 60 ms-RTT
+    /// PlanetLab-substitute bottleneck) or `chaos` (10 Mbps / 40 ms RTT
     /// with a flapping link).
     pub figure: String,
     /// Transmission scheme.
@@ -104,9 +101,9 @@ pub struct TraceOutput {
     pub events: usize,
 }
 
-/// Why a trace could not run: a bad spec (unknown figure, zero bytes) or a
-/// node missing its flight recorder. Returned instead of panicking so
-/// `repro trace` can exit nonzero with a message.
+/// Why a trace could not run: a bad spec (unknown figure, zero bytes, flow
+/// 0). Returned instead of panicking so `repro trace` can exit nonzero with
+/// a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError(String);
 
@@ -124,31 +121,14 @@ impl TraceError {
     }
 }
 
-/// The path configuration a figure name maps to.
-pub fn path_for(figure: &str) -> Result<PathSpec, TraceError> {
+/// The path a figure name maps to: one hop and the faults on it.
+pub fn path_for(figure: &str) -> Result<(HopSpec, Vec<FaultKind>), TraceError> {
     match figure {
         // The §4.2 global-Internet evaluation's representative bottleneck:
-        // clean 15 Mbps, 60 ms one-way (120 ms RTT).
-        "fig5" | "fig6" | "fig7" | "fig8" => Ok(PathSpec::clean(
-            Rate::from_mbps(15),
-            SimDuration::from_millis(60),
-        )),
+        // clean 15 Mbps, 30 ms one way (60 ms RTT).
+        "fig5" | "fig6" | "fig7" | "fig8" => Ok((HopSpec::clean(15, 30), Vec::new())),
         // A chaos-style flapping link: 100 ms outages every 700 ms.
-        "chaos" => {
-            let mut faults = FaultSpec::none();
-            let mut at = 300u64;
-            while at < 4_000 {
-                faults = faults.down_window(
-                    SimTime::ZERO + SimDuration::from_millis(at),
-                    SimTime::ZERO + SimDuration::from_millis(at + 100),
-                );
-                at += 700;
-            }
-            Ok(
-                PathSpec::clean(Rate::from_mbps(10), SimDuration::from_millis(40))
-                    .with_faults(faults),
-            )
-        }
+        "chaos" => Ok((HopSpec::clean(10, 20), flapping(300, 700, 4_000))),
         other => Err(TraceError::new(format!(
             "unknown trace figure {other:?}: expected fig5..fig8 or chaos"
         ))),
@@ -251,36 +231,48 @@ fn flow_line(src: &str, rec: &FlowEventRecord) -> String {
     }
 }
 
-/// Merge the three recorded streams into deterministic JSONL: ordered by
-/// `(t_ns, stream rank net < snd < rcv)`, with each stream's emission order
-/// preserved inside a tie. Shared with `simcheck`'s failure-trace export.
-/// Returns the merged text and the event count.
-pub(crate) fn merge_streams_jsonl(
-    wire: &[(u64, TraceEvent)],
-    snd: &[FlowEventRecord],
-    rcv: &[FlowEventRecord],
-) -> (String, usize) {
-    let mut lines: Vec<(u64, u8, String)> = Vec::with_capacity(wire.len() + snd.len() + rcv.len());
-    for (t_ns, ev) in wire {
-        lines.push((*t_ns, 0, wire_line(*t_ns, ev)));
-    }
-    for rec in snd {
-        lines.push((rec.at.as_nanos(), 1, flow_line("snd", rec)));
-    }
-    for rec in rcv {
-        lines.push((rec.at.as_nanos(), 2, flow_line("rcv", rec)));
-    }
-    let events = lines.len();
-    lines.sort_by_key(|l| (l.0, l.1));
-    let mut jsonl = String::new();
-    for (_, _, l) in &lines {
-        jsonl.push_str(l);
-        jsonl.push('\n');
-    }
-    (jsonl, events)
+/// The three raw event streams of one recorded run.
+#[derive(Debug, Default)]
+pub struct Streams {
+    /// Wire tracer events, `(t_ns, event)` in emission order.
+    pub wire: Vec<(u64, TraceEvent)>,
+    /// The sender host's flight recorder.
+    pub snd: Vec<FlowEventRecord>,
+    /// The receiver host's flight recorder.
+    pub rcv: Vec<FlowEventRecord>,
 }
 
-/// Run the spec and export the merged trace.
+impl Streams {
+    /// Merge the three streams into deterministic JSONL: ordered by
+    /// `(t_ns, stream rank net < snd < rcv)`, with each stream's emission
+    /// order preserved inside a tie. Returns the merged text and the event
+    /// count.
+    pub fn merged_jsonl(&self) -> (String, usize) {
+        let mut lines: Vec<(u64, u8, String)> =
+            Vec::with_capacity(self.wire.len() + self.snd.len() + self.rcv.len());
+        for (t_ns, ev) in &self.wire {
+            lines.push((*t_ns, 0, wire_line(*t_ns, ev)));
+        }
+        for rec in &self.snd {
+            lines.push((rec.at.as_nanos(), 1, flow_line("snd", rec)));
+        }
+        for rec in &self.rcv {
+            lines.push((rec.at.as_nanos(), 2, flow_line("rcv", rec)));
+        }
+        let events = lines.len();
+        lines.sort_by_key(|l| (l.0, l.1));
+        let mut jsonl = String::new();
+        for (_, _, l) in &lines {
+            jsonl.push_str(l);
+            jsonl.push('\n');
+        }
+        (jsonl, events)
+    }
+}
+
+/// Run the spec and export the merged trace. The run is judged by the
+/// simcheck oracles like any case, but the trace is exported whatever the
+/// verdict: a trace is most wanted when something went wrong.
 pub fn run_trace(spec: &TraceSpec) -> Result<TraceOutput, TraceError> {
     if spec.flow < 1 {
         return Err(TraceError::new("flows are numbered from 1"));
@@ -288,59 +280,21 @@ pub fn run_trace(spec: &TraceSpec) -> Result<TraceOutput, TraceError> {
     if spec.bytes == 0 {
         return Err(TraceError::new("--bytes must be positive"));
     }
-    let path = path_for(&spec.figure)?;
-    let mut sim = TransportSim::new(spec.seed);
-    let net = build_path(&mut sim, &path, |_| Box::new(Host::new()));
-    sim.with_node_mut::<Host, _>(net.sender, |h, _| {
-        h.wire(net.sender, net.forward);
-        h.enable_recorder(transport::FlightRecorder::DEFAULT_CAP);
-    });
-    sim.with_node_mut::<Host, _>(net.receiver, |h, _| {
-        h.wire(net.receiver, net.reverse);
-        h.enable_recorder(transport::FlightRecorder::DEFAULT_CAP);
-    });
+    let (hop, faults) = path_for(&spec.figure)?;
+    let flows = (0..spec.flow)
+        .map(|i| FlowSpec {
+            at_ms: i * 500,
+            bytes: spec.bytes,
+            protocol: spec.protocol,
+        })
+        .collect();
+    let case = CaseSpec::one_hop(spec.seed, hop, &faults, flows, SimDuration::from_secs(240));
+    let streams = run_case(&case, &Selection::full(&case), true).streams;
 
-    let wire: Rc<RefCell<Vec<(u64, TraceEvent)>>> = Rc::new(RefCell::new(Vec::new()));
-    let w2 = wire.clone();
-    sim.set_tracer(Box::new(move |at, ev| {
-        w2.borrow_mut().push((at.as_nanos(), *ev));
-    }));
-
-    let cache = path_cache();
-    let mut last = SimTime::ZERO;
-    for i in 1..=spec.flow {
-        let at = SimTime::ZERO + SimDuration::from_millis((i - 1) * 500);
-        run_until_checked(&mut sim, at);
-        let strategy = spec.protocol.make(&cache, (net.sender, net.receiver));
-        sim.with_node_mut::<Host, _>(net.sender, |h, core| {
-            h.start_flow(core, FlowId(i), net.receiver, spec.bytes, strategy)
-        });
-        last = at;
-    }
-    run_until_checked(&mut sim, last + SimDuration::from_secs(240));
-    sim.run_to_completion(10_000_000);
-    crate::harness::meter_add(
-        sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-        sim.events_processed(),
-    );
-
-    let recorded = |node| -> Result<Vec<FlowEventRecord>, TraceError> {
-        Ok(sim
-            .node_as::<Host>(node)
-            .ok_or_else(|| TraceError::new("traced node is not a transport Host"))?
-            .recorder()
-            .ok_or_else(|| TraceError::new("flight recorder was not enabled on a traced node"))?
-            .events()
-            .copied()
-            .collect())
-    };
-    let snd = recorded(net.sender)?;
-    let rcv = recorded(net.receiver)?;
-    let wire = wire.borrow();
-
-    let (mut jsonl, events) = merge_streams_jsonl(&wire, &snd, &rcv);
+    let (mut jsonl, events) = streams.merged_jsonl();
+    let (snd, rcv) = (&streams.snd, &streams.rcv);
     let traced = FlowId(spec.flow);
-    let meet = meet_point(&snd, traced);
+    let meet = meet_point(snd, traced);
     match meet {
         Some(m) => {
             let _ = writeln!(
@@ -362,7 +316,7 @@ pub fn run_trace(spec: &TraceSpec) -> Result<TraceOutput, TraceError> {
     // by class, the ACK line, and receiver-side arrivals.
     let mut csv = String::from("series,x,y\n");
     let ms = |t: SimTime| t.as_nanos() as f64 / 1e6;
-    for rec in &snd {
+    for rec in snd {
         if rec.flow != traced {
             continue;
         }
@@ -381,7 +335,7 @@ pub fn run_trace(spec: &TraceSpec) -> Result<TraceOutput, TraceError> {
             _ => {}
         }
     }
-    for rec in &rcv {
+    for rec in rcv {
         if rec.flow != traced {
             continue;
         }

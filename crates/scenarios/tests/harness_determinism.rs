@@ -123,18 +123,47 @@ fn chaos_runs_are_byte_identical_across_worker_counts() {
     let _ = fs::remove_dir_all(&d4);
 }
 
+/// The deterministic lines `repro` writes into `manifest.json` for one
+/// experiment, from the tally its context drained:
+/// `(jobs_run, events, virtual_ns, sketch_mem_bytes)`.
+fn manifest_tally(ctx: &RunCtx) -> (usize, u64, u64, u64) {
+    let tally = ctx.take_tally();
+    (
+        tally.jobs.len(),
+        tally.jobs.iter().map(|m| m.events).sum(),
+        tally.jobs.iter().map(|m| m.virtual_ns).sum(),
+        tally.sketch_mem_bytes,
+    )
+}
+
 /// The sharded engine's contract, mirroring the `--jobs` batteries above:
 /// the shard-thread count maps partitions onto workers but never shapes
 /// the simulation, so `--shards 1`, `2`, and `4` must write byte-identical
-/// files for the sharded scaled-PlanetLab scenario.
+/// files for the sharded scaled-PlanetLab scenario, and meter the same
+/// work into the manifest.
 #[test]
 fn sharded_scenario_is_byte_identical_across_shard_counts() {
     let d1 = scratch("shards1");
     let d2 = scratch("shards2");
     let d4 = scratch("shards4");
-    render_to("planetlab100k", &ctx(1, 1), &d1);
-    render_to("planetlab100k", &ctx(1, 2), &d2);
-    render_to("planetlab100k", &ctx(1, 4), &d4);
+    let tallies: Vec<_> = [(1, &d1), (2, &d2), (4, &d4)]
+        .into_iter()
+        .map(|(shards, dir)| {
+            let ctx = ctx(1, shards);
+            render_to("planetlab100k", &ctx, dir);
+            manifest_tally(&ctx)
+        })
+        .collect();
+    assert_eq!(tallies[0].0, 1, "planetlab100k runs as one job");
+    assert!(tallies[0].1 > 0 && tallies[0].2 > 0 && tallies[0].3 > 0);
+    assert_eq!(
+        tallies[0], tallies[1],
+        "manifest tally differs at --shards 2"
+    );
+    assert_eq!(
+        tallies[0], tallies[2],
+        "manifest tally differs at --shards 4"
+    );
 
     let a = snapshot(&d1);
     let b = snapshot(&d2);
@@ -156,6 +185,69 @@ fn sharded_scenario_is_byte_identical_across_shard_counts() {
     let _ = fs::remove_dir_all(&d1);
     let _ = fs::remove_dir_all(&d2);
     let _ = fs::remove_dir_all(&d4);
+}
+
+/// `--telemetry` writes a schema-tagged header and one record per
+/// (window, partition), each carrying the full field set with its
+/// wall-clock measurements quarantined in a trailing `"wall":{…}` object.
+/// Everything outside that object is virtual-time deterministic, so the
+/// file must be byte-identical across shard counts once it is stripped.
+#[test]
+fn telemetry_is_byte_identical_across_shard_counts_outside_wall() {
+    const FIELDS: [&str; 10] = [
+        "\"window\":",
+        "\"part\":",
+        "\"w_end_ns\":",
+        "\"events\":",
+        "\"deposited\":",
+        "\"injected\":",
+        "\"mailbox_max\":",
+        "\"wheel_depth\":",
+        "\"arena_live\":",
+        "\"arena_hiwater\":",
+    ];
+    let dir = scratch("telemetry");
+    let stripped = |shards: usize| -> Vec<String> {
+        let mut ctx = ctx(1, shards);
+        let path = dir.join(format!("t{shards}.jsonl"));
+        ctx.telemetry = Some(path.clone());
+        render_to("planetlab100k", &ctx, &dir.join(format!("out{shards}")));
+        let text = fs::read_to_string(&path).expect("telemetry file written");
+        let mut lines = text.lines();
+        let header = lines.next().expect("telemetry header");
+        assert!(
+            header.contains("\"schema\":\"halfback-telemetry-v1\""),
+            "{header}"
+        );
+        let body: Vec<String> = lines
+            .map(|l| {
+                assert!(l.starts_with("{\"kind\":\"window\","), "not a window: {l}");
+                let mut at = 0;
+                for field in FIELDS {
+                    at += l[at..]
+                        .find(field)
+                        .unwrap_or_else(|| panic!("{field} missing or out of order: {l}"));
+                }
+                let wall = l.find(",\"wall\":{").expect("wall object");
+                let (barrier, window) = l[wall..]
+                    .strip_prefix(",\"wall\":{\"barrier_ns\":")
+                    .and_then(|w| w.strip_suffix("}}"))
+                    .and_then(|w| w.split_once(",\"window_ns\":"))
+                    .unwrap_or_else(|| panic!("wall object not last: {l}"));
+                assert!(barrier.parse::<u64>().is_ok() && window.parse::<u64>().is_ok());
+                format!("{}}}", &l[..wall])
+            })
+            .collect();
+        assert!(!body.is_empty(), "no window records");
+        std::iter::once(header.to_string()).chain(body).collect()
+    };
+    let one = stripped(1);
+    let four = stripped(4);
+    assert_eq!(
+        one, four,
+        "telemetry differs between --shards 1 and --shards 4 outside \"wall\""
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Sketch-backed summaries across the *jobs* axis: job-local sketches
@@ -289,13 +381,14 @@ fn trace_exports_are_byte_identical_across_worker_counts() {
 /// trace export on top of the harness; its rendered summary (and every
 /// failing-case trace) must be byte-identical for any worker count, which
 /// is what makes an emitted `repro simcheck --seed … --case …` command
-/// trustworthy.
+/// trustworthy. The healthy battery is the default one `repro simcheck`
+/// runs: `DEFAULT_CASES` cases at seed 42, every one clean.
 #[test]
 fn simcheck_batteries_are_byte_identical_across_worker_counts() {
-    use scenarios::simcheck::{run_battery, run_breaking_battery};
+    use scenarios::simcheck::{run_battery, run_breaking_battery, DEFAULT_CASES};
 
-    let serial = run_battery(&ctx(1, 1), 42, 24);
-    let parallel = run_battery(&ctx(4, 1), 42, 24);
+    let serial = run_battery(&ctx(1, 1), 42, DEFAULT_CASES);
+    let parallel = run_battery(&ctx(4, 1), 42, DEFAULT_CASES);
     assert_eq!(
         serial.render_text(),
         parallel.render_text(),

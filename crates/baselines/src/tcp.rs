@@ -40,22 +40,6 @@ impl Tcp {
             }),
         }
     }
-
-    /// TCP with an arbitrary initial window (used by ablations).
-    pub fn with_icw(name: &'static str, icw_segments: u32) -> Self {
-        Tcp {
-            name,
-            reno: RenoEngine::new(RenoConfig {
-                icw_segments,
-                ..Default::default()
-            }),
-        }
-    }
-
-    /// Access the congestion engine (tests).
-    pub fn engine(&self) -> &RenoEngine {
-        &self.reno
-    }
 }
 
 impl Default for Tcp {

@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use netsim::{NodeId, SimTime};
+use netsim::NodeId;
 use transport::reno::{RenoConfig, RenoEngine};
 use transport::scoreboard::AckOutcome;
 use transport::sender::Ops;
@@ -26,15 +26,9 @@ pub struct CacheEntry {
     pub cwnd: u64,
     /// Final slow-start threshold of the last flow (bytes).
     pub ssthresh: u64,
-    /// When the entry was written.
-    pub updated_at: SimTime,
 }
 
-netsim::snap_struct!(CacheEntry {
-    cwnd,
-    ssthresh,
-    updated_at
-});
+netsim::snap_struct!(CacheEntry { cwnd, ssthresh });
 
 /// Shared per-path cache: (sender, receiver) -> entry. The cache is
 /// scenario-level state shared across flows — a strategy's own `save_state`
@@ -53,8 +47,6 @@ pub struct TcpCache {
     reno: RenoEngine,
     cache: PathCache,
     key: (NodeId, NodeId),
-    /// Ignore entries older than this (ns); `None` = never age out.
-    max_age_ns: Option<u64>,
 }
 
 impl TcpCache {
@@ -68,14 +60,7 @@ impl TcpCache {
             }),
             cache,
             key,
-            max_age_ns: None,
         }
-    }
-
-    /// Age out cache entries older than `max_age_ns` nanoseconds.
-    pub fn with_max_age(mut self, max_age_ns: u64) -> Self {
-        self.max_age_ns = Some(max_age_ns);
-        self
     }
 }
 
@@ -90,14 +75,8 @@ impl Strategy for TcpCache {
             cache.get(&self.key).copied()
         };
         if let Some(e) = entry {
-            let fresh = match self.max_age_ns {
-                None => true,
-                Some(age) => ops.now().as_nanos().saturating_sub(e.updated_at.as_nanos()) <= age,
-            };
-            if fresh {
-                self.reno.set_cwnd(e.cwnd.min(ops.window_bytes() as u64));
-                self.reno.set_ssthresh(e.ssthresh);
-            }
+            self.reno.set_cwnd(e.cwnd.min(ops.window_bytes() as u64));
+            self.reno.set_ssthresh(e.ssthresh);
         }
         self.reno.on_established(ops);
     }
@@ -114,18 +93,17 @@ impl Strategy for TcpCache {
         self.reno.on_rto(ops);
     }
 
-    fn on_complete(&mut self, ops: &mut Ops<'_, '_>) {
+    fn on_complete(&mut self, _ops: &mut Ops<'_, '_>) {
         self.cache.borrow_mut().insert(
             self.key,
             CacheEntry {
                 cwnd: self.reno.cwnd(),
                 ssthresh: self.reno.ssthresh(),
-                updated_at: ops.now(),
             },
         );
     }
 
     // The shared path cache is scenario state, checkpointed by the driver;
-    // only the per-flow engine and its ageing policy live here.
-    netsim::snap_fields!(fn save_state, load_state { reno, max_age_ns });
+    // only the per-flow engine lives here.
+    netsim::snap_fields!(fn save_state, load_state { reno });
 }

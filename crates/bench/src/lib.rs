@@ -336,15 +336,11 @@ pub fn results_to_json(results: &[BenchResult]) -> String {
     w.finish()
 }
 
-/// Extract `name -> median_ns` from a baseline document. Accepts either a
-/// plain harness emission (top-level `results`) or the committed
-/// before/after layout (compares against the `after` run's `results`).
+/// Extract `name -> median_ns` from a baseline document's top-level
+/// `results`.
 pub fn baseline_medians(doc: &json::Value) -> Vec<(String, f64)> {
-    let results = doc
-        .get("results")
-        .or_else(|| doc.get("after").and_then(|a| a.get("results")));
     let mut out = Vec::new();
-    if let Some(json::Value::Array(items)) = results {
+    if let Some(json::Value::Array(items)) = doc.get("results") {
         for item in items {
             if let (Some(json::Value::String(name)), Some(json::Value::Number(m))) =
                 (item.get("name"), item.get("median_ns"))
@@ -423,9 +419,8 @@ pub fn run_benches(benches: &[(&str, BenchFn)]) {
 }
 
 /// Validate a parsed baseline document against the `halfback-bench-v1`
-/// schema: a matching `schema` tag and a `results` array (top-level or
-/// under `after`) whose entries each carry a string `name` and a numeric
-/// `median_ns`.
+/// schema: a matching `schema` tag and a top-level `results` array whose
+/// entries each carry a string `name` and a numeric `median_ns`.
 pub fn validate_baseline_schema(doc: &json::Value) -> Result<(), String> {
     match doc.get("schema") {
         Some(json::Value::String(s)) if s == "halfback-bench-v1" => {}
@@ -434,11 +429,8 @@ pub fn validate_baseline_schema(doc: &json::Value) -> Result<(), String> {
         }
         _ => return Err("missing string `schema` field".to_string()),
     }
-    let results = doc
-        .get("results")
-        .or_else(|| doc.get("after").and_then(|a| a.get("results")));
-    let Some(json::Value::Array(items)) = results else {
-        return Err("no `results` array (top-level or under `after`)".to_string());
+    let Some(json::Value::Array(items)) = doc.get("results") else {
+        return Err("no top-level `results` array".to_string());
     };
     for (i, item) in items.iter().enumerate() {
         if !matches!(item.get("name"), Some(json::Value::String(_))) {
@@ -663,11 +655,6 @@ mod tests {
             elements: None,
         }]);
         let doc = json::parse(&good).unwrap();
-        assert!(validate_baseline_schema(&doc).is_ok());
-
-        // Before/after layout validates against the `after` run.
-        let nested = format!("{{\"schema\":\"halfback-bench-v1\",\"after\":{good}}}");
-        let doc = json::parse(&nested).unwrap();
         assert!(validate_baseline_schema(&doc).is_ok());
 
         let wrong_tag = r#"{"schema":"halfback-bench-v2","results":[]}"#;

@@ -92,11 +92,6 @@ impl Halfback {
         Self::with_config(HalfbackConfig::paper())
     }
 
-    /// Did ROPR finish (tests/inspection)?
-    pub fn ropr_finished(&self) -> bool {
-        self.ropr_done
-    }
-
     fn enter_ropr(&mut self, ops: &mut Ops<'_, '_>) {
         self.phase = HbPhase::Ropr;
         self.ropr_cursor = self.batch_segs;

@@ -295,16 +295,6 @@ impl<P: Payload> EngineCore<P> {
         self.links[link.0 as usize].stats
     }
 
-    /// Bytes currently queued at a link.
-    pub fn link_backlog(&self, link: LinkId) -> u64 {
-        self.links[link.0 as usize].queue.backlog_bytes()
-    }
-
-    /// The serialization delay of the current backlog on a link.
-    pub fn link_backlog_delay(&self, link: LinkId) -> SimDuration {
-        self.links[link.0 as usize].backlog_delay()
-    }
-
     /// Corrupted packets dropped at delivery (checksum failures), all nodes.
     pub fn corrupt_dropped(&self) -> u64 {
         self.corrupt_dropped

@@ -161,11 +161,4 @@ impl LinkState {
     pub(crate) fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
-
-    /// Current queueing delay a newly enqueued packet would see (backlog
-    /// serialization time). Exposed for tests and bandwidth estimators.
-    pub(crate) fn backlog_delay(&self) -> SimDuration {
-        self.rate
-            .transmission_time(self.queue.backlog_bytes().min(u32::MAX as u64) as u32)
-    }
 }

@@ -267,11 +267,6 @@ impl ParkingLotSpec {
             access_rate: Rate::from_gbps(1),
         }
     }
-
-    /// End-to-end RTT of the through path.
-    pub fn through_rtt(&self) -> SimDuration {
-        (self.hop_delay * self.hops as u64) * 2
-    }
 }
 
 /// Ids of a built parking lot.

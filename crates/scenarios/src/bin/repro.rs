@@ -54,7 +54,7 @@ use scenarios::figures::{distinct_experiment_ids, experiment};
 use scenarios::harness::{JobMetrics, RunCtx};
 use scenarios::manifest::{ExperimentEntry, Manifest};
 use scenarios::simcheck;
-use scenarios::trace::{run_trace, TraceSpec};
+use scenarios::trace::{path_for, run_trace, TraceSpec};
 use scenarios::weather::{self, WeatherConfig, WeatherRunOptions};
 use scenarios::{Protocol, Scale};
 use std::path::PathBuf;
@@ -93,6 +93,20 @@ fn refuse(why: impl std::fmt::Display) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// A path operand, unless the word is itself a flag (`--out --resume` lost
+/// its directory; it does not name one called `--resume`).
+fn path_operand(word: Option<String>) -> Option<PathBuf> {
+    word.filter(|w| !w.starts_with("--")).map(PathBuf::from)
+}
+
+/// `secs` seconds, if the simulated clock can hold it: finite, positive
+/// (or zero, where `zero_ok`) and below `u64::MAX` nanoseconds.
+fn sim_duration(secs: f64, zero_ok: bool) -> Option<SimDuration> {
+    let ns = (secs * 1e9).round();
+    (ns < u64::MAX as f64 && (ns >= 1.0 || zero_ok && ns == 0.0))
+        .then(|| SimDuration::from_nanos(ns as u64))
+}
+
 /// `repro trace`: replay one (figure, protocol, seed, flow) with the
 /// flight recorder on and write `trace.jsonl` + `trace_timeseq.csv` under
 /// `--out` (default `out/`).
@@ -102,7 +116,7 @@ fn trace_main(args: Vec<String>) -> ExitCode {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--figure" | "-f" => match it.next() {
+            "--figure" | "-f" => match it.next().filter(|f| path_for(f).is_ok()) {
                 Some(f) => spec.figure = f,
                 None => return refuse("--figure needs a name (fig5..fig8 or chaos)"),
             },
@@ -124,8 +138,8 @@ fn trace_main(args: Vec<String>) -> ExitCode {
                 Some(b) if b >= 1 => spec.bytes = b,
                 _ => return refuse("--bytes needs a positive integer"),
             },
-            "--out" | "-o" => match it.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
+            "--out" | "-o" => match path_operand(it.next()) {
+                Some(dir) => out_dir = dir,
                 None => return refuse("--out needs a directory"),
             },
             other => return refuse(format!("unknown trace flag '{other}'")),
@@ -233,8 +247,8 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
                 Some(n) if n >= 1 => ctx.jobs = n,
                 _ => return refuse("--jobs needs a positive integer"),
             },
-            "--out" | "-o" => match it.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
+            "--out" | "-o" => match path_operand(it.next()) {
+                Some(dir) => out_dir = dir,
                 None => return refuse("--out needs a directory"),
             },
             other => return refuse(format!("unknown simcheck flag '{other}'")),
@@ -323,20 +337,36 @@ fn weather_main(args: Vec<String>) -> ExitCode {
                     ))
                 }
             },
-            "--hours" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(h) if h > 0.0 => cfg.duration = SimDuration::from_secs_f64(h * 3600.0),
-                _ => return refuse("--hours needs a positive number"),
+            "--hours" => match it
+                .next()
+                .and_then(|n| n.parse::<f64>().ok())
+                .and_then(|h| sim_duration(h * 3600.0, false))
+            {
+                Some(d) => cfg.duration = d,
+                None => return refuse("--hours needs a positive number"),
             },
-            "--minutes" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(m) if m > 0.0 => cfg.duration = SimDuration::from_secs_f64(m * 60.0),
-                _ => return refuse("--minutes needs a positive number"),
+            "--minutes" => match it
+                .next()
+                .and_then(|n| n.parse::<f64>().ok())
+                .and_then(|m| sim_duration(m * 60.0, false))
+            {
+                Some(d) => cfg.duration = d,
+                None => return refuse("--minutes needs a positive number"),
             },
-            "--window" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(s) if s >= 1 => cfg.window = SimDuration::from_secs(s),
-                _ => return refuse("--window needs a positive number of seconds"),
+            "--window" => match it
+                .next()
+                .and_then(|n| n.parse::<u64>().ok())
+                .and_then(|s| sim_duration(s as f64, false))
+            {
+                Some(d) => cfg.window = d,
+                None => return refuse("--window needs a positive number of seconds"),
             },
-            "--warmup" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(s) => cfg.warmup = SimDuration::from_secs(s),
+            "--warmup" => match it
+                .next()
+                .and_then(|n| n.parse::<u64>().ok())
+                .and_then(|s| sim_duration(s as f64, true))
+            {
+                Some(d) => cfg.warmup = d,
                 None => return refuse("--warmup needs a number of seconds"),
             },
             "--checkpoint-every" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
@@ -347,9 +377,13 @@ fn weather_main(args: Vec<String>) -> ExitCode {
                 Some(a) if (0.0..1.0).contains(&a) => cfg.amplitude = a,
                 _ => return refuse("--amplitude needs a fraction in [0, 1)"),
             },
-            "--period-hours" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(h) if h > 0.0 => cfg.period = SimDuration::from_secs_f64(h * 3600.0),
-                _ => return refuse("--period-hours needs a positive number"),
+            "--period-hours" => match it
+                .next()
+                .and_then(|n| n.parse::<f64>().ok())
+                .and_then(|h| sim_duration(h * 3600.0, false))
+            {
+                Some(d) => cfg.period = d,
+                None => return refuse("--period-hours needs a positive number"),
             },
             "--pairs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cfg.host_pairs = n,
@@ -359,8 +393,8 @@ fn weather_main(args: Vec<String>) -> ExitCode {
                 Some(s) => cfg.seed = s,
                 None => return refuse("--seed needs an integer"),
             },
-            "--out" | "-o" => match it.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
+            "--out" | "-o" => match path_operand(it.next()) {
+                Some(dir) => out_dir = dir,
                 None => return refuse("--out needs a directory"),
             },
             "--resume" => opts.resume = true,
@@ -456,13 +490,13 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => ctx.shards = n,
                 _ => return refuse("--shards needs a positive integer"),
             },
-            "--telemetry" => match it.next() {
-                Some(path) => ctx.telemetry = Some(PathBuf::from(path)),
+            "--telemetry" => match path_operand(it.next()) {
+                Some(path) => ctx.telemetry = Some(path),
                 None => return refuse("--telemetry needs a file path"),
             },
             "--chart" | "-c" => chart = true,
-            "--out" | "-o" => match it.next() {
-                Some(dir) => out_dir = Some(PathBuf::from(dir)),
+            "--out" | "-o" => match path_operand(it.next()) {
+                Some(dir) => out_dir = Some(dir),
                 None => return refuse("--out needs a directory"),
             },
             "list" => {

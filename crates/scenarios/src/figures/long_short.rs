@@ -52,12 +52,6 @@ fn schedule(utilization: f64, scale: Scale, horizon: SimTime) -> Vec<(SimTime, u
     flows
 }
 
-/// Expose the schedule for diagnostics and tests.
-pub fn schedule_for_test(utilization: f64) -> Vec<(SimTime, u64)> {
-    let horizon = SimTime::ZERO + SimDuration::from_secs(400);
-    schedule(utilization, Scale::Full, horizon)
-}
-
 /// (short stats, long stats) for one (protocol, utilization) cell.
 pub fn cell(protocol: Protocol, utilization: f64, scale: Scale) -> (FctStats, FctStats) {
     let spec = DumbbellSpec::emulab(1);

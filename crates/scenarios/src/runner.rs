@@ -237,26 +237,16 @@ pub fn run_dumbbell(spec: &DumbbellSpec, flows: &[FlowPlan], opts: &RunOptions) 
     rig.outcome()
 }
 
-/// Result of a sequential single-path run (see [`run_path_outcome`]).
-#[derive(Debug, Clone)]
-pub struct PathRunOutcome {
-    /// Flows that delivered every byte.
-    pub completed: Vec<FlowRecord>,
-    /// Flows that gave up (max retransmissions / SYN timeout).
-    pub aborted: Vec<FlowRecord>,
-    /// Flows still live when the run ended.
-    pub censored: usize,
-}
-
 /// Run `flows` sequentially-scheduled on one two-host path (PlanetLab and
-/// home-network experiments), separating completed, aborted, and censored
-/// flows.
-pub fn run_path_outcome(
+/// home-network experiments). Returns completed records (a flow that can't
+/// finish within `grace` after its start — or that aborts — counts toward
+/// the censored/failed tally).
+pub fn run_path(
     spec: &PathSpec,
     flows: &[FlowPlan],
     seed: u64,
     grace: SimDuration,
-) -> PathRunOutcome {
+) -> (Vec<FlowRecord>, usize) {
     let mut sim = TransportSim::new(seed);
     let net = build_path(&mut sim, spec, |_| Box::new(Host::new()));
     sim.with_node_mut::<Host, _>(net.sender, |h, _| h.wire(net.sender, net.forward));
@@ -278,31 +268,16 @@ pub fn run_path_outcome(
         sim.events_processed(),
     );
     let host = sim.node_as::<Host>(net.sender).unwrap();
-    let (completed, aborted): (Vec<FlowRecord>, Vec<FlowRecord>) = host
+    let completed: Vec<FlowRecord> = host
         .completed()
         .iter()
+        .filter(|r| r.outcome.is_completed())
         .cloned()
-        .partition(|r| r.outcome.is_completed());
-    let censored = flows.len() - completed.len() - aborted.len();
+        .collect();
+    let censored = flows.len() - host.completed().len();
     debug_check_hygiene(&mut sim, censored);
-    PathRunOutcome {
-        completed,
-        aborted,
-        censored,
-    }
-}
-
-/// Run `flows` sequentially-scheduled on one two-host path. Returns
-/// completed records (a flow that can't finish within `grace` after its
-/// start — or that aborts — counts toward the censored/failed tally).
-pub fn run_path(
-    spec: &PathSpec,
-    flows: &[FlowPlan],
-    seed: u64,
-    grace: SimDuration,
-) -> (Vec<FlowRecord>, usize) {
-    let out = run_path_outcome(spec, flows, seed, grace);
-    (out.completed, out.censored + out.aborted.len())
+    let failed = flows.len() - completed.len();
+    (completed, failed)
 }
 
 /// Helper: one flow, one path, default grace.

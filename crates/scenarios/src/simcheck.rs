@@ -419,7 +419,7 @@ fn build_chain(sim: &mut TransportSim, hops: &[HopSpec], record: bool) -> Chain 
         let mut h = Host::new();
         h.check_invariants = true;
         if record {
-            h.enable_recorder(transport::FlightRecorder::DEFAULT_CAP);
+            h.enable_recorder();
         }
         Box::new(h)
     };

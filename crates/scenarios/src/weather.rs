@@ -48,8 +48,9 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 4: the trailer checksums the body only, not the header.
-const WEATHER_VERSION: u32 = 4;
+/// Version 5: hosts no longer carry a timer census, flows no longer carry
+/// an initial ssthresh, TCP-Cache neither an age-out nor an entry age.
+const WEATHER_VERSION: u32 = 5;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 

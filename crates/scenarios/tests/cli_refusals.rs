@@ -50,6 +50,15 @@ fn weather_refuses_out_of_range_flags_before_any_output() {
         );
     }
     refused(&["--window", "0"], "--window needs");
+    // Durations the simulated clock cannot hold: `inf` used to panic in
+    // `SimDuration::from_secs_f64` (exit 101), 1e300 minutes saturated to
+    // 584 years and ran forever, and 2e10 whole seconds wrapped.
+    refused(&["--hours", "inf"], "--hours needs");
+    refused(&["--minutes", "inf"], "--minutes needs");
+    refused(&["--period-hours", "inf"], "--period-hours needs");
+    refused(&["--minutes", "1e300"], "--minutes needs");
+    refused(&["--window", "20000000000"], "--window needs");
+    refused(&["--warmup", "20000000000"], "--warmup needs");
     refused(&["--amplitude", "7"], "--amplitude needs");
     refused(&["--pairs", "0"], "--pairs needs");
     // Weather runs one simulation inline: it has no worker pool to size.
@@ -76,6 +85,21 @@ fn every_subcommand_refuses_with_exit_code_2() {
         (&["fig3", "--quick", "--bogus"], "unknown flag '--bogus'"),
         // After a good id: nothing of fig3 may run first.
         (&["fig3", "fig99", "--quick"], "unknown experiment 'fig99'"),
+        // Checked before the banner, not when the run builds its path.
+        (&["trace", "--figure", "bogus"], "--figure needs"),
+        // A path flag whose operand is another flag lost its operand: it
+        // does not name a directory called `--resume` or `--chart`.
+        (&["weather", "--out", "--resume"], "--out needs"),
+        (&["fig3", "--quick", "--out", "--chart"], "--out needs"),
+        (&["trace", "--out", "--flow"], "--out needs"),
+        (
+            &["simcheck", "--case", "1", "--out", "--seed"],
+            "--out needs",
+        ),
+        (
+            &["fig3", "--quick", "--telemetry", "--out", "x"],
+            "--telemetry needs",
+        ),
     ] {
         assert_refused(&out, &repro(&out, args), names, args);
     }

@@ -360,6 +360,15 @@ fn v3_checkpoint_is_refused_with_the_version_error() {
     assert_version_refused(3);
 }
 
+/// Version 4 carried a per-host timer census (40 bytes a host), an initial
+/// ssthresh in every Reno engine, and TCP-Cache's age-out setting and the
+/// time each path-cache entry was written; a version-5 reader would decode
+/// those bytes as the fields that follow them.
+#[test]
+fn v4_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(4);
+}
+
 #[test]
 fn resume_refuses_a_csv_shorter_than_the_checkpoint() {
     // windows.csv lost or cut between kill and resume: `set_len` would pad

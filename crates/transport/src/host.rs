@@ -48,10 +48,6 @@ pub struct HostCore {
     /// Whether `completed` accumulates records (default true). See
     /// [`Host::set_retain_records`].
     pub retain_records: bool,
-    /// Debug census: timer arms by kind [Rto, Pace, Pto, User].
-    pub timer_arms: [u64; 4],
-    /// Debug census: timer cancels routed through endpoints.
-    pub timer_cancels: u64,
     /// Optional shared completion queue drained by the harness.
     pub bus: Option<CompletionBus>,
     /// Optional flight recorder capturing transport-level trace events for
@@ -72,18 +68,11 @@ impl HostCore {
     pub(crate) fn alloc_token(&mut self, flow: FlowId, kind: TimerKind) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
-        self.timer_arms[match kind {
-            TimerKind::Rto => 0,
-            TimerKind::Pace => 1,
-            TimerKind::Pto => 2,
-            TimerKind::User(_) => 3,
-        }] += 1;
         self.routes.insert(t, (flow, kind));
         t
     }
 
     pub(crate) fn drop_token(&mut self, token: u64) {
-        self.timer_cancels += 1;
         self.routes.remove(&token);
     }
 
@@ -261,8 +250,6 @@ impl Host {
                 routes: FastMap::default(),
                 completed: Vec::new(),
                 retain_records: true,
-                timer_arms: [0; 4],
-                timer_cancels: 0,
                 bus: None,
                 recorder: None,
             },
@@ -322,9 +309,10 @@ impl Host {
         n - self.receivers.len()
     }
 
-    /// Install a flight recorder holding at most `cap` events.
-    pub fn enable_recorder(&mut self, cap: usize) {
-        self.core.recorder = Some(FlightRecorder::new(cap));
+    /// Install a flight recorder holding at most
+    /// [`FlightRecorder::DEFAULT_CAP`] events.
+    pub fn enable_recorder(&mut self) {
+        self.core.recorder = Some(FlightRecorder::new(FlightRecorder::DEFAULT_CAP));
     }
 
     /// The installed flight recorder, if any.
@@ -335,16 +323,6 @@ impl Host {
     /// Records of flows completed with this host as the sender.
     pub fn completed(&self) -> &[FlowRecord] {
         &self.core.completed
-    }
-
-    /// Debug: (timer arms by kind [Rto, Pace, Pto, User], cancels) and the
-    /// number of timer-route entries still alive.
-    pub fn timer_census(&self) -> ([u64; 4], u64, usize) {
-        (
-            self.core.timer_arms,
-            self.core.timer_cancels,
-            self.core.routes.len(),
-        )
     }
 
     /// Receiver-side connection state for a flow, if any.
@@ -423,7 +401,7 @@ const SEC_HOST: u32 = 0x4842_0003;
 impl Host {
     /// Serialize every dynamic field of this host — live sender and
     /// receiver endpoints, timer-token routing, retained completion
-    /// records, debug counters — into the checkpoint codec.
+    /// records — into the checkpoint codec.
     ///
     /// Configuration knobs (`min_rto`, `log_arrivals`, `check_invariants`,
     /// record retention, the bus, timelines, the flight recorder) are NOT
@@ -449,8 +427,6 @@ impl Host {
     netsim::snap_fields!(fn save_overlay, load_overlay {
         core.next_token,
         core.routes,
-        core.timer_arms,
-        core.timer_cancels,
         core.completed,
         stray_packets,
         invariant_breaches,

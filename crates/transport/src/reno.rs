@@ -19,8 +19,6 @@ pub struct RenoConfig {
     /// Initial congestion window in segments (paper default 2; TCP-10
     /// uses 10).
     pub icw_segments: u32,
-    /// Initial slow-start threshold in bytes (`None` = effectively infinite).
-    pub initial_ssthresh: Option<u64>,
     /// JumpStart mode: on loss detection, retransmit every lost segment
     /// immediately, ignoring the congestion window ("bursty retransmission",
     /// §2.2).
@@ -32,7 +30,6 @@ pub struct RenoConfig {
 
 netsim::snap_struct!(RenoConfig {
     icw_segments,
-    initial_ssthresh,
     burst_retransmit,
     duplicate_new_segments,
 });
@@ -41,7 +38,6 @@ impl Default for RenoConfig {
     fn default() -> Self {
         RenoConfig {
             icw_segments: 2,
-            initial_ssthresh: None,
             burst_retransmit: false,
             duplicate_new_segments: false,
         }
@@ -82,11 +78,11 @@ impl RenoEngine {
     /// Create an engine with the given configuration.
     pub fn new(cfg: RenoConfig) -> Self {
         let cwnd = cfg.icw_segments as u64 * MSS as u64;
-        let ssthresh = cfg.initial_ssthresh.unwrap_or(u64::MAX / 2);
         RenoEngine {
             cfg,
             cwnd,
-            ssthresh,
+            // Effectively infinite: slow start runs until the first loss.
+            ssthresh: u64::MAX / 2,
             in_recovery: false,
             recovery_point: 0,
             max_new_seg: None,

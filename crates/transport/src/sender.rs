@@ -533,22 +533,6 @@ impl SenderConn {
         self.state.rtt.set_min_rto(floor);
     }
 
-    /// Debug snapshot: (bytes, data packets sent, normal retx, rto events,
-    /// rto timer armed?, cum ack, high sent, pipe bytes, current rto ms).
-    pub fn debug_state(&self) -> (u64, u64, u64, u64, bool, u32, u32, u64, f64) {
-        (
-            self.state.total_bytes,
-            self.state.counters.data_packets_sent,
-            self.state.counters.normal_retx,
-            self.state.counters.rto_events,
-            self.state.rto_timer.is_some(),
-            self.state.board.cum_ack(),
-            self.state.board.high_sent(),
-            self.state.board.pipe_bytes(),
-            self.state.rtt.rto().as_millis_f64(),
-        )
-    }
-
     /// Serialize the full sender state — chassis, then the strategy's name
     /// and its own state — into the engine checkpoint codec.
     pub fn save(&self, w: &mut SnapWriter) {

@@ -163,7 +163,7 @@ where
     });
 
     // Access links and routes.
-    for (i, &h) in left_hosts.iter().enumerate() {
+    for &h in &left_hosts {
         let up = sim.add_link(LinkSpec::drop_tail(
             h,
             left_router,
@@ -181,7 +181,6 @@ where
         left_egress.push(up);
         let r = sim.node_as_mut::<Router>(left_router).expect("left router");
         r.add_route(h, down);
-        let _ = i;
     }
     for &h in &right_hosts {
         let up = sim.add_link(LinkSpec::drop_tail(
@@ -253,6 +252,9 @@ pub struct ParkingLotSpec {
 }
 
 impl ParkingLotSpec {
+    /// One-way delay of every access link.
+    pub const ACCESS_DELAY: SimDuration = SimDuration::from_micros(10);
+
     /// A 3-hop parking lot scaled like the Emulab dumbbell (each hop
     /// 15 Mbps / 20 ms, 115 KB buffers).
     pub fn emulab_like(hops: usize) -> Self {
@@ -299,7 +301,7 @@ where
     P: Payload,
     F: FnMut() -> Box<dyn crate::node::Node<P>>,
 {
-    let access_delay = SimDuration::from_micros(10);
+    let access_delay = ParkingLotSpec::ACCESS_DELAY;
     let access_buffer = 10_000_000;
     // Routers R0..R_hops.
     let routers: Vec<NodeId> = (0..=spec.hops)
@@ -308,6 +310,7 @@ where
 
     // Bottleneck chain, both directions.
     let mut hop_links = Vec::with_capacity(spec.hops);
+    let mut hop_rev = Vec::with_capacity(spec.hops);
     for h in 0..spec.hops {
         let fwd = sim.add_link(LinkSpec::drop_tail(
             routers[h],
@@ -324,6 +327,7 @@ where
             spec.hop_buffer,
         ));
         hop_links.push(fwd);
+        hop_rev.push(rev);
         // Default routes: everything unknown goes "forward" from the left
         // routers and "backward" from the right ones; per-host routes are
         // added below, so defaults only matter for cross-chain traffic.
@@ -335,13 +339,7 @@ where
                 .unwrap()
                 .set_default_route(rev);
         }
-        let _ = rev;
     }
-
-    // fwd link of hop h is hop_links[h]; its reverse was allocated
-    // immediately after, so rev id = fwd id + 1.
-    let hop_fwd: Vec<LinkId> = hop_links.clone();
-    let hop_rev: Vec<LinkId> = hop_links.iter().map(|l| LinkId(l.0 + 1)).collect();
 
     // Helper to attach a host to a router with explicit routes on every
     // router toward it (routes toward hosts left of a router go backward
@@ -369,7 +367,7 @@ where
             if r == at {
                 continue;
             }
-            let next = if r < at { hop_fwd[r] } else { hop_rev[r - 1] };
+            let next = if r < at { hop_links[r] } else { hop_rev[r - 1] };
             sim.node_as_mut::<Router>(routers[r])
                 .unwrap()
                 .add_route(host, next);

@@ -265,7 +265,7 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
             sel.faults = l.into_iter().filter(|&i| i < spec.faults.len()).collect();
         }
         if let Some(k) = keep_hops {
-            sel.hops = k.clamp(1, spec.hops.len());
+            sel.hops = k.clamp(1, spec.topology.hop_count());
         }
         let out = simcheck::run_single(&spec, &sel);
         println!("{}", out.line);

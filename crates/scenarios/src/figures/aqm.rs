@@ -10,7 +10,8 @@
 use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
-use crate::runner::{run_dumbbell, FlowPlan, RunOptions};
+use crate::runner::round_robin;
+use crate::simcheck::{run_figure, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -19,42 +20,28 @@ use workload::PoissonArrivals;
 
 /// One cell: short-flow FCT stats under a bloated buffer with/without AQM.
 pub fn cell(protocol: Protocol, codel: bool, scale: Scale) -> FctStats {
-    let mut spec = DumbbellSpec::emulab_with_buffer(1, 600_000);
+    let mut spec = DumbbellSpec::emulab_with_buffer(8, 600_000);
     spec.bottleneck_codel = codel;
     let horizon = scale.pick(SimDuration::from_secs(300), SimDuration::from_secs(60));
     let interval = scale.pick(SimDuration::from_secs(10), SimDuration::from_secs(4));
-    let mut plans = vec![FlowPlan {
-        at: SimTime::ZERO,
-        bytes: 2_000_000_000,
-        protocol: Protocol::Tcp,
-    }];
     let mut arrivals = PoissonArrivals::new(
         interval,
         SimTime::ZERO + SimDuration::from_secs(3),
         SimRng::new(83).fork("aqm"),
     );
-    for t in arrivals.until(SimTime::ZERO + horizon) {
-        plans.push(FlowPlan {
-            at: t,
-            bytes: 100_000,
-            protocol,
-        });
-    }
-    let opts = RunOptions {
-        host_pairs: 8,
-        grace: SimDuration::from_secs(60),
-        seed: 89,
-        trace_bin_ns: None,
-        min_rto: None,
-    };
-    let out = run_dumbbell(&spec, &plans, &opts);
-    let shorts: Vec<_> = out
-        .records
-        .iter()
+    let background = (SimTime::ZERO, 2_000_000_000, Protocol::Tcp);
+    let shorts = arrivals
+        .until(SimTime::ZERO + horizon)
+        .map(|t| (t, 100_000, protocol));
+    let flows = round_robin(std::iter::once(background).chain(shorts), 8);
+    let started = flows.len() - 1;
+    let (topology, grace) = (Topology::Dumbbell(spec), SimDuration::from_secs(60));
+    let case = CaseSpec::new(89, topology, flows, grace);
+    let shorts: Vec<_> = run_figure(&case)
+        .completed_records()
+        .into_iter()
         .filter(|r| r.bytes == 100_000)
-        .cloned()
         .collect();
-    let started = plans.len() - 1;
     FctStats::from_records(&shorts, started - shorts.len())
 }
 

@@ -8,7 +8,8 @@
 use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
-use crate::runner::{run_dumbbell, FlowPlan, RunOptions};
+use crate::runner::round_robin;
+use crate::simcheck::{run_figure, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -32,44 +33,30 @@ pub fn buffers(scale: Scale) -> Vec<u64> {
 /// Mean FCT and retransmission count of short flows for one (protocol,
 /// buffer) cell.
 pub fn cell(protocol: Protocol, buffer: u64, scale: Scale) -> FctStats {
-    let spec = DumbbellSpec::emulab_with_buffer(1, buffer);
+    let spec = DumbbellSpec::emulab_with_buffer(8, buffer);
     let horizon = scale.pick(SimDuration::from_secs(600), SimDuration::from_secs(80));
     let interval = scale.pick(SimDuration::from_secs(10), SimDuration::from_secs(4));
-    // Background TCP flow from t = 0 (it reaches full rate long before the
-    // first short flow).
-    let mut plans = vec![FlowPlan {
-        at: SimTime::ZERO,
-        bytes: BACKGROUND_BYTES,
-        protocol: Protocol::Tcp,
-    }];
     let mut arrivals = PoissonArrivals::new(
         interval,
         SimTime::ZERO + SimDuration::from_secs(3),
         SimRng::new(29).fork("bufferbloat"),
     );
-    for t in arrivals.until(SimTime::ZERO + horizon) {
-        plans.push(FlowPlan {
-            at: t,
-            bytes: 100_000,
-            protocol,
-        });
-    }
-    let opts = RunOptions {
-        host_pairs: 8,
-        grace: SimDuration::from_secs(60),
-        seed: 31,
-        trace_bin_ns: None,
-        min_rto: None,
-    };
-    let out = run_dumbbell(&spec, &plans, &opts);
+    // Background TCP flow from t = 0 (it reaches full rate long before the
+    // first short flow).
+    let background = (SimTime::ZERO, BACKGROUND_BYTES, Protocol::Tcp);
+    let shorts = arrivals
+        .until(SimTime::ZERO + horizon)
+        .map(|t| (t, 100_000, protocol));
+    let flows = round_robin(std::iter::once(background).chain(shorts), 8);
+    let short_started = flows.len() - 1;
+    let (topology, grace) = (Topology::Dumbbell(spec), SimDuration::from_secs(60));
+    let case = CaseSpec::new(31, topology, flows, grace);
     // Short flows only; the background flow may legitimately be censored.
-    let shorts: Vec<_> = out
-        .records
-        .iter()
+    let shorts: Vec<_> = run_figure(&case)
+        .completed_records()
+        .into_iter()
         .filter(|r| r.bytes == 100_000)
-        .cloned()
         .collect();
-    let short_started = plans.len() - 1;
     let censored = short_started - shorts.len();
     FctStats::from_records(&shorts, censored)
 }

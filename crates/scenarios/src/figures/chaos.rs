@@ -152,9 +152,10 @@ pub fn cell_case(sc: &Scenario, protocol: Protocol, n_flows: usize, seed: u64) -
     };
     let flows = (0..n_flows as u64)
         .map(|i| FlowSpec {
-            at_ms: i * SPACING_MS,
+            at_ns: i * SPACING_MS * 1_000_000,
             bytes: FLOW_BYTES,
             protocol,
+            pair: 0,
         })
         .collect();
     // The horizon must cover the slowest give-up (~63 s of exponential RTO

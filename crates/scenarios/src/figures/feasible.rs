@@ -8,11 +8,12 @@
 use crate::harness::RunCtx;
 use crate::metrics::{feasible_capacity, FctStats, SweepPoint};
 use crate::report::Figure;
-use crate::runner::{plans_from_schedule, run_dumbbell, RunOptions};
+use crate::runner::schedule_flows;
+use crate::simcheck::{run_figure, CaseReport, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
-use netsim::{SimDuration, SimTime};
+use netsim::{Rate, SimDuration, SimTime};
 use workload::Schedule;
 
 /// Collapse detection: mean FCT above this multiple of the low-load mean.
@@ -35,31 +36,30 @@ pub fn utilizations(scale: Scale) -> Vec<f64> {
 /// dumbbell simulation. The unit of parallelism for Figs. 1/12/17 and the
 /// ratio/variance/sensitivity extensions.
 pub fn point(protocol: Protocol, u: f64, scale: Scale, seed: u64) -> SweepPoint {
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
+    let rate = spec.bottleneck_rate;
     let horizon =
         SimTime::ZERO + scale.pick(SimDuration::from_secs(120), SimDuration::from_secs(50));
     // Schedule seed depends on utilization but NOT protocol: §4.3.2
     // "same schedule of flow arrivals for each network utilization".
     let srng = SimRng::new(seed).fork_indexed("sched", (u * 1000.0) as u64);
-    let schedule = Schedule::fixed_size(spec.bottleneck_rate, 100_000, u, horizon, srng);
-    let plans = plans_from_schedule(&schedule, protocol);
-    let opts = RunOptions {
-        host_pairs: 12,
-        grace: SimDuration::from_secs(30),
-        seed: seed ^ 0x5eed,
-        trace_bin_ns: None,
-        min_rto: None,
-    };
-    let out = run_dumbbell(&spec, &plans, &opts);
+    let schedule = Schedule::fixed_size(rate, 100_000, u, horizon, srng);
+    let flows = schedule_flows(&schedule, 12, |_| protocol);
+    let (topology, grace) = (Topology::Dumbbell(spec), SimDuration::from_secs(30));
+    let case = CaseSpec::new(seed ^ 0x5eed, topology, flows, grace);
+    sweep_point(u, rate, horizon, &run_figure(&case))
+}
+
+/// A sweep point from a dumbbell run whose arrivals ended at `horizon`.
+pub fn sweep_point(u: f64, rate: Rate, horizon: SimTime, out: &CaseReport) -> SweepPoint {
     // Normalize by the arrival horizon (the denominator of the
     // offered load), not the longer drain period.
-    let achieved = (out.bottleneck_tx_bytes as f64 * 8.0)
-        / (spec.bottleneck_rate.as_bps() as f64
-            * horizon.saturating_since(SimTime::ZERO).as_secs_f64());
+    let achieved = (out.bottlenecks[0].tx_bytes as f64 * 8.0)
+        / (rate.as_bps() as f64 * horizon.saturating_since(SimTime::ZERO).as_secs_f64());
     SweepPoint {
         utilization: u,
         achieved_utilization: achieved,
-        stats: FctStats::from_records(&out.records, out.censored),
+        stats: FctStats::from_records(&out.completed_records(), out.censored),
     }
 }
 

@@ -4,7 +4,8 @@
 
 use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::runner::{plans_from_schedule, run_dumbbell, RunOptions};
+use crate::runner::schedule_flows;
+use crate::simcheck::{run_figure, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -39,7 +40,7 @@ pub fn bucketize(records: &[FlowRecord]) -> Vec<(f64, f64)> {
 
 /// Run one (trace, protocol) cell, returning completed records.
 pub fn cell(trace: TraceKind, protocol: Protocol, scale: Scale) -> Vec<FlowRecord> {
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
     let horizon =
         SimTime::ZERO + scale.pick(SimDuration::from_secs(400), SimDuration::from_secs(40));
     let schedule = Schedule::variable_size(
@@ -50,15 +51,10 @@ pub fn cell(trace: TraceKind, protocol: Protocol, scale: Scale) -> Vec<FlowRecor
         SimRng::new(37).fork(trace.name()),
         move |rng| trace.sample_truncated(rng),
     );
-    let plans = plans_from_schedule(&schedule, protocol);
-    let opts = RunOptions {
-        host_pairs: 12,
-        grace: SimDuration::from_secs(60),
-        seed: 41,
-        trace_bin_ns: None,
-        min_rto: None,
-    };
-    run_dumbbell(&spec, &plans, &opts).records
+    let flows = schedule_flows(&schedule, 12, |_| protocol);
+    let (topology, grace) = (Topology::Dumbbell(spec), SimDuration::from_secs(60));
+    let case = CaseSpec::new(41, topology, flows, grace);
+    run_figure(&case).completed_records()
 }
 
 /// Render Fig. 11(a,b,c).

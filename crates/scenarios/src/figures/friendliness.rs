@@ -8,7 +8,8 @@
 use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
-use crate::runner::{plans_alternating, plans_from_schedule, run_dumbbell, RunOptions};
+use crate::runner::schedule_flows;
+use crate::simcheck::{run_figure, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -41,32 +42,33 @@ fn mean_fct(records: &[transport::FlowRecord], censored: usize) -> f64 {
 
 /// One (scheme, utilization) point: (x, y) as defined above.
 pub fn point(protocol: Protocol, utilization: f64, scale: Scale) -> (f64, f64) {
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
     let horizon =
         SimTime::ZERO + scale.pick(SimDuration::from_secs(200), SimDuration::from_secs(30));
     let srng = SimRng::new(61).fork_indexed("friendly", (utilization * 1000.0) as u64);
     let schedule = Schedule::fixed_size(spec.bottleneck_rate, 100_000, utilization, horizon, srng);
-    let opts = RunOptions {
-        host_pairs: 12,
-        grace: SimDuration::from_secs(60),
-        seed: 67,
-        trace_bin_ns: None,
-        min_rto: None,
+    let run = |scheme: &dyn Fn(usize) -> Protocol| {
+        let flows = schedule_flows(&schedule, 12, scheme);
+        let (topology, grace) = (Topology::Dumbbell(spec.clone()), SimDuration::from_secs(60));
+        run_figure(&CaseSpec::new(67, topology, flows, grace))
     };
-    // Mixed run.
-    let mixed = run_dumbbell(
-        &spec,
-        &plans_alternating(&schedule, Protocol::Tcp, protocol),
-        &opts,
-    );
+    // Mixed run: even-indexed flows TCP, odd-indexed the scheme.
+    let mixed = run(&|i| if i % 2 == 0 { Protocol::Tcp } else { protocol }).completed_records();
     // References under the same schedule.
-    let all_tcp = run_dumbbell(&spec, &plans_from_schedule(&schedule, Protocol::Tcp), &opts);
-    let all_x = run_dumbbell(&spec, &plans_from_schedule(&schedule, protocol), &opts);
+    let all_tcp = run(&|_| Protocol::Tcp);
+    let all_x = run(&|_| protocol);
 
-    let tcp_mixed = mixed.records_for(Protocol::Tcp);
-    let x_mixed = mixed.records_for(protocol);
-    let x_axis = mean_fct(&tcp_mixed, 0) / mean_fct(&all_tcp.records, all_tcp.censored);
-    let y_axis = mean_fct(&x_mixed, 0) / mean_fct(&all_x.records, all_x.censored);
+    let records_for = |p: Protocol| -> Vec<transport::FlowRecord> {
+        mixed
+            .iter()
+            .filter(|r| r.protocol == p.name())
+            .cloned()
+            .collect()
+    };
+    let x_axis = mean_fct(&records_for(Protocol::Tcp), 0)
+        / mean_fct(&all_tcp.completed_records(), all_tcp.censored);
+    let y_axis =
+        mean_fct(&records_for(protocol), 0) / mean_fct(&all_x.completed_records(), all_x.censored);
     (x_axis, y_axis)
 }
 

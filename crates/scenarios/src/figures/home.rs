@@ -6,9 +6,9 @@
 use crate::harness::RunCtx;
 use crate::metrics::fct_ecdf;
 use crate::report::Figure;
-use crate::runner::{run_path, FlowPlan};
+use crate::simcheck::single_path_flow;
 use crate::Protocol;
-use netsim::{SimDuration, SimTime};
+use netsim::SimDuration;
 use transport::sender::FlowRecord;
 use workload::HomeNetwork;
 
@@ -33,14 +33,8 @@ pub fn run(ctx: &RunCtx) -> HomeResults {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, spec)| {
-                    let plan = [FlowPlan {
-                        at: SimTime::ZERO,
-                        bytes: 100_000,
-                        protocol: p,
-                    }];
-                    let (r, _) =
-                        run_path(spec, &plan, 7_000 + i as u64, SimDuration::from_secs(180));
-                    r.into_iter().next()
+                    let grace = SimDuration::from_secs(180);
+                    single_path_flow(spec, p, 100_000, 7_000 + i as u64, grace)
                 })
                 .collect::<Vec<FlowRecord>>()
         },

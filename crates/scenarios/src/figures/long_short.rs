@@ -7,7 +7,8 @@
 use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
-use crate::runner::{run_dumbbell, FlowPlan, RunOptions};
+use crate::runner::round_robin;
+use crate::simcheck::{run_figure, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -54,40 +55,27 @@ fn schedule(utilization: f64, scale: Scale, horizon: SimTime) -> Vec<(SimTime, u
 
 /// (short stats, long stats) for one (protocol, utilization) cell.
 pub fn cell(protocol: Protocol, utilization: f64, scale: Scale) -> (FctStats, FctStats) {
-    let spec = DumbbellSpec::emulab(1);
     let horizon =
         SimTime::ZERO + scale.pick(SimDuration::from_secs(400), SimDuration::from_secs(120));
     let lb = long_bytes(scale);
-    let plans: Vec<FlowPlan> = schedule(utilization, scale, horizon)
-        .into_iter()
-        .map(|(at, bytes)| FlowPlan {
-            at,
-            bytes,
-            protocol: if bytes == lb { Protocol::Tcp } else { protocol },
-        })
-        .collect();
-    let opts = RunOptions {
-        host_pairs: 10,
-        grace: scale.pick(SimDuration::from_secs(400), SimDuration::from_secs(200)),
-        seed: 57,
-        trace_bin_ns: None,
-        min_rto: None,
-    };
-    let out = run_dumbbell(&spec, &plans, &opts);
-    let shorts: Vec<_> = out
-        .records
-        .iter()
-        .filter(|r| r.bytes == 100_000)
-        .cloned()
-        .collect();
-    let longs: Vec<_> = out
-        .records
-        .iter()
-        .filter(|r| r.bytes == lb)
-        .cloned()
-        .collect();
-    let short_started = plans.iter().filter(|p| p.bytes == 100_000).count();
-    let long_started = plans.len() - short_started;
+    let flows = round_robin(
+        schedule(utilization, scale, horizon)
+            .into_iter()
+            .map(|(at, bytes)| {
+                (
+                    at,
+                    bytes,
+                    if bytes == lb { Protocol::Tcp } else { protocol },
+                )
+            }),
+        10,
+    );
+    let short_started = flows.iter().filter(|f| f.bytes == 100_000).count();
+    let long_started = flows.len() - short_started;
+    let grace = scale.pick(SimDuration::from_secs(400), SimDuration::from_secs(200));
+    let topology = Topology::Dumbbell(DumbbellSpec::emulab(10));
+    let records = run_figure(&CaseSpec::new(57, topology, flows, grace)).completed_records();
+    let (shorts, longs): (Vec<_>, Vec<_>) = records.into_iter().partition(|r| r.bytes == 100_000);
     (
         FctStats::from_records(
             &shorts,

@@ -11,42 +11,19 @@
 use crate::harness::RunCtx;
 use crate::metrics::FctStats;
 use crate::report::Figure;
+use crate::simcheck::{run_figure, CaseSpec, FlowSpec, Topology};
 use crate::{Protocol, Scale};
-use baselines::path_cache;
 use netsim::rng::SimRng;
-use netsim::topology::{build_parking_lot, ParkingLotSpec};
-use netsim::{FlowId, SimDuration, SimTime};
-use transport::{Host, TransportSim};
+use netsim::topology::ParkingLotSpec;
+use netsim::{SimDuration, SimTime};
 use workload::PoissonArrivals;
 
 /// Run through-flows of one scheme across a 3-hop parking lot while TCP
 /// cross traffic loads each hop at `cross_util` of its capacity.
 pub fn run_through(protocol: Protocol, cross_util: f64, scale: Scale) -> FctStats {
     let spec = ParkingLotSpec::emulab_like(3);
-    let mut sim = TransportSim::new(0x9a9a);
-    let net = build_parking_lot(&mut sim, &spec, || Box::new(Host::new()));
-
-    // Wire every host.
-    let wire = |sim: &mut TransportSim, hosts: &[netsim::NodeId], egress: &[netsim::LinkId]| {
-        for (&h, &e) in hosts.iter().zip(egress) {
-            sim.with_node_mut::<Host, _>(h, |host, _| host.wire(h, e));
-        }
-    };
-    wire(&mut sim, &net.through_senders, &net.through_egress);
-    wire(
-        &mut sim,
-        &net.through_receivers,
-        &net.through_receiver_egress,
-    );
-    for (ss, rs, ses, res) in &net.cross {
-        wire(&mut sim, ss, ses);
-        wire(&mut sim, rs, res);
-    }
-
     let horizon =
         SimTime::ZERO + scale.pick(SimDuration::from_secs(120), SimDuration::from_secs(30));
-    let cache = path_cache();
-    let mut next_flow = 1u64;
 
     // Build the merged arrival list: (time, hop or through, pair index).
     let root = SimRng::new(4242).fork_indexed("multihop", (cross_util * 1000.0) as u64);
@@ -66,44 +43,42 @@ pub fn run_through(protocol: Protocol, cross_util: f64, scale: Scale) -> FctStat
     arrivals.extend(p.until(horizon).map(|t| (t, None)));
     arrivals.sort_by_key(|&(t, _)| t);
 
+    // Through flows run the scheme under test on the through pairs in turn;
+    // cross traffic is always TCP, on a pair of its own hop.
+    let (n_through, n_cross) = (spec.n_through, spec.n_cross_per_hop);
+    let mut through = vec![false; arrivals.len()];
     let mut through_started = 0usize;
-    for (i, (at, which)) in arrivals.into_iter().enumerate() {
-        sim.run_until(at);
-        let flow = FlowId(next_flow);
-        next_flow += 1;
-        match which {
-            None => {
-                // Through flow under test.
-                let pair = through_started % net.through_senders.len();
-                through_started += 1;
-                let (src, dst) = (net.through_senders[pair], net.through_receivers[pair]);
-                let strategy = protocol.make(&cache, (src, dst));
-                sim.with_node_mut::<Host, _>(src, |h, core| {
-                    h.start_flow(core, flow, dst, 100_000, strategy)
-                });
+    let flows: Vec<FlowSpec> = arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, &(at, which))| {
+            let (pair, protocol) = match which {
+                None => {
+                    through[i] = true;
+                    through_started += 1;
+                    ((through_started - 1) % n_through, protocol)
+                }
+                Some(hop) => (n_through + hop * n_cross + i % n_cross, Protocol::Tcp),
+            };
+            let at_ns = at.as_nanos();
+            FlowSpec {
+                at_ns,
+                bytes: 100_000,
+                protocol,
+                pair,
             }
-            Some(hop) => {
-                // Cross traffic is always TCP.
-                let (ss, rs, _, _) = &net.cross[hop];
-                let pair = i % ss.len();
-                let (src, dst) = (ss[pair], rs[pair]);
-                let strategy = Protocol::Tcp.make(&cache, (src, dst));
-                sim.with_node_mut::<Host, _>(src, |h, core| {
-                    h.start_flow(core, flow, dst, 100_000, strategy)
-                });
-            }
-        }
-    }
-    sim.run_until(horizon + SimDuration::from_secs(30));
-    crate::harness::meter_add(
-        sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-        sim.events_processed(),
-    );
-
-    let mut records = Vec::new();
-    for &h in &net.through_senders {
-        records.extend(sim.node_as::<Host>(h).unwrap().completed().iter().cloned());
-    }
+        })
+        .collect();
+    let last = arrivals.last().map_or(SimTime::ZERO, |&(t, _)| t);
+    let end = horizon + SimDuration::from_secs(30);
+    let (topology, grace) = (Topology::ParkingLot(spec), end.saturating_since(last));
+    let case = CaseSpec::new(0x9a9a, topology, flows, grace);
+    // Flow ids are 1 + arrival index.
+    let records: Vec<_> = run_figure(&case)
+        .records
+        .into_iter()
+        .filter(|r| through[r.flow.0 as usize - 1])
+        .collect();
     FctStats::from_records(
         &records,
         crate::metrics::censored_count(through_started, records.len(), "multihop/through"),
@@ -174,6 +149,19 @@ mod tests {
             hb.mean_ms,
             tcp.mean_ms
         );
+    }
+
+    #[test]
+    fn a_multihop_cell_obeys_the_job_watchdog() {
+        use crate::harness::{run_jobs, Job};
+        let cell = Job::new("multihop/capped", || {
+            run_through(Protocol::Tcp, 0.2, Scale::Quick)
+        });
+        let ctx = RunCtx::new(Scale::Quick);
+        let err = run_jobs(&ctx, vec![cell.with_caps(0, 10_000)])
+            .remove(0)
+            .unwrap_err();
+        assert!(err.message.contains("event-count cap"), "{}", err.message);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 use crate::harness::RunCtx;
 use crate::metrics::{fct_ecdf, retx_ecdf, rtt_count_ecdf};
 use crate::report::Figure;
-use crate::runner::{run_path, FlowPlan};
+use crate::simcheck::single_path_flow;
 use crate::Protocol;
-use netsim::{SimDuration, SimTime};
+use netsim::SimDuration;
 use transport::sender::FlowRecord;
 use workload::planetlab_paths;
 
@@ -96,17 +96,12 @@ pub fn run(ctx: &RunCtx) -> PlanetlabData {
                     Protocol::PLANETLAB
                         .into_iter()
                         .map(|p| {
-                            let plan = [FlowPlan {
-                                at: SimTime::ZERO,
-                                bytes: FLOW_BYTES,
-                                protocol: p,
-                            }];
                             // Same seed per path across schemes: identical
                             // wire-loss draws for the packets each scheme
                             // exposes.
-                            let (recs, _) =
-                                run_path(spec, &plan, 1000 + i as u64, SimDuration::from_secs(180));
-                            (p, recs.into_iter().next())
+                            let seed = 1000 + i as u64;
+                            let grace = SimDuration::from_secs(180);
+                            (p, single_path_flow(spec, p, FLOW_BYTES, seed, grace))
                         })
                         .collect::<Vec<_>>()
                 })

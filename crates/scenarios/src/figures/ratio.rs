@@ -78,12 +78,12 @@ mod tests {
     fn ratio_variants_have_decreasing_overhead() {
         // Direct mechanism check at flow level: proactive copies scale with
         // the configured ratio.
-        use crate::runner::run_single_path_flow;
+        use crate::simcheck::single_path_flow;
         use netsim::topology::PathSpec;
         use netsim::{Rate, SimDuration};
         let spec = PathSpec::clean(Rate::from_mbps(50), SimDuration::from_millis(60));
         let copies = |p: Protocol| {
-            run_single_path_flow(&spec, p, 100_000, 3)
+            single_path_flow(&spec, p, 100_000, 3, SimDuration::from_secs(120))
                 .unwrap()
                 .counters
                 .proactive_retx

@@ -10,10 +10,12 @@
 //! driven by repeated retransmission of the same packets, and every one of
 //! the resulting timeouts is 5x more expensive under the RFC floor.
 
+use crate::figures::feasible::sweep_point;
 use crate::harness::RunCtx;
-use crate::metrics::{FctStats, SweepPoint};
+use crate::metrics::SweepPoint;
 use crate::report::Figure;
-use crate::runner::{plans_from_schedule, run_dumbbell, RunOptions};
+use crate::runner::schedule_flows;
+use crate::simcheck::{run_figure, CaseSpec, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -28,30 +30,19 @@ fn utilizations(scale: Scale) -> Vec<f64> {
 /// One sweep cell: `protocol` at utilization `u` under the given
 /// minimum-RTO floor.
 pub fn point(protocol: Protocol, floor: SimDuration, u: f64, scale: Scale) -> SweepPoint {
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
+    let rate = spec.bottleneck_rate;
     let horizon =
         SimTime::ZERO + scale.pick(SimDuration::from_secs(120), SimDuration::from_secs(40));
     let srng = SimRng::new(42).fork_indexed("sens", (u * 1000.0) as u64);
-    let schedule = Schedule::fixed_size(spec.bottleneck_rate, 100_000, u, horizon, srng);
-    let plans = plans_from_schedule(&schedule, protocol);
-    let opts = RunOptions {
-        host_pairs: 12,
-        grace: SimDuration::from_secs(30),
-        seed: 42 ^ 0x5eed,
-        trace_bin_ns: None,
+    let schedule = Schedule::fixed_size(rate, 100_000, u, horizon, srng);
+    let flows = schedule_flows(&schedule, 12, |_| protocol);
+    let grace = SimDuration::from_secs(30);
+    let case = CaseSpec {
         min_rto: Some(floor),
+        ..CaseSpec::new(42 ^ 0x5eed, Topology::Dumbbell(spec), flows, grace)
     };
-    let out = run_dumbbell(&spec, &plans, &opts);
-    // Normalize by the arrival horizon (the denominator of the
-    // offered load), not the longer drain period.
-    let achieved = (out.bottleneck_tx_bytes as f64 * 8.0)
-        / (spec.bottleneck_rate.as_bps() as f64
-            * horizon.saturating_since(SimTime::ZERO).as_secs_f64());
-    SweepPoint {
-        utilization: u,
-        achieved_utilization: achieved,
-        stats: FctStats::from_records(&out.records, out.censored),
-    }
+    sweep_point(u, rate, horizon, &run_figure(&case))
 }
 
 /// One sweep with a given minimum-RTO floor, one harness job per cell.

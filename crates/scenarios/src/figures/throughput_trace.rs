@@ -6,7 +6,8 @@
 
 use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::runner::{DumbbellRig, RunOptions};
+use crate::runner::round_robin;
+use crate::simcheck::{run_rig, CaseSpec, Selection, Topology};
 use crate::{Protocol, Scale};
 use netsim::topology::DumbbellSpec;
 use netsim::{FlowId, SimDuration, SimTime};
@@ -30,35 +31,37 @@ pub fn panel(shorts: &[(u64, Protocol)], scale: Scale) -> Panel {
 /// [`panel`] plus per-short-flow transmission notes (packets sent, normal
 /// and proactive retransmissions) from the metrics the senders accumulate.
 pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec<String>) {
-    let spec = DumbbellSpec::emulab(1);
-    let opts = RunOptions {
-        host_pairs: 1 + shorts.len(),
-        grace: SimDuration::ZERO,
-        seed: 73,
-        trace_bin_ns: Some(BIN_NS),
-        min_rto: None,
-    };
-    let mut rig = DumbbellRig::new(&spec, &opts);
     let horizon = scale.pick(7u64, 7u64); // 3 s lead-in + 4 s observed
-    let bg_flow = rig.start_flow_now(0, 2_000_000_000, Protocol::Tcp);
-    rig.sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(SHORT_AT_S));
-    let mut short_flows: Vec<(FlowId, String)> = Vec::new();
-    for (i, &(bytes, p)) in shorts.iter().enumerate() {
-        let f = rig.start_flow_now(1 + i, bytes, p);
-        let label = if shorts.len() > 1 {
-            format!("{} short flow{}", p.name(), i + 1)
-        } else {
-            format!("{} short flow", p.name())
-        };
-        short_flows.push((f, label));
-    }
-    rig.sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(horizon));
-    crate::harness::meter_add(
-        rig.sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-        rig.sim.events_processed(),
+                                          // The background TCP flow is flow 1 on pair 0; short flow i is flow
+                                          // 2 + i on pair 1 + i.
+    let background = (SimTime::ZERO, 2_000_000_000, Protocol::Tcp);
+    let at = SimTime::ZERO + SimDuration::from_secs(SHORT_AT_S);
+    let shorts_at = shorts.iter().map(|&(bytes, p)| (at, bytes, p));
+    let flows = round_robin(
+        std::iter::once(background).chain(shorts_at),
+        1 + shorts.len(),
     );
+    let topology = Topology::Dumbbell(DumbbellSpec::emulab(1 + shorts.len()));
+    let observed = SimDuration::from_secs(horizon - SHORT_AT_S);
+    let case = CaseSpec {
+        delivery_bin_ns: Some(BIN_NS),
+        ..CaseSpec::new(73, topology, flows, observed)
+    };
+    let (rig, report) = run_rig(&case, &Selection::full(&case), false);
+    let report = report.judged();
+    let bg_flow = FlowId(1);
+    let short_flows: Vec<(FlowId, String)> = shorts
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, p))| {
+            let label = if shorts.len() > 1 {
+                format!("{} short flow{}", p.name(), i + 1)
+            } else {
+                format!("{} short flow", p.name())
+            };
+            (FlowId(2 + i as u64), label)
+        })
+        .collect();
 
     let mut out: Panel = Vec::new();
     let offset_ms = (SHORT_AT_S * 1000) as f64;
@@ -72,7 +75,7 @@ pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec
     for (flow, label) in
         std::iter::once((bg_flow, "Background Flow".to_string())).chain(short_flows.iter().cloned())
     {
-        for &h in &rig.net.right_hosts {
+        for &(_, h) in rig.pairs() {
             let host = rig.sim.node_as::<Host>(h).unwrap();
             if let Some(tb) = host.timelines.as_ref().and_then(|tl| tl.get(flow)) {
                 out.push((label.clone(), window(tb.as_mbps())));
@@ -84,17 +87,15 @@ pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec
     // FlowRecords — completed short flows only; the background is censored
     // by design).
     let mut notes = Vec::new();
-    for &h in &rig.net.left_hosts {
-        for r in rig.sim.node_as::<Host>(h).unwrap().completed() {
-            if let Some((_, label)) = short_flows.iter().find(|(f, _)| *f == r.flow) {
-                notes.push(format!(
-                    "{label}: {} data packets, {} normal retx, {} proactive retx, {} RTO fires",
-                    r.counters.data_packets_sent,
-                    r.counters.normal_retx,
-                    r.counters.proactive_retx,
-                    r.counters.rto_events
-                ));
-            }
+    for r in &report.records {
+        if let Some((_, label)) = short_flows.iter().find(|(f, _)| *f == r.flow) {
+            notes.push(format!(
+                "{label}: {} data packets, {} normal retx, {} proactive retx, {} RTO fires",
+                r.counters.data_packets_sent,
+                r.counters.normal_retx,
+                r.counters.proactive_retx,
+                r.counters.rto_events
+            ));
         }
     }
     (out, notes)

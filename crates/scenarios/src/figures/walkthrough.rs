@@ -7,14 +7,13 @@
 
 use crate::harness::RunCtx;
 use crate::report::Figure;
+use crate::simcheck::{run_rig, CaseSpec, Selection, Topology};
 use crate::Protocol;
 use netsim::engine::TraceEvent;
 use netsim::loss::LossModel;
-use netsim::topology::{build_path, PathSpec};
+use netsim::topology::PathSpec;
 use netsim::{FlowId, Rate, SimDuration};
-use std::cell::RefCell;
-use std::rc::Rc;
-use transport::{Host, TransportSim};
+use transport::Host;
 
 /// Run the walkthrough and produce (timeline lines, final record).
 pub fn run() -> (Vec<String>, transport::FlowRecord) {
@@ -23,44 +22,33 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
     // first paced segment (ordinal 2) is segment 0 — segment 8 ("packet 9")
     // is ordinal 10.
     spec.loss = LossModel::DropList { ordinals: vec![10] };
+    let bytes = 10 * transport::MSS as u64;
+    let horizon = SimDuration::from_secs(60);
+    let case = CaseSpec {
+        log_arrivals: true,
+        ..CaseSpec::single(11, Topology::Path(spec), Protocol::Halfback, bytes, horizon)
+    };
+    let (rig, report) = run_rig(&case, &Selection::full(&case), true);
+    let report = report.judged();
 
-    let mut sim = TransportSim::new(11);
-    let events: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    let sink = events.clone();
-    let net = build_path(&mut sim, &spec, |_| Box::new(Host::new()));
-    sim.set_tracer(Box::new(move |t, ev| {
-        if let TraceEvent::WireDrop { packet, .. } = ev {
-            sink.borrow_mut().push(format!(
+    let rec = report.records[0].clone();
+    let mut lines: Vec<String> = report
+        .streams
+        .wire
+        .iter()
+        .filter_map(|&(t_ns, ev)| match ev {
+            TraceEvent::WireDrop { packet, .. } => Some(format!(
                 "{:>9.3} ms  WIRE DROP packet #{}",
-                t.as_millis_f64(),
+                t_ns as f64 / 1e6,
                 packet.0
-            ));
-        }
-    }));
-    sim.with_node_mut::<Host, _>(net.sender, |h, _| h.wire(net.sender, net.forward));
-    sim.with_node_mut::<Host, _>(net.receiver, |h, _| {
-        h.wire(net.receiver, net.reverse);
-        h.log_arrivals = true;
-    });
-    let strategy = Protocol::Halfback.make(&baselines::path_cache(), (net.sender, net.receiver));
-    sim.with_node_mut::<Host, _>(net.sender, |h, core| {
-        h.start_flow(
-            core,
-            FlowId(1),
-            net.receiver,
-            10 * transport::MSS as u64,
-            strategy,
-        )
-    });
-    sim.run_to_completion(1_000_000);
-
-    let host = sim.node_as::<Host>(net.sender).unwrap();
-    let rec = host.completed()[0].clone();
-    let mut lines = events.borrow().clone();
+            )),
+            _ => None,
+        })
+        .collect();
     // The receiver-side arrival timeline — the content of the paper's
     // Fig. 3 (which packet arrived when, and whether it was a fresh copy or
     // a ROPR retransmission).
-    let recv = sim.node_as::<Host>(net.receiver).unwrap();
+    let recv = rig.sim.node_as::<Host>(rig.pairs()[0].1).unwrap();
     if let Some(log) = recv.receiver(FlowId(1)).and_then(|c| c.arrivals.as_ref()) {
         for &(t, seg, class) in log {
             lines.push(format!(
@@ -99,8 +87,10 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
 
 /// Render Fig. 3 as a textual timeline with the paper's invariants as
 /// summary notes.
-pub fn figures(_ctx: &RunCtx) -> Vec<Figure> {
-    let (lines, rec) = run();
+pub fn figures(ctx: &RunCtx) -> Vec<Figure> {
+    // One harness job, so the run is metered like every other figure's.
+    let (lines, rec) =
+        crate::harness::parallel_map(ctx, vec![()], |_| "fig3".into(), |_| run()).remove(0);
     let mut fig = Figure::new(
         "fig3",
         "Halfback transmits a 10-packet flow (packet 9's first copy dropped)",
@@ -126,6 +116,19 @@ pub fn figures(_ctx: &RunCtx) -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fig3_is_metered_like_any_figure() {
+        let ctx = RunCtx::new(crate::Scale::Quick);
+        figures(&ctx);
+        let jobs = ctx.take_tally().jobs;
+        assert_eq!(jobs.len(), 1);
+        assert!(
+            jobs[0].events > 0 && jobs[0].virtual_ns > 0,
+            "{:?}",
+            jobs[0]
+        );
+    }
 
     #[test]
     fn walkthrough_matches_paper_fig3() {

@@ -8,7 +8,7 @@
 
 use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::runner::{DumbbellRig, RunOptions};
+use crate::simcheck::{CaseSpec, Rig, Selection, Topology};
 use crate::{Protocol, Scale};
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
@@ -64,17 +64,14 @@ impl WebRun {
 
 /// Drive the web workload for one scheme at one utilization.
 pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
-    let spec = DumbbellSpec::emulab(1);
-    let opts = RunOptions {
-        host_pairs: 8,
-        grace: SimDuration::from_secs(40),
-        seed: 79,
-        trace_bin_ns: None,
-        min_rto: None,
-    };
-    let mut rig = DumbbellRig::new(&spec, &opts);
+    const PAIRS: usize = 8;
+    let spec = DumbbellSpec::emulab(PAIRS);
+    let rate = spec.bottleneck_rate;
+    let grace = SimDuration::from_secs(40);
+    let case = CaseSpec::new(79, Topology::Dumbbell(spec), Vec::new(), grace);
+    let mut rig = Rig::new(&case, &Selection::full(&case), false);
     let bus = completion_bus();
-    for &h in &rig.net.left_hosts.clone() {
+    for (h, _) in rig.pairs().to_vec() {
         rig.sim
             .with_node_mut::<Host, _>(h, |host, _| host.set_bus(bus.clone()));
     }
@@ -92,7 +89,7 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
         })
         .sum::<f64>()
         / corpus.len() as f64;
-    let pages_per_sec = utilization * spec.bottleneck_rate.as_bps() as f64 / (8.0 * mean_page_wire);
+    let pages_per_sec = utilization * rate.as_bps() as f64 / (8.0 * mean_page_wire);
     let mean_gap = SimDuration::from_secs_f64(1.0 / pages_per_sec);
 
     let horizon =
@@ -106,7 +103,14 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
     let mut objects = 0usize;
     let mut rto_objects = 0usize;
     let mut next_pair = 0usize;
-    let hard_stop = horizon + opts.grace;
+    let mut next_flow = 0u64;
+    // Each object is one flow, numbered in start order from 1.
+    let mut start = |rig: &mut Rig, pair: usize, bytes: u64| {
+        next_flow += 1;
+        rig.start(FlowId(next_flow), pair, bytes, protocol);
+        FlowId(next_flow)
+    };
+    let hard_stop = horizon + grace;
 
     loop {
         let now = rig.sim.now();
@@ -125,9 +129,9 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
         if next_arrival <= next_event {
             // Start a page.
             let at = arrivals.pop();
-            rig.sim.run_until(at);
+            rig.run_until(at);
             let page = corpus.pick(&mut rng).clone();
-            let pair = next_pair % opts.host_pairs;
+            let pair = next_pair % PAIRS;
             next_pair += 1;
             let idx = pages.len();
             let mut st = PageState {
@@ -140,7 +144,7 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
             // Fetch the HTML document first; subresources are requested
             // once it arrives.
             if let Some(html_bytes) = st.pending.pop_front() {
-                let f = rig.start_flow_now(pair, html_bytes, protocol);
+                let f = start(&mut rig, pair, html_bytes);
                 flow_page.insert(f, idx);
                 st.in_flight = 1;
             }
@@ -167,7 +171,7 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
                         while pages[idx].in_flight < MAX_CONCURRENT_CONNECTIONS {
                             match pages[idx].pending.pop_front() {
                                 Some(bytes) => {
-                                    let f = rig.start_flow_now(pair, bytes, protocol);
+                                    let f = start(&mut rig, pair, bytes);
                                     flow_page.insert(f, idx);
                                     pages[idx].in_flight += 1;
                                 }
@@ -175,7 +179,7 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
                             }
                         }
                     } else if let Some(bytes) = pages[idx].pending.pop_front() {
-                        let f = rig.start_flow_now(pair, bytes, protocol);
+                        let f = start(&mut rig, pair, bytes);
                         flow_page.insert(f, idx);
                         pages[idx].in_flight += 1;
                     }
@@ -187,10 +191,7 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
         }
     }
 
-    crate::harness::meter_add(
-        rig.sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-        rig.sim.events_processed(),
-    );
+    rig.finish().judged();
     let censored = pages.len() - response_ms.len();
     WebRun {
         response_ms,

@@ -535,10 +535,10 @@ mod tests {
 
     #[test]
     fn caps_of_one_pool_never_reach_another_thread() {
-        use crate::runner::{run_until_checked, DumbbellRig, RunOptions};
+        use crate::simcheck::{CaseSpec, Rig, Selection, Topology};
         use crate::Protocol;
         use netsim::topology::DumbbellSpec;
-        use netsim::{SimDuration, SimTime};
+        use netsim::{FlowId, SimDuration, SimTime};
         use std::sync::Barrier;
 
         const EVENT_CAP: u64 = 1_000;
@@ -560,15 +560,11 @@ mod tests {
             installed.wait();
             // Caught, so a trip here still releases the capped thread.
             let uncapped = catch_unwind(|| {
-                let mut rig = DumbbellRig::new(
-                    &DumbbellSpec::emulab(1),
-                    &RunOptions {
-                        host_pairs: 1,
-                        ..RunOptions::default()
-                    },
-                );
-                rig.start_flow_now(0, 2_000_000, Protocol::Tcp);
-                run_until_checked(&mut rig.sim, SimTime::ZERO + SimDuration::from_secs(30));
+                let topology = Topology::Dumbbell(DumbbellSpec::emulab(1));
+                let case = CaseSpec::new(1, topology, Vec::new(), SimDuration::ZERO);
+                let mut rig = Rig::new(&case, &Selection::full(&case), false);
+                rig.start(FlowId(1), 0, 2_000_000, Protocol::Tcp);
+                rig.run_until(SimTime::ZERO + SimDuration::from_secs(30));
                 rig.sim.events_processed()
             });
             finished.wait();

@@ -3,7 +3,9 @@
 //! One module per figure/table of the paper (see `figures`), built on:
 //!
 //! * [`protocols`] — the scheme registry (all eight schemes + ablations)
-//! * [`runner`] — schedule execution on dumbbells and two-host paths
+//! * [`simcheck`] — the one runner every figure simulation goes through,
+//!   and the oracle battery that judges it
+//! * [`runner`] — watchdog stepping and schedule helpers
 //! * [`harness`] — the parallel job pool the figure modules fan out on
 //! * [`metrics`] — FCT statistics and the feasible-capacity knee detector
 //! * [`report`] — text tables and CSV output

@@ -1,66 +1,74 @@
-//! `repro simcheck`: a deterministic invariant fuzzer with case shrinking.
+//! The one runner every simulation of a figure goes through, and `repro
+//! simcheck`, a deterministic invariant fuzzer with case shrinking.
 //!
-//! Each case is a seeded random scenario — a 1–3 hop chain with random
-//! rates, delays, buffer sizes (sometimes below one MTU, exercising the
-//! oversized-packet admission path), loss models, fault-injection events
-//! and a mix of flows across every evaluated scheme — run end-to-end and
-//! checked against a battery of oracles:
+//! A [`CaseSpec`] is a [`Topology`] — a chain, a two-host path, the Emulab
+//! dumbbell or a parking lot — plus fault events on its bottleneck links
+//! and flows on its endpoint pairs. [`run_case`] builds it, starts the
+//! flows, advances under the job watchdog and judges the run. On every
+//! shape:
 //!
 //! * **conservation** — per-link packet books balance: everything offered is
-//!   either dropped (down-window, queue) or serialized, and everything
+//!   dropped (down-window, queue), serialized or still queued; everything
 //!   serialized (plus duplicates) is lost on the wire, blackholed, dropped
-//!   as corrupt, or delivered. Queues dequeue exactly what they enqueued.
-//! * **transport** — receiver-side byte accounting never exceeds the flow
-//!   size ("ghost bytes"), the sender's cumulative ACK never moves
-//!   backwards or past the flow end (checked live by the hosts with
-//!   [`Host::check_invariants`]), and no packet goes stray.
-//! * **terminal** — every flow reaches a terminal state (completed or
-//!   aborted) before a generous horizon.
+//!   as corrupt, delivered or still propagating; and the links hold in
+//!   flight exactly the packets the engine's arena holds.
+//! * **transport** — no receiver accounts ghost bytes and no cumulative ACK
+//!   moves backwards or past the flow end (both checked live by every
+//!   [`Host`]), no packet goes stray, no router meets an unroutable one.
+//! * **terminal** — every flow is completed or aborted by the deadline. A
+//!   flow still running is *censored*, not a violation, only when its own
+//!   fct-bound floor does not fit between its start and the deadline.
 //! * **drain** — once all flows are terminal, the simulation drains clean:
 //!   no live timers, busy links, or queued packets.
-//! * **delivery** — a flow reported complete by the sender was actually
-//!   delivered in full by the receiver, and the receiver never got more
-//!   payload than the sender transmitted.
-//! * **fct-bound** — no completion time beats the store-and-forward lower
-//!   bound (two round trips plus serialization at the most optimistic
-//!   bottleneck rate the case's fault steps allow).
+//! * **delivery** — a flow the sender reports complete was delivered in
+//!   full by the receiver.
+//! * **fct-bound** — no completion time beats the store-and-forward floor:
+//!   two times the propagation along the flow's route there and back, plus
+//!   its wire bytes at the route's slowest link, at the best rates and
+//!   delays the case's fault steps allow.
 //! * **rto-sanity** — a flow's RTO count is bounded by its length (a
-//!   sender gives up after [`MAX_RTO_RETRIES`] timeouts without progress),
-//!   and is exactly zero for a pristine (loss-free, fault-free,
-//!   well-buffered) single flow.
-//! * **differential** — on pristine RTT-dominated short-flow cases,
-//!   Halfback's FCT does not lose to TCP's by more than a small tolerance
-//!   (the paper's headline claim, checked as an invariant).
+//!   sender gives up after [`MAX_RTO_RETRIES`] timeouts without progress).
 //!
-//! On a violation the case is *shrunk*: flows, then fault events, then hops
-//! are greedily dropped (highest index first, repeated to a fixed point)
-//! while the violation still reproduces, and a one-line `repro simcheck
-//! --seed … --case …` command for the minimal case is emitted together
-//! with a merged flight-recorder trace. Generation, execution, shrinking
-//! and reporting are all pure functions of `(seed, case id)`, so a battery
-//! renders byte-identically for any `--jobs N`.
+//! On chains only, a pristine (loss-free, fault-free, well-buffered) single
+//! flow sees no RTO, no flow aborts on a pristine chain, and the
+//! **differential** holds: on RTT-dominated short flows Halfback does not
+//! lose to TCP beyond a small tolerance (the paper's headline claim as an
+//! invariant; its two reference runs use the same [`Rig`]).
 //!
-//! [`run_case`] is the one runner for a fault-injected chain: `repro chaos`
-//! and `repro trace` describe their paths as hand-written [`CaseSpec`]s and
-//! run through it, so every chaos cell meets the same oracles as a random
-//! case.
+//! `repro chaos` and `repro trace` describe their chains as hand-written
+//! cases, and every figure its dumbbell, path or parking lot: [`run_figure`]
+//! fails a figure's job on the first violation with `oracle <kind>:
+//! <detail>`. Fig. 16 starts flows from inside the run, so it drives the
+//! same [`Rig`] directly.
+//!
+//! The battery draws random 1–3 hop chains: rates, delays, buffers
+//! (sometimes below one MTU), loss models, fault events and flows of every
+//! evaluated scheme. A failing case is *shrunk* — flows, then fault events,
+//! then hops are greedily dropped while the violation reproduces — and a
+//! one-line `repro simcheck --seed … --case …` command is emitted with a
+//! merged flight-recorder trace. Everything is a pure function of `(seed,
+//! case id)`, so a battery renders byte-identically for any `--jobs N`.
 
 use crate::harness::{self, Job, JobPanic, RunCtx};
 use crate::protocols::Protocol;
 use crate::runner::run_until_checked;
 use crate::trace::Streams;
-use baselines::path_cache;
-use netsim::link::LinkSpec;
+use baselines::{path_cache, PathCache};
+use netsim::engine::TraceEvent;
+use netsim::link::{LinkSpec, LinkStats};
 use netsim::loss::LossModel;
 use netsim::rng::SimRng;
 use netsim::router::Router;
-use netsim::{FaultSpec, FlowId, LinkId, NodeId, Rate, SimDuration, SimTime};
+use netsim::topology::{
+    build_dumbbell, build_parking_lot, build_path, DumbbellSpec, ParkingLotSpec, PathSpec,
+};
+use netsim::{FaultSpec, FlowId, LinkId, Node, NodeId, Rate, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
-use transport::trace::FlowEventRecord;
+use transport::trace::{DeliveryTimelines, FlowEventRecord};
 use transport::wire::{flow_wire_bytes, segment_count};
-use transport::{FlowOutcome, FlowRecord, Host, TransportSim, MAX_RTO_RETRIES};
+use transport::{FlowOutcome, FlowRecord, Header, Host, TransportSim, MAX_RTO_RETRIES};
 
 /// Default battery size; `simcheck_batteries_are_byte_identical_across_worker_counts`
 /// runs exactly this many cases at seed 42.
@@ -90,7 +98,7 @@ const FLOW_BYTES: [u64; 8] = [
     1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
 
-/// One hop of the chain: a forward data link and a clean reverse ACK link.
+/// One hop of a chain: a forward data link and a clean reverse ACK link.
 #[derive(Debug, Clone)]
 pub struct HopSpec {
     /// Serialization rate, both directions.
@@ -118,12 +126,43 @@ impl HopSpec {
     }
 }
 
-/// A fault-injection event targeting one forward hop. When the shrinker
-/// removes hops, events on removed hops remap onto the last remaining one,
-/// so shrinking hops never silently discards the fault under test.
+/// The network a case runs on. Each shape is built by its `netsim`
+/// builder in that builder's order, so a figure's node and link ids are
+/// the ones it always had.
+#[derive(Debug, Clone)]
+pub enum Topology {
+    /// `sender → R1 → … → receiver` over these hops, sender side first:
+    /// one endpoint pair.
+    Chain(Vec<HopSpec>),
+    /// A two-host path ([`build_path`]): one endpoint pair.
+    Path(PathSpec),
+    /// The Emulab dumbbell ([`build_dumbbell`]): pair `i` is left host `i`
+    /// to right host `i`.
+    Dumbbell(DumbbellSpec),
+    /// A parking lot ([`build_parking_lot`]): the through pairs first, then
+    /// each hop's cross-traffic pairs in hop order.
+    ParkingLot(ParkingLotSpec),
+}
+
+impl Topology {
+    /// Hops the shrinker may cut: a chain's length, and 1 for every other
+    /// shape (those shrink flows only).
+    pub fn hop_count(&self) -> usize {
+        match self {
+            Topology::Chain(hops) => hops.len(),
+            _ => 1,
+        }
+    }
+}
+
+/// A fault-injection event targeting one forward bottleneck link: a
+/// chain's hop, a path's forward link, the dumbbell's bottleneck, or a
+/// parking-lot hop. When the shrinker removes hops, events on removed hops
+/// remap onto the last remaining one, so shrinking hops never silently
+/// discards the fault under test.
 #[derive(Debug, Clone)]
 pub struct FaultEvent {
-    /// Forward hop index the fault applies to.
+    /// Forward bottleneck index the fault applies to.
     pub hop: usize,
     /// What the fault does.
     pub kind: FaultKind,
@@ -155,15 +194,18 @@ pub enum FaultKind {
 /// One flow of the case's workload.
 #[derive(Debug, Clone)]
 pub struct FlowSpec {
-    /// Start time.
-    pub at_ms: u64,
+    /// Start time, nanoseconds after zero.
+    pub at_ns: u64,
     /// Payload bytes.
     pub bytes: u64,
     /// Transmission scheme.
     pub protocol: Protocol,
+    /// The endpoint pair it runs on: an index into the topology's pairs.
+    pub pair: usize,
 }
 
-/// A fully generated case: pure function of `(seed, id)`.
+/// A fully specified case: for the battery, a pure function of `(seed,
+/// id)`.
 #[derive(Debug, Clone)]
 pub struct CaseSpec {
     /// Battery seed.
@@ -172,8 +214,8 @@ pub struct CaseSpec {
     pub id: u64,
     /// Engine seed for the simulation itself.
     pub engine_seed: u64,
-    /// The chain, sender side first.
-    pub hops: Vec<HopSpec>,
+    /// The network.
+    pub topology: Topology,
     /// Fault events (possibly none).
     pub faults: Vec<FaultEvent>,
     /// Workload, sorted by start time.
@@ -181,6 +223,12 @@ pub struct CaseSpec {
     /// Time after the last flow start by which every flow must be terminal;
     /// the run stops advancing the clock there before it drains.
     pub horizon: SimDuration,
+    /// Minimum-RTO override on every host (sensitivity studies).
+    pub min_rto: Option<SimDuration>,
+    /// Record receiver delivery timelines with this bin width (Fig. 15).
+    pub delivery_bin_ns: Option<u64>,
+    /// Keep a per-packet arrival log at every receiver (Fig. 3).
+    pub log_arrivals: bool,
     /// Test hook: deliberately report a conservation violation whenever at
     /// least one flow and one fault are selected, so the shrinker itself
     /// can be exercised end to end (`tests` only; never set by the CLI
@@ -189,9 +237,50 @@ pub struct CaseSpec {
 }
 
 impl CaseSpec {
+    /// A hand-written case: `flows` on `topology`, no faults, no host
+    /// options. It belongs to no battery, so its `seed` is the engine seed
+    /// and its `id` 0.
+    pub fn new(
+        engine_seed: u64,
+        topology: Topology,
+        flows: Vec<FlowSpec>,
+        horizon: SimDuration,
+    ) -> CaseSpec {
+        CaseSpec {
+            seed: engine_seed,
+            id: 0,
+            engine_seed,
+            topology,
+            faults: Vec::new(),
+            flows,
+            horizon,
+            min_rto: None,
+            delivery_bin_ns: None,
+            log_arrivals: false,
+            break_conservation: false,
+        }
+    }
+
+    /// A hand-written case of one flow of `bytes` from t = 0 on the first
+    /// endpoint pair.
+    pub fn single(
+        engine_seed: u64,
+        topology: Topology,
+        protocol: Protocol,
+        bytes: u64,
+        horizon: SimDuration,
+    ) -> CaseSpec {
+        let flow = FlowSpec {
+            at_ns: 0,
+            bytes,
+            protocol,
+            pair: 0,
+        };
+        CaseSpec::new(engine_seed, topology, vec![flow], horizon)
+    }
+
     /// A hand-written one-hop case with `faults` on that hop: the shape of
-    /// every `repro chaos` cell and `repro trace` path. It belongs to no
-    /// battery, so its `seed` is the engine seed and its `id` 0.
+    /// every `repro chaos` cell and `repro trace` path.
     pub fn one_hop(
         engine_seed: u64,
         hop: HopSpec,
@@ -200,17 +289,11 @@ impl CaseSpec {
         horizon: SimDuration,
     ) -> CaseSpec {
         CaseSpec {
-            seed: engine_seed,
-            id: 0,
-            engine_seed,
-            hops: vec![hop],
             faults: faults
                 .iter()
                 .map(|&kind| FaultEvent { hop: 0, kind })
                 .collect(),
-            flows,
-            horizon,
-            break_conservation: false,
+            ..CaseSpec::new(engine_seed, Topology::Chain(vec![hop]), flows, horizon)
         }
     }
 }
@@ -225,7 +308,7 @@ pub struct Selection {
     pub flows: Vec<usize>,
     /// Indices into [`CaseSpec::faults`].
     pub faults: Vec<usize>,
-    /// Number of leading hops kept (≥ 1).
+    /// Number of leading hops kept (≥ 1; chains only).
     pub hops: usize,
 }
 
@@ -235,7 +318,7 @@ impl Selection {
         Selection {
             flows: (0..spec.flows.len()).collect(),
             faults: (0..spec.faults.len()).collect(),
-            hops: spec.hops.len(),
+            hops: spec.topology.hop_count(),
         }
     }
 }
@@ -277,8 +360,15 @@ pub struct CaseReport {
     pub completed: usize,
     /// Flows that gave up.
     pub aborted: usize,
-    /// The sender's record of every terminal flow, in completion order.
+    /// Flows still running at the deadline whose floor did not fit before
+    /// it (see the terminal oracle).
+    pub censored: usize,
+    /// The senders' records of every terminal flow: pair by pair, each in
+    /// completion order.
     pub records: Vec<FlowRecord>,
+    /// Stats of the topology's forward bottleneck links, in
+    /// [`FaultEvent::hop`] order.
+    pub bottlenecks: Vec<LinkStats>,
     /// Queue drops summed over every link.
     pub queue_drops: u64,
     /// Non-queue losses ([`netsim::link::LinkStats::lost_total`]) summed
@@ -287,6 +377,30 @@ pub struct CaseReport {
     /// The raw flight-recorder streams (empty unless recording was asked
     /// for).
     pub streams: Streams,
+}
+
+impl CaseReport {
+    fn fail(&mut self, kind: &'static str, detail: String) {
+        self.violations.push(Violation { kind, detail });
+    }
+
+    /// The records of flows that completed, in record order.
+    pub fn completed_records(&self) -> Vec<FlowRecord> {
+        self.records
+            .iter()
+            .filter(|r| r.outcome.is_completed())
+            .cloned()
+            .collect()
+    }
+
+    /// This report, or a panic with `oracle <kind>: <detail>` on its first
+    /// violation — what fails a figure's job.
+    pub fn judged(self) -> CaseReport {
+        if let Some(v) = self.violations.first() {
+            panic!("oracle {}: {}", v.kind, v.detail);
+        }
+        self
+    }
 }
 
 /// Generate case `id` of the battery seeded with `seed`. Deterministic and
@@ -365,23 +479,21 @@ pub fn generate_case(seed: u64, id: u64) -> CaseSpec {
     let n_flows = 1 + rng.index(6);
     let mut flows: Vec<FlowSpec> = (0..n_flows)
         .map(|_| FlowSpec {
-            at_ms: rng.index(2000) as u64,
+            at_ns: rng.index(2000) as u64 * 1_000_000,
             bytes: FLOW_BYTES[rng.index(FLOW_BYTES.len())],
             protocol: Protocol::EVALUATED[rng.index(Protocol::EVALUATED.len())],
+            pair: 0,
         })
         .collect();
     // Stable sort: ties keep draw order, so generation stays deterministic.
-    flows.sort_by_key(|f| f.at_ms);
+    flows.sort_by_key(|f| f.at_ns);
 
+    let (engine_seed, horizon) = (rng.next_u64(), SimDuration::from_secs(500));
     CaseSpec {
         seed,
         id,
-        engine_seed: rng.next_u64(),
-        hops,
         faults,
-        flows,
-        horizon: SimDuration::from_secs(500),
-        break_conservation: false,
+        ..CaseSpec::new(engine_seed, Topology::Chain(hops), flows, horizon)
     }
 }
 
@@ -404,100 +516,220 @@ fn apply_fault(fs: FaultSpec, kind: &FaultKind) -> FaultSpec {
     }
 }
 
-/// A built chain topology.
-struct Chain {
-    sender: NodeId,
-    receiver: NodeId,
-    routers: Vec<NodeId>,
-    fwd: Vec<LinkId>,
+/// One link of a route, as the fct-bound floor sees it: its rate, its
+/// one-way delay, and its index among the topology's bottlenecks when
+/// fault events can target it. The way back counts only its delay.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    bps: f64,
+    delay_ns: f64,
+    slot: Option<usize>,
 }
 
-/// Build `sender → R1 → … → receiver` over `hops`, with invariant checking
-/// enabled on both hosts and flight recorders when `record` is set.
-fn build_chain(sim: &mut TransportSim, hops: &[HopSpec], record: bool) -> Chain {
-    let make_host = || {
-        let mut h = Host::new();
-        h.check_invariants = true;
-        if record {
-            h.enable_recorder();
+impl Leg {
+    fn new(rate: Rate, delay: SimDuration, slot: Option<usize>) -> Leg {
+        let (bps, delay_ns) = (rate.as_bps() as f64, delay.as_nanos() as f64);
+        Leg {
+            bps,
+            delay_ns,
+            slot,
         }
-        Box::new(h)
-    };
-    let sender = sim.add_node(make_host());
-    let routers: Vec<NodeId> = (1..hops.len())
-        .map(|_| sim.add_node(Box::<Router>::default()))
-        .collect();
-    let receiver = sim.add_node(make_host());
-    let mut chain = vec![sender];
-    chain.extend(routers.iter().copied());
-    chain.push(receiver);
+    }
 
-    let (mut fwd, mut rev) = (Vec::new(), Vec::new());
-    for (i, h) in hops.iter().enumerate() {
-        let rate = Rate::from_mbps(h.rate_mbps);
-        let delay = SimDuration::from_millis(h.delay_ms);
-        fwd.push(
-            sim.add_link(
-                LinkSpec::drop_tail(chain[i], chain[i + 1], rate, delay, h.buffer_bytes)
-                    .with_loss(h.loss.clone()),
-            ),
-        );
-        rev.push(sim.add_link(LinkSpec::drop_tail(
-            chain[i + 1],
-            chain[i],
-            rate,
-            delay,
-            h.buffer_bytes.max(REVERSE_BUFFER_FLOOR),
-        )));
-    }
-    sim.node_as_mut::<Host>(sender)
-        .unwrap()
-        .wire(sender, fwd[0]);
-    sim.node_as_mut::<Host>(receiver)
-        .unwrap()
-        .wire(receiver, rev[hops.len() - 1]);
-    for (j, &r) in routers.iter().enumerate() {
-        let router = sim.node_as_mut::<Router>(r).unwrap();
-        router.add_route(receiver, fwd[j + 1]);
-        router.add_route(sender, rev[j]);
-    }
-    Chain {
-        sender,
-        receiver,
-        routers,
-        fwd,
+    fn back(delay: SimDuration) -> Leg {
+        let delay_ns = delay.as_nanos() as f64;
+        Leg {
+            bps: f64::INFINITY,
+            delay_ns,
+            slot: None,
+        }
     }
 }
 
-/// Store-and-forward FCT floor in nanoseconds: two round trips (handshake,
-/// then last byte out and final ACK back) plus serialization at the most
-/// optimistic bottleneck rate. Fault steps can *raise* a hop's rate or
-/// *lower* its delay mid-run, so the floor uses each hop's best possible
-/// values under the selected faults.
-fn fct_floor_ns(hops: &[HopSpec], faults: &[&FaultEvent], bytes: u64) -> f64 {
-    let mut d_fwd_ns = 0.0;
-    let mut d_rev_ns = 0.0;
-    let mut bottleneck_mbps = f64::INFINITY;
-    for (i, h) in hops.iter().enumerate() {
-        let mut min_delay_ms = h.delay_ms as f64;
-        let mut max_mbps = h.rate_mbps as f64;
-        for f in faults {
-            if f.hop.min(hops.len() - 1) != i {
-                continue;
+/// A topology built into a simulator.
+struct Net {
+    /// `(sender, receiver)` of every endpoint pair.
+    pairs: Vec<(NodeId, NodeId)>,
+    /// The route of every pair, there and back.
+    routes: Vec<Vec<Leg>>,
+    routers: Vec<NodeId>,
+    /// Forward bottleneck links, in [`FaultEvent::hop`] order.
+    bottlenecks: Vec<LinkId>,
+}
+
+/// Point a host at its egress link.
+fn wire_host(sim: &mut TransportSim, host: NodeId, egress: LinkId) {
+    sim.node_as_mut::<Host>(host).unwrap().wire(host, egress);
+}
+
+/// Build `topology` (a chain cut to its first `hops` hops) with hosts from
+/// `host`, and wire every host to its egress link.
+fn build(
+    sim: &mut TransportSim,
+    topology: &Topology,
+    hops: usize,
+    mut host: impl FnMut() -> Box<dyn Node<Header>>,
+) -> Net {
+    match topology {
+        Topology::Chain(all) => {
+            let hops = &all[..hops.clamp(1, all.len())];
+            let sender = sim.add_node(host());
+            let routers: Vec<NodeId> = (1..hops.len())
+                .map(|_| sim.add_node(Box::<Router>::default()))
+                .collect();
+            let receiver = sim.add_node(host());
+            let mut chain = vec![sender];
+            chain.extend(routers.iter().copied());
+            chain.push(receiver);
+
+            let (mut fwd, mut rev, mut route) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, h) in hops.iter().enumerate() {
+                let rate = Rate::from_mbps(h.rate_mbps);
+                let delay = SimDuration::from_millis(h.delay_ms);
+                fwd.push(
+                    sim.add_link(
+                        LinkSpec::drop_tail(chain[i], chain[i + 1], rate, delay, h.buffer_bytes)
+                            .with_loss(h.loss.clone()),
+                    ),
+                );
+                rev.push(sim.add_link(LinkSpec::drop_tail(
+                    chain[i + 1],
+                    chain[i],
+                    rate,
+                    delay,
+                    h.buffer_bytes.max(REVERSE_BUFFER_FLOOR),
+                )));
+                route.extend([Leg::new(rate, delay, Some(i)), Leg::back(delay)]);
             }
+            wire_host(sim, sender, fwd[0]);
+            wire_host(sim, receiver, rev[hops.len() - 1]);
+            for (j, &r) in routers.iter().enumerate() {
+                let router = sim.node_as_mut::<Router>(r).unwrap();
+                router.add_route(receiver, fwd[j + 1]);
+                router.add_route(sender, rev[j]);
+            }
+            Net {
+                pairs: vec![(sender, receiver)],
+                routes: vec![route],
+                routers,
+                bottlenecks: fwd,
+            }
+        }
+        Topology::Path(spec) => {
+            let net = build_path(sim, spec, |_| host());
+            wire_host(sim, net.sender, net.forward);
+            wire_host(sim, net.receiver, net.reverse);
+            // The path's own fault steps can only speed it up so far.
+            let one_way = SimDuration::from_nanos(spec.rtt.as_nanos() / 2);
+            let steps = &spec.faults;
+            let delay = steps
+                .delay_steps
+                .iter()
+                .map(|s| s.1)
+                .fold(one_way, Ord::min);
+            let rate = steps
+                .rate_steps
+                .iter()
+                .map(|s| s.1)
+                .fold(spec.rate, Ord::max);
+            Net {
+                pairs: vec![(net.sender, net.receiver)],
+                routes: vec![vec![
+                    Leg::new(rate, delay, Some(0)),
+                    Leg::back(spec.rtt - one_way),
+                ]],
+                routers: Vec::new(),
+                bottlenecks: vec![net.forward],
+            }
+        }
+        Topology::Dumbbell(spec) => {
+            let net = build_dumbbell(sim, spec, |_, _| host());
+            let hosts = [&net.left_hosts, &net.right_hosts].into_iter().flatten();
+            let egress = [&net.left_egress, &net.right_egress].into_iter().flatten();
+            for (&h, &e) in hosts.zip(egress) {
+                wire_host(sim, h, e);
+            }
+            let access = Leg::new(spec.access_rate, spec.access_delay, None);
+            let bottleneck = Leg::new(spec.bottleneck_rate, spec.bottleneck_delay, Some(0));
+            let back = Leg::back(spec.access_delay * 2 + spec.bottleneck_delay);
+            let right = net.right_hosts.iter().copied();
+            let pairs: Vec<_> = net.left_hosts.iter().copied().zip(right).collect();
+            Net {
+                routes: vec![vec![access, bottleneck, access, back]; pairs.len()],
+                pairs,
+                routers: vec![net.left_router, net.right_router],
+                bottlenecks: vec![net.bottleneck_lr],
+            }
+        }
+        Topology::ParkingLot(spec) => {
+            let net = build_parking_lot(sim, spec, &mut host);
+            let access = ParkingLotSpec::ACCESS_DELAY;
+            // Hops `first..first + n`, between two access links.
+            let route = |first: usize, n: usize| -> Vec<Leg> {
+                let hop = |h| Leg::new(spec.hop_rate, spec.hop_delay, Some(h));
+                let edge = Leg::new(spec.access_rate, access, None);
+                let back = Leg::back(access * 2 + spec.hop_delay * n as u64);
+                let hops = (first..first + n).map(hop);
+                std::iter::once(edge)
+                    .chain(hops)
+                    .chain([edge, back])
+                    .collect()
+            };
+            let through = (0..spec.n_through).map(|i| {
+                let s = (net.through_senders[i], net.through_egress[i]);
+                let r = (net.through_receivers[i], net.through_receiver_egress[i]);
+                (s, r, route(0, spec.hops))
+            });
+            let cross = net
+                .cross
+                .iter()
+                .enumerate()
+                .flat_map(|(h, (ss, rs, ses, res))| {
+                    (0..ss.len()).map(move |i| ((ss[i], ses[i]), (rs[i], res[i]), h))
+                });
+            let cross = cross.map(|(s, r, h)| (s, r, route(h, 1)));
+            let (mut pairs, mut routes) = (Vec::new(), Vec::new());
+            for ((s, se), (r, re), legs) in through.chain(cross) {
+                wire_host(sim, s, se);
+                wire_host(sim, r, re);
+                pairs.push((s, r));
+                routes.push(legs);
+            }
+            Net {
+                pairs,
+                routes,
+                routers: net.routers,
+                bottlenecks: net.hop_links,
+            }
+        }
+    }
+}
+
+/// Store-and-forward FCT floor in nanoseconds: two times the propagation
+/// along `route` there and back (handshake, then last byte out and final
+/// ACK back) plus the flow's wire bytes at the route's slowest link. Fault
+/// steps can *raise* a link's rate or *lower* its delay mid-run, so the
+/// floor uses each bottleneck's best possible values under `faults`
+/// (spread over `slots` bottlenecks).
+fn fct_floor_ns(route: &[Leg], faults: &[FaultEvent], slots: usize, bytes: u64) -> f64 {
+    let mut delay_ns = 0.0;
+    let mut slowest_bps = f64::INFINITY;
+    for leg in route {
+        let (mut delay, mut bps) = (leg.delay_ns, leg.bps);
+        for f in faults
+            .iter()
+            .filter(|f| Some(f.hop.min(slots - 1)) == leg.slot)
+        {
             match f.kind {
-                FaultKind::DelayStep { ms, .. } => min_delay_ms = min_delay_ms.min(ms as f64),
-                FaultKind::RateStep { mbps, .. } => max_mbps = max_mbps.max(mbps as f64),
+                FaultKind::DelayStep { ms, .. } => delay = delay.min(ms as f64 * 1e6),
+                FaultKind::RateStep { mbps, .. } => bps = bps.max(mbps as f64 * 1e6),
                 _ => {}
             }
         }
-        d_fwd_ns += min_delay_ms * 1e6;
-        // Reverse links never have faults installed, so they keep base delay.
-        d_rev_ns += h.delay_ms as f64 * 1e6;
-        bottleneck_mbps = bottleneck_mbps.min(max_mbps);
+        delay_ns += delay;
+        slowest_bps = slowest_bps.min(bps);
     }
-    let ser_ns = flow_wire_bytes(bytes) as f64 * 8_000.0 / bottleneck_mbps;
-    2.0 * (d_fwd_ns + d_rev_ns) + ser_ns
+    2.0 * delay_ns + flow_wire_bytes(bytes) as f64 * 8e9 / slowest_bps
 }
 
 /// The bounded half of the rto-sanity oracle. Every RTO either follows
@@ -517,290 +749,370 @@ fn rto_sanity(rec: &FlowRecord) -> Option<Violation> {
     })
 }
 
-/// Run a single pristine flow of `protocol` over `hops` and return its FCT
-/// in nanoseconds (None if it did not complete — itself a bug on a clean
-/// path, reported by the caller).
-fn pristine_fct_ns(
-    engine_seed: u64,
-    hops: &[HopSpec],
-    protocol: Protocol,
-    bytes: u64,
-) -> Option<u64> {
-    let mut sim = TransportSim::new(engine_seed);
-    let net = build_chain(&mut sim, hops, false);
-    let cache = path_cache();
-    let strategy = protocol.make(&cache, (net.sender, net.receiver));
-    sim.with_node_mut::<Host, _>(net.sender, |h, core| {
-        h.start_flow(core, FlowId(1), net.receiver, bytes, strategy)
-    });
-    run_until_checked(&mut sim, SimTime::ZERO + SimDuration::from_secs(240));
-    sim.run_to_completion(20_000_000);
-    harness::meter_add(
-        sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-        sim.events_processed(),
-    );
-    let host = sim.node_as::<Host>(net.sender).unwrap();
-    host.completed()
-        .iter()
-        .find(|r| matches!(r.outcome, FlowOutcome::Completed))
-        .map(|r| r.fct.as_nanos())
+/// The wire tracer's events, shared with the tracer closure.
+type WireLog = Rc<RefCell<Vec<(u64, TraceEvent)>>>;
+
+/// One run of a case: its topology built into a simulator, and the flows
+/// started on it so far. [`run_rig`] drives it from the case's schedule; a
+/// figure that starts flows from inside the run drives it directly and
+/// ends with [`Rig::finish`].
+pub struct Rig {
+    /// The simulator.
+    pub sim: TransportSim,
+    net: Net,
+    /// The selected fault events.
+    faults: Vec<FaultEvent>,
+    /// A loss-free, fault-free chain buffered above the first-RTT blast:
+    /// the pristine-only oracles apply.
+    pristine: bool,
+    cache: PathCache,
+    /// Every flow started: id, pair, start time, bytes.
+    started: Vec<(FlowId, usize, SimTime, u64)>,
+    /// The wire tracer's events, when recording.
+    wire: Option<WireLog>,
+}
+
+impl Rig {
+    /// Build `spec`'s topology cut to `sel`, with `sel`'s faults installed,
+    /// the case's host options on every host, and flight recorders plus a
+    /// wire tracer when `record` is set. No flow is started.
+    pub fn new(spec: &CaseSpec, sel: &Selection, record: bool) -> Rig {
+        let faults: Vec<FaultEvent> = sel.faults.iter().map(|&i| spec.faults[i].clone()).collect();
+        let mut sim = TransportSim::new(spec.engine_seed);
+        let host = || -> Box<dyn Node<Header>> {
+            let mut h = Host::new();
+            h.min_rto = spec.min_rto;
+            h.timelines = spec.delivery_bin_ns.map(DeliveryTimelines::new);
+            h.log_arrivals = spec.log_arrivals;
+            if record {
+                h.enable_recorder();
+            }
+            Box::new(h)
+        };
+        let net = build(&mut sim, &spec.topology, sel.hops, host);
+
+        // Install the selected faults, remapped onto the surviving
+        // bottlenecks and merged per link (onto a path's own schedule).
+        let slots = net.bottlenecks.len();
+        for (i, &link) in net.bottlenecks.iter().enumerate() {
+            let base = match &spec.topology {
+                Topology::Path(p) => p.faults.clone(),
+                _ => FaultSpec::none(),
+            };
+            let fs = faults
+                .iter()
+                .filter(|f| f.hop.min(slots - 1) == i)
+                .fold(base, |fs, f| apply_fault(fs, &f.kind));
+            if !fs.is_noop() {
+                sim.set_link_faults(link, fs);
+            }
+        }
+
+        let wire = record.then(|| {
+            let wire = Rc::new(RefCell::new(Vec::new()));
+            let w2 = wire.clone();
+            sim.set_tracer(Box::new(move |at, ev| {
+                w2.borrow_mut().push((at.as_nanos(), *ev));
+            }));
+            wire
+        });
+
+        let pristine = match &spec.topology {
+            Topology::Chain(hops) => {
+                faults.is_empty()
+                    && hops[..sel.hops.clamp(1, hops.len())].iter().all(|h| {
+                        matches!(h.loss, LossModel::None) && h.buffer_bytes >= PRISTINE_BUFFER_BYTES
+                    })
+            }
+            _ => false,
+        };
+        Rig {
+            sim,
+            net,
+            faults,
+            pristine,
+            cache: path_cache(),
+            started: Vec::new(),
+            wire,
+        }
+    }
+
+    /// `(sender, receiver)` of every endpoint pair.
+    pub fn pairs(&self) -> &[(NodeId, NodeId)] {
+        &self.net.pairs
+    }
+
+    /// Start flow `flow` of `bytes` on endpoint pair `pair` now.
+    pub fn start(&mut self, flow: FlowId, pair: usize, bytes: u64, protocol: Protocol) {
+        let (src, dst) = self.net.pairs[pair];
+        let strategy = protocol.make(&self.cache, (src, dst));
+        self.sim.with_node_mut::<Host, _>(src, |h, core| {
+            h.start_flow(core, flow, dst, bytes, strategy)
+        });
+        self.started.push((flow, pair, self.sim.now(), bytes));
+    }
+
+    /// Advance to `until` under the job's watchdog.
+    pub fn run_until(&mut self, until: SimTime) {
+        run_until_checked(&mut self.sim, until);
+    }
+
+    /// End the run at the current instant: credit the job meter with it,
+    /// drain the simulation unless a censored flow still runs, and judge
+    /// what is left with every oracle that holds on any shape.
+    pub fn finish(&mut self) -> CaseReport {
+        let mut report = CaseReport::default();
+        let (sim, net) = (&mut self.sim, &self.net);
+        let deadline = sim.now();
+        harness::meter_add(
+            deadline.saturating_since(SimTime::ZERO).as_nanos(),
+            sim.events_processed(),
+        );
+        let slots = net.bottlenecks.len();
+
+        // Oracle: every flow terminal by the deadline, unless its own floor
+        // does not fit between its start and the deadline.
+        let mut stuck = 0;
+        for &(flow, pair, at, bytes) in &self.started {
+            let sender = sim.node_as::<Host>(net.pairs[pair].0).unwrap();
+            if sender.sender(flow).is_none() {
+                continue;
+            }
+            let floor = fct_floor_ns(&net.routes[pair], &self.faults, slots, bytes);
+            if floor > deadline.saturating_since(at).as_nanos() as f64 {
+                report.censored += 1;
+            } else {
+                stuck += 1;
+            }
+        }
+        if stuck > 0 {
+            let last = self.started.last().map_or(SimTime::ZERO, |s| s.2);
+            report.fail(
+                "terminal",
+                format!(
+                    "{stuck} flow(s) still not terminal {}s after the last start",
+                    deadline.saturating_since(last).as_secs_f64()
+                ),
+            );
+        }
+        if report.censored == 0 {
+            sim.run_to_completion(50_000_000);
+            // Oracle: clean drain (only meaningful once everything is
+            // terminal — an unfinished flow legitimately still owns timers).
+            if stuck == 0 {
+                let hygiene = sim.hygiene_report();
+                if !hygiene.is_clean() {
+                    report.fail("drain", format!("simulation did not drain: {hygiene}"));
+                }
+            }
+        }
+
+        // Oracle: per-link conservation, offer side and wire side. What a
+        // link still holds is in flight, and the arena must hold exactly
+        // that (nothing, once drained).
+        let mut in_flight = 0i64;
+        for l in 0..sim.link_count() {
+            let link = LinkId(l as u32);
+            let s = sim.link_stats(link);
+            let q = sim.queue_stats(link);
+            report.queue_drops += q.dropped;
+            report.link_lost += s.lost_total();
+            let queued = s.offered as i64 - (s.down_dropped + q.dropped + s.tx_packets) as i64;
+            let propagating = (s.tx_packets + s.duplicated) as i64
+                - (s.wire_lost + s.blackholed + s.corrupt_dropped + s.delivered) as i64;
+            if queued < 0 || propagating < 0 {
+                report.fail(
+                    "conservation",
+                    format!(
+                        "link {l}: more out than in: offered {}, down-dropped {}, queue-dropped {}, \
+                         tx {}, dup {}, wire-lost {}, blackholed {}, corrupt {}, delivered {}",
+                        s.offered, s.down_dropped, q.dropped, s.tx_packets, s.duplicated,
+                        s.wire_lost, s.blackholed, s.corrupt_dropped, s.delivered
+                    ),
+                );
+            }
+            in_flight += queued + propagating;
+        }
+        if in_flight != sim.live_packets() as i64 {
+            report.fail(
+                "conservation",
+                format!(
+                    "the links hold {in_flight} packet(s) in flight, the arena {}",
+                    sim.live_packets()
+                ),
+            );
+        }
+        report.bottlenecks = net.bottlenecks.iter().map(|&l| sim.link_stats(l)).collect();
+
+        // Oracle: live transport invariants (ghost bytes, ACK monotonicity)
+        // plus routing/stray hygiene.
+        for node in net.pairs.iter().flat_map(|&(s, r)| [s, r]) {
+            let host = sim.node_as::<Host>(node).unwrap();
+            let strays =
+                (host.stray_packets > 0).then(|| format!("{} stray packet(s)", host.stray_packets));
+            for b in host.invariant_breaches().iter().cloned().chain(strays) {
+                report.fail("transport", format!("host {}: {b}", node.0));
+            }
+        }
+        for &r in &net.routers {
+            let router = sim.node_as::<Router>(r).unwrap();
+            if router.unroutable() > 0 {
+                report.fail(
+                    "transport",
+                    format!(
+                        "router {}: {} unroutable packet(s)",
+                        r.0,
+                        router.unroutable()
+                    ),
+                );
+            }
+        }
+
+        // Per-flow oracles over the senders' completion records.
+        let single = self.started.len() == 1;
+        for (pair, &(s, r)) in net.pairs.iter().enumerate() {
+            let receiver_host = sim.node_as::<Host>(r).unwrap();
+            for rec in sim.node_as::<Host>(s).unwrap().completed() {
+                report.records.push(rec.clone());
+                let flow = rec.flow;
+                report.violations.extend(rto_sanity(rec));
+                match rec.outcome {
+                    FlowOutcome::Completed => {
+                        report.completed += 1;
+                        let got = receiver_host
+                            .receiver(flow)
+                            .map(|rc| (rc.delivered_bytes, rc.complete_at.is_some()));
+                        if got != Some((rec.bytes, true)) {
+                            let detail = format!(
+                                "flow {flow}: sender reports completion of {} bytes, receiver \
+                                 has (bytes, complete) {got:?}",
+                                rec.bytes
+                            );
+                            report.fail("delivery", detail);
+                        }
+                        let floor = fct_floor_ns(&net.routes[pair], &self.faults, slots, rec.bytes);
+                        if (rec.fct.as_nanos() as f64) < floor * 0.99 {
+                            report.fail(
+                                "fct-bound",
+                                format!(
+                                    "flow {flow}: FCT {:.3}ms beats the store-and-forward \
+                                     floor {:.3}ms",
+                                    rec.fct.as_nanos() as f64 / 1e6,
+                                    floor / 1e6
+                                ),
+                            );
+                        }
+                        if self.pristine && single && rec.counters.rto_events > 0 {
+                            report.fail(
+                                "rto-sanity",
+                                format!(
+                                    "flow {flow}: {} RTO event(s) on a pristine single-flow case",
+                                    rec.counters.rto_events
+                                ),
+                            );
+                        }
+                    }
+                    FlowOutcome::Aborted(_) => {
+                        report.aborted += 1;
+                        if self.pristine {
+                            report.fail(
+                                "delivery",
+                                format!("flow {flow}: aborted on a pristine case"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        if let Some(wire) = &self.wire {
+            let recorded = |nodes: &mut dyn Iterator<Item = NodeId>| -> Vec<FlowEventRecord> {
+                nodes
+                    .filter_map(|n| sim.node_as::<Host>(n).and_then(|h| h.recorder()))
+                    .flat_map(|r| r.events().copied())
+                    .collect()
+            };
+            report.streams = Streams {
+                wire: wire.take(),
+                snd: recorded(&mut net.pairs.iter().map(|p| p.0)),
+                rcv: recorded(&mut net.pairs.iter().map(|p| p.1)),
+            };
+        }
+        report
+    }
+}
+
+/// Build `spec` restricted to `sel`, start its flows on schedule (flow ids
+/// are 1 + original index, so a shrunk case keeps its flow identities),
+/// run to `spec.horizon` after the last start and finish. The rig comes
+/// back too, for callers that read host state after the run.
+pub fn run_rig(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> (Rig, CaseReport) {
+    let mut rig = Rig::new(spec, sel, record_trace);
+    let mut last = SimTime::ZERO;
+    for &fi in &sel.flows {
+        let f = &spec.flows[fi];
+        let at = SimTime::ZERO + SimDuration::from_nanos(f.at_ns);
+        rig.run_until(at);
+        rig.start(FlowId(fi as u64 + 1), f.pair, f.bytes, f.protocol);
+        last = at;
+    }
+    rig.run_until(last + spec.horizon);
+    let report = rig.finish();
+    (rig, report)
+}
+
+/// FCT in nanoseconds of a single clean flow of `protocol` over `hops`
+/// (None if it did not complete — itself a bug on a clean path, reported
+/// by the caller).
+fn reference_fct_ns(seed: u64, hops: &[HopSpec], protocol: Protocol, bytes: u64) -> Option<u64> {
+    let chain = Topology::Chain(hops.to_vec());
+    let case = CaseSpec::single(seed, chain, protocol, bytes, SimDuration::from_secs(240));
+    let (_, report) = run_rig(&case, &Selection::full(&case), false);
+    let first = report.completed_records().into_iter().next();
+    first.map(|r| r.fct.as_nanos())
 }
 
 /// Execute `spec` restricted to `sel` and run the oracle battery.
 pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseReport {
-    let mut report = CaseReport::default();
-    let hops = &spec.hops[..sel.hops.clamp(1, spec.hops.len())];
-    let kept_faults: Vec<&FaultEvent> = sel.faults.iter().map(|&i| &spec.faults[i]).collect();
-
-    let mut sim = TransportSim::new(spec.engine_seed);
-    let net = build_chain(&mut sim, hops, record_trace);
-
-    // Install selected faults, remapped onto the surviving hops and merged
-    // per forward link.
-    for (i, &link) in net.fwd.iter().enumerate() {
-        let mut fs = FaultSpec::none();
-        for f in &kept_faults {
-            if f.hop.min(hops.len() - 1) == i {
-                fs = apply_fault(fs, &f.kind);
-            }
-        }
-        if !fs.is_noop() {
-            sim.set_link_faults(link, fs);
-        }
-    }
-
-    let wire = Rc::new(RefCell::new(Vec::new()));
-    if record_trace {
-        let w2 = wire.clone();
-        sim.set_tracer(Box::new(move |at, ev| {
-            w2.borrow_mut().push((at.as_nanos(), *ev));
-        }));
-    }
-
-    // Start the selected flows in schedule order. Flow ids are
-    // 1 + original index, so a shrunk case keeps its flow identities.
-    let cache = path_cache();
-    let mut last = SimTime::ZERO;
-    for &fi in &sel.flows {
-        let f = &spec.flows[fi];
-        let at = SimTime::ZERO + SimDuration::from_millis(f.at_ms);
-        run_until_checked(&mut sim, at);
-        let strategy = f.protocol.make(&cache, (net.sender, net.receiver));
-        sim.with_node_mut::<Host, _>(net.sender, |h, core| {
-            h.start_flow(core, FlowId(fi as u64 + 1), net.receiver, f.bytes, strategy)
-        });
-        last = at;
-    }
-    run_until_checked(&mut sim, last + spec.horizon);
-
-    // Oracle: all flows terminal by the horizon.
-    let unfinished = sim.node_as::<Host>(net.sender).unwrap().active_senders();
-    if unfinished > 0 {
-        report.violations.push(Violation {
-            kind: "terminal",
-            detail: format!(
-                "{unfinished} flow(s) still not terminal {}s after the last start",
-                spec.horizon.as_secs_f64()
-            ),
-        });
-    }
-    sim.run_to_completion(50_000_000);
-    harness::meter_add(
-        sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-        sim.events_processed(),
-    );
-
-    // Oracle: clean drain (only meaningful once everything is terminal —
-    // an unfinished flow legitimately still owns timers).
-    if unfinished == 0 {
-        let hygiene = sim.hygiene_report();
-        if !hygiene.is_clean() {
-            report.violations.push(Violation {
-                kind: "drain",
-                detail: format!("simulation did not drain: {hygiene}"),
-            });
-        }
-    }
-
-    // Oracle: per-link conservation, offer side and wire side.
-    for l in 0..sim.link_count() {
-        let link = LinkId(l as u32);
-        let s = sim.link_stats(link);
-        let q = sim.queue_stats(link);
-        report.queue_drops += q.dropped;
-        report.link_lost += s.lost_total();
-        if s.offered != s.down_dropped + q.dropped + s.tx_packets {
-            report.violations.push(Violation {
-                kind: "conservation",
-                detail: format!(
-                    "link {l}: offered {} != down-dropped {} + queue-dropped {} + tx {}",
-                    s.offered, s.down_dropped, q.dropped, s.tx_packets
-                ),
-            });
-        }
-        if q.enqueued != q.dequeued {
-            report.violations.push(Violation {
-                kind: "conservation",
-                detail: format!(
-                    "link {l}: queue enqueued {} != dequeued {} after drain",
-                    q.enqueued, q.dequeued
-                ),
-            });
-        }
-        if s.tx_packets + s.duplicated
-            != s.wire_lost + s.blackholed + s.corrupt_dropped + s.delivered
-        {
-            report.violations.push(Violation {
-                kind: "conservation",
-                detail: format!(
-                    "link {l}: tx {} + dup {} != wire-lost {} + blackholed {} + corrupt {} + delivered {}",
-                    s.tx_packets, s.duplicated, s.wire_lost, s.blackholed, s.corrupt_dropped,
-                    s.delivered
-                ),
-            });
-        }
-    }
-
-    // Oracle: live transport invariants (ghost bytes, ACK monotonicity)
-    // plus routing/stray hygiene.
-    for (name, node) in [("sender", net.sender), ("receiver", net.receiver)] {
-        let host = sim.node_as::<Host>(node).unwrap();
-        for b in host.invariant_breaches() {
-            report.violations.push(Violation {
-                kind: "transport",
-                detail: format!("{name}: {b}"),
-            });
-        }
-        if host.stray_packets > 0 {
-            report.violations.push(Violation {
-                kind: "transport",
-                detail: format!("{name}: {} stray packet(s)", host.stray_packets),
-            });
-        }
-    }
-    for &r in &net.routers {
-        let router = sim.node_as::<Router>(r).unwrap();
-        if router.unroutable() > 0 {
-            report.violations.push(Violation {
-                kind: "transport",
-                detail: format!(
-                    "router {}: {} unroutable packet(s)",
-                    r.0,
-                    router.unroutable()
-                ),
-            });
-        }
-    }
-
-    // Pristine cases: no kept faults, no random loss, buffers comfortably
-    // above the first-RTT blast. These admit much sharper oracles.
-    let pristine = kept_faults.is_empty()
-        && hops
-            .iter()
-            .all(|h| matches!(h.loss, LossModel::None) && h.buffer_bytes >= PRISTINE_BUFFER_BYTES);
-
-    // Per-flow oracles over the sender's completion records.
-    report.records = sim
-        .node_as::<Host>(net.sender)
-        .unwrap()
-        .completed()
-        .to_vec();
-    let receiver_host = sim.node_as::<Host>(net.receiver).unwrap();
-    for rec in &report.records {
-        let flow = rec.flow;
-        report.violations.extend(rto_sanity(rec));
-        match rec.outcome {
-            FlowOutcome::Completed => {
-                report.completed += 1;
-                match receiver_host.receiver(flow) {
-                    Some(rc) => {
-                        if rc.complete_at.is_none() || rc.delivered_bytes != rec.bytes {
-                            report.violations.push(Violation {
-                                kind: "delivery",
-                                detail: format!(
-                                    "flow {flow}: sender reports completion but receiver has \
-                                     {}/{} bytes (complete: {})",
-                                    rc.delivered_bytes,
-                                    rec.bytes,
-                                    rc.complete_at.is_some()
-                                ),
-                            });
-                        }
-                    }
-                    None => report.violations.push(Violation {
-                        kind: "delivery",
-                        detail: format!("flow {flow}: completed with no receiver-side state"),
-                    }),
-                }
-                let floor = fct_floor_ns(hops, &kept_faults, rec.bytes);
-                if (rec.fct.as_nanos() as f64) < floor * 0.99 {
-                    report.violations.push(Violation {
-                        kind: "fct-bound",
-                        detail: format!(
-                            "flow {flow}: FCT {:.3}ms beats the store-and-forward floor {:.3}ms",
-                            rec.fct.as_nanos() as f64 / 1e6,
-                            floor / 1e6
-                        ),
-                    });
-                }
-                if pristine && sel.flows.len() == 1 && rec.counters.rto_events > 0 {
-                    report.violations.push(Violation {
-                        kind: "rto-sanity",
-                        detail: format!(
-                            "flow {flow}: {} RTO event(s) on a pristine single-flow case",
-                            rec.counters.rto_events
-                        ),
-                    });
-                }
-            }
-            FlowOutcome::Aborted(_) => {
-                report.aborted += 1;
-                if pristine {
-                    report.violations.push(Violation {
-                        kind: "delivery",
-                        detail: format!("flow {flow}: aborted on a pristine case"),
-                    });
-                }
-            }
-        }
-    }
+    let (rig, mut report) = run_rig(spec, sel, record_trace);
 
     // Differential oracle: on pristine, RTT-dominated short-flow cases,
     // Halfback must not lose to TCP beyond a small tolerance — the paper's
     // claim, demoted to an invariant. Serialization-dominated or large
     // flows are excluded: there the proactive tail legitimately costs
     // extra serialization.
-    if pristine && sel.flows.len() == 1 {
+    if let (true, Topology::Chain(hops)) = (rig.pristine && sel.flows.len() == 1, &spec.topology) {
+        let hops = &hops[..sel.hops.clamp(1, hops.len())];
         let bytes = spec.flows[sel.flows[0]].bytes.min(100_000);
         let rtt_ns = 2.0 * hops.iter().map(|h| h.delay_ms as f64 * 1e6).sum::<f64>();
         let bottleneck = hops.iter().map(|h| h.rate_mbps).min().unwrap() as f64;
         let ser_ns = flow_wire_bytes(bytes) as f64 * 8_000.0 / bottleneck;
         if ser_ns <= rtt_ns {
-            let hb = pristine_fct_ns(spec.engine_seed, hops, Protocol::Halfback, bytes);
-            let tcp = pristine_fct_ns(spec.engine_seed, hops, Protocol::Tcp, bytes);
+            let hb = reference_fct_ns(spec.engine_seed, hops, Protocol::Halfback, bytes);
+            let tcp = reference_fct_ns(spec.engine_seed, hops, Protocol::Tcp, bytes);
             match (hb, tcp) {
                 (Some(hb), Some(tcp)) => {
                     if hb as f64 > tcp as f64 * 1.10 + 10e6 {
-                        report.violations.push(Violation {
-                            kind: "differential",
-                            detail: format!(
+                        report.fail(
+                            "differential",
+                            format!(
                                 "Halfback FCT {:.3}ms > TCP {:.3}ms on a clean \
                                  RTT-dominated path ({bytes} bytes)",
                                 hb as f64 / 1e6,
                                 tcp as f64 / 1e6
                             ),
-                        });
+                        );
                     }
                 }
-                _ => report.violations.push(Violation {
-                    kind: "differential",
-                    detail: format!(
+                _ => report.fail(
+                    "differential",
+                    format!(
                         "a clean-path reference flow failed to complete \
                          (halfback: {}, tcp: {})",
                         hb.is_some(),
                         tcp.is_some()
                     ),
-                }),
+                ),
             }
         }
     }
@@ -809,26 +1121,31 @@ pub fn run_case(spec: &CaseSpec, sel: &Selection, record_trace: bool) -> CaseRep
     // least one flow and one fault to reproduce, so the shrinker has a
     // known fixed point to converge to.
     if spec.break_conservation && !sel.flows.is_empty() && !sel.faults.is_empty() {
-        report.violations.push(Violation {
-            kind: "conservation",
-            detail: "deliberate conservation break (test hook)".to_string(),
-        });
-    }
-
-    if record_trace {
-        let recorded = |node: NodeId| -> Vec<FlowEventRecord> {
-            sim.node_as::<Host>(node)
-                .and_then(|h| h.recorder())
-                .map(|r| r.events().copied().collect())
-                .unwrap_or_default()
-        };
-        report.streams = Streams {
-            wire: wire.take(),
-            snd: recorded(net.sender),
-            rcv: recorded(net.receiver),
-        };
+        report.fail(
+            "conservation",
+            "deliberate conservation break (test hook)".to_string(),
+        );
     }
     report
+}
+
+/// Run the whole of `spec` as a figure does: a violation fails the calling
+/// job with `oracle <kind>: <detail>`.
+pub fn run_figure(spec: &CaseSpec) -> CaseReport {
+    run_case(spec, &Selection::full(spec), false).judged()
+}
+
+/// One flow of `bytes` from t = 0 on a two-host path, run as a figure
+/// does: its record, if it completed within `grace`.
+pub fn single_path_flow(
+    spec: &PathSpec,
+    protocol: Protocol,
+    bytes: u64,
+    seed: u64,
+    grace: SimDuration,
+) -> Option<FlowRecord> {
+    let case = CaseSpec::single(seed, Topology::Path(spec.clone()), protocol, bytes, grace);
+    run_figure(&case).completed_records().into_iter().next()
 }
 
 /// Greedily shrink `sel` while a violation of `kind` still reproduces:
@@ -902,7 +1219,7 @@ pub fn repro_command(spec: &CaseSpec, sel: &Selection) -> String {
     if sel.faults.len() != spec.faults.len() {
         let _ = write!(cmd, " --keep-faults {}", fmt_indices(&sel.faults));
     }
-    if sel.hops != spec.hops.len() {
+    if sel.hops != spec.topology.hop_count() {
         let _ = write!(cmd, " --keep-hops {}", sel.hops);
     }
     cmd
@@ -1125,12 +1442,136 @@ pub fn run_single(spec: &CaseSpec, sel: &Selection) -> SingleOutcome {
 mod tests {
     use super::*;
 
+    /// The route of `pair` in `topology`, as the rig builds it.
+    fn route_of(topology: &Topology, pair: usize) -> Vec<Leg> {
+        let mut sim = TransportSim::new(0);
+        let host = || -> Box<dyn Node<Header>> { Box::new(Host::new()) };
+        let mut net = build(&mut sim, topology, topology.hop_count(), host);
+        net.routes.swap_remove(pair)
+    }
+
+    /// Every shape but the chain, each with an endpoint pair and that
+    /// pair's base round trip, read off the spec rather than the route.
+    fn shapes() -> Vec<(Topology, usize, SimDuration)> {
+        let path = PathSpec::clean(Rate::from_mbps(20), SimDuration::from_millis(50));
+        let dumbbell = DumbbellSpec::emulab(2);
+        let lot = ParkingLotSpec::emulab_like(3);
+        let access = ParkingLotSpec::ACCESS_DELAY * 2;
+        vec![
+            (Topology::Path(path), 0, SimDuration::from_millis(50)),
+            (Topology::Dumbbell(dumbbell.clone()), 1, dumbbell.base_rtt()),
+            // A through pair crosses all three hops, hop 0's first cross
+            // pair only the first.
+            (
+                Topology::ParkingLot(lot.clone()),
+                0,
+                (access + lot.hop_delay * 3) * 2,
+            ),
+            (
+                Topology::ParkingLot(lot.clone()),
+                lot.n_through,
+                (access + lot.hop_delay) * 2,
+            ),
+        ]
+    }
+
+    /// One flow from t = 0 on `pair`.
+    fn one_flow(topology: Topology, pair: usize, protocol: Protocol, bytes: u64) -> CaseSpec {
+        let mut case = CaseSpec::single(7, topology, protocol, bytes, SimDuration::from_secs(60));
+        case.flows[0].pair = pair;
+        case
+    }
+
+    /// A fault that changes nothing a 60 s run sees.
+    fn idle_fault(hop: usize) -> FaultEvent {
+        let kind = FaultKind::Down {
+            start_ms: 100_000 + hop as u64,
+            dur_ms: 1,
+        };
+        FaultEvent { hop, kind }
+    }
+
+    #[test]
+    fn break_hook_fires_and_shrinks_on_every_shape_and_fails_a_figure_job() {
+        for (topology, pair, _) in shapes() {
+            let mut case = one_flow(topology, pair, Protocol::Tcp, 50_000);
+            case.flows.push(case.flows[0].clone());
+            case.flows[1].at_ns = 1_000_000_000;
+            case.faults = vec![idle_fault(0), idle_fault(1)];
+            case.break_conservation = true;
+            let sel = Selection::full(&case);
+            let report = run_case(&case, &sel, false);
+            let kinds: Vec<&str> = report.violations.iter().map(|v| v.kind).collect();
+            assert_eq!(kinds, ["conservation"], "{:?}", case.topology);
+            let shrunk = shrink_case(&case, sel, "conservation");
+            assert_eq!(
+                (shrunk.flows.len(), shrunk.faults.len(), shrunk.hops),
+                (1, 1, 1)
+            );
+
+            // In a figure's job the violation fails the whole map.
+            let ctx = RunCtx::new(crate::Scale::Quick);
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                harness::parallel_map(&ctx, vec![case], |_| "broken".into(), |c| run_figure(&c))
+            }));
+            let message = *failed.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                message.contains("oracle conservation: deliberate"),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn floor_sits_between_two_base_rtts_and_a_clean_halfback_flow() {
+        for (topology, pair, base_rtt) in shapes() {
+            let floor = fct_floor_ns(&route_of(&topology, pair), &[], 1, 100_000);
+            assert!(
+                floor >= 2.0 * base_rtt.as_nanos() as f64,
+                "{topology:?}: {floor}"
+            );
+            let report = run_figure(&one_flow(topology, pair, Protocol::Halfback, 100_000));
+            let fct = report.completed_records()[0].fct.as_nanos() as f64;
+            assert!(
+                floor <= fct,
+                "floor {floor} ns above a clean Halfback flow's {fct} ns"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stranded_short_flow_is_terminal_and_a_long_one_censored() {
+        // A blackhole over the whole run strands a 100 KB flow; its floor
+        // fits many times over before the deadline.
+        let path = PathSpec::clean(Rate::from_mbps(20), SimDuration::from_millis(50));
+        let mut case = one_flow(Topology::Path(path), 0, Protocol::Tcp, 100_000);
+        case.horizon = SimDuration::from_secs(30);
+        let kind = FaultKind::Blackhole {
+            start_ms: 0,
+            dur_ms: 100_000,
+        };
+        case.faults = vec![FaultEvent { hop: 0, kind }];
+        let report = run_case(&case, &Selection::full(&case), false);
+        assert_eq!(report.censored, 0);
+        assert!(
+            report.violations.iter().any(|v| v.kind == "terminal"),
+            "{:?}",
+            report.violations
+        );
+
+        // 2 GB at 15 Mbps needs over 1,000 s: still running at a 60 s
+        // deadline is censored, and the undrained run still balances.
+        let topology = Topology::Dumbbell(DumbbellSpec::emulab(1));
+        let report = run_figure(&one_flow(topology, 0, Protocol::Tcp, 2_000_000_000));
+        assert_eq!((report.censored, report.completed), (1, 0));
+    }
+
     /// Find a case id whose generated spec has at least one fault and two
     /// flows and two hops — a meaty target for the shrinker test.
     fn meaty_case(seed: u64) -> CaseSpec {
         (0..500)
             .map(|id| generate_case(seed, id))
-            .find(|s| s.faults.len() >= 2 && s.flows.len() >= 3 && s.hops.len() >= 2)
+            .find(|s| s.faults.len() >= 2 && s.flows.len() >= 3 && s.topology.hop_count() >= 2)
             .expect("500 cases must contain a meaty one")
     }
 
@@ -1144,11 +1585,10 @@ mod tests {
         assert_ne!(format!("{a:?}"), format!("{c:?}"));
         // The generator covers multi-hop, faulted, and sub-MTU shapes.
         let specs: Vec<CaseSpec> = (0..64).map(|id| generate_case(7, id)).collect();
-        assert!(specs.iter().any(|s| s.hops.len() > 1));
+        assert!(specs.iter().any(|s| s.topology.hop_count() > 1));
         assert!(specs.iter().any(|s| !s.faults.is_empty()));
-        assert!(specs
-            .iter()
-            .any(|s| s.hops.iter().any(|h| h.buffer_bytes < 1500)));
+        assert!(specs.iter().any(|s| matches!(&s.topology,
+            Topology::Chain(hops) if hops.iter().any(|h| h.buffer_bytes < 1500))));
         assert!(specs.iter().any(|s| s.flows.len() > 1));
     }
 
@@ -1275,7 +1715,7 @@ mod tests {
         };
         let cmd = repro_command(&spec, &sel);
         assert!(cmd.contains("--keep-flows none"), "{cmd}");
-        if spec.hops.len() > 1 {
+        if spec.topology.hop_count() > 1 {
             assert!(cmd.contains("--keep-hops 1"), "{cmd}");
         }
     }
@@ -1288,7 +1728,8 @@ mod tests {
             buffer_bytes: 200_000,
             loss: LossModel::None,
         }];
-        let base = fct_floor_ns(&hops, &[], 10_000);
+        let route = &route_of(&Topology::Chain(hops), 0);
+        let base = fct_floor_ns(route, &[], 1, 10_000);
         // A rate step up to 50 Mbps makes the best case much faster…
         let step = FaultEvent {
             hop: 0,
@@ -1297,14 +1738,14 @@ mod tests {
                 mbps: 50,
             },
         };
-        let with_step = fct_floor_ns(&hops, &[&step], 10_000);
+        let with_step = fct_floor_ns(route, std::slice::from_ref(&step), 1, 10_000);
         assert!(with_step < base);
         // …and a delay step down shrinks the floor further.
         let dstep = FaultEvent {
             hop: 0,
             kind: FaultKind::DelayStep { at_ms: 10, ms: 1 },
         };
-        let both = fct_floor_ns(&hops, &[&step, &dstep], 10_000);
+        let both = fct_floor_ns(route, &[step, dstep], 1, 10_000);
         assert!(both < with_step);
     }
 }

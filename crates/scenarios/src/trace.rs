@@ -283,9 +283,10 @@ pub fn run_trace(spec: &TraceSpec) -> Result<TraceOutput, TraceError> {
     let (hop, faults) = path_for(&spec.figure)?;
     let flows = (0..spec.flow)
         .map(|i| FlowSpec {
-            at_ms: i * 500,
+            at_ns: i * 500_000_000,
             bytes: spec.bytes,
             protocol: spec.protocol,
+            pair: 0,
         })
         .collect();
     let case = CaseSpec::one_hop(spec.seed, hop, &faults, flows, SimDuration::from_secs(240));

@@ -226,11 +226,8 @@ pub struct Host {
     pub log_arrivals: bool,
     /// Data packets that arrived for unknown flows (should stay zero).
     pub stray_packets: u64,
-    /// When true, every ACK and data delivery is checked against the
-    /// transport invariants (cumulative-ACK monotonicity, no ghost bytes)
-    /// and violations accumulate in `invariant_breaches`. Off by default so
-    /// the packet hot path pays only a cold branch.
-    pub check_invariants: bool,
+    /// Transport-invariant violations seen on every ACK and data delivery
+    /// (cumulative-ACK monotonicity, no ghost bytes).
     invariant_breaches: Vec<String>,
 }
 
@@ -259,13 +256,12 @@ impl Host {
             min_rto: None,
             log_arrivals: false,
             stray_packets: 0,
-            check_invariants: false,
             invariant_breaches: Vec::new(),
         }
     }
 
     /// Transport-invariant violations observed so far (empty unless
-    /// `check_invariants` is set and something is genuinely broken).
+    /// something is genuinely broken).
     pub fn invariant_breaches(&self) -> &[String] {
         &self.invariant_breaches
     }
@@ -375,17 +371,19 @@ impl Host {
         conn.start(&mut self.core, core);
     }
 
-    fn dispatch_sender<F>(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Header>, f: F)
+    /// Run `f` on `flow`'s sender, if it is still in progress, and drop the
+    /// sender once it is done.
+    fn dispatch_sender<R, F>(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Header>, f: F) -> Option<R>
     where
-        F: FnOnce(&mut SenderConn, &mut HostCore, &mut Ctx<'_, Header>),
+        F: FnOnce(&mut SenderConn, &mut HostCore, &mut Ctx<'_, Header>) -> R,
     {
         // In place (`senders` and `core` are disjoint fields).
-        if let Some(conn) = self.senders.get_mut(flow) {
-            f(conn, &mut self.core, ctx);
-            if conn.is_done() {
-                self.senders.remove(flow);
-            }
+        let conn = self.senders.get_mut(flow)?;
+        let out = f(conn, &mut self.core, ctx);
+        if conn.is_done() {
+            self.senders.remove(flow);
         }
+        Some(out)
     }
 }
 
@@ -403,11 +401,11 @@ impl Host {
     /// receiver endpoints, timer-token routing, retained completion
     /// records — into the checkpoint codec.
     ///
-    /// Configuration knobs (`min_rto`, `log_arrivals`, `check_invariants`,
-    /// record retention, the bus, timelines, the flight recorder) are NOT
-    /// serialized: a restored host is rebuilt from the run configuration
-    /// first, exactly like link structure on the engine side, and only the
-    /// dynamic state is overlaid. Flight-recorder and timeline contents are
+    /// Configuration knobs (`min_rto`, `log_arrivals`, record retention,
+    /// the bus, timelines, the flight recorder) are NOT serialized: a
+    /// restored host is rebuilt from the run configuration first, exactly
+    /// like link structure on the engine side, and only the dynamic state
+    /// is overlaid. Flight-recorder and timeline contents are
     /// diagnostics and do not survive a checkpoint.
     pub fn save(&self, w: &mut SnapWriter) {
         w.magic(SEC_HOST);
@@ -511,18 +509,14 @@ impl Node<Header> for Host {
                         },
                     );
                     ctx.send(self.core.egress, reply);
-                    if self.check_invariants {
-                        let msg = (conn.delivered_bytes > conn.total_bytes()).then(|| {
-                            format!(
-                                "flow {flow}: receiver delivered {} bytes of a {}-byte flow \
-                                 (ghost bytes)",
-                                conn.delivered_bytes,
-                                conn.total_bytes()
-                            )
-                        });
-                        if let Some(m) = msg {
-                            self.breach(m);
-                        }
+                    if conn.delivered_bytes > conn.total_bytes() {
+                        let msg = format!(
+                            "flow {flow}: receiver delivered {} bytes of a {}-byte flow \
+                             (ghost bytes)",
+                            conn.delivered_bytes,
+                            conn.total_bytes()
+                        );
+                        self.breach(msg);
                     }
                 }
                 None => {
@@ -530,28 +524,21 @@ impl Node<Header> for Host {
                 }
             },
             Header::Ack(ref ack) => {
-                let before = if self.check_invariants {
-                    self.senders
-                        .get(flow)
-                        .map(|c| (c.cum_ack(), c.total_segs()))
-                } else {
-                    None
-                };
-                self.dispatch_sender(flow, ctx, |c, sh, ctx| c.handle_ack(sh, ctx, ack));
-                if let Some((before, total_segs)) = before {
-                    // A finished flow is removed from the map; its final
-                    // cumulative ACK equals the flow length by construction.
-                    if let Some(after) = self.senders.get(flow).map(|c| c.cum_ack()) {
-                        if after < before {
-                            self.breach(format!(
-                                "flow {flow}: cumulative ACK moved backwards ({before} -> {after})"
-                            ));
-                        }
-                        if after > total_segs {
-                            self.breach(format!(
-                                "flow {flow}: cumulative ACK {after} beyond flow end {total_segs}"
-                            ));
-                        }
+                let moved = self.dispatch_sender(flow, ctx, |c, sh, ctx| {
+                    let before = c.cum_ack();
+                    c.handle_ack(sh, ctx, ack);
+                    (before, c.cum_ack(), c.total_segs())
+                });
+                if let Some((before, after, total_segs)) = moved {
+                    if after < before {
+                        self.breach(format!(
+                            "flow {flow}: cumulative ACK moved backwards ({before} -> {after})"
+                        ));
+                    }
+                    if after > total_segs {
+                        self.breach(format!(
+                            "flow {flow}: cumulative ACK {after} beyond flow end {total_segs}"
+                        ));
                     }
                 }
             }

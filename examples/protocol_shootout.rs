@@ -10,7 +10,8 @@ use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
 use netsim::{SimDuration, SimTime};
 use scenarios::metrics::FctStats;
-use scenarios::runner::{plans_from_schedule, run_dumbbell, RunOptions};
+use scenarios::runner::schedule_flows;
+use scenarios::simcheck::{run_figure, CaseSpec, Topology};
 use scenarios::Protocol;
 use workload::Schedule;
 
@@ -26,7 +27,7 @@ fn main() {
     let flow_bytes = flow_kb * 1000;
     assert!(utilization > 0.0 && utilization < 1.0);
 
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
     let horizon = SimTime::ZERO + SimDuration::from_secs(60);
     // One shared arrival schedule: every scheme sees identical flows.
     let schedule = Schedule::fixed_size(
@@ -47,9 +48,15 @@ fn main() {
         "scheme", "mean (ms)", "median", "p99", "retx/flow", "pro/flow", "RTOs"
     );
     for p in Protocol::EVALUATED {
-        let plans = plans_from_schedule(&schedule, p);
-        let out = run_dumbbell(&spec, &plans, &RunOptions::default());
-        let s = FctStats::from_records(&out.records, out.censored);
+        let flows = schedule_flows(&schedule, 12, |_| p);
+        let topology = Topology::Dumbbell(spec.clone());
+        let out = run_figure(&CaseSpec::new(
+            1,
+            topology,
+            flows,
+            SimDuration::from_secs(30),
+        ));
+        let s = FctStats::from_records(&out.completed_records(), out.censored);
         println!(
             "{:<12} {:>10.0} {:>10.0} {:>10.0} {:>9.2} {:>9.2} {:>9.2}",
             p.name(),

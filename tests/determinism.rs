@@ -5,12 +5,13 @@ use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
 use netsim::{SimDuration, SimTime};
 use scenarios::figures::{walkthrough, web_response};
-use scenarios::runner::{plans_from_schedule, run_dumbbell, run_path, FlowPlan, RunOptions};
+use scenarios::runner::schedule_flows;
+use scenarios::simcheck::{run_figure, single_path_flow, CaseSpec, Topology};
 use scenarios::{Protocol, Scale};
 use workload::{planetlab_paths, Corpus, Schedule};
 
 fn fingerprint(protocol: Protocol, seed: u64) -> Vec<(u64, u64)> {
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
     let horizon = SimTime::ZERO + SimDuration::from_secs(15);
     let schedule = Schedule::fixed_size(
         spec.bottleneck_rate,
@@ -19,13 +20,15 @@ fn fingerprint(protocol: Protocol, seed: u64) -> Vec<(u64, u64)> {
         horizon,
         SimRng::new(seed),
     );
-    let plans = plans_from_schedule(&schedule, protocol);
-    let opts = RunOptions {
+    let flows = schedule_flows(&schedule, 12, |_| protocol);
+    let case = CaseSpec::new(
         seed,
-        ..Default::default()
-    };
-    run_dumbbell(&spec, &plans, &opts)
-        .records
+        Topology::Dumbbell(spec),
+        flows,
+        SimDuration::from_secs(30),
+    );
+    run_figure(&case)
+        .completed_records()
         .iter()
         .map(|r| (r.fct.as_nanos(), r.counters.data_packets_sent))
         .collect()
@@ -66,19 +69,12 @@ fn path_population_is_stable() {
 fn path_runs_are_reproducible_with_loss() {
     let paths = planetlab_paths(20, 9);
     for (i, spec) in paths.iter().enumerate() {
-        let plan = [FlowPlan {
-            at: SimTime::ZERO,
-            bytes: 100_000,
-            protocol: Protocol::Halfback,
-        }];
-        let (a, ca) = run_path(spec, &plan, 100 + i as u64, SimDuration::from_secs(120));
-        let (b, cb) = run_path(spec, &plan, 100 + i as u64, SimDuration::from_secs(120));
-        assert_eq!(ca, cb);
-        assert_eq!(
-            a.iter().map(|r| r.fct.as_nanos()).collect::<Vec<_>>(),
-            b.iter().map(|r| r.fct.as_nanos()).collect::<Vec<_>>(),
-            "path {i}"
-        );
+        let run = || {
+            let grace = SimDuration::from_secs(120);
+            single_path_flow(spec, Protocol::Halfback, 100_000, 100 + i as u64, grace)
+                .map(|r| r.fct.as_nanos())
+        };
+        assert_eq!(run(), run(), "path {i}");
     }
 }
 

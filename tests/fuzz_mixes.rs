@@ -6,7 +6,8 @@
 use netsim::rng::SimRng;
 use netsim::topology::DumbbellSpec;
 use netsim::{SimDuration, SimTime};
-use scenarios::runner::{run_dumbbell, FlowPlan, RunOptions};
+use scenarios::runner::round_robin;
+use scenarios::simcheck::{run_figure, CaseSpec, Topology};
 use scenarios::Protocol;
 
 const MENU: [Protocol; 10] = [
@@ -23,7 +24,7 @@ const MENU: [Protocol; 10] = [
 ];
 
 /// Arbitrary mixed workloads: everything completes (given generous
-/// grace) and accounting adds up.
+/// grace), accounting adds up, and every oracle holds.
 #[test]
 fn random_mixes_run_clean() {
     let mut gen = SimRng::new(0xF022);
@@ -32,7 +33,6 @@ fn random_mixes_run_clean() {
         let n_flows = 1 + gen.index(39);
         let util_scale = 1 + gen.index(7) as u32; // controls arrival spacing
 
-        let spec = DumbbellSpec::emulab(1);
         let mut rng = SimRng::new(seed);
         let mut at = SimTime::ZERO;
         let mut plans = Vec::with_capacity(n_flows);
@@ -45,21 +45,17 @@ fn random_mixes_run_clean() {
                 _ => 200_000 + rng.index(800_000) as u64,
             };
             let protocol = MENU[rng.index(MENU.len())];
-            plans.push(FlowPlan {
-                at,
-                bytes,
-                protocol,
-            });
+            plans.push((at, bytes, protocol));
         }
-        let opts = RunOptions {
-            host_pairs: 6,
-            grace: SimDuration::from_secs(180),
+        let flows = round_robin(plans.iter().copied(), 6);
+        let topology = Topology::Dumbbell(DumbbellSpec::emulab(6));
+        let out = run_figure(&CaseSpec::new(
             seed,
-            trace_bin_ns: None,
-            min_rto: None,
-        };
-        let out = run_dumbbell(&spec, &plans, &opts);
-        assert_eq!(out.records.len() + out.censored, plans.len(), "case {case}");
+            topology,
+            flows,
+            SimDuration::from_secs(180),
+        ));
+        assert_eq!(out.completed + out.censored, plans.len(), "case {case}");
         // With 180 s of grace at these light loads nothing should be stuck.
         assert_eq!(
             out.censored, 0,
@@ -70,7 +66,7 @@ fn random_mixes_run_clean() {
             assert!(
                 plans
                     .iter()
-                    .any(|p| p.bytes == r.bytes && p.protocol.name() == r.protocol),
+                    .any(|&(_, bytes, p)| bytes == r.bytes && p.name() == r.protocol),
                 "case {case}: record with no matching plan"
             );
             assert!(r.fct.as_nanos() > 0, "case {case}");

@@ -8,12 +8,13 @@ use netsim::{SimDuration, SimTime};
 use scenarios::figures::{bufferbloat, feasible, planetlab, web_response};
 use scenarios::harness::RunCtx;
 use scenarios::metrics::{feasible_capacity, FctStats};
-use scenarios::runner::{plans_from_schedule, run_dumbbell, RunOptions};
+use scenarios::runner::schedule_flows;
+use scenarios::simcheck::{run_figure, CaseSpec, Topology};
 use scenarios::{Protocol, Scale};
 use workload::Schedule;
 
 fn mean_fct_at(protocol: Protocol, utilization: f64, secs: u64) -> FctStats {
-    let spec = DumbbellSpec::emulab(1);
+    let spec = DumbbellSpec::emulab(12);
     let horizon = SimTime::ZERO + SimDuration::from_secs(secs);
     let schedule = Schedule::fixed_size(
         spec.bottleneck_rate,
@@ -22,9 +23,15 @@ fn mean_fct_at(protocol: Protocol, utilization: f64, secs: u64) -> FctStats {
         horizon,
         SimRng::new(42).fork_indexed("claims", (utilization * 1000.0) as u64),
     );
-    let plans = plans_from_schedule(&schedule, protocol);
-    let out = run_dumbbell(&spec, &plans, &RunOptions::default());
-    FctStats::from_records(&out.records, out.censored)
+    let flows = schedule_flows(&schedule, 12, |_| protocol);
+    let case = CaseSpec::new(
+        1,
+        Topology::Dumbbell(spec),
+        flows,
+        SimDuration::from_secs(30),
+    );
+    let out = run_figure(&case);
+    FctStats::from_records(&out.completed_records(), out.censored)
 }
 
 /// §4.2.1 / Fig. 6: at low load, the latency order is

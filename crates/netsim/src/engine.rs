@@ -21,7 +21,7 @@ use crate::node::{Node, TimerId};
 use crate::packet::{
     LinkId, NodeId, Packet, PacketArena, PacketHandle, PacketId, PacketMeta, Payload,
 };
-use crate::queue::{QueueDiscipline, QueueStats, Verdict};
+use crate::queue::{QueueStats, Verdict};
 use crate::rng::SimRng;
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 use crate::time::{SimDuration, SimTime};
@@ -287,7 +287,7 @@ impl<P: Payload> EngineCore<P> {
 
     /// Statistics for a link's queue.
     pub fn queue_stats(&self, link: LinkId) -> QueueStats {
-        self.links[link.0 as usize].queue_stats()
+        self.links[link.0 as usize].queue.stats()
     }
 
     /// Transmission statistics for a link.
@@ -363,30 +363,16 @@ impl<P: Payload + Snap> EngineCore<P> {
 
     /// Serialize the engine's full dynamic state: the scalars above, the
     /// pending event multiset (with in-flight packet bodies inlined in
-    /// place of their arena handles), and per-link busy/stats/loss/queue
-    /// state.
-    ///
-    /// Snapshots refuse links with fault specs or non-drop-tail queues —
-    /// the open-loop service mode runs on clean drop-tail paths, and
-    /// refusing is safer than silently dropping the extra state.
+    /// place of their arena handles), and per link its busy flag, stats,
+    /// current rate and delay, loss cursor, fault cursor and queue. Every
+    /// queue discipline saves what it holds itself, and every topology the
+    /// repo builds can be saved; only sharded partitions are not carried.
     ///
     /// Takes `&mut self` because the event queue is drained to its canonical
     /// `(at, seq)`-sorted form and refilled; the refill is observationally
     /// invisible (pop order depends only on `(at, seq)`), so saving does not
     /// perturb the run.
-    pub fn save_snapshot(&mut self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        for (i, l) in self.links.iter().enumerate() {
-            if l.faults.is_some() {
-                return Err(SnapError::Unsupported(format!(
-                    "link l{i} has fault injection installed (snapshots carry clean links only)"
-                )));
-            }
-            if l.queue.as_drop_tail().is_none() {
-                return Err(SnapError::Unsupported(format!(
-                    "link l{i} uses a non-drop-tail queue (snapshots carry DropTail only)"
-                )));
-            }
-        }
+    pub fn save_snapshot(&mut self, w: &mut SnapWriter) {
         w.magic(SNAP_MAGIC);
         w.u32(SNAP_VERSION);
         w.magic(SEC_ENGINE);
@@ -423,28 +409,30 @@ impl<P: Payload + Snap> EngineCore<P> {
         }
         w.magic(SEC_LINKS);
         w.seq_len(self.links.len());
+        let packets = &self.packets;
         for l in &self.links {
             w.put(&l.busy);
             w.put(&l.stats);
+            // Fault steps move a link's rate and delay.
+            w.put(&l.rate);
+            w.put(&l.delay);
             l.loss.save_cursor(w);
-            let dt = l.queue.as_drop_tail().expect("checked above");
-            w.seq_len(dt.len());
-            for m in dt.queued() {
-                w.put(self.packets.get(m.handle));
+            w.put(&l.faults.is_some());
+            if let Some(f) = &l.faults {
+                f.save_cursor(w);
             }
-            w.put(&dt.stats());
+            l.queue.save(w, &mut |w, m| w.put(packets.get(m.handle)));
         }
-        Ok(())
     }
 
     /// Restore dynamic state saved by [`EngineCore::save_snapshot`] into a
     /// *freshly built* engine whose static topology (nodes, links, queue
-    /// capacities, loss models) was rebuilt by the same code path that
-    /// built the original. In-flight packet bodies get fresh arena slots in
-    /// canonical order — event order, then link queues front-to-back — and
-    /// every handle is rewritten, so arena layout may differ from the
-    /// uninterrupted run (layout is unobservable; handles never leak into
-    /// output).
+    /// capacities, loss models, fault specs) was rebuilt by the same code
+    /// path that built the original. In-flight packet bodies get fresh
+    /// arena slots in canonical order — event order, then link queues
+    /// front-to-back — and every handle is rewritten, so arena layout may
+    /// differ from the uninterrupted run (layout is unobservable; handles
+    /// never leak into output).
     pub fn restore_snapshot(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if self.packets.live() != 0 || self.events.len() != 0 || self.now != SimTime::ZERO {
             return Err(SnapError::Unsupported(
@@ -499,21 +487,28 @@ impl<P: Payload + Snap> EngineCore<P> {
                 self.links.len()
             )));
         }
+        let packets = &mut self.packets;
         for (i, l) in self.links.iter_mut().enumerate() {
             l.busy = r.get()?;
             l.stats = r.get()?;
+            l.rate = r.get()?;
+            l.delay = r.get()?;
             l.loss.load_cursor(r)?;
-            let mut items = Vec::new();
-            for _ in 0..r.seq_len()? {
-                let handle = self.packets.alloc(r.get()?);
-                items.push(self.packets.meta(handle));
+            let faulted: bool = r.get()?;
+            if faulted != l.faults.is_some() {
+                return Err(SnapError::Unsupported(format!(
+                    "link l{i} has fault injection: snapshot {faulted}, rebuilt topology {} \
+                     (config drift?)",
+                    l.faults.is_some()
+                )));
             }
-            l.queue
-                .as_drop_tail_mut()
-                .ok_or_else(|| {
-                    SnapError::Unsupported(format!("rebuilt link l{i} uses a non-drop-tail queue"))
-                })?
-                .restore(items, r.get()?);
+            if let Some(f) = &mut l.faults {
+                f.load_cursor(r)?;
+            }
+            l.queue.load(r, &mut |r| {
+                let h = packets.alloc(r.get()?);
+                Ok(packets.meta(h))
+            })?;
         }
         Ok(())
     }
@@ -581,10 +576,9 @@ pub struct Simulator<P: Payload> {
 impl<P: Payload + Snap> Simulator<P> {
     /// Serialize engine dynamic state into `w`. Node state is *not*
     /// included — hosts save themselves through their own codecs; see
-    /// [`EngineCore::save_snapshot`] for what is carried and what is
-    /// refused.
-    pub fn save_snapshot(&mut self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        self.core.save_snapshot(w)
+    /// [`EngineCore::save_snapshot`] for what is carried.
+    pub fn save_snapshot(&mut self, w: &mut SnapWriter) {
+        self.core.save_snapshot(w);
     }
 
     /// Restore engine dynamic state saved by [`Simulator::save_snapshot`]
@@ -1160,11 +1154,13 @@ mod tests {
         assert_roundtrip(&core.timers);
         assert_roundtrip(&core.link_stats(l));
         assert_roundtrip(&core.queue_stats(l));
-        let queue = core.links[0].queue.as_drop_tail().unwrap();
-        assert!(queue.len() > 0);
-        for m in queue.queued() {
+        let mut queued = 0;
+        let body = &mut |_: &mut SnapWriter, m: &PacketMeta| {
             assert_roundtrip(core.packets.get(m.handle));
-        }
+            queued += 1;
+        };
+        core.links[0].queue.save(&mut SnapWriter::new(), body);
+        assert!(queued > 0);
     }
 
     #[test]

@@ -178,6 +178,15 @@ impl FaultState {
         }
     }
 
+    // The dynamic state an engine snapshot carries: the private RNG
+    // substream and the two step cursors. The spec comes from the topology
+    // rebuild; the rate and delay the steps set travel with the link.
+    crate::snap_fields!(pub(crate) fn save_cursor, load_cursor {
+        rng,
+        next_rate_step,
+        next_delay_step,
+    });
+
     pub(crate) fn is_down(&self, now: SimTime) -> bool {
         self.spec.down.iter().any(|w| w.contains(now))
     }

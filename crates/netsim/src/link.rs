@@ -12,7 +12,7 @@
 use crate::faults::FaultState;
 use crate::loss::{LossModel, LossProcess};
 use crate::packet::NodeId;
-use crate::queue::{DropTail, QueueDiscipline, QueueStats};
+use crate::queue::{DropTail, QueueDiscipline};
 use crate::time::{Rate, SimDuration, SimTime};
 
 /// Configuration for one unidirectional link.
@@ -103,7 +103,7 @@ crate::snap_struct!(LinkStats {
 impl LinkStats {
     /// Packets this link failed to carry for non-queue reasons: wire loss,
     /// fault down-windows, and blackholes. Queue (congestion) drops are
-    /// counted separately in [`QueueStats`].
+    /// counted separately in [`QueueStats`](crate::queue::QueueStats).
     pub fn lost_total(&self) -> u64 {
         self.wire_lost + self.down_dropped + self.blackholed
     }
@@ -111,8 +111,6 @@ impl LinkStats {
 
 /// Runtime state of a link inside the engine.
 pub(crate) struct LinkState {
-    #[allow(dead_code)] // kept for debugging/tracing symmetry with `dst`
-    pub(crate) src: NodeId,
     pub(crate) dst: NodeId,
     pub(crate) rate: Rate,
     pub(crate) delay: SimDuration,
@@ -127,7 +125,6 @@ pub(crate) struct LinkState {
 impl LinkState {
     pub(crate) fn new(spec: LinkSpec) -> Self {
         LinkState {
-            src: spec.src,
             dst: spec.dst,
             rate: spec.rate,
             delay: spec.delay,
@@ -156,9 +153,5 @@ impl LinkState {
     /// Serialization time of a packet of `size` bytes on this link.
     pub(crate) fn tx_time(&self, size: u32) -> SimDuration {
         self.rate.transmission_time(size)
-    }
-
-    pub(crate) fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
     }
 }

@@ -11,10 +11,25 @@
 //! [`PacketArena`](crate::packet::PacketArena), so an enqueue/dequeue cycle
 //! moves four words regardless of payload size, and the disciplines are not
 //! generic over the payload type.
+//!
+//! Each discipline also saves and restores what it holds for an engine
+//! snapshot ([`QueueDiscipline::save`]/[`QueueDiscipline::load`]): its
+//! packets front to back, with whatever it keeps beside each one, and its
+//! counters and control state. The bodies go through closures the engine
+//! passes in, which inline them from the arena and park them again, so a
+//! queue never sees a payload.
 
 use crate::packet::PacketMeta;
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
+
+/// Writes the body of a queued packet into a snapshot (the engine inlines
+/// it from its arena).
+pub type SaveBody<'a> = dyn FnMut(&mut SnapWriter, &PacketMeta) + 'a;
+/// Reads a packet body written by [`SaveBody`], parks it, and returns its
+/// record with a handle that is current in the restored engine.
+pub type LoadBody<'a> = dyn FnMut(&mut SnapReader<'_>) -> Result<PacketMeta, SnapError> + 'a;
 
 /// Statistics kept by every queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,26 +81,16 @@ pub trait QueueDiscipline: std::fmt::Debug {
     fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<PacketMeta>) -> Option<PacketMeta>;
     /// Bytes currently queued.
     fn backlog_bytes(&self) -> u64;
-    /// Packets currently queued.
-    fn len(&self) -> usize;
-    /// True when nothing is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
     /// Statistics snapshot.
     fn stats(&self) -> QueueStats;
-    /// Drop-tail view for the engine snapshot codec. Snapshot v1 only
-    /// carries [`DropTail`] queues; disciplines with extra control state
-    /// (CoDel) keep the default `None` and make a checkpoint attempt fail
-    /// with a clear error instead of silently losing state.
-    fn as_drop_tail(&self) -> Option<&DropTail> {
-        None
-    }
-    /// Mutable drop-tail view for restore (see
-    /// [`QueueDiscipline::as_drop_tail`]).
-    fn as_drop_tail_mut(&mut self) -> Option<&mut DropTail> {
-        None
-    }
+    /// Write everything the queue holds into an engine snapshot: its
+    /// packets front to back, each body through `body`, and its counters
+    /// and control state. Capacity and parameters are configuration and
+    /// come back from the topology rebuild.
+    fn save(&self, w: &mut SnapWriter, body: &mut SaveBody<'_>);
+    /// Overlay state written by [`QueueDiscipline::save`] onto this freshly
+    /// built queue; `body` reads and re-parks each packet.
+    fn load(&mut self, r: &mut SnapReader<'_>, body: &mut LoadBody<'_>) -> Result<(), SnapError>;
 }
 
 /// Byte-limited drop-tail FIFO.
@@ -107,28 +112,6 @@ impl DropTail {
             queue: VecDeque::new(),
             stats: QueueStats::default(),
         }
-    }
-
-    /// Configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    /// Queued records front-to-back, for the engine snapshot codec (the
-    /// packet bodies live in the arena; the codec serializes them inline).
-    pub(crate) fn queued(&self) -> impl Iterator<Item = &PacketMeta> {
-        self.queue.iter()
-    }
-
-    /// Restore queue contents and statistics from a snapshot. `items` must
-    /// be in front-to-back order and carry *current* arena handles (the
-    /// codec re-parks bodies and rewrites handles before calling this).
-    /// Backlog is recomputed from the items; capacity stays whatever the
-    /// topology rebuild configured.
-    pub(crate) fn restore(&mut self, items: Vec<PacketMeta>, stats: QueueStats) {
-        self.backlog_bytes = items.iter().map(|m| m.size as u64).sum();
-        self.queue = items.into();
-        self.stats = stats;
     }
 }
 
@@ -165,33 +148,40 @@ impl QueueDiscipline for DropTail {
         self.backlog_bytes
     }
 
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     fn stats(&self) -> QueueStats {
         self.stats
     }
 
-    fn as_drop_tail(&self) -> Option<&DropTail> {
-        Some(self)
+    fn save(&self, w: &mut SnapWriter, body: &mut SaveBody<'_>) {
+        w.seq_len(self.queue.len());
+        self.queue.iter().for_each(|m| body(w, m));
+        w.put(&self.stats);
     }
 
-    fn as_drop_tail_mut(&mut self) -> Option<&mut DropTail> {
-        Some(self)
+    fn load(&mut self, r: &mut SnapReader<'_>, body: &mut LoadBody<'_>) -> Result<(), SnapError> {
+        self.queue = (0..r.seq_len()?)
+            .map(|_| body(r))
+            .collect::<Result<_, _>>()?;
+        self.backlog_bytes = self.queue.iter().map(|m| m.size as u64).sum();
+        self.stats = r.get()?;
+        Ok(())
     }
 }
 
+/// CoDel's target sojourn time.
+const CODEL_TARGET: SimDuration = SimDuration::from_millis(5);
+/// CoDel's interval: how long the sojourn must stay above target before
+/// dropping starts, and the base of the drop spacing.
+const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
 /// CoDel active queue management (simplified, per the CoDel paper's
 /// pseudocode): packets carry an enqueue timestamp; if the *sojourn time*
-/// of dequeued packets stays above `target` for at least `interval`, CoDel
-/// enters a dropping state, dropping one packet and shrinking the next drop
-/// interval by `1/sqrt(count)`.
+/// of dequeued packets stays above the 5 ms target for at least the 100 ms
+/// interval, CoDel enters a dropping state, dropping one packet and
+/// shrinking the next drop interval by `1/sqrt(count)`.
 #[derive(Debug)]
 pub struct CoDel {
     capacity_bytes: u64,
-    target: SimDuration,
-    interval: SimDuration,
     backlog_bytes: u64,
     queue: VecDeque<(PacketMeta, SimTime)>,
     stats: QueueStats,
@@ -205,20 +195,9 @@ pub struct CoDel {
 impl CoDel {
     /// Create a CoDel queue with the standard 5 ms target / 100 ms interval.
     pub fn new(capacity_bytes: u64) -> Self {
-        Self::with_params(
-            capacity_bytes,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(100),
-        )
-    }
-
-    /// Create a CoDel queue with explicit target sojourn time and interval.
-    pub fn with_params(capacity_bytes: u64, target: SimDuration, interval: SimDuration) -> Self {
         assert!(capacity_bytes > 0, "queue capacity must be positive");
         CoDel {
             capacity_bytes,
-            target,
-            interval,
             backlog_bytes: 0,
             queue: VecDeque::new(),
             stats: QueueStats::default(),
@@ -229,9 +208,19 @@ impl CoDel {
         }
     }
 
+    // Beside the queue and its counters, a snapshot carries the control
+    // state: a restored CoDel picks up mid-episode.
+    crate::snap_fields!(fn save_control, load_control {
+        stats,
+        first_above_time,
+        drop_next,
+        drop_count,
+        dropping,
+    });
+
     fn control_law(&self, t: SimTime) -> SimTime {
         let shrink = (self.drop_count.max(1) as f64).sqrt();
-        t + self.interval.mul_f64(1.0 / shrink)
+        t + CODEL_INTERVAL.mul_f64(1.0 / shrink)
     }
 
     /// Pop head and decide whether its sojourn time keeps us "above target".
@@ -244,11 +233,11 @@ impl CoDel {
             Some((pkt, enq)) => {
                 self.backlog_bytes -= pkt.size as u64;
                 let sojourn = now.saturating_since(enq);
-                if sojourn < self.target || self.backlog_bytes < 1500 {
+                if sojourn < CODEL_TARGET || self.backlog_bytes < 1500 {
                     self.first_above_time = None;
                     (Some(pkt), false)
                 } else {
-                    let fat = *self.first_above_time.get_or_insert(now + self.interval);
+                    let fat = *self.first_above_time.get_or_insert(now + CODEL_INTERVAL);
                     (Some(pkt), now >= fat)
                 }
             }
@@ -301,7 +290,7 @@ impl QueueDiscipline for CoDel {
                 }
             }
         } else if above
-            && (now.saturating_since(self.drop_next) < self.interval || self.drop_count > 0)
+            && (now.saturating_since(self.drop_next) < CODEL_INTERVAL || self.drop_count > 0)
         {
             // Enter dropping state.
             if let Some(victim) = pkt.take() {
@@ -336,12 +325,25 @@ impl QueueDiscipline for CoDel {
         self.backlog_bytes
     }
 
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     fn stats(&self) -> QueueStats {
         self.stats
+    }
+
+    fn save(&self, w: &mut SnapWriter, body: &mut SaveBody<'_>) {
+        w.seq_len(self.queue.len());
+        for (m, enqueued_at) in &self.queue {
+            body(w, m);
+            w.put(enqueued_at);
+        }
+        self.save_control(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>, body: &mut LoadBody<'_>) -> Result<(), SnapError> {
+        self.queue = (0..r.seq_len()?)
+            .map(|_| Ok((body(r)?, r.get()?)))
+            .collect::<Result<_, SnapError>>()?;
+        self.backlog_bytes = self.queue.iter().map(|(m, _)| m.size as u64).sum();
+        self.load_control(r)
     }
 }
 
@@ -495,15 +497,19 @@ mod tests {
             if q.dequeue(t, &mut drops).is_some() {
                 got += 1;
             }
-            if q.is_empty() {
+            if q.backlog_bytes() == 0 {
                 break;
             }
         }
         assert!(q.stats().dropped > 0, "CoDel never dropped: got {got}");
         // Every dequeue-time victim was surrendered to the caller, and the
-        // ledger balances: enqueued = dequeued + dropped + still queued.
+        // ledger balances: enqueued = dequeued + dropped + still queued
+        // (every packet is 1500 bytes).
         assert_eq!(drops.len() as u64, q.stats().dropped);
         let s = q.stats();
-        assert_eq!(s.enqueued, s.dequeued + s.dropped + q.len() as u64);
+        assert_eq!(
+            s.enqueued,
+            s.dequeued + s.dropped + q.backlog_bytes() / 1500
+        );
     }
 }

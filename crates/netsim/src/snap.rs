@@ -52,8 +52,10 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::io::{self, Seek, SeekFrom, Write};
 
-/// Snapshot format version. Bump on ANY layout change.
-pub const SNAP_VERSION: u32 = 3;
+/// Snapshot format version. Bump on ANY layout change. Version 4: each
+/// link carries its rate, delay and fault cursor, and each queue saves
+/// itself.
+pub const SNAP_VERSION: u32 = 4;
 
 /// File-level magic: "HBSN" (Halfback SNapshot).
 pub const SNAP_MAGIC: u32 = 0x4842_534E;
@@ -113,9 +115,9 @@ pub enum SnapError {
         /// The file's actual length.
         actual: u64,
     },
-    /// The snapshot describes state this codec version cannot carry (e.g.
-    /// faulted links, non-drop-tail queues) or that contradicts the
-    /// rebuilt topology.
+    /// The snapshot contradicts the rebuilt topology or configuration
+    /// (config drift, a restore target that already ran), or holds a value
+    /// this build cannot represent.
     Unsupported(String),
 }
 

@@ -10,10 +10,10 @@ use netsim::engine::{Ctx, Simulator};
 use netsim::link::LinkSpec;
 use netsim::loss::LossModel;
 use netsim::node::{Node, TimerId};
-use netsim::queue::{CoDel, DropTail};
+use netsim::queue::{CoDel, DropTail, QueueDiscipline};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::time::{Rate, SimDuration, SimTime};
-use netsim::{FlowId, LinkId, NodeId, Packet};
+use netsim::{FaultSpec, FlowId, LinkId, NodeId, Packet};
 use std::any::Any;
 
 /// Chatty source: every tick it sends a random burst of randomly sized
@@ -89,6 +89,39 @@ impl Node<u64> for Sink {
 /// `kick` arms the chatter's first timer; a rig being restored from a
 /// snapshot must stay inert (the armed timer comes back with the snapshot).
 fn build(seed: u64, kick: bool) -> (Simulator<u64>, NodeId, NodeId, LinkId) {
+    let queue = Box::new(DropTail::new(6000));
+    rig(seed, kick, Rate::from_mbps(2), queue, None)
+}
+
+/// The rig of [`build`] behind a CoDel queue on a 20 Mbps link, which the
+/// chatter (~30 Mbps offered) still overloads: CoDel is dropping long
+/// before 150 ms, and its megabyte never overflows. With `faults`, every
+/// fault kind is installed, active on both sides of a cut at 150 ms.
+fn codel_rig(seed: u64, kick: bool, faults: bool) -> (Simulator<u64>, NodeId, NodeId, LinkId) {
+    let faults = faults.then(|| {
+        FaultSpec::none()
+            .down_window(ms(20), ms(30))
+            .down_window(ms(170), ms(175))
+            .blackhole_window(ms(140), ms(160))
+            .with_reorder(0.2, SimDuration::from_millis(2))
+            .with_duplication(0.05)
+            .with_corruption(0.05)
+            .rate_step(ms(100), Rate::from_mbps(10))
+            .rate_step(ms(200), Rate::from_mbps(25))
+            .delay_step(ms(80), SimDuration::from_millis(8))
+            .delay_step(ms(220), SimDuration::from_millis(3))
+    });
+    let queue = Box::new(CoDel::new(1_000_000));
+    rig(seed, kick, Rate::from_mbps(20), queue, faults)
+}
+
+fn rig(
+    seed: u64,
+    kick: bool,
+    rate: Rate,
+    queue: Box<dyn QueueDiscipline>,
+    faults: Option<FaultSpec>,
+) -> (Simulator<u64>, NodeId, NodeId, LinkId) {
     let mut sim: Simulator<u64> = Simulator::new(seed);
     let a = sim.add_node(Box::new(Chatter {
         out: LinkId(0),
@@ -100,14 +133,17 @@ fn build(seed: u64, kick: bool) -> (Simulator<u64>, NodeId, NodeId, LinkId) {
     let l = sim.add_link(LinkSpec {
         src: a,
         dst: b,
-        rate: Rate::from_mbps(2),
+        rate,
         delay: SimDuration::from_millis(5),
-        queue: Box::new(DropTail::new(6000)),
+        queue,
         loss: LossModel::wifi_bursty(),
     });
     // The chatter captured LinkId(0)/NodeId(1) above; assert the guess held.
     assert_eq!(l, LinkId(0));
     assert_eq!(b, NodeId(1));
+    if let Some(spec) = faults {
+        sim.set_link_faults(l, spec);
+    }
     if kick {
         sim.core().set_timer(a, SimDuration::ZERO, 0);
     }
@@ -130,6 +166,9 @@ struct Observed {
     delivered: u64,
     q_enqueued: u64,
     q_dropped: u64,
+    /// Down-dropped, blackholed, corrupt-marked, corrupt-dropped and
+    /// duplicated packets.
+    faults: [u64; 5],
 }
 
 fn observe(sim: &Simulator<u64>, a: NodeId, b: NodeId, l: LinkId) -> Observed {
@@ -145,6 +184,13 @@ fn observe(sim: &Simulator<u64>, a: NodeId, b: NodeId, l: LinkId) -> Observed {
         delivered: ls.delivered,
         q_enqueued: qs.enqueued,
         q_dropped: qs.dropped,
+        faults: [
+            ls.down_dropped,
+            ls.blackholed,
+            ls.corrupt_marked,
+            ls.corrupt_dropped,
+            ls.duplicated,
+        ],
     }
 }
 
@@ -159,7 +205,7 @@ fn restore_resumes_bit_identically() {
     let (mut first, fa, fb, _fl) = build(42, true);
     first.run_until(ms(60));
     let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w).unwrap();
+    first.save_snapshot(&mut w);
     // Node dynamic state rides alongside the engine snapshot (hosts have
     // their own codecs; the test carries it by hand).
     let chat_sent = first.node_as::<Chatter>(fa).unwrap().sent;
@@ -230,7 +276,7 @@ fn restore_carries_wake_ups_whose_deadline_has_moved() {
     first.run_until(ms(60));
     at_the_stop(&mut first, fa, fb);
     let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w).unwrap();
+    first.save_snapshot(&mut w);
     let bytes = w.into_bytes();
     let chatter = first.node_as::<Chatter>(fa).unwrap();
     let (sent, timer) = (chatter.sent, chatter.timer);
@@ -257,7 +303,7 @@ fn resave_after_restore_is_byte_identical() {
     let (mut first, _a, _b, _l) = build(7, true);
     first.run_until(ms(45));
     let mut w1 = SnapWriter::new();
-    first.save_snapshot(&mut w1).unwrap();
+    first.save_snapshot(&mut w1);
     let bytes1 = w1.into_bytes();
 
     let (mut resumed, _a2, _b2, _l2) = build(7, false);
@@ -265,7 +311,7 @@ fn resave_after_restore_is_byte_identical() {
         .restore_snapshot(&mut SnapReader::new(&bytes1))
         .unwrap();
     let mut w2 = SnapWriter::new();
-    resumed.save_snapshot(&mut w2).unwrap();
+    resumed.save_snapshot(&mut w2);
     assert_eq!(
         bytes1,
         w2.into_bytes(),
@@ -284,29 +330,89 @@ fn saving_does_not_perturb_the_run() {
     for t in [20u64, 40, 60, 80, 100] {
         saved.run_until(ms(t));
         let mut w = SnapWriter::new();
-        saved.save_snapshot(&mut w).unwrap();
+        saved.save_snapshot(&mut w);
     }
     saved.run_until(ms(150));
     assert_eq!(observe(&saved, sa, sb, sl), want);
 }
 
-#[test]
-fn snapshot_refuses_codel_queues() {
-    let mut sim: Simulator<u64> = Simulator::new(1);
-    let a = sim.add_node(Box::new(Sink::default()));
-    let b = sim.add_node(Box::new(Sink::default()));
-    sim.add_link(LinkSpec {
-        src: a,
-        dst: b,
-        rate: Rate::from_mbps(10),
-        delay: SimDuration::from_millis(1),
-        queue: Box::new(CoDel::new(100_000)),
-        loss: LossModel::None,
-    });
+/// Save `sim` at its current instant, with the chatter's and the sink's
+/// state carried by hand beside the engine's.
+struct Saved {
+    engine: Vec<u8>,
+    sent: u64,
+    timer: Option<(TimerId, u64)>,
+    sink: Sink,
+}
+
+fn save(sim: &mut Simulator<u64>, a: NodeId, b: NodeId) -> Saved {
     let mut w = SnapWriter::new();
-    match sim.save_snapshot(&mut w) {
-        Err(SnapError::Unsupported(msg)) => assert!(msg.contains("drop-tail"), "{msg}"),
-        other => panic!("expected Unsupported, got {other:?}"),
+    sim.save_snapshot(&mut w);
+    let chatter = sim.node_as::<Chatter>(a).unwrap();
+    let (sent, timer) = (chatter.sent, chatter.timer);
+    Saved {
+        engine: w.into_bytes(),
+        sent,
+        timer,
+        sink: std::mem::take(sim.node_as_mut::<Sink>(b).unwrap()),
+    }
+}
+
+fn load(sim: &mut Simulator<u64>, a: NodeId, b: NodeId, saved: Saved) {
+    let mut r = SnapReader::new(&saved.engine);
+    sim.restore_snapshot(&mut r).unwrap();
+    assert_eq!(r.remaining(), 0, "snapshot has trailing bytes");
+    let c = sim.node_as_mut::<Chatter>(a).unwrap();
+    (c.sent, c.timer) = (saved.sent, saved.timer);
+    *sim.node_as_mut::<Sink>(b).unwrap() = saved.sink;
+}
+
+#[test]
+fn codel_and_faulted_links_resume_bit_identically() {
+    let cut = ms(150);
+    let (mut reference, ra, rb, rl) = codel_rig(13, true, true);
+    reference.run_until(cut);
+    let at_cut = observe(&reference, ra, rb, rl);
+    reference.run_until(ms(320));
+    let want = observe(&reference, ra, rb, rl);
+    // Every fault kind acted before the cut and after it, and CoDel had
+    // dropped at dequeue (its megabyte never fills) before the cut.
+    assert!(at_cut.q_dropped > 0, "CoDel idle at the cut: {at_cut:?}");
+    for (i, (&before, &after)) in at_cut.faults.iter().zip(&want.faults).enumerate() {
+        assert!(
+            0 < before && before < after,
+            "fault counter {i}: {at_cut:?} {want:?}"
+        );
+    }
+
+    let (mut first, fa, fb, _) = codel_rig(13, true, true);
+    first.run_until(cut);
+    let saved = save(&mut first, fa, fb);
+    let bytes = saved.engine.clone();
+    drop(first);
+    let (mut resumed, a2, b2, l2) = codel_rig(13, false, true);
+    load(&mut resumed, a2, b2, saved);
+    let mut again = SnapWriter::new();
+    resumed.save_snapshot(&mut again);
+    assert!(
+        bytes == again.into_bytes(),
+        "save -> restore -> save must be a fixed point"
+    );
+    resumed.run_until(ms(320));
+    assert_eq!(observe(&resumed, a2, b2, l2), want);
+}
+
+#[test]
+fn restore_refuses_fault_injection_drift() {
+    for saved_with_faults in [true, false] {
+        let (mut first, a, b, _) = codel_rig(17, true, saved_with_faults);
+        first.run_until(ms(50));
+        let saved = save(&mut first, a, b);
+        let (mut fresh, _, _, _) = codel_rig(17, false, !saved_with_faults);
+        match fresh.restore_snapshot(&mut SnapReader::new(&saved.engine)) {
+            Err(SnapError::Unsupported(msg)) => assert!(msg.contains("config drift"), "{msg}"),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
     }
 }
 
@@ -315,7 +421,7 @@ fn restore_refuses_used_simulator() {
     let (mut first, _a, _b, _l) = build(3, true);
     first.run_until(ms(30));
     let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w).unwrap();
+    first.save_snapshot(&mut w);
     let bytes = w.into_bytes();
 
     // `first` has already run; restoring into it must fail.
@@ -330,7 +436,7 @@ fn restore_refuses_link_count_mismatch() {
     let (mut first, _a, _b, _l) = build(5, true);
     first.run_until(ms(30));
     let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w).unwrap();
+    first.save_snapshot(&mut w);
     let bytes = w.into_bytes();
 
     // Fresh sim with an extra link: config drift must be detected.
@@ -358,7 +464,7 @@ fn restore_survives_hostile_bytes() {
     let (mut first, _a, _b, _l) = build(11, true);
     first.run_until(ms(60));
     let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w).unwrap();
+    first.save_snapshot(&mut w);
     let good = w.into_bytes();
     let restore = |bytes: &[u8]| {
         let (mut fresh, _a, _b, _l) = build(11, false);

@@ -1441,6 +1441,8 @@ pub fn run_single(spec: &CaseSpec, sel: &Selection) -> SingleOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::queue::QueueStats;
+    use netsim::snap::{SnapReader, SnapWriter};
 
     /// The route of `pair` in `topology`, as the rig builds it.
     fn route_of(topology: &Topology, pair: usize) -> Vec<Leg> {
@@ -1747,5 +1749,223 @@ mod tests {
         };
         let both = fct_floor_ns(route, &[step, dstep], 1, 10_000);
         assert!(both < with_step);
+    }
+
+    impl Rig {
+        /// What a kill loses: the engine, every pair's two hosts in
+        /// `net.pairs` order, and the TCP-Cache path table.
+        fn save(&mut self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            self.sim.save_snapshot(&mut w);
+            for h in self.net.pairs.iter().flat_map(|&(s, r)| [s, r]) {
+                self.sim.node_as::<Host>(h).unwrap().save(&mut w);
+            }
+            w.put(&*self.cache.borrow());
+            w.into_bytes()
+        }
+
+        /// A fresh build of `spec` under `sel` with `saved` overlaid, and
+        /// this rig's started flows carried over.
+        fn restored(&self, spec: &CaseSpec, sel: &Selection, saved: &[u8]) -> Rig {
+            let mut rig = Rig::new(spec, sel, false);
+            let mut r = SnapReader::new(saved);
+            rig.sim.restore_snapshot(&mut r).unwrap();
+            let (pairs, cache) = (rig.net.pairs.clone(), rig.cache.clone());
+            let mut strategy = |flow: FlowId| {
+                let f = &spec.flows[flow.0 as usize - 1];
+                f.protocol.make(&cache, pairs[f.pair])
+            };
+            for h in pairs.iter().flat_map(|&(s, r)| [s, r]) {
+                let host = rig.sim.node_as_mut::<Host>(h).unwrap();
+                host.load(&mut r, &mut strategy).unwrap();
+            }
+            *rig.cache.borrow_mut() = r.get().unwrap();
+            assert_eq!(r.remaining(), 0, "the restore left bytes unread");
+            rig.started = self.started.clone();
+            rig
+        }
+    }
+
+    /// The bottlenecks' link and queue stats at the cut.
+    type AtCut = Vec<(LinkStats, QueueStats)>;
+
+    /// [`run_rig`] killed at `cut`: there the rig is saved and dropped, and
+    /// a fresh build restored from the save runs the rest of the schedule.
+    fn run_rig_killed(spec: &CaseSpec, sel: &Selection, cut: SimTime) -> (Rig, CaseReport, AtCut) {
+        let mut rig = Rig::new(spec, sel, false);
+        let mut at_cut = None;
+        let mut advance = |rig: &mut Rig, until: SimTime| {
+            if at_cut.is_none() && cut <= until {
+                rig.run_until(cut);
+                let stats = |&l| (rig.sim.link_stats(l), rig.sim.queue_stats(l));
+                at_cut = Some(rig.net.bottlenecks.iter().map(stats).collect());
+                let saved = rig.save();
+                *rig = rig.restored(spec, sel, &saved);
+            }
+            rig.run_until(until);
+        };
+        let mut last = SimTime::ZERO;
+        for &fi in &sel.flows {
+            let f = &spec.flows[fi];
+            let at = SimTime::ZERO + SimDuration::from_nanos(f.at_ns);
+            advance(&mut rig, at);
+            rig.start(FlowId(fi as u64 + 1), f.pair, f.bytes, f.protocol);
+            last = at;
+        }
+        advance(&mut rig, last + spec.horizon);
+        let report = rig.finish();
+        (
+            rig,
+            report,
+            at_cut.expect("the cut falls before the deadline"),
+        )
+    }
+
+    /// A seeded instant in `[from, to]`.
+    fn seeded_cut(salt: u64, from: SimTime, to: SimTime) -> SimTime {
+        let span = to.saturating_since(from).as_nanos();
+        let offset = SimRng::new(salt).fork("cut").next_u64() % (span + 1);
+        from + SimDuration::from_nanos(offset)
+    }
+
+    /// A seeded instant between `from` and the last terminal flow of
+    /// `report`.
+    fn cut_before_last_done(salt: u64, from: SimTime, report: &CaseReport) -> SimTime {
+        let last = report.records.iter().map(|r| r.done_at).max();
+        seeded_cut(salt, from, last.unwrap_or(from))
+    }
+
+    /// Run `spec` whole, and again killed at `cut(whole report)` and
+    /// resumed: the reports (violations, counts, records, bottleneck
+    /// `LinkStats`, queue drops, link losses) and the event counts must
+    /// be equal. Returns the whole run's report and the stats at the cut.
+    fn assert_resume_matches(
+        spec: &CaseSpec,
+        cut: impl FnOnce(&CaseReport) -> SimTime,
+    ) -> (CaseReport, AtCut) {
+        let sel = Selection::full(spec);
+        let (whole, want) = run_rig(spec, &sel, false);
+        let cut = cut(&want);
+        let (resumed, got, at_cut) = run_rig_killed(spec, &sel, cut);
+        let what = format!("case {}/{} cut at {cut}", spec.seed, spec.id);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        let events = |rig: &Rig| rig.sim.events_processed();
+        assert_eq!(events(&resumed), events(&whole), "{what}");
+        (want, at_cut)
+    }
+
+    fn flow(at_ms: u64, bytes: u64, protocol: Protocol, pair: usize) -> FlowSpec {
+        FlowSpec {
+            at_ns: at_ms * 1_000_000,
+            bytes,
+            protocol,
+            pair,
+        }
+    }
+
+    #[test]
+    fn resumed_runs_match_uninterrupted_runs() {
+        let ms = |x: u64| SimTime::ZERO + SimDuration::from_millis(x);
+        for id in 0..DEFAULT_CASES {
+            let spec = generate_case(42, id);
+            let first = SimTime::ZERO + SimDuration::from_nanos(spec.flows[0].at_ns);
+            assert_resume_matches(&spec, |r| cut_before_last_done(id, first, r));
+        }
+
+        // Every fault kind across a cut at 1.5 s: the down and blackhole
+        // windows span it, and a rate and a delay step fall on each side.
+        let faults = [
+            FaultKind::Down {
+                start_ms: 1_400,
+                dur_ms: 200,
+            },
+            FaultKind::Blackhole {
+                start_ms: 1_450,
+                dur_ms: 150,
+            },
+            FaultKind::Reorder {
+                prob: 0.1,
+                max_extra_us: 2_000,
+            },
+            FaultKind::Duplicate { prob: 0.05 },
+            FaultKind::Corrupt { prob: 0.02 },
+            FaultKind::RateStep {
+                at_ms: 1_000,
+                mbps: 5,
+            },
+            FaultKind::RateStep {
+                at_ms: 2_000,
+                mbps: 20,
+            },
+            FaultKind::DelayStep {
+                at_ms: 1_200,
+                ms: 10,
+            },
+            FaultKind::DelayStep {
+                at_ms: 1_800,
+                ms: 30,
+            },
+        ];
+        let flows = Protocol::EVALUATED
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| flow(200 * i as u64, 250_000, p, 0))
+            .collect();
+        let mut hop = HopSpec::clean(10, 20);
+        hop.buffer_bytes = 100_000;
+        let spec = CaseSpec::one_hop(3, hop, &faults, flows, SimDuration::from_secs(500));
+        let (whole, at_cut) = assert_resume_matches(&spec, |_| ms(1_500));
+        let (before, after) = (&at_cut[0].0, &whole.bottlenecks[0]);
+        let counters =
+            |s: &LinkStats| [s.down_dropped, s.blackholed, s.corrupt_marked, s.duplicated];
+        for (i, (b, a)) in counters(before)
+            .into_iter()
+            .zip(counters(after))
+            .enumerate()
+        {
+            assert!(
+                b < a,
+                "fault counter {i} did not move after the cut: {b} -> {a}"
+            );
+        }
+        assert!(counters(before)[2..].iter().all(|&n| n > 0));
+
+        // The aqm figure's CoDel dumbbell: the slow-start overshoot of four
+        // background flows keeps CoDel in its dropping state from ~0.5 s to
+        // ~1.25 s, and the cut falls inside that while the shorts, all
+        // eight schemes, are in flight.
+        let mut dumbbell = DumbbellSpec::emulab_with_buffer(8, 600_000);
+        dumbbell.bottleneck_codel = true;
+        let background = (0..4).map(|i| flow(100 * i, 4_000_000, Protocol::Tcp, i as usize));
+        let shorts = Protocol::EVALUATED
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| flow(400 + 50 * i as u64, 100_000, p, 4 + i % 4));
+        let flows = background.chain(shorts).collect();
+        let horizon = SimDuration::from_secs(60);
+        let spec = CaseSpec::new(89, Topology::Dumbbell(dumbbell), flows, horizon);
+        let (_, at_cut) = assert_resume_matches(&spec, |_| seeded_cut(1, ms(700), ms(1_100)));
+        assert!(at_cut[0].1.dropped > 0, "CoDel had not dropped by the cut");
+
+        // A parking lot with through and cross traffic on every pair.
+        let lot = ParkingLotSpec::emulab_like(3);
+        let pairs = lot.n_through + lot.hops * lot.n_cross_per_hop;
+        let flows = (0..pairs)
+            .map(|p| flow(50 * p as u64, 200_000, Protocol::EVALUATED[p % 8], p))
+            .collect();
+        let spec = CaseSpec::new(5, Topology::ParkingLot(lot), flows, horizon);
+        assert_resume_matches(&spec, |r| cut_before_last_done(2, SimTime::ZERO, r));
+
+        // A path with its own fault steps, on both sides of any cut.
+        let mut path = PathSpec::clean(Rate::from_mbps(20), SimDuration::from_millis(60));
+        path.faults = FaultSpec::none()
+            .rate_step(ms(300), Rate::from_mbps(4))
+            .delay_step(ms(600), SimDuration::from_millis(10))
+            .rate_step(ms(1_500), Rate::from_mbps(30));
+        let flows = (0..4)
+            .map(|i| flow(400 * i, 300_000, Protocol::EVALUATED[2 * i as usize], 0))
+            .collect();
+        let spec = CaseSpec::new(6, Topology::Path(path), flows, horizon);
+        assert_resume_matches(&spec, |r| cut_before_last_done(3, SimTime::ZERO, r));
     }
 }

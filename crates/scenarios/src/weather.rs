@@ -48,9 +48,9 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 5: hosts no longer carry a timer census, flows no longer carry
-/// an initial ssthresh, TCP-Cache neither an age-out nor an entry age.
-const WEATHER_VERSION: u32 = 5;
+/// Version 6: the engine snapshot underneath is version 4 (links carry
+/// their rate, delay and fault cursor; queues save themselves).
+const WEATHER_VERSION: u32 = 6;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 
@@ -412,7 +412,7 @@ fn write_checkpoint(
     w.put(cfg);
     w.magic(SEC_DRIVER);
     w.put(st);
-    sim.save_snapshot(&mut w).map_err(std::io::Error::other)?;
+    sim.save_snapshot(&mut w);
     for &h in net.left_hosts.iter().chain(&net.right_hosts) {
         sim.node_as::<Host>(h)
             .expect("weather rig hosts are Hosts")

@@ -369,6 +369,14 @@ fn v4_checkpoint_is_refused_with_the_version_error() {
     assert_version_refused(4);
 }
 
+/// Version 5 carried no rate, delay or fault cursor per link and a queue
+/// only as a drop-tail FIFO; a version-6 reader would take a link's loss
+/// cursor for its rate.
+#[test]
+fn v5_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(5);
+}
+
 #[test]
 fn resume_refuses_a_csv_shorter_than_the_checkpoint() {
     // windows.csv lost or cut between kill and resume: `set_len` would pad

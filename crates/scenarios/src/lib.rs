@@ -5,7 +5,7 @@
 //! * [`protocols`] — the scheme registry (all eight schemes + ablations)
 //! * [`simcheck`] — the one runner every figure simulation goes through,
 //!   and the oracle battery that judges it
-//! * [`runner`] — watchdog stepping and schedule helpers
+//! * [`runner`] — schedule helpers
 //! * [`harness`] — the parallel job pool the figure modules fan out on
 //! * [`metrics`] — FCT statistics and the feasible-capacity knee detector
 //! * [`report`] — text tables and CSV output

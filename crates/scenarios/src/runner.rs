@@ -1,49 +1,13 @@
-//! The pieces every run loop shares: advancing a simulator under the job
-//! watchdog, and turning a workload schedule into flows.
+//! Turning a workload schedule into flows.
 //!
 //! Building a topology, starting flows and judging the run is
 //! [`crate::simcheck::run_case`]'s job, for every figure as for every fuzz
-//! case; weather drives its own open-loop simulator with
-//! [`run_until_checked`].
+//! case; runs that start flows from inside the run (Fig. 16, `repro
+//! weather`) drive its [`crate::simcheck::Rig`] directly.
 
 use crate::protocols::Protocol;
 use crate::simcheck::FlowSpec;
 use netsim::SimTime;
-use transport::TransportSim;
-
-/// Advance `sim` to `until` under the harness watchdog: every
-/// `WATCHDOG_STRIDE` events the job's virtual-time/event caps are checked,
-/// so a livelocked simulation panics (isolated per cell by the harness)
-/// instead of hanging the sweep. With the caps disabled this is exactly
-/// `run_until`.
-pub fn run_until_checked(sim: &mut TransportSim, until: SimTime) {
-    const WATCHDOG_STRIDE: u64 = 4096;
-    let (cap_ns, cap_ev) = crate::harness::job_caps();
-    if cap_ns == 0 && cap_ev == 0 {
-        sim.run_until(until);
-        return;
-    }
-    loop {
-        let mut stepped = 0;
-        while stepped < WATCHDOG_STRIDE {
-            match sim.next_event_time() {
-                Some(t) if t <= until => {
-                    sim.step();
-                    stepped += 1;
-                }
-                // Horizon reached: clamp the clock like `run_until` does.
-                _ => {
-                    sim.run_until(until);
-                    return;
-                }
-            }
-        }
-        crate::harness::check_caps(
-            sim.now().saturating_since(SimTime::ZERO).as_nanos(),
-            sim.events_processed(),
-        );
-    }
-}
 
 /// Flows starting at the given `(time, bytes, scheme)` triples,
 /// round-robin over `pairs` endpoint pairs.

@@ -39,7 +39,9 @@
 //! cases, and every figure its dumbbell, path or parking lot: [`run_figure`]
 //! fails a figure's job on the first violation with `oracle <kind>:
 //! <detail>`. Fig. 16 starts flows from inside the run, so it drives the
-//! same [`Rig`] directly.
+//! same [`Rig`] directly; so does `repro weather`, which checkpoints it with
+//! [`Rig::save`] and [`Rig::restore`] and judges it with [`Rig::audit`] at
+//! every window close.
 //!
 //! The battery draws random 1–3 hop chains: rates, delays, buffers
 //! (sometimes below one MTU), loss models, fault events and flows of every
@@ -51,7 +53,6 @@
 
 use crate::harness::{self, Job, JobPanic, RunCtx};
 use crate::protocols::Protocol;
-use crate::runner::run_until_checked;
 use crate::trace::Streams;
 use baselines::{path_cache, PathCache};
 use netsim::engine::TraceEvent;
@@ -59,6 +60,7 @@ use netsim::link::{LinkSpec, LinkStats};
 use netsim::loss::LossModel;
 use netsim::rng::SimRng;
 use netsim::router::Router;
+use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::topology::{
     build_dumbbell, build_parking_lot, build_path, DumbbellSpec, ParkingLotSpec, PathSpec,
 };
@@ -752,10 +754,10 @@ fn rto_sanity(rec: &FlowRecord) -> Option<Violation> {
 /// The wire tracer's events, shared with the tracer closure.
 type WireLog = Rc<RefCell<Vec<(u64, TraceEvent)>>>;
 
-/// One run of a case: its topology built into a simulator, and the flows
-/// started on it so far. [`run_rig`] drives it from the case's schedule; a
-/// figure that starts flows from inside the run drives it directly and
-/// ends with [`Rig::finish`].
+/// One run of a case: its topology built into a simulator. [`run_rig`]
+/// drives it from the case's schedule; a figure that starts flows from
+/// inside the run drives it directly and ends with [`Rig::finish`]. It holds
+/// nothing per flow: the hosts know which flows run and which finished.
 pub struct Rig {
     /// The simulator.
     pub sim: TransportSim,
@@ -766,8 +768,6 @@ pub struct Rig {
     /// the pristine-only oracles apply.
     pristine: bool,
     cache: PathCache,
-    /// Every flow started: id, pair, start time, bytes.
-    started: Vec<(FlowId, usize, SimTime, u64)>,
     /// The wire tracer's events, when recording.
     wire: Option<WireLog>,
 }
@@ -832,7 +832,6 @@ impl Rig {
             faults,
             pristine,
             cache: path_cache(),
-            started: Vec::new(),
             wire,
         }
     }
@@ -849,64 +848,84 @@ impl Rig {
         self.sim.with_node_mut::<Host, _>(src, |h, core| {
             h.start_flow(core, flow, dst, bytes, strategy)
         });
-        self.started.push((flow, pair, self.sim.now(), bytes));
     }
 
-    /// Advance to `until` under the job's watchdog.
+    /// Advance to `until` under the job's watchdog: every `WATCHDOG_STRIDE`
+    /// events the job's virtual-time/event caps are checked, so a livelocked
+    /// simulation panics (isolated per job by the harness) instead of
+    /// hanging the sweep. With the caps disabled this is exactly
+    /// `run_until`.
     pub fn run_until(&mut self, until: SimTime) {
-        run_until_checked(&mut self.sim, until);
-    }
-
-    /// End the run at the current instant: credit the job meter with it,
-    /// drain the simulation unless a censored flow still runs, and judge
-    /// what is left with every oracle that holds on any shape.
-    pub fn finish(&mut self) -> CaseReport {
-        let mut report = CaseReport::default();
-        let (sim, net) = (&mut self.sim, &self.net);
-        let deadline = sim.now();
-        harness::meter_add(
-            deadline.saturating_since(SimTime::ZERO).as_nanos(),
-            sim.events_processed(),
-        );
-        let slots = net.bottlenecks.len();
-
-        // Oracle: every flow terminal by the deadline, unless its own floor
-        // does not fit between its start and the deadline.
-        let mut stuck = 0;
-        for &(flow, pair, at, bytes) in &self.started {
-            let sender = sim.node_as::<Host>(net.pairs[pair].0).unwrap();
-            if sender.sender(flow).is_none() {
-                continue;
-            }
-            let floor = fct_floor_ns(&net.routes[pair], &self.faults, slots, bytes);
-            if floor > deadline.saturating_since(at).as_nanos() as f64 {
-                report.censored += 1;
-            } else {
-                stuck += 1;
-            }
+        const WATCHDOG_STRIDE: u64 = 4096;
+        let sim = &mut self.sim;
+        let (cap_ns, cap_ev) = harness::job_caps();
+        if cap_ns == 0 && cap_ev == 0 {
+            sim.run_until(until);
+            return;
         }
-        if stuck > 0 {
-            let last = self.started.last().map_or(SimTime::ZERO, |s| s.2);
-            report.fail(
-                "terminal",
-                format!(
-                    "{stuck} flow(s) still not terminal {}s after the last start",
-                    deadline.saturating_since(last).as_secs_f64()
-                ),
-            );
-        }
-        if report.censored == 0 {
-            sim.run_to_completion(50_000_000);
-            // Oracle: clean drain (only meaningful once everything is
-            // terminal — an unfinished flow legitimately still owns timers).
-            if stuck == 0 {
-                let hygiene = sim.hygiene_report();
-                if !hygiene.is_clean() {
-                    report.fail("drain", format!("simulation did not drain: {hygiene}"));
+        loop {
+            let mut stepped = 0;
+            while stepped < WATCHDOG_STRIDE {
+                match sim.next_event_time() {
+                    Some(t) if t <= until => {
+                        sim.step();
+                        stepped += 1;
+                    }
+                    // Horizon reached: clamp the clock like `run_until` does.
+                    _ => {
+                        sim.run_until(until);
+                        return;
+                    }
                 }
             }
+            harness::check_caps(
+                sim.now().saturating_since(SimTime::ZERO).as_nanos(),
+                sim.events_processed(),
+            );
         }
+    }
 
+    /// Write what a kill loses into `w`: the engine, every pair's two hosts
+    /// in pair order, and the TCP-Cache path table.
+    pub fn save(&mut self, w: &mut SnapWriter) {
+        self.sim.save_snapshot(w);
+        for h in self.net.pairs.iter().flat_map(|&(s, r)| [s, r]) {
+            self.sim.node_as::<Host>(h).unwrap().save(w);
+        }
+        w.put(&*self.cache.borrow());
+    }
+
+    /// A fresh build of `spec` under `sel` with the state [`Rig::save`]
+    /// wrote overlaid from `r`. Each in-flight sender gets a new strategy
+    /// of `protocol_of(flow)`, keyed by the pair it is loaded on.
+    pub fn restore(
+        spec: &CaseSpec,
+        sel: &Selection,
+        r: &mut SnapReader<'_>,
+        protocol_of: impl Fn(FlowId) -> Protocol,
+    ) -> Result<Rig, SnapError> {
+        let mut rig = Rig::new(spec, sel, false);
+        rig.sim.restore_snapshot(r)?;
+        for &(s, d) in &rig.net.pairs {
+            let cache = &rig.cache;
+            let mut strategy = |flow| protocol_of(flow).make(cache, (s, d));
+            for h in [s, d] {
+                let host = rig.sim.node_as_mut::<Host>(h).unwrap();
+                host.load(r, &mut strategy)?;
+            }
+        }
+        // In place: the strategies restored above already share this handle.
+        *rig.cache.borrow_mut() = r.get()?;
+        Ok(rig)
+    }
+
+    /// Judge what the network and the hosts hold right now, into `report`:
+    /// per-link conservation (and the bottlenecks' stats, queue drops and
+    /// link losses), then the hosts' live transport breaches, strays and
+    /// the routers' unroutable packets. It holds at any instant, so an
+    /// open-loop run can call it mid-run.
+    pub fn audit(&self, report: &mut CaseReport) {
+        let (sim, net) = (&self.sim, &self.net);
         // Oracle: per-link conservation, offer side and wire side. What a
         // link still holds is in flight, and the arena must hold exactly
         // that (nothing, once drained).
@@ -967,9 +986,67 @@ impl Rig {
                 );
             }
         }
+    }
+
+    /// End the run at the current instant: credit the job meter with it,
+    /// drain the simulation unless a censored flow still runs, and judge
+    /// what is left with every oracle that holds on any shape. The senders
+    /// must retain their records: the flows a rig ran are its hosts'
+    /// records plus their live senders.
+    pub fn finish(&mut self) -> CaseReport {
+        let mut report = CaseReport::default();
+        let (sim, net) = (&mut self.sim, &self.net);
+        let deadline = sim.now();
+        harness::meter_add(
+            deadline.saturating_since(SimTime::ZERO).as_nanos(),
+            sim.events_processed(),
+        );
+        let slots = net.bottlenecks.len();
+
+        // Oracle: every flow terminal by the deadline, unless its own floor
+        // does not fit between its start and the deadline.
+        let (mut stuck, mut flows, mut last) = (0, 0, SimTime::ZERO);
+        for (pair, &(s, _)) in net.pairs.iter().enumerate() {
+            let sender = sim.node_as::<Host>(s).unwrap();
+            flows += sender.completed().len() + sender.active_senders();
+            for rec in sender.completed() {
+                last = last.max(rec.start);
+            }
+            for conn in sender.senders() {
+                last = last.max(conn.start_time());
+                let floor = fct_floor_ns(&net.routes[pair], &self.faults, slots, conn.bytes());
+                if floor > deadline.saturating_since(conn.start_time()).as_nanos() as f64 {
+                    report.censored += 1;
+                } else {
+                    stuck += 1;
+                }
+            }
+        }
+        if stuck > 0 {
+            report.fail(
+                "terminal",
+                format!(
+                    "{stuck} flow(s) still not terminal {}s after the last start",
+                    deadline.saturating_since(last).as_secs_f64()
+                ),
+            );
+        }
+        if report.censored == 0 {
+            sim.run_to_completion(50_000_000);
+            // Oracle: clean drain (only meaningful once everything is
+            // terminal — an unfinished flow legitimately still owns timers).
+            if stuck == 0 {
+                let hygiene = sim.hygiene_report();
+                if !hygiene.is_clean() {
+                    report.fail("drain", format!("simulation did not drain: {hygiene}"));
+                }
+            }
+        }
+
+        self.audit(&mut report);
 
         // Per-flow oracles over the senders' completion records.
-        let single = self.started.len() == 1;
+        let (sim, net, single) = (&self.sim, &self.net, flows == 1);
         for (pair, &(s, r)) in net.pairs.iter().enumerate() {
             let receiver_host = sim.node_as::<Host>(r).unwrap();
             for rec in sim.node_as::<Host>(s).unwrap().completed() {
@@ -1751,46 +1828,12 @@ mod tests {
         assert!(both < with_step);
     }
 
-    impl Rig {
-        /// What a kill loses: the engine, every pair's two hosts in
-        /// `net.pairs` order, and the TCP-Cache path table.
-        fn save(&mut self) -> Vec<u8> {
-            let mut w = SnapWriter::new();
-            self.sim.save_snapshot(&mut w);
-            for h in self.net.pairs.iter().flat_map(|&(s, r)| [s, r]) {
-                self.sim.node_as::<Host>(h).unwrap().save(&mut w);
-            }
-            w.put(&*self.cache.borrow());
-            w.into_bytes()
-        }
-
-        /// A fresh build of `spec` under `sel` with `saved` overlaid, and
-        /// this rig's started flows carried over.
-        fn restored(&self, spec: &CaseSpec, sel: &Selection, saved: &[u8]) -> Rig {
-            let mut rig = Rig::new(spec, sel, false);
-            let mut r = SnapReader::new(saved);
-            rig.sim.restore_snapshot(&mut r).unwrap();
-            let (pairs, cache) = (rig.net.pairs.clone(), rig.cache.clone());
-            let mut strategy = |flow: FlowId| {
-                let f = &spec.flows[flow.0 as usize - 1];
-                f.protocol.make(&cache, pairs[f.pair])
-            };
-            for h in pairs.iter().flat_map(|&(s, r)| [s, r]) {
-                let host = rig.sim.node_as_mut::<Host>(h).unwrap();
-                host.load(&mut r, &mut strategy).unwrap();
-            }
-            *rig.cache.borrow_mut() = r.get().unwrap();
-            assert_eq!(r.remaining(), 0, "the restore left bytes unread");
-            rig.started = self.started.clone();
-            rig
-        }
-    }
-
     /// The bottlenecks' link and queue stats at the cut.
     type AtCut = Vec<(LinkStats, QueueStats)>;
 
     /// [`run_rig`] killed at `cut`: there the rig is saved and dropped, and
-    /// a fresh build restored from the save runs the rest of the schedule.
+    /// a fresh build restored from the saved bytes alone runs the rest of
+    /// the schedule.
     fn run_rig_killed(spec: &CaseSpec, sel: &Selection, cut: SimTime) -> (Rig, CaseReport, AtCut) {
         let mut rig = Rig::new(spec, sel, false);
         let mut at_cut = None;
@@ -1799,8 +1842,13 @@ mod tests {
                 rig.run_until(cut);
                 let stats = |&l| (rig.sim.link_stats(l), rig.sim.queue_stats(l));
                 at_cut = Some(rig.net.bottlenecks.iter().map(stats).collect());
-                let saved = rig.save();
-                *rig = rig.restored(spec, sel, &saved);
+                let mut w = SnapWriter::new();
+                rig.save(&mut w);
+                let saved = w.into_bytes();
+                let mut r = SnapReader::new(&saved);
+                let protocol_of = |flow: FlowId| spec.flows[flow.0 as usize - 1].protocol;
+                *rig = Rig::restore(spec, sel, &mut r, protocol_of).unwrap();
+                assert_eq!(r.remaining(), 0, "the restore left bytes unread");
             }
             rig.run_until(until);
         };
@@ -1967,5 +2015,30 @@ mod tests {
             .collect();
         let spec = CaseSpec::new(6, Topology::Path(path), flows, horizon);
         assert_resume_matches(&spec, |r| cut_before_last_done(3, SimTime::ZERO, r));
+
+        // Weather's shape: its 8-pair dumbbell under Poisson arrivals of
+        // its flow mix at 40 % payload load, every scheme in rotation, cut
+        // while arrivals still stream in.
+        let dumbbell = DumbbellSpec::emulab(8);
+        let mean = workload::interarrival_for_utilization(
+            dumbbell.bottleneck_rate,
+            crate::weather::mean_flow_bytes(),
+            0.4,
+        );
+        let mut rng = SimRng::new(8).fork("weather-shaped");
+        let mut arrivals = workload::PoissonArrivals::new(mean, SimTime::ZERO, rng.fork("at"));
+        let flows = (0..400)
+            .map(|i| FlowSpec {
+                at_ns: arrivals.pop().as_nanos(),
+                bytes: crate::weather::mix_bytes(&mut rng),
+                protocol: Protocol::EVALUATED[(i + i / 8) % 8],
+                pair: i % 8,
+            })
+            .collect::<Vec<_>>();
+        let (first, last) = (flows[0].at_ns, flows[399].at_ns);
+        let at = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
+        let spec = CaseSpec::new(9, Topology::Dumbbell(dumbbell), flows, horizon);
+        let (whole, _) = assert_resume_matches(&spec, |_| seeded_cut(4, at(first), at(last)));
+        assert_eq!(whole.completed, 400);
     }
 }

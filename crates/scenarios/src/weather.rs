@@ -9,21 +9,25 @@
 //!
 //! This module is the open-loop counterpart. A streaming arrival process
 //! ([`workload::DiurnalPoisson`] — Poisson with a sinusoidal daily rate
-//! envelope) injects flows lazily, one `run_until` at a time; hosts run
-//! with record retention off and publish completions to a bus the driver
-//! drains after every arrival; receiver endpoints are reaped once
-//! their flows are safely beyond the sender's worst-case give-up time. The
-//! result: a 15 Mbps-class dumbbell sustains millions of flows per
-//! simulated hour for a simulated day in O(windows + active flows) memory,
-//! with steady-state FCT/abort/retransmit stats reported per window
-//! through a [`WindowedSketch`].
+//! envelope) injects flows lazily onto a [`Rig`] — the Emulab dumbbell the
+//! figures run on — one `run_until` at a time; senders run with record
+//! retention off and publish completions to a bus the driver drains after
+//! every arrival; receiver endpoints are reaped once their flows are safely
+//! beyond the sender's worst-case give-up time. The result: a 15 Mbps-class
+//! dumbbell sustains millions of flows per simulated hour for a simulated
+//! day in O(windows + active flows) memory, with steady-state
+//! FCT/abort/retransmit stats reported per window through a
+//! [`WindowedSketch`]. Every window close is judged by [`Rig::audit`]'s
+//! conservation and transport oracles; a violation fails the run with
+//! `oracle <kind>: <detail>`.
 //!
 //! The second half of the mode is *checkpoint/restore*: at window
-//! boundaries the driver serializes the full dynamic state — engine
-//! (clock, events, in-flight packets, RNG, timer slots, link queues),
-//! every host (senders, receivers, timer routes, per-scheme strategy
-//! state), the shared TCP-Cache path cache, the arrival process, and its
-//! own accounting — into a versioned snapshot, written atomically. A
+//! boundaries the driver serializes the full dynamic state — its own
+//! accounting and arrival process, then the rig through [`Rig::save`]:
+//! engine (clock, events, in-flight packets, RNG, timer slots, link
+//! queues), every host pair (senders, receivers, timer routes, per-scheme
+//! strategy state) and the shared TCP-Cache path cache — into a versioned
+//! snapshot, written atomically. A
 //! killed run resumes from the latest checkpoint and produces **byte
 //! identical** output files to an uninterrupted run: structure is rebuilt
 //! from configuration (validated against a fingerprint in the snapshot;
@@ -32,25 +36,26 @@
 //! appending continues.
 
 use crate::protocols::Protocol;
-use crate::runner::run_until_checked;
-use baselines::{path_cache, PathCache};
+use crate::simcheck::{CaseReport, CaseSpec, Rig, Selection, Topology};
+use netsim::rng::SimRng;
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::snap_struct;
 use netsim::stats::{LogHistogram, WindowedSketch};
-use netsim::topology::{build_dumbbell, Dumbbell, DumbbellSpec};
+use netsim::topology::DumbbellSpec;
 use netsim::{FlowId, SimDuration, SimTime};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-use transport::{completion_bus, CompletionBus, Host, TransportSim};
+use transport::{completion_bus, CompletionBus, Host};
 use workload::{interarrival_for_utilization, DiurnalPoisson};
 
 /// Checkpoint file magic: "HBWR" (HalfBack WeatheR).
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 6: the engine snapshot underneath is version 4 (links carry
-/// their rate, delay and fault cursor; queues save themselves).
-const WEATHER_VERSION: u32 = 6;
+/// Version 7: the rig saves its hosts pair by pair (sender, then
+/// receiver), where version 6 saved every sender host, then every receiver
+/// host.
+const WEATHER_VERSION: u32 = 7;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 
@@ -74,6 +79,19 @@ const FLOW_MIX: [(u64, usize); 4] = [(600, 600), (2_000, 300), (6_000, 90), (40_
 pub fn mean_flow_bytes() -> f64 {
     let total: u64 = FLOW_MIX.iter().map(|&(b, w)| b * w as u64).sum();
     total as f64 / 1000.0
+}
+
+/// Draw a payload size from [`FLOW_MIX`].
+pub(crate) fn mix_bytes(rng: &mut SimRng) -> u64 {
+    let roll = rng.index(1000);
+    let mut acc = 0;
+    for &(bytes, weight) in &FLOW_MIX {
+        acc += weight;
+        if roll < acc {
+            return bytes;
+        }
+    }
+    FLOW_MIX[FLOW_MIX.len() - 1].0
 }
 
 /// Configuration of one weather run. Everything here is part of the
@@ -194,7 +212,7 @@ snap_struct!(CurWindow {
 /// not inside the engine, the hosts, or the path cache.
 struct WeatherState {
     arrivals: DiurnalPoisson,
-    size_rng: netsim::rng::SimRng,
+    size_rng: SimRng,
     next_flow: u64,
     started: u64,
     completed: u64,
@@ -228,7 +246,7 @@ snap_struct!(WeatherState {
 
 impl WeatherState {
     fn fresh(cfg: &WeatherConfig) -> Self {
-        let root = netsim::rng::SimRng::new(cfg.seed).fork("weather");
+        let root = SimRng::new(cfg.seed).fork("weather");
         let spec = DumbbellSpec::emulab(1);
         let mean =
             interarrival_for_utilization(spec.bottleneck_rate, mean_flow_bytes(), cfg.utilization);
@@ -255,46 +273,21 @@ impl WeatherState {
         }
     }
 
-    /// Draw a payload size from the weather mix.
-    fn sample_bytes(&mut self) -> u64 {
-        let roll = self.size_rng.index(1000);
-        let mut acc = 0;
-        for &(bytes, weight) in &FLOW_MIX {
-            acc += weight;
-            if roll < acc {
-                return bytes;
-            }
-        }
-        FLOW_MIX[FLOW_MIX.len() - 1].0
-    }
-
     /// Advance the engine to the next arrival, drain what completed on the
     /// way, and start the arrival's flow. Draining here, not once per
     /// window, holds the bus to the few flows that finish between two
     /// arrivals instead of a window's worth of records; they are counted in
     /// the same FIFO order either way.
-    fn admit_arrival(
-        &mut self,
-        cfg: &WeatherConfig,
-        sim: &mut TransportSim,
-        net: &Dumbbell,
-        bus: &CompletionBus,
-        cache: &PathCache,
-    ) {
-        let t = self.arrivals.pop();
-        run_until_checked(sim, t);
+    fn admit_arrival(&mut self, cfg: &WeatherConfig, rig: &mut Rig, bus: &CompletionBus) {
+        rig.run_until(self.arrivals.pop());
         self.drain_bus(bus);
         let pair = (self.started as usize) % cfg.host_pairs;
-        let (src, dst) = (net.left_hosts[pair], net.right_hosts[pair]);
-        let bytes = self.sample_bytes();
+        let bytes = mix_bytes(&mut self.size_rng);
         let flow = FlowId(self.next_flow);
         self.next_flow += 1;
         self.started += 1;
         self.cur.started += 1;
-        let strategy = cfg.protocol.make(cache, (src, dst));
-        sim.with_node_mut::<Host, _>(src, |h, core| {
-            h.start_flow(core, flow, dst, bytes, strategy)
-        });
+        rig.start(flow, pair, bytes, cfg.protocol);
     }
 
     /// Move every record published since the last drain into the counters
@@ -359,40 +352,33 @@ pub struct WeatherRunOptions {
     pub stop_after_checkpoints: Option<u64>,
 }
 
-/// Build the inert service rig: a dumbbell of wired hosts with record
-/// retention off and a shared completion bus on the sender side. Nothing
-/// is scheduled — the driver (or a checkpoint restore) supplies all
-/// dynamics, which is exactly what the engine's restore path requires.
-fn build_rig(cfg: &WeatherConfig) -> (TransportSim, Dumbbell, CompletionBus, PathCache) {
-    let mut spec = DumbbellSpec::emulab(1);
-    spec.n_left = cfg.host_pairs;
-    spec.n_right = cfg.host_pairs;
-    let mut sim = TransportSim::new(cfg.seed);
-    let net = build_dumbbell(&mut sim, &spec, |_, _| Box::new(Host::new()));
-    let bus = completion_bus();
-    for i in 0..cfg.host_pairs {
-        let (h, e) = (net.left_hosts[i], net.left_egress[i]);
-        let b = bus.clone();
-        sim.with_node_mut::<Host, _>(h, |host, _| {
-            host.wire(h, e);
-            host.set_retain_records(false);
-            host.set_bus(b);
-        });
-        let (h, e) = (net.right_hosts[i], net.right_egress[i]);
-        sim.with_node_mut::<Host, _>(h, |host, _| host.wire(h, e));
-    }
-    (sim, net, bus, path_cache())
+/// The service dumbbell as a case: `host_pairs` Emulab pairs and nothing
+/// scheduled — the driver (or a checkpoint restore) supplies all dynamics.
+fn service_case(cfg: &WeatherConfig) -> CaseSpec {
+    let topology = Topology::Dumbbell(DumbbellSpec::emulab(cfg.host_pairs));
+    CaseSpec::new(cfg.seed, topology, Vec::new(), FINAL_GRACE)
 }
 
-/// Everything [`read_checkpoint`] hands back: the driver state and the rig
-/// it belongs to.
-type Restored = (
-    WeatherState,
-    TransportSim,
-    Dumbbell,
-    CompletionBus,
-    PathCache,
-);
+/// Have every sender publish its completions to one new bus instead of
+/// keeping them, so no host holds anything per finished flow.
+fn attach_bus(rig: &mut Rig) -> CompletionBus {
+    let bus = completion_bus();
+    for (h, _) in rig.pairs().to_vec() {
+        rig.sim.with_node_mut::<Host, _>(h, |host, _| {
+            host.set_retain_records(false);
+            host.set_bus(bus.clone());
+        });
+    }
+    bus
+}
+
+/// Fail the run with `oracle <kind>: <detail>` if the rig breaks a
+/// conservation or transport invariant right now.
+fn audit(rig: &Rig) {
+    let mut report = CaseReport::default();
+    rig.audit(&mut report);
+    report.judged();
+}
 
 /// Serialize the complete run state as a sealed file (length-prefixed,
 /// checksummed) and replace `path` with it by rename. The file is streamed
@@ -402,9 +388,7 @@ fn write_checkpoint(
     path: &Path,
     cfg: &WeatherConfig,
     st: &WeatherState,
-    sim: &mut TransportSim,
-    net: &Dumbbell,
-    cache: &PathCache,
+    rig: &mut Rig,
 ) -> std::io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     let mut w =
@@ -412,46 +396,27 @@ fn write_checkpoint(
     w.put(cfg);
     w.magic(SEC_DRIVER);
     w.put(st);
-    sim.save_snapshot(&mut w);
-    for &h in net.left_hosts.iter().chain(&net.right_hosts) {
-        sim.node_as::<Host>(h)
-            .expect("weather rig hosts are Hosts")
-            .save(&mut w);
-    }
-    w.put(&*cache.borrow());
+    rig.save(&mut w);
     w.finish()?;
     std::fs::rename(&tmp, path)
 }
 
 /// Rebuild the rig from `cfg` and overlay the dynamic state from the
 /// checkpoint at `path`. A [`SnapError`] travels inside the `io::Error`.
-fn read_checkpoint(path: &Path, cfg: &WeatherConfig) -> std::io::Result<Restored> {
+fn read_checkpoint(path: &Path, cfg: &WeatherConfig) -> std::io::Result<(WeatherState, Rig)> {
     decode_checkpoint(&std::fs::read(path)?, cfg).map_err(std::io::Error::other)
 }
 
 /// The file is verified whole (magic, version, length, checksum) before any
 /// of it is decoded, so a damaged checkpoint is refused, never resumed.
-fn decode_checkpoint(data: &[u8], cfg: &WeatherConfig) -> Result<Restored, SnapError> {
+fn decode_checkpoint(data: &[u8], cfg: &WeatherConfig) -> Result<(WeatherState, Rig), SnapError> {
     let mut r = SnapReader::open(data, WEATHER_MAGIC, WEATHER_VERSION)?;
     cfg.check(&mut r)?;
     r.expect_magic(SEC_DRIVER)?;
     let st = r.get()?;
-    let (mut sim, net, bus, cache) = build_rig(cfg);
-    sim.restore_snapshot(&mut r)?;
-    // Same order as the save loop in `write_checkpoint`: every left host,
-    // then every right host.
-    for (i, &h) in net.left_hosts.iter().chain(&net.right_hosts).enumerate() {
-        let pair = i % cfg.host_pairs;
-        let key = (net.left_hosts[pair], net.right_hosts[pair]);
-        let protocol = cfg.protocol;
-        let cache_ref = cache.clone();
-        sim.node_as_mut::<Host>(h)
-            .expect("weather rig hosts are Hosts")
-            .load(&mut r, &mut |_flow| protocol.make(&cache_ref, key))?;
-    }
-    // In place: the strategies restored above already share this handle.
-    *cache.borrow_mut() = r.get()?;
-    Ok((st, sim, net, bus, cache))
+    let case = service_case(cfg);
+    let rig = Rig::restore(&case, &Selection::full(&case), &mut r, |_| cfg.protocol)?;
+    Ok((st, rig))
 }
 
 /// One window's CSV row. Kept in one place so the emit path and the
@@ -507,10 +472,10 @@ pub fn run_weather(
     let ckpt_path = out_dir.join("weather.ckpt");
     let csv_path = out_dir.join("windows.csv");
 
-    let (mut st, mut sim, net, bus, cache);
+    let (mut st, mut rig);
     let mut csv: std::fs::File;
     if opts.resume {
-        (st, sim, net, bus, cache) = read_checkpoint(&ckpt_path, cfg)?;
+        (st, rig) = read_checkpoint(&ckpt_path, cfg)?;
         // Rows written after the checkpoint was taken (the "crash window")
         // are discarded and will be regenerated identically.
         csv = std::fs::OpenOptions::new()
@@ -533,11 +498,13 @@ pub fn run_weather(
         csv.seek(SeekFrom::End(0))?;
     } else {
         st = WeatherState::fresh(cfg);
-        (sim, net, bus, cache) = build_rig(cfg);
+        let case = service_case(cfg);
+        rig = Rig::new(&case, &Selection::full(&case), false);
         csv = std::fs::File::create(&csv_path)?;
         csv.write_all(WINDOWS_CSV_HEADER.as_bytes())?;
         st.csv_bytes = WINDOWS_CSV_HEADER.len() as u64;
     }
+    let bus = attach_bus(&mut rig);
 
     let end = SimTime::ZERO + cfg.duration;
     let total_windows = cfg.total_windows();
@@ -552,37 +519,30 @@ pub fn run_weather(
         // arrival instant first. No schedule is materialized: the process
         // holds exactly one pending arrival at a time.
         while st.arrivals.peek() <= wend {
-            st.admit_arrival(cfg, &mut sim, &net, &bus, &cache);
+            st.admit_arrival(cfg, &mut rig, &bus);
         }
-        run_until_checked(&mut sim, wend);
+        rig.run_until(wend);
         st.drain_bus(&bus);
+        audit(&rig);
 
         // Reap receivers whose flows are long past any possible retransmit.
         if wend.as_nanos() > REAP_GRACE.as_nanos() {
             let before =
                 SimTime::ZERO + SimDuration::from_nanos(wend.as_nanos() - REAP_GRACE.as_nanos());
-            for &h in net.left_hosts.iter().chain(&net.right_hosts) {
-                let n = sim
-                    .with_node_mut::<Host, _>(h, |host, _| host.reap_receivers(before))
-                    .unwrap_or(0);
-                st.cur.reaped += n as u64;
-                st.reaped_total += n as u64;
+            for (_, r) in rig.pairs().to_vec() {
+                let host = rig.sim.node_as_mut::<Host>(r).unwrap();
+                let n = host.reap_receivers(before) as u64;
+                st.cur.reaped += n;
+                st.reaped_total += n;
             }
         }
 
-        let active: usize = net
-            .left_hosts
-            .iter()
-            .map(|&h| sim.node_as::<Host>(h).map_or(0, Host::active_senders))
-            .sum();
-        let live_recv: usize = net
-            .right_hosts
-            .iter()
-            .map(|&h| {
-                sim.node_as::<Host>(h)
-                    .map_or(0, |host| host.receivers().count())
-            })
-            .sum();
+        let host = |h| rig.sim.node_as::<Host>(h).unwrap();
+        let (mut active, mut live_recv) = (0, 0);
+        for &(s, r) in rig.pairs() {
+            active += host(s).active_senders();
+            live_recv += host(r).receivers().count();
+        }
         let row = csv_row(&st.cur, st.window_idx, wend, active, live_recv);
         csv.write_all(row.as_bytes())?;
         st.csv_bytes += row.len() as u64;
@@ -592,7 +552,7 @@ pub fn run_weather(
         if st.window_idx % cfg.checkpoint_every == 0 && st.window_idx < total_windows {
             csv.flush()?;
             st.checkpoints += 1;
-            write_checkpoint(&ckpt_path, cfg, &st, &mut sim, &net, &cache)?;
+            write_checkpoint(&ckpt_path, cfg, &st, &mut rig)?;
             checkpoints_this_run += 1;
             if opts.stop_after_checkpoints == Some(checkpoints_this_run) {
                 return Ok(WeatherOutcome {
@@ -614,8 +574,9 @@ pub fn run_weather(
 
     // Drain stragglers, then account them (they land in post-duration
     // sketch windows, which the aggregate includes).
-    run_until_checked(&mut sim, end + FINAL_GRACE);
+    rig.run_until(end + FINAL_GRACE);
     st.drain_bus(&bus);
+    audit(&rig);
     csv.flush()?;
 
     let censored = st.started - st.completed - st.aborted;
@@ -762,18 +723,17 @@ mod tests {
             };
             run_weather(&cfg, &dir, &kill).unwrap();
             let saved = dir.join("weather.ckpt");
-            let (st, mut sim, net, _bus, cache) = read_checkpoint(&saved, &cfg).unwrap();
-            let in_flight: usize = net
-                .left_hosts
+            let (st, mut rig) = read_checkpoint(&saved, &cfg).unwrap();
+            let in_flight: usize = rig
+                .pairs()
                 .iter()
-                .map(|&h| sim.node_as::<Host>(h).unwrap().active_senders())
+                .map(|&(s, _)| rig.sim.node_as::<Host>(s).unwrap().active_senders())
                 .sum();
             assert!(in_flight > 0, "{protocol:?}: nothing in flight at the kill");
             assert_roundtrip(&cfg);
             assert_roundtrip(&st);
-            assert_roundtrip(&*cache.borrow());
             let again = dir.join("again.ckpt");
-            write_checkpoint(&again, &cfg, &st, &mut sim, &net, &cache).unwrap();
+            write_checkpoint(&again, &cfg, &st, &mut rig).unwrap();
             assert!(
                 std::fs::read(&saved).unwrap() == std::fs::read(&again).unwrap(),
                 "{protocol:?}: decode -> encode changed the checkpoint"
@@ -792,10 +752,12 @@ mod tests {
             ..tiny_cfg()
         };
         let mut st = WeatherState::fresh(&cfg);
-        let (mut sim, net, bus, cache) = build_rig(&cfg);
+        let case = service_case(&cfg);
+        let mut rig = Rig::new(&case, &Selection::full(&case), false);
+        let bus = attach_bus(&mut rig);
         let end = SimTime::ZERO + cfg.duration;
         while st.arrivals.peek() <= end {
-            st.admit_arrival(&cfg, &mut sim, &net, &bus, &cache);
+            st.admit_arrival(&cfg, &mut rig, &bus);
             let waiting = bus.borrow().len();
             assert_eq!(waiting, 0, "arrival {}: {waiting} records", st.started);
         }
@@ -805,6 +767,34 @@ mod tests {
             st.completed,
             st.started
         );
+    }
+
+    #[test]
+    fn a_stray_packet_mid_run_fails_the_run_with_oracle_transport() {
+        // A run killed at its first checkpoint, whose first receiver host
+        // then reports a packet for a flow it does not know: the resumed
+        // run's next window close must fail on it.
+        let dir = tmp_dir("stray");
+        let cfg = tiny_cfg();
+        let kill = WeatherRunOptions {
+            resume: false,
+            stop_after_checkpoints: Some(1),
+        };
+        run_weather(&cfg, &dir, &kill).unwrap();
+        let ckpt = dir.join("weather.ckpt");
+        let (st, mut rig) = read_checkpoint(&ckpt, &cfg).unwrap();
+        let receiver = rig.pairs()[0].1;
+        rig.sim.node_as_mut::<Host>(receiver).unwrap().stray_packets += 1;
+        write_checkpoint(&ckpt, &cfg, &st, &mut rig).unwrap();
+        let resume = WeatherRunOptions {
+            resume: true,
+            stop_after_checkpoints: None,
+        };
+        let failed = std::panic::catch_unwind(|| run_weather(&cfg, &dir, &resume));
+        let message = *failed.unwrap_err().downcast::<String>().unwrap();
+        let want = format!("oracle transport: host {}: 1 stray packet(s)", receiver.0);
+        assert_eq!(message, want);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -377,6 +377,14 @@ fn v5_checkpoint_is_refused_with_the_version_error() {
     assert_version_refused(5);
 }
 
+/// Version 6 saved every sender host and then every receiver host; a
+/// version-7 reader loads hosts pair by pair and would take the second
+/// sender host's state for the first receiver's.
+#[test]
+fn v6_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(6);
+}
+
 #[test]
 fn resume_refuses_a_csv_shorter_than_the_checkpoint() {
     // windows.csv lost or cut between kill and resume: `set_len` would pad

@@ -331,11 +331,6 @@ impl Host {
         self.receivers.values()
     }
 
-    /// Sender connection for a flow still in progress, if any.
-    pub fn sender(&self, flow: FlowId) -> Option<&SenderConn> {
-        self.senders.get(flow)
-    }
-
     /// All in-progress sender connections.
     pub fn senders(&self) -> impl Iterator<Item = &SenderConn> {
         self.senders.values()

@@ -507,6 +507,16 @@ impl SenderConn {
         self.state.flow
     }
 
+    /// When the flow started.
+    pub fn start_time(&self) -> SimTime {
+        self.state.start_time
+    }
+
+    /// Payload bytes of the flow.
+    pub fn bytes(&self) -> u64 {
+        self.state.total_bytes
+    }
+
     /// Has the flow reached a terminal state (completed or aborted)?
     pub fn is_done(&self) -> bool {
         matches!(self.state.phase, Phase::Done | Phase::Aborted)

@@ -20,12 +20,14 @@
 //! `threads = 1, 2, or N` (the same contract the harness enforces for
 //! `--jobs`).
 //!
-//! Cross-partition arrivals are injected at each window barrier in a
-//! canonical order: `(arrival time, source partition rank, emission index
-//! within source)`, a k-way merge of the per-source batches. Injection
-//! assigns the destination's next `seq`, so the merged firing order
-//! inherits the engine's exact `(at, seq)` discipline with the shard rank
-//! as tiebreak.
+//! A portal pushes each crossing packet straight into the `(destination,
+//! source)` mailbox slot; the destination drains its column of slots at the
+//! next window barrier, so a crossing packet is held in exactly one buffer.
+//! Cross-partition arrivals are injected at that barrier in a canonical
+//! order: `(arrival time, source partition rank, emission index within
+//! source)`, a k-way merge of the per-source batches. Injection assigns the
+//! destination's next `seq`, so the merged firing order inherits the
+//! engine's exact `(at, seq)` discipline with the shard rank as tiebreak.
 //!
 //! ## Arena-handle rule
 //!
@@ -36,10 +38,8 @@
 //! only unique per partition; cross-partition id collisions are benign
 //! because ids feed stats and traces, never lookups.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use crate::engine::{Ctx, HygieneReport, Simulator};
 use crate::node::{Node, TimerId};
@@ -62,17 +62,18 @@ struct OutMsg<P: Payload> {
     pkt: Packet<P>,
 }
 
-/// Where a partition's portals park outbound messages between barriers:
-/// one batch per destination rank, each in emission order.
-type Outbox<P> = Rc<RefCell<Vec<Vec<OutMsg<P>>>>>;
+/// One `(dst, src)` mailbox slot: the batch `src` has emitted for `dst`
+/// since `dst` last drained it, in emission order. The only buffer a
+/// crossing packet passes through.
+type Slot<P> = Arc<Mutex<Vec<OutMsg<P>>>>;
 
 /// Terminal node for a cross-partition egress link. The source partition
 /// routes WAN-bound packets onto a zero-delay link whose `dst` is a portal;
-/// the portal stamps the WAN propagation delay and parks the packet in the
-/// partition's outbox for the next barrier.
+/// the portal stamps the WAN propagation delay and pushes the packet into
+/// its destination's mailbox slot, which the destination drains at the
+/// next barrier.
 struct Portal<P: Payload> {
-    outbox: Outbox<P>,
-    dst_part: usize,
+    slot: Slot<P>,
     dst_node: NodeId,
     dst_link: LinkId,
     extra_delay: SimDuration,
@@ -80,7 +81,7 @@ struct Portal<P: Payload> {
 
 impl<P: Payload> Node<P> for Portal<P> {
     fn on_packet(&mut self, pkt: Packet<P>, ctx: &mut Ctx<'_, P>) {
-        self.outbox.borrow_mut()[self.dst_part].push(OutMsg {
+        self.slot.lock().expect(MAIL_POISONED).push(OutMsg {
             at: ctx.now() + self.extra_delay,
             dst_node: self.dst_node,
             dst_link: self.dst_link,
@@ -106,7 +107,8 @@ impl<P: Payload> Node<P> for Portal<P> {
 pub struct ShardHandle<P: Payload> {
     part: usize,
     parts: usize,
-    outbox: Outbox<P>,
+    /// `mail[dst][part]` for every `dst`: this partition's row of slots.
+    slots: Vec<Slot<P>>,
     min_extra_delay: Option<SimDuration>,
 }
 
@@ -150,8 +152,7 @@ impl<P: Payload> ShardHandle<P> {
             None => extra_delay,
         });
         sim.add_node(Box::new(Portal {
-            outbox: Rc::clone(&self.outbox),
-            dst_part,
+            slot: Arc::clone(&self.slots[dst_part]),
             dst_node,
             dst_link,
             extra_delay,
@@ -181,8 +182,9 @@ pub struct WindowTelemetry {
     pub w_end_ns: u64,
     /// Events this partition fired inside the window.
     pub events: u64,
-    /// Cross-partition messages this partition deposited at the window's
-    /// Phase A barrier (generated during the *previous* window).
+    /// Cross-partition messages this partition's portals pushed during the
+    /// *previous* window, counted off its mailbox slots at this window's
+    /// Phase A barrier.
     pub deposited: u64,
     /// Cross-partition messages injected into this partition at Phase B.
     pub injected: u64,
@@ -275,13 +277,12 @@ const MAIL_POISONED: &str = "a shard worker panicked holding a mailbox";
 
 /// Shared coordination state for one sharded run.
 struct Coord<P: Payload> {
-    /// `mail[dst][src]`: the batch `src` handed over for `dst` this round.
-    /// Uncontended by construction (one writer per slot, barrier-separated
-    /// from the reader), so the mutexes never block. Batches change hands
-    /// whole: the source swaps its full outbox `Vec` in, the destination
-    /// drains it in place, and the empty `Vec` goes back to the source at
-    /// the next swap with its capacity.
-    mail: Vec<Vec<Mutex<Vec<OutMsg<P>>>>>,
+    /// `mail[dst][src]`: the batch `src`'s portals push for `dst` during a
+    /// window. Uncontended by construction: `src` writes only in Phase D,
+    /// `dst` drains only in Phase B, and a barrier separates the two, so
+    /// the mutexes never block. The destination drains in place, so a
+    /// slot keeps its capacity for the next window.
+    mail: Vec<Vec<Slot<P>>>,
     /// Per-partition lookahead published once after build.
     lookahead: Vec<Mutex<Option<SimDuration>>>,
     /// Per-partition next-event time published each round after injection.
@@ -354,7 +355,7 @@ where
 
     let coord = Coord::<P> {
         mail: (0..parts)
-            .map(|_| (0..parts).map(|_| Mutex::new(Vec::new())).collect())
+            .map(|_| (0..parts).map(|_| Slot::default()).collect())
             .collect(),
         lookahead: (0..parts).map(|_| Mutex::new(None)).collect(),
         mins: (0..parts).map(|_| Mutex::new(None)).collect(),
@@ -425,18 +426,21 @@ fn shard_worker<P, T, B, F>(
     F: Fn(usize, &mut Simulator<P>) -> T + Sync,
 {
     // Build the partitions this thread owns (round-robin assignment).
-    let mut owned: Vec<(usize, Simulator<P>, Outbox<P>)> = Vec::new();
+    let mut owned: Vec<(usize, Simulator<P>)> = Vec::new();
     for rank in (tid..parts).step_by(threads) {
-        let outbox: Outbox<P> = Rc::new(RefCell::new((0..parts).map(|_| Vec::new()).collect()));
         let mut handle = ShardHandle {
             part: rank,
             parts,
-            outbox: Rc::clone(&outbox),
+            slots: coord
+                .mail
+                .iter()
+                .map(|row| Arc::clone(&row[rank]))
+                .collect(),
             min_extra_delay: None,
         };
         let sim = build(rank, &mut handle);
         *coord.lookahead[rank].lock().unwrap() = handle.min_extra_delay;
-        owned.push((rank, sim, outbox));
+        owned.push((rank, sim));
     }
     coord.barrier.wait();
 
@@ -459,20 +463,16 @@ fn shard_worker<P, T, B, F>(
     let mut last_w_end: u64 = 0;
 
     loop {
-        // Phase A: swap each non-empty outbox batch into its mailbox slot
-        // (emptied by its destination last round).
-        for (i, (rank, _, outbox)) in owned.iter().enumerate() {
-            let mut deposited = 0u64;
-            for (dst, batch) in outbox.borrow_mut().iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    deposited += batch.len() as u64;
-                    std::mem::swap(
-                        batch,
-                        &mut *coord.mail[dst][*rank].lock().expect(MAIL_POISONED),
-                    );
-                }
-            }
-            if hooks.telemetry {
+        // Phase A: the mail of the window just run already sits in its
+        // slots; the barrier hands it to the destinations. Telemetry counts
+        // this partition's row before anyone may drain it.
+        if hooks.telemetry {
+            for (i, (rank, _)) in owned.iter().enumerate() {
+                let deposited = coord
+                    .mail
+                    .iter()
+                    .map(|row| row[*rank].lock().expect(MAIL_POISONED).len() as u64)
+                    .sum();
                 scratch[i] = (deposited, 0, 0);
             }
         }
@@ -503,7 +503,7 @@ fn shard_worker<P, T, B, F>(
 
         // Phase B: inject inbound messages in canonical order, publish the
         // partition's next-event time.
-        for (i, (rank, sim, _)) in owned.iter_mut().enumerate() {
+        for (i, (rank, sim)) in owned.iter_mut().enumerate() {
             let mut batches: Vec<_> = coord.mail[*rank]
                 .iter()
                 .map(|m| m.lock().expect(MAIL_POISONED))
@@ -531,7 +531,7 @@ fn shard_worker<P, T, B, F>(
         // Phase C: every thread computes the same window from the published
         // mins (stable until the next round's Phase B, which all threads
         // must pass Phase A's barrier to reach). M == None means globally
-        // drained: no events, no mail, no outbox entries anywhere.
+        // drained: no events and no mail anywhere.
         let m = coord.mins.iter().filter_map(|m| *m.lock().unwrap()).min();
         let w_end = match m {
             None => break,
@@ -545,7 +545,7 @@ fn shard_worker<P, T, B, F>(
         // is inclusive, and any message generated at t <= w_end has
         // at >= M + L = w_end, so nothing injected next round lands in a
         // partition's past.
-        for (i, (rank, sim, _)) in owned.iter_mut().enumerate() {
+        for (i, (rank, sim)) in owned.iter_mut().enumerate() {
             let before = if hooks.telemetry {
                 sim.events_processed()
             } else {
@@ -582,7 +582,7 @@ fn shard_worker<P, T, B, F>(
     // Align clocks at the horizon (processes nothing: remaining events, if
     // any, are strictly beyond it) and extract results.
     let mut out = Vec::new();
-    for (rank, sim, _) in &mut owned {
+    for (rank, sim) in &mut owned {
         if let Some(h) = horizon {
             sim.run_until(h);
         }
@@ -940,58 +940,62 @@ mod tests {
         }
     }
 
+    /// Partitions 1..=3 each reach partition 0 through a 5 ms and a 6 ms
+    /// portal, so a batch is in emission order but not in `at` order. Per
+    /// source, in emission order: (send time in us, via the 6 ms portal).
+    /// Source 1's head arrives after source 2's: a merge that trusted
+    /// emission order would inject 2's 5.010 ms packet before 1's.
+    const FAST_US: u64 = 5_000;
+    const SLOW_US: u64 = 6_000;
+    const FAN_IN: [&[(u64, bool)]; 4] = [
+        &[],
+        &[(1, true), (2, false)],
+        &[(2, false), (3, true)],
+        &[(1, true), (2, false), (1_001, false)],
+    ];
+
+    /// Builds partition `rank` of the [`FAN_IN`] scenario: a logger on
+    /// partition 0, an emitter with two portals to it everywhere else.
+    fn build_fan_in(rank: usize, handle: &mut ShardHandle<u64>) -> Simulator<u64> {
+        let mut sim: Simulator<u64> = Simulator::new(rank as u64);
+        let link = |sim: &mut Simulator<u64>, src, dst| {
+            sim.add_link(LinkSpec::drop_tail(
+                src,
+                dst,
+                Rate::from_gbps(1),
+                SimDuration::ZERO,
+                1 << 20,
+            ))
+        };
+        if rank == 0 {
+            let logger = sim.add_node(Box::new(Logger::default()));
+            link(&mut sim, logger, logger); // ingress stub, LinkId(0)
+            return sim;
+        }
+        let emitter = sim.add_node(Box::new(Emitter {
+            rank: rank as u64,
+            links: [LinkId(0); 2],
+        }));
+        let links = [FAST_US, SLOW_US].map(|us| {
+            let delay = SimDuration::from_micros(us);
+            let portal = handle.add_portal(&mut sim, 0, NodeId(0), LinkId(0), delay);
+            link(&mut sim, emitter, portal)
+        });
+        sim.node_as_mut::<Emitter>(emitter).unwrap().links = links;
+        for (k, &(t_us, slow)) in FAN_IN[rank].iter().enumerate() {
+            let token = (k as u64) << 1 | slow as u64;
+            sim.core()
+                .set_timer(emitter, SimDuration::from_micros(t_us), token);
+        }
+        sim
+    }
+
     #[test]
     fn batches_out_of_at_order_inject_in_canonical_order() {
-        // Partitions 1..=3 each reach partition 0 through a 5 ms and a 6 ms
-        // portal, so a batch is in emission order but not in `at` order.
-        // Per source, in emission order: (send time in us, via the 6 ms
-        // portal). Source 1's head arrives after source 2's: a merge that
-        // trusted emission order would inject 2's 5.010 ms packet before 1's.
-        const FAST_US: u64 = 5_000;
-        const SLOW_US: u64 = 6_000;
-        let schedule: [&[(u64, bool)]; 4] = [
-            &[],
-            &[(1, true), (2, false)],
-            &[(2, false), (3, true)],
-            &[(1, true), (2, false), (1_001, false)],
-        ];
-        let build = |rank: usize, handle: &mut ShardHandle<u64>| {
-            let mut sim: Simulator<u64> = Simulator::new(rank as u64);
-            let link = |sim: &mut Simulator<u64>, src, dst| {
-                sim.add_link(LinkSpec::drop_tail(
-                    src,
-                    dst,
-                    Rate::from_gbps(1),
-                    SimDuration::ZERO,
-                    1 << 20,
-                ))
-            };
-            if rank == 0 {
-                let logger = sim.add_node(Box::new(Logger::default()));
-                link(&mut sim, logger, logger); // ingress stub, LinkId(0)
-                return sim;
-            }
-            let emitter = sim.add_node(Box::new(Emitter {
-                rank: rank as u64,
-                links: [LinkId(0); 2],
-            }));
-            let links = [FAST_US, SLOW_US].map(|us| {
-                let delay = SimDuration::from_micros(us);
-                let portal = handle.add_portal(&mut sim, 0, NodeId(0), LinkId(0), delay);
-                link(&mut sim, emitter, portal)
-            });
-            sim.node_as_mut::<Emitter>(emitter).unwrap().links = links;
-            for (k, &(t_us, slow)) in schedule[rank].iter().enumerate() {
-                let token = (k as u64) << 1 | slow as u64;
-                sim.core()
-                    .set_timer(emitter, SimDuration::from_micros(t_us), token);
-            }
-            sim
-        };
         // The old injection order: every message tagged (at, source rank,
         // emission index) and sorted. 1000 B at 1 Gbps is 8 us on the wire.
         let mut expected: Vec<(u64, usize, usize, u64)> = Vec::new();
-        for (src, msgs) in schedule.iter().enumerate() {
+        for (src, msgs) in FAN_IN.iter().enumerate() {
             for (k, &(t_us, slow)) in msgs.iter().enumerate() {
                 let at = (t_us + 8 + if slow { SLOW_US } else { FAST_US }) * 1_000;
                 expected.push((at, src, k, (src * 100 + k) as u64));
@@ -1004,16 +1008,68 @@ mod tests {
             "the schedule must produce arrival-time ties"
         );
         for threads in [1, 2, 4] {
-            let run = run_sharded(4, threads, None, build, |rank, sim: &mut Simulator<u64>| {
-                (rank == 0)
-                    .then(|| std::mem::take(&mut sim.node_as_mut::<Logger>(NodeId(0)).unwrap().log))
-            });
+            let run = run_sharded(
+                4,
+                threads,
+                None,
+                build_fan_in,
+                |rank, sim: &mut Simulator<u64>| {
+                    (rank == 0).then(|| {
+                        std::mem::take(&mut sim.node_as_mut::<Logger>(NodeId(0)).unwrap().log)
+                    })
+                },
+            );
             assert_eq!(
                 run.results[0].as_deref(),
                 Some(&expected[..]),
                 "{threads} threads"
             );
             assert_eq!(run.cross_messages, expected.len() as u64);
+        }
+    }
+
+    #[test]
+    fn telemetry_conserves_crossings() {
+        let sent: usize = FAN_IN.iter().map(|msgs| msgs.len()).sum();
+        let mut virtual_by_threads = Vec::new();
+        for threads in [1, 2, 4] {
+            let run = run_sharded_with(
+                4,
+                threads,
+                None,
+                ShardHooks {
+                    telemetry: true,
+                    ..ShardHooks::default()
+                },
+                build_fan_in,
+                |_, _: &mut Simulator<u64>| (),
+            );
+            assert_eq!(run.cross_messages, sent as u64, "{threads} threads");
+            let tele = run.telemetry.expect("telemetry armed");
+            let mut total = 0;
+            for window in tele.chunk_by(|a, b| a.window == b.window) {
+                let deposited: u64 = window.iter().map(|t| t.deposited).sum();
+                let injected: u64 = window.iter().map(|t| t.injected).sum();
+                assert_eq!(
+                    deposited, injected,
+                    "window {} with {threads} threads: every message deposited \
+                     at a barrier is injected at it",
+                    window[0].window
+                );
+                total += injected;
+            }
+            assert_eq!(total, run.cross_messages, "{threads} threads");
+            // Mail flows one way: the logger deposits nothing, the emitters
+            // are injected nothing.
+            assert!(tele.iter().all(|t| if t.part == 0 {
+                t.deposited == 0
+            } else {
+                t.injected == 0
+            }));
+            virtual_by_threads.push(tele.iter().map(virtual_fields).collect::<Vec<_>>());
+        }
+        for v in &virtual_by_threads[1..] {
+            assert_eq!(*v, virtual_by_threads[0]);
         }
     }
 

@@ -444,9 +444,9 @@ fn weather_main(args: Vec<String>) -> ExitCode {
         out.fct_ms.0, out.fct_ms.1, out.fct_ms.2, out.reaped, out.sketch_mem_bytes
     );
     eprintln!(
-        ">> done in {:.1}s wall (rss {:.0} MB); outputs in {}",
+        ">> done in {:.1}s wall (peak rss {:.0} MiB); outputs in {}",
         started.elapsed().as_secs_f64(),
-        weather::rss_mb().unwrap_or(0.0),
+        weather::peak_rss_mb().unwrap_or(0.0),
         out_dir.display()
     );
     ExitCode::SUCCESS
@@ -561,8 +561,8 @@ fn main() -> ExitCode {
             wall_s,
         });
         eprintln!(
-            ">> {id} done in {wall_s:.1}s (rss {:.0} MB)",
-            weather::rss_mb().unwrap_or(0.0)
+            ">> {id} done in {wall_s:.1}s (peak rss {:.0} MiB)",
+            weather::peak_rss_mb().unwrap_or(0.0)
         );
     }
     if let Some(dir) = &out_dir {
@@ -572,7 +572,7 @@ fn main() -> ExitCode {
             experiments: entries,
             jobs: ctx.jobs,
             shards: ctx.shards,
-            rss_mb: weather::rss_mb().unwrap_or(0.0) as u64,
+            peak_rss_mb: weather::peak_rss_mb().unwrap_or(0.0) as u64,
         };
         let path = dir.join("manifest.json");
         if let Err(e) = std::fs::create_dir_all(dir)

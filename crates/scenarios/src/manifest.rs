@@ -54,9 +54,9 @@ pub struct Manifest {
     pub jobs: usize,
     /// `--shards` effective value (machine-varying).
     pub shards: usize,
-    /// Resident set size at the end of the run, MB (machine-varying; 0 if
+    /// Peak resident set size of the run, MiB (machine-varying; 0 if
     /// unavailable).
-    pub rss_mb: u64,
+    pub peak_rss_mb: u64,
 }
 
 fn json_str(s: &str) -> String {
@@ -110,8 +110,8 @@ impl Manifest {
         out.push_str("  ],\n");
         let _ = writeln!(
             out,
-            "  \"machine\": {{\"jobs\": {}, \"shards\": {}, \"rss_mb\": {}}}",
-            self.jobs, self.shards, self.rss_mb
+            "  \"machine\": {{\"jobs\": {}, \"shards\": {}, \"peak_rss_mb\": {}}}",
+            self.jobs, self.shards, self.peak_rss_mb
         );
         out.push_str("}\n");
         out
@@ -148,7 +148,7 @@ mod tests {
             ],
             jobs: 4,
             shards: 4,
-            rss_mb: 29,
+            peak_rss_mb: 29,
         }
     }
 

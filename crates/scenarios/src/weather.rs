@@ -638,17 +638,19 @@ pub fn summary_json(cfg: &WeatherConfig, out: &WeatherOutcome) -> String {
     ));
     // Machine-varying; single line, strippable.
     s.push_str(&format!(
-        "  \"machine\": {{ \"rss_mb\": {} }}\n",
-        rss_mb().unwrap_or(0.0) as u64
+        "  \"machine\": {{ \"peak_rss_mb\": {} }}\n",
+        peak_rss_mb().unwrap_or(0.0) as u64
     ));
     s.push_str("}\n");
     s
 }
 
-/// Resident set size in MB (Linux; `None` elsewhere).
-pub fn rss_mb() -> Option<f64> {
+/// Peak resident set size of this process so far, in MiB (the kernel's
+/// `VmHWM` high-water mark, which memory freed before the call still
+/// counts in; Linux only, `None` elsewhere).
+pub fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS"))?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM"))?;
     Some(line.split_whitespace().nth(1)?.parse::<f64>().ok()? / 1024.0)
 }
 
@@ -678,6 +680,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    #[test]
+    fn peak_rss_counts_memory_already_freed() {
+        const MIB: usize = 1 << 20;
+        // `vec![1; n]` writes every byte, so every page is resident once.
+        let buf = std::hint::black_box(vec![1u8; 64 * MIB]);
+        drop(buf);
+        let peak = peak_rss_mb().expect("Linux reports VmHWM");
+        assert!(
+            peak >= 64.0,
+            "a freed 64 MiB buffer must stay in the peak: {peak:.1} MiB"
+        );
     }
 
     #[test]

@@ -9,16 +9,21 @@
 #      run sustained a service-scale arrival rate (>= 1M flows per
 #      simulated hour at default utilization) with every flow accounted
 #      for (started = completed + aborted + censored).
-#   2. Bounded memory — the run's peak RSS (the kernel's ru_maxrss for the
-#      repro process) stays under a measured ceiling, and receivers were
-#      actually reaped; an unbounded per-flow structure shows up here long
-#      before the 24 h run OOMs. The ceiling comes from this exact run
-#      (x86-64 Linux, glibc, release build): 35.1-35.4 MiB when the whole
-#      checkpoint was built in one buffer and finished flows queued for a
-#      whole 60 s window, 23.4-23.8 MiB with the checkpoint streamed to
-#      disk and the completion bus drained after every arrival. 28 MiB
-#      fails the former and leaves the latter at least 17 % headroom, so
-#      either buffer coming back trips it.
+#   2. Bounded memory — the run's peak RSS (the "peak_rss_mb" machine
+#      line of weather.json: the repro process's own VmHWM, whole MiB)
+#      stays under a measured ceiling, and receivers were actually reaped;
+#      an unbounded per-flow structure shows up here long before the 24 h
+#      run OOMs. The ceiling comes from this exact run (x86-64 Linux,
+#      glibc, release build): 35.1-35.4 MiB when the whole checkpoint was
+#      built in one buffer and finished flows queued for a whole 60 s
+#      window, 23.4-23.8 MiB with the checkpoint streamed to disk and the
+#      completion bus drained after every arrival, ~10 MiB since a
+#      finished receiver became a 48-byte record. 14 MiB is ~1.4x the
+#      last, so the 144-byte receivers that wait out the reap grace, or
+#      either buffer, coming back trips it. (The check used to read
+#      ru_maxrss of a python launcher's child, which measured the
+#      launcher: the kernel carries the parent's high-water mark across a
+#      vfork'ed exec, and /bin/true read 13.7 MiB that way.)
 #   3. Kill/restore byte-identity — a second run killed at its first
 #      checkpoint and resumed must reproduce windows.csv, weather.json
 #      (minus the machine line), and the final checkpoint byte-for-byte.
@@ -34,14 +39,10 @@ trap 'rm -rf "$dir"' EXIT
 
 cargo build --release --bin repro
 run="${CARGO_TARGET_DIR:-target}/release/repro weather --minutes 10 --checkpoint-every 3"
-ceiling_kib=$((28 * 1024))
+ceiling_mb=14
 
-# --- 1. Uninterrupted reference run, its peak RSS measured ------------
-peak_kib=$(python3 -c '
-import resource, subprocess, sys
-subprocess.run(sys.argv[1:], check=True, stdout=sys.stderr)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-' $run --out "$dir/a")
+# --- 1. Uninterrupted reference run -----------------------------------
+$run --out "$dir/a" >&2
 
 head -1 "$dir/a/windows.csv" | grep -q \
     '^window,t_end_s,started,completed,aborted,fct_ms_mean,fct_ms_p50,fct_ms_p99,retx_mean,active_flows,live_receivers,reaped$' || {
@@ -80,8 +81,13 @@ if [ "$started" != "$((completed + aborted + censored))" ]; then
 fi
 
 # --- 2. Bounded memory ------------------------------------------------
-if [ "$peak_kib" -gt "$ceiling_kib" ]; then
-    echo "FAIL: weather run peaked at ${peak_kib} KiB RSS (ceiling: ${ceiling_kib} KiB)" >&2
+peak_mb=$(field "$dir/a/weather.json" peak_rss_mb)
+if [ -z "$peak_mb" ] || [ "$peak_mb" -eq 0 ]; then
+    echo "FAIL: weather.json reports no peak RSS" >&2
+    exit 1
+fi
+if [ "$peak_mb" -gt "$ceiling_mb" ]; then
+    echo "FAIL: weather run peaked at ${peak_mb} MiB RSS (ceiling: ${ceiling_mb} MiB)" >&2
     exit 1
 fi
 reaped=$(field "$dir/a/weather.json" receivers_reaped)
@@ -126,4 +132,4 @@ if ! grep -q 'checksum' "$dir/c.log" || grep -qE 'panicked|memory allocation' "$
     exit 1
 fi
 
-echo "OK: $started flows ($fph/simulated-hour, peak RSS ${peak_kib} KiB), kill+resume byte-identical, damaged checkpoint refused"
+echo "OK: $started flows ($fph/simulated-hour, peak RSS ${peak_mb} MiB), kill+resume byte-identical, damaged checkpoint refused"

@@ -49,7 +49,7 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
     // Fig. 3 (which packet arrived when, and whether it was a fresh copy or
     // a ROPR retransmission).
     let recv = rig.sim.node_as::<Host>(rig.pairs()[0].1).unwrap();
-    if let Some(log) = recv.receiver(FlowId(1)).and_then(|c| c.arrivals.as_ref()) {
+    if let Some(log) = recv.arrivals(FlowId(1)) {
         for &(t, seg, class) in log {
             lines.push(format!(
                 "{:>9.3} ms  receiver got packet {:>2} ({})",

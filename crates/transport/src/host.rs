@@ -8,11 +8,11 @@
 //! (the web-workload driver reacts to completions in virtual time).
 
 use crate::fasthash::FastMap;
-use crate::receiver::ReceiverConn;
+use crate::receiver::{Finished, ReceiverConn, ReceiverView};
 use crate::sender::{FlowRecord, SenderConn, TimerKind};
 use crate::strategy::Strategy;
 use crate::trace::{DeliveryTimelines, FlightRecorder, FlowEvent};
-use crate::wire::Header;
+use crate::wire::{Header, SegId, SendClass};
 use netsim::engine::EngineCore;
 use netsim::node::{Node, TimerId};
 use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -152,24 +152,10 @@ impl<T> ConnTable<T> {
         self.slot_mut(i)
     }
 
-    fn remove(&mut self, flow: FlowId) {
-        if let Some(i) = self.index.remove(&flow) {
-            self.slots[i as usize] = None;
-            self.free.push(i);
-        }
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let (slots, free) = (&mut self.slots, &mut self.free);
-        self.index.retain(|_, &mut i| {
-            let slot = &mut slots[i as usize];
-            let kept = slot.as_ref().is_some_and(&mut keep);
-            if !kept {
-                *slot = None;
-                free.push(i);
-            }
-            kept
-        });
+    fn remove(&mut self, flow: FlowId) -> Option<T> {
+        let i = self.index.remove(&flow)?;
+        self.free.push(i);
+        self.slots[i as usize].take()
     }
 
     /// Slot order: whatever order flows came and went in.
@@ -189,21 +175,97 @@ impl<T> ConnTable<T> {
     }
 }
 
-/// Travels as the flow-keyed map it replaced.
-impl<T: Snap> Snap for ConnTable<T> {
+/// A host's receivers. An open one lives in the connection table; at the
+/// segment that completes it, it becomes a [`Finished`] record in one list
+/// sorted by flow id, found by binary search. Finished receivers far
+/// outnumber open ones in a service run (they wait out the reap grace), so
+/// they carry no index and none of the open state.
+#[derive(Default)]
+struct Receivers {
+    open: ConnTable<ReceiverConn>,
+    finished: Vec<Finished>,
+    /// The node the finished receivers answer from, which their records
+    /// leave out: the first one to finish sets it.
+    node: Option<NodeId>,
+}
+
+impl Receivers {
+    fn len(&self) -> usize {
+        self.open.len() + self.finished.len()
+    }
+
+    /// Where `flow`'s record is in the finished list.
+    fn find(&self, flow: FlowId) -> Option<usize> {
+        self.finished
+            .binary_search_by_key(&flow, Finished::flow)
+            .ok()
+    }
+
+    fn view(&self, flow: FlowId) -> Option<ReceiverView> {
+        match self.open.get(flow) {
+            Some(conn) => Some(conn.view()),
+            None => self.find(flow).map(|i| self.finished[i].view()),
+        }
+    }
+
+    /// Move `flow`'s open receiver to the finished list if it completed
+    /// (only damaged state stays behind).
+    fn settle(&mut self, flow: FlowId) {
+        let Some(conn) = self.open.get(flow).filter(|c| c.finishes_exactly()) else {
+            return;
+        };
+        self.node = Some(conn.local());
+        let conn = self.open.remove(flow).expect("looked up");
+        let at = self.finished.partition_point(|f| f.flow() < flow);
+        self.finished.insert(at, conn.finish());
+    }
+
+    /// The finished list's records as the complete receivers they stand
+    /// for, which is what a checkpoint holds.
+    fn reopened(&self) -> impl Iterator<Item = (FlowId, ReceiverConn)> + '_ {
+        self.finished.iter().map(|f| {
+            let node = self.node.expect("a finished receiver set the node");
+            (f.flow(), f.to_conn(node))
+        })
+    }
+}
+
+/// Travels as one flow-keyed map, open and finished receivers merged in
+/// flow order, each as a [`ReceiverConn`]. Load sends a receiver to the
+/// finished list only when finishing it loses nothing, so a load re-saves
+/// the bytes it read.
+impl Snap for Receivers {
     fn save(&self, w: &mut SnapWriter) {
-        let entries = self.sorted();
-        w.seq_len(entries.len());
-        for (flow, conn) in entries {
+        w.seq_len(self.len());
+        let mut finished = self.reopened().peekable();
+        for (flow, conn) in self.open.sorted() {
+            while let Some((f, done)) = finished.next_if(|e| e.0 < flow) {
+                w.put(&f);
+                w.put(&done);
+            }
             w.put(&flow);
             w.put(conn);
         }
+        for (f, done) in finished {
+            w.put(&f);
+            w.put(&done);
+        }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut table = ConnTable::default();
+        let mut table = Receivers::default();
         for _ in 0..r.seq_len()? {
-            let (flow, conn) = (r.get()?, r.get()?);
-            table.get_or_insert_with(flow, || conn);
+            let (flow, conn): (FlowId, ReceiverConn) = (r.get()?, r.get()?);
+            // Saved in flow order, so each record goes on the end.
+            let fits = conn.flow() == flow
+                && conn.finishes_exactly()
+                && table.node.is_none_or(|n| n == conn.local())
+                && table.finished.last().is_none_or(|f| f.flow() < flow);
+            if fits {
+                table.node = Some(conn.local());
+                table.finished.push(conn.finish());
+            } else {
+                table.open.get_or_insert_with(flow, || conn);
+            }
         }
         Ok(table)
     }
@@ -213,7 +275,7 @@ impl<T: Snap> Snap for ConnTable<T> {
 pub struct Host {
     core: HostCore,
     senders: ConnTable<SenderConn>,
-    receivers: ConnTable<ReceiverConn>,
+    receivers: Receivers,
     /// When set, receiver endpoints record delivered bytes into per-flow
     /// timelines (the Fig. 15 throughput traces). The final partial bin is
     /// closed at the flow-completion instant.
@@ -221,9 +283,14 @@ pub struct Host {
     /// Override the RFC 6298 1 s minimum RTO for flows started on this host
     /// (sensitivity studies; `None` = standard).
     pub min_rto: Option<netsim::SimDuration>,
-    /// When true, receiver endpoints keep a per-packet arrival log (the
-    /// Fig. 3 timeline view). Off by default — it stores every arrival.
+    /// When true, receivers made from here on keep a per-packet arrival
+    /// log (the Fig. 3 timeline view). Off by default — it stores every
+    /// arrival.
     pub log_arrivals: bool,
+    /// The arrival logs, by flow: (time, segment, transmission class) per
+    /// data packet in arrival order. Debug-only instrumentation: it does
+    /// not travel in a checkpoint, and reaping a receiver keeps its log.
+    arrivals: FastMap<FlowId, Vec<(SimTime, SegId, SendClass)>>,
     /// Data packets that arrived for unknown flows (should stay zero).
     pub stray_packets: u64,
     /// Transport-invariant violations seen on every ACK and data delivery
@@ -251,10 +318,11 @@ impl Host {
                 recorder: None,
             },
             senders: ConnTable::default(),
-            receivers: ConnTable::default(),
+            receivers: Receivers::default(),
             timelines: None,
             min_rto: None,
             log_arrivals: false,
+            arrivals: FastMap::default(),
             stray_packets: 0,
             invariant_breaches: Vec::new(),
         }
@@ -299,10 +367,10 @@ impl Host {
     /// give-up time (~63 s of SYN/RTO backoff), so a late retransmit never
     /// finds its receiver missing.
     pub fn reap_receivers(&mut self, before: SimTime) -> usize {
-        let n = self.receivers.len();
-        self.receivers
-            .retain(|c| c.complete_at.is_none_or(|t| t >= before));
-        n - self.receivers.len()
+        let finished = &mut self.receivers.finished;
+        let n = finished.len();
+        finished.retain(|f| f.complete_at() >= before);
+        n - finished.len()
     }
 
     /// Install a flight recorder holding at most
@@ -321,14 +389,21 @@ impl Host {
         &self.core.completed
     }
 
-    /// Receiver-side connection state for a flow, if any.
-    pub fn receiver(&self, flow: FlowId) -> Option<&ReceiverConn> {
-        self.receivers.get(flow)
+    /// Receiver-side state of a flow, open or finished, if it has any.
+    pub fn receiver(&self, flow: FlowId) -> Option<ReceiverView> {
+        self.receivers.view(flow)
     }
 
-    /// All receiver connections.
-    pub fn receivers(&self) -> impl Iterator<Item = &ReceiverConn> {
-        self.receivers.values()
+    /// Every receiver's state: the open ones, then the finished ones.
+    pub fn receivers(&self) -> impl Iterator<Item = ReceiverView> + '_ {
+        let open = self.receivers.open.values().map(ReceiverConn::view);
+        open.chain(self.receivers.finished.iter().map(Finished::view))
+    }
+
+    /// The arrival log of a flow whose receiver was made while
+    /// [`Host::log_arrivals`] was set.
+    pub fn arrivals(&self, flow: FlowId) -> Option<&[(SimTime, SegId, SendClass)]> {
+        self.arrivals.get(&flow).map(Vec::as_slice)
     }
 
     /// All in-progress sender connections.
@@ -466,58 +541,77 @@ impl Node<Header> for Host {
         let flow = pkt.flow;
         match pkt.payload {
             Header::Syn { flow_bytes } => {
-                let log_arrivals = self.log_arrivals;
-                let conn = self.receivers.get_or_insert_with(flow, || {
-                    let mut c =
-                        ReceiverConn::new(flow, self.core.node, pkt.src, flow_bytes, ctx.now());
-                    if log_arrivals {
-                        c.arrivals = Some(Vec::new());
+                let node = self.core.node;
+                let reply = if let Some(conn) = self.receivers.open.get(flow) {
+                    conn.syn_ack()
+                } else if let Some(i) = self.receivers.find(flow) {
+                    self.receivers.finished[i].syn_ack(node)
+                } else {
+                    if self.log_arrivals {
+                        self.arrivals.insert(flow, Vec::new());
                     }
-                    c
-                });
-                let reply = conn.syn_ack();
+                    let conn = ReceiverConn::new(flow, node, pkt.src, flow_bytes, ctx.now());
+                    self.receivers
+                        .open
+                        .get_or_insert_with(flow, || conn)
+                        .syn_ack()
+                };
                 ctx.send(self.core.egress, reply);
             }
             Header::SynAck { window } => {
                 self.dispatch_sender(flow, ctx, |c, sh, ctx| c.handle_syn_ack(sh, ctx, window));
             }
-            Header::Data(ref hdr) => match self.receivers.get_mut(flow) {
-                Some(conn) => {
+            Header::Data(ref hdr) => {
+                let now = ctx.now();
+                let (ack, gained, view) = if let Some(conn) = self.receivers.open.get_mut(flow) {
                     let before = conn.delivered_bytes;
-                    let reply = conn.on_data(hdr, pkt.sent_at, ctx.now());
-                    let delivered = conn.delivered_bytes - before;
-                    if delivered > 0 {
-                        if let Some(tl) = &mut self.timelines {
-                            tl.record(flow, ctx.now().as_nanos(), delivered as f64);
-                            if conn.complete_at.is_some() {
-                                tl.close(flow, ctx.now().as_nanos());
-                            }
-                        }
-                    }
-                    self.core.record(
-                        ctx.now(),
-                        flow,
-                        FlowEvent::Delivered {
-                            seg: hdr.seg,
-                            cum: conn.cum(),
-                            delivered_bytes: conn.delivered_bytes,
-                        },
-                    );
-                    ctx.send(self.core.egress, reply);
-                    if conn.delivered_bytes > conn.total_bytes() {
+                    let ack = conn.on_data(hdr, pkt.sent_at, now);
+                    let (got, total) = (conn.delivered_bytes, conn.total_bytes());
+                    let view = conn.view();
+                    if got > total {
                         let msg = format!(
-                            "flow {flow}: receiver delivered {} bytes of a {}-byte flow \
-                             (ghost bytes)",
-                            conn.delivered_bytes,
-                            conn.total_bytes()
+                            "flow {flow}: receiver delivered {got} bytes of a {total}-byte \
+                             flow (ghost bytes)"
                         );
                         self.breach(msg);
                     }
-                }
-                None => {
+                    (ack, got - before, view)
+                } else if let Some(i) = self.receivers.find(flow) {
+                    let rec = &mut self.receivers.finished[i];
+                    (rec.on_data(self.core.node, hdr, pkt.sent_at), 0, rec.view())
+                } else {
                     self.stray_packets += 1;
+                    return;
+                };
+                if !self.arrivals.is_empty() {
+                    if let Some(log) = self.arrivals.get_mut(&flow) {
+                        log.push((now, hdr.seg, hdr.class));
+                    }
                 }
-            },
+                // Only a newly delivered segment can complete a flow.
+                if gained > 0 {
+                    let done = view.complete_at.is_some();
+                    if let Some(tl) = &mut self.timelines {
+                        tl.record(flow, now.as_nanos(), gained as f64);
+                        if done {
+                            tl.close(flow, now.as_nanos());
+                        }
+                    }
+                    if done {
+                        self.receivers.settle(flow);
+                    }
+                }
+                self.core.record(
+                    now,
+                    flow,
+                    FlowEvent::Delivered {
+                        seg: hdr.seg,
+                        cum: view.cum,
+                        delivered_bytes: view.delivered_bytes,
+                    },
+                );
+                ctx.send(self.core.egress, ack);
+            }
             Header::Ack(ref ack) => {
                 let moved = self.dispatch_sender(flow, ctx, |c, sh, ctx| {
                     let before = c.cum_ack();
@@ -537,15 +631,18 @@ impl Node<Header> for Host {
                     }
                 }
             }
-            Header::Probe(ref ph) => match self.receivers.get_mut(flow) {
-                Some(conn) => {
-                    let reply = conn.on_probe(ph, pkt.sent_at, ctx.now());
-                    ctx.send(self.core.egress, reply);
-                }
-                None => {
+            Header::Probe(ref ph) => {
+                let (node, now) = (self.core.node, ctx.now());
+                let reply = if let Some(conn) = self.receivers.open.get(flow) {
+                    conn.on_probe(ph, pkt.sent_at, now)
+                } else if let Some(i) = self.receivers.find(flow) {
+                    self.receivers.finished[i].on_probe(node, ph, pkt.sent_at, now)
+                } else {
                     self.stray_packets += 1;
-                }
-            },
+                    return;
+                };
+                ctx.send(self.core.egress, reply);
+            }
             Header::ProbeAck(ref pa) => {
                 self.dispatch_sender(flow, ctx, |c, sh, ctx| c.handle_probe_ack(sh, ctx, pa));
             }
@@ -577,7 +674,7 @@ mod tests {
     use crate::TransportSim;
     use netsim::loss::LossModel;
     use netsim::snap::assert_roundtrip;
-    use netsim::topology::{build_path, PathSpec};
+    use netsim::topology::{build_path, PathNet, PathSpec};
     use netsim::{Rate, SimDuration};
 
     /// Window-driven test strategy that leaves a copy of its engine where
@@ -607,6 +704,15 @@ mod tests {
         netsim::snap_fields!(fn save_state, load_state { reno });
     }
 
+    /// A two-host path with both hosts wired.
+    fn wired(spec: &PathSpec) -> (TransportSim, PathNet) {
+        let mut sim = TransportSim::new(5);
+        let net = build_path(&mut sim, spec, |_| Box::new(Host::new()));
+        sim.with_node_mut::<Host, _>(net.sender, |h, _| h.wire(net.sender, net.forward));
+        sim.with_node_mut::<Host, _>(net.receiver, |h, _| h.wire(net.receiver, net.reverse));
+        (sim, net)
+    }
+
     /// What a packet in the arena and a connection in its slot cost, so that
     /// growth is a decision: every hop reads the first, every flow builds
     /// and drops the other two.
@@ -632,13 +738,7 @@ mod tests {
         };
         let mut spec = PathSpec::clean(Rate::from_mbps(10), SimDuration::from_millis(40));
         spec.loss = LossModel::wifi_bursty();
-        let build = || {
-            let mut sim = TransportSim::new(5);
-            let net = build_path(&mut sim, &spec, |_| Box::new(Host::new()));
-            sim.with_node_mut::<Host, _>(net.sender, |h, _| h.wire(net.sender, net.forward));
-            sim.with_node_mut::<Host, _>(net.receiver, |h, _| h.wire(net.receiver, net.reverse));
-            (sim, net)
-        };
+        let build = || wired(&spec);
         let (mut sim, net) = build();
         sim.with_node_mut::<Host, _>(net.sender, |h, core| {
             h.start_flow(core, FlowId(1), net.receiver, 3_000, make(&seen));
@@ -689,5 +789,86 @@ mod tests {
                 let _ = copy.load(&mut SnapReader::new(&bad), &mut |_| make(&seen));
             }
         }
+    }
+
+    /// Flows that finish out of flow-id order, caught mid-run beside open
+    /// ones: reaping at a run of instants takes exactly the receivers a
+    /// brute-force model picks, and a fresh host restored from the
+    /// checkpoint re-saves the same bytes and reaps the same at each step.
+    #[test]
+    fn reaping_and_restore_match_a_brute_force_model() {
+        let spec = PathSpec::clean(Rate::from_mbps(10), SimDuration::from_millis(40));
+        let (mut sim, net) = wired(&spec);
+        let flows: Vec<FlowId> = (0..40u64).map(|i| FlowId(i * 17 % 40 + 1)).collect();
+        sim.with_node_mut::<Host, _>(net.sender, |h, core| {
+            for (i, &flow) in flows.iter().enumerate() {
+                let bytes = 1_000 + (i as u64 * 7_919 % 13) * 4_000;
+                let strategy = Box::new(MiniTcp {
+                    reno: RenoEngine::new(RenoConfig::default()),
+                    seen: Rc::default(),
+                });
+                h.start_flow(core, flow, net.receiver, bytes, strategy);
+            }
+        });
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(500));
+
+        let save = |h: &Host| {
+            let mut w = SnapWriter::new();
+            h.save(&mut w);
+            w.into_bytes()
+        };
+        let rx = sim.node_as_mut::<Host>(net.receiver).unwrap();
+        let (mut fresh, _) = wired(&spec);
+        let copy = fresh.node_as_mut::<Host>(net.receiver).unwrap();
+        copy.load(&mut SnapReader::new(&save(rx)), &mut |_| unreachable!())
+            .unwrap();
+        assert!(save(rx) == save(copy), "host save -> load -> save");
+
+        let mut model: Vec<(FlowId, ReceiverView)> = flows
+            .iter()
+            .filter_map(|&f| Some((f, rx.receiver(f)?)))
+            .collect();
+        let mut done: Vec<_> = model
+            .iter()
+            .filter_map(|&(f, v)| Some((v.complete_at?, f)))
+            .collect();
+        done.sort();
+        let (finished, open) = (rx.receivers.finished.len(), rx.receivers.open.len());
+        assert_eq!((finished, open), (done.len(), model.len() - done.len()));
+        assert!(
+            finished >= 10 && open >= 3,
+            "{finished} finished, {open} open"
+        );
+        assert!(
+            done.windows(2).any(|w| w[0].1 > w[1].1),
+            "finished in flow order"
+        );
+
+        // Each instant twice: on a completion (which stays), then just past.
+        let past = |t: SimTime| SimTime::from_nanos(t.as_nanos() + 1);
+        let (first, fifth, tenth) = (done[0].0, done[4].0, done[9].0);
+        let end = SimTime::ZERO + SimDuration::from_secs(9);
+        for before in [first, first, fifth, past(fifth), tenth, past(tenth), end] {
+            let n = model.len();
+            model.retain(|(_, v)| v.complete_at.is_none_or(|t| t >= before));
+            for host in [&mut *rx, &mut *copy] {
+                assert_eq!(
+                    host.reap_receivers(before),
+                    n - model.len(),
+                    "at {before:?}"
+                );
+                let mut got: Vec<_> = host.receivers().map(|v| format!("{v:?}")).collect();
+                let mut want: Vec<_> = model.iter().map(|(_, v)| format!("{v:?}")).collect();
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "at {before:?}");
+                for &f in &flows {
+                    let kept = model.iter().find(|e| e.0 == f).map(|e| e.1);
+                    assert_eq!(host.receiver(f), kept, "{f} at {before:?}");
+                }
+            }
+            assert!(save(rx) == save(copy), "reaped alike at {before:?}");
+        }
+        assert_eq!(rx.receivers().count(), open);
     }
 }

@@ -34,15 +34,8 @@ pub struct ReceiverConn {
     pub dup_segments: u64,
     /// Total data packets received.
     pub data_packets: u64,
-    /// Optional arrival log: (time, segment, transmission class) per data
-    /// packet, in arrival order (the Fig. 3 timeline view). Enabled via
-    /// [`crate::host::Host::log_arrivals`].
-    pub arrivals: Option<Vec<(SimTime, SegId, crate::wire::SendClass)>>,
 }
 
-// The arrival log is debug-only instrumentation and does not travel
-// (open-loop service runs never enable it): a restored receiver starts with
-// logging off.
 netsim::snap_struct!(ReceiverConn {
     flow,
     peer,
@@ -56,9 +49,77 @@ netsim::snap_struct!(ReceiverConn {
     complete_at,
     delivered_bytes,
     dup_segments,
-    data_packets;
-    arrivals,
+    data_packets,
 });
+
+/// What a host can be asked about one of its receivers, open or finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReceiverView {
+    /// Cumulative receive point: all segments `< cum` have arrived.
+    pub cum: SegId,
+    /// Time the first SYN arrived.
+    pub syn_at: SimTime,
+    /// Time the flow became fully received, if it has.
+    pub complete_at: Option<SimTime>,
+    /// Distinct payload bytes delivered so far.
+    pub delivered_bytes: u64,
+    /// Data packets that duplicated already-received segments.
+    pub dup_segments: u64,
+    /// Total data packets received.
+    pub data_packets: u64,
+}
+
+/// A receiver whose last missing segment has arrived, cut down to what it
+/// still does: answer a late duplicate with `cum = total` and no SACK,
+/// answer a retransmitted SYN or a probe, and count the packet. The rest of
+/// a complete [`ReceiverConn`] follows from the flow size — every segment
+/// received, every byte delivered, the size rule's window — and the local
+/// node is the host's, which every method takes.
+#[derive(Debug)]
+pub struct Finished {
+    flow: FlowId,
+    peer: NodeId,
+    total_bytes: u64,
+    syn_at: SimTime,
+    complete_at: SimTime,
+    dup_segments: u32,
+    data_packets: u32,
+}
+
+/// The window a receiver advertises for a flow of `flow_bytes`.
+fn window_for(flow_bytes: u64) -> u32 {
+    if flow_bytes > ReceiverConn::BULK_THRESHOLD_BYTES {
+        ReceiverConn::BULK_FCW_BYTES
+    } else {
+        DEFAULT_FCW_BYTES
+    }
+}
+
+/// A control packet from `local` back to `peer`.
+fn reply(flow: FlowId, local: NodeId, peer: NodeId, hdr: Header) -> Packet<Header> {
+    Packet::new(flow, local, peer, CTRL_WIRE_BYTES, hdr)
+}
+
+fn probe_ack(hdr: &ProbeHeader, pkt_sent_at: SimTime, now: SimTime) -> Header {
+    Header::ProbeAck(ProbeAckHeader {
+        train: hdr.train,
+        idx: hdr.idx,
+        len: hdr.len,
+        sent_at: pkt_sent_at,
+        recv_at: now,
+    })
+}
+
+/// A counter of a finished record, which is 32 bits wide.
+fn narrow(n: u64) -> Option<u32> {
+    u32::try_from(n).ok()
+}
+
+fn bump(n: &mut u32) {
+    *n = n
+        .checked_add(1)
+        .expect("a finished receiver's counter overflowed");
+}
 
 impl ReceiverConn {
     /// Advertised window for bulk transfers (window scaling in effect; lets
@@ -76,11 +137,7 @@ impl ReceiverConn {
             local,
             total_segs: segment_count(flow_bytes),
             total_bytes: flow_bytes,
-            window: if flow_bytes > Self::BULK_THRESHOLD_BYTES {
-                Self::BULK_FCW_BYTES
-            } else {
-                DEFAULT_FCW_BYTES
-            },
+            window: window_for(flow_bytes),
             received: RangeSet::new(),
             cum: 0,
             syn_at: now,
@@ -88,7 +145,61 @@ impl ReceiverConn {
             dup_segments: 0,
             delivered_bytes: 0,
             data_packets: 0,
-            arrivals: None,
+        }
+    }
+
+    /// The host node this receiver answers from.
+    pub(crate) fn local(&self) -> NodeId {
+        self.local
+    }
+
+    /// The host-facing fields.
+    pub fn view(&self) -> ReceiverView {
+        ReceiverView {
+            cum: self.cum,
+            syn_at: self.syn_at,
+            complete_at: self.complete_at,
+            delivered_bytes: self.delivered_bytes,
+            dup_segments: self.dup_segments,
+            data_packets: self.data_packets,
+        }
+    }
+
+    /// True when [`Self::finish`] loses nothing: the flow completed, every
+    /// field a [`Finished`] leaves out is the one it derives, and both
+    /// counters fit its 32 bits. A receiver completed by [`Self::on_data`]
+    /// always is; one decoded from damaged bytes need not be.
+    pub fn finishes_exactly(&self) -> bool {
+        let n = self.total_segs;
+        self.complete_at.is_some()
+            && n == segment_count(self.total_bytes)
+            && self.cum == n
+            && self.received.len() == n as u64
+            && self.received.iter_ranges().eq((n > 0).then_some((0, n)))
+            && self.delivered_bytes == self.total_bytes
+            && self.window == window_for(self.total_bytes)
+            && narrow(self.dup_segments).is_some()
+            && narrow(self.data_packets).is_some()
+    }
+
+    /// The compact record of a complete receiver.
+    ///
+    /// # Panics
+    /// Unless [`Self::finishes_exactly`].
+    pub fn finish(self) -> Finished {
+        assert!(
+            self.finishes_exactly(),
+            "flow {}: only a complete receiver finishes",
+            self.flow
+        );
+        Finished {
+            flow: self.flow,
+            peer: self.peer,
+            total_bytes: self.total_bytes,
+            syn_at: self.syn_at,
+            complete_at: self.complete_at.expect("asserted complete"),
+            dup_segments: narrow(self.dup_segments).expect("asserted to fit"),
+            data_packets: narrow(self.data_packets).expect("asserted to fit"),
         }
     }
 
@@ -107,22 +218,10 @@ impl ReceiverConn {
         self.cum >= self.total_segs
     }
 
-    /// Cumulative receive point: all segments `< cum` have arrived.
-    pub fn cum(&self) -> SegId {
-        self.cum
-    }
-
     /// The SYN-ACK reply (also used for retransmitted SYNs).
     pub fn syn_ack(&self) -> Packet<Header> {
-        Packet::new(
-            self.flow,
-            self.local,
-            self.peer,
-            CTRL_WIRE_BYTES,
-            Header::SynAck {
-                window: self.window,
-            },
-        )
+        let window = self.window;
+        reply(self.flow, self.local, self.peer, Header::SynAck { window })
     }
 
     /// Process a data segment; returns the ACK to send back.
@@ -133,9 +232,6 @@ impl ReceiverConn {
         now: SimTime,
     ) -> Packet<Header> {
         self.data_packets += 1;
-        if let Some(log) = self.arrivals.as_mut() {
-            log.push((now, hdr.seg, hdr.class));
-        }
         let seg = hdr.seg;
         if seg < self.total_segs {
             if self.received.insert(seg) {
@@ -159,13 +255,7 @@ impl ReceiverConn {
             echo_tx_time: pkt_sent_at,
             window: self.window,
         };
-        Packet::new(
-            self.flow,
-            self.local,
-            self.peer,
-            CTRL_WIRE_BYTES,
-            Header::Ack(ack),
-        )
+        reply(self.flow, self.local, self.peer, Header::Ack(ack))
     }
 
     /// Answer a PCP probe with echoed timing.
@@ -175,20 +265,8 @@ impl ReceiverConn {
         pkt_sent_at: SimTime,
         now: SimTime,
     ) -> Packet<Header> {
-        let pa = ProbeAckHeader {
-            train: hdr.train,
-            idx: hdr.idx,
-            len: hdr.len,
-            sent_at: pkt_sent_at,
-            recv_at: now,
-        };
-        Packet::new(
-            self.flow,
-            self.local,
-            self.peer,
-            CTRL_WIRE_BYTES,
-            Header::ProbeAck(pa),
-        )
+        let pa = probe_ack(hdr, pkt_sent_at, now);
+        reply(self.flow, self.local, self.peer, pa)
     }
 
     /// Build up to four SACK blocks: the block containing the segment that
@@ -231,6 +309,101 @@ impl ReceiverConn {
             }
         }
         SackBlocks::from_ranges(&blocks[..len])
+    }
+}
+
+impl Finished {
+    /// The flow id.
+    pub(crate) fn flow(&self) -> FlowId {
+        self.flow
+    }
+
+    /// Time the flow became fully received.
+    pub(crate) fn complete_at(&self) -> SimTime {
+        self.complete_at
+    }
+
+    fn total_segs(&self) -> SegId {
+        segment_count(self.total_bytes)
+    }
+
+    /// The host-facing fields, as the complete receiver reported them.
+    pub fn view(&self) -> ReceiverView {
+        ReceiverView {
+            cum: self.total_segs(),
+            syn_at: self.syn_at,
+            complete_at: Some(self.complete_at),
+            delivered_bytes: self.total_bytes,
+            dup_segments: self.dup_segments.into(),
+            data_packets: self.data_packets.into(),
+        }
+    }
+
+    /// The complete receiver this record stands for, on host `local`.
+    pub(crate) fn to_conn(&self, local: NodeId) -> ReceiverConn {
+        let n = self.total_segs();
+        let mut received = RangeSet::new();
+        received.insert_range(0, n);
+        ReceiverConn {
+            flow: self.flow,
+            peer: self.peer,
+            local,
+            total_segs: n,
+            total_bytes: self.total_bytes,
+            window: window_for(self.total_bytes),
+            received,
+            cum: n,
+            syn_at: self.syn_at,
+            complete_at: Some(self.complete_at),
+            delivered_bytes: self.total_bytes,
+            dup_segments: self.dup_segments.into(),
+            data_packets: self.data_packets.into(),
+        }
+    }
+
+    /// The SYN-ACK a retransmitted SYN gets from host `local`.
+    pub fn syn_ack(&self, local: NodeId) -> Packet<Header> {
+        let window = window_for(self.total_bytes);
+        reply(self.flow, local, self.peer, Header::SynAck { window })
+    }
+
+    /// Count a late data segment at host `local` and ACK it: every segment
+    /// is in, so the ACK carries `cum = total` and no SACK.
+    pub fn on_data(
+        &mut self,
+        local: NodeId,
+        hdr: &DataHeader,
+        pkt_sent_at: SimTime,
+    ) -> Packet<Header> {
+        bump(&mut self.data_packets);
+        let total_segs = self.total_segs();
+        if hdr.seg < total_segs {
+            bump(&mut self.dup_segments);
+        }
+        let ack = AckHeader {
+            cum: total_segs,
+            sack: SackBlocks::EMPTY,
+            for_seg: hdr.seg,
+            echo_tx_time: pkt_sent_at,
+            window: window_for(self.total_bytes),
+        };
+        reply(self.flow, local, self.peer, Header::Ack(ack))
+    }
+
+    /// Answer a PCP probe at host `local` with echoed timing.
+    pub fn on_probe(
+        &self,
+        local: NodeId,
+        hdr: &ProbeHeader,
+        pkt_sent_at: SimTime,
+        now: SimTime,
+    ) -> Packet<Header> {
+        reply(
+            self.flow,
+            local,
+            self.peer,
+            probe_ack(hdr, pkt_sent_at, now),
+        )
     }
 }
 
@@ -344,6 +517,72 @@ mod tests {
         let ack = ack_of(&r.on_data(&data(7), SimTime::ZERO, SimTime::ZERO));
         assert_eq!(ack.cum, 0);
         assert_eq!(r.delivered_bytes, 0);
+    }
+
+    /// Two receivers driven to completion, one of them then finished, get
+    /// the same late traffic — duplicates of the first, a middle and the
+    /// last segment, segments past the end, a retransmitted SYN, a probe —
+    /// and must answer, report and checkpoint alike. The flow sizes cover a
+    /// one-segment flow and one on the bulk window.
+    #[test]
+    fn finished_receiver_answers_like_the_open_one() {
+        use netsim::snap::SnapWriter;
+        assert!(std::mem::size_of::<Finished>() <= 48);
+        let encode = |conn: &ReceiverConn| {
+            let mut w = SnapWriter::new();
+            w.put(conn);
+            w.into_bytes()
+        };
+        let at = SimTime::from_nanos;
+        let local = NodeId(1);
+        let bulk = ReceiverConn::BULK_THRESHOLD_BYTES + 5_000;
+        for (bytes, window) in [
+            (700, DEFAULT_FCW_BYTES),
+            (bulk, ReceiverConn::BULK_FCW_BYTES),
+        ] {
+            let n = segment_count(bytes);
+            let drive = || {
+                let mut r = recv(bytes);
+                r.on_data(&data(n - 1), at(1), at(2));
+                for seg in 0..n {
+                    r.on_data(&data(seg), at(3), at(4 + seg as u64));
+                }
+                assert!(r.finishes_exactly());
+                r
+            };
+            let (mut open, mut done) = (drive(), drive().finish());
+            let alike = |open: &ReceiverConn, done: &Finished| {
+                assert_eq!(open.view(), done.view(), "{bytes} B");
+                assert!(encode(open) == encode(&done.to_conn(local)), "{bytes} B");
+            };
+            alike(&open, &done);
+            for (k, seg) in [0, n / 2, n - 1, n, n + 3].into_iter().enumerate() {
+                let (sent, now) = (at(10_000 + k as u64), at(20_000 + k as u64));
+                let a = open.on_data(&data(seg), sent, now);
+                let b = done.on_data(local, &data(seg), sent);
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{bytes} B, segment {seg}"
+                );
+                assert_eq!(ack_of(&b).window, window);
+                alike(&open, &done);
+            }
+            let (a, b) = (open.syn_ack(), done.syn_ack(local));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert!(matches!(b.payload, Header::SynAck { window: w } if w == window));
+            let p = ProbeHeader {
+                train: 1,
+                idx: 2,
+                len: 3,
+            };
+            let a = open.on_probe(&p, at(30_000), at(30_500));
+            let b = done.on_probe(local, &p, at(30_000), at(30_500));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            alike(&open, &done);
+            let counts = (done.view().dup_segments, done.view().data_packets);
+            assert_eq!(counts, (4, n as u64 + 6), "{bytes} B");
+        }
     }
 
     #[test]

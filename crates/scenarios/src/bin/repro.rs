@@ -268,11 +268,11 @@ fn simcheck_main(args: Vec<String>) -> ExitCode {
             sel.hops = k.clamp(1, spec.topology.hop_count());
         }
         let out = simcheck::run_single(&spec, &sel);
-        println!("{}", out.line);
-        if out.failed {
+        println!("{}", out.line());
+        if !out.ok() {
             let path = out_dir.join(format!("simcheck_case{id}.trace.jsonl"));
-            match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, &out.trace))
-            {
+            let trace = out.trace.unwrap_or_default();
+            match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, trace)) {
                 Ok(()) => eprintln!(">> trace written to {}", path.display()),
                 Err(e) => eprintln!("failed to write {}: {e}", path.display()),
             }

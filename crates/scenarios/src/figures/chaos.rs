@@ -331,6 +331,7 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simcheck::FaultEvent;
 
     #[test]
     fn baseline_cell_all_complete() {
@@ -386,8 +387,9 @@ mod tests {
     }
 
     /// A verdict of the shared battery reaches the chaos table: one cell
-    /// with a fault carries the deliberate conservation break and must
-    /// render as its oracle's FAILED row, counted once.
+    /// whose link goes down for good under a 10 s horizon (a SYN gives up
+    /// only after ~63 s) must render as the terminal oracle's FAILED row,
+    /// counted once.
     #[test]
     fn chaos_reports_a_shared_oracle_verdict() {
         let n_flows = 2;
@@ -399,7 +401,14 @@ mod tests {
             .enumerate()
             .map(|(cell, mut case)| {
                 // The flap scenario's first protocol.
-                case.break_conservation = cell == Protocol::EVALUATED.len();
+                if cell == Protocol::EVALUATED.len() {
+                    let kind = FaultKind::Down {
+                        start_ms: 0,
+                        dur_ms: 1_000_000,
+                    };
+                    case.faults.push(FaultEvent { hop: 0, kind });
+                    case.horizon = SimDuration::from_secs(10);
+                }
                 Ok(run_case(&case, &Selection::full(&case), false))
             })
             .collect();
@@ -411,7 +420,7 @@ mod tests {
             .collect();
         assert_eq!(failed.len(), 1, "{:#?}", fig.summary);
         let row = format!(
-            "flap/{:<9} FAILED [conservation] deliberate",
+            "flap/{:<9} FAILED [terminal] 2 flow(s) still not terminal",
             Protocol::EVALUATED[0].name()
         );
         assert!(failed[0].contains(&row), "{}", failed[0]);

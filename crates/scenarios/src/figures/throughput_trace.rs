@@ -7,7 +7,7 @@
 use crate::harness::RunCtx;
 use crate::report::Figure;
 use crate::runner::round_robin;
-use crate::simcheck::{run_rig, CaseSpec, Selection, Topology};
+use crate::simcheck::{CaseSpec, Rig, Selection, Topology};
 use crate::{Protocol, Scale};
 use netsim::topology::DumbbellSpec;
 use netsim::{FlowId, SimDuration, SimTime};
@@ -47,8 +47,9 @@ pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec
         delivery_bin_ns: Some(BIN_NS),
         ..CaseSpec::new(73, topology, flows, observed)
     };
-    let (rig, report) = run_rig(&case, &Selection::full(&case), false);
-    let report = report.judged();
+    let mut rig = Rig::new(&case, &Selection::full(&case), false);
+    rig.play();
+    let report = rig.finish().judged();
     let bg_flow = FlowId(1);
     let short_flows: Vec<(FlowId, String)> = shorts
         .iter()

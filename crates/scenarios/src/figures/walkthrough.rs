@@ -7,13 +7,13 @@
 
 use crate::harness::RunCtx;
 use crate::report::Figure;
-use crate::simcheck::{run_rig, CaseSpec, Selection, Topology};
+use crate::simcheck::{run_case, CaseSpec, Selection, Topology};
 use crate::Protocol;
 use netsim::engine::TraceEvent;
 use netsim::loss::LossModel;
 use netsim::topology::PathSpec;
 use netsim::{FlowId, Rate, SimDuration};
-use transport::Host;
+use transport::trace::FlowEvent;
 
 /// Run the walkthrough and produce (timeline lines, final record).
 pub fn run() -> (Vec<String>, transport::FlowRecord) {
@@ -24,12 +24,8 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
     spec.loss = LossModel::DropList { ordinals: vec![10] };
     let bytes = 10 * transport::MSS as u64;
     let horizon = SimDuration::from_secs(60);
-    let case = CaseSpec {
-        log_arrivals: true,
-        ..CaseSpec::single(11, Topology::Path(spec), Protocol::Halfback, bytes, horizon)
-    };
-    let (rig, report) = run_rig(&case, &Selection::full(&case), true);
-    let report = report.judged();
+    let case = CaseSpec::single(11, Topology::Path(spec), Protocol::Halfback, bytes, horizon);
+    let report = run_case(&case, &Selection::full(&case), true).judged();
 
     let rec = report.records[0].clone();
     let mut lines: Vec<String> = report
@@ -48,12 +44,11 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
     // The receiver-side arrival timeline — the content of the paper's
     // Fig. 3 (which packet arrived when, and whether it was a fresh copy or
     // a ROPR retransmission).
-    let recv = rig.sim.node_as::<Host>(rig.pairs()[0].1).unwrap();
-    if let Some(log) = recv.arrivals(FlowId(1)) {
-        for &(t, seg, class) in log {
+    for r in report.streams.rcv.iter().filter(|r| r.flow == FlowId(1)) {
+        if let FlowEvent::Delivered { seg, class, .. } = r.event {
             lines.push(format!(
                 "{:>9.3} ms  receiver got packet {:>2} ({})",
-                t.as_millis_f64(),
+                r.at.as_millis_f64(),
                 seg + 1, // the paper numbers packets from 1
                 match class {
                     transport::SendClass::New => "first copy",
@@ -62,18 +57,18 @@ pub fn run() -> (Vec<String>, transport::FlowRecord) {
                 }
             ));
         }
-        lines.sort_by(|a, b| {
-            let t = |s: &str| {
-                s.trim_start()
-                    .split(' ')
-                    .next()
-                    .unwrap()
-                    .parse::<f64>()
-                    .unwrap_or(0.0)
-            };
-            t(a).total_cmp(&t(b))
-        });
     }
+    lines.sort_by(|a, b| {
+        let t = |s: &str| {
+            s.trim_start()
+                .split(' ')
+                .next()
+                .unwrap()
+                .parse::<f64>()
+                .unwrap_or(0.0)
+        };
+        t(a).total_cmp(&t(b))
+    });
     lines.push(format!(
         "flow complete at {:.3} ms: {} data packets sent, {} proactive copies, {} normal retx, {} RTOs",
         rec.done_at.as_millis_f64(),

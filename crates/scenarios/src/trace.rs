@@ -219,6 +219,7 @@ fn flow_line(src: &str, rec: &FlowEventRecord) -> String {
             seg,
             cum,
             delivered_bytes,
+            ..
         } => format!(
             "{head},\"event\":\"delivered\",\"seg\":{seg},\"cum\":{cum},\"delivered_bytes\":{delivered_bytes}}}"
         ),

@@ -385,7 +385,9 @@ fn trace_exports_are_byte_identical_across_worker_counts() {
 /// runs: `DEFAULT_CASES` cases at seed 42, every one clean.
 #[test]
 fn simcheck_batteries_are_byte_identical_across_worker_counts() {
-    use scenarios::simcheck::{run_battery, run_breaking_battery, DEFAULT_CASES};
+    use scenarios::simcheck::{
+        generate_case, run_battery, summarize, Battery, FaultEvent, FaultKind, DEFAULT_CASES,
+    };
 
     let serial = run_battery(&ctx(1, 1), 42, DEFAULT_CASES);
     let parallel = run_battery(&ctx(4, 1), 42, DEFAULT_CASES);
@@ -398,21 +400,40 @@ fn simcheck_batteries_are_byte_identical_across_worker_counts() {
     assert!(serial.render_text().contains("invariant violations: 0"));
     assert!(serial.render_text().contains("watchdog trips: 0"));
 
-    // A battery of deliberately broken cases exercises the full failure
-    // path — shrink, repro command, trace export — and must stay
-    // deterministic too. Cases without a fault event cannot reproduce the
-    // break, so only some fail; each failing one emits a repro command.
-    let broken_a = run_breaking_battery(&ctx(2, 1), 42, 8);
-    let broken_b = run_breaking_battery(&ctx(2, 1), 42, 8);
+    // A battery of failing cases exercises the full failure path — shrink,
+    // repro command, trace export — and must stay deterministic too. Each
+    // case gets hop 0 down for good and a 10 s horizon; a SYN gives up only
+    // after ~63 s, so the terminal oracle fires on every one. The battery's
+    // own job body runs them at one and at two workers.
+    let planted = |id| {
+        let mut spec = generate_case(42, id);
+        let kind = FaultKind::Down {
+            start_ms: 0,
+            dur_ms: 1_000_000,
+        };
+        spec.faults.push(FaultEvent { hop: 0, kind });
+        spec.horizon = netsim::SimDuration::from_secs(10);
+        spec
+    };
+    let broken = |workers| {
+        let jobs = (0..8)
+            .map(|id| Job::new(format!("case{id}"), move || summarize(&planted(id))))
+            .collect();
+        let results = run_jobs(&ctx(workers, 1), jobs);
+        let cases = results.into_iter().map(|r| r.unwrap()).collect();
+        Battery { seed: 42, cases }
+    };
+    let (broken_a, broken_b) = (broken(1), broken(2));
     assert_eq!(broken_a.render_text(), broken_b.render_text());
-    assert!(broken_a.failures() > 0, "break hook never fired in 8 cases");
+    assert_eq!(broken_a.failures(), 8, "{}", broken_a.render_text());
     let text = broken_a.render_text();
-    assert!(text.contains("FAILED [conservation]"), "{text}");
+    assert!(text.contains("FAILED [terminal]"), "{text}");
     assert!(
         text.contains("repro: repro simcheck --seed 42 --case"),
         "{text}"
     );
     for (a, b) in broken_a.cases.iter().zip(&broken_b.cases) {
+        assert!(a.trace.as_deref().is_some_and(|t| !t.is_empty()));
         assert_eq!(a.trace, b.trace, "case {} trace not deterministic", a.id);
     }
 }

@@ -12,7 +12,7 @@ use crate::receiver::{Finished, ReceiverConn, ReceiverView};
 use crate::sender::{FlowRecord, SenderConn, TimerKind};
 use crate::strategy::Strategy;
 use crate::trace::{DeliveryTimelines, FlightRecorder, FlowEvent};
-use crate::wire::{Header, SegId, SendClass};
+use crate::wire::Header;
 use netsim::engine::EngineCore;
 use netsim::node::{Node, TimerId};
 use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -283,14 +283,6 @@ pub struct Host {
     /// Override the RFC 6298 1 s minimum RTO for flows started on this host
     /// (sensitivity studies; `None` = standard).
     pub min_rto: Option<netsim::SimDuration>,
-    /// When true, receivers made from here on keep a per-packet arrival
-    /// log (the Fig. 3 timeline view). Off by default — it stores every
-    /// arrival.
-    pub log_arrivals: bool,
-    /// The arrival logs, by flow: (time, segment, transmission class) per
-    /// data packet in arrival order. Debug-only instrumentation: it does
-    /// not travel in a checkpoint, and reaping a receiver keeps its log.
-    arrivals: FastMap<FlowId, Vec<(SimTime, SegId, SendClass)>>,
     /// Data packets that arrived for unknown flows (should stay zero).
     pub stray_packets: u64,
     /// Transport-invariant violations seen on every ACK and data delivery
@@ -321,8 +313,6 @@ impl Host {
             receivers: Receivers::default(),
             timelines: None,
             min_rto: None,
-            log_arrivals: false,
-            arrivals: FastMap::default(),
             stray_packets: 0,
             invariant_breaches: Vec::new(),
         }
@@ -400,12 +390,6 @@ impl Host {
         open.chain(self.receivers.finished.iter().map(Finished::view))
     }
 
-    /// The arrival log of a flow whose receiver was made while
-    /// [`Host::log_arrivals`] was set.
-    pub fn arrivals(&self, flow: FlowId) -> Option<&[(SimTime, SegId, SendClass)]> {
-        self.arrivals.get(&flow).map(Vec::as_slice)
-    }
-
     /// All in-progress sender connections.
     pub fn senders(&self) -> impl Iterator<Item = &SenderConn> {
         self.senders.values()
@@ -471,7 +455,7 @@ impl Host {
     /// receiver endpoints, timer-token routing, retained completion
     /// records — into the checkpoint codec.
     ///
-    /// Configuration knobs (`min_rto`, `log_arrivals`, record retention,
+    /// Configuration knobs (`min_rto`, record retention,
     /// the bus, timelines, the flight recorder) are NOT serialized: a
     /// restored host is rebuilt from the run configuration first, exactly
     /// like link structure on the engine side, and only the dynamic state
@@ -547,9 +531,6 @@ impl Node<Header> for Host {
                 } else if let Some(i) = self.receivers.find(flow) {
                     self.receivers.finished[i].syn_ack(node)
                 } else {
-                    if self.log_arrivals {
-                        self.arrivals.insert(flow, Vec::new());
-                    }
                     let conn = ReceiverConn::new(flow, node, pkt.src, flow_bytes, ctx.now());
                     self.receivers
                         .open
@@ -583,11 +564,6 @@ impl Node<Header> for Host {
                     self.stray_packets += 1;
                     return;
                 };
-                if !self.arrivals.is_empty() {
-                    if let Some(log) = self.arrivals.get_mut(&flow) {
-                        log.push((now, hdr.seg, hdr.class));
-                    }
-                }
                 // Only a newly delivered segment can complete a flow.
                 if gained > 0 {
                     let done = view.complete_at.is_some();
@@ -608,6 +584,7 @@ impl Node<Header> for Host {
                         seg: hdr.seg,
                         cum: view.cum,
                         delivered_bytes: view.delivered_bytes,
+                        class: hdr.class,
                     },
                 );
                 ctx.send(self.core.egress, ack);
@@ -722,6 +699,7 @@ mod tests {
         assert!(size_of::<Packet<Header>>() <= 104);
         assert!(size_of::<SenderConn>() <= 600);
         assert!(size_of::<ReceiverConn>() <= 144);
+        assert_eq!(size_of::<crate::trace::FlowEventRecord>(), 40);
     }
 
     /// One generic round-trip over every transport type a checkpoint

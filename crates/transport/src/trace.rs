@@ -90,6 +90,9 @@ pub enum FlowEvent {
         cum: SegId,
         /// In-order payload bytes delivered so far.
         delivered_bytes: u64,
+        /// How the sender classed this copy (first copy, proactive,
+        /// retransmission).
+        class: SendClass,
     },
     /// Every payload byte was cumulatively acknowledged.
     Completed {

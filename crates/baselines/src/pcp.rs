@@ -99,7 +99,10 @@ impl Pcp {
     }
 
     /// Delay trend across the train: rising by more than half a probe
-    /// spacing (or 1 ms) counts as queue buildup.
+    /// spacing counts as queue buildup. A train sent at twice a
+    /// bottleneck's rate rises by four spacings, so this reads any
+    /// bottleneck; a fixed floor (1 ms once) hid every one above ~48 Mbps,
+    /// where that rise is under a millisecond.
     fn train_congested(&self) -> bool {
         if self.replies.len() < 2 {
             return true; // lost probes = congestion
@@ -111,8 +114,7 @@ impl Pcp {
         let last = owd(sorted.last().unwrap());
         let rise = last - first;
         let spacing_ns = self.probe_spacing().as_nanos() as i64;
-        let threshold = (spacing_ns / 2).max(1_000_000); // >= 1 ms
-        rise > threshold || sorted.len() < TRAIN_LEN as usize
+        rise > spacing_ns / 2 || sorted.len() < TRAIN_LEN as usize
     }
 
     fn on_train_result(&mut self, ops: &mut Ops<'_, '_>, congested: bool) {
@@ -324,4 +326,38 @@ impl Strategy for Pcp {
         last_bump_ns,
         last_loss_ns,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A PCP sender probing at `probe` with the replies its train gets
+    /// through a bottleneck of `bottleneck`: probe k leaves at k spacings
+    /// and the bottleneck one serialization after the later of its arrival
+    /// and the previous probe's departure.
+    fn train_through(probe: Rate, bottleneck: Rate) -> Pcp {
+        let mut pcp = Pcp::new();
+        pcp.rate = probe;
+        let spacing = pcp.probe_spacing().as_nanos();
+        let ser = bottleneck.transmission_time(PROBE_WIRE_BYTES).as_nanos();
+        let mut free = 0;
+        for k in 0..TRAIN_LEN {
+            let sent = k as u64 * spacing;
+            free = free.max(sent) + ser;
+            pcp.replies.push((k, sent, free));
+        }
+        pcp
+    }
+
+    #[test]
+    fn a_train_at_twice_the_bottleneck_reads_congested() {
+        for mbps in [1, 10, 50, 100, 1_000] {
+            let bottleneck = Rate::from_mbps(mbps);
+            let over = train_through(Rate::from_mbps(2 * mbps), bottleneck);
+            assert!(over.train_congested(), "{mbps} Mbps probed at twice");
+            let under = train_through(Rate::from_kbps(500 * mbps), bottleneck);
+            assert!(!under.train_congested(), "{mbps} Mbps probed at half");
+        }
+    }
 }

@@ -448,6 +448,18 @@ mod tests {
         }
     }
 
+    /// The two findings of seeds 1–48 × 5,000 cases: a pristine chain's
+    /// one PCP flow of 1 MB over a 50 Mbps hop, whose probe trains could
+    /// not read that bottleneck, overshot it, and needed an RTO.
+    #[test]
+    fn pcp_past_a_50_mbps_hop_needs_no_rto() {
+        for (seed, id) in [(16, 1951), (40, 3849)] {
+            let spec = generate_case(seed, id);
+            let report = run_case(&spec, &Selection::full(&spec), false);
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+        }
+    }
+
     #[test]
     fn rto_bound_scales_with_the_flow() {
         // About 680 segments behind 1,846 queue drops: 69 RTOs, every one

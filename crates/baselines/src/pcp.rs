@@ -100,9 +100,9 @@ impl Pcp {
 
     /// Delay trend across the train: rising by more than half a probe
     /// spacing counts as queue buildup. A train sent at twice a
-    /// bottleneck's rate rises by four spacings, so this reads any
-    /// bottleneck; a fixed floor (1 ms once) hid every one above ~48 Mbps,
-    /// where that rise is under a millisecond.
+    /// bottleneck's rate rises by four spacings, so this reads a bottleneck
+    /// of any rate. No fixed floor: at 50 Mbps that rise is 0.96 ms, under
+    /// a 1 ms floor.
     fn train_congested(&self) -> bool {
         if self.replies.len() < 2 {
             return true; // lost probes = congestion

@@ -19,8 +19,8 @@
 //! Checks are pure: they read the rig and the report and change neither.
 //! The differential's two reference runs are fresh pristine chains that
 //! are run and read, never judged, so it cannot recurse. Adding an oracle
-//! is one entry here plus one mutation test in `tests` below that makes
-//! exactly that entry fire.
+//! is one entry here plus one entry of the simcheck tests' `MUTATIONS`: a
+//! hand case and one corruption that makes exactly that oracle fire.
 
 use super::{CaseReport, CaseSpec, FaultEvent, FaultKind, HopSpec, Leg, Rig, Selection, Topology};
 use crate::harness::JobPanic;

@@ -39,7 +39,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # one far event is its RTO; the runner schedules arrivals as it reaches
 # them), so they are slow on purpose and gated only against getting
 # slower. What idle_gap_then_dense used to gate — a cursor parked on a far
-# timer sends every later push through the inbox heap — is pinned by count
+# timer sends every later push into its own bucket — is pinned by count
 # in netsim/tests/cursor_discipline.rs, so that bench, another
 # pre-scheduled 1e6, is not run here. rearm_per_ack restarts one timer per
 # delivered packet:

@@ -172,7 +172,7 @@ fn event_queue(c: &mut Bench) {
     // gap before it, and 1e6 events are scheduled from the clamped clock —
     // all earlier than that timer, most of them more than a turn out. If
     // looking for the next event ever carries the cursor to the timer
-    // again, every one of them goes through the inbox heap
+    // again, every one of them is pushed into the cursor's own bucket
     // (`tests/cursor_discipline.rs` pins that by count).
     g.bench_function("idle_gap_then_dense", || {
         let mut sim: Simulator<u32> = Simulator::new(3);

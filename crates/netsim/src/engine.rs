@@ -884,6 +884,24 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
+    /// [`Simulator::run_until`], firing at most `budget` events. Returns
+    /// `true` when the horizon was reached (the clock is at `until`),
+    /// `false` when the budget ran out first (the clock is at the last
+    /// event fired). A watchdog loops on it, checking its caps between
+    /// calls; it pops with the same bound, so it fires the same events.
+    pub fn run_until_budget(&mut self, until: SimTime, budget: u64) -> bool {
+        for _ in 0..budget {
+            let Some(entry) = self.core.events.pop_due(until) else {
+                if self.core.now < until {
+                    self.core.now = until;
+                }
+                return true;
+            };
+            self.fire(entry);
+        }
+        false
+    }
+
     /// Run until the event queue is empty. `max_events` guards against
     /// runaway protocols in tests (panics when exceeded).
     pub fn run_to_completion(&mut self, max_events: u64) {
@@ -903,16 +921,17 @@ impl<P: Payload> Simulator<P> {
         self.core.events.next_at()
     }
 
-    /// Events popped from the queue's inbox heap rather than its ring so
-    /// far. The inbox takes only pushes into the bucket being consumed, and
-    /// only while more than 64 entries of that bucket remain: next to
-    /// nothing on sparse buckets, up to ~40 % of [`Simulator::events_processed`]
-    /// where hundreds of microsecond-scale events share a bucket. A share
-    /// near 100 % means the cursor has got ahead of the clock (96 % on
-    /// dense sharded runs before `run_until` popped with a bound);
+    /// Events scheduled so far into the bucket the queue is consuming while
+    /// that bucket is split: one that held more than 64 entries when the
+    /// queue reached it, or whose sorted run grew past 64 afterwards, and
+    /// was dealt into 2 µs sub-buckets. Next to none where buckets are
+    /// sparse; most of [`Simulator::events_processed`] where hundreds of
+    /// microsecond-scale events share each 131 µs bucket. On a workload
+    /// whose buckets are sparse a share near 100 % means the cursor has got
+    /// ahead of the clock, which sends every push into its own bucket;
     /// `tests/cursor_discipline.rs` watches for that.
-    pub fn inbox_pops(&self) -> u64 {
-        self.core.events.inbox_pops()
+    pub fn split_pushes(&self) -> u64 {
+        self.core.events.split_pushes()
     }
 
     /// Timer wake-ups popped so far that had nothing to do: their slot was

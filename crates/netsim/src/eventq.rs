@@ -30,23 +30,32 @@
 //!   pointer-chasing — one dependent cache miss per entry once the
 //!   population outgrows the LLC, which capped the whole engine near 4 M
 //!   events/s. Contiguous buckets let the drain *stream*.
-//! - **Batch drain**: when the cursor reaches an occupied bucket, the whole
+//! - **Batch drain**: when the cursor reaches an occupied bucket of at most
+//!   [`SPLIT_ABOVE`] entries (a larger one splits, below), the whole
 //!   bucket is sorted ascending by `(at, seq)` *in place* and then consumed
 //!   through an advancing index — a drain moves nothing, and `pop`
 //!   degenerates to a sequential read. (An intermediate design copied sort
 //!   keys into a structure-of-arrays scratch; sorting the `Copy` bodies
 //!   directly measured faster — the keys' extra write+read traffic
 //!   outweighed the smaller sort moves.)
-//! - **Inbox**: events scheduled into the cursor's own bucket after it was
-//!   loaded are binary-inserted into the sorted run while it is short, and
-//!   spill to a small min-heap once the run exceeds [`INBOX_SPILL`] — at
-//!   high queue depth a mid-run insert is an O(bucket) memmove per push,
-//!   while at low depth the memmove beats two heap operations. Pop takes
-//!   the smaller of the run's head and the inbox head; the inbox only ever
-//!   holds entries of the one bucket being consumed, so it stays small
-//!   ([`EventQueue::inbox_pops`] counts what it serves;
-//!   `tests/cursor_discipline.rs` uses the count to catch a cursor that
-//!   got ahead of the clock, which sends *every* push here).
+//! - **Split**: events scheduled into the cursor's own bucket after it was
+//!   loaded are binary-inserted into the sorted run while it is short — a
+//!   few-entry memmove. A bucket that holds more than [`SPLIT_ABOVE`]
+//!   entries when the cursor reaches it, or whose run grows past that
+//!   afterwards, is *split* instead: its entries are dealt into `N_SUBS`
+//!   sub-buckets of `2^SUB_SHIFT` ns (occupancy in one `u64`), and the
+//!   queue consumes the sub-buckets in order, sorting each into the run
+//!   only when it reaches it. A push into the split bucket is appended to
+//!   its sub-bucket, or binary-inserted into the run when it falls into
+//!   the sub-bucket being consumed. This is the adaptive calendar queue's
+//!   move (Brown's resize, the ladder queue's rungs) made local: only a
+//!   bucket that proves dense is narrowed, so sparse workloads never pay
+//!   for the finer width. Sub-bucket buffers stay with their sub-bucket,
+//!   reused across splits up to [`BUCKET_KEEP`] entries, and a ring bucket
+//!   keeps its own buffer on the usual terms
+//!   ([`EventQueue::split_pushes`] counts the pushes a split bucket takes;
+//!   `tests/cursor_discipline.rs` uses the count to catch a cursor that got
+//!   ahead of the clock, which sends *every* push into its own bucket).
 //! - **Far heap**: events a full turn or more ahead of the cursor — RTO
 //!   wake-ups, flow-start schedules, `FAR_FUTURE` sentinels — wait in a
 //!   min-heap ordered by `(at, seq)`. Every cursor move ends by admitting
@@ -76,14 +85,16 @@
 //! least one full turn ahead of the cursor**, hence later than every ring
 //! entry (a push that close goes to the ring, and each cursor move admits
 //! what it brought within reach before anything else is pushed), the cursor
-//! never passes an occupied bucket, and **the cursor never leads the
-//! clock** — it moves only inside a pop, and a pop bounded by `until`
-//! ([`EventQueue::pop_due`]) refuses to enter a bucket that starts after
-//! `until`, so `cursor_time <= now <=` every later push and nothing is ever
-//! scheduled behind the cursor. Together they mean the pop sequence is
-//! exactly the ascending `(at, seq)` order — byte-identical to the
-//! reference heap, which `tests/event_order.rs` checks against a sorted-list
-//! model under randomized schedule/cancel/run-until workloads.
+//! never passes an occupied bucket or sub-bucket, and **the cursor never
+//! leads the clock**, nor the sub-cursor of a split bucket — both move
+//! only inside a pop, and a pop bounded by `until`
+//! ([`EventQueue::pop_due`]) refuses to enter a bucket or sub-bucket that
+//! starts after `until`, so the start of either is `<= now <=` every later
+//! push and nothing is ever scheduled behind them. Together they mean the
+//! pop sequence is exactly the ascending `(at, seq)` order — byte-identical
+//! to the reference heap, which `tests/event_order.rs` checks against a
+//! sorted-list model under randomized schedule/cancel/run-until workloads,
+//! sparse and dense.
 
 use crate::node::TimerId;
 use crate::packet::{LinkId, NodeId, PacketHandle};
@@ -100,10 +111,16 @@ const W_SHIFT: u32 = 17;
 /// short flow schedules beyond it is its RTO.
 const N_BUCKETS: usize = 1024;
 const IDX_MASK: usize = N_BUCKETS - 1;
-/// Pushes into the cursor's bucket are binary-inserted into the sorted
-/// `current` run while it is at most this long; past that they go to the
-/// inbox heap (a mid-run `Vec::insert` memmove grows with run length).
-const INBOX_SPILL: usize = 64;
+/// A bucket holding more than this many entries when the cursor loads it,
+/// or whose sorted run grows past it afterwards, is split into sub-buckets:
+/// a mid-run `Vec::insert` memmove grows with run length, and sorting the
+/// whole bucket up front costs O(k log k) where dealing it out costs O(k).
+/// Below it a binary insert into the run is the cheapest thing there is.
+const SPLIT_ABOVE: usize = 64;
+/// Sub-bucket width: 2^11 ns = 2.048 us, so a bucket splits into
+/// `N_SUBS` = 64 sub-buckets and their occupancy is one `u64`.
+const SUB_SHIFT: u32 = W_SHIFT - 6;
+const N_SUBS: usize = 1 << (W_SHIFT - SUB_SHIFT);
 /// A drained bucket keeps its buffer only up to this many entries; a
 /// larger one is handed back to the allocator. Every bucket of the ring
 /// fills once per turn, so without the bound each of the 1024 retains
@@ -130,6 +147,21 @@ const SPARSE_LIMIT: usize = 64;
 #[inline]
 fn tick_of(at_ns: u64) -> u64 {
     at_ns >> W_SHIFT
+}
+
+/// Sub-bucket of a timestamp within its bucket.
+#[inline]
+fn sub_of(at: SimTime) -> usize {
+    ((at.as_nanos() >> SUB_SHIFT) as usize) & (N_SUBS - 1)
+}
+
+/// Empty a drained buffer, handing it back if larger than [`BUCKET_KEEP`].
+fn recycle(v: &mut Vec<EventEntry>) {
+    if v.capacity() > BUCKET_KEEP {
+        *v = Vec::new();
+    } else {
+        v.clear();
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -196,14 +228,23 @@ pub(crate) struct EventQueue {
     /// Consumption index into `ring[cursor]`, which after a refill is
     /// sorted ascending by `(at, seq)` *in place* — a drain moves nothing,
     /// `pop` is a sequential read, and consumed entries linger in the
-    /// bucket's prefix until the next refill clears it.
+    /// bucket's prefix until the next refill clears it. While the cursor's
+    /// bucket is split, `ring[cursor]` holds sub-bucket `sub`'s entries.
     run_pos: usize,
-    /// Entries pushed into the cursor's bucket after it was loaded, once
-    /// the run is too long to insert into; consumed in merge with the run.
-    inbox: BinaryHeap<Reverse<EventEntry>>,
-    /// Pops served from `inbox` so far: the always-on check that the ring,
-    /// not the heap, is doing the work.
-    inbox_pops: u64,
+    /// The cursor's bucket is split: the run holds sub-bucket `sub` and
+    /// every later entry of the bucket waits, unsorted, in `subs`.
+    split: bool,
+    /// The sub-bucket the run holds while split (the sub-cursor).
+    sub: usize,
+    /// The split bucket's sub-buckets after `sub`; empty until the first
+    /// split. Buffers are reused across splits.
+    subs: Vec<Vec<EventEntry>>,
+    /// One bit per sub-bucket: does it hold any entries?
+    sub_occupied: u64,
+    /// Pushes into the cursor's bucket while it was split, the one that
+    /// split it included: the always-on check that pushes land in the
+    /// bucket being consumed only where buckets are dense.
+    split_pushes: u64,
     /// Events a full turn of the ring or more ahead of the cursor. Empty in
     /// sparse mode.
     far: BinaryHeap<Reverse<EventEntry>>,
@@ -226,8 +267,11 @@ impl EventQueue {
             cursor: 0,
             cursor_time: 0,
             run_pos: 0,
-            inbox: BinaryHeap::new(),
-            inbox_pops: 0,
+            split: false,
+            sub: 0,
+            subs: Vec::new(),
+            sub_occupied: 0,
+            split_pushes: 0,
             far: BinaryHeap::new(),
             sparse_run: Vec::new(),
             len: 0,
@@ -239,9 +283,9 @@ impl EventQueue {
         self.len
     }
 
-    /// Pops served from the inbox heap since this queue was created.
-    pub(crate) fn inbox_pops(&self) -> u64 {
-        self.inbox_pops
+    /// Pushes into a split bucket since this queue was created.
+    pub(crate) fn split_pushes(&self) -> u64 {
+        self.split_pushes
     }
 
     /// Append `entry` to the ring bucket of its tick, which is less than a
@@ -294,7 +338,7 @@ impl EventQueue {
             self.move_cursor(tick_of(now.as_nanos()));
         }
         self.len += 1;
-        self.push_dense(entry);
+        self.push_dense(now, entry);
     }
 
     /// Leave sparse mode: allocate the ring, put the cursor at the clock
@@ -310,13 +354,13 @@ impl EventQueue {
         self.occupied = vec![0u64; N_BUCKETS / 64];
         self.move_cursor(tick_of(now.as_nanos()));
         for e in std::mem::take(&mut self.sparse_run) {
-            self.push_dense(e);
+            self.push_dense(now, e);
         }
     }
 
     /// Put the cursor on bucket `tick`, at or ahead of where it is, and
     /// admit to the ring every far entry the turn now reaches. Caller
-    /// ensures the run is retired, the inbox is empty and no ring bucket
+    /// ensures the run is retired (which ends a split) and no ring bucket
     /// before `tick` is occupied.
     fn move_cursor(&mut self, tick: u64) {
         self.cursor_time = tick << W_SHIFT;
@@ -330,7 +374,7 @@ impl EventQueue {
         }
     }
 
-    fn push_dense(&mut self, entry: EventEntry) {
+    fn push_dense(&mut self, now: SimTime, entry: EventEntry) {
         let at = entry.at.as_nanos();
         // Always on: an entry behind the cursor would sit in a bucket the
         // cursor has passed and fire a whole turn late.
@@ -340,27 +384,109 @@ impl EventQueue {
             self.cursor_time
         );
         match tick_of(at) - tick_of(self.cursor_time) {
-            // The cursor's own bucket. Short runs (the common case in small
-            // simulations) take a binary insert into the run — a few-entry
-            // memmove beats two heap operations. Deep runs spill to the
-            // inbox instead, where the memmove would be O(bucket
-            // population).
-            0 => {
-                let run = &mut self.ring[self.cursor];
-                if run.len() - self.run_pos <= INBOX_SPILL {
-                    let key = (entry.at, entry.seq);
-                    let pos =
-                        self.run_pos + run[self.run_pos..].partition_point(|e| (e.at, e.seq) < key);
-                    run.insert(pos, entry);
-                } else {
-                    self.inbox.push(Reverse(entry));
-                }
-            }
+            0 => self.push_current(now, entry),
             // A turn ahead is the cursor's own bucket again: from there on,
             // the far heap.
             ahead if ahead < N_BUCKETS as u64 => self.bucket_insert(entry),
             _ => self.far.push(Reverse(entry)),
         }
+    }
+
+    /// An entry for the cursor's own bucket. A split bucket appends it to
+    /// its sub-bucket unless that is the one the run holds; otherwise it is
+    /// binary-inserted into the live tail of the run, which splits if that
+    /// takes it past [`SPLIT_ABOVE`] — small simulations keep a few-entry
+    /// memmove, deep buckets never pay an O(bucket) one.
+    #[inline]
+    fn push_current(&mut self, now: SimTime, entry: EventEntry) {
+        if self.split {
+            self.split_pushes += 1;
+            let s = sub_of(entry.at);
+            if s != self.sub {
+                debug_assert!(s > self.sub, "event scheduled behind the sub-cursor");
+                self.subs[s].push(entry);
+                self.sub_occupied |= 1 << s;
+                return;
+            }
+        }
+        let run = &mut self.ring[self.cursor];
+        let key = (entry.at, entry.seq);
+        let pos = self.run_pos + run[self.run_pos..].partition_point(|e| (e.at, e.seq) < key);
+        run.insert(pos, entry);
+        if !self.split && run.len() - self.run_pos > SPLIT_ABOVE {
+            self.split_run(now);
+        }
+    }
+
+    /// Allocate the sub-buckets on the first split.
+    fn ensure_subs(&mut self) {
+        if self.subs.is_empty() {
+            self.subs = (0..N_SUBS).map(|_| Vec::new()).collect();
+        }
+    }
+
+    /// Split the cursor's bucket, whose sorted run has grown past
+    /// [`SPLIT_ABOVE`] live entries: the sub-cursor goes to the clock's
+    /// sub-bucket, whose entries — a prefix of the live run, since nothing
+    /// live is earlier than the clock — stay in the run, and the rest are
+    /// dealt out.
+    #[cold]
+    fn split_run(&mut self, now: SimTime) {
+        self.ensure_subs();
+        self.split_pushes += 1;
+        let sub = sub_of(now);
+        let sub_end = self.cursor_time + ((sub as u64 + 1) << SUB_SHIFT);
+        let run = &mut self.ring[self.cursor];
+        let keep =
+            self.run_pos + run[self.run_pos..].partition_point(|e| e.at.as_nanos() < sub_end);
+        for e in run.drain(keep..) {
+            let s = sub_of(e.at);
+            self.subs[s].push(e);
+            self.sub_occupied |= 1 << s;
+        }
+        self.split = true;
+        self.sub = sub;
+    }
+
+    /// Split the bucket the cursor has just reached, which holds more than
+    /// [`SPLIT_ABOVE`] entries, and load its first sub-bucket if that starts
+    /// by `limit`. The sub-cursor starts at the bucket's start, which is
+    /// not after `limit`.
+    #[cold]
+    fn split_bucket(&mut self, limit: u64) -> bool {
+        self.ensure_subs();
+        for e in self.ring[self.cursor].drain(..) {
+            let s = sub_of(e.at);
+            self.subs[s].push(e);
+            self.sub_occupied |= 1 << s;
+        }
+        self.split = true;
+        self.sub = 0;
+        self.next_sub(limit)
+    }
+
+    /// Move the sub-cursor to the next occupied sub-bucket and sort it into
+    /// the run — unless it starts after `limit`: then nothing moves.
+    /// Returns `true` when a run was loaded. The entries are copied into
+    /// the bucket's own buffer, a few dozen bytes: swapping buffers instead
+    /// would leave sub-bucket buffers in ring buckets, and every bucket
+    /// ever split would keep one. Caller ensures the run is empty and a
+    /// sub-bucket is occupied.
+    #[cold]
+    fn next_sub(&mut self, limit: u64) -> bool {
+        let k = self.sub_occupied.trailing_zeros() as usize;
+        if self.cursor_time + ((k as u64) << SUB_SHIFT) > limit {
+            return false;
+        }
+        self.sub_occupied &= !(1 << k);
+        self.sub = k;
+        self.run_pos = 0;
+        let run = &mut self.ring[self.cursor];
+        run.clear();
+        run.extend_from_slice(&self.subs[k]);
+        run.sort_unstable_by_key(|e| (e.at, e.seq));
+        recycle(&mut self.subs[k]);
+        true
     }
 
     /// Distance (0..N_BUCKETS) from the cursor's bucket to the next occupied
@@ -388,26 +514,25 @@ impl EventQueue {
 
     /// Reclaim the cursor bucket once its run is consumed: the consumed
     /// entries still occupy it, all dead, and it must be empty by the time
-    /// the ring wraps back to it.
+    /// the ring wraps back to it. This ends a split.
     #[inline]
     fn retire_run(&mut self) {
-        debug_assert!(self.run_len() == 0);
-        let run = &mut self.ring[self.cursor];
-        if run.capacity() > BUCKET_KEEP {
-            *run = Vec::new();
-        } else {
-            run.clear();
-        }
+        debug_assert!(self.run_len() == 0 && self.sub_occupied == 0);
+        recycle(&mut self.ring[self.cursor]);
         self.run_pos = 0;
+        self.split = false;
     }
 
     /// Advance the cursor to the next occupied bucket and sort that bucket
-    /// in place into the new run — unless it starts after `limit`: then the
-    /// cursor stops short of it, at or before `limit`, with an empty run.
-    /// Returns `true` when a run was loaded. Caller ensures the run and the
-    /// inbox are empty.
+    /// in place into the new run, or split it if it is dense — unless it
+    /// starts after `limit`: then the cursor stops short of it, at or before
+    /// `limit`, with an empty run. In a split bucket, move to its next
+    /// sub-bucket first, on the same terms. Returns `true` when a run was
+    /// loaded. Caller ensures the run is empty.
     fn refill(&mut self, limit: u64) -> bool {
-        debug_assert!(self.inbox.is_empty());
+        if self.sub_occupied != 0 {
+            return self.next_sub(limit);
+        }
         self.retire_run();
         if self.in_ring == 0 {
             // Nothing within a turn: go to the far head's bucket, which
@@ -439,23 +564,30 @@ impl EventQueue {
         debug_assert!(!self.ring[b].is_empty(), "advanced to an empty bucket");
         self.occupied[b >> 6] &= !(1 << (b & 63));
         self.in_ring -= self.ring[b].len();
+        if self.ring[b].len() > SPLIT_ABOVE {
+            return self.split_bucket(limit);
+        }
         self.ring[b].sort_unstable_by_key(|e| (e.at, e.seq));
         true
     }
 
-    /// Time of the earliest entry, if any. A pure read — the cursor moves
-    /// only in a pop — so when the run and the inbox are empty it scans
-    /// the next occupied bucket for its minimum, a few dozen entries.
+    /// Time of the earliest entry, if any. A pure read — the cursor and
+    /// the sub-cursor move only in a pop — so when the run is empty it
+    /// scans the next occupied sub-bucket or bucket for its minimum, a few
+    /// dozen entries.
     pub(crate) fn next_at(&self) -> Option<SimTime> {
         if self.sparse {
             return self.sparse_run.last().map(|e| e.at);
         }
-        // Run and inbox hold the cursor bucket's entries, every other ring
-        // bucket is later, and the far heap is later than all of the ring.
-        let run = self.ring[self.cursor].get(self.run_pos).map(|e| e.at);
-        let inbox = self.inbox.peek().map(|Reverse(e)| e.at);
-        if let Some(head) = run.into_iter().chain(inbox).min() {
-            return Some(head);
+        // The run is the earliest of the cursor bucket's entries, its later
+        // sub-buckets are next, every other ring bucket is later, and the
+        // far heap is later than all of the ring.
+        if let Some(head) = self.ring[self.cursor].get(self.run_pos) {
+            return Some(head.at);
+        }
+        if self.sub_occupied != 0 {
+            let k = self.sub_occupied.trailing_zeros() as usize;
+            return self.subs[k].iter().map(|e| e.at).min();
         }
         if self.in_ring > 0 {
             let d = self.next_occupied_distance();
@@ -493,36 +625,24 @@ impl EventQueue {
 
     #[inline]
     fn pop_dense(&mut self, until: u64) -> Option<EventEntry> {
-        // Inbox entries belong to the cursor's bucket and everything else
-        // is later, so the cursor moves on only once both are empty.
-        if self.run_len() == 0 && self.inbox.is_empty() && !self.refill(until) {
+        // Everything not in the run is later than all of it, so the cursor
+        // moves on only once the run is empty.
+        if self.run_len() == 0 && !self.refill(until) {
             return None;
         }
-        let run = self.ring[self.cursor].get(self.run_pos);
-        let inbox = self.inbox.peek().map(|Reverse(e)| e);
-        let from_inbox = match (run, inbox) {
-            (Some(c), Some(i)) => i < c,
-            (c, _) => c.is_none(),
-        };
-        let head = if from_inbox { inbox } else { run }?;
-        if head.at.as_nanos() > until {
+        let e = self.ring[self.cursor][self.run_pos];
+        if e.at.as_nanos() > until {
             return None;
         }
         self.len -= 1;
-        if from_inbox {
-            self.inbox_pops += 1;
-            self.inbox.pop().map(|Reverse(e)| e)
-        } else {
-            let e = self.ring[self.cursor][self.run_pos];
-            self.run_pos += 1;
-            Some(e)
-        }
+        self.run_pos += 1;
+        Some(e)
     }
 
     /// Remove and return every pending entry in `(at, seq)` order, leaving
     /// the queue empty. The engine snapshot codec uses this to serialize
     /// the queue as a canonical sorted multiset — internal layout (sparse
-    /// vs. dense, cursor position, inbox contents) is never persisted,
+    /// vs. dense, cursor position, splits) is never persisted,
     /// because pop order depends only on `(at, seq)` and rebuilding by
     /// re-pushing the sorted entries is observationally identical.
     pub(crate) fn drain_sorted(&mut self) -> Vec<EventEntry> {
@@ -822,24 +942,33 @@ mod tests {
     #[test]
     fn next_at_matches_pop() {
         // Sparse first, then past SPARSE_LIMIT so the dense query walks the
-        // run, the ring and the far heap as the queue drains.
-        for n in [6u64, 2 * SPARSE_LIMIT as u64] {
+        // run, the ring and the far heap as the queue drains, then enough
+        // that the buckets split and it walks the sub-buckets too.
+        for n in [6u64, 2 * SPARSE_LIMIT as u64, 3_000] {
             let mut q = EventQueue::new();
+            // At 3,000 the groups of six crowd into a few buckets.
+            let span = if n > 1_000 { 400_000 } else { u64::MAX };
             for (i, &t) in [5u64, TURN_NS + 5, 3, 3, 80_000, 9_000 * TURN_NS]
                 .iter()
                 .cycle()
                 .take(n as usize)
                 .enumerate()
             {
-                q.push(T0, entry(t + (i as u64 / 6) * 1_000_003, i as u64));
+                q.push(T0, entry(t + (i as u64 / 6) * 1_000_003 % span, i as u64));
             }
+            assert_eq!(q.len() as u64, n);
             while q.len() > 0 {
-                let cursor = (q.cursor, q.cursor_time);
+                let cursor = (q.cursor, q.cursor_time, q.sub, q.run_pos);
                 let next = q.next_at().unwrap();
-                assert_eq!(cursor, (q.cursor, q.cursor_time), "query moved the cursor");
+                assert_eq!(
+                    cursor,
+                    (q.cursor, q.cursor_time, q.sub, q.run_pos),
+                    "query moved the cursor"
+                );
                 assert_eq!(next, q.pop().unwrap().at);
             }
             assert!(q.next_at().is_none());
+            assert_eq!(q.split_pushes() > 0, n > 1_000);
         }
     }
 
@@ -1073,6 +1202,98 @@ mod tests {
             "small drained bucket lost its buffer"
         );
         assert!(q.ring[2].is_empty());
+    }
+
+    #[test]
+    fn dense_buckets_split_and_pop_in_order_under_bounded_pops() {
+        // Buckets of ~200 entries, so every one splits when the cursor
+        // reaches it, and the pushes made while they are consumed land in
+        // the sub-bucket being consumed, in later ones and past the bucket.
+        // Bounded pops stop inside sub-buckets and on their edges.
+        let mut q = EventQueue::new();
+        let mut expect: Vec<(u64, u64)> = Vec::new();
+        let mut seq = 0u64;
+        for i in 0..4_000u64 {
+            let at = (i * 7_919) % (20 * WIDTH);
+            q.push(T0, entry(at, seq));
+            expect.push((at, seq));
+            seq += 1;
+        }
+        let sub_w = 1u64 << SUB_SHIFT;
+        let mut now = 0u64;
+        let mut got = Vec::new();
+        for round in 0..2_000u64 {
+            let until = match round % 3 {
+                0 => (now / sub_w + 1) * sub_w,
+                1 => (now / sub_w + 1) * sub_w - 1,
+                _ => now + round % 700,
+            };
+            while let Some(e) = q.pop_due(SimTime::from_nanos(until)) {
+                assert!(e.at.as_nanos() <= until);
+                got.push((e.at.as_nanos(), e.seq));
+            }
+            now = until;
+            assert!(q.cursor_time <= now);
+            assert!(!q.split || q.cursor_time + ((q.sub as u64) << SUB_SHIFT) <= now);
+            for d in [0, 1, sub_w - 1, sub_w, 3 * sub_w + 5, WIDTH] {
+                let at = now + d + round % 3;
+                q.push(SimTime::from_nanos(now), entry(at, seq));
+                expect.push((at, seq));
+                seq += 1;
+            }
+        }
+        assert!(q.split_pushes() > 0, "no push landed in a split bucket");
+        while let Some(e) = q.pop() {
+            got.push((e.at.as_nanos(), e.seq));
+        }
+        expect.sort_unstable();
+        assert!(got == expect, "pop order diverged from the sorted list");
+    }
+
+    #[test]
+    fn a_drained_queue_keeps_no_dense_era_buffers() {
+        // ~20 K entries in one turn, ~200 to each of the first 100 buckets,
+        // so every one of them splits, with a thousand due at one instant in
+        // a single sub-bucket; while they drain, pushes land in the
+        // buckets being consumed.
+        let mut q = EventQueue::new();
+        let mut seq = 0u64;
+        for i in 0..19_000u64 {
+            q.push(T0, entry((i * 7_919) % (100 * WIDTH), seq));
+            seq += 1;
+        }
+        for _ in 0..1_000 {
+            q.push(T0, entry(50 * WIDTH + 3, seq));
+            seq += 1;
+        }
+        let mut popped = 0u64;
+        while let Some(e) = q.pop() {
+            popped += 1;
+            let now = e.at.as_nanos();
+            if popped.is_multiple_of(3) && now + WIDTH < 99 * WIDTH {
+                q.push(e.at, entry(now + popped % 4_000, seq));
+                seq += 1;
+            }
+        }
+        assert_eq!(popped, seq);
+        assert!(q.split_pushes() > 0);
+        // A split bucket's buffer is the bucket's own and goes back on the
+        // usual terms: held more than BUCKET_KEEP, so released. Sub-bucket
+        // buffers stay with their sub-bucket, and only up to BUCKET_KEEP.
+        for (b, v) in q.ring.iter().enumerate() {
+            assert!(
+                v.capacity() <= BUCKET_KEEP && (b >= 100 || v.capacity() == 0),
+                "ring bucket {b} kept a buffer of {} entries",
+                v.capacity()
+            );
+        }
+        for (s, v) in q.subs.iter().enumerate() {
+            assert!(
+                v.is_empty() && v.capacity() <= BUCKET_KEEP,
+                "sub-bucket {s} kept {} entries of capacity",
+                v.capacity()
+            );
+        }
     }
 
     #[test]

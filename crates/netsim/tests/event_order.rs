@@ -71,10 +71,21 @@ const DELTAS: [u64; 10] = [
     3_000_000_000_000,
 ];
 
+/// Deltas that keep the queue dense: a bucket is 131,072 ns and splits into
+/// 64 sub-buckets of 2,048 ns once it holds more than 64 entries, so these
+/// land in the sub-bucket being consumed, on either side of its edge, later
+/// in the bucket, on either side of the bucket's edge, and in the next one.
+const DENSE_DELTAS: [u64; 9] = [0, 1, 2_047, 2_048, 2_049, 40_000, 131_071, 131_072, 200_000];
+
 /// `prefill` timers are scheduled before the first op: the queue is one
 /// sorted run until 64 entries are pending, so a prefilled run is on the ring
 /// from its first op and the other one crosses over with the clock running.
-fn run_workload(seed: u64, ops: usize, prefill: usize) {
+/// Returns the engine's count of pushes into split buckets.
+fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
+    // With the dense deltas a bounded run also stops on sub-bucket edges,
+    // and a cancel is often a restart: the cancelled timer armed again
+    // later, riding the entry its slot still has queued.
+    let dense = deltas == DENSE_DELTAS;
     let mut sim: Simulator<u32> = Simulator::new(1);
     let node = sim.add_node(Box::new(Recorder::default()));
     let mut rng = seed;
@@ -88,7 +99,7 @@ fn run_workload(seed: u64, ops: usize, prefill: usize) {
             // Schedule (the bulk of the mix).
             0..=4 => {
                 let d =
-                    DELTAS[(lcg(&mut rng) % DELTAS.len() as u64) as usize] + lcg(&mut rng) % 977;
+                    deltas[(lcg(&mut rng) % deltas.len() as u64) as usize] + lcg(&mut rng) % 977;
                 let at = sim.now().as_nanos() + d;
                 let id = sim
                     .core()
@@ -133,14 +144,34 @@ fn run_workload(seed: u64, ops: usize, prefill: usize) {
                 let (id, mi) = live.swap_remove(k);
                 sim.core().cancel_timer(id);
                 model[mi].cancelled = true;
+                if dense && lcg(&mut rng) & 1 == 0 {
+                    let at = model[mi].at + deltas[(lcg(&mut rng) % deltas.len() as u64) as usize];
+                    let id = sim
+                        .core()
+                        .set_timer_at(node, SimTime::from_nanos(at), next_token);
+                    model.push(ModelEntry {
+                        at,
+                        ord: next_token,
+                        token: next_token,
+                        cancelled: false,
+                    });
+                    live.push((id, model.len() - 1));
+                    next_token += 1;
+                }
             }
             // Run to a horizon: fires everything due, then the clock clamps
             // to the horizon — usually between events, often in a gap the
             // ring has nothing in — and later ops schedule from there.
             7 => {
+                let now = sim.now().as_nanos();
                 let d =
-                    DELTAS[(lcg(&mut rng) % DELTAS.len() as u64) as usize] + lcg(&mut rng) % 977;
-                let until = sim.now().as_nanos() + d;
+                    deltas[(lcg(&mut rng) % deltas.len() as u64) as usize] + lcg(&mut rng) % 977;
+                let until = match dense.then(|| lcg(&mut rng) % 4) {
+                    // The next sub-bucket edge, or the last instant before it.
+                    Some(0) => (now / 2_048 + 1) * 2_048,
+                    Some(1) => (now / 2_048 + 1) * 2_048 - 1,
+                    _ => now + d,
+                };
                 sim.run_until(SimTime::from_nanos(until));
                 assert_eq!(sim.now().as_nanos(), until);
                 live.retain(|&(_, mi)| model[mi].at > until);
@@ -175,13 +206,29 @@ fn run_workload(seed: u64, ops: usize, prefill: usize) {
         rec.fired, expect,
         "seed {seed}: engine firing order diverged from the sorted-list model"
     );
+    sim.split_pushes()
 }
 
 #[test]
 fn randomized_schedules_match_sorted_list_model() {
     for seed in [7, 1009, 88_172_645, 0xDEAD_BEEF] {
-        run_workload(seed, 4_000, 0);
-        run_workload(seed, 4_000, 3_000);
+        run_workload(seed, 4_000, 0, &DELTAS);
+        run_workload(seed, 4_000, 3_000, &DELTAS);
+    }
+}
+
+/// The same against buckets that hold hundreds of entries when the queue
+/// reaches them, so they are split and consumed a sub-bucket at a time,
+/// and pushes, peeks and bounded stops land in and around the sub-bucket
+/// being consumed.
+#[test]
+fn dense_randomized_schedules_match_sorted_list_model() {
+    for seed in [7, 1009, 88_172_645, 0xDEAD_BEEF] {
+        let split = run_workload(seed, 4_000, 3_000, &DENSE_DELTAS);
+        assert!(
+            split > 1_000,
+            "seed {seed}: {split} pushes into split buckets"
+        );
     }
 }
 

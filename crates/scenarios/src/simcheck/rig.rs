@@ -387,31 +387,16 @@ impl Rig {
     /// Advance to `until` under the job's watchdog: every `WATCHDOG_STRIDE`
     /// events the job's virtual-time/event caps are checked, so a livelocked
     /// simulation panics (isolated per job by the harness) instead of
-    /// hanging the sweep. With the caps disabled this is exactly
-    /// `run_until`.
+    /// hanging the sweep. One bounded pop per event either way; with the
+    /// caps disabled this is exactly `Simulator::run_until`.
     pub fn run_until(&mut self, until: SimTime) {
         const WATCHDOG_STRIDE: u64 = 4096;
         let sim = &mut self.sim;
-        let (cap_ns, cap_ev) = harness::job_caps();
-        if cap_ns == 0 && cap_ev == 0 {
+        if harness::job_caps() == (0, 0) {
             sim.run_until(until);
             return;
         }
-        loop {
-            let mut stepped = 0;
-            while stepped < WATCHDOG_STRIDE {
-                match sim.next_event_time() {
-                    Some(t) if t <= until => {
-                        sim.step();
-                        stepped += 1;
-                    }
-                    // Horizon reached: clamp the clock like `run_until` does.
-                    _ => {
-                        sim.run_until(until);
-                        return;
-                    }
-                }
-            }
+        while !sim.run_until_budget(until, WATCHDOG_STRIDE) {
             harness::check_caps(
                 sim.now().saturating_since(SimTime::ZERO).as_nanos(),
                 sim.events_processed(),

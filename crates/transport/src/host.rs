@@ -194,8 +194,13 @@ impl Receivers {
         self.open.len() + self.finished.len()
     }
 
-    /// Where `flow`'s record is in the finished list.
+    /// Where `flow`'s record is in the finished list. Flow ids are issued
+    /// in ascending order, so a new flow's SYN — which misses the open
+    /// table too — is past the last record and needs no search.
     fn find(&self, flow: FlowId) -> Option<usize> {
+        if self.finished.last().is_none_or(|f| f.flow() < flow) {
+            return None;
+        }
         self.finished
             .binary_search_by_key(&flow, Finished::flow)
             .ok()
@@ -216,8 +221,13 @@ impl Receivers {
         };
         self.node = Some(conn.local());
         let conn = self.open.remove(flow).expect("looked up");
-        let at = self.finished.partition_point(|f| f.flow() < flow);
-        self.finished.insert(at, conn.finish());
+        // Flows complete nearly in id order: mostly this one sorts last.
+        if self.finished.last().is_none_or(|f| f.flow() < flow) {
+            self.finished.push(conn.finish());
+        } else {
+            let at = self.finished.partition_point(|f| f.flow() < flow);
+            self.finished.insert(at, conn.finish());
+        }
     }
 
     /// The finished list's records as the complete receivers they stand

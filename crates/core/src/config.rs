@@ -1,5 +1,7 @@
-//! Halfback configuration: the Pacing Threshold, the ROPR variant (for the
-//! §5 ablations), and the optional extensions the paper names.
+//! Halfback configuration: the ROPR variant (for the §5 ablations) and the
+//! optional extensions the paper names. The Pacing Threshold is not
+//! configurable: it is the receiver's advertised window, as in the paper's
+//! experiments (§4.1; see `Halfback::on_established`).
 
 /// Order and rate policy of the proactive retransmission phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,11 +24,6 @@ pub enum RoprVariant {
 /// Configuration of a Halfback sender.
 #[derive(Debug, Clone)]
 pub struct HalfbackConfig {
-    /// Pacing Threshold in bytes (§3.1): at most this much is sent in the
-    /// aggressive Pacing + ROPR phases; the rest falls back to TCP (§3.3).
-    /// `None` means "use the receiver's advertised flow-control window",
-    /// which is what the paper's experiments do (§4.1).
-    pub pacing_threshold: Option<u64>,
     /// Proactive retransmission variant.
     pub variant: RoprVariant,
     /// Proactive retransmissions per ACK, as a `(sends, acks)` ratio.
@@ -42,7 +39,6 @@ pub struct HalfbackConfig {
 impl Default for HalfbackConfig {
     fn default() -> Self {
         HalfbackConfig {
-            pacing_threshold: None,
             variant: RoprVariant::Reverse,
             ropr_ratio: (1, 1),
             burst_first_segments: 0,

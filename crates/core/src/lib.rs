@@ -46,10 +46,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod config;
 pub mod sender;
 
-pub use adaptive::{rate_cache, AdaptiveHalfback, RateCache};
 pub use config::{HalfbackConfig, RoprVariant};
 pub use sender::Halfback;

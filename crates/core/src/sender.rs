@@ -3,9 +3,10 @@
 //! Three phases:
 //!
 //! 1. **Pacing** (§3.1) — after the handshake, pace
-//!    `min(flow size, flow-control window, Pacing Threshold)` evenly over
-//!    one RTT. ACKs arriving before pacing finishes do not trigger
-//!    proactive retransmission.
+//!    `min(flow size, flow-control window)` evenly over one RTT: the
+//!    Pacing Threshold is the receiver's window, as in every experiment
+//!    of the paper (§4.1). ACKs arriving before pacing finishes do not
+//!    trigger proactive retransmission.
 //! 2. **ROPR** (§3.2) — from the first ACK after pacing completes, each
 //!    received ACK clocks out one proactive retransmission of the highest
 //!    not-yet-covered segment, moving *backwards* through the flow. ROPR
@@ -46,7 +47,7 @@ netsim::snap_enum!(HbPhase { Pacing = 0, Ropr = 1, Fallback = 2 });
 pub struct Halfback {
     cfg: HalfbackConfig,
     phase: HbPhase,
-    /// Segments in the aggressive batch (`min(flow, window, threshold)`).
+    /// Segments in the aggressive batch (`min(flow, window)`).
     batch_segs: u32,
     /// Next batch segment the pacer will transmit.
     next_paced: SegId,
@@ -252,10 +253,11 @@ impl Strategy for Halfback {
         self.cfg.display_name()
     }
 
+    /// The Pacing Threshold (§3.1) is the receiver's advertised window:
+    /// the batch is `min(flow size, window)`, and anything beyond it falls
+    /// back to TCP (§3.3).
     fn on_established(&mut self, ops: &mut Ops<'_, '_>) {
-        let window = ops.window_bytes() as u64;
-        let threshold = self.cfg.pacing_threshold.unwrap_or(window);
-        let batch_bytes = ops.flow_bytes().min(window).min(threshold);
+        let batch_bytes = ops.flow_bytes().min(ops.window_bytes() as u64);
         self.batch_segs = segment_count(batch_bytes).min(ops.total_segs()).max(1);
         self.pacing_started = ops.now();
         let rtt = ops.rtt().latest().unwrap_or(SimDuration::from_millis(100));
@@ -387,12 +389,7 @@ impl Strategy for Halfback {
         }
     }
 
-    // The pacing threshold travels because AdaptiveHalfback derives it per
-    // flow from its rate cache; the rest of the config is identical on every
-    // sender of a scheme and comes back from the restore-side strategy
-    // factory.
     netsim::snap_fields!(fn save_state, load_state {
-        cfg.pacing_threshold,
         phase,
         batch_segs,
         next_paced,

@@ -4,7 +4,7 @@
 //! its steady-state loss model: flap down, blackhole traffic for a window,
 //! reorder (bounded random extra delay), duplicate, corrupt payloads, and
 //! step its bandwidth or propagation delay mid-run. Specs are pure data;
-//! the engine instantiates a [`FaultState`] per link whose random draws
+//! the engine instantiates a `FaultState` per link whose random draws
 //! come from a **private substream** forked from the engine seed and the
 //! link id. Two consequences:
 //!

@@ -5,8 +5,9 @@
 //! wire loss (from a [`LossProcess`]) is applied after serialization,
 //! modelling loss beyond the queue (e.g. WiFi corruption).
 //!
-//! Links never touch packet bodies: they move [`PacketMeta`] records whose
-//! handles point into the engine's packet arena, so the whole link layer is
+//! Links never touch packet bodies: they move
+//! [`PacketMeta`](crate::packet::PacketMeta) records whose handles point
+//! into the engine's packet arena, so the whole link layer is
 //! payload-agnostic and non-generic.
 
 use crate::faults::FaultState;

@@ -137,14 +137,6 @@ impl SimRng {
         s[3] = s[3].rotate_left(45);
         result
     }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 /// SplitMix64 finalizer — a solid 64-bit mixing function.
@@ -247,21 +239,6 @@ mod tests {
         assert!(
             (median / expect - 1.0).abs() < 0.1,
             "median {median} vs {expect}"
-        );
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(4);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            xs,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left slice untouched"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! A sharded run splits a topology into `parts` **partitions**, each owning
 //! a disjoint set of hosts plus their access links, with its own
 //! [`Simulator`] — its own event wheel, packet arena, and RNG substreams.
-//! Partitions exchange packets only through [`Portal`] nodes, which carry a
+//! Partitions exchange packets only through `Portal` nodes, which carry a
 //! mandatory extra propagation delay (the WAN leg of the path). That delay
 //! is the **lookahead** `L`: a packet handed off at local time `t` cannot
 //! arrive before `t + L`, so all partitions can safely simulate the window
@@ -252,7 +252,7 @@ impl<P: Payload> Default for ShardHooks<'_, P> {
     }
 }
 
-/// What [`run_sharded`] returns: per-partition results and hygiene, in
+/// What [`run_sharded_with`] returns: per-partition results and hygiene, in
 /// partition order, plus run-shape counters.
 pub struct ShardRun<T> {
     /// One entry per partition, in rank order, from the finish closure.
@@ -293,13 +293,15 @@ struct Coord<P: Payload> {
     /// Per-partition cumulative progress units (probe results), read by
     /// the heartbeat leader one barrier later.
     progress: Vec<AtomicU64>,
-    /// Telemetry records parked by each worker at run end; `run_sharded`
-    /// sorts them into canonical `(window, part)` order.
+    /// Telemetry records parked by each worker at run end;
+    /// `run_sharded_with` sorts them into canonical `(window, part)` order.
     telemetry: Mutex<Vec<WindowTelemetry>>,
 }
 
 /// Run a partitioned scenario to completion (or `horizon`) on up to
-/// `threads` worker threads.
+/// `threads` worker threads, with observers attached — window telemetry,
+/// progress probe, heartbeat (see [`ShardHooks`]; `ShardHooks::default()`
+/// attaches none).
 ///
 /// `build(rank, handle)` constructs partition `rank`'s simulator — nodes,
 /// links, portals via [`ShardHandle::add_portal`], and any initial events —
@@ -310,32 +312,6 @@ struct Coord<P: Payload> {
 /// Partitions are assigned to threads round-robin (`rank % threads`);
 /// because all scheduling decisions are partition-indexed, the output is
 /// byte-identical for any `threads >= 1`.
-pub fn run_sharded<P, T, B, F>(
-    parts: usize,
-    threads: usize,
-    horizon: Option<SimTime>,
-    build: B,
-    finish: F,
-) -> ShardRun<T>
-where
-    P: Payload + Send,
-    T: Send,
-    B: Fn(usize, &mut ShardHandle<P>) -> Simulator<P> + Sync,
-    F: Fn(usize, &mut Simulator<P>) -> T + Sync,
-{
-    run_sharded_with(
-        parts,
-        threads,
-        horizon,
-        ShardHooks::default(),
-        build,
-        finish,
-    )
-}
-
-/// [`run_sharded`] with observers attached — window telemetry, progress
-/// probe, heartbeat (see [`ShardHooks`]). With default hooks this is
-/// exactly `run_sharded`.
 pub fn run_sharded_with<P, T, B, F>(
     parts: usize,
     threads: usize,
@@ -711,10 +687,11 @@ mod tests {
 
     fn run_pingpong(threads: usize) -> (Vec<Vec<(u64, u64)>>, ShardRun<()>) {
         let log: Mutex<Vec<Vec<(u64, u64)>>> = Mutex::new(vec![Vec::new(), Vec::new()]);
-        let run = run_sharded(
+        let run = run_sharded_with(
             2,
             threads,
             None,
+            ShardHooks::default(),
             build_pingpong,
             |rank, sim: &mut Simulator<u64>| {
                 let b = sim.node_as::<Bouncer>(NodeId(0)).unwrap();
@@ -761,10 +738,11 @@ mod tests {
     fn horizon_cuts_the_run_short() {
         // 5 ms per hop: a 12 ms horizon admits hops 1 and 2 only.
         let log: Mutex<Vec<Vec<(u64, u64)>>> = Mutex::new(vec![Vec::new(), Vec::new()]);
-        let run = run_sharded(
+        let run = run_sharded_with(
             2,
             2,
             Some(SimTime::from_nanos(12_000_000)),
+            ShardHooks::default(),
             build_pingpong,
             |rank, sim: &mut Simulator<u64>| {
                 let b = sim.node_as::<Bouncer>(NodeId(0)).unwrap();
@@ -784,10 +762,11 @@ mod tests {
     // own message.
     #[should_panic(expected = "scoped thread panicked")]
     fn zero_lookahead_is_rejected() {
-        run_sharded(
+        run_sharded_with(
             2,
             1,
             None,
+            ShardHooks::default(),
             |rank, handle: &mut ShardHandle<u64>| {
                 let mut sim: Simulator<u64> = Simulator::new(rank as u64);
                 let n = sim.add_node(Box::new(Bouncer {
@@ -1008,10 +987,11 @@ mod tests {
             "the schedule must produce arrival-time ties"
         );
         for threads in [1, 2, 4] {
-            let run = run_sharded(
+            let run = run_sharded_with(
                 4,
                 threads,
                 None,
+                ShardHooks::default(),
                 build_fan_in,
                 |rank, sim: &mut Simulator<u64>| {
                     (rank == 0).then(|| {
@@ -1077,10 +1057,11 @@ mod tests {
     fn portal_free_partitions_run_independently() {
         // No portals: lookahead is None, each partition drains in one
         // unbounded window.
-        let run = run_sharded(
+        let run = run_sharded_with(
             3,
             2,
             None,
+            ShardHooks::default(),
             |rank, _handle: &mut ShardHandle<u64>| {
                 let mut sim: Simulator<u64> = Simulator::new(rank as u64);
                 let n = sim.add_node(Box::new(Bouncer {

@@ -86,7 +86,7 @@ const SKETCH_BUCKET_COST: usize = 48;
 /// A deterministic, mergeable fixed-bucket log-histogram quantile sketch.
 ///
 /// Samples land in buckets keyed by their IEEE-754 exponent plus the top
-/// [`SKETCH_SUB_BITS`] mantissa bits — a pure bit shift, no floating-point
+/// `SKETCH_SUB_BITS` mantissa bits — a pure bit shift, no floating-point
 /// log, so bucketing is exact and identical on every platform. Bucket
 /// counts are integers, which makes merges **exact, associative, and
 /// commutative**: summaries computed from sketches are byte-identical

@@ -49,11 +49,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -291,8 +286,6 @@ mod tests {
         assert_eq!((t + d).as_nanos(), 3_500_000);
         assert_eq!((t + d).saturating_since(t), d);
         assert_eq!(t.saturating_since(t + d), SimDuration::ZERO);
-        assert_eq!((t + d).checked_since(t), Some(d));
-        assert_eq!(t.checked_since(t + d), None);
     }
 
     #[test]

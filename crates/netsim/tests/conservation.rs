@@ -312,7 +312,7 @@ fn trace_events_and_stats_move_in_lockstep() {
 #[test]
 fn wire_equation_closes_across_shard_boundaries() {
     use netsim::link::LinkStats;
-    use netsim::shard::{run_sharded, ShardHandle};
+    use netsim::shard::{run_sharded_with, ShardHandle, ShardHooks};
     use netsim::{LinkId, NodeId};
 
     /// Paced source: sends `remaining` packets with seeded random gaps.
@@ -396,7 +396,7 @@ fn wire_equation_closes_across_shard_boundaries() {
     };
 
     for threads in [1usize, 2] {
-        let run = run_sharded(2, threads, None, build, finish);
+        let run = run_sharded_with(2, threads, None, ShardHooks::default(), build, finish);
         let sides: Vec<(u64, u64, LinkStats, LinkStats)> = run.results;
         let mut crossings = 0;
         for p in 0..2 {

@@ -23,7 +23,7 @@
 //! 5–9 % of all events on congested runs, nine tenths of the pending queue.
 
 use netsim::link::LinkSpec;
-use netsim::shard::{run_sharded, ShardHandle};
+use netsim::shard::{run_sharded_with, ShardHandle, ShardHooks};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::topology::{build_dumbbell, DumbbellSpec, Side};
 use netsim::{Ctx, FlowId, LinkId, Node, NodeId, Packet, Simulator, TimerId};
@@ -97,10 +97,17 @@ fn sharded_windows_keep_the_cursor_behind_the_clock() {
         }
         sim
     };
-    let run = run_sharded(2, 1, None, build, |rank, sim: &mut Simulator<u64>| {
-        assert_wheel_served(&format!("partition {rank}"), sim);
-        sim.events_processed()
-    });
+    let run = run_sharded_with(
+        2,
+        1,
+        None,
+        ShardHooks::default(),
+        build,
+        |rank, sim: &mut Simulator<u64>| {
+            assert_wheel_served(&format!("partition {rank}"), sim);
+            sim.events_processed()
+        },
+    );
     assert_eq!(run.cross_messages, (HOPS + 1) * BURST);
     // Per crossing: serialization, delivery to the portal, arrival at the peer.
     let events: u64 = run.results.iter().sum();

@@ -8,13 +8,14 @@
 //! position. The test drives identical seeded workloads — schedule / cancel
 //! / step / peek / run-until interleavings across every bucket and horizon
 //! boundary — through the real engine and through a sorted list, and
-//! demands identical firing sequences.
+//! demands identical firing sequences and, after every op, the next event
+//! time the model predicts.
 
 use netsim::time::SimTime;
 use netsim::{Ctx, Node, Packet, Simulator, TimerId};
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 #[derive(Default)]
@@ -41,6 +42,59 @@ struct ModelEntry {
     ord: u64,
     token: u64,
     cancelled: bool,
+}
+
+/// The model's view of what is pending, each timer as `(at, scheduling
+/// order)`: those neither cancelled nor fired, and every cancelled one.
+#[derive(Default)]
+struct Pending {
+    live: BTreeSet<(u64, u64)>,
+    cancelled: BTreeSet<(u64, u64)>,
+    /// How many of the recorder's firings `live` has dropped.
+    seen: usize,
+}
+
+impl Pending {
+    fn arm(&mut self, e: &ModelEntry) {
+        self.live.insert((e.at, e.ord));
+    }
+
+    fn cancel(&mut self, e: &ModelEntry) {
+        self.live.remove(&(e.at, e.ord));
+        self.cancelled.insert((e.at, e.ord));
+    }
+
+    /// The engine's next event time must be the model's head: the earliest
+    /// timer neither cancelled nor fired. A cancel leaves its timer's
+    /// wake-up queued, so the engine may instead report an instant between
+    /// now and that head at which a cancelled timer was due.
+    fn check_head(&mut self, sim: &Simulator<u32>, node: netsim::NodeId, model: &[ModelEntry]) {
+        let fired = &sim.node_as::<Recorder>(node).expect("recorder node").fired;
+        for &(_, token) in &fired[self.seen..] {
+            let e = &model[token as usize];
+            self.live.remove(&(e.at, e.ord));
+        }
+        self.seen = fired.len();
+        let head = self.live.first().map(|&(at, _)| at);
+        let got = sim.next_event_time().map(SimTime::as_nanos);
+        if got == head {
+            return;
+        }
+        let now = sim.now().as_nanos();
+        let dead_wakeup = got.is_some_and(|t| {
+            t >= now
+                && head.is_none_or(|h| t < h)
+                && self
+                    .cancelled
+                    .range((t, 0)..=(t, u64::MAX))
+                    .next()
+                    .is_some()
+        });
+        assert!(
+            dead_wakeup,
+            "next_event_time {got:?} at now {now}, model head {head:?}"
+        );
+    }
 }
 
 fn lcg(x: &mut u64) -> u64 {
@@ -91,9 +145,11 @@ fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
     let mut rng = seed;
     let mut model: Vec<ModelEntry> = Vec::new();
     let mut live: Vec<(TimerId, usize)> = Vec::new(); // (id, model index)
+    let mut pending = Pending::default();
     let mut next_token = 0u64;
 
     for i in 0..ops + prefill {
+        pending.check_head(&sim, node, &model);
         let op = if i < prefill { 0 } else { lcg(&mut rng) % 11 };
         match op {
             // Schedule (the bulk of the mix).
@@ -110,6 +166,7 @@ fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
                     token: next_token,
                     cancelled: false,
                 });
+                pending.arm(&model[model.len() - 1]);
                 live.push((id, model.len() - 1));
                 next_token += 1;
             }
@@ -132,6 +189,7 @@ fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
                     token: next_token,
                     cancelled: false,
                 });
+                pending.arm(&model[model.len() - 1]);
                 live.push((id, model.len() - 1));
                 next_token += 1;
             }
@@ -144,6 +202,7 @@ fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
                 let (id, mi) = live.swap_remove(k);
                 sim.core().cancel_timer(id);
                 model[mi].cancelled = true;
+                pending.cancel(&model[mi]);
                 if dense && lcg(&mut rng) & 1 == 0 {
                     let at = model[mi].at + deltas[(lcg(&mut rng) % deltas.len() as u64) as usize];
                     let id = sim
@@ -155,6 +214,7 @@ fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
                         token: next_token,
                         cancelled: false,
                     });
+                    pending.arm(&model[model.len() - 1]);
                     live.push((id, model.len() - 1));
                     next_token += 1;
                 }
@@ -191,7 +251,9 @@ fn run_workload(seed: u64, ops: usize, prefill: usize, deltas: &[u64]) -> u64 {
             }
         }
     }
+    pending.check_head(&sim, node, &model);
     sim.run_to_completion(10 * ops as u64);
+    pending.check_head(&sim, node, &model);
 
     let mut expect: Vec<(u64, u64, u64)> = model
         .iter()

@@ -63,18 +63,10 @@ pub fn sweep_point(u: f64, rate: Rate, horizon: SimTime, out: &CaseReport) -> Sw
     }
 }
 
-/// Sweep one protocol across utilizations with per-utilization identical
-/// schedules (shared across protocols via the seed discipline). Cells run
-/// as parallel harness jobs.
-pub fn sweep(protocol: Protocol, ctx: &RunCtx, seed: u64) -> Vec<SweepPoint> {
-    sweep_many(&[protocol], ctx, seed)
-        .pop()
-        .map(|(_, pts)| pts)
-        .unwrap_or_default()
-}
-
-/// Sweep several protocols at once: one harness job per (protocol,
-/// utilization) cell, results regrouped per protocol in input order.
+/// Sweep protocols across utilizations with per-utilization identical
+/// schedules (shared across protocols via the seed discipline): one
+/// harness job per (protocol, utilization) cell, results regrouped per
+/// protocol in input order.
 pub fn sweep_many(
     protocols: &[Protocol],
     ctx: &RunCtx,

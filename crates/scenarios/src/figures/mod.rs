@@ -27,16 +27,6 @@ pub mod web_response;
 use crate::harness::RunCtx;
 use crate::report::Figure;
 
-/// All experiment ids, in paper order.
-pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15",
-];
-
-/// The remaining ids (16, 17, table1) — listed separately only because the
-/// array above is used in doc examples; `run_experiment` accepts all.
-pub const MORE_EXPERIMENTS: [&str; 3] = ["fig16", "fig17", "table1"];
-
 /// The figure function behind an experiment id; `None` for an unknown id.
 ///
 /// "fig1" is derived from the same sweep as "fig12" and returned together

@@ -2,10 +2,11 @@
 //!
 //! Every figure runner in this crate is *closed-loop at the harness level*:
 //! it materializes the full arrival schedule up front, runs the simulation
-//! to quiescence, and keeps a [`FlowRecord`] per flow. That shape cannot
-//! answer the paper's service question — does a scheme stay well-behaved
-//! when short flows arrive forever? — because memory grows with total flow
-//! count and the run has no notion of "still going".
+//! to quiescence, and keeps a [`FlowRecord`](transport::FlowRecord) per
+//! flow. That shape cannot answer the paper's service question — does a
+//! scheme stay well-behaved when short flows arrive forever? — because
+//! memory grows with total flow count and the run has no notion of "still
+//! going".
 //!
 //! This module is the open-loop counterpart. A streaming arrival process
 //! ([`workload::DiurnalPoisson`] — Poisson with a sinusoidal daily rate
@@ -52,10 +53,10 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 7: the rig saves its hosts pair by pair (sender, then
-/// receiver), where version 6 saved every sender host, then every receiver
-/// host.
-const WEATHER_VERSION: u32 = 7;
+/// Version 8: a Halfback sender no longer saves a pacing threshold (it is
+/// always the receiver's window), where version 7 saved one `Option` per
+/// sender.
+const WEATHER_VERSION: u32 = 8;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 
@@ -75,7 +76,7 @@ const FINAL_GRACE: SimDuration = SimDuration::from_secs(60);
 /// paper targets, where most flows fit in a handful of segments.
 const FLOW_MIX: [(u64, usize); 4] = [(600, 600), (2_000, 300), (6_000, 90), (40_000, 10)];
 
-/// Mean payload of [`FLOW_MIX`], in bytes.
+/// Mean payload of `FLOW_MIX`, in bytes.
 pub fn mean_flow_bytes() -> f64 {
     let total: u64 = FLOW_MIX.iter().map(|&(b, w)| b * w as u64).sum();
     total as f64 / 1000.0

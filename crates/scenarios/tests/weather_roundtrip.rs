@@ -385,6 +385,14 @@ fn v6_checkpoint_is_refused_with_the_version_error() {
     assert_version_refused(6);
 }
 
+/// Version 7 saved a pacing threshold (an `Option`) at the head of every
+/// Halfback sender's state; a version-8 reader would read its tag as the
+/// sender's phase and every later field out of step.
+#[test]
+fn v7_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(7);
+}
+
 #[test]
 fn resume_refuses_a_csv_shorter_than_the_checkpoint() {
     // windows.csv lost or cut between kill and resume: `set_len` would pad

@@ -6,7 +6,7 @@
 //!
 //! The ranges live in one sorted `Vec`: in-order traffic keeps every set at
 //! a single range and loss adds a handful, so the range a lookup wants is
-//! almost always the last one, which [`RangeSet::seek`] tries before it
+//! almost always the last one, which `RangeSet::seek` tries before it
 //! searches.
 
 /// An ordered set of disjoint, coalesced half-open ranges `[start, end)`.
@@ -126,9 +126,9 @@ impl RangeSet {
         out
     }
 
-    /// [`missing_within`], but clearing and filling a caller-supplied
-    /// buffer so a hot loop (the scoreboard's per-ACK walk) can reuse its
-    /// allocation.
+    /// [`missing_within`](Self::missing_within), but clearing and filling a
+    /// caller-supplied buffer so a hot loop (the scoreboard's per-ACK walk)
+    /// can reuse its allocation.
     pub fn missing_within_into(&self, lo: u32, hi: u32, out: &mut Vec<(u32, u32)>) {
         out.clear();
         let mut cursor = lo;

@@ -446,11 +446,6 @@ impl Scoreboard {
         self.lost.iter_ranges().next().map(|(s, _)| s)
     }
 
-    /// Count of segments currently marked lost.
-    pub fn lost_count(&self) -> u64 {
-        self.lost.len()
-    }
-
     /// Payload bytes cumulatively+selectively acknowledged so far.
     pub fn acked_bytes(&self) -> u64 {
         let mut b = 0u64;
@@ -510,7 +505,7 @@ mod tests {
         // Segment 1 lost; SACKs for 2, 3, 4 arrive one at a time.
         b.on_ack(&ack(1, &[(2, 3)]));
         b.on_ack(&ack(1, &[(2, 4)]));
-        assert_eq!(b.lost_count(), 0, "below DupThresh");
+        assert_eq!(b.first_lost(), None, "below DupThresh");
         let out = b.on_ack(&ack(1, &[(2, 5)]));
         assert_eq!(out.newly_lost, vec![1]);
         assert!(b.is_lost(1));

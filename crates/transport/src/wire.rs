@@ -13,12 +13,10 @@ use netsim::{snap_enum, snap_struct, SimTime};
 pub const MSS: u32 = 1460;
 /// Header overhead added to every data segment.
 pub const HEADER_BYTES: u32 = 40;
-/// Full-size data segment on the wire (paper §4.1: 1500 bytes w/ header).
-pub const SEG_WIRE_BYTES: u32 = MSS + HEADER_BYTES;
 /// Pure-ACK / SYN / SYN-ACK wire size.
 pub const CTRL_WIRE_BYTES: u32 = 40;
 /// Default advertised flow-control window (paper §4.1: 141 KB, as in
-/// Windows XP; also Halfback's default Pacing Threshold).
+/// Windows XP; also Halfback's Pacing Threshold).
 pub const DEFAULT_FCW_BYTES: u32 = 141_000;
 
 /// Index of a segment within a flow (0-based).
@@ -54,11 +52,6 @@ impl SendClass {
     /// True for proactive (loss-anticipating) copies.
     pub fn is_proactive(self) -> bool {
         matches!(self, SendClass::Proactive)
-    }
-
-    /// True for any transmission that is not the first copy.
-    pub fn is_retransmission(self) -> bool {
-        !matches!(self, SendClass::New)
     }
 }
 
@@ -336,7 +329,8 @@ mod tests {
 
     #[test]
     fn wire_bytes_include_headers() {
-        assert_eq!(seg_wire_bytes(MSS as u64, 0), SEG_WIRE_BYTES);
+        // Paper §4.1: a full-size segment is 1500 bytes on the wire.
+        assert_eq!(seg_wire_bytes(MSS as u64, 0), 1500);
         assert_eq!(flow_wire_bytes(100_000), 100_000 + 69 * 40);
     }
 
@@ -406,12 +400,12 @@ mod tests {
 
     #[test]
     fn send_class_accounting() {
-        assert!(!SendClass::New.is_retransmission());
+        assert!(!SendClass::New.is_normal_retx());
+        assert!(!SendClass::New.is_proactive());
         assert!(SendClass::FastRetx.is_normal_retx());
         assert!(SendClass::RtoRetx.is_normal_retx());
         assert!(SendClass::ProbeRetx.is_normal_retx());
         assert!(SendClass::Proactive.is_proactive());
         assert!(!SendClass::Proactive.is_normal_retx());
-        assert!(SendClass::Proactive.is_retransmission());
     }
 }

@@ -57,7 +57,7 @@ fn low_load_latency_ordering() {
 fn feasible_capacity_ordering() {
     let ctx = RunCtx::new(Scale::Quick);
     let fc = |p| {
-        let pts = feasible::sweep(p, &ctx, 42);
+        let (_, pts) = feasible::sweep_many(&[p], &ctx, 42).remove(0);
         feasible_capacity(
             &pts,
             feasible::COLLAPSE_FACTOR,

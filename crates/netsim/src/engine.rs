@@ -1,9 +1,18 @@
 //! The discrete-event engine.
 //!
-//! Events are totally ordered by `(time, insertion sequence)`: two events at
-//! the same instant fire in the order they were scheduled, so no hash-map
+//! Events are totally ordered by `(time, sequence)`: two events at the same
+//! instant fire in the order their seqs were drawn — when they were
+//! scheduled, except that a packet's arrival and its end of transmission
+//! draw theirs together when serialization starts — so no hash-map
 //! iteration order or floating-point comparison can perturb a run. All
 //! randomness comes from the engine's seeded [`SimRng`].
+//!
+//! An end of transmission is an event only where something happens at it.
+//! On a link with a loss model or a fault spec it is a `LinkTxDone` that
+//! decides the packet's fate. On any other link the transmission is
+//! *silent*: its arrival is scheduled when it starts, and its end becomes
+//! a `LinkFree` entry, at the same `(at, seq)`, only once a packet queues
+//! behind it.
 //!
 //! The queue behind the clock is a bucketed calendar queue (`eventq`
 //! module) rather than a binary heap: the
@@ -95,6 +104,11 @@ pub type Tracer = Box<dyn FnMut(SimTime, &TraceEvent)>;
 pub struct EngineCore<P: Payload> {
     now: SimTime,
     seq: u64,
+    /// The seq of the entry being fired; at a run's horizon, the next seq
+    /// to be drawn, since every entry at `now` has fired. With `now` it is
+    /// the engine's position in the `(at, seq)` order, which says whether
+    /// a silent transmission has ended.
+    firing: u64,
     events: EventQueue,
     links: Vec<LinkState>,
     /// Bodies of every packet in flight or queued; events and link queues
@@ -121,6 +135,11 @@ impl<P: Payload> EngineCore<P> {
             self.now
         );
         let seq = self.next_seq();
+        self.push_seq(at, seq, kind);
+    }
+
+    /// Push an entry whose seq was drawn earlier.
+    fn push_seq(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         self.events.push(self.now, EventEntry { at, seq, kind });
     }
 
@@ -185,24 +204,56 @@ impl<P: Payload> EngineCore<P> {
             });
             return;
         }
-        if l.busy {
-            if l.queue.enqueue(meta, now) == Verdict::Dropped {
-                self.packets.free(h);
-                self.trace(TraceEvent::QueueDrop {
-                    link,
-                    packet: meta.id,
-                    size: meta.size,
-                });
-            }
-        } else {
-            l.busy = true;
-            let done = now + l.tx_time(meta.size);
-            self.trace(TraceEvent::TxStart {
+        if !l.on_wire(now, self.firing) {
+            self.start_tx(link, meta);
+        } else if l.queue.enqueue(meta, now) == Verdict::Dropped {
+            self.packets.free(h);
+            self.trace(TraceEvent::QueueDrop {
                 link,
                 packet: meta.id,
                 size: meta.size,
             });
-            self.push(done, EventKind::LinkTxDone { link, pkt: h });
+        } else if !l.busy {
+            // The first packet queued behind a silent transmission: its end
+            // becomes an event, at the place its `LinkTxDone` would have had.
+            l.busy = true;
+            let (at, seq) = (l.busy_until, l.tx_seq);
+            self.push_seq(at, seq, EventKind::LinkFree { link });
+        }
+    }
+
+    /// Put `meta`'s packet on the wire of `link`, whose queue it has left
+    /// (or bypassed). Two seqs are drawn: `s` ranks the end of
+    /// transmission, `s + 1` the arrival. A silent transmission pushes its
+    /// `Deliver` now, and its end only if a packet waits behind it;
+    /// otherwise the end is a `LinkTxDone` that decides the packet's fate.
+    fn start_tx(&mut self, link: LinkId, meta: PacketMeta) {
+        let s = self.seq;
+        self.seq += 2;
+        let now = self.now;
+        let l = &mut self.links[link.0 as usize];
+        let done = now + l.tx_time(meta.size);
+        (l.busy_until, l.tx_seq) = (done, s);
+        // No loss model and no fault spec: nothing is decided at the end.
+        l.silent = l.faults.is_none() && l.loss.model().is_none();
+        l.busy = !l.silent || !l.queue.is_empty();
+        let (silent, busy, arrive) = (l.silent, l.busy, done + l.delay);
+        let node = l.dst;
+        l.stats.tx_packets += 1;
+        l.stats.tx_bytes += meta.size as u64;
+        self.trace(TraceEvent::TxStart {
+            link,
+            packet: meta.id,
+            size: meta.size,
+        });
+        let pkt = meta.handle;
+        if !silent {
+            self.push_seq(done, s, EventKind::LinkTxDone { link, pkt });
+            return;
+        }
+        self.push_seq(arrive, s + 1, EventKind::Deliver { node, link, pkt });
+        if busy {
+            self.push_seq(done, s, EventKind::LinkFree { link });
         }
     }
 
@@ -216,29 +267,23 @@ impl<P: Payload> EngineCore<P> {
         let mut dropped = std::mem::take(&mut self.queue_drop_scratch);
         let l = &mut self.links[link.0 as usize];
         match l.queue.dequeue(now, &mut dropped) {
-            Some(next) => {
-                let done = now + l.tx_time(next.size);
-                self.trace(TraceEvent::TxStart {
-                    link,
-                    packet: next.id,
-                    size: next.size,
-                });
-                self.push(
-                    done,
-                    EventKind::LinkTxDone {
-                        link,
-                        pkt: next.handle,
-                    },
-                );
-            }
-            None => {
-                l.busy = false;
-            }
+            Some(next) => self.start_tx(link, next),
+            None => l.busy = false,
         }
         for victim in dropped.drain(..) {
             self.packets.free(victim.handle);
         }
         self.queue_drop_scratch = dropped;
+    }
+
+    /// Every entry due by `until` has fired: move the clock to `until` if
+    /// it is behind, and past every entry at the new `now`. A clock already
+    /// beyond `until` (a budgeted run stopped mid-instant) stays where it is.
+    fn reach_horizon(&mut self, until: SimTime) {
+        if self.now <= until {
+            self.now = until;
+            self.firing = self.seq;
+        }
     }
 
     /// Schedule a timer for `node`, `after` from now. Returns an id usable
@@ -354,6 +399,7 @@ impl<P: Payload + Snap> EngineCore<P> {
     crate::snap_fields!(fn save_scalars, load_scalars {
         now,
         seq,
+        firing,
         next_packet_id,
         corrupt_dropped,
         events_processed,
@@ -363,7 +409,8 @@ impl<P: Payload + Snap> EngineCore<P> {
 
     /// Serialize the engine's full dynamic state: the scalars above, the
     /// pending event multiset (with in-flight packet bodies inlined in
-    /// place of their arena handles), and per link its busy flag, stats,
+    /// place of their arena handles), and per link its busy and silent
+    /// flags, the end of its last transmission, its stats,
     /// current rate and delay, loss cursor, fault cursor and queue. Every
     /// queue discipline saves what it holds itself, and every topology the
     /// repo builds can be saved; only sharded partitions are not carried.
@@ -400,6 +447,10 @@ impl<P: Payload + Snap> EngineCore<P> {
                     w.put(&id);
                     w.put(&token);
                 }
+                EventKind::LinkFree { link } => {
+                    w.u8(3);
+                    w.put(&link);
+                }
             }
         }
         // Put the entries back: the drained queue re-anchors at the clock
@@ -412,6 +463,9 @@ impl<P: Payload + Snap> EngineCore<P> {
         let packets = &self.packets;
         for l in &self.links {
             w.put(&l.busy);
+            w.put(&l.silent);
+            w.put(&l.busy_until);
+            w.put(&l.tx_seq);
             w.put(&l.stats);
             // Fault steps move a link's rate and delay.
             w.put(&l.rate);
@@ -467,6 +521,7 @@ impl<P: Payload + Snap> EngineCore<P> {
                     id: r.get()?,
                     token: r.get()?,
                 },
+                3 => EventKind::LinkFree { link: r.get()? },
                 tag => {
                     return Err(SnapError::Tag {
                         ty: "EventKind",
@@ -490,6 +545,9 @@ impl<P: Payload + Snap> EngineCore<P> {
         let packets = &mut self.packets;
         for (i, l) in self.links.iter_mut().enumerate() {
             l.busy = r.get()?;
+            l.silent = r.get()?;
+            l.busy_until = r.get()?;
+            l.tx_seq = r.get()?;
             l.stats = r.get()?;
             l.rate = r.get()?;
             l.delay = r.get()?;
@@ -596,6 +654,7 @@ impl<P: Payload> Simulator<P> {
             core: EngineCore {
                 now: SimTime::ZERO,
                 seq: 0,
+                firing: 0,
                 events: EventQueue::new(),
                 links: Vec::new(),
                 packets: PacketArena::new(),
@@ -719,9 +778,11 @@ impl<P: Payload> Simulator<P> {
     fn fire(&mut self, entry: EventEntry) {
         debug_assert!(entry.at >= self.core.now, "time went backwards");
         self.core.now = entry.at;
+        self.core.firing = entry.seq;
         self.core.events_processed += 1;
         match entry.kind {
-            EventKind::LinkTxDone { link, pkt } => self.handle_tx_done(link, pkt),
+            EventKind::LinkTxDone { link, pkt } => self.handle_tx_done(link, pkt, entry.seq),
+            EventKind::LinkFree { link } => self.core.pump_link(link),
             EventKind::Deliver { node, link, pkt: h } => {
                 let pkt = self.core.packets.get(h);
                 let (packet, size) = (pkt.id, pkt.size);
@@ -766,14 +827,14 @@ impl<P: Payload> Simulator<P> {
 
     /// A packet finished serializing: wire loss, fault windows and the
     /// corrupt/reorder/duplicate draws decide what becomes of it, then the
-    /// link takes its next packet.
-    fn handle_tx_done(&mut self, link: LinkId, pkt: PacketHandle) {
+    /// link takes its next packet. `seq` is this entry's: the arrival takes
+    /// `seq + 1`, drawn with it when serialization started, so it ranks as
+    /// a silent transmission's would.
+    fn handle_tx_done(&mut self, link: LinkId, pkt: PacketHandle, seq: u64) {
         let now = self.core.now;
         let meta = self.core.packets.meta(pkt);
         let l = &mut self.core.links[link.0 as usize];
         l.apply_fault_steps(now);
-        l.stats.tx_packets += 1;
-        l.stats.tx_bytes += meta.size as u64;
         let dst = l.dst;
         let delay = l.delay;
         let dropped = l.loss.should_drop(&mut self.core.rng);
@@ -842,8 +903,9 @@ impl<P: Payload> Simulator<P> {
                     },
                 );
             }
-            self.core.push(
+            self.core.push_seq(
                 now + delay + extra,
+                seq + 1,
                 EventKind::Deliver {
                     node: dst,
                     link,
@@ -879,9 +941,7 @@ impl<P: Payload> Simulator<P> {
         while let Some(entry) = self.core.events.pop_due(until) {
             self.fire(entry);
         }
-        if self.core.now < until {
-            self.core.now = until;
-        }
+        self.core.reach_horizon(until);
     }
 
     /// [`Simulator::run_until`], firing at most `budget` events. Returns
@@ -892,9 +952,7 @@ impl<P: Payload> Simulator<P> {
     pub fn run_until_budget(&mut self, until: SimTime, budget: u64) -> bool {
         for _ in 0..budget {
             let Some(entry) = self.core.events.pop_due(until) else {
-                if self.core.now < until {
-                    self.core.now = until;
-                }
+                self.core.reach_horizon(until);
                 return true;
             };
             self.fire(entry);
@@ -944,8 +1002,10 @@ impl<P: Payload> Simulator<P> {
         self.core.dead_timer_pops
     }
 
-    /// Number of events popped so far: deliveries, transmit completions and
-    /// timer wake-ups, whether or not the wake-up fired its timer.
+    /// Number of events popped so far: deliveries, ends of transmission
+    /// (on a link with a loss model or fault spec, or with a packet waiting
+    /// behind a silent one) and timer wake-ups, whether or not the wake-up
+    /// fired its timer.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }
@@ -978,7 +1038,7 @@ impl<P: Payload> Simulator<P> {
             .links
             .iter()
             .enumerate()
-            .filter(|(_, l)| l.busy)
+            .filter(|(_, l)| l.on_wire(self.core.now, self.core.firing))
             .map(|(i, _)| LinkId(i as u32))
             .collect();
         let backlogged_links: Vec<(LinkId, u64)> = self
@@ -1149,6 +1209,70 @@ mod tests {
         assert_eq!(sim.queue_stats(l).dropped, 2);
         let tags: Vec<u64> = rec.delivered.iter().map(|d| d.1).collect();
         assert_eq!(tags, vec![0, 1, 2], "drop-tail must drop the last arrivals");
+    }
+
+    /// Send a burst of `n` packets at t = 0 on `l`, drain, check that all
+    /// of them arrived and nothing is left behind, and return the events
+    /// popped.
+    fn burst(sim: &mut Simulator<u64>, (a, b, l): (NodeId, NodeId, LinkId), n: u64) -> u64 {
+        for i in 0..n {
+            sim.core().send_on(l, pkt(a, b, 1500, i));
+        }
+        sim.run_to_completion(1000);
+        assert_eq!(
+            sim.node_as::<Recorder>(b).unwrap().delivered.len() as u64,
+            n
+        );
+        assert!(sim.hygiene_report().is_clean(), "{}", sim.hygiene_report());
+        sim.events_processed()
+    }
+
+    #[test]
+    fn an_end_of_transmission_is_an_event_only_where_it_decides_something() {
+        let loss_free = || {
+            let (sim, a, b, l) =
+                two_node_sim(Rate::from_mbps(15), SimDuration::from_millis(1), 1 << 20);
+            (sim, (a, b, l))
+        };
+        // A lone packet on an idle loss-free link costs its arrival.
+        let (mut sim, ends) = loss_free();
+        assert_eq!(burst(&mut sim, ends, 1), 1);
+        // A burst: n arrivals, and the end of every transmission a packet
+        // waited behind.
+        let (mut sim, ends) = loss_free();
+        assert_eq!(burst(&mut sim, ends, 8), 2 * 8 - 1);
+        // A loss model is drawn at every end of transmission, and a fault
+        // spec, even one that does nothing, acts there.
+        let mut sim = Simulator::new(0);
+        let (a, b) = (sim.add_node(recorder()), sim.add_node(recorder()));
+        let spec = LinkSpec::drop_tail(a, b, Rate::from_mbps(15), SimDuration::ZERO, 1 << 20);
+        let lossy = sim.add_link(spec.with_loss(crate::loss::LossModel::Bernoulli { p: 0.0 }));
+        assert_eq!(burst(&mut sim, (a, b, lossy), 8), 2 * 8);
+        let (mut sim, ends) = loss_free();
+        sim.set_link_faults(ends.2, FaultSpec::none());
+        assert_eq!(burst(&mut sim, ends, 8), 2 * 8);
+    }
+
+    #[test]
+    fn a_silent_transmission_holds_the_link_until_its_end_has_passed() {
+        let (mut sim, a, b, l) = two_node_sim(Rate::from_mbps(15), SimDuration::ZERO, 1 << 20);
+        let tx = SimDuration::from_micros(800);
+        let done = SimTime::ZERO + tx;
+        sim.core().send_on(l, pkt(a, b, 1500, 0));
+        assert_eq!(sim.hygiene_report().busy_links, vec![l]);
+        // Up to the instant it ends a second packet would wait behind it...
+        sim.run_until(SimTime::from_nanos(done.as_nanos() - 1));
+        assert_eq!(sim.hygiene_report().busy_links, vec![l]);
+        // ...and a driver that runs to that instant finds it over, as it
+        // found the link once the transmission's own event had fired.
+        sim.run_until(done);
+        assert!(sim.hygiene_report().busy_links.is_empty());
+        sim.core().send_on(l, pkt(a, b, 1500, 1));
+        sim.run_to_completion(100);
+        let rec = sim.node_as::<Recorder>(b).unwrap();
+        assert_eq!(rec.delivered, vec![(done, 0), (done + tx, 1)]);
+        assert!(sim.hygiene_report().is_clean());
+        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]

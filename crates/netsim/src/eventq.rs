@@ -166,8 +166,13 @@ fn recycle(v: &mut Vec<EventEntry>) {
 
 #[derive(Clone, Copy)]
 pub(crate) enum EventKind {
-    /// The head packet of `link` finished serializing.
+    /// The head packet of `link` finished serializing on a link whose end
+    /// of transmission decides something: a loss model or a fault spec.
     LinkTxDone { link: LinkId, pkt: PacketHandle },
+    /// A silent transmission on `link` ended with a packet queued behind
+    /// it: the link takes its next packet. Carries the `(at, seq)` the
+    /// transmission's [`EventKind::LinkTxDone`] would have had.
+    LinkFree { link: LinkId },
     /// A packet arrives at a node after propagation. `link` is the link it
     /// travelled, carried so delivery can be accounted per link (the
     /// conservation oracles in `scenarios::simcheck` balance each link's
@@ -970,6 +975,25 @@ mod tests {
             assert!(q.next_at().is_none());
             assert_eq!(q.split_pushes() > 0, n > 1_000);
         }
+
+        // One bucket of 100 entries dealt round-robin into four sub-buckets,
+        // the latest pushed first: it splits when the cursor reaches it, and
+        // each time a sub-bucket's run drains, several later ones are
+        // occupied and the head is the earliest entry of the lowest.
+        let mut q = EventQueue::new();
+        let (base, sub_ns) = (5 * WIDTH, 1u64 << SUB_SHIFT);
+        for i in (0..100u64).rev() {
+            q.push(T0, entry(base + (i % 4) * sub_ns + i, i));
+        }
+        let mut between_subs = 0;
+        while q.len() > 0 {
+            let drained = q.ring[q.cursor].get(q.run_pos).is_none();
+            if drained && q.sub_occupied.count_ones() >= 2 {
+                between_subs += 1;
+            }
+            assert_eq!(q.next_at().unwrap(), q.pop().unwrap().at);
+        }
+        assert_eq!(between_subs, 2, "the bucket did not split four ways");
     }
 
     #[test]

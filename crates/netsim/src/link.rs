@@ -65,9 +65,11 @@ impl LinkSpec {
 pub struct LinkStats {
     /// Packets offered to the link (`forward_on` calls), before any drop.
     pub offered: u64,
-    /// Packets fully serialized onto the wire.
+    /// Packets whose serialization onto the wire started. A packet is
+    /// counted when it leaves the queue for the wire, so mid-run the one
+    /// in service is already here, not among the queued.
     pub tx_packets: u64,
-    /// Bytes fully serialized onto the wire.
+    /// Bytes of the packets counted in `tx_packets`.
     pub tx_bytes: u64,
     /// Packets dropped by the random wire-loss process.
     pub wire_lost: u64,
@@ -117,7 +119,18 @@ pub(crate) struct LinkState {
     pub(crate) delay: SimDuration,
     pub(crate) queue: Box<dyn QueueDiscipline>,
     pub(crate) loss: LossProcess,
+    /// An event at the end of the current transmission takes the link's
+    /// next packet: its `LinkTxDone`, or the `LinkFree` pushed once a
+    /// packet queued behind a silent transmission. Offers queue while set.
     pub(crate) busy: bool,
+    /// The last transmission started was silent: it has no `LinkTxDone`,
+    /// and it is on the wire until `(busy_until, tx_seq)` in the engine's
+    /// `(at, seq)` order has passed.
+    pub(crate) silent: bool,
+    /// When the last transmission started ends.
+    pub(crate) busy_until: SimTime,
+    /// The seq its end of transmission ranks by.
+    pub(crate) tx_seq: u64,
     pub(crate) stats: LinkStats,
     /// Fault-injection state, if a spec was installed for this link.
     pub(crate) faults: Option<FaultState>,
@@ -132,6 +145,9 @@ impl LinkState {
             queue: spec.queue,
             loss: LossProcess::new(spec.loss),
             busy: false,
+            silent: false,
+            busy_until: SimTime::ZERO,
+            tx_seq: 0,
             stats: LinkStats::default(),
             faults: None,
         }
@@ -149,6 +165,15 @@ impl LinkState {
                 self.delay = d;
             }
         }
+    }
+
+    /// Whether a transmission holds the link at `(now, firing)`: the seq
+    /// of the entry being fired, or, between runs, the next seq to be
+    /// drawn. A silent transmission has ended once its end's position in
+    /// the `(at, seq)` order has passed.
+    #[inline]
+    pub(crate) fn on_wire(&self, now: SimTime, firing: u64) -> bool {
+        self.busy || self.silent && (now, firing) <= (self.busy_until, self.tx_seq)
     }
 
     /// Serialization time of a packet of `size` bytes on this link.

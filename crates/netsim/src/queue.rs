@@ -81,6 +81,8 @@ pub trait QueueDiscipline: std::fmt::Debug {
     fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<PacketMeta>) -> Option<PacketMeta>;
     /// Bytes currently queued.
     fn backlog_bytes(&self) -> u64;
+    /// Whether no packet is queued (a zero-byte packet counts).
+    fn is_empty(&self) -> bool;
     /// Statistics snapshot.
     fn stats(&self) -> QueueStats;
     /// Write everything the queue holds into an engine snapshot: its
@@ -146,6 +148,10 @@ impl QueueDiscipline for DropTail {
 
     fn backlog_bytes(&self) -> u64 {
         self.backlog_bytes
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     fn stats(&self) -> QueueStats {
@@ -323,6 +329,10 @@ impl QueueDiscipline for CoDel {
 
     fn backlog_bytes(&self) -> u64 {
         self.backlog_bytes
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     fn stats(&self) -> QueueStats {

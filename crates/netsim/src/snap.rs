@@ -52,10 +52,11 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::io::{self, Seek, SeekFrom, Write};
 
-/// Snapshot format version. Bump on ANY layout change. Version 4: each
-/// link carries its rate, delay and fault cursor, and each queue saves
-/// itself.
-pub const SNAP_VERSION: u32 = 4;
+/// Snapshot format version. Bump on ANY layout change. Version 5: the
+/// engine carries its position in the `(at, seq)` order, each link its
+/// silent flag and the end of its last transmission, and the event queue a
+/// `LinkFree` entry kind.
+pub const SNAP_VERSION: u32 = 5;
 
 /// File-level magic: "HBSN" (Halfback SNapshot).
 pub const SNAP_MAGIC: u32 = 0x4842_534E;

@@ -563,7 +563,9 @@ mod tests {
                 let topology = Topology::Dumbbell(DumbbellSpec::emulab(1));
                 let case = CaseSpec::new(1, topology, Vec::new(), SimDuration::ZERO);
                 let mut rig = Rig::new(&case, &Selection::full(&case), false);
-                rig.start(FlowId(1), 0, 2_000_000, Protocol::Tcp);
+                // A packet costs an event per loss-free hop, plus one per
+                // wait in a queue: 4 MB takes ~20k events.
+                rig.start(FlowId(1), 0, 4_000_000, Protocol::Tcp);
                 rig.run_until(SimTime::ZERO + SimDuration::from_secs(30));
                 rig.sim.events_processed()
             });

@@ -53,10 +53,10 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 8: a Halfback sender no longer saves a pacing threshold (it is
-/// always the receiver's window), where version 7 saved one `Option` per
-/// sender.
-const WEATHER_VERSION: u32 = 8;
+/// Version 9: the engine snapshot underneath is version 5 (the engine's
+/// `(at, seq)` position, each link's silent flag and end of transmission,
+/// `LinkFree` entries); version 8 carried version 4.
+const WEATHER_VERSION: u32 = 9;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 

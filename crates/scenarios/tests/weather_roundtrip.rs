@@ -393,6 +393,15 @@ fn v7_checkpoint_is_refused_with_the_version_error() {
     assert_version_refused(7);
 }
 
+/// Version 8 carried an engine snapshot of version 4: no `(at, seq)`
+/// position for the engine and no silent flag or end of transmission per
+/// link, so a version-9 reader would take a link's stats for its
+/// transmission's end.
+#[test]
+fn v8_checkpoint_is_refused_with_the_version_error() {
+    assert_version_refused(8);
+}
+
 #[test]
 fn resume_refuses_a_csv_shorter_than_the_checkpoint() {
     // windows.csv lost or cut between kill and resume: `set_len` would pad

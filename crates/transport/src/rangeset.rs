@@ -154,17 +154,6 @@ impl RangeSet {
             .filter(|&(s, e)| s < e)
     }
 
-    /// Number of set values strictly greater than `v`.
-    pub fn count_above(&self, v: u32) -> u64 {
-        let lo = v.saturating_add(1);
-        self.ranges
-            .iter()
-            .rev()
-            .take_while(|&&(_, e)| e > lo)
-            .map(|&(s, e)| (e - s.max(lo)) as u64)
-            .sum()
-    }
-
     /// Remove everything below `v` (bookkeeping once the cumulative ACK
     /// passes; keeps the set small for long flows).
     pub fn prune_below(&mut self, v: u32) {
@@ -231,16 +220,6 @@ mod tests {
         assert_eq!(r.first_missing_from(3), 3);
         assert_eq!(r.first_missing_from(4), 7);
         assert_eq!(r.first_missing_from(10), 10);
-    }
-
-    #[test]
-    fn count_above_counts_strictly_greater() {
-        let mut r = RangeSet::new();
-        r.insert_range(0, 5); // {0..4}
-        r.insert_range(8, 10); // {8, 9}
-        assert_eq!(r.count_above(2), 2 + 2); // {3,4,8,9}
-        assert_eq!(r.count_above(4), 2);
-        assert_eq!(r.count_above(9), 0);
     }
 
     #[test]
@@ -392,11 +371,6 @@ mod tests {
                 let expect: Vec<u32> = (lo..hi).filter(|v| !reference.contains(v)).collect();
                 assert_eq!(gaps, expect, "case {case} step {step} [{lo}, {hi})");
                 assert_eq!(rs.contains(lo), reference.contains(&lo));
-                assert_eq!(
-                    rs.count_above(lo),
-                    reference.range(lo + 1..).count() as u64,
-                    "case {case} step {step}"
-                );
                 let missing = (lo..).find(|v| !reference.contains(v)).unwrap();
                 assert_eq!(rs.first_missing_from(lo), missing);
             }
@@ -424,30 +398,6 @@ mod tests {
             }
             assert_eq!(
                 rs.first_missing_from(probe),
-                expect,
-                "case {case} probe {probe} ops {ops:?}"
-            );
-        }
-    }
-
-    /// count_above matches a linear scan.
-    #[test]
-    fn count_above_matches_reference() {
-        let mut rng = SimRng::new(0xC07);
-        for case in 0..256 {
-            let ops = random_ops(&mut rng, 30, 100, 10);
-            let probe = rng.index(120) as u32;
-            let mut rs = RangeSet::new();
-            let mut reference = BTreeSet::new();
-            for &(start, len) in &ops {
-                rs.insert_range(start, start + len);
-                for v in start..start + len {
-                    reference.insert(v);
-                }
-            }
-            let expect = reference.iter().filter(|&&v| v > probe).count() as u64;
-            assert_eq!(
-                rs.count_above(probe),
                 expect,
                 "case {case} probe {probe} ops {ops:?}"
             );

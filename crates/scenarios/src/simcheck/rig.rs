@@ -384,11 +384,14 @@ impl Rig {
         self.run_until(last + self.spec.horizon);
     }
 
-    /// Advance to `until` under the job's watchdog: every `WATCHDOG_STRIDE`
-    /// events the job's virtual-time/event caps are checked, so a livelocked
+    /// Advance to `until` under the job's watchdog: each time the
+    /// simulation's event count reaches a multiple of `WATCHDOG_STRIDE` the
+    /// job's virtual-time/event caps are checked, so a livelocked
     /// simulation panics (isolated per job by the harness) instead of
-    /// hanging the sweep. One bounded pop per event either way; with the
-    /// caps disabled this is exactly `Simulator::run_until`.
+    /// hanging the sweep. The stride counts across calls, so a run cut into
+    /// many short advances is checked as often as one long advance. One
+    /// bounded pop per event either way; with the caps disabled this is
+    /// exactly `Simulator::run_until`.
     pub fn run_until(&mut self, until: SimTime) {
         const WATCHDOG_STRIDE: u64 = 4096;
         let sim = &mut self.sim;
@@ -396,7 +399,10 @@ impl Rig {
             sim.run_until(until);
             return;
         }
-        while !sim.run_until_budget(until, WATCHDOG_STRIDE) {
+        while !sim.run_until_budget(
+            until,
+            WATCHDOG_STRIDE - sim.events_processed() % WATCHDOG_STRIDE,
+        ) {
             harness::check_caps(
                 sim.now().saturating_since(SimTime::ZERO).as_nanos(),
                 sim.events_processed(),

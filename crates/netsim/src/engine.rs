@@ -4,15 +4,15 @@
 //! instant fire in the order their seqs were drawn — when they were
 //! scheduled, except that a packet's arrival and its end of transmission
 //! draw theirs together when serialization starts — so no hash-map
-//! iteration order or floating-point comparison can perturb a run. All
-//! randomness comes from the engine's seeded [`SimRng`].
+//! iteration order or floating-point comparison can perturb a run. Wire
+//! loss draws from the engine's seeded [`SimRng`], and nothing else does;
+//! fault injection draws from per-link substreams forked from it.
 //!
-//! An end of transmission is an event only where something happens at it.
-//! On a link with a loss model or a fault spec it is a `LinkTxDone` that
-//! decides the packet's fate. On any other link the transmission is
-//! *silent*: its arrival is scheduled when it starts, and its end becomes
-//! a `LinkFree` entry, at the same `(at, seq)`, only once a packet queues
-//! behind it.
+//! Every packet's fate is decided when its serialization starts: the loss
+//! draw and the fault decisions are made there, and the arrival, if there
+//! is one, is pushed there. The end of a transmission is an event only
+//! once a packet queues behind it: a `LinkFree` at the `(at, seq)` drawn
+//! for it at the start.
 //!
 //! The queue behind the clock is a bucketed calendar queue (`eventq`
 //! module) rather than a binary heap: the
@@ -57,7 +57,9 @@ pub enum TraceEvent {
         packet: PacketId,
         size: u32,
     },
-    /// A packet was dropped by a link's random loss process (wire loss).
+    /// A packet was dropped by a link's random loss process (wire loss):
+    /// reported, and counted, when its serialization starts, right after
+    /// its `TxStart`.
     WireDrop {
         link: LinkId,
         packet: PacketId,
@@ -75,13 +77,15 @@ pub enum TraceEvent {
         packet: PacketId,
         size: u32,
     },
-    /// A serialized packet was swallowed by a fault blackhole window.
+    /// A packet was swallowed by a fault blackhole window open at the end
+    /// of its serialization: reported, and counted, at its start.
     Blackhole {
         link: LinkId,
         packet: PacketId,
         size: u32,
     },
-    /// Fault duplication scheduled a second delivery of this packet.
+    /// Fault duplication scheduled a second delivery of this packet:
+    /// reported, and counted, when its serialization starts.
     Duplicate {
         link: LinkId,
         packet: PacketId,
@@ -107,7 +111,7 @@ pub struct EngineCore<P: Payload> {
     /// The seq of the entry being fired; at a run's horizon, the next seq
     /// to be drawn, since every entry at `now` has fired. With `now` it is
     /// the engine's position in the `(at, seq)` order, which says whether
-    /// a silent transmission has ended.
+    /// a transmission has ended.
     firing: u64,
     events: EventQueue,
     links: Vec<LinkState>,
@@ -160,11 +164,6 @@ impl<P: Payload> EngineCore<P> {
         self.now
     }
 
-    /// The engine's random number generator.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Transmit `pkt` on `link`. The packet gets a fresh [`PacketId`] and its
     /// `sent_at` stamped. If the link is busy the packet is offered to the
     /// link's queue (and may be dropped).
@@ -191,7 +190,6 @@ impl<P: Payload> EngineCore<P> {
         let meta = self.packets.meta(h);
         let l = &mut self.links[link.0 as usize];
         l.stats.offered += 1;
-        l.apply_fault_steps(now);
         // A down link rejects the packet at offer time (no carrier); a
         // packet already serializing completes (store-and-forward).
         if l.faults.as_ref().is_some_and(|f| f.is_down(now)) {
@@ -214,8 +212,8 @@ impl<P: Payload> EngineCore<P> {
                 size: meta.size,
             });
         } else if !l.busy {
-            // The first packet queued behind a silent transmission: its end
-            // becomes an event, at the place its `LinkTxDone` would have had.
+            // The first packet queued behind a transmission: its end
+            // becomes an event, at the place drawn for it at its start.
             l.busy = true;
             let (at, seq) = (l.busy_until, l.tx_seq);
             self.push_seq(at, seq, EventKind::LinkFree { link });
@@ -224,21 +222,20 @@ impl<P: Payload> EngineCore<P> {
 
     /// Put `meta`'s packet on the wire of `link`, whose queue it has left
     /// (or bypassed). Two seqs are drawn: `s` ranks the end of
-    /// transmission, `s + 1` the arrival. A silent transmission pushes its
-    /// `Deliver` now, and its end only if a packet waits behind it;
-    /// otherwise the end is a `LinkTxDone` that decides the packet's fate.
+    /// transmission, `s + 1` the arrival. The packet's fate is decided
+    /// here, its arrival pushed now, and the end of transmission pushed as
+    /// a `LinkFree` only if a packet waits behind it.
     fn start_tx(&mut self, link: LinkId, meta: PacketMeta) {
         let s = self.seq;
         self.seq += 2;
         let now = self.now;
         let l = &mut self.links[link.0 as usize];
+        l.apply_fault_steps(now);
         let done = now + l.tx_time(meta.size);
         (l.busy_until, l.tx_seq) = (done, s);
-        // No loss model and no fault spec: nothing is decided at the end.
-        l.silent = l.faults.is_none() && l.loss.model().is_none();
-        l.busy = !l.silent || !l.queue.is_empty();
-        let (silent, busy, arrive) = (l.silent, l.busy, done + l.delay);
-        let node = l.dst;
+        l.busy = !l.queue.is_empty();
+        let decides = l.faults.is_some() || !l.loss.model().is_none();
+        let (busy, node, delay) = (l.busy, l.dst, l.delay);
         l.stats.tx_packets += 1;
         l.stats.tx_bytes += meta.size as u64;
         self.trace(TraceEvent::TxStart {
@@ -246,15 +243,80 @@ impl<P: Payload> EngineCore<P> {
             packet: meta.id,
             size: meta.size,
         });
-        let pkt = meta.handle;
-        if !silent {
-            self.push_seq(done, s, EventKind::LinkTxDone { link, pkt });
-            return;
+        // No loss model and no fault spec: nothing is left to decide.
+        let arrive = if decides {
+            self.decide(link, meta, done)
+        } else {
+            Some(done + delay)
+        };
+        if let Some(at) = arrive {
+            let pkt = meta.handle;
+            self.push_seq(at, s + 1, EventKind::Deliver { node, link, pkt });
         }
-        self.push_seq(arrive, s + 1, EventKind::Deliver { node, link, pkt });
         if busy {
             self.push_seq(done, s, EventKind::LinkFree { link });
         }
+    }
+
+    /// Decide the fate of `meta`'s packet, which started serializing on
+    /// `link` and ends at `done`: one wire-loss draw from the engine RNG,
+    /// the blackhole windows at `done`, and the corrupt, reorder and
+    /// duplicate draws from the link's fault substream. Returns when the
+    /// packet arrives, after the delay in force at `done`, or `None` if it
+    /// was lost (its slot is freed). Out of line: most packets cross links
+    /// that decide nothing, and `start_tx` stays small for them.
+    ///
+    /// Each outcome's counter is bumped right before its trace event (the
+    /// `TraceEvent` atomic-in-order contract).
+    #[inline(never)]
+    fn decide(&mut self, link: LinkId, meta: PacketMeta, done: SimTime) -> Option<SimTime> {
+        let (pkt, packet, size) = (meta.handle, meta.id, meta.size);
+        let l = &mut self.links[link.0 as usize];
+        if l.loss.should_drop(&mut self.rng) {
+            l.stats.wire_lost += 1;
+            self.packets.free(pkt);
+            self.trace(TraceEvent::WireDrop { link, packet, size });
+            return None;
+        }
+        let Some(f) = l.faults.as_mut() else {
+            return Some(done + l.delay);
+        };
+        if f.is_blackholed(done) {
+            l.stats.blackholed += 1;
+            self.packets.free(pkt);
+            self.trace(TraceEvent::Blackhole { link, packet, size });
+            return None;
+        }
+        // Fault decisions come from the link's private substream, so the
+        // engine RNG sequence is identical with faults on or off. Draw
+        // order per surviving packet is fixed: corrupt, reorder, duplicate
+        // (plus the duplicate's own reorder draw).
+        let arrive = done + f.delay_at(done).unwrap_or(l.delay);
+        if f.draw_corrupt() {
+            self.packets.get_mut(pkt).corrupted = true;
+            l.stats.corrupt_marked += 1;
+        }
+        let extra = f.draw_reorder_extra();
+        if f.draw_duplicate() {
+            let at = arrive + f.draw_reorder_extra();
+            let node = l.dst;
+            l.stats.duplicated += 1;
+            self.trace(TraceEvent::Duplicate { link, packet, size });
+            // The duplicate gets its own arena slot holding a clone of the
+            // (possibly corrupt-marked) body, and its own seq, drawn after
+            // the original's: both copies are independent deliveries.
+            let dup = self.packets.get(pkt).clone();
+            let dup = self.packets.alloc(dup);
+            self.push(
+                at,
+                EventKind::Deliver {
+                    node,
+                    link,
+                    pkt: dup,
+                },
+            );
+        }
+        Some(arrive + extra)
     }
 
     /// Pull the next packet (if any) from `link`'s queue onto the wire, or
@@ -409,8 +471,8 @@ impl<P: Payload + Snap> EngineCore<P> {
 
     /// Serialize the engine's full dynamic state: the scalars above, the
     /// pending event multiset (with in-flight packet bodies inlined in
-    /// place of their arena handles), and per link its busy and silent
-    /// flags, the end of its last transmission, its stats,
+    /// place of their arena handles), and per link its busy flag, the end
+    /// of its last transmission, its stats,
     /// current rate and delay, loss cursor, fault cursor and queue. Every
     /// queue discipline saves what it holds itself, and every topology the
     /// repo builds can be saved; only sharded partitions are not carried.
@@ -430,11 +492,6 @@ impl<P: Payload + Snap> EngineCore<P> {
             w.put(&e.at);
             w.put(&e.seq);
             match e.kind {
-                EventKind::LinkTxDone { link, pkt } => {
-                    w.u8(0);
-                    w.put(&link);
-                    w.put(self.packets.get(pkt));
-                }
                 EventKind::Deliver { node, link, pkt } => {
                     w.u8(1);
                     w.put(&node);
@@ -463,7 +520,6 @@ impl<P: Payload + Snap> EngineCore<P> {
         let packets = &self.packets;
         for l in &self.links {
             w.put(&l.busy);
-            w.put(&l.silent);
             w.put(&l.busy_until);
             w.put(&l.tx_seq);
             w.put(&l.stats);
@@ -507,10 +563,6 @@ impl<P: Payload + Snap> EngineCore<P> {
             let at = r.get()?;
             let seq = r.get()?;
             let kind = match r.u8()? {
-                0 => EventKind::LinkTxDone {
-                    link: r.get()?,
-                    pkt: self.packets.alloc(r.get()?),
-                },
                 1 => EventKind::Deliver {
                     node: r.get()?,
                     link: r.get()?,
@@ -545,7 +597,6 @@ impl<P: Payload + Snap> EngineCore<P> {
         let packets = &mut self.packets;
         for (i, l) in self.links.iter_mut().enumerate() {
             l.busy = r.get()?;
-            l.silent = r.get()?;
             l.busy_until = r.get()?;
             l.tx_seq = r.get()?;
             l.stats = r.get()?;
@@ -612,11 +663,6 @@ impl<'a, P: Payload> Ctx<'a, P> {
     /// Cancel a previously set timer.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.core.cancel_timer(id);
-    }
-
-    /// The engine RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.core.rng()
     }
 
     /// Queue statistics for a link (used by tests and in-simulation probes).
@@ -781,7 +827,6 @@ impl<P: Payload> Simulator<P> {
         self.core.firing = entry.seq;
         self.core.events_processed += 1;
         match entry.kind {
-            EventKind::LinkTxDone { link, pkt } => self.handle_tx_done(link, pkt, entry.seq),
             EventKind::LinkFree { link } => self.core.pump_link(link),
             EventKind::Deliver { node, link, pkt: h } => {
                 let pkt = self.core.packets.get(h);
@@ -823,97 +868,6 @@ impl<P: Payload> Simulator<P> {
                 }
             }
         }
-    }
-
-    /// A packet finished serializing: wire loss, fault windows and the
-    /// corrupt/reorder/duplicate draws decide what becomes of it, then the
-    /// link takes its next packet. `seq` is this entry's: the arrival takes
-    /// `seq + 1`, drawn with it when serialization started, so it ranks as
-    /// a silent transmission's would.
-    fn handle_tx_done(&mut self, link: LinkId, pkt: PacketHandle, seq: u64) {
-        let now = self.core.now;
-        let meta = self.core.packets.meta(pkt);
-        let l = &mut self.core.links[link.0 as usize];
-        l.apply_fault_steps(now);
-        let dst = l.dst;
-        let delay = l.delay;
-        let dropped = l.loss.should_drop(&mut self.core.rng);
-        // Fault decisions come from the link's private substream, so the
-        // engine RNG sequence is identical with faults on or off. Draw
-        // order per surviving packet is fixed: corrupt, reorder, duplicate
-        // (plus the duplicate's own reorder draw).
-        let mut blackholed = false;
-        let mut extra = SimDuration::ZERO;
-        let mut duplicate_extra = None;
-        if !dropped {
-            let l = &mut self.core.links[link.0 as usize];
-            if let Some(f) = l.faults.as_mut() {
-                if f.is_blackholed(now) {
-                    blackholed = true;
-                } else {
-                    if f.draw_corrupt() {
-                        self.core.packets.get_mut(pkt).corrupted = true;
-                        l.stats.corrupt_marked += 1;
-                    }
-                    extra = f.draw_reorder_extra();
-                    if f.draw_duplicate() {
-                        duplicate_extra = Some(f.draw_reorder_extra());
-                    }
-                }
-            }
-        }
-        // Stats increment and trace emission stay adjacent per outcome (the
-        // `TraceEvent` atomic-in-order contract): the draw block above only
-        // decides, it does not account.
-        if dropped {
-            self.core.links[link.0 as usize].stats.wire_lost += 1;
-            self.core.packets.free(pkt);
-            self.core.trace(TraceEvent::WireDrop {
-                link,
-                packet: meta.id,
-                size: meta.size,
-            });
-        } else if blackholed {
-            self.core.links[link.0 as usize].stats.blackholed += 1;
-            self.core.packets.free(pkt);
-            self.core.trace(TraceEvent::Blackhole {
-                link,
-                packet: meta.id,
-                size: meta.size,
-            });
-        } else {
-            if let Some(dup_extra) = duplicate_extra {
-                self.core.links[link.0 as usize].stats.duplicated += 1;
-                self.core.trace(TraceEvent::Duplicate {
-                    link,
-                    packet: meta.id,
-                    size: meta.size,
-                });
-                // The duplicate gets its own arena slot holding a clone of
-                // the (possibly corrupt-marked) body; both copies are then
-                // independent deliveries.
-                let dup = self.core.packets.get(pkt).clone();
-                let dup = self.core.packets.alloc(dup);
-                self.core.push(
-                    now + delay + dup_extra,
-                    EventKind::Deliver {
-                        node: dst,
-                        link,
-                        pkt: dup,
-                    },
-                );
-            }
-            self.core.push_seq(
-                now + delay + extra,
-                seq + 1,
-                EventKind::Deliver {
-                    node: dst,
-                    link,
-                    pkt,
-                },
-            );
-        }
-        self.core.pump_link(link);
     }
 
     fn dispatch<F>(&mut self, node: NodeId, f: F)
@@ -1003,9 +957,8 @@ impl<P: Payload> Simulator<P> {
     }
 
     /// Number of events popped so far: deliveries, ends of transmission
-    /// (on a link with a loss model or fault spec, or with a packet waiting
-    /// behind a silent one) and timer wake-ups, whether or not the wake-up
-    /// fired its timer.
+    /// with a packet waiting behind them, and timer wake-ups, whether or
+    /// not the wake-up fired its timer.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }
@@ -1228,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn an_end_of_transmission_is_an_event_only_where_it_decides_something() {
+    fn an_end_of_transmission_is_an_event_only_where_a_packet_waits_behind_it() {
         let loss_free = || {
             let (sim, a, b, l) =
                 two_node_sim(Rate::from_mbps(15), SimDuration::from_millis(1), 1 << 20);
@@ -1241,38 +1194,50 @@ mod tests {
         // waited behind.
         let (mut sim, ends) = loss_free();
         assert_eq!(burst(&mut sim, ends, 8), 2 * 8 - 1);
-        // A loss model is drawn at every end of transmission, and a fault
-        // spec, even one that does nothing, acts there.
+        // A loss model and a fault spec decide a packet's fate when its
+        // serialization starts, so they cost the same events.
         let mut sim = Simulator::new(0);
         let (a, b) = (sim.add_node(recorder()), sim.add_node(recorder()));
         let spec = LinkSpec::drop_tail(a, b, Rate::from_mbps(15), SimDuration::ZERO, 1 << 20);
         let lossy = sim.add_link(spec.with_loss(crate::loss::LossModel::Bernoulli { p: 0.0 }));
-        assert_eq!(burst(&mut sim, (a, b, lossy), 8), 2 * 8);
+        assert_eq!(burst(&mut sim, (a, b, lossy), 8), 2 * 8 - 1);
         let (mut sim, ends) = loss_free();
         sim.set_link_faults(ends.2, FaultSpec::none());
-        assert_eq!(burst(&mut sim, ends, 8), 2 * 8);
+        assert_eq!(burst(&mut sim, ends, 8), 2 * 8 - 1);
     }
 
     #[test]
-    fn a_silent_transmission_holds_the_link_until_its_end_has_passed() {
-        let (mut sim, a, b, l) = two_node_sim(Rate::from_mbps(15), SimDuration::ZERO, 1 << 20);
+    fn a_transmission_holds_the_link_until_its_end_has_passed() {
         let tx = SimDuration::from_micros(800);
         let done = SimTime::ZERO + tx;
-        sim.core().send_on(l, pkt(a, b, 1500, 0));
-        assert_eq!(sim.hygiene_report().busy_links, vec![l]);
-        // Up to the instant it ends a second packet would wait behind it...
-        sim.run_until(SimTime::from_nanos(done.as_nanos() - 1));
-        assert_eq!(sim.hygiene_report().busy_links, vec![l]);
-        // ...and a driver that runs to that instant finds it over, as it
-        // found the link once the transmission's own event had fired.
-        sim.run_until(done);
-        assert!(sim.hygiene_report().busy_links.is_empty());
-        sim.core().send_on(l, pkt(a, b, 1500, 1));
-        sim.run_to_completion(100);
-        let rec = sim.node_as::<Recorder>(b).unwrap();
-        assert_eq!(rec.delivered, vec![(done, 0), (done + tx, 1)]);
-        assert!(sim.hygiene_report().is_clean());
-        assert_eq!(sim.events_processed(), 2);
+        // A loss-free link, and a lossy one whose first packet is lost when
+        // its serialization starts but holds the link all the same.
+        let first_lost = crate::loss::LossModel::DropList { ordinals: vec![1] };
+        for loss in [crate::loss::LossModel::None, first_lost] {
+            let lossy = !loss.is_none();
+            let mut sim = Simulator::new(0);
+            let (a, b) = (sim.add_node(recorder()), sim.add_node(recorder()));
+            let spec = LinkSpec::drop_tail(a, b, Rate::from_mbps(15), SimDuration::ZERO, 1 << 20);
+            let l = sim.add_link(spec.with_loss(loss));
+            sim.core().send_on(l, pkt(a, b, 1500, 0));
+            assert_eq!(sim.link_stats(l).wire_lost, lossy as u64);
+            assert_eq!(sim.hygiene_report().busy_links, vec![l]);
+            // Up to the instant it ends a second packet would wait behind
+            // it...
+            sim.run_until(SimTime::from_nanos(done.as_nanos() - 1));
+            assert_eq!(sim.hygiene_report().busy_links, vec![l]);
+            // ...and a driver that runs to that instant finds it over, as
+            // it would have found the link had its end been an event.
+            sim.run_until(done);
+            assert!(sim.hygiene_report().busy_links.is_empty());
+            sim.core().send_on(l, pkt(a, b, 1500, 1));
+            sim.run_to_completion(100);
+            let rec = sim.node_as::<Recorder>(b).unwrap();
+            let want = [(done, 0), (done + tx, 1)];
+            assert_eq!(rec.delivered, want[lossy as usize..]);
+            assert!(sim.hygiene_report().is_clean());
+            assert_eq!(sim.events_processed(), 2 - lossy as u64);
+        }
     }
 
     #[test]
@@ -1289,7 +1254,7 @@ mod tests {
             }
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_micros(1500));
-        sim.core().rng().next_u64();
+        sim.core().rng.next_u64();
         let core = sim.core();
         assert!(core.timers.live() > 0 && core.queue_stats(l).dropped > 0);
         assert_roundtrip(&core.now);

@@ -166,12 +166,9 @@ fn recycle(v: &mut Vec<EventEntry>) {
 
 #[derive(Clone, Copy)]
 pub(crate) enum EventKind {
-    /// The head packet of `link` finished serializing on a link whose end
-    /// of transmission decides something: a loss model or a fault spec.
-    LinkTxDone { link: LinkId, pkt: PacketHandle },
-    /// A silent transmission on `link` ended with a packet queued behind
-    /// it: the link takes its next packet. Carries the `(at, seq)` the
-    /// transmission's [`EventKind::LinkTxDone`] would have had.
+    /// A transmission on `link` ended with a packet queued behind it: the
+    /// link takes its next packet. Carries the `(at, seq)` drawn for the
+    /// end when the transmission started.
     LinkFree { link: LinkId },
     /// A packet arrives at a node after propagation. `link` is the link it
     /// travelled, carried so delivery can be accounted per link (the

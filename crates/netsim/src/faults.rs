@@ -18,17 +18,21 @@
 //! - **Down windows** reject packets at offer time ([`super::engine`]'s
 //!   `forward_on`): a NIC with no carrier. A packet already serializing
 //!   when the window opens completes (store-and-forward).
-//! - **Blackhole windows** swallow packets *after* serialization: the
-//!   bandwidth is consumed, the packet vanishes (a silently misrouted
-//!   path, the classic mid-path blackhole).
+//! - **Blackhole windows** swallow packets whose serialization *ends*
+//!   inside them: the bandwidth is consumed, the packet vanishes (a
+//!   silently misrouted path, the classic mid-path blackhole). Like every
+//!   fate, this is decided when serialization starts, for a window open at
+//!   its end.
 //! - **Corruption** flags the packet; it traverses the link and is dropped
 //!   at the next node like a checksum failure, never dispatched.
 //! - **Duplication** delivers a second copy of the packet (same
 //!   [`crate::PacketId`]).
 //! - **Reordering** adds a bounded uniform extra propagation delay per
 //!   delivered copy, letting later packets overtake.
-//! - **Rate/delay steps** apply lazily the next time the link touches a
-//!   packet at or after the step time.
+//! - **Rate/delay steps** apply lazily: a rate step to the first
+//!   serialization that starts at or after it. A packet's propagation
+//!   delay is the one in force at the end of its serialization, read ahead
+//!   at its start without moving the step cursor.
 
 use crate::rng::SimRng;
 use crate::time::{Rate, SimDuration, SimTime};
@@ -73,7 +77,8 @@ pub struct ReorderSpec {
 pub struct FaultSpec {
     /// Windows during which the link rejects offered packets (carrier loss).
     pub down: Vec<Window>,
-    /// Windows during which serialized packets silently vanish.
+    /// Windows during which packets whose serialization ends there
+    /// silently vanish.
     pub blackhole: Vec<Window>,
     /// Per-copy reordering model.
     pub reorder: Option<ReorderSpec>,
@@ -212,6 +217,13 @@ impl FaultState {
             ),
             _ => SimDuration::ZERO,
         }
+    }
+
+    /// The delay the steps set at `t`, if a step not yet applied is due by
+    /// then; the cursors do not move.
+    pub(crate) fn delay_at(&self, t: SimTime) -> Option<SimDuration> {
+        let pending = &self.spec.delay_steps[self.next_delay_step..];
+        pending.iter().take_while(|s| s.0 <= t).last().map(|s| s.1)
     }
 
     /// Advance the step cursors to `now`; returns the latest rate/delay at

@@ -2,8 +2,9 @@
 //!
 //! A link serializes packets at a fixed [`Rate`], delays them by a fixed
 //! propagation time, and feeds from a [`QueueDiscipline`] when busy. Random
-//! wire loss (from a [`LossProcess`]) is applied after serialization,
-//! modelling loss beyond the queue (e.g. WiFi corruption).
+//! wire loss (from a [`LossProcess`]) models loss beyond the queue (e.g.
+//! WiFi corruption); it is decided when serialization starts, and a lost
+//! packet still holds the link for its whole transmission time.
 //!
 //! Links never touch packet bodies: they move
 //! [`PacketMeta`](crate::packet::PacketMeta) records whose handles point
@@ -71,11 +72,13 @@ pub struct LinkStats {
     pub tx_packets: u64,
     /// Bytes of the packets counted in `tx_packets`.
     pub tx_bytes: u64,
-    /// Packets dropped by the random wire-loss process.
+    /// Packets dropped by the random wire-loss process, counted when their
+    /// serialization starts (the link stays busy for its whole length).
     pub wire_lost: u64,
     /// Packets rejected at offer time by a fault down-window.
     pub down_dropped: u64,
-    /// Packets swallowed post-serialization by a fault blackhole window.
+    /// Packets swallowed by a fault blackhole window open at the end of
+    /// their serialization (counted at its start).
     pub blackholed: u64,
     /// Packets flagged corrupt by fault injection (dropped at the next node).
     pub corrupt_marked: u64,
@@ -119,15 +122,12 @@ pub(crate) struct LinkState {
     pub(crate) delay: SimDuration,
     pub(crate) queue: Box<dyn QueueDiscipline>,
     pub(crate) loss: LossProcess,
-    /// An event at the end of the current transmission takes the link's
-    /// next packet: its `LinkTxDone`, or the `LinkFree` pushed once a
-    /// packet queued behind a silent transmission. Offers queue while set.
+    /// A packet waits behind the current transmission, and the
+    /// `LinkFree` pushed for its end will take the next one. Offers queue
+    /// while set.
     pub(crate) busy: bool,
-    /// The last transmission started was silent: it has no `LinkTxDone`,
-    /// and it is on the wire until `(busy_until, tx_seq)` in the engine's
-    /// `(at, seq)` order has passed.
-    pub(crate) silent: bool,
-    /// When the last transmission started ends.
+    /// When the last transmission started ends: it is on the wire until
+    /// `(busy_until, tx_seq)` in the engine's `(at, seq)` order has passed.
     pub(crate) busy_until: SimTime,
     /// The seq its end of transmission ranks by.
     pub(crate) tx_seq: u64,
@@ -145,7 +145,6 @@ impl LinkState {
             queue: spec.queue,
             loss: LossProcess::new(spec.loss),
             busy: false,
-            silent: false,
             busy_until: SimTime::ZERO,
             tx_seq: 0,
             stats: LinkStats::default(),
@@ -154,7 +153,7 @@ impl LinkState {
     }
 
     /// Apply any rate/delay fault steps due at `now` (lazy: the link only
-    /// changes when it next touches a packet).
+    /// changes when a serialization starts).
     pub(crate) fn apply_fault_steps(&mut self, now: SimTime) {
         if let Some(f) = self.faults.as_mut() {
             let (rate, delay) = f.step_updates(now);
@@ -169,11 +168,12 @@ impl LinkState {
 
     /// Whether a transmission holds the link at `(now, firing)`: the seq
     /// of the entry being fired, or, between runs, the next seq to be
-    /// drawn. A silent transmission has ended once its end's position in
-    /// the `(at, seq)` order has passed.
+    /// drawn. A transmission has ended once its end's position in the
+    /// `(at, seq)` order has passed; strictly, so that a link never used,
+    /// at `(0, 0)`, is idle at `(0, 0)`.
     #[inline]
     pub(crate) fn on_wire(&self, now: SimTime, firing: u64) -> bool {
-        self.busy || self.silent && (now, firing) <= (self.busy_until, self.tx_seq)
+        self.busy || (now, firing) < (self.busy_until, self.tx_seq)
     }
 
     /// Serialization time of a packet of `size` bytes on this link.

@@ -52,11 +52,13 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::io::{self, Seek, SeekFrom, Write};
 
-/// Snapshot format version. Bump on ANY layout change. Version 5: the
-/// engine carries its position in the `(at, seq)` order, each link its
-/// silent flag and the end of its last transmission, and the event queue a
-/// `LinkFree` entry kind.
-pub const SNAP_VERSION: u32 = 5;
+/// Snapshot format version. Bump on ANY layout change. Version 6: every
+/// packet's fate is decided when its serialization starts, so links carry
+/// no silent flag and the event queue has no entry kind that decides a
+/// fate at the end of a transmission (version 5's tag 0); version 5 added
+/// the engine's `(at, seq)` position, each link's end of its last
+/// transmission and the `LinkFree` entry kind.
+pub const SNAP_VERSION: u32 = 6;
 
 /// File-level magic: "HBSN" (Halfback SNapshot).
 pub const SNAP_MAGIC: u32 = 0x4842_534E;

@@ -11,28 +11,30 @@ use netsim::link::LinkSpec;
 use netsim::loss::LossModel;
 use netsim::node::{Node, TimerId};
 use netsim::queue::{CoDel, DropTail, QueueDiscipline};
+use netsim::rng::SimRng;
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::{FaultSpec, FlowId, LinkId, NodeId, Packet};
 use std::any::Any;
 
 /// Chatty source: every tick it sends a random burst of randomly sized
-/// packets and re-arms its timer at a random interval, so the engine RNG,
-/// the timer table, the link queue, and in-flight packets are all hot at
-/// any save point.
+/// packets and re-arms its timer at a random interval, so the timer table,
+/// the link queue, and in-flight packets are all hot at any save point. It
+/// draws from a stream of its own: the engine's belongs to wire loss.
 struct Chatter {
     out: LinkId,
     peer: NodeId,
     sent: u64,
     timer: Option<(TimerId, u64)>,
+    rng: SimRng,
 }
 
 impl Node<u64> for Chatter {
     fn on_packet(&mut self, _pkt: Packet<u64>, _ctx: &mut Ctx<'_, u64>) {}
     fn on_timer(&mut self, _id: TimerId, _token: u64, ctx: &mut Ctx<'_, u64>) {
-        let burst = 1 + ctx.rng().index(4);
+        let burst = 1 + self.rng.index(4);
         for _ in 0..burst {
-            let size = 200 + ctx.rng().index(1301) as u32;
+            let size = 200 + self.rng.index(1301) as u32;
             self.sent += 1;
             let src = ctx.node_id();
             ctx.send(
@@ -40,7 +42,7 @@ impl Node<u64> for Chatter {
                 Packet::new(FlowId(1), src, self.peer, size, self.sent),
             );
         }
-        let gap = SimDuration::from_micros(100 + ctx.rng().index(900) as u64);
+        let gap = SimDuration::from_micros(100 + self.rng.index(900) as u64);
         let tok = self.sent;
         self.timer = Some((ctx.set_timer(gap, tok), tok));
     }
@@ -128,6 +130,7 @@ fn rig(
         peer: NodeId(1),
         sent: 0,
         timer: None,
+        rng: SimRng::new(seed).fork("chatter"),
     }));
     let b = sim.add_node(Box::new(Sink::default()));
     let l = sim.add_link(LinkSpec {
@@ -202,29 +205,16 @@ fn restore_resumes_bit_identically() {
     let want = observe(&reference, ra, rb, rl);
 
     // Interrupted run: stop at 60ms, snapshot, throw the simulator away.
-    let (mut first, fa, fb, _fl) = build(42, true);
-    first.run_until(ms(60));
-    let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w);
     // Node dynamic state rides alongside the engine snapshot (hosts have
     // their own codecs; the test carries it by hand).
-    let chat_sent = first.node_as::<Chatter>(fa).unwrap().sent;
-    let chat_timer = first.node_as::<Chatter>(fa).unwrap().timer;
-    let sink_got = first.node_as::<Sink>(fb).unwrap().got.clone();
-    let bytes = w.into_bytes();
+    let (mut first, fa, fb, _fl) = build(42, true);
+    first.run_until(ms(60));
+    let saved = save(&mut first, fa, fb);
     drop(first);
 
     // Fresh topology, restore, resume to 200ms.
     let (mut resumed, a2, b2, l2) = build(42, false);
-    let mut r = SnapReader::new(&bytes);
-    resumed.restore_snapshot(&mut r).unwrap();
-    assert_eq!(r.remaining(), 0, "snapshot has trailing bytes");
-    {
-        let c = resumed.node_as_mut::<Chatter>(a2).unwrap();
-        c.sent = chat_sent;
-        c.timer = chat_timer;
-    }
-    resumed.node_as_mut::<Sink>(b2).unwrap().got = sink_got;
+    load(&mut resumed, a2, b2, saved);
     assert_eq!(resumed.now(), ms(60));
     resumed.run_until(ms(200));
 
@@ -275,21 +265,11 @@ fn restore_carries_wake_ups_whose_deadline_has_moved() {
     let (mut first, fa, fb, _) = prepare(true);
     first.run_until(ms(60));
     at_the_stop(&mut first, fa, fb);
-    let mut w = SnapWriter::new();
-    first.save_snapshot(&mut w);
-    let bytes = w.into_bytes();
-    let chatter = first.node_as::<Chatter>(fa).unwrap();
-    let (sent, timer) = (chatter.sent, chatter.timer);
-    let sink = std::mem::take(first.node_as_mut::<Sink>(fb).unwrap());
+    let saved = save(&mut first, fa, fb);
     drop(first);
 
     let (mut resumed, a2, b2, l2) = prepare(false);
-    resumed
-        .restore_snapshot(&mut SnapReader::new(&bytes))
-        .unwrap();
-    let c = resumed.node_as_mut::<Chatter>(a2).unwrap();
-    (c.sent, c.timer) = (sent, timer);
-    *resumed.node_as_mut::<Sink>(b2).unwrap() = sink;
+    load(&mut resumed, a2, b2, saved);
     resumed.run_until(ms(200));
     assert_eq!(
         (observe(&resumed, a2, b2, l2), idle(&resumed, b2)),
@@ -342,6 +322,7 @@ struct Saved {
     engine: Vec<u8>,
     sent: u64,
     timer: Option<(TimerId, u64)>,
+    rng: SimRng,
     sink: Sink,
 }
 
@@ -349,11 +330,12 @@ fn save(sim: &mut Simulator<u64>, a: NodeId, b: NodeId) -> Saved {
     let mut w = SnapWriter::new();
     sim.save_snapshot(&mut w);
     let chatter = sim.node_as::<Chatter>(a).unwrap();
-    let (sent, timer) = (chatter.sent, chatter.timer);
+    let (sent, timer, rng) = (chatter.sent, chatter.timer, chatter.rng.clone());
     Saved {
         engine: w.into_bytes(),
         sent,
         timer,
+        rng,
         sink: std::mem::take(sim.node_as_mut::<Sink>(b).unwrap()),
     }
 }
@@ -363,7 +345,7 @@ fn load(sim: &mut Simulator<u64>, a: NodeId, b: NodeId, saved: Saved) {
     sim.restore_snapshot(&mut r).unwrap();
     assert_eq!(r.remaining(), 0, "snapshot has trailing bytes");
     let c = sim.node_as_mut::<Chatter>(a).unwrap();
-    (c.sent, c.timer) = (saved.sent, saved.timer);
+    (c.sent, c.timer, c.rng) = (saved.sent, saved.timer, saved.rng);
     *sim.node_as_mut::<Sink>(b).unwrap() = saved.sink;
 }
 

@@ -106,7 +106,7 @@ pub struct FaultEvent {
 pub enum FaultKind {
     /// Link refuses packets during a window.
     Down { start_ms: u64, dur_ms: u64 },
-    /// Link swallows packets post-serialization during a window.
+    /// Link swallows packets whose serialization ends in a window.
     Blackhole { start_ms: u64, dur_ms: u64 },
     /// Extra random per-packet delay (never negative).
     Reorder { prob: f64, max_extra_us: u64 },

@@ -53,10 +53,10 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 9: the engine snapshot underneath is version 5 (the engine's
-/// `(at, seq)` position, each link's silent flag and end of transmission,
-/// `LinkFree` entries); version 8 carried version 4.
-const WEATHER_VERSION: u32 = 9;
+/// Version 10: the engine snapshot underneath is version 6 (no silent
+/// flag per link, no end-of-transmission entry that decides a packet's
+/// fate); version 9 carried version 5, version 8 version 4.
+const WEATHER_VERSION: u32 = 10;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 

@@ -15,7 +15,6 @@ use crate::wire::{
     SegId, SendClass, CTRL_WIRE_BYTES, DEFAULT_FCW_BYTES, MSS,
 };
 use netsim::engine::EngineCore;
-use netsim::rng::SimRng;
 use netsim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use netsim::{snap_enum, snap_struct, snap_via};
 use netsim::{Ctx, FlowId, LinkId, NodeId, Packet, SimDuration, SimTime, TimerId};
@@ -272,11 +271,6 @@ impl<'a, 'b> Ops<'a, 'b> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.ctx.now()
-    }
-
-    /// Engine RNG (deterministic, seeded per run).
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.ctx.rng()
     }
 
     /// The scoreboard.

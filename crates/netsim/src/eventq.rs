@@ -23,13 +23,18 @@
 //!   the cursor's, one turn of ~134 ms. An event that close lands in bucket
 //!   `tick % N_BUCKETS`; bucket membership is tracked in a bitmap so
 //!   advancing over empty buckets costs a trailing-zeros scan, not a
-//!   per-bucket probe. Each bucket is a plain `Vec<EventEntry>`; a drained
-//!   one keeps its buffer up to [`BUCKET_KEEP`] entries and hands anything
-//!   larger back. An earlier design chained entries through a shared slab
-//!   to keep the queue at one allocation, but draining a chain is serial
-//!   pointer-chasing — one dependent cache miss per entry once the
-//!   population outgrows the LLC, which capped the whole engine near 4 M
-//!   events/s. Contiguous buckets let the drain *stream*.
+//!   per-bucket probe. Each bucket is a plain `Vec<EventEntry>`. A drained
+//!   one hands its buffer to the queue's one spare list, and a bucket that
+//!   takes its first entry takes the buffer drained last: the list keeps
+//!   buffers of at most [`BUCKET_KEEP`] entries, and at most as many
+//!   entries of capacity in all as are pending (or [`SPARSE_LIMIT`]), so
+//!   what the queue retains follows its live population, not how many of
+//!   its 1024 buckets were ever full. An earlier design chained entries
+//!   through a shared slab to keep the queue at one allocation, but
+//!   draining a chain is serial pointer-chasing — one dependent cache miss
+//!   per entry once the population outgrows the LLC, which capped the
+//!   whole engine near 4 M events/s. Contiguous buckets let the drain
+//!   *stream*.
 //! - **Batch drain**: when the cursor reaches an occupied bucket of at most
 //!   [`SPLIT_ABOVE`] entries (a larger one splits, below), the whole
 //!   bucket is sorted ascending by `(at, seq)` *in place* and then consumed
@@ -50,9 +55,9 @@
 //!   the sub-bucket being consumed. This is the adaptive calendar queue's
 //!   move (Brown's resize, the ladder queue's rungs) made local: only a
 //!   bucket that proves dense is narrowed, so sparse workloads never pay
-//!   for the finer width. Sub-bucket buffers stay with their sub-bucket,
-//!   reused across splits up to [`BUCKET_KEEP`] entries, and a ring bucket
-//!   keeps its own buffer on the usual terms
+//!   for the finer width. Sub-buckets draw their buffers from the spare
+//!   list and hand them back when they drain, like ring buckets; the
+//!   split bucket's own buffer holds each sub-bucket's run in turn
 //!   ([`EventQueue::split_pushes`] counts the pushes a split bucket takes;
 //!   `tests/cursor_discipline.rs` uses the count to catch a cursor that got
 //!   ahead of the clock, which sends *every* push into its own bucket).
@@ -121,12 +126,10 @@ const SPLIT_ABOVE: usize = 64;
 /// `N_SUBS` = 64 sub-buckets and their occupancy is one `u64`.
 const SUB_SHIFT: u32 = W_SHIFT - 6;
 const N_SUBS: usize = 1 << (W_SHIFT - SUB_SHIFT);
-/// A drained bucket keeps its buffer only up to this many entries; a
-/// larger one is handed back to the allocator. Every bucket of the ring
-/// fills once per turn, so without the bound each of the 1024 retains
-/// its high-water fill for the rest of the run — at thousands of concurrent
-/// flows that is more memory than the pending events themselves. Buckets
-/// of small simulations never reach the bound and stay allocation-free.
+/// A drained bucket or sub-bucket buffer goes to the spare list only up to
+/// this many entries; a larger one is handed back to the allocator. Dense
+/// buckets regrow from a spare buffer each turn instead: keeping their
+/// high-water fill measured slower and far larger on `sharded_dense`.
 const BUCKET_KEEP: usize = 64;
 /// Pending-entry threshold for leaving sparse mode: while fewer entries
 /// are pending the queue is one sorted run and the ring stays
@@ -155,12 +158,63 @@ fn sub_of(at: SimTime) -> usize {
     ((at.as_nanos() >> SUB_SHIFT) as usize) & (N_SUBS - 1)
 }
 
-/// Empty a drained buffer, handing it back if larger than [`BUCKET_KEEP`].
-fn recycle(v: &mut Vec<EventEntry>) {
-    if v.capacity() > BUCKET_KEEP {
-        *v = Vec::new();
-    } else {
-        v.clear();
+/// Drained bucket and sub-bucket buffers, each of at most [`BUCKET_KEEP`]
+/// entries, waiting for the next bucket or sub-bucket that takes its first
+/// entry. Their total capacity is bounded by the queue's population, so
+/// what the queue retains follows how many events are pending, not how
+/// many buckets were ever full.
+#[derive(Default)]
+struct Spares {
+    bufs: Vec<Vec<EventEntry>>,
+    /// Total capacity of `bufs`, in entries.
+    cap: usize,
+}
+
+impl Spares {
+    /// Append `e` to a bucket or sub-bucket buffer, which takes a spare
+    /// buffer first if it has none.
+    #[inline]
+    fn push_into(&mut self, v: &mut Vec<EventEntry>, e: EventEntry) {
+        if v.capacity() == 0 {
+            *v = self.take();
+        }
+        v.push(e);
+    }
+
+    /// The most recently drained buffer, or a new empty one.
+    #[inline]
+    fn take(&mut self) -> Vec<EventEntry> {
+        let v = self.bufs.pop().unwrap_or_default();
+        self.cap -= v.capacity();
+        v
+    }
+
+    /// Take the drained buffer `v` unless it holds more than
+    /// [`BUCKET_KEEP`] entries, then hand buffers back to the allocator
+    /// until the list holds at most `pending` entries of capacity, or
+    /// [`SPARSE_LIMIT`] (a dense queue has held more than that).
+    #[inline]
+    fn give_back(&mut self, v: &mut Vec<EventEntry>, pending: usize) {
+        let mut v = std::mem::take(v);
+        if (1..=BUCKET_KEEP).contains(&v.capacity()) {
+            v.clear();
+            self.cap += v.capacity();
+            self.bufs.push(v);
+        }
+        let bound = pending.max(SPARSE_LIMIT);
+        if self.cap > bound {
+            self.trim(bound);
+        }
+    }
+
+    /// Free buffers, the last drained first, until the list holds at most
+    /// `bound` entries of capacity.
+    #[cold]
+    fn trim(&mut self, bound: usize) {
+        while self.cap > bound {
+            let v = self.bufs.pop().expect("spare capacity without a buffer");
+            self.cap -= v.capacity();
+        }
     }
 }
 
@@ -216,7 +270,8 @@ impl Ord for EventEntry {
 
 /// The calendar queue. Total order: `(at, seq)` ascending.
 pub(crate) struct EventQueue {
-    /// Ring buckets; capacity up to [`BUCKET_KEEP`] persists across drains.
+    /// Ring buckets. An empty one other than the cursor's has no buffer:
+    /// a drained buffer goes to `spare`.
     ring: Vec<Vec<EventEntry>>,
     /// One bit per ring bucket: does it hold any entries?
     occupied: Vec<u64>,
@@ -239,7 +294,7 @@ pub(crate) struct EventQueue {
     /// The sub-bucket the run holds while split (the sub-cursor).
     sub: usize,
     /// The split bucket's sub-buckets after `sub`; empty until the first
-    /// split. Buffers are reused across splits.
+    /// split. An empty one has no buffer.
     subs: Vec<Vec<EventEntry>>,
     /// One bit per sub-bucket: does it hold any entries?
     sub_occupied: u64,
@@ -255,6 +310,8 @@ pub(crate) struct EventQueue {
     sparse_run: Vec<EventEntry>,
     /// Total entries in the queue.
     len: usize,
+    /// Drained buffers for the next bucket or sub-bucket to fill.
+    spare: Spares,
     /// Still in sparse (sorted-run) mode; the ring is empty until the first
     /// [`SPARSE_LIMIT`] crossing densifies it. One-way.
     sparse: bool,
@@ -277,6 +334,7 @@ impl EventQueue {
             far: BinaryHeap::new(),
             sparse_run: Vec::new(),
             len: 0,
+            spare: Spares::default(),
             sparse: true,
         }
     }
@@ -296,19 +354,24 @@ impl EventQueue {
     fn bucket_insert(&mut self, entry: EventEntry) {
         let b = (tick_of(entry.at.as_nanos()) as usize) & IDX_MASK;
         let v = &mut self.ring[b];
-        if !v.is_empty() && v.capacity() == v.len() {
-            // Skip the 8→16→32→… doubling ramp once a bucket proves it
-            // holds more than one entry: dense fills put dozens per
-            // bucket and the ramp's reallocs dominate the push cost. The
-            // first touch stays a plain push, so the hundreds of tiny
-            // simulations in a figure sweep (one or two events per
-            // bucket, bucket never revisited) don't pay a 32-slot
-            // allocation per bucket they graze. Past that the buffer grows
-            // by half, not double (`reserve` would double): a thousand
-            // buckets each carry their own slack, and at thousands of
-            // concurrent flows doubling costs ~5 % of peak RSS for no
-            // measurable speed.
-            v.reserve_exact(32.max(v.len() / 2));
+        if v.capacity() == v.len() {
+            if v.is_empty() {
+                // The first entry: a spare buffer, if there is one.
+                *v = self.spare.take();
+            } else {
+                // Skip the 8→16→32→… doubling ramp once a bucket outgrows
+                // the buffer it started with: dense fills put dozens per
+                // bucket and the ramp's reallocs dominate the push
+                // cost. The first touch stays a plain push, so the
+                // hundreds of tiny simulations in a figure sweep (one or
+                // two events per bucket, bucket never revisited) don't pay
+                // a 32-slot allocation per bucket they graze. Past that the
+                // buffer grows by half, not double (`reserve` would
+                // double): a thousand buckets each carry their own slack,
+                // and at thousands of concurrent flows doubling costs ~5 %
+                // of peak RSS for no measurable speed.
+                v.reserve_exact(32.max(v.len() / 2));
+            }
         }
         v.push(entry);
         self.occupied[b >> 6] |= 1 << (b & 63);
@@ -406,12 +469,15 @@ impl EventQueue {
             let s = sub_of(entry.at);
             if s != self.sub {
                 debug_assert!(s > self.sub, "event scheduled behind the sub-cursor");
-                self.subs[s].push(entry);
+                self.spare.push_into(&mut self.subs[s], entry);
                 self.sub_occupied |= 1 << s;
                 return;
             }
         }
         let run = &mut self.ring[self.cursor];
+        if run.capacity() == 0 {
+            *run = self.spare.take();
+        }
         let key = (entry.at, entry.seq);
         let pos = self.run_pos + run[self.run_pos..].partition_point(|e| (e.at, e.seq) < key);
         run.insert(pos, entry);
@@ -443,7 +509,7 @@ impl EventQueue {
             self.run_pos + run[self.run_pos..].partition_point(|e| e.at.as_nanos() < sub_end);
         for e in run.drain(keep..) {
             let s = sub_of(e.at);
-            self.subs[s].push(e);
+            self.spare.push_into(&mut self.subs[s], e);
             self.sub_occupied |= 1 << s;
         }
         self.split = true;
@@ -459,7 +525,7 @@ impl EventQueue {
         self.ensure_subs();
         for e in self.ring[self.cursor].drain(..) {
             let s = sub_of(e.at);
-            self.subs[s].push(e);
+            self.spare.push_into(&mut self.subs[s], e);
             self.sub_occupied |= 1 << s;
         }
         self.split = true;
@@ -470,9 +536,11 @@ impl EventQueue {
     /// Move the sub-cursor to the next occupied sub-bucket and sort it into
     /// the run — unless it starts after `limit`: then nothing moves.
     /// Returns `true` when a run was loaded. The entries are copied into
-    /// the bucket's own buffer, a few dozen bytes: swapping buffers instead
-    /// would leave sub-bucket buffers in ring buckets, and every bucket
-    /// ever split would keep one. Caller ensures the run is empty and a
+    /// the bucket's own buffer, a few dozen bytes, and the sub-bucket's
+    /// buffer goes to the spare list: the bucket's buffer held the whole
+    /// bucket, so inserts into any of its sub-bucket runs never regrow it,
+    /// where a swap would free it at the first sub-bucket and grow a small
+    /// one under the run's inserts. Caller ensures the run is empty and a
     /// sub-bucket is occupied.
     #[cold]
     fn next_sub(&mut self, limit: u64) -> bool {
@@ -487,7 +555,7 @@ impl EventQueue {
         run.clear();
         run.extend_from_slice(&self.subs[k]);
         run.sort_unstable_by_key(|e| (e.at, e.seq));
-        recycle(&mut self.subs[k]);
+        self.spare.give_back(&mut self.subs[k], self.len);
         true
     }
 
@@ -515,12 +583,12 @@ impl EventQueue {
     }
 
     /// Reclaim the cursor bucket once its run is consumed: the consumed
-    /// entries still occupy it, all dead, and it must be empty by the time
-    /// the ring wraps back to it. This ends a split.
+    /// entries still occupy it, all dead, and its buffer goes to the spare
+    /// list. This ends a split.
     #[inline]
     fn retire_run(&mut self) {
         debug_assert!(self.run_len() == 0 && self.sub_occupied == 0);
-        recycle(&mut self.ring[self.cursor]);
+        self.spare.give_back(&mut self.ring[self.cursor], self.len);
         self.run_pos = 0;
         self.split = false;
     }
@@ -1201,28 +1269,69 @@ mod tests {
         }
     }
 
+    /// What the queue retains apart from the entries it holds: every empty
+    /// bucket and sub-bucket but the cursor's bucket has no buffer, and the
+    /// spare list holds empty buffers of at most [`BUCKET_KEEP`] entries,
+    /// whose total capacity is at most the entries the ring holds — the
+    /// pending ones plus the consumed prefix of the run, which lingers until
+    /// the next refill — or [`SPARSE_LIMIT`].
+    fn assert_retention_bounded(q: &EventQueue) {
+        for (b, v) in q.ring.iter().enumerate() {
+            assert!(
+                b == q.cursor || !v.is_empty() || v.capacity() == 0,
+                "empty ring bucket {b} kept a buffer of {} entries",
+                v.capacity()
+            );
+        }
+        for (s, v) in q.subs.iter().enumerate() {
+            assert!(
+                !v.is_empty() || v.capacity() == 0,
+                "empty sub-bucket {s} kept a buffer of {} entries",
+                v.capacity()
+            );
+        }
+        for v in &q.spare.bufs {
+            assert!(v.is_empty() && (1..=BUCKET_KEEP).contains(&v.capacity()));
+        }
+        let cap: usize = q.spare.bufs.iter().map(Vec::capacity).sum();
+        assert_eq!(cap, q.spare.cap);
+        assert!(
+            cap <= (q.len + q.run_pos).max(SPARSE_LIMIT),
+            "spare list holds {cap} entries of capacity for {} pending",
+            q.len
+        );
+    }
+
     #[test]
-    fn drained_bucket_hands_back_a_large_buffer() {
+    fn a_drained_buffer_is_reused_by_the_next_bucket_to_fill() {
+        // Dense: a crowd a few buckets out, eight entries in bucket 1 and
+        // one in bucket 2, so the pop that reaches bucket 2 retires bucket 1.
         let mut q = EventQueue::new();
-        // Bucket 1 far above BUCKET_KEEP, bucket 2 below it.
         for seq in 0..2 * SPARSE_LIMIT as u64 {
-            q.push(T0, entry(WIDTH + seq % WIDTH, seq));
+            q.push(T0, entry(9 * WIDTH + seq, seq));
         }
         for seq in 0..8u64 {
-            q.push(T0, entry(2 * WIDTH + seq, 1 << 32 | seq));
+            q.push(T0, entry(WIDTH + seq, 1 << 32 | seq));
         }
-        q.push(T0, entry(3 * WIDTH, u64::MAX));
-        while q.pop().is_some_and(|e| e.seq != u64::MAX) {}
+        q.push(T0, entry(2 * WIDTH, 2 << 32));
+        assert!(!q.sparse);
+        let (buf, cap) = (q.ring[1].as_ptr(), q.ring[1].capacity());
+        assert!((8..=BUCKET_KEEP).contains(&cap));
+        for _ in 0..9 {
+            q.pop().unwrap();
+        }
         assert_eq!(
             q.ring[1].capacity(),
             0,
-            "large drained bucket kept its buffer"
+            "the drained bucket kept its buffer"
         );
-        assert!(
-            q.ring[2].capacity() >= 8,
-            "small drained bucket lost its buffer"
-        );
-        assert!(q.ring[2].is_empty());
+        assert_eq!(q.spare.bufs.last().map(|v| v.as_ptr()), Some(buf));
+        // The next bucket to take its first entry takes that very buffer.
+        q.push(SimTime::from_nanos(2 * WIDTH), entry(5 * WIDTH, 3 << 32));
+        assert_eq!(q.ring[5].as_ptr(), buf);
+        assert_eq!(q.ring[5].capacity(), cap);
+        assert_eq!(q.spare.cap, 0);
+        assert_retention_bounded(&q);
     }
 
     #[test]
@@ -1272,7 +1381,7 @@ mod tests {
     }
 
     #[test]
-    fn a_drained_queue_keeps_no_dense_era_buffers() {
+    fn a_drained_dense_era_leaves_at_most_the_floor() {
         // ~20 K entries in one turn, ~200 to each of the first 100 buckets,
         // so every one of them splits, with a thousand due at one instant in
         // a single sub-bucket; while they drain, pushes land in the
@@ -1298,23 +1407,60 @@ mod tests {
         }
         assert_eq!(popped, seq);
         assert!(q.split_pushes() > 0);
-        // A split bucket's buffer is the bucket's own and goes back on the
-        // usual terms: held more than BUCKET_KEEP, so released. Sub-bucket
-        // buffers stay with their sub-bucket, and only up to BUCKET_KEEP.
-        for (b, v) in q.ring.iter().enumerate() {
-            assert!(
-                v.capacity() <= BUCKET_KEEP && (b >= 100 || v.capacity() == 0),
-                "ring bucket {b} kept a buffer of {} entries",
-                v.capacity()
-            );
+        // Every bucket and sub-bucket handed its buffer back, and the spare
+        // list kept no more than the floor of them.
+        let retained: usize = q
+            .ring
+            .iter()
+            .chain(&q.subs)
+            .chain(&q.spare.bufs)
+            .map(Vec::capacity)
+            .sum();
+        assert_eq!(retained, q.spare.cap);
+        assert!(
+            retained <= SPARSE_LIMIT,
+            "a drained queue kept {retained} entries of capacity"
+        );
+        assert_retention_bounded(&q);
+    }
+
+    #[test]
+    fn retention_follows_the_population_under_random_dense_load() {
+        // The population swells into the tens of thousands, where buckets
+        // split, and ebbs to a few dozen, three times over; pushes land in
+        // the run, its sub-buckets, the ring and the far heap. The bound
+        // holds after every push and pop, and the pops stay in order.
+        let mut q = EventQueue::new();
+        let mut lcg: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut draw = |m: u64| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lcg >> 20) % m
+        };
+        let (mut now, mut seq, mut prev) = (0u64, 0u64, None);
+        for target in [20_000usize, 40, 5_000, 10, 30_000, 0] {
+            while q.len() != target {
+                if q.len() < target && draw(8) != 0 {
+                    let d = match draw(4) {
+                        0 => draw(1 << SUB_SHIFT),
+                        1 => draw(20 * WIDTH),
+                        2 => draw(TURN_NS),
+                        _ => draw(3 * TURN_NS),
+                    };
+                    q.push(SimTime::from_nanos(now), entry(now + d, seq));
+                    seq += 1;
+                } else if let Some(e) = q.pop() {
+                    assert!(Some((e.at, e.seq)) > prev, "order violated at {}", e.seq);
+                    prev = Some((e.at, e.seq));
+                    now = e.at.as_nanos();
+                }
+                assert_retention_bounded(&q);
+            }
         }
-        for (s, v) in q.subs.iter().enumerate() {
-            assert!(
-                v.is_empty() && v.capacity() <= BUCKET_KEEP,
-                "sub-bucket {s} kept {} entries of capacity",
-                v.capacity()
-            );
-        }
+        assert!(q.split_pushes() > 0, "no bucket split");
+        assert!(q.pop().is_none());
+        assert_retention_bounded(&q);
     }
 
     #[test]

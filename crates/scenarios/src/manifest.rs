@@ -15,6 +15,12 @@
 //!   strip these with `grep -vE '"wall_|"machine"'` — each such field is
 //!   emitted on its own line, nothing deterministic shares a line with
 //!   one (`hbbench` digests the manifest stripped this way).
+//!
+//! The `"machine"` line's `peak_rss_mb` is the `VmHWM` of the whole
+//! process, the worker pool included, so it moves with which jobs happen
+//! to run side by side: the same build has read 17 and 20 MiB on
+//! `repro all --quick --jobs 2`. It is not a figure for comparing builds;
+//! `hbbench`'s per-workload `peak_rss_mb`, over alternated pairs, is.
 
 use std::fmt::Write as _;
 
@@ -54,8 +60,8 @@ pub struct Manifest {
     pub jobs: usize,
     /// `--shards` effective value (machine-varying).
     pub shards: usize,
-    /// Peak resident set size of the run, MiB (machine-varying; 0 if
-    /// unavailable).
+    /// Peak resident set size of the process so far, the worker pool
+    /// included, MiB (machine-varying; 0 if unavailable).
     pub peak_rss_mb: u64,
 }
 

@@ -5,7 +5,8 @@
 # mode"):
 #
 #   1. Output shape — windows.csv carries the halfback-weather-v1 header
-#      and one well-formed row per window; weather.json parses and the
+#      and one well-formed row per window; weather.json parses (python3's
+#      json.tool, a parser independent of the writer) and the
 #      run sustained a service-scale arrival rate (>= 1M flows per
 #      simulated hour at default utilization) with every flow accounted
 #      for (started = completed + aborted + censored).
@@ -61,6 +62,11 @@ if [ "$bad" != "0" ]; then
     exit 1
 fi
 
+# A second parser beside netsim::json, which both writes and reads it.
+python3 -m json.tool "$dir/a/weather.json" > /dev/null || {
+    echo "FAIL: weather.json is not valid JSON" >&2
+    exit 1
+}
 grep -q '"schema": "halfback-weather-v1"' "$dir/a/weather.json" || {
     echo "FAIL: weather.json missing schema tag" >&2
     exit 1

@@ -12,12 +12,15 @@ use transport::sender::Ops;
 use transport::strategy::Strategy;
 use transport::wire::{AckHeader, SegId, SendClass};
 
+/// Probes sent without progress before the PTO stops re-arming and the RTO
+/// takes over.
+const MAX_PROBES: u32 = 6;
+
 /// Reactive TCP: NewReno + tail loss probe.
 #[derive(Debug)]
 pub struct ReactiveTcp {
     reno: RenoEngine,
     probes_sent: u32,
-    max_probes: u32,
 }
 
 impl ReactiveTcp {
@@ -29,7 +32,6 @@ impl ReactiveTcp {
                 ..Default::default()
             }),
             probes_sent: 0,
-            max_probes: 6,
         }
     }
 
@@ -39,7 +41,7 @@ impl ReactiveTcp {
     }
 
     fn rearm(&self, ops: &mut Ops<'_, '_>) {
-        if ops.board().pipe_bytes() > 0 && self.probes_sent < self.max_probes {
+        if ops.board().pipe_bytes() > 0 && self.probes_sent < MAX_PROBES {
             ops.arm_pto(Self::pto_delay(ops));
         } else {
             ops.cancel_pto();
@@ -92,5 +94,5 @@ impl Strategy for ReactiveTcp {
         self.rearm(ops);
     }
 
-    netsim::snap_fields!(fn save_state, load_state { reno, probes_sent, max_probes });
+    netsim::snap_fields!(fn save_state, load_state { reno, probes_sent });
 }

@@ -39,10 +39,9 @@
 
 #![forbid(unsafe_code)]
 
+use netsim::json;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-pub mod json;
 
 /// Regression threshold for `--check`: fail if a median is more than this
 /// factor slower than the committed baseline. The min-of-K-block-medians
@@ -279,41 +278,24 @@ impl Bench {
 /// One registered bench function.
 pub type BenchFn = fn(&mut Bench);
 
-/// Fingerprint of the machine/build the numbers came from, for the JSON
-/// output. Std-only, so it is coarse — enough to tell two baselines apart.
-pub fn env_fingerprint() -> Vec<(String, String)> {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    vec![
-        ("arch".to_string(), std::env::consts::ARCH.to_string()),
-        ("os".to_string(), std::env::consts::OS.to_string()),
-        ("cpus".to_string(), cpus.to_string()),
-        (
-            "profile".to_string(),
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            }
-            .to_string(),
-        ),
-    ]
-}
-
 /// Serialize results to the `halfback-bench-v1` JSON document.
 pub fn results_to_json(results: &[BenchResult]) -> String {
     let mut w = json::Writer::new();
     w.obj(|w| {
         w.key("schema").str("halfback-bench-v1");
+        // Fingerprint of the machine and build the numbers came from: std
+        // only, so coarse, but enough to tell two baselines apart.
         w.key("env").obj(|w| {
-            for (k, v) in env_fingerprint() {
-                if k == "cpus" {
-                    w.key(&k).num(v.parse().unwrap_or(0.0));
-                } else {
-                    w.key(&k).str(&v);
-                }
-            }
+            w.key("arch").str(std::env::consts::ARCH);
+            w.key("os").str(std::env::consts::OS);
+            let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+            w.key("cpus").u64(cpus as u64);
+            let profile = if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            };
+            w.key("profile").str(profile);
         });
         w.key("results").arr(|w| {
             for r in results {
@@ -323,9 +305,9 @@ pub fn results_to_json(results: &[BenchResult]) -> String {
                     w.key("mean_ns").num(r.mean_ns);
                     w.key("min_ns").num(r.min_ns);
                     w.key("p95_ns").num(r.p95_ns);
-                    w.key("samples").num(r.samples as f64);
+                    w.key("samples").u64(r.samples as u64);
                     if let Some(n) = r.elements {
-                        w.key("elements").num(n as f64);
+                        w.key("elements").u64(n);
                         w.key("elements_per_sec")
                             .num(r.elements_per_sec().unwrap_or(0.0));
                     }
@@ -443,21 +425,22 @@ pub fn validate_baseline_schema(doc: &json::Value) -> Result<(), String> {
     Ok(())
 }
 
+/// The parsed baseline at `path`; exits the process if it cannot be read
+/// or parsed.
+fn read_baseline(path: &str) -> json::Value {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {path}: {e}"))
+        .and_then(|text| {
+            json::parse(&text).map_err(|e| format!("cannot parse baseline {path}: {e}"))
+        });
+    parsed.unwrap_or_else(|e| {
+        eprintln!("bench: {e}");
+        std::process::exit(1)
+    })
+}
+
 fn check_baseline_covers(registered: &[String], path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bench: cannot parse baseline {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let doc = read_baseline(path);
     if let Err(e) = validate_baseline_schema(&doc) {
         eprintln!("bench: {path} fails halfback-bench-v1 validation: {e}");
         std::process::exit(1);
@@ -489,20 +472,7 @@ fn check_baseline_covers(registered: &[String], path: &str) {
 }
 
 fn check_against_baseline(results: &[BenchResult], path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bench: cannot parse baseline {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let doc = read_baseline(path);
     let baseline = baseline_medians(&doc);
     let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
     for r in results {

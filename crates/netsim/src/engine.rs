@@ -904,12 +904,18 @@ impl<P: Payload> Simulator<P> {
     /// event fired). A watchdog loops on it, checking its caps between
     /// calls; it pops with the same bound, so it fires the same events.
     pub fn run_until_budget(&mut self, until: SimTime, budget: u64) -> bool {
-        for _ in 0..budget {
-            let Some(entry) = self.core.events.pop_due(until) else {
-                self.core.reach_horizon(until);
-                return true;
-            };
-            self.fire(entry);
+        // Counted on `events_processed`, not a loop index: with an index the
+        // compiler copied each popped entry before `fire`, which `run_until`
+        // hands over in place.
+        let stop = self.core.events_processed.saturating_add(budget);
+        while self.core.events_processed < stop {
+            match self.core.events.pop_due(until) {
+                Some(entry) => self.fire(entry),
+                None => {
+                    self.core.reach_horizon(until);
+                    return true;
+                }
+            }
         }
         false
     }

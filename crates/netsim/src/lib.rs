@@ -49,6 +49,7 @@ pub mod engine;
 pub(crate) mod eventq;
 pub mod fasthash;
 pub mod faults;
+pub mod json;
 pub mod link;
 pub mod loss;
 pub mod node;

@@ -113,82 +113,77 @@ pub fn run_web(protocol: Protocol, utilization: f64, scale: Scale) -> WebRun {
     let hard_stop = horizon + grace;
 
     loop {
-        let now = rig.sim.now();
-        if now >= hard_stop {
+        let arrival = (arrivals.peek() <= horizon).then(|| arrivals.peek());
+        // Past the last arrival an empty queue ends the run, with the clock
+        // at the last event: `finish` credits the job with it.
+        if arrival.is_none() && rig.sim.pending_events() == 0 {
             break;
         }
-        let next_event = rig.sim.next_event_time().unwrap_or(SimTime::FAR_FUTURE);
-        let next_arrival = if arrivals.peek() <= horizon {
-            arrivals.peek()
-        } else {
-            SimTime::FAR_FUTURE
-        };
-        if next_arrival == SimTime::FAR_FUTURE && next_event == SimTime::FAR_FUTURE {
-            break;
-        }
-        if next_arrival <= next_event {
-            // Start a page.
-            let at = arrivals.pop();
-            rig.run_until(at);
-            let page = corpus.pick(&mut rng).clone();
-            let pair = next_pair % PAIRS;
-            next_pair += 1;
-            let idx = pages.len();
-            let mut st = PageState {
-                started: at,
-                pending: page.objects.iter().copied().collect(),
-                in_flight: 0,
-                pair,
-                html_done: false,
-            };
-            // Fetch the HTML document first; subresources are requested
-            // once it arrives.
-            if let Some(html_bytes) = st.pending.pop_front() {
-                let f = start(&mut rig, pair, html_bytes);
-                flow_page.insert(f, idx);
-                st.in_flight = 1;
+        // One event, or the clock moved to the next arrival (or the hard
+        // stop) with nothing due before it.
+        let reached = rig.sim.run_until_budget(arrival.unwrap_or(hard_stop), 1);
+        // React to completed objects.
+        let done: Vec<_> = bus.borrow_mut().drain(..).collect();
+        for rec in done {
+            objects += 1;
+            if rec.counters.rto_events > 0 {
+                rto_objects += 1;
             }
-            pages.push(st);
-        } else {
-            if !rig.sim.step() {
-                break;
-            }
-            // React to completed objects.
-            let done: Vec<_> = bus.borrow_mut().drain(..).collect();
-            for rec in done {
-                objects += 1;
-                if rec.counters.rto_events > 0 {
-                    rto_objects += 1;
-                }
-                if let Some(idx) = flow_page.remove(&rec.flow) {
-                    let now = rig.sim.now();
-                    let pair = pages[idx].pair;
-                    pages[idx].in_flight -= 1;
-                    if !pages[idx].html_done {
-                        // HTML arrived: subresources discovered, open up to
-                        // the browser's connection limit.
-                        pages[idx].html_done = true;
-                        while pages[idx].in_flight < MAX_CONCURRENT_CONNECTIONS {
-                            match pages[idx].pending.pop_front() {
-                                Some(bytes) => {
-                                    let f = start(&mut rig, pair, bytes);
-                                    flow_page.insert(f, idx);
-                                    pages[idx].in_flight += 1;
-                                }
-                                None => break,
+            if let Some(idx) = flow_page.remove(&rec.flow) {
+                let now = rig.sim.now();
+                let pair = pages[idx].pair;
+                pages[idx].in_flight -= 1;
+                if !pages[idx].html_done {
+                    // HTML arrived: subresources discovered, open up to
+                    // the browser's connection limit.
+                    pages[idx].html_done = true;
+                    while pages[idx].in_flight < MAX_CONCURRENT_CONNECTIONS {
+                        match pages[idx].pending.pop_front() {
+                            Some(bytes) => {
+                                let f = start(&mut rig, pair, bytes);
+                                flow_page.insert(f, idx);
+                                pages[idx].in_flight += 1;
                             }
+                            None => break,
                         }
-                    } else if let Some(bytes) = pages[idx].pending.pop_front() {
-                        let f = start(&mut rig, pair, bytes);
-                        flow_page.insert(f, idx);
-                        pages[idx].in_flight += 1;
                     }
-                    if pages[idx].in_flight == 0 && pages[idx].pending.is_empty() {
-                        response_ms.push(now.saturating_since(pages[idx].started).as_millis_f64());
-                    }
+                } else if let Some(bytes) = pages[idx].pending.pop_front() {
+                    let f = start(&mut rig, pair, bytes);
+                    flow_page.insert(f, idx);
+                    pages[idx].in_flight += 1;
+                }
+                if pages[idx].in_flight == 0 && pages[idx].pending.is_empty() {
+                    response_ms.push(now.saturating_since(pages[idx].started).as_millis_f64());
                 }
             }
         }
+        if !reached {
+            continue;
+        }
+        let Some(at) = arrival else {
+            break;
+        };
+        // Start a page.
+        arrivals.pop();
+        let page = corpus.pick(&mut rng).clone();
+        let pair = next_pair % PAIRS;
+        next_pair += 1;
+        let idx = pages.len();
+        let mut st = PageState {
+            started: at,
+            pending: page.objects.iter().copied().collect(),
+            in_flight: 0,
+            pair,
+            html_done: false,
+        };
+        // Fetch the HTML document first; subresources are requested once it
+        // arrives.
+        if let Some(html_bytes) = st.pending.pop_front() {
+            let f = start(&mut rig, pair, html_bytes);
+            flow_page.insert(f, idx);
+            st.in_flight = 1;
+        }
+        pages.push(st);
     }
 
     rig.finish().judged();

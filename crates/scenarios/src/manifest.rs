@@ -22,7 +22,7 @@
 //! `repro all --quick --jobs 2`. It is not a figure for comparing builds;
 //! `hbbench`'s per-workload `peak_rss_mb`, over alternated pairs, is.
 
-use std::fmt::Write as _;
+use netsim::json::Writer;
 
 /// Schema tag stamped into the manifest.
 pub const MANIFEST_SCHEMA: &str = "halfback-manifest-v1";
@@ -65,62 +65,41 @@ pub struct Manifest {
     pub peak_rss_mb: u64,
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_str_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", quoted.join(","))
-}
-
 impl Manifest {
     /// Render as pretty-printed JSON with the machine-varying fields each
     /// on their own, syntactically strippable line.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_str(MANIFEST_SCHEMA));
-        let _ = writeln!(out, "  \"scale\": {},", json_str(&self.scale));
-        let _ = writeln!(out, "  \"schemes\": {},", json_str_list(&self.schemes));
-        out.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"id\": {},", json_str(&e.id));
-            let _ = writeln!(out, "      \"figures\": {},", json_str_list(&e.figures));
-            let _ = writeln!(out, "      \"jobs_run\": {},", e.jobs_run);
-            let _ = writeln!(out, "      \"events\": {},", e.events);
-            let _ = writeln!(out, "      \"virtual_ns\": {},", e.virtual_ns);
-            let _ = writeln!(out, "      \"sketch_mem_bytes\": {},", e.sketch_mem_bytes);
-            let _ = writeln!(out, "      \"wall_s\": {:.3}", e.wall_s);
-            out.push_str(if i + 1 < self.experiments.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+        let mut w = Writer::new();
+        w.obj(|w| {
+            w.key("schema").str(MANIFEST_SCHEMA);
+            w.key("scale").str(&self.scale);
+            w.key("schemes").arr_line(|w| strings(w, &self.schemes));
+            w.key("experiments").arr(|w| {
+                for e in &self.experiments {
+                    w.elem().obj(|w| {
+                        w.key("id").str(&e.id);
+                        w.key("figures").arr_line(|w| strings(w, &e.figures));
+                        w.key("jobs_run").u64(e.jobs_run as u64);
+                        w.key("events").u64(e.events);
+                        w.key("virtual_ns").u64(e.virtual_ns);
+                        w.key("sketch_mem_bytes").u64(e.sketch_mem_bytes);
+                        w.key("wall_s").fixed(e.wall_s, 3);
+                    });
+                }
             });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"machine\": {{\"jobs\": {}, \"shards\": {}, \"peak_rss_mb\": {}}}",
-            self.jobs, self.shards, self.peak_rss_mb
-        );
-        out.push_str("}\n");
-        out
+            w.key("machine").obj_line(|w| {
+                w.key("jobs").u64(self.jobs as u64);
+                w.key("shards").u64(self.shards as u64);
+                w.key("peak_rss_mb").u64(self.peak_rss_mb);
+            });
+        });
+        w.finish()
+    }
+}
+
+fn strings(w: &mut Writer, items: &[String]) {
+    for s in items {
+        w.elem().str(s);
     }
 }
 
@@ -180,10 +159,5 @@ mod tests {
     #[test]
     fn render_is_deterministic_given_fields() {
         assert_eq!(sample().render_json(), sample().render_json());
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -389,16 +389,12 @@ impl Rig {
     /// job's virtual-time/event caps are checked, so a livelocked
     /// simulation panics (isolated per job by the harness) instead of
     /// hanging the sweep. The stride counts across calls, so a run cut into
-    /// many short advances is checked as often as one long advance. One
-    /// bounded pop per event either way; with the caps disabled this is
-    /// exactly `Simulator::run_until`.
+    /// many short advances is checked as often as one long advance. It
+    /// fires the events `Simulator::run_until` would; with the caps disabled
+    /// the check between strides does nothing.
     pub fn run_until(&mut self, until: SimTime) {
         const WATCHDOG_STRIDE: u64 = 4096;
         let sim = &mut self.sim;
-        if harness::job_caps() == (0, 0) {
-            sim.run_until(until);
-            return;
-        }
         while !sim.run_until_budget(
             until,
             WATCHDOG_STRIDE - sim.events_processed() % WATCHDOG_STRIDE,

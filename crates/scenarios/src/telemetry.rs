@@ -11,46 +11,50 @@
 //! `"wall":{...}` object so a checker can strip them with one regular
 //! expression and golden the rest.
 
+use netsim::json::Writer;
 use netsim::shard::WindowTelemetry;
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// Schema tag stamped on the header line.
 pub const TELEMETRY_SCHEMA: &str = "halfback-telemetry-v1";
 
-/// Render the header line: run shape, no per-window data.
+/// Render the header line, newline included: run shape, no per-window data.
 pub fn header_line(experiment: &str, parts: usize, windows: u64) -> String {
-    format!(
-        "{{\"schema\":\"{TELEMETRY_SCHEMA}\",\"kind\":\"run\",\"experiment\":\"{experiment}\",\
-         \"parts\":{parts},\"windows\":{windows}}}"
-    )
+    let mut w = Writer::new();
+    w.obj_line(|w| {
+        w.key("schema").str(TELEMETRY_SCHEMA);
+        w.key("kind").str("run");
+        w.key("experiment").str(experiment);
+        w.key("parts").u64(parts as u64);
+        w.key("windows").u64(windows);
+    });
+    w.finish()
 }
 
-/// Render one record as a JSONL line. Deterministic fields first, wall
-/// fields last under `"wall"` — strip with `s/,"wall":\{[^}]*\}//`.
+/// Render one record as a JSONL line, newline included. Deterministic
+/// fields first, wall fields last under `"wall"` — strip with
+/// `s/,"wall":\{[^}]*\}//`.
 pub fn record_line(t: &WindowTelemetry) -> String {
-    let mut line = String::with_capacity(256);
-    let _ = write!(
-        line,
-        "{{\"kind\":\"window\",\"window\":{},\"part\":{},\"w_end_ns\":{},\
-         \"events\":{},\"deposited\":{},\"injected\":{},\"mailbox_max\":{},\
-         \"wheel_depth\":{},\"arena_live\":{},\"arena_hiwater\":{},\
-         \"wall\":{{\"barrier_ns\":{},\"window_ns\":{}}}}}",
-        t.window,
-        t.part,
-        t.w_end_ns,
-        t.events,
-        t.deposited,
-        t.injected,
-        t.mailbox_max,
-        t.wheel_depth,
-        t.arena_live,
-        t.arena_hiwater,
-        t.wall_barrier_ns,
-        t.wall_window_ns,
-    );
-    line
+    let mut w = Writer::new();
+    w.obj_line(|w| {
+        w.key("kind").str("window");
+        w.key("window").u64(t.window);
+        w.key("part").u64(t.part as u64);
+        w.key("w_end_ns").u64(t.w_end_ns);
+        w.key("events").u64(t.events);
+        w.key("deposited").u64(t.deposited);
+        w.key("injected").u64(t.injected);
+        w.key("mailbox_max").u64(t.mailbox_max);
+        w.key("wheel_depth").u64(t.wheel_depth);
+        w.key("arena_live").u64(t.arena_live);
+        w.key("arena_hiwater").u64(t.arena_hiwater);
+        w.key("wall").obj_line(|w| {
+            w.key("barrier_ns").u64(t.wall_barrier_ns);
+            w.key("window_ns").u64(t.wall_window_ns);
+        });
+    });
+    w.finish()
 }
 
 /// Write the full JSONL file (header + one line per record) to `path`.
@@ -61,12 +65,9 @@ pub fn write_jsonl(
     records: &[WindowTelemetry],
 ) -> io::Result<()> {
     let windows = records.iter().map(|r| r.window + 1).max().unwrap_or(0);
-    let mut out = String::new();
-    out.push_str(&header_line(experiment, parts, windows));
-    out.push('\n');
+    let mut out = header_line(experiment, parts, windows);
     for r in records {
         out.push_str(&record_line(r));
-        out.push('\n');
     }
     std::fs::write(path, out)
 }
@@ -104,7 +105,7 @@ mod tests {
         assert!(stripped.contains("\"part\":1"));
         assert!(!stripped.contains("12345"));
         assert!(!stripped.contains("barrier_ns"));
-        assert!(line.ends_with("\"wall\":{\"barrier_ns\":12345,\"window_ns\":67890}}"));
+        assert!(line.ends_with("\"wall\":{\"barrier_ns\":12345,\"window_ns\":67890}}\n"));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::figures::chaos::flapping;
 use crate::protocols::Protocol;
 use crate::simcheck::{run_case, CaseSpec, FaultKind, FlowSpec, HopSpec, Selection};
 use netsim::engine::TraceEvent;
+use netsim::json::Writer;
 use netsim::{FlowId, SimDuration, SimTime};
 use std::fmt::Write as _;
 use transport::trace::{FlowEvent, FlowEventRecord};
@@ -168,67 +169,91 @@ fn wire_line(t_ns: u64, ev: &TraceEvent) -> String {
             ("corrupt_drop", "node", node.0, packet.0, size)
         }
     };
-    format!(
-        "{{\"t_ns\":{t_ns},\"src\":\"net\",\"event\":\"{name}\",\"{id_key}\":{id},\"packet\":{packet},\"size\":{size}}}"
-    )
+    let mut w = Writer::new();
+    w.obj_line(|w| {
+        w.key("t_ns").u64(t_ns);
+        w.key("src").str("net");
+        w.key("event").str(name);
+        w.key(id_key).u64(id.into());
+        w.key("packet").u64(packet);
+        w.key("size").u64(size.into());
+    });
+    w.finish()
 }
 
 fn flow_line(src: &str, rec: &FlowEventRecord) -> String {
-    let t_ns = rec.at.as_nanos();
-    let flow = rec.flow.0;
-    let head = format!("{{\"t_ns\":{t_ns},\"src\":\"{src}\",\"flow\":{flow}");
-    match rec.event {
-        FlowEvent::SynSent { attempt } => {
-            format!("{head},\"event\":\"syn_sent\",\"attempt\":{attempt}}}")
+    let n = u64::from;
+    let mut w = Writer::new();
+    w.obj_line(|w| {
+        w.key("t_ns").u64(rec.at.as_nanos());
+        w.key("src").str(src);
+        w.key("flow").u64(rec.flow.0);
+        match rec.event {
+            FlowEvent::SynSent { attempt } => event(w, "syn_sent", &[("attempt", n(attempt))]),
+            FlowEvent::Established { window } => event(w, "established", &[("window", n(window))]),
+            FlowEvent::SegmentSent {
+                seg,
+                class,
+                wire_bytes: b,
+            } => {
+                event(w, "segment_sent", &[("seg", n(seg))]);
+                w.key("class").str(class_str(class));
+                w.key("wire_bytes").u64(n(b));
+            }
+            FlowEvent::AckReceived {
+                cum,
+                newly_acked_bytes: b,
+            } => event(
+                w,
+                "ack_received",
+                &[("cum", n(cum)), ("newly_acked_bytes", b)],
+            ),
+            FlowEvent::CwndUpdate { cwnd, ssthresh: t } => {
+                event(w, "cwnd_update", &[("cwnd", cwnd), ("ssthresh", t)])
+            }
+            FlowEvent::RtoFired { backoff_level: l } => {
+                event(w, "rto_fired", &[("backoff_level", n(l))])
+            }
+            FlowEvent::PacingStarted { interval_ns: i } => {
+                event(w, "pacing_started", &[("interval_ns", i)])
+            }
+            FlowEvent::PacingStopped => event(w, "pacing_stopped", &[]),
+            FlowEvent::RoprMeet {
+                cursor,
+                cum_ack,
+                batch_segs: b,
+            } => {
+                let counts = [
+                    ("cursor", n(cursor)),
+                    ("cum_ack", n(cum_ack)),
+                    ("batch_segs", n(b)),
+                ];
+                event(w, "ropr_meet", &counts)
+            }
+            FlowEvent::Delivered {
+                seg,
+                cum,
+                delivered_bytes: b,
+                ..
+            } => {
+                let counts = [("seg", n(seg)), ("cum", n(cum)), ("delivered_bytes", b)];
+                event(w, "delivered", &counts)
+            }
+            FlowEvent::Completed { fct_ns } => event(w, "completed", &[("fct_ns", fct_ns)]),
+            FlowEvent::Aborted { reason } => {
+                event(w, "aborted", &[]);
+                w.key("reason").str(reason);
+            }
         }
-        FlowEvent::Established { window } => {
-            format!("{head},\"event\":\"established\",\"window\":{window}}}")
-        }
-        FlowEvent::SegmentSent {
-            seg,
-            class,
-            wire_bytes,
-        } => format!(
-            "{head},\"event\":\"segment_sent\",\"seg\":{seg},\"class\":\"{}\",\"wire_bytes\":{wire_bytes}}}",
-            class_str(class)
-        ),
-        FlowEvent::AckReceived {
-            cum,
-            newly_acked_bytes,
-        } => format!(
-            "{head},\"event\":\"ack_received\",\"cum\":{cum},\"newly_acked_bytes\":{newly_acked_bytes}}}"
-        ),
-        FlowEvent::CwndUpdate { cwnd, ssthresh } => {
-            format!("{head},\"event\":\"cwnd_update\",\"cwnd\":{cwnd},\"ssthresh\":{ssthresh}}}")
-        }
-        FlowEvent::RtoFired { backoff_level } => {
-            format!("{head},\"event\":\"rto_fired\",\"backoff_level\":{backoff_level}}}")
-        }
-        FlowEvent::PacingStarted { interval_ns } => {
-            format!("{head},\"event\":\"pacing_started\",\"interval_ns\":{interval_ns}}}")
-        }
-        FlowEvent::PacingStopped => format!("{head},\"event\":\"pacing_stopped\"}}"),
-        FlowEvent::RoprMeet {
-            cursor,
-            cum_ack,
-            batch_segs,
-        } => format!(
-            "{head},\"event\":\"ropr_meet\",\"cursor\":{cursor},\"cum_ack\":{cum_ack},\"batch_segs\":{batch_segs}}}"
-        ),
-        FlowEvent::Delivered {
-            seg,
-            cum,
-            delivered_bytes,
-            ..
-        } => format!(
-            "{head},\"event\":\"delivered\",\"seg\":{seg},\"cum\":{cum},\"delivered_bytes\":{delivered_bytes}}}"
-        ),
-        FlowEvent::Completed { fct_ns } => {
-            format!("{head},\"event\":\"completed\",\"fct_ns\":{fct_ns}}}")
-        }
-        FlowEvent::Aborted { reason } => {
-            format!("{head},\"event\":\"aborted\",\"reason\":\"{reason}\"}}")
-        }
+    });
+    w.finish()
+}
+
+/// The `"event"` member of a trace line and the counts that follow it.
+fn event(w: &mut Writer, name: &str, counts: &[(&str, u64)]) {
+    w.key("event").str(name);
+    for &(key, n) in counts {
+        w.key(key).u64(n);
     }
 }
 
@@ -265,7 +290,6 @@ impl Streams {
         let mut jsonl = String::new();
         for (_, _, l) in &lines {
             jsonl.push_str(l);
-            jsonl.push('\n');
         }
         (jsonl, events)
     }
@@ -297,22 +321,24 @@ pub fn run_trace(spec: &TraceSpec) -> Result<TraceOutput, TraceError> {
     let (snd, rcv) = (&streams.snd, &streams.rcv);
     let traced = FlowId(spec.flow);
     let meet = meet_point(snd, traced);
-    match meet {
-        Some(m) => {
-            let _ = writeln!(
-                jsonl,
-                "{{\"src\":\"run\",\"event\":\"meet_point\",\"flow\":{},\"cursor\":{},\"cum_ack\":{},\"batch_segs\":{},\"fraction\":{:.4}}}",
-                traced.0, m.cursor, m.cum_ack, m.batch_segs, m.fraction
-            );
+    let mut w = Writer::new();
+    w.obj_line(|w| {
+        w.key("src").str("run");
+        w.key("event").str("meet_point");
+        w.key("flow").u64(traced.0);
+        match &meet {
+            Some(m) => {
+                w.key("cursor").u64(m.cursor.into());
+                w.key("cum_ack").u64(m.cum_ack.into());
+                w.key("batch_segs").u64(m.batch_segs.into());
+                w.key("fraction").fixed(m.fraction, 4);
+            }
+            None => {
+                w.key("found").bool(false);
+            }
         }
-        None => {
-            let _ = writeln!(
-                jsonl,
-                "{{\"src\":\"run\",\"event\":\"meet_point\",\"flow\":{},\"found\":false}}",
-                traced.0
-            );
-        }
-    }
+    });
+    jsonl.push_str(&w.finish());
 
     // Time–sequence view of the traced flow, tcptrace-style: transmissions
     // by class, the ACK line, and receiver-side arrivals.

@@ -38,6 +38,7 @@
 
 use crate::protocols::Protocol;
 use crate::simcheck::{CaseReport, CaseSpec, Rig, Selection, Topology};
+use netsim::json::Writer;
 use netsim::rng::SimRng;
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::snap_struct;
@@ -53,10 +54,11 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
-/// Version 10: the engine snapshot underneath is version 6 (no silent
-/// flag per link, no end-of-transmission entry that decides a packet's
-/// fate); version 9 carried version 5, version 8 version 4.
-const WEATHER_VERSION: u32 = 10;
+/// Version 11: a Reactive sender no longer saves its probe limit, a
+/// constant. Version 10: the engine snapshot underneath is version 6 (no
+/// silent flag per link, no end-of-transmission entry that decides a
+/// packet's fate); version 9 carried version 5, version 8 version 4.
+const WEATHER_VERSION: u32 = 11;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 
@@ -609,41 +611,32 @@ pub fn run_weather(
 /// sits on its own line so determinism checkers can strip it with
 /// `grep -v '"machine"'`.
 pub fn summary_json(cfg: &WeatherConfig, out: &WeatherOutcome) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"halfback-weather-v1\",\n");
-    s.push_str(&format!("  \"scheme\": \"{}\",\n", cfg.protocol.name()));
-    s.push_str(&format!("  \"utilization\": {},\n", cfg.utilization));
-    s.push_str(&format!("  \"amplitude\": {},\n", cfg.amplitude));
-    s.push_str(&format!(
-        "  \"sim_hours\": {:.4},\n",
-        cfg.duration.as_secs_f64() / 3600.0
-    ));
-    s.push_str(&format!("  \"windows\": {},\n", out.windows));
-    s.push_str(&format!("  \"checkpoints\": {},\n", out.checkpoints));
-    s.push_str(&format!("  \"flows_started\": {},\n", out.started));
-    s.push_str(&format!("  \"flows_completed\": {},\n", out.completed));
-    s.push_str(&format!("  \"flows_aborted\": {},\n", out.aborted));
-    s.push_str(&format!("  \"flows_censored\": {},\n", out.censored));
-    s.push_str(&format!("  \"receivers_reaped\": {},\n", out.reaped));
-    s.push_str(&format!(
-        "  \"flows_per_hour\": {:.1},\n",
-        out.flows_per_hour
-    ));
-    s.push_str(&format!("  \"fct_ms_mean\": {:.3},\n", out.fct_ms.0));
-    s.push_str(&format!("  \"fct_ms_p50\": {:.3},\n", out.fct_ms.1));
-    s.push_str(&format!("  \"fct_ms_p99\": {:.3},\n", out.fct_ms.2));
-    s.push_str(&format!(
-        "  \"sketch_mem_bytes\": {},\n",
-        out.sketch_mem_bytes
-    ));
-    // Machine-varying; single line, strippable.
-    s.push_str(&format!(
-        "  \"machine\": {{ \"peak_rss_mb\": {} }}\n",
-        peak_rss_mb().unwrap_or(0.0) as u64
-    ));
-    s.push_str("}\n");
-    s
+    let mut w = Writer::new();
+    w.obj(|w| {
+        w.key("schema").str("halfback-weather-v1");
+        w.key("scheme").str(cfg.protocol.name());
+        w.key("utilization").num(cfg.utilization);
+        w.key("amplitude").num(cfg.amplitude);
+        w.key("sim_hours")
+            .fixed(cfg.duration.as_secs_f64() / 3600.0, 4);
+        w.key("windows").u64(out.windows);
+        w.key("checkpoints").u64(out.checkpoints);
+        w.key("flows_started").u64(out.started);
+        w.key("flows_completed").u64(out.completed);
+        w.key("flows_aborted").u64(out.aborted);
+        w.key("flows_censored").u64(out.censored);
+        w.key("receivers_reaped").u64(out.reaped);
+        w.key("flows_per_hour").fixed(out.flows_per_hour, 1);
+        w.key("fct_ms_mean").fixed(out.fct_ms.0, 3);
+        w.key("fct_ms_p50").fixed(out.fct_ms.1, 3);
+        w.key("fct_ms_p99").fixed(out.fct_ms.2, 3);
+        w.key("sketch_mem_bytes").u64(out.sketch_mem_bytes as u64);
+        w.key("machine").obj_line(|w| {
+            w.key("peak_rss_mb")
+                .u64(peak_rss_mb().unwrap_or(0.0) as u64);
+        });
+    });
+    w.finish()
 }
 
 /// Peak resident set size of this process so far, in MiB (the kernel's

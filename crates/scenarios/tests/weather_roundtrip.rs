@@ -407,6 +407,10 @@ version_refusals! {
     // fate, so a version-10 reader would take a link's silent flag for the
     // end of its transmission and refuse the tag.
     v9_checkpoint_is_refused_with_the_version_error: 9,
+    // Version 10 saved every Reactive sender's probe limit after its probe
+    // count; a version-11 reader would take the limit for the first field
+    // of the next host's state.
+    v10_checkpoint_is_refused_with_the_version_error: 10,
 }
 
 #[test]

@@ -25,6 +25,11 @@
 #      ru_maxrss of a python launcher's child, which measured the
 #      launcher: the kernel carries the parent's high-water mark across a
 #      vfork'ed exec, and /bin/true read 13.7 MiB that way.)
+#      The final weather.ckpt stays under a size ceiling too: 7,240,980 B
+#      while the checkpoint re-expanded every finished receiver into a
+#      full receiver, ~2.96 MB since it saves the 48-byte records the
+#      hosts hold. 4,000,000 B is ~1.35x the latter, so re-expanded
+#      receivers coming back trips it.
 #   3. Kill/restore byte-identity — a second run killed at its first
 #      checkpoint and resumed must reproduce windows.csv, weather.json
 #      (minus the machine line), and the final checkpoint byte-for-byte.
@@ -41,6 +46,7 @@ trap 'rm -rf "$dir"' EXIT
 cargo build --release --bin repro
 run="${CARGO_TARGET_DIR:-target}/release/repro weather --minutes 10 --checkpoint-every 3"
 ceiling_mb=14
+ckpt_ceiling=4000000
 
 # --- 1. Uninterrupted reference run -----------------------------------
 $run --out "$dir/a" >&2
@@ -96,6 +102,11 @@ if [ "$peak_mb" -gt "$ceiling_mb" ]; then
     echo "FAIL: weather run peaked at ${peak_mb} MiB RSS (ceiling: ${ceiling_mb} MiB)" >&2
     exit 1
 fi
+ckpt_bytes=$(wc -c < "$dir/a/weather.ckpt")
+if [ "$ckpt_bytes" -gt "$ckpt_ceiling" ]; then
+    echo "FAIL: final weather.ckpt is ${ckpt_bytes} B (ceiling: ${ckpt_ceiling} B)" >&2
+    exit 1
+fi
 reaped=$(field "$dir/a/weather.json" receivers_reaped)
 if [ "$reaped" -le 0 ]; then
     echo "FAIL: no receivers reaped in 10 simulated minutes" >&2
@@ -138,4 +149,4 @@ if ! grep -q 'checksum' "$dir/c.log" || grep -qE 'panicked|memory allocation' "$
     exit 1
 fi
 
-echo "OK: $started flows ($fph/simulated-hour, peak RSS ${peak_mb} MiB), kill+resume byte-identical, damaged checkpoint refused"
+echo "OK: $started flows ($fph/simulated-hour, peak RSS ${peak_mb} MiB, checkpoint ${ckpt_bytes} B), kill+resume byte-identical, damaged checkpoint refused"

@@ -386,112 +386,6 @@ impl WindowedSketch {
     }
 }
 
-/// Bins event counts into fixed-width time buckets — used for the Fig. 15
-/// throughput-over-time traces (the paper samples every 60 ms).
-#[derive(Debug, Clone)]
-pub struct TimeBinned {
-    bin_width_ns: u64,
-    bins: Vec<f64>,
-    /// Instant the series was closed (e.g. flow completion). When set, rate
-    /// conversions scale the final bin by the time actually covered instead
-    /// of silently under-reporting the partial bin.
-    end_ns: Option<u64>,
-}
-
-impl TimeBinned {
-    /// Create with the given bin width in nanoseconds.
-    pub fn new(bin_width_ns: u64) -> Self {
-        assert!(bin_width_ns > 0);
-        TimeBinned {
-            bin_width_ns,
-            bins: Vec::new(),
-            end_ns: None,
-        }
-    }
-
-    /// Add `amount` at time `t_ns`.
-    pub fn add(&mut self, t_ns: u64, amount: f64) {
-        let idx = (t_ns / self.bin_width_ns) as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0.0);
-        }
-        self.bins[idx] += amount;
-    }
-
-    /// Mark the series as ending at `t_ns` (the flow-completion instant).
-    /// The final partial bin then converts to a rate over its real width.
-    /// Later `add`s past the mark reopen the series.
-    pub fn close_at(&mut self, t_ns: u64) {
-        self.end_ns = Some(t_ns);
-    }
-
-    /// The close instant, if [`TimeBinned::close_at`] was called.
-    pub fn end_ns(&self) -> Option<u64> {
-        self.end_ns
-    }
-
-    /// Bin width in nanoseconds.
-    pub fn bin_width_ns(&self) -> u64 {
-        self.bin_width_ns
-    }
-
-    /// Add another series' bins element-wise. Bin widths must match; the
-    /// later of the two close marks survives.
-    pub fn merge(&mut self, other: &TimeBinned) {
-        assert_eq!(
-            self.bin_width_ns, other.bin_width_ns,
-            "merging TimeBinned series with different bin widths"
-        );
-        if other.bins.len() > self.bins.len() {
-            self.bins.resize(other.bins.len(), 0.0);
-        }
-        for (i, v) in other.bins.iter().enumerate() {
-            self.bins[i] += v;
-        }
-        self.end_ns = match (self.end_ns, other.end_ns) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// `(bin_start_seconds, sum)` series.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 * self.bin_width_ns as f64 / 1e9, v))
-            .collect()
-    }
-
-    /// Convert byte counts per bin into a Mbit/s series. If the series was
-    /// closed with [`TimeBinned::close_at`], the final bin is averaged over
-    /// the time it actually covers (completion mid-bin must not dilute the
-    /// rate over the full bin width).
-    pub fn as_mbps(&self) -> Vec<(f64, f64)> {
-        let full_secs = self.bin_width_ns as f64 / 1e9;
-        let last = self.bins.len().saturating_sub(1);
-        let last_secs = match self.end_ns {
-            Some(end) if (end / self.bin_width_ns) as usize == last => {
-                let into_bin = end - last as u64 * self.bin_width_ns;
-                if into_bin == 0 {
-                    full_secs
-                } else {
-                    into_bin as f64 / 1e9
-                }
-            }
-            _ => full_secs,
-        };
-        self.series()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (t, bytes))| {
-                let secs = if i == last { last_secs } else { full_secs };
-                (t, bytes * 8.0 / 1e6 / secs)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,36 +619,5 @@ mod tests {
         assert_eq!(w.trimmed(), 2);
         assert_eq!(w.windows()[2].count(), 1);
         assert_eq!(w.aggregate().count(), 5);
-    }
-
-    #[test]
-    fn time_binned_throughput() {
-        let mut tb = TimeBinned::new(60_000_000); // 60 ms bins
-        tb.add(0, 7500.0); // 7.5 KB in first bin
-        tb.add(59_999_999, 7500.0);
-        tb.add(60_000_000, 1500.0);
-        let mbps = tb.as_mbps();
-        // 15 KB in 60 ms = 2 Mbit/s.
-        assert!((mbps[0].1 - 2.0).abs() < 1e-9, "{:?}", mbps);
-        assert!((mbps[1].1 - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_binned_close_scales_final_partial_bin() {
-        let mut tb = TimeBinned::new(60_000_000);
-        tb.add(0, 7500.0);
-        tb.add(60_000_000, 1500.0);
-        // The flow completes 15 ms into the second bin: 1.5 KB over 15 ms
-        // is 0.8 Mbit/s, not the 0.2 Mbit/s a full-width average reports.
-        tb.close_at(75_000_000);
-        let mbps = tb.as_mbps();
-        assert!((mbps[0].1 - 1.0).abs() < 1e-9, "{:?}", mbps);
-        assert!((mbps[1].1 - 0.8).abs() < 1e-9, "{:?}", mbps);
-        // Closing exactly on a later bin boundary leaves earlier bins full
-        // width, and a close in a bin that got no samples changes nothing.
-        let mut tb2 = TimeBinned::new(60_000_000);
-        tb2.add(0, 7500.0);
-        tb2.close_at(60_000_000);
-        assert!((tb2.as_mbps()[0].1 - 1.0).abs() < 1e-9);
     }
 }

@@ -1,5 +1,7 @@
 //! Fig. 15: throughput of an ongoing background TCP flow when a short flow
-//! starts (§4.3.4), sampled in 60 ms bins at the receivers.
+//! starts (§4.3.4), sampled in 60 ms bins at the receivers: each
+//! receiver's flight recorder logs every arrival, and the bytes each one
+//! newly delivered are summed per bin.
 //!
 //! Four panels: (a) an analytic optimal reference, (b) a Halfback short
 //! flow, (c) one TCP short flow, (d) two TCP short flows of half size.
@@ -10,8 +12,8 @@ use crate::runner::round_robin;
 use crate::simcheck::{CaseSpec, Rig, Selection, Topology};
 use crate::{Protocol, Scale};
 use netsim::topology::DumbbellSpec;
-use netsim::{FlowId, SimDuration, SimTime};
-use transport::Host;
+use netsim::{FlowId, NodeId, SimDuration, SimTime};
+use transport::{FlowEvent, Host};
 
 /// Sampling bin (paper: every 60 ms).
 pub const BIN_NS: u64 = 60_000_000;
@@ -31,9 +33,9 @@ pub fn panel(shorts: &[(u64, Protocol)], scale: Scale) -> Panel {
 /// [`panel`] plus per-short-flow transmission notes (packets sent, normal
 /// and proactive retransmissions) from the metrics the senders accumulate.
 pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec<String>) {
-    let horizon = scale.pick(7u64, 7u64); // 3 s lead-in + 4 s observed
-                                          // The background TCP flow is flow 1 on pair 0; short flow i is flow
-                                          // 2 + i on pair 1 + i.
+    // 3 s lead-in + 4 s observed. The background TCP flow is flow 1 on
+    // pair 0; short flow i is flow 2 + i on pair 1 + i.
+    let horizon = scale.pick(7u64, 7u64);
     let background = (SimTime::ZERO, 2_000_000_000, Protocol::Tcp);
     let at = SimTime::ZERO + SimDuration::from_secs(SHORT_AT_S);
     let shorts_at = shorts.iter().map(|&(bytes, p)| (at, bytes, p));
@@ -43,11 +45,13 @@ pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec
     );
     let topology = Topology::Dumbbell(DumbbellSpec::emulab(1 + shorts.len()));
     let observed = SimDuration::from_secs(horizon - SHORT_AT_S);
-    let case = CaseSpec {
-        delivery_bin_ns: Some(BIN_NS),
-        ..CaseSpec::new(73, topology, flows, observed)
-    };
+    let case = CaseSpec::new(73, topology, flows, observed);
     let mut rig = Rig::new(&case, &Selection::full(&case), false);
+    let receivers: Vec<NodeId> = rig.pairs().iter().map(|&(_, h)| h).collect();
+    for h in receivers {
+        rig.sim
+            .with_node_mut::<Host, _>(h, |host, _| host.enable_recorder());
+    }
     rig.play();
     let report = rig.finish().judged();
     let bg_flow = FlowId(1);
@@ -72,14 +76,27 @@ pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec
             .filter(|&(t, _)| (-600.0..=3000.0).contains(&t))
             .collect()
     };
-    // Receiver hosts hold the delivery timelines.
+    // Receiver hosts hold the arrival logs.
     for (flow, label) in
         std::iter::once((bg_flow, "Background Flow".to_string())).chain(short_flows.iter().cloned())
     {
         for &(_, h) in rig.pairs() {
             let host = rig.sim.node_as::<Host>(h).unwrap();
-            if let Some(tb) = host.timelines.as_ref().and_then(|tl| tl.get(flow)) {
-                out.push((label.clone(), window(tb.as_mbps())));
+            let log = host.recorder().expect("receivers record");
+            assert_eq!(log.evicted(), 0, "a receiver's flight recorder overflowed");
+            let arrivals = log
+                .events()
+                .filter(|r| r.flow == flow)
+                .filter_map(|r| match r.event {
+                    FlowEvent::Delivered {
+                        delivered_bytes, ..
+                    } => Some((r.at.as_nanos(), delivered_bytes)),
+                    _ => None,
+                });
+            let end_ns = host.receiver(flow).and_then(|v| v.complete_at);
+            let pts = delivery_mbps(arrivals, end_ns.map(SimTime::as_nanos));
+            if !pts.is_empty() {
+                out.push((label.clone(), window(pts)));
                 break;
             }
         }
@@ -100,6 +117,48 @@ pub fn panel_with_notes(shorts: &[(u64, Protocol)], scale: Scale) -> (Panel, Vec
         }
     }
     (out, notes)
+}
+
+/// A flow's throughput as `(bin start s, Mbit/s)` per [`BIN_NS`] bin, from
+/// its arrivals as `(t_ns, bytes delivered so far)` in arrival order. A bin
+/// sums the bytes each arrival newly delivered; an arrival that delivered
+/// nothing new adds nothing, not even an empty bin. For a flow complete at
+/// `end_ns` (the arrival of its last byte) the last bin is averaged over the
+/// time it covers, so a completion mid-bin does not dilute the rate over
+/// the full bin width.
+fn delivery_mbps(
+    arrivals: impl IntoIterator<Item = (u64, u64)>,
+    end_ns: Option<u64>,
+) -> Vec<(f64, f64)> {
+    let mut bins: Vec<f64> = Vec::new();
+    let mut delivered = 0;
+    for (t_ns, now_delivered) in arrivals {
+        let gained = now_delivered - delivered;
+        if gained == 0 {
+            continue;
+        }
+        delivered = now_delivered;
+        let idx = (t_ns / BIN_NS) as usize;
+        if idx >= bins.len() {
+            bins.resize(idx + 1, 0.0);
+        }
+        bins[idx] += gained as f64;
+    }
+    let full_secs = BIN_NS as f64 / 1e9;
+    let last = bins.len().saturating_sub(1);
+    let last_secs = match end_ns {
+        Some(end) if (end / BIN_NS) as usize == last && end % BIN_NS != 0 => {
+            (end % BIN_NS) as f64 / 1e9
+        }
+        _ => full_secs,
+    };
+    bins.iter()
+        .enumerate()
+        .map(|(i, &bytes)| {
+            let secs = if i == last { last_secs } else { full_secs };
+            (i as f64 * BIN_NS as f64 / 1e9, bytes * 8.0 / 1e6 / secs)
+        })
+        .collect()
 }
 
 /// The analytic optimal panel (a): the short flow is served at line rate
@@ -225,6 +284,40 @@ mod tests {
             (short_bytes - 100_000.0).abs() < 1.0,
             "short moved {short_bytes} bytes"
         );
+    }
+
+    #[test]
+    fn delivery_bins_sum_byte_increments() {
+        // 7.5 KB at 0, 7.5 KB more at the end of the first 60 ms bin, then
+        // a duplicate and 1.5 KB in the second.
+        let arrivals = [
+            (0, 7_500),
+            (59_999_999, 15_000),
+            (60_000_000, 15_000),
+            (60_000_000, 16_500),
+        ];
+        let mbps = delivery_mbps(arrivals, None);
+        // 15 KB in 60 ms = 2 Mbit/s.
+        assert_eq!(mbps.len(), 2, "{mbps:?}");
+        assert!((mbps[0].1 - 2.0).abs() < 1e-9, "{mbps:?}");
+        assert!((mbps[1].1 - 0.2).abs() < 1e-9);
+        // A duplicate arrival in a later bin opens no bin.
+        let late_dup = delivery_mbps([(0, 7_500), (130_000_000, 7_500)], None);
+        assert_eq!(late_dup.len(), 1, "{late_dup:?}");
+    }
+
+    #[test]
+    fn completion_scales_final_partial_bin() {
+        // The flow completes 15 ms into the second bin: 1.5 KB over 15 ms
+        // is 0.8 Mbit/s, not the 0.2 Mbit/s a full-width average reports.
+        let mbps = delivery_mbps([(0, 7_500), (60_000_000, 9_000)], Some(75_000_000));
+        assert!((mbps[0].1 - 1.0).abs() < 1e-9, "{mbps:?}");
+        assert!((mbps[1].1 - 0.8).abs() < 1e-9, "{mbps:?}");
+        // Completing exactly on a later bin boundary leaves earlier bins
+        // full width, and a completion in a bin without arrivals changes
+        // nothing.
+        let on_edge = delivery_mbps([(0, 7_500)], Some(60_000_000));
+        assert!((on_edge[0].1 - 1.0).abs() < 1e-9, "{on_edge:?}");
     }
 
     #[test]

@@ -154,8 +154,6 @@ pub struct CaseSpec {
     pub horizon: SimDuration,
     /// Minimum-RTO override on every host (sensitivity studies).
     pub min_rto: Option<SimDuration>,
-    /// Record receiver delivery timelines with this bin width (Fig. 15).
-    pub delivery_bin_ns: Option<u64>,
 }
 
 impl CaseSpec {
@@ -177,7 +175,6 @@ impl CaseSpec {
             flows,
             horizon,
             min_rto: None,
-            delivery_bin_ns: None,
         }
     }
 

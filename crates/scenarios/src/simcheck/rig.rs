@@ -17,7 +17,6 @@ use netsim::topology::{build_dumbbell, build_parking_lot, build_path, ParkingLot
 use netsim::{FaultSpec, FlowId, LinkId, Node, NodeId, Rate, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
-use transport::trace::DeliveryTimelines;
 use transport::{FlowRecord, Header, Host, TransportSim};
 
 /// Reverse (ACK-path) links get at least this much buffer so pure-ACK
@@ -299,7 +298,6 @@ impl Rig {
         let host = || -> Box<dyn Node<Header>> {
             let mut h = Host::new();
             h.min_rto = spec.min_rto;
-            h.timelines = spec.delivery_bin_ns.map(DeliveryTimelines::new);
             if record {
                 h.enable_recorder();
             }

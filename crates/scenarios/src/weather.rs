@@ -54,11 +54,14 @@ use workload::{interarrival_for_utilization, DiurnalPoisson};
 const WEATHER_MAGIC: u32 = 0x4842_5752;
 /// Bump on ANY layout change to the weather checkpoint (the engine and
 /// host codecs carry their own versions/magics underneath this one).
+/// Version 12: a host saves its finished receivers as the 48-byte records
+/// it holds, after its open ones, instead of re-expanding each into a full
+/// receiver; the driver no longer saves the empty window accumulator.
 /// Version 11: a Reactive sender no longer saves its probe limit, a
 /// constant. Version 10: the engine snapshot underneath is version 6 (no
 /// silent flag per link, no end-of-transmission entry that decides a
 /// packet's fate); version 9 carried version 5, version 8 version 4.
-const WEATHER_VERSION: u32 = 11;
+const WEATHER_VERSION: u32 = 12;
 /// Section magic guarding the driver-state section.
 const SEC_DRIVER: u32 = 0x4842_0104;
 
@@ -178,8 +181,9 @@ impl WeatherConfig {
 
 /// Accumulators for the window currently being filled. Reset at every
 /// window close (after its CSV row is written), so at checkpoint instants
-/// — which are always window boundaries — this is freshly empty; it is
-/// serialized anyway so the codec stays valid if that invariant shifts.
+/// — which are always window boundaries — this is freshly empty and is
+/// not saved: a resumed run starts it empty again.
+#[derive(Default)]
 struct CurWindow {
     fct: LogHistogram,
     started: u64,
@@ -188,28 +192,6 @@ struct CurWindow {
     retx: u64,
     reaped: u64,
 }
-
-impl CurWindow {
-    fn new() -> Self {
-        CurWindow {
-            fct: LogHistogram::new(),
-            started: 0,
-            completed: 0,
-            aborted: 0,
-            retx: 0,
-            reaped: 0,
-        }
-    }
-}
-
-snap_struct!(CurWindow {
-    fct,
-    started,
-    completed,
-    aborted,
-    retx,
-    reaped
-});
 
 /// The driver's own dynamic state — everything the loop mutates that is
 /// not inside the engine, the hosts, or the path cache.
@@ -243,8 +225,8 @@ snap_struct!(WeatherState {
     window_idx,
     checkpoints,
     csv_bytes,
-    fct,
-    cur,
+    fct;
+    cur
 });
 
 impl WeatherState {
@@ -272,7 +254,7 @@ impl WeatherState {
             checkpoints: 0,
             csv_bytes: 0,
             fct: WindowedSketch::new(cfg.window.as_nanos(), cfg.warmup.as_nanos()),
-            cur: CurWindow::new(),
+            cur: CurWindow::default(),
         }
     }
 
@@ -549,7 +531,7 @@ pub fn run_weather(
         let row = csv_row(&st.cur, st.window_idx, wend, active, live_recv);
         csv.write_all(row.as_bytes())?;
         st.csv_bytes += row.len() as u64;
-        st.cur = CurWindow::new();
+        st.cur = CurWindow::default();
         st.window_idx += 1;
 
         if st.window_idx % cfg.checkpoint_every == 0 && st.window_idx < total_windows {

@@ -14,6 +14,8 @@
 //!       --out crates/scenarios/tests/golden/chaos
 //!   cargo run --release --bin repro -- planetlab100k --scale quick \
 //!       --out crates/scenarios/tests/golden/planetlab100k
+//!   cargo run --release --bin repro -- fig15 --scale quick --jobs 1 \
+//!       --out crates/scenarios/tests/golden/fig15
 //! and delete the `manifest.json` each writes: the fixtures are exactly
 //! the CSV/summary/gnuplot set the test renders.
 
@@ -94,6 +96,13 @@ fn chaos_quick_is_byte_identical_to_golden() {
 #[test]
 fn planetlab100k_quick_is_byte_identical_to_golden() {
     assert_matches_golden("planetlab100k");
+}
+
+/// The only fixture that pins Fig. 15's throughput traces: the four panels'
+/// 60 ms bins, binned from the receivers' flight recorders.
+#[test]
+fn fig15_quick_is_byte_identical_to_golden() {
+    assert_matches_golden("fig15");
 }
 
 /// The flight-recorder export of the default trace spec (Halfback, fig6

@@ -411,6 +411,11 @@ version_refusals! {
     // count; a version-11 reader would take the limit for the first field
     // of the next host's state.
     v10_checkpoint_is_refused_with_the_version_error: 10,
+    // Version 11 saved a host's open and finished receivers as one map of
+    // full receivers, each behind its flow id; a version-12 reader would
+    // count the finished ones as open and take each receiver's own flow id
+    // for its peer.
+    v11_checkpoint_is_refused_with_the_version_error: 11,
 }
 
 #[test]

@@ -11,7 +11,7 @@ use crate::fasthash::FastMap;
 use crate::receiver::{Finished, ReceiverConn, ReceiverView};
 use crate::sender::{FlowRecord, SenderConn, TimerKind};
 use crate::strategy::Strategy;
-use crate::trace::{DeliveryTimelines, FlightRecorder, FlowEvent};
+use crate::trace::{FlightRecorder, FlowEvent};
 use crate::wire::Header;
 use netsim::engine::EngineCore;
 use netsim::node::{Node, TimerId};
@@ -184,9 +184,6 @@ impl<T> ConnTable<T> {
 struct Receivers {
     open: ConnTable<ReceiverConn>,
     finished: Vec<Finished>,
-    /// The node the finished receivers answer from, which their records
-    /// leave out: the first one to finish sets it.
-    node: Option<NodeId>,
 }
 
 impl Receivers {
@@ -216,10 +213,13 @@ impl Receivers {
     /// Move `flow`'s open receiver to the finished list if it completed
     /// (only damaged state stays behind).
     fn settle(&mut self, flow: FlowId) {
-        let Some(conn) = self.open.get(flow).filter(|c| c.finishes_exactly()) else {
+        if !self
+            .open
+            .get(flow)
+            .is_some_and(ReceiverConn::finishes_exactly)
+        {
             return;
-        };
-        self.node = Some(conn.local());
+        }
         let conn = self.open.remove(flow).expect("looked up");
         // Flows complete nearly in id order: mostly this one sorts last.
         if self.finished.last().is_none_or(|f| f.flow() < flow) {
@@ -229,53 +229,34 @@ impl Receivers {
             self.finished.insert(at, conn.finish());
         }
     }
-
-    /// The finished list's records as the complete receivers they stand
-    /// for, which is what a checkpoint holds.
-    fn reopened(&self) -> impl Iterator<Item = (FlowId, ReceiverConn)> + '_ {
-        self.finished.iter().map(|f| {
-            let node = self.node.expect("a finished receiver set the node");
-            (f.flow(), f.to_conn(node))
-        })
-    }
 }
 
-/// Travels as one flow-keyed map, open and finished receivers merged in
-/// flow order, each as a [`ReceiverConn`]. Load sends a receiver to the
-/// finished list only when finishing it loses nothing, so a load re-saves
-/// the bytes it read.
+/// Travels as held: the open receivers by ascending flow, then the finished
+/// list. Load refuses a finished list out of flow order, which the binary
+/// search over it could not read.
 impl Snap for Receivers {
     fn save(&self, w: &mut SnapWriter) {
-        w.seq_len(self.len());
-        let mut finished = self.reopened().peekable();
-        for (flow, conn) in self.open.sorted() {
-            while let Some((f, done)) = finished.next_if(|e| e.0 < flow) {
-                w.put(&f);
-                w.put(&done);
-            }
-            w.put(&flow);
+        let open = self.open.sorted();
+        w.seq_len(open.len());
+        for (_, conn) in open {
             w.put(conn);
         }
-        for (f, done) in finished {
-            w.put(&f);
-            w.put(&done);
-        }
+        w.put(&self.finished);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut table = Receivers::default();
-        for _ in 0..r.seq_len()? {
-            let (flow, conn): (FlowId, ReceiverConn) = (r.get()?, r.get()?);
-            // Saved in flow order, so each record goes on the end.
-            let fits = conn.flow() == flow
-                && conn.finishes_exactly()
-                && table.node.is_none_or(|n| n == conn.local())
-                && table.finished.last().is_none_or(|f| f.flow() < flow);
-            if fits {
-                table.node = Some(conn.local());
-                table.finished.push(conn.finish());
-            } else {
-                table.open.get_or_insert_with(flow, || conn);
-            }
+        let open: Vec<ReceiverConn> = r.get()?;
+        let finished: Vec<Finished> = r.get()?;
+        if !finished.is_sorted_by(|a, b| a.flow() < b.flow()) {
+            return Err(SnapError::Unsupported(
+                "finished receivers are not in ascending flow order".into(),
+            ));
+        }
+        let mut table = Receivers {
+            finished,
+            ..Receivers::default()
+        };
+        for conn in open {
+            table.open.get_or_insert_with(conn.flow(), || conn);
         }
         Ok(table)
     }
@@ -286,10 +267,6 @@ pub struct Host {
     core: HostCore,
     senders: ConnTable<SenderConn>,
     receivers: Receivers,
-    /// When set, receiver endpoints record delivered bytes into per-flow
-    /// timelines (the Fig. 15 throughput traces). The final partial bin is
-    /// closed at the flow-completion instant.
-    pub timelines: Option<DeliveryTimelines>,
     /// Override the RFC 6298 1 s minimum RTO for flows started on this host
     /// (sensitivity studies; `None` = standard).
     pub min_rto: Option<netsim::SimDuration>,
@@ -321,7 +298,6 @@ impl Host {
             },
             senders: ConnTable::default(),
             receivers: Receivers::default(),
-            timelines: None,
             min_rto: None,
             stray_packets: 0,
             invariant_breaches: Vec::new(),
@@ -461,16 +437,15 @@ impl Default for Host {
 const SEC_HOST: u32 = 0x4842_0003;
 
 impl Host {
-    /// Serialize every dynamic field of this host — live sender and
-    /// receiver endpoints, timer-token routing, retained completion
-    /// records — into the checkpoint codec.
+    /// Serialize every dynamic field of this host — live sender endpoints,
+    /// open and finished receivers as the host holds them, timer-token
+    /// routing, retained completion records — into the checkpoint codec.
     ///
-    /// Configuration knobs (`min_rto`, record retention,
-    /// the bus, timelines, the flight recorder) are NOT serialized: a
-    /// restored host is rebuilt from the run configuration first, exactly
-    /// like link structure on the engine side, and only the dynamic state
-    /// is overlaid. Flight-recorder and timeline contents are
-    /// diagnostics and do not survive a checkpoint.
+    /// Configuration knobs (`min_rto`, record retention, the bus, the
+    /// flight recorder) are NOT serialized: a restored host is rebuilt from
+    /// the run configuration first, exactly like link structure on the
+    /// engine side, and only the dynamic state is overlaid. Flight-recorder
+    /// contents are diagnostics and do not survive a checkpoint.
     pub fn save(&self, w: &mut SnapWriter) {
         w.magic(SEC_HOST);
         w.put(&self.core.node);
@@ -575,17 +550,8 @@ impl Node<Header> for Host {
                     return;
                 };
                 // Only a newly delivered segment can complete a flow.
-                if gained > 0 {
-                    let done = view.complete_at.is_some();
-                    if let Some(tl) = &mut self.timelines {
-                        tl.record(flow, now.as_nanos(), gained as f64);
-                        if done {
-                            tl.close(flow, now.as_nanos());
-                        }
-                    }
-                    if done {
-                        self.receivers.settle(flow);
-                    }
+                if gained > 0 && view.complete_at.is_some() {
+                    self.receivers.settle(flow);
                 }
                 self.core.record(
                     now,
@@ -858,5 +824,41 @@ mod tests {
             assert!(save(rx) == save(copy), "reaped alike at {before:?}");
         }
         assert_eq!(rx.receivers().count(), open);
+    }
+
+    /// A finished list out of flow order would hide records from the binary
+    /// search that finds them, so a checkpoint holding one is refused and
+    /// nothing of it reaches the restore target's receivers.
+    #[test]
+    fn finished_receivers_out_of_flow_order_are_refused() {
+        let spec = PathSpec::clean(Rate::from_mbps(10), SimDuration::from_millis(40));
+        let (mut sim, net) = wired(&spec);
+        sim.with_node_mut::<Host, _>(net.sender, |h, core| {
+            for flow in 1..=3 {
+                let strategy = Box::new(MiniTcp {
+                    reno: RenoEngine::new(RenoConfig::default()),
+                    seen: Rc::default(),
+                });
+                h.start_flow(core, FlowId(flow), net.receiver, 2_000, strategy);
+            }
+        });
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(500));
+        let rx = sim.node_as_mut::<Host>(net.receiver).unwrap();
+        assert_eq!(rx.receivers.finished.len(), 3);
+        rx.receivers.finished.swap(0, 2);
+        let mut w = SnapWriter::new();
+        rx.save(&mut w);
+
+        let (mut fresh, _) = wired(&spec);
+        let copy = fresh.node_as_mut::<Host>(net.receiver).unwrap();
+        let got = copy.load(
+            &mut SnapReader::new(&w.into_bytes()),
+            &mut |_| unreachable!(),
+        );
+        assert!(
+            matches!(&got, Err(SnapError::Unsupported(m)) if m.contains("flow order")),
+            "{got:?}"
+        );
+        assert_eq!(copy.receivers().count(), 0);
     }
 }

@@ -13,7 +13,7 @@
 //! * [`reno`] — the shared NewReno engine baselines compose
 //! * [`rtt`] — RFC 6298 RTT/RTO estimation
 //! * [`rangeset`] — coalescing integer range sets
-//! * [`trace`] — flight recorder: typed flow events + delivery timelines
+//! * [`trace`] — flight recorder: typed flow events in a per-host ring
 //!
 //! Protocol implementations live in the `baselines` crate (TCP, TCP-10,
 //! TCP-Cache, Reactive, Proactive, JumpStart, PCP) and the `core` crate
@@ -42,7 +42,7 @@ pub use sender::{
     MAX_SYN_RETRIES,
 };
 pub use strategy::{PaceAction, Strategy};
-pub use trace::{DeliveryTimelines, FlightRecorder, FlowEvent, FlowEventRecord};
+pub use trace::{FlightRecorder, FlowEvent, FlowEventRecord};
 pub use wire::{Header, SegId, SendClass, DEFAULT_FCW_BYTES, MSS};
 
 /// Convenience alias: a simulator carrying transport packets.

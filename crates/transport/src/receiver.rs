@@ -86,6 +86,16 @@ pub struct Finished {
     data_packets: u32,
 }
 
+netsim::snap_struct!(Finished {
+    flow,
+    peer,
+    total_bytes,
+    syn_at,
+    complete_at,
+    dup_segments,
+    data_packets,
+});
+
 /// The window a receiver advertises for a flow of `flow_bytes`.
 fn window_for(flow_bytes: u64) -> u32 {
     if flow_bytes > ReceiverConn::BULK_THRESHOLD_BYTES {
@@ -146,11 +156,6 @@ impl ReceiverConn {
             delivered_bytes: 0,
             data_packets: 0,
         }
-    }
-
-    /// The host node this receiver answers from.
-    pub(crate) fn local(&self) -> NodeId {
-        self.local
     }
 
     /// The host-facing fields.
@@ -339,28 +344,6 @@ impl Finished {
         }
     }
 
-    /// The complete receiver this record stands for, on host `local`.
-    pub(crate) fn to_conn(&self, local: NodeId) -> ReceiverConn {
-        let n = self.total_segs();
-        let mut received = RangeSet::new();
-        received.insert_range(0, n);
-        ReceiverConn {
-            flow: self.flow,
-            peer: self.peer,
-            local,
-            total_segs: n,
-            total_bytes: self.total_bytes,
-            window: window_for(self.total_bytes),
-            received,
-            cum: n,
-            syn_at: self.syn_at,
-            complete_at: Some(self.complete_at),
-            delivered_bytes: self.total_bytes,
-            dup_segments: self.dup_segments.into(),
-            data_packets: self.data_packets.into(),
-        }
-    }
-
     /// The SYN-ACK a retransmitted SYN gets from host `local`.
     pub fn syn_ack(&self, local: NodeId) -> Packet<Header> {
         let window = window_for(self.total_bytes);
@@ -522,17 +505,12 @@ mod tests {
     /// Two receivers driven to completion, one of them then finished, get
     /// the same late traffic — duplicates of the first, a middle and the
     /// last segment, segments past the end, a retransmitted SYN, a probe —
-    /// and must answer, report and checkpoint alike. The flow sizes cover a
-    /// one-segment flow and one on the bulk window.
+    /// and must answer and report alike; the finished record comes back
+    /// from a checkpoint as it went in. The flow sizes cover a one-segment
+    /// flow and one on the bulk window.
     #[test]
     fn finished_receiver_answers_like_the_open_one() {
-        use netsim::snap::SnapWriter;
         assert!(std::mem::size_of::<Finished>() <= 48);
-        let encode = |conn: &ReceiverConn| {
-            let mut w = SnapWriter::new();
-            w.put(conn);
-            w.into_bytes()
-        };
         let at = SimTime::from_nanos;
         let local = NodeId(1);
         let bulk = ReceiverConn::BULK_THRESHOLD_BYTES + 5_000;
@@ -553,7 +531,8 @@ mod tests {
             let (mut open, mut done) = (drive(), drive().finish());
             let alike = |open: &ReceiverConn, done: &Finished| {
                 assert_eq!(open.view(), done.view(), "{bytes} B");
-                assert!(encode(open) == encode(&done.to_conn(local)), "{bytes} B");
+                let back = netsim::snap::assert_roundtrip(done);
+                assert_eq!(back.view(), done.view(), "{bytes} B");
             };
             alike(&open, &done);
             for (k, seg) in [0, n / 2, n - 1, n, n + 3].into_iter().enumerate() {

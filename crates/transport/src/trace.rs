@@ -1,5 +1,5 @@
-//! Transport-level flight recorder: typed flow events and per-flow
-//! delivery timelines.
+//! Transport-level flight recorder: typed flow events in a bounded
+//! per-host ring.
 //!
 //! The netsim engine already exposes wire-level [`netsim::engine::TraceEvent`]s
 //! through its optional tracer. This module extends that bus one layer up:
@@ -17,9 +17,7 @@
 //! `(scenario, seed)` — byte-identical across repeats and across any
 //! `--jobs N`, which `scenarios/tests/harness_determinism.rs` asserts.
 
-use crate::fasthash::FastMap;
 use crate::wire::{SegId, SendClass};
-use netsim::stats::TimeBinned;
 use netsim::{FlowId, SimTime};
 use std::collections::VecDeque;
 
@@ -82,7 +80,8 @@ pub enum FlowEvent {
         /// Segments in the paced batch.
         batch_segs: u32,
     },
-    /// A data segment arrived at the receiver.
+    /// A data segment arrived at the receiver (Fig. 15 bins the growth of
+    /// `delivered_bytes`).
     Delivered {
         /// Segment index carried by the arriving packet.
         seg: SegId,
@@ -172,52 +171,6 @@ impl FlightRecorder {
     }
 }
 
-/// Per-flow delivered-byte timelines recorded at a receiver host (the
-/// Fig. 15 throughput traces). Replaces the old ad-hoc `delivery_traces`
-/// map: the final partial bin is closed at the flow-completion instant, so
-/// rate conversion no longer under-reports the last bin.
-#[derive(Debug)]
-pub struct DeliveryTimelines {
-    bin_ns: u64,
-    flows: FastMap<FlowId, TimeBinned>,
-}
-
-impl DeliveryTimelines {
-    /// Timelines with the given bin width in nanoseconds.
-    pub fn new(bin_ns: u64) -> Self {
-        assert!(bin_ns > 0);
-        DeliveryTimelines {
-            bin_ns,
-            flows: FastMap::default(),
-        }
-    }
-
-    /// Record `bytes` delivered for `flow` at `t_ns`.
-    pub fn record(&mut self, flow: FlowId, t_ns: u64, bytes: f64) {
-        self.flows
-            .entry(flow)
-            .or_insert_with(|| TimeBinned::new(self.bin_ns))
-            .add(t_ns, bytes);
-    }
-
-    /// Close `flow`'s timeline at its completion instant.
-    pub fn close(&mut self, flow: FlowId, t_ns: u64) {
-        if let Some(tb) = self.flows.get_mut(&flow) {
-            tb.close_at(t_ns);
-        }
-    }
-
-    /// The timeline recorded for `flow`, if any.
-    pub fn get(&self, flow: FlowId) -> Option<&TimeBinned> {
-        self.flows.get(&flow)
-    }
-
-    /// Bin width in nanoseconds.
-    pub fn bin_ns(&self) -> u64 {
-        self.bin_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,18 +203,5 @@ mod tests {
             })
             .collect();
         assert_eq!(cums, vec![2, 3, 4], "oldest events evicted first");
-    }
-
-    #[test]
-    fn timelines_close_final_bin() {
-        let mut tl = DeliveryTimelines::new(1_000_000);
-        tl.record(FlowId(1), 0, 1000.0);
-        tl.record(FlowId(1), 1_000_000, 500.0);
-        tl.close(FlowId(1), 1_500_000);
-        let tb = tl.get(FlowId(1)).unwrap();
-        assert_eq!(tb.end_ns(), Some(1_500_000));
-        assert!(tl.get(FlowId(2)).is_none());
-        // Closing an unknown flow is a no-op, not a panic.
-        tl.close(FlowId(2), 10);
     }
 }

@@ -10,7 +10,7 @@ use transport::scoreboard::AckOutcome;
 use transport::sender::Ops;
 use transport::strategy::Strategy;
 use transport::wire::{AckHeader, SegId, SendClass};
-use transport::{Host, TransportSim};
+use transport::{FlowEvent, Host, TransportSim};
 
 /// Minimal window-driven strategy for chassis tests.
 struct MiniTcp(RenoEngine);
@@ -105,9 +105,7 @@ fn completion_bus_receives_records_in_order() {
 fn delivery_traces_cover_the_flow() {
     let spec = PathSpec::clean(Rate::from_mbps(50), SimDuration::from_millis(20));
     let (mut sim, net) = rig(&spec, 3);
-    sim.with_node_mut::<Host, _>(net.receiver, |h, _| {
-        h.timelines = Some(transport::trace::DeliveryTimelines::new(10_000_000))
-    });
+    sim.with_node_mut::<Host, _>(net.receiver, |h, _| h.enable_recorder());
     sim.with_node_mut::<Host, _>(net.sender, |h, core| {
         h.start_flow(
             core,
@@ -119,13 +117,18 @@ fn delivery_traces_cover_the_flow() {
     });
     sim.run_to_completion(1_000_000);
     let host = sim.node_as::<Host>(net.receiver).unwrap();
-    let tb = host
-        .timelines
-        .as_ref()
-        .and_then(|tl| tl.get(FlowId(1)))
-        .expect("trace recorded");
-    let total: f64 = tb.series().iter().map(|&(_, v)| v).sum();
-    assert!((total - 50_000.0).abs() < 1.0, "trace bytes {total}");
+    let delivered = host
+        .recorder()
+        .expect("receiver records")
+        .events()
+        .filter_map(|r| match r.event {
+            FlowEvent::Delivered {
+                delivered_bytes, ..
+            } if r.flow == FlowId(1) => Some(delivered_bytes),
+            _ => None,
+        })
+        .max();
+    assert_eq!(delivered, Some(50_000));
 }
 
 #[test]
